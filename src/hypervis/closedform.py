@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -155,27 +156,90 @@ def ell_deriv(d: int, j: int, r: float) -> float:
     return omega(d - j) * math.cosh(r) ** j * math.sinh(r) ** (d - 1 - j)
 
 
+# Below this argument the sinh reduction formula cancels; its power series takes over.
+_SERIES_BELOW = 0.5
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=None)
+def _sinh_power_series(n: int) -> np.ndarray:
+    """Coefficients b_k of int_0^t sinh^n = t^{n+1} sum_k b_k t^{2k}, as many as doubles need below _SERIES_BELOW."""
+    k = np.arange(24)
+    coef = np.ones(1)
+    for _ in range(n):
+        coef = np.convolve(coef, 1.0 / np.array([math.factorial(2 * j + 1) for j in k], dtype=float))[: len(k)]
+    coef = coef / (n + 1 + 2 * k)
+    return coef[coef * _SERIES_BELOW ** (2 * k) > 1e-17 * coef[0]]
+
+
+def power_integral(n: int, t, sign: int = -1):
+    """int_0^t sinh^n (sign -1) or cosh^n (sign +1), vectorized over t >= 0.
+
+    The radial profile of both obstacle processes: grain centers within
+    distance t have volume omega_d * power_integral(d-1, t, -1), hyperplanes
+    within distance t have measure 2 * power_integral(d-1, t, +1). Computed by
+    the reduction formula n I_n = f^{n-1} g + sign (n-1) I_{n-2}, with
+    (f, g) = (sinh, cosh) or (cosh, sinh), from I_0 = t and I_1 = 2 sinh^2(t/2)
+    or sinh t; a power series replaces the cancelling sinh recursion near 0.
+    """
+    t = np.asarray(t, dtype=float)
+    if n % 2 == 0:
+        out = t
+    else:
+        out = 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else np.sinh(t)
+    if n < 2:
+        return out
+    f, g = (np.sinh(t), np.cosh(t)) if sign < 0 else (np.cosh(t), np.sinh(t))
+    f2 = f * f
+    term = g * (f if n % 2 == 0 else f2)  # f^{k-1} g
+    for k in range(2 + n % 2, n + 1, 2):
+        out = (term + sign * (k - 1) * out) / k
+        term = term * f2
+    if sign < 0:
+        small = t < _SERIES_BELOW
+        if np.any(small):
+            x, series = t * t, 0.0
+            for b in _sinh_power_series(n)[::-1]:  # Horner in t^2
+                series = series * x + b
+            out = np.where(small, t ** (n + 1) * series, out)
+    return out
+
+
+def power_integral_inverse(n: int, y, sign: int = -1):
+    """The t >= 0 with power_integral(n, t, sign) = y, for n >= 1, vectorized over y >= 0.
+
+    Closed forms for n = 1. Otherwise Newton's method on the convex profile,
+    which decreases monotonically to the root from any start above it, started
+    from the bounds asinh((n y)^{1/n}) <= t <= ((n+1) y)^{1/(n+1)} (sinh; the
+    upper one where it is below 1, else the lower one, whose first step lands
+    above the root) or t <= min(y, acosh((1 + n y)^{1/n})) (cosh).
+    """
+    y = np.asarray(y, dtype=float)
+    if n == 1:
+        return 2.0 * np.arcsinh(np.sqrt(y / 2.0)) if sign < 0 else np.arcsinh(y)
+    if sign < 0:
+        upper = ((n + 1) * y) ** (1.0 / (n + 1))
+        t = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
+    else:
+        t = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
+    for _ in range(50):
+        slope = np.maximum((np.sinh(t) if sign < 0 else np.cosh(t)) ** n, _TINY)  # t = 0 only where y = 0
+        step = (power_integral(n, t, sign) - y) / slope
+        t = t - step
+        if np.all(np.abs(step) <= 1e-13 * t):
+            break
+    return t
+
+
 def sinh_integral(d: int, r) -> np.ndarray | float:
-    """int_0^r sinh^{d-1}(t) dt, vectorized; stable closed forms for d in {2, 3}.
+    """int_0^r sinh^{d-1}(t) dt, vectorized: power_integral(d-1, r, -1).
 
     This is the radial volume profile: ball_volume(d, r) = omega_d * sinh_integral(d, r).
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ValueError("radius must be >= 0")
-    if d == 2:
-        out = 2.0 * np.sinh(r / 2.0) ** 2  # cosh(r) - 1 without cancellation
-    elif d == 3:
-        # (sinh r cosh r - r)/2; series below 0.1 avoids cancellation
-        out = np.where(
-            r < 0.1,
-            r**3 / 3.0 + r**5 / 15.0 + 2.0 * r**7 / 315.0 + r**9 / 2835.0,
-            (np.sinh(r) * np.cosh(r) - r) / 2.0,
-        )
-    else:
-        flat = np.atleast_1d(r)
-        out = np.array([_quad(lambda t: math.sinh(t) ** (d - 1), 0.0, float(s)) for s in flat])
-        out = out.reshape(r.shape)
+    out = power_integral(d - 1, r, -1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -209,19 +273,10 @@ def mc_ball_volume(d: int, r: float, n: int, rng: np.random.Generator) -> tuple[
 
 
 def radius_at_volume(d: int, v: float) -> float:
-    """Inverse of ball_volume in the radius (Newton from above; profile is convex)."""
+    """Inverse of ball_volume in the radius."""
     if v <= 0:
         return 0.0
-    if d == 2:
-        return float(np.arccosh(1.0 + v / (2.0 * math.pi)))
-    r = math.asinh((v * (d - 1) / omega(d)) ** (1.0 / (d - 1)))  # exact as r -> inf
-    for _ in range(60):
-        f = ball_volume(d, r) - v
-        step = f / ball_surface(d, max(r, 1e-12))
-        r = max(r - step, r / 2.0)
-        if abs(step) < 1e-12 * max(1.0, r):
-            break
-    return r
+    return float(power_integral_inverse(d - 1, v / omega(d), -1))
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,20 @@ class FormulaCheckResult:
     checks: dict[str, float]
 
 
-def ks_exponential(samples, rate: float) -> KsResult:
-    """Sup distance between the empirical CDF and 1 - exp(-rate x)."""
+def ks_exponential(samples, rate: float, cutoff: float = math.inf) -> KsResult:
+    """Sup distance between the empirical CDF and the Exp(rate) law truncated at cutoff.
+
+    The truncated CDF (1 - exp(-rate x)) / (1 - exp(-rate cutoff)) is the law
+    of the uncensored ranges when those at the cutoff are dropped.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("KS test needs a nonempty sample")
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
+    if rate <= 0 or cutoff <= 0:
+        raise ValueError("rate and cutoff must be > 0")
     x = np.sort(samples)
     n = x.size
-    cdf = 1.0 - np.exp(-rate * x)
+    cdf = (1.0 - np.exp(-rate * x)) / (1.0 - math.exp(-rate * cutoff))
     i = np.arange(1, n + 1)
     statistic = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
     critical = KS_COEFF_1PCT / math.sqrt(n)
@@ -88,6 +92,10 @@ class ExperimentConfig:
             return
         if self.d < 2:
             raise UsageError("dimension must be >= 2")
+        for name in ("gamma", "cutoff", "truncate_at", "r_win"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise UsageError("intensity gamma must be > 0")
         if self.n_reps < 1 or self.n_rays < 1:
@@ -176,12 +184,12 @@ def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckRes
             config.d, config.gamma, config.law, config.n_reps, config.cutoff, config.seed
         )
         rate = config.gamma * grain_moments(config.d, config.law).v_dm1_star
-        return ks_exponential(values[~censored], rate)
+        return ks_exponential(values[~censored], rate, config.cutoff)
     if q == "cdf_tessellation":
         values, censored = visibility.sample_zero_cell_ranges(
             config.d, config.gamma, config.n_reps, config.cutoff, config.seed
         )
-        return ks_exponential(values[~censored], closedform.zero_cell_rate(config.d, config.gamma))
+        return ks_exponential(values[~censored], closedform.zero_cell_rate(config.d, config.gamma), config.cutoff)
     if q == "intersection_density":
         return intersect.estimate_intersection_density(
             config.gamma, config.law, config.r_win, config.n_reps, config.seed

@@ -19,11 +19,13 @@ cross-check oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import GrainLaw, ball_volume, omega, sinh_integral
+from .closedform import GrainLaw, ball_volume, grain_moments, omega, power_integral, power_integral_inverse
+from .closedform import sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps it here)
 
 # Refuse samples whose expected obstacle count exceeds this (resource guard).
 MAX_EXPECTED_COUNT = 1e8
@@ -110,52 +112,24 @@ def unit_vectors(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _bisect_increasing(fn, target: np.ndarray, lo: float, hi: float, iters: int = 60) -> np.ndarray:
-    """Vectorized bisection for fn increasing on [lo, hi]."""
-    lo_v = np.full_like(target, lo, dtype=float)
-    hi_v = np.full_like(target, hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo_v + hi_v)
-        high = fn(mid) > target
-        hi_v = np.where(high, mid, hi_v)
-        lo_v = np.where(high, lo_v, mid)
-    return 0.5 * (lo_v + hi_v)
+def _profile_annulus(n: int, sign: int, t_lo: float, t_hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Distances on [t_lo, t_hi] with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF."""
+    u = rng.uniform(size=size)
+    g_lo, g_hi = power_integral(n, t_lo, sign), power_integral(n, t_hi, sign)
+    return power_integral_inverse(n, g_lo + u * (g_hi - g_lo), sign)
 
 
 def sample_radial_annulus(d: int, t_lo: float, t_hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi]."""
     if not 0 <= t_lo < t_hi:
         raise ValueError("need 0 <= t_lo < t_hi")
-    u = rng.uniform(size=size)
-    if d == 2:
-        c_lo, c_hi = np.cosh(t_lo), np.cosh(t_hi)
-        return np.arccosh(c_lo + u * (c_hi - c_lo))
-    if d == 3:
-        g_lo = sinh_integral(3, t_lo)
-        target = g_lo + u * (sinh_integral(3, t_hi) - g_lo)
-        return _bisect_increasing(lambda t: sinh_integral(3, t), target, t_lo, t_hi)
-    # Rejection against the exponential envelope (e^t/2)^{d-1};
-    # acceptance probability is (1 - e^{-2t})^{d-1}.
-    n = d - 1
-    e_lo, e_hi = np.exp(n * t_lo), np.exp(n * t_hi)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        m = max(size - filled, 16)
-        t = np.log(e_lo + rng.uniform(size=m) * (e_hi - e_lo)) / n
-        accept = rng.uniform(size=m) < (1.0 - np.exp(-2.0 * t)) ** n
-        t = t[accept]
-        take = min(len(t), size - filled)
-        out[filled : filled + take] = t[:take]
-        filled += take
-    return out
+    return _profile_annulus(d - 1, -1, t_lo, t_hi, rng, size)
 
 
 def sample_radial(d: int, r_max: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
     """Distance from the base point of a uniform point in B(base, r_max).
 
-    Density sinh^{d-1}(t) / int_0^{r_max} sinh^{d-1}; inverse CDF where the
-    antiderivative inverts cheaply, rejection otherwise.
+    Density sinh^{d-1}(t) / int_0^{r_max} sinh^{d-1}, sampled by inverse CDF.
     """
     if r_max <= 0:
         raise ValueError("r_max must be > 0")
@@ -235,12 +209,19 @@ def sample_boolean(
     Centers are sampled in B(base, r_obs + max radius); conditioning deletes
     grains covering the base point (method="delete", exact) or resamples whole
     configurations until the base point is uncovered (method="reject", the
-    distributional cross-check).
+    distributional cross-check). Rejection needs e^{gamma E vol(grain)}
+    attempts on average and is refused beyond the resource guard.
     """
     if r_obs <= 0:
         raise ValueError("r_obs must be > 0")
     if gamma < 0:
         raise ValueError("intensity must be >= 0")
+    if condition_origin_free and method == "reject":
+        exponent = gamma * grain_moments(d, law).mean_volume
+        if exponent > math.log(MAX_EXPECTED_COUNT):
+            raise ValueError(
+                f"rejection needs e^{exponent:.3g} expected attempts, beyond resource guard {MAX_EXPECTED_COUNT:.0e}"
+            )
     r_cen = r_obs + law.max_radius
     while True:
         dists, dirs, radii = sample_boolean_annulus(
@@ -263,42 +244,15 @@ def sample_boolean(
 # ---------------------------------------------------------------------------
 
 
-def plane_measure(d: int, t: float) -> float:
+def plane_measure(d: int, t):
     """Measure of hyperplanes within distance t of the base point: 2 int_0^t cosh^{d-1}."""
-    if d == 2:
-        return 2.0 * np.sinh(t)
-    if d == 3:
-        return np.sinh(t) * np.cosh(t) + t
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda s: np.cosh(s) ** (d - 1), 0.0, t, epsabs=1e-12, epsrel=1e-12)
-    return 2.0 * val
+    out = 2.0 * power_integral(d - 1, t, 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_plane_distances(d: int, t_lo: float, t_hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi]."""
-    u = rng.uniform(size=size)
-    if d == 2:
-        s_lo, s_hi = np.sinh(t_lo), np.sinh(t_hi)
-        return np.arcsinh(s_lo + u * (s_hi - s_lo))
-    if d == 3:
-        g_lo = plane_measure(3, t_lo)
-        target = g_lo + u * (plane_measure(3, t_hi) - g_lo)
-        return _bisect_increasing(lambda t: np.sinh(t) * np.cosh(t) + t, target, t_lo, t_hi)
-    # Rejection against e^{(d-1)t}; acceptance ((1 + e^{-2t})/2)^{d-1}.
-    n = d - 1
-    e_lo, e_hi = np.exp(n * t_lo), np.exp(n * t_hi)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        m = max(size - filled, 16)
-        t = np.log(e_lo + rng.uniform(size=m) * (e_hi - e_lo)) / n
-        accept = rng.uniform(size=m) < ((1.0 + np.exp(-2.0 * t)) / 2.0) ** n
-        t = t[accept]
-        take = min(len(t), size - filled)
-        out[filled : filled + take] = t[:take]
-        filled += take
-    return out
+    return _profile_annulus(d - 1, 1, t_lo, t_hi, rng, size)
 
 
 def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:

@@ -19,11 +19,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import closedform, procsim
-from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, radius_at_volume, sinh_integral
+from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power_integral, power_integral_inverse
+from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
 from .hypgeom import GeodesicRay, dist, minkowski_dot
 from .procsim import BallGrain, BooleanModelSample, Hyperplane, HyperplaneSample
 from .rng import stream
@@ -201,58 +204,84 @@ def _spatial_direction(d: int, direction: np.ndarray | None) -> np.ndarray | Non
     return direction[None, :]
 
 
-def _boolean_ranges(
-    d: int, gamma: float, law: GrainLaw, dirs: np.ndarray, cutoff: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Visibility ranges (censored at cutoff) for rays from the base point."""
+@dataclass(frozen=True)
+class _ObstacleProcess:
+    """An obstacle process seen from the base point, as the radial sweep needs it.
+
+    Obstacles within distance t have measure gamma * scale * power_integral(d-1, t, sign):
+    grain centers the sinh profile with scale omega_d, hyperplanes the cosh profile
+    with scale 2. An obstacle at distance t cannot meet a ray before t - margin.
+    """
+
+    d: int
+    gamma: float
+    sign: int
+    scale: float
+    margin: float
+    annulus: Callable  # (t_lo, t_hi, rng) -> obstacle arrays, distances first
+    hits: Callable  # (dirs, *obstacle arrays) -> hit parameters, shape (rays, obstacles)
+
+
+def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rng: np.random.Generator) -> np.ndarray:
+    """Ranges (censored at cutoff) of rays from the base point, sweeping the obstacles outward.
+
+    Each block is the annulus holding _BLOCK_TARGET expected obstacles; the
+    sweep stops once no farther obstacle can shorten any ray.
+    """
+    n, sign = proc.d - 1, proc.sign
+    per_block = _BLOCK_TARGET / (proc.gamma * proc.scale)
     best = np.full(len(dirs), cutoff)
-    margin = law.max_radius
     t_lo = 0.0
     while True:
-        stop_at = float(best.max()) + margin
+        stop_at = float(best.max()) + proc.margin
         if t_lo >= stop_at - 1e-12:
             break
-        t_hi = min(stop_at, radius_at_volume(d, float(closedform.ball_volume(d, t_lo)) + _BLOCK_TARGET / gamma))
-        t_hi = max(t_hi, t_lo + 1e-6)
-        g_dist, g_dir, g_rad = procsim.sample_boolean_annulus(d, gamma, law, t_lo, t_hi, rng)
-        if len(g_dist):
-            hits = grain_hits_from_base(dirs, g_dist, g_dir, g_rad)
+        reach = float(power_integral_inverse(n, power_integral(n, t_lo, sign) + per_block, sign))
+        t_hi = max(min(stop_at, reach), t_lo + 1e-6)
+        obstacles = proc.annulus(t_lo, t_hi, rng)
+        if len(obstacles[0]):
+            # Holding the hit matrix until the next block keeps the allocator from
+            # returning and re-faulting its pages on every kernel call (30% at d = 2).
+            hits = proc.hits(dirs, *obstacles)
             np.minimum(best, hits.min(axis=1), out=best)
         t_lo = t_hi
     return best
 
 
-def _plane_radius_for_count(d: int, gamma: float, t_lo: float, target: float) -> float:
-    goal = procsim.plane_measure(d, t_lo) + target / gamma
-    if d == 2:
-        return float(np.arcsinh(goal / 2.0))
-    lo, hi = t_lo, t_lo + 1.0
-    while procsim.plane_measure(d, hi) < goal:
-        lo, hi = hi, hi + 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if procsim.plane_measure(d, mid) > goal:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+# The sweep over each process under its own name; benchmarks/tracer.py times
+# the sweeps by wrapping these two attributes.
+def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rng: np.random.Generator) -> np.ndarray:
+    """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
+    annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
+    proc = _ObstacleProcess(d, gamma, -1, omega(d), law.max_radius, annulus, grain_hits_from_base)
+    return _sweep(proc, dirs, cutoff, rng)
 
 
-def _hyperplane_ranges(d: int, gamma: float, dirs: np.ndarray, cutoff: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero-cell visibility ranges (censored at cutoff) for rays from the base point."""
-    best = np.full(len(dirs), cutoff)
-    t_lo = 0.0
-    while True:
-        stop_at = float(best.max())
-        if t_lo >= stop_at - 1e-12:
-            break
-        t_hi = max(min(stop_at, _plane_radius_for_count(d, gamma, t_lo, _BLOCK_TARGET)), t_lo + 1e-6)
-        p_dist, normals = procsim.sample_hyperplane_annulus(d, gamma, t_lo, t_hi, rng)
-        if len(p_dist):
-            hits = plane_hits_from_base(dirs, normals)
-            np.minimum(best, hits.min(axis=1), out=best)
-        t_lo = t_hi
-    return best
+def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero-cell visibility ranges: the sweep over the hyperplanes."""
+    annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
+    proc = _ObstacleProcess(
+        d, gamma, 1, 2.0, 0.0, annulus, lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)
+    )
+    return _sweep(proc, dirs, cutoff, rng)
+
+
+def _replications(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, direction=None):
+    """Each replication's ranges(dirs, cutoff, rng) for n_rays uniform directions or the one fixed direction.
+
+    Replication i draws from stream(seed, i).
+    """
+    fixed = _spatial_direction(d, direction)
+    for i in range(n_reps):
+        rng = stream(seed, i)
+        dirs = procsim.unit_vectors(d, rng, n_rays) if fixed is None else fixed
+        yield ranges(dirs, cutoff, rng)
+
+
+def _single_ranges(d: int, n: int, cutoff: float, seed: int, ranges: Callable, direction) -> tuple:
+    """(values, censored) of n replications with one ray each."""
+    values = np.fromiter((r[0] for r in _replications(d, n, 1, cutoff, seed, ranges, direction)), float, count=n)
+    return values, values >= cutoff - 1e-12
 
 
 def sample_visibility_ranges(
@@ -269,14 +298,7 @@ def sample_visibility_ranges(
     Returns (values, censored). A fixed spatial direction can be supplied;
     by default each replication draws a fresh uniform direction.
     """
-    fixed = _spatial_direction(d, direction)
-    values = np.empty(n)
-    for i in range(n):
-        rng = stream(seed, i)
-        dirs = procsim.unit_vectors(d, rng, 1) if fixed is None else fixed
-        values[i] = _boolean_ranges(d, gamma, law, dirs, cutoff, rng)[0]
-    censored = values >= cutoff - 1e-12
-    return values, censored
+    return _single_ranges(d, n, cutoff, seed, partial(_boolean_ranges, d, gamma, law), direction)
 
 
 def sample_zero_cell_ranges(
@@ -288,14 +310,7 @@ def sample_zero_cell_ranges(
     direction: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """n independent visibility ranges through the hyperplane process."""
-    fixed = _spatial_direction(d, direction)
-    values = np.empty(n)
-    for i in range(n):
-        rng = stream(seed, i)
-        dirs = procsim.unit_vectors(d, rng, 1) if fixed is None else fixed
-        values[i] = _hyperplane_ranges(d, gamma, dirs, cutoff, rng)[0]
-    censored = values >= cutoff - 1e-12
-    return values, censored
+    return _single_ranges(d, n, cutoff, seed, partial(_hyperplane_ranges, d, gamma), direction)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +331,18 @@ def _safe_cutoff(model: BooleanModelSample | HyperplaneSample) -> float:
     return model.window_radius
 
 
+def _window_ranges(model: BooleanModelSample | HyperplaneSample, dirs: np.ndarray) -> np.ndarray:
+    """Ranges of rays from the base point through a window sample; inf where nothing is hit."""
+    if isinstance(model, BooleanModelSample):
+        if not model.conditioned:
+            raise ValueError("visibility needs a sample conditioned on an uncovered base point")
+        if model.n_grains:
+            return grain_hits_from_base(dirs, *_model_polar(model)).min(axis=1)
+    elif model.n_planes:
+        return plane_hits_from_base(dirs, model.normals).min(axis=1)
+    return np.full(len(dirs), np.inf)
+
+
 def visibility_range(
     model: BooleanModelSample | HyperplaneSample, u: np.ndarray, cutoff: float
 ) -> VisibilitySample:
@@ -325,26 +352,11 @@ def visibility_range(
     its spatial part. The cutoff must stay inside the simulated window
     (window radius minus the grain-radius edge margin for Boolean samples).
     """
-    u = np.asarray(u, dtype=float)
-    dirs = u[None, 1:] if u.shape[0] == model.d + 1 else u[None, :]
     if cutoff > _safe_cutoff(model) + 1e-12:
         raise ValueError(
             f"cutoff {cutoff} exceeds the safe window {_safe_cutoff(model):.6g} of this sample"
         )
-    if isinstance(model, BooleanModelSample):
-        if not model.conditioned:
-            raise ValueError("visibility_range needs a sample conditioned on an uncovered base point")
-        if model.n_grains:
-            hits = grain_hits_from_base(dirs, *_model_polar(model))
-            value = min(cutoff, float(hits.min()))
-        else:
-            value = cutoff
-    else:
-        if model.n_planes:
-            hits = plane_hits_from_base(dirs, model.normals)
-            value = min(cutoff, float(hits.min()))
-        else:
-            value = cutoff
+    value = min(cutoff, float(_window_ranges(model, _spatial_direction(model.d, u))[0]))
     return VisibilitySample(value=value, censored=value >= cutoff - 1e-12)
 
 
@@ -362,21 +374,7 @@ def visible_volume_once(
     if truncate_at > _safe_cutoff(model) + 1e-12:
         raise ValueError(f"truncate_at {truncate_at} exceeds the safe window {_safe_cutoff(model):.6g}")
     d = model.d
-    dirs = procsim.unit_vectors(d, rng, n_rays)
-    if isinstance(model, BooleanModelSample):
-        if not model.conditioned:
-            raise ValueError("visible_volume_once needs a conditioned sample")
-        ranges = (
-            grain_hits_from_base(dirs, *_model_polar(model)).min(axis=1)
-            if model.n_grains
-            else np.full(n_rays, np.inf)
-        )
-    else:
-        ranges = (
-            plane_hits_from_base(dirs, model.normals).min(axis=1)
-            if model.n_planes
-            else np.full(n_rays, np.inf)
-        )
+    ranges = _window_ranges(model, procsim.unit_vectors(d, rng, n_rays))
     return omega(d) * float(np.mean(sinh_integral(d, np.minimum(ranges, truncate_at))))
 
 
@@ -418,28 +416,8 @@ def estimate_visible_volume(
         cap = truncate_at
         closed = closedform.truncated_visible_volume(d, gamma, law, truncate_at)
         quantity = "visvol_truncated"
-    rep_vals = np.empty(n_reps)
-    n_censored = 0
-    for i in range(n_reps):
-        rng = stream(seed, i)
-        dirs = procsim.unit_vectors(d, rng, n_rays)
-        ranges = _boolean_ranges(d, gamma, law, dirs, cutoff, rng)
-        n_censored += int(np.sum(ranges >= cutoff - 1e-12))
-        rep_vals[i] = omega(d) * float(np.mean(sinh_integral(d, np.minimum(ranges, cap))))
-    return make_record(
-        quantity,
-        d,
-        gamma,
-        law,
-        float(np.mean(rep_vals)),
-        float(np.std(rep_vals, ddof=1) / math.sqrt(n_reps)),
-        n_reps,
-        n_rays,
-        n_censored / (n_reps * n_rays),
-        closed,
-        seed,
-        (time.perf_counter() - t0) * 1e3,
-    )
+    ranges = partial(_boolean_ranges, d, gamma, law)
+    return _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, closed, seed, ranges, t0)
 
 
 def estimate_zero_cell_volume(
@@ -452,27 +430,21 @@ def estimate_zero_cell_volume(
         raise ValueError(
             f"zero-cell mean volume is infinite: rate {closedform.zero_cell_rate(d, gamma):.6g} <= d-1 = {d - 1}"
         )
+    ranges = partial(_hyperplane_ranges, d, gamma)
+    return _estimate_volume("zero_cell", d, gamma, None, n_reps, n_rays, cutoff, cutoff, closed, seed, ranges, t0)
+
+
+def _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, closed, seed, ranges, t0) -> EstimateRecord:
+    """Record of the mean over replications of omega_d times the ray average of int_0^{min(range, cap)} sinh^{d-1}."""
     rep_vals = np.empty(n_reps)
     n_censored = 0
-    for i in range(n_reps):
-        rng = stream(seed, i)
-        dirs = procsim.unit_vectors(d, rng, n_rays)
-        ranges = _hyperplane_ranges(d, gamma, dirs, cutoff, rng)
-        n_censored += int(np.sum(ranges >= cutoff - 1e-12))
-        rep_vals[i] = omega(d) * float(np.mean(sinh_integral(d, ranges)))
+    for i, rep_ranges in enumerate(_replications(d, n_reps, n_rays, cutoff, seed, ranges)):
+        n_censored += int(np.sum(rep_ranges >= cutoff - 1e-12))
+        rep_vals[i] = omega(d) * float(np.mean(sinh_integral(d, np.minimum(rep_ranges, cap))))
+    estimate, stderr = float(np.mean(rep_vals)), float(np.std(rep_vals, ddof=1) / math.sqrt(n_reps))
+    censored_fraction, runtime_ms = n_censored / (n_reps * n_rays), (time.perf_counter() - t0) * 1e3
     return make_record(
-        "zero_cell",
-        d,
-        gamma,
-        None,
-        float(np.mean(rep_vals)),
-        float(np.std(rep_vals, ddof=1) / math.sqrt(n_reps)),
-        n_reps,
-        n_rays,
-        n_censored / (n_reps * n_rays),
-        closed,
-        seed,
-        (time.perf_counter() - t0) * 1e3,
+        quantity, d, gamma, law, estimate, stderr, n_reps, n_rays, censored_fraction, closed, seed, runtime_ms
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypervis import closedform as cf
+from hypervis import procsim as ps
 from hypervis.rng import stream
 
 
@@ -87,11 +88,13 @@ class TestBallMeasures:
         assert cf.ball_surface(3, 1.0) == pytest.approx(4 * math.pi * math.sinh(1) ** 2, abs=1e-12)
         assert cf.ball_surface(2, 1e-12) == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("d", range(2, 11))
     def test_profile_matches_quadrature(self, d):
         for s in (1e-6, 0.05, 0.7, 3.0, 12.0):
             oracle, _ = quad(lambda t: math.sinh(t) ** (d - 1), 0.0, s, epsabs=1e-13, epsrel=1e-13)
             assert cf.sinh_integral(d, s) == pytest.approx(oracle, rel=1e-10, abs=1e-18)
+            oracle, _ = quad(lambda t: math.cosh(t) ** (d - 1), 0.0, s, epsabs=1e-13, epsrel=1e-13)
+            assert ps.plane_measure(d, s) == pytest.approx(2.0 * oracle, rel=1e-10, abs=1e-18)
 
     def test_profile_vectorized(self):
         s = np.array([0.0, 0.01, 1.0, 20.0])
@@ -105,7 +108,7 @@ class TestBallMeasures:
             numeric = (float(cf.ball_volume(d, 2.0 + h)) - float(cf.ball_volume(d, 2.0 - h))) / (2 * h)
             assert cf.ball_surface(d, 2.0) == pytest.approx(numeric, rel=1e-8)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", range(2, 11))
     def test_radius_at_volume_roundtrip(self, d):
         for r in (0.2, 1.0, 4.0, 13.0):
             assert cf.radius_at_volume(d, float(cf.ball_volume(d, r))) == pytest.approx(r, rel=1e-9)

@@ -6,6 +6,7 @@ import pytest
 
 from hypervis import closedform as cf
 from hypervis import harness
+from hypervis.cli import main
 from hypervis.harness import ExperimentConfig, UsageError, ks_exponential
 from hypervis.rng import stream
 
@@ -69,8 +70,28 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="d = 2"):
             ExperimentConfig(quantity="intersection_density", d=3, gamma=1.0, law=cf.FixedRadius(0.5), r_win=2.0).validate()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cdf_boolean", "--gamma", "nan", "--grain", "fixed:0.5"],
+            ["cdf_boolean", "--gamma", "inf", "--grain", "fixed:0.5"],
+            ["cdf_tessellation", "--gamma", "1.0", "--cutoff", "nan"],
+            ["cdf_tessellation", "--gamma", "1.0", "--cutoff", "inf"],
+            ["visvol_truncated", "--gamma", "1.0", "--grain", "fixed:0.5", "--truncate", "nan"],
+            ["intersection_density", "--gamma", "1.0", "--grain", "fixed:0.5", "--rwin", "inf"],
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, argv, capsys):
+        assert main(["estimate", *argv, "--reps", "10"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestRun:
+    def test_cdf_boolean_censored_at_short_cutoff(self):
+        # about a fifth of the ranges are censored at 1.5; the KS law must be truncated there
+        config = ExperimentConfig(quantity="cdf_boolean", gamma=1.0, law=cf.FixedRadius(0.5), cutoff=1.5, seed=0)
+        assert harness.run(config).passed
+
     def test_cdf_boolean_pinned_seed(self):
         config = ExperimentConfig(
             quantity="cdf_boolean", d=2, gamma=1.5, law=cf.FixedRadius(0.5), n_reps=2000, cutoff=10.0, seed=42

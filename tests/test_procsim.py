@@ -33,13 +33,15 @@ class TestSampleRadial:
         mean /= norm
         assert abs(t.mean() - mean) < 3 * t.std(ddof=1) / math.sqrt(len(t))
 
-    def test_d5_cdf(self):
-        r_max = 1.5
-        t = ps.sample_radial(5, r_max, stream(103), size=10_000)
-        norm, _ = quad(lambda s: math.sinh(s) ** 4, 0, r_max)
+    @pytest.mark.parametrize(
+        "d, r_max", [(d, 1.5) for d in range(2, 11)] + [(8, 0.1), (10, 0.05)]  # near the origin
+    )
+    def test_cdf(self, d, r_max):
+        t = ps.sample_radial(d, r_max, stream(103), size=10_000)
+        norm, _ = quad(lambda s: math.sinh(s) ** (d - 1), 0, r_max)
 
         def cdf(x):
-            return np.array([quad(lambda s: math.sinh(s) ** 4, 0, xi)[0] / norm for xi in np.atleast_1d(x)])
+            return np.array([quad(lambda s: math.sinh(s) ** (d - 1), 0, xi)[0] / norm for xi in np.atleast_1d(x)])
 
         assert ks_statistic(t, cdf) < 1.63 / 100
 
@@ -128,6 +130,11 @@ class TestSampleBoolean:
         stderr = math.sqrt(deleted.var(ddof=1) / n + rejected.var(ddof=1) / n)
         assert abs(diff) < 3 * stderr
 
+    def test_rejection_refused_beyond_guard(self, rng):
+        # P(base point uncovered) = exp(-50 vol B(1)) ~ e^{-171}: rejection would never finish
+        with pytest.raises(ValueError, match="resource guard"):
+            ps.sample_boolean(2, 50.0, cf.FixedRadius(1.0), 1.0, rng, method="reject")
+
     def test_reproducible(self):
         law = cf.UniformRadius(0.0, 1.0)
         a = ps.sample_boolean(2, 1.2, law, 2.0, stream(11, 0))
@@ -189,13 +196,14 @@ class TestSampleHyperplanes:
         stat = ks_statistic(dists, lambda x: np.sinh(x) / math.sinh(r_obs))
         assert stat < 1.63 / 100
 
-    def test_offset_density_d4(self):
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_offset_density(self, d):
         r_obs = 1.0
-        dists = ps.sample_plane_distances(4, 0.0, r_obs, stream(18), 10_000)
-        norm, _ = quad(lambda s: math.cosh(s) ** 3, 0, r_obs)
+        dists = ps.sample_plane_distances(d, 0.0, r_obs, stream(18), 10_000)
+        norm, _ = quad(lambda s: math.cosh(s) ** (d - 1), 0, r_obs)
 
         def cdf(x):
-            return np.array([quad(lambda s: math.cosh(s) ** 3, 0, xi)[0] / norm for xi in np.atleast_1d(x)])
+            return np.array([quad(lambda s: math.cosh(s) ** (d - 1), 0, xi)[0] / norm for xi in np.atleast_1d(x)])
 
         assert ks_statistic(dists, cdf) < 1.63 / 100
 

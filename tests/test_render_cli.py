@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -139,7 +140,10 @@ class TestCli:
         assert out.count("[PASS]") == 3
 
     def test_entry_point_runs(self):
+        # the child finds hypervis where this process found it, installed or not
+        src = os.path.dirname(os.path.dirname(cf.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "hypervis.cli", "constants", "--dim", "2"], capture_output=True, text=True
+            [sys.executable, "-m", "hypervis.cli", "constants", "--dim", "2"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
