@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import acceptance, closedform, harness, procsim, render
@@ -12,10 +13,38 @@ from .closedform import parse_grain_law
 from .rng import stream
 
 
+def _grain_law(text: str) -> closedform.GrainLaw:
+    try:
+        return parse_grain_law(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _criterion_numbers(text: str) -> set[int]:
+    try:
+        numbers = {int(s) for s in text.split(",")}
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated criterion numbers, got {text!r}") from None
+    unknown = sorted(numbers - set(acceptance.CRITERIA))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown criteria {unknown}; known: {sorted(acceptance.CRITERIA)}")
+    return numbers
+
+
 def _add_estimate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--grain", type=str, default=None, help="fixed:R or uniform:A,B")
+    p.add_argument("--grain", type=_grain_law, default=None, help="fixed:R or uniform:A,B")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--rays", type=int, default=200)
     p.add_argument("--cutoff", type=float, default=12.0)
@@ -43,16 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimate_args(p_est)
 
     p_render = sub.add_parser("render", help="draw a realization on the Poincare disk")
-    p_render.add_argument("--dim", type=int, default=2)
-    p_render.add_argument("--gamma", type=float, required=True)
-    p_render.add_argument("--grain", type=str, default=None, help="fixed:R or uniform:A,B (omit for hyperplanes)")
-    p_render.add_argument("--view-radius", type=float, default=4.0)
+    p_render.add_argument("--dim", type=int, choices=(2,), default=2, help="SVG rendering is for d = 2 only")
+    p_render.add_argument("--gamma", type=_positive_float, required=True)
+    p_render.add_argument("--grain", type=_grain_law, default=None, help="fixed:R or uniform:A,B; omit for hyperplanes")
+    p_render.add_argument("--view-radius", type=_positive_float, default=4.0)
     p_render.add_argument("--seed", type=int, default=0)
     p_render.add_argument("--out", type=str, required=True)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--fresh-seed", action="store_true", help="report with a fresh seed, never fail")
-    p_verify.add_argument("--only", type=str, default=None, help="comma-separated criterion numbers")
+    p_verify.add_argument("--only", type=_criterion_numbers, default=None, help="comma-separated criterion numbers")
     return parser
 
 
@@ -121,7 +150,7 @@ def main(argv=None) -> int:
             quantity=args.quantity,
             d=args.dim,
             gamma=args.gamma,
-            law=parse_grain_law(args.grain) if args.grain else None,
+            law=args.grain,
             n_reps=args.reps,
             n_rays=args.rays,
             cutoff=args.cutoff,
@@ -141,8 +170,7 @@ def main(argv=None) -> int:
     if args.command == "render":
         rng = stream(args.seed, 0)
         if args.grain:
-            law = parse_grain_law(args.grain)
-            model = procsim.sample_boolean(args.dim, args.gamma, law, args.view_radius, rng)
+            model = procsim.sample_boolean(args.dim, args.gamma, args.grain, args.view_radius, rng)
         else:
             model = procsim.sample_hyperplanes(args.dim, args.gamma, args.view_radius, rng)
         render.render_svg(model, args.out, view_radius=args.view_radius)
@@ -150,8 +178,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        only = None if args.only is None else {int(s) for s in args.only.split(",")}
-        results = acceptance.run_all(fresh_seed=args.fresh_seed, only=only)
+        results = acceptance.run_all(fresh_seed=args.fresh_seed, only=args.only)
         for res in results:
             print(res.line())
         failed = [r for r in results if not r.passed]

@@ -139,6 +139,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--only", "abc"],
+            ["verify", "--only", "13"],
+            ["estimate", "visvol", "--gamma", "2", "--grain", "bogus"],
+            ["estimate", "visvol", "--gamma", "2", "--grain", "fixed:-1"],
+            ["render", "--gamma", "1", "--grain", "fixed:0.5", "--view-radius", "-1", "--out", "x.svg"],
+            ["render", "--gamma", "-1", "--out", "x.svg"],
+            ["render", "--dim", "3", "--gamma", "1", "--out", "x.svg"],
+        ],
+    )
+    def test_invalid_argument_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"hypervis {argv[0]}: error: argument" in capsys.readouterr().err
+
     def test_entry_point_runs(self):
         # the child finds hypervis where this process found it, installed or not
         src = os.path.dirname(os.path.dirname(cf.__file__))

@@ -161,6 +161,95 @@ class TestRayHyperplaneHit:
             assert t >= x - 1e-9  # cannot cross before the plane's distance
 
 
+def dense_grain_hits(dirs, g_dist, g_dir, g_rad):
+    """Reference: the hit formula evaluated on every ray x grain pair."""
+    cos_t = np.clip(dirs @ g_dir.T, -1.0, 1.0)
+    sinh_d = np.sinh(g_dist)
+    c = np.sqrt(1.0 + sinh_d**2 * (1.0 - cos_t**2))
+    cosh_r = np.cosh(g_rad)
+    hit = (cos_t > 0.0) & (c <= cosh_r)
+    a_plus_b = np.cosh(g_dist) + sinh_d * cos_t
+    a_minus_b = np.exp(-g_dist) + sinh_d * (1.0 - cos_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = 0.5 * np.log(a_plus_b / a_minus_b)
+        t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
+    return np.where(hit, np.maximum(t, 0.0), np.inf)
+
+
+def dense_plane_hits(dirs, normals):
+    """Reference: the crossing formula evaluated on every ray x plane pair."""
+    un = dirs @ normals[:, 1:].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = normals[:, 0] / un
+        t = np.arctanh(np.clip(rho, 0.0, 1.0 - 1e-16))
+    return np.where((rho > 0.0) & (rho < 1.0), t, np.inf)
+
+
+def _at_angle(u, theta, rng):
+    """Unit vector at angle theta from the unit vector u."""
+    w = rng.standard_normal(len(u))
+    w -= (w @ u) * u
+    return math.cos(theta) * u + math.sin(theta) * w / np.linalg.norm(w)
+
+
+class TestSparseKernels:
+    """The sparse kernels return exactly the dense formulas' matrices, inf included."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_grains_on_cone_boundary(self, d, rng):
+        dirs = ps.unit_vectors(d, rng, 30)
+        n = 400
+        g_rad = rng.uniform(0.0, 1.0, n) * np.repeat([1e-7, 1e-4, 1e-2, 1.0], n // 4)
+        # center distances from just above the radius to far away
+        g_dist = g_rad * (1.0 + rng.exponential(1.0, n) * rng.choice([1e-12, 1e-6, 1.0, 10.0], n))
+        # each grain sits at relative distance 1e-16..1e-6 inside or outside the cone of one ray
+        rel = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -6, n)
+        theta = np.arcsin(np.sinh(g_rad) / np.sinh(g_dist)) * (1.0 + rel)
+        g_dir = np.array([_at_angle(dirs[j % 30], theta[j], rng) for j in range(n)])
+        expected = dense_grain_hits(dirs, g_dist, g_dir, g_rad)
+        assert np.array_equal(vis.grain_hits_from_base(dirs, g_dist, g_dir, g_rad), expected)
+        cone = expected[np.arange(n) % 30, np.arange(n)]
+        assert np.isfinite(cone).any() and np.isinf(cone).any()  # both sides of the boundary occur
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_grains_random(self, d, rng):
+        for n_rays, n_grains in ((200, 300), (1, 50), (7, 1), (5, 0)):
+            dirs = ps.unit_vectors(d, rng, n_rays)
+            g_rad = rng.uniform(0.05, 0.6, n_grains)
+            g_dist = g_rad + rng.exponential(1.5, n_grains)
+            g_dir = ps.unit_vectors(d, rng, n_grains) if n_grains else np.empty((0, d))
+            got = vis.grain_hits_from_base(dirs, g_dist, g_dir, g_rad)
+            assert got.shape == (n_rays, n_grains)
+            assert np.array_equal(got, dense_grain_hits(dirs, g_dist, g_dir, g_rad))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_grain_straight_ahead_cosine_above_one(self, d, rng):
+        # grains centered on the rays themselves: dirs @ dirs.T rounds above 1 on some diagonals
+        dirs = ps.unit_vectors(d, rng, 200)
+        cos = np.einsum("ij,ij->i", dirs, dirs)
+        assert (cos > 1.0).any()
+        g_dist, g_rad = rng.uniform(0.6, 3.0, 200), np.full(200, 0.5)
+        got = vis.grain_hits_from_base(dirs, g_dist, dirs, g_rad)
+        assert np.array_equal(got, dense_grain_hits(dirs, g_dist, dirs, g_rad))
+        np.testing.assert_allclose(np.diag(got), g_dist - g_rad, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_planes(self, d, rng):
+        dirs = ps.unit_vectors(d, rng, 200)
+        signed = ps.sample_hyperplanes(d, 2.0, 3.0, rng).normals
+        assert (signed[:, 0] < 0).any() and (signed[:, 0] > 0).any()
+        one_sided = ps.normals_from_polar(rng.exponential(1.0, 300), ps.unit_vectors(d, rng, 300))
+        # un = 0 exactly: ray 0 along e_1, normals along e_2 with offsets of both signs
+        dirs[0] = np.eye(d)[0]
+        flat = ps.normals_from_polar(np.array([0.3, -0.3]), np.eye(d)[[1, 1]])
+        assert (dirs[:1] @ flat[:, 1:].T == 0.0).all()
+        for normals in (signed, one_sided, flat, np.empty((0, d + 1))):
+            for rays in (dirs, dirs[:1]):
+                got = vis.plane_hits_from_base(rays, normals)
+                assert got.shape == (len(rays), len(normals))
+                assert np.array_equal(got, dense_plane_hits(rays, normals))
+
+
 def _single_grain_model(d_c=2.0, radius=0.5, window=4.0):
     p = hg.base_point(2)
     center = hg.exp_map(p, np.array([0.0, 1.0, 0.0]), d_c)
@@ -338,6 +427,48 @@ class TestEstimators:
         rec = vis.estimate_segment_crossings(2, 1.0, 1.0, 2000, seed=43)
         assert rec.closed_form == pytest.approx(2 / math.pi, rel=1e-12)
         assert abs(rec.z_score) < 3.5
+
+
+# Outputs of the dense sweep that ran every ray against every block, at fixed seeds.
+# Skipping rays that a block cannot shorten changes which rays enter the ray x obstacle
+# product, so BLAS may round cos(theta) differently by an ulp; a grazing hit magnifies that
+# through arccosh, hence the relative tolerance. The censored counts must match exactly.
+PINNED_ESTIMATES = {
+    "visvol-d2": (vis.estimate_visible_volume, (2, 2.5, cf.FixedRadius(0.5), 40, 100, None, 4.0, 7),
+                  1.1805029246328944, 0.25256421255594425, 2),
+    "visvol-d2-uniform-truncated": (vis.estimate_visible_volume,
+                                    (2, 1.2, cf.UniformRadius(0.1, 0.6), 40, 100, 3.0, 4.0, 8),
+                                    9.915268406077889, 0.8109589446364148, 125),
+    "visvol-d3": (vis.estimate_visible_volume, (3, 4.0, cf.FixedRadius(0.5), 20, 50, 1.5, 1.5, 9),
+                  0.7567249314277686, 0.17731392160528853, 7),
+    "zero-cell-d2": (vis.estimate_zero_cell_volume, (2, 3.0, 40, 100, 3.0, 10),
+                     2.4065749186728747, 0.560475819826022, 15),
+    "zero-cell-d3": (vis.estimate_zero_cell_volume, (3, 6.0, 20, 50, 1.0, 11),
+                     0.4259809140791303, 0.0846645065804807, 26),
+}
+PINNED_RANGES = {
+    "boolean-d2": (vis.sample_visibility_ranges, (2, 1.5, cf.FixedRadius(0.5), 200, 2.0, 12), 133.50718186503684, 6),
+    "boolean-d3": (vis.sample_visibility_ranges, (3, 4.0, cf.FixedRadius(0.5), 100, 1.0, 13), 26.377974529424005, 5),
+    "zero-cell-d2": (vis.sample_zero_cell_ranges, (2, 2.0, 200, 2.0, 14), 142.62780307892524, 17),
+    "zero-cell-d3": (vis.sample_zero_cell_ranges, (3, 6.0, 100, 1.0, 15), 29.49368973605027, 5),
+}
+
+
+class TestSweepPinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_ESTIMATES))
+    def test_estimate(self, name):
+        fn, args, estimate, stderr, n_censored = PINNED_ESTIMATES[name]
+        rec = fn(*args)
+        assert rec.estimate == pytest.approx(estimate, rel=1e-9)
+        assert rec.stderr == pytest.approx(stderr, rel=1e-9)
+        assert round(rec.censored_fraction * rec.n_reps * rec.n_rays) == n_censored
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RANGES))
+    def test_ranges(self, name):
+        fn, args, total, n_censored = PINNED_RANGES[name]
+        values, censored = fn(*args)
+        assert float(values.sum()) == pytest.approx(total, rel=1e-9)
+        assert int(censored.sum()) == n_censored
 
 
 class TestStratifiedEstimator:
