@@ -30,6 +30,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _dimension(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
+
+
 def _criterion_numbers(text: str) -> set[int]:
     try:
         numbers = {int(s) for s in text.split(",")}
@@ -61,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constants", help="unit-ball constants for a dimension")
-    p_const.add_argument("--dim", type=int, required=True)
+    p_const.add_argument("--dim", type=_dimension, required=True)
 
     p_formula = sub.add_parser("formula", help="evaluate one closed form")
     p_formula.add_argument("name", type=str)

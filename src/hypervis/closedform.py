@@ -205,7 +205,14 @@ def power_integral(n: int, t, sign: int = -1):
     return out
 
 
-def power_integral_inverse(n: int, y, sign: int = -1):
+@lru_cache(maxsize=2**15)
+def power_integral_at(n: int, t: float, sign: int = -1) -> float:
+    """power_integral at one radius, as a float. Cached: every replication of a radial sweep
+    needs each block bound's value for the block's Poisson mean and draws."""
+    return float(power_integral(n, t, sign))
+
+
+def power_integral_inverse(n: int, y, sign: int = -1, sizes=None):
     """The t >= 0 with power_integral(n, t, sign) = y, for n >= 1, vectorized over y >= 0.
 
     Closed forms for n = 1. Otherwise Newton's method on the convex profile,
@@ -213,22 +220,33 @@ def power_integral_inverse(n: int, y, sign: int = -1):
     from the bounds asinh((n y)^{1/n}) <= t <= ((n+1) y)^{1/(n+1)} (sinh; the
     upper one where it is below 1, else the lower one, whose first step lands
     above the root) or t <= min(y, acosh((1 + n y)^{1/n})) (cosh).
+
+    Newton stops once every root has converged, so the last bits of a root
+    depend on the others in the call. With sizes, y is the concatenation of
+    groups of these lengths, and each group stops on its own: its roots are
+    bit for bit those of a call with that group alone.
     """
     y = np.asarray(y, dtype=float)
     if n == 1:
         return 2.0 * np.arcsinh(np.sqrt(y / 2.0)) if sign < 0 else np.arcsinh(y)
+    shape, y = y.shape, y.ravel()
     if sign < 0:
         upper = ((n + 1) * y) ** (1.0 / (n + 1))
         t = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
     else:
         t = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
+    sizes = [y.size] if sizes is None else sizes
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    stopped = np.zeros(y.size, dtype=bool)  # roots of the groups that have converged, held fixed
     for _ in range(50):
         slope = np.maximum((np.sinh(t) if sign < 0 else np.cosh(t)) ** n, _TINY)  # t = 0 only where y = 0
         step = (power_integral(n, t, sign) - y) / slope
-        t = t - step
-        if np.all(np.abs(step) <= 1e-13 * t):
+        t = np.where(stopped, t, t - step)
+        unconverged = ~(stopped | (np.abs(step) <= 1e-13 * t))
+        if not unconverged.any():
             break
-    return t
+        stopped |= np.bincount(group[unconverged], minlength=len(sizes))[group] == 0
+    return t.reshape(shape)
 
 
 def sinh_integral(d: int, r) -> np.ndarray | float:

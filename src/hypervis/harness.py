@@ -100,6 +100,9 @@ class ExperimentConfig:
             raise UsageError("intensity gamma must be > 0")
         if self.n_reps < 1 or self.n_rays < 1:
             raise UsageError("n_reps and n_rays must be >= 1")
+        estimator = self.quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density")
+        if estimator and not self.stratified and self.n_reps < 2:
+            raise UsageError(f"{self.quantity} takes its standard error across replications and needs n_reps >= 2")
         if self.cutoff <= 0:
             raise UsageError("cutoff must be > 0")
         needs_law = self.quantity in ("visvol", "visvol_truncated", "cdf_boolean", "intersection_density")

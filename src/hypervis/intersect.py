@@ -22,7 +22,7 @@ from .closedform import GrainLaw, ball_volume
 from .hypgeom import dist, exp_map, direction_to, minkowski_dot, normalize_tangent
 from .procsim import BallGrain, BooleanModelSample
 from .rng import stream
-from .visibility import EstimateRecord, make_record
+from .visibility import EstimateRecord, check_replications, make_record
 
 _TANGENCY_TOL = 1e-12
 
@@ -144,6 +144,7 @@ def estimate_intersection_density(
     can enter the window is present; the estimate is the mean point count per
     window area over unconditioned realizations.
     """
+    check_replications(n_reps)
     t0 = time.perf_counter()
     area = float(ball_volume(2, r_win))
     counts = np.empty(n_reps)

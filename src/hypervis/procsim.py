@@ -11,6 +11,11 @@ processes into radial shells so that estimators can sweep outward from the
 base point and stop as soon as no farther obstacle can matter; restricting a
 Poisson process to a region is again Poisson, so the sweep is exact.
 
+The round samplers (sample_boolean_annuli, sample_hyperplane_annuli) serve a
+round of independent replications at once: each replication keeps its own
+generator and makes exactly the draws, in the same order, of the one-generator
+sampler, while the radial inverse runs once over all of the round's draws.
+
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
 therefore exact as well; rejection sampling is kept behind a flag as the
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import GrainLaw, ball_volume, grain_moments, omega, power_integral, power_integral_inverse
+from .closedform import GrainLaw, ball_volume, grain_moments, omega, power_integral, power_integral_at
+from .closedform import power_integral_inverse
 from .closedform import sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps it here)
 
 # Refuse samples whose expected obstacle count exceeds this (resource guard).
@@ -106,22 +112,37 @@ class HyperplaneSample:
 # ---------------------------------------------------------------------------
 
 
-def unit_vectors(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, d) array of uniform unit vectors (spatial parts of base tangents)."""
-    g = rng.standard_normal((size, d))
+def unit_vectors(d: int, rng, size) -> np.ndarray:
+    """(size, d) array of uniform unit vectors (spatial parts of base tangents).
+
+    rng may be a sequence of generators, with size a count per generator: each
+    draws its own vectors, and the rows come back concatenated in generator order.
+    """
+    if isinstance(rng, np.random.Generator):
+        g = rng.standard_normal((size, d))
+    else:
+        g = np.concatenate([r.standard_normal((s, d)) for r, s in zip(rng, size)])
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _profile_annulus(n: int, sign: int, t_lo: float, t_hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Distances on [t_lo, t_hi] with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF."""
-    u = rng.uniform(size=size)
-    g_lo, g_hi = power_integral(n, t_lo, sign), power_integral(n, t_hi, sign)
-    return power_integral_inverse(n, g_lo + u * (g_hi - g_lo), sign)
+def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
+    """Distances on [t_lo, t_hi] with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF.
+
+    rng may be a sequence of generators, with t_hi and size given per generator:
+    each draws the uniforms of its own annulus, one inversion serves all of
+    them, and the distances come back concatenated in generator order.
+    """
+    if isinstance(rng, np.random.Generator):
+        rng, t_hi, size = [rng], [t_hi], [size]
+    g_lo = power_integral_at(n, t_lo, sign)
+    span = np.array([power_integral_at(n, t, sign) for t in t_hi]) - g_lo
+    u = np.concatenate([r.uniform(size=s) for r, s in zip(rng, size)])
+    return power_integral_inverse(n, g_lo + u * np.repeat(span, size), sign, sizes=size)
 
 
-def sample_radial_annulus(d: int, t_lo: float, t_hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi]."""
-    if not 0 <= t_lo < t_hi:
+def sample_radial_annulus(d: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
+    """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi] (per generator: see _profile_annulus)."""
+    if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
         raise ValueError("need 0 <= t_lo < t_hi")
     return _profile_annulus(d - 1, -1, t_lo, t_hi, rng, size)
 
@@ -151,6 +172,23 @@ def _poisson_count(rng: np.random.Generator, mean: float) -> int:
     return int(rng.poisson(mean))
 
 
+def _annulus_counts(gamma: float, scale: float, n: int, sign: int, t_lo: float, t_hi, rngs) -> np.ndarray:
+    """One Poisson count per generator, of the obstacles at distance in [t_lo, t_hi[i]) of a process
+    with gamma * scale * power_integral(n, t, sign) obstacles within distance t on average."""
+    g_lo = power_integral_at(n, t_lo, sign)
+    means = [gamma * (scale * power_integral_at(n, t, sign) - scale * g_lo) for t in t_hi]
+    return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, means)], dtype=int)
+
+
+def _padded(counts: np.ndarray, flat: np.ndarray, fill: float) -> np.ndarray:
+    """The rows of flat, counts[i] of them for generator i, as shape (generators, max count, ...) padded with fill."""
+    if len(counts) == 1:  # nothing to pad
+        return flat[None]
+    out = np.full((len(counts), counts.max(initial=0)) + flat.shape[1:], fill)
+    out[np.arange(out.shape[1]) < counts[:, None]] = flat
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Point and Boolean-model samplers
 # ---------------------------------------------------------------------------
@@ -167,6 +205,30 @@ def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Gener
     return points_from_polar(dists, unit_vectors(d, rng, n))
 
 
+def sample_boolean_annuli(
+    d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, drop_covering: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grains with center distance in [t_lo, t_hi[i]) for each generator rngs[i]: (distances, directions, radii).
+
+    Row i holds the grains of generator i, which makes the draws of
+    sample_boolean_annulus(d, gamma, law, t_lo, t_hi[i], rngs[i]) in the same
+    order: count, distances, directions, radii. Rows are padded to the largest
+    count by grains at infinite distance with direction 0 and radius 0.
+    """
+    counts = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, t_hi, rngs)
+    if not counts.any():
+        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0, d)), np.empty((len(rngs), 0))
+    dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
+    dirs = unit_vectors(d, rngs, counts)
+    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
+    if drop_covering:
+        # grains containing the base point are deleted, which conditions the model on an uncovered base point
+        keep = dists > radii
+        counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
+        dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
+    return _padded(counts, dists, np.inf), _padded(counts, dirs, 0.0), _padded(counts, radii, 0.0)
+
+
 def sample_boolean_annulus(
     d: int,
     gamma: float,
@@ -181,18 +243,8 @@ def sample_boolean_annulus(
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
     """
-    mean = gamma * (float(ball_volume(d, t_hi)) - float(ball_volume(d, t_lo)))
-    n = _poisson_count(rng, mean)
-    if n == 0:
-        empty = np.empty(0)
-        return empty, np.empty((0, d)), empty
-    dists = sample_radial_annulus(d, t_lo, t_hi, rng, n)
-    dirs = unit_vectors(d, rng, n)
-    radii = law.sample_radii(rng, n)
-    if drop_covering:
-        keep = dists > radii
-        dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
-    return dists, dirs, radii
+    dists, dirs, radii = sample_boolean_annuli(d, gamma, law, t_lo, [t_hi], [rng], drop_covering)
+    return dists[0], dirs[0], radii[0]
 
 
 def sample_boolean(
@@ -250,8 +302,8 @@ def plane_measure(d: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_plane_distances(d: int, t_lo: float, t_hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi]."""
+def sample_plane_distances(d: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
+    """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi] (per generator: see _profile_annulus)."""
     return _profile_annulus(d - 1, 1, t_lo, t_hi, rng, size)
 
 
@@ -263,17 +315,28 @@ def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
+def sample_hyperplane_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Planes at distance in [t_lo, t_hi[i]) from the base for each generator rngs[i]: (distances, unit normals).
+
+    Row i holds the planes of generator i, which makes the draws of
+    sample_hyperplane_annulus(d, gamma, t_lo, t_hi[i], rngs[i]) in the same
+    order. Rows are padded to the largest count by planes at infinite distance
+    with normal 0.
+    """
+    counts = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, t_hi, rngs)
+    if not counts.any():
+        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0, d + 1))
+    dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
+    normals = normals_from_polar(dists, unit_vectors(d, rngs, counts))
+    return _padded(counts, dists, np.inf), _padded(counts, normals, 0.0)
+
+
 def sample_hyperplane_annulus(
     d: int, gamma: float, t_lo: float, t_hi: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Planes at distance in [t_lo, t_hi) from the base: (distances, unit normals)."""
-    mean = gamma * (plane_measure(d, t_hi) - plane_measure(d, t_lo))
-    n = _poisson_count(rng, mean)
-    if n == 0:
-        return np.empty(0), np.empty((0, d + 1))
-    dists = sample_plane_distances(d, t_lo, t_hi, rng, n)
-    normals = normals_from_polar(dists, unit_vectors(d, rng, n))
-    return dists, normals
+    dists, normals = sample_hyperplane_annuli(d, gamma, t_lo, [t_hi], [rng])
+    return dists[0], normals[0]
 
 
 def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Generator) -> HyperplaneSample:

@@ -17,10 +17,18 @@ hyperplanes) and return bit for bit the matrices of the formula evaluated
 on every pair. The ray pruning is exact too: a pruned ray could not have
 been shortened.
 
+Replications are swept in rounds: max(1, _ROUND_PAIRS // (n_rays *
+_BLOCK_TARGET)) of them at a time, about 64 for the single-ray range samplers
+and one for estimators with 64 or more rays. The replications of a round
+share each block's bounds, one call of the round annulus sampler (and so one
+radial inverse over all their draws) and one kernel call, while each keeps
+its own generator and makes exactly its own draws in its own order.
+
 Replication r of a run with master seed s draws from stream(s, r), so runs
-are reproducible and order independent. Rays inside one replication share
-the realization and are dependent; standard errors are computed across
-replications only.
+are reproducible and order independent; the rounds leave this contract as it
+was, and the results, bit for bit, do not depend on the round size. Rays
+inside one replication share the realization and are dependent; standard
+errors are computed across replications only, so estimators need at least two.
 """
 
 from __future__ import annotations
@@ -28,13 +36,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from . import closedform, procsim
-from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power_integral, power_integral_inverse
+from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power_integral_at, power_integral_inverse
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
 from .hypgeom import GeodesicRay, dist, minkowski_dot
 from .procsim import BallGrain, BooleanModelSample, Hyperplane, HyperplaneSample
@@ -107,6 +115,12 @@ def make_record(
     )
 
 
+def check_replications(n_reps: int) -> None:
+    """Standard errors are taken across replications, so an estimator needs at least two."""
+    if n_reps < 2:
+        raise ValueError(f"a standard error across replications needs n_reps >= 2, got {n_reps}")
+
+
 # ---------------------------------------------------------------------------
 # Scalar hit tests
 # ---------------------------------------------------------------------------
@@ -166,6 +180,37 @@ def ray_hyperplane_hit(ray: GeodesicRay, plane: Hyperplane) -> float | None:
 # ---------------------------------------------------------------------------
 
 
+def _unpadded(rows: np.ndarray) -> list:
+    """Per replication, the number of rows of rows (shape (reps, n, k)) that are not zero padding.
+
+    Rays, grain directions and the spatial parts of plane normals are nonzero; the padding trails them.
+    """
+    return np.count_nonzero(rows.any(axis=2), axis=1).tolist()
+
+
+def _cosines(dirs: np.ndarray, g_dir: np.ndarray) -> np.ndarray:
+    """dirs @ g_dir^T per replication: (rays, obstacles) for 2-D arrays, (reps, rays, obstacles) for a round.
+
+    BLAS rounds a product differently with its shape, so each replication's
+    product has the shape a sweep of that replication alone would give it.
+    The arrays of one replication are not padded, and its product is taken
+    whole; in a round of several, each replication's product runs over its
+    own rays and obstacles, with 0 on the padding.
+    """
+    if dirs.ndim == 2 or len(dirs) == 1:
+        return dirs @ np.swapaxes(g_dir, -1, -2)
+    out = np.zeros(dirs.shape[:2] + g_dir.shape[1:2])
+    for r, (k, m) in enumerate(zip(_unpadded(dirs), _unpadded(g_dir))):
+        np.matmul(dirs[r, :k], g_dir[r, :m].T, out=out[r, :k, :m])
+    return out
+
+
+def _obstacle_index(k: np.ndarray, shape: tuple) -> np.ndarray:
+    """Flat obstacle index of each flat pair index k of a (rays, obstacles) or (reps, rays, obstacles) matrix."""
+    m = shape[-1]
+    return k // (shape[-2] * m) * m + k % m
+
+
 def grain_hits_from_base(
     dirs: np.ndarray, g_dist: np.ndarray, g_dir: np.ndarray, g_rad: np.ndarray
 ) -> np.ndarray:
@@ -173,21 +218,24 @@ def grain_hits_from_base(
 
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
+    A round of replications passes dirs of shape (reps, rays, d) and grains of
+    shape (reps, grains[, d]) and gets (reps, rays, grains); rays and grains are
+    padded by trailing zero directions, which never hit.
 
     A hit needs the grain inside the cone cos theta > 0,
     sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1 around the ray. The cone test
     runs on every pair with a slack that exceeds the rounding of the exact
     test; the transcendentals run only on the pairs inside it.
     """
-    cos_raw = dirs @ g_dir.T
+    cos_raw = _cosines(dirs, g_dir)
     sinh_d = np.sinh(g_dist)
     cosh_r = np.cosh(g_rad)
     lim = np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - ((1.0 + 4e-15) * cosh_r**2 - 1.0) / sinh_d**2)) - 1e-9
-    k = np.flatnonzero(cos_raw > np.maximum(lim, 0.0))  # flat indices of the pairs in the cone
-    gi = k % len(g_dist)
+    k = np.flatnonzero(cos_raw > np.maximum(lim, 0.0)[..., None, :])  # flat indices of the pairs in the cone
+    gi = _obstacle_index(k, cos_raw.shape)
     # clip is monotone and lim < 1, so clipping cannot move a pair across the cone test
     cos_t = np.minimum(cos_raw.ravel()[k], 1.0)
-    g_dist, sinh_d, cosh_r = g_dist[gi], sinh_d[gi], cosh_r[gi]
+    g_dist, sinh_d, cosh_r = g_dist.ravel()[gi], sinh_d.ravel()[gi], cosh_r.ravel()[gi]
     c = np.sqrt(1.0 + sinh_d**2 * (1.0 - cos_t**2))
     t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * cos_t) / (np.exp(-g_dist) + sinh_d * (1.0 - cos_t)))
     t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
@@ -199,15 +247,18 @@ def grain_hits_from_base(
 def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Crossing parameters, shape (rays, planes), inf when the ray never crosses.
 
+    A round passes dirs (reps, rays, d) and normals (reps, planes, d+1), padded
+    by trailing zero rows, and gets (reps, rays, planes).
+
     The ray crosses where tanh t = rho = n_0 / <u, n> lies in (0, 1), which
     needs |<u, n>| > |n_0| with equal signs. Each normal is oriented to
     n_0 >= 0 (it is the same plane), so that test is one comparison per pair,
     and rho and arctanh run only on the pairs that pass it.
     """
-    oriented = normals * np.sign(normals[:, :1])
-    un, n0 = dirs @ oriented[:, 1:].T, oriented[:, 0]
-    k = np.flatnonzero(un > n0)  # flat indices of the pairs that can cross
-    rho = n0[k % len(n0)] / un.ravel()[k]
+    oriented = np.where(normals[..., :1] < 0.0, -normals, normals)
+    un, n0 = _cosines(dirs, oriented[..., 1:]), oriented[..., 0]
+    k = np.flatnonzero(un > n0[..., None, :])  # flat indices of the pairs that can cross
+    rho = n0.ravel()[_obstacle_index(k, un.shape)] / un.ravel()[k]
     cross = (rho > 0.0) & (rho < 1.0)
     out = np.full(un.shape, np.inf)
     out.ravel()[k[cross]] = np.arctanh(rho[cross])
@@ -219,16 +270,30 @@ def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _BLOCK_TARGET = 256
+# Ray x obstacle pairs per round: a round sweeps max(1, _ROUND_PAIRS // (n_rays * _BLOCK_TARGET)) replications.
+_ROUND_PAIRS = 2**14
 
 
-def _spatial_direction(d: int, direction: np.ndarray | None) -> np.ndarray | None:
-    """(1, d) spatial row from a full tangent or spatial vector; None passes through."""
+def _spatial_direction(d: int, direction) -> np.ndarray | None:
+    """(1, d) spatial row of a unit tangent at the base point; None passes through.
+
+    The tangent is given by its d spatial entries or as the full (d+1)-vector,
+    whose time component is then 0. Anything else is a ValueError.
+    """
     if direction is None:
         return None
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape[0] == d + 1:
-        direction = direction[1:]
-    return direction[None, :]
+    u = np.asarray(direction, dtype=float)
+    if u.shape not in ((d,), (d + 1,)):
+        raise ValueError(f"direction must have {d} or {d + 1} entries in d = {d}, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"direction must be finite, got {u}")
+    if len(u) == d + 1:
+        if abs(u[0]) > 1e-9:
+            raise ValueError(f"a tangent at the base point has time component 0, got {u[0]}")
+        u = u[1:]
+    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+        raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(u)}")
+    return u[None, :]
 
 
 @dataclass(frozen=True)
@@ -245,68 +310,100 @@ class _ObstacleProcess:
     sign: int
     scale: float
     margin: float
-    annulus: Callable  # (t_lo, t_hi, rng) -> obstacle arrays, distances first
-    hits: Callable  # (dirs, *obstacle arrays) -> hit parameters, shape (rays, obstacles)
+    annulus: Callable  # (t_lo, t_hi per replication, rngs) -> padded obstacle arrays, distances first
+    hits: Callable  # (dirs, *obstacle arrays) -> hit parameters, shape (reps, rays, obstacles)
 
 
-def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rng: np.random.Generator) -> np.ndarray:
-    """Ranges (censored at cutoff) of rays from the base point, sweeping the obstacles outward.
+@lru_cache(maxsize=2**15)
+def _block_end(n: int, sign: int, per_block: float, t_lo: float) -> float:
+    """The t whose profile measure exceeds that at t_lo by per_block. Every replication of a
+    process walks the same block bounds, so they are cached."""
+    return float(power_integral_inverse(n, power_integral_at(n, t_lo, sign) + per_block, sign))
 
-    Each block is the annulus holding _BLOCK_TARGET expected obstacles; the
-    sweep stops once no farther obstacle can shorten any ray.
+
+def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) -> np.ndarray:
+    """Ranges (censored at cutoff), shape (reps, rays), of a round of replications sweeping the obstacles outward.
+
+    Replication i casts the rays dirs[i] (shape (reps, rays, d)) through the
+    obstacles it draws from rngs[i]. Each block is the annulus holding
+    _BLOCK_TARGET expected obstacles; a replication stops once no farther
+    obstacle can shorten any of its rays. The replications still sweeping share
+    each block's bounds (only a replication's last block ends early, at its own
+    stop), its sampler call and its kernel call.
     """
     n, sign = proc.d - 1, proc.sign
     per_block = _BLOCK_TARGET / (proc.gamma * proc.scale)
-    best = np.full(len(dirs), cutoff)
+    best = np.full(dirs.shape[:2], cutoff)
+    reps = np.arange(len(rngs))  # replications still sweeping
     t_lo = 0.0
     while True:
-        stop_at = float(best.max()) + proc.margin
-        if t_lo >= stop_at - 1e-12:
-            break
-        reach = float(power_integral_inverse(n, power_integral(n, t_lo, sign) + per_block, sign))
-        t_hi = max(min(stop_at, reach), t_lo + 1e-6)
-        obstacles = proc.annulus(t_lo, t_hi, rng)
-        if len(obstacles[0]):
+        ranges = best[reps]
+        stop_at = ranges.max(axis=1) + proc.margin
+        going = t_lo < stop_at - 1e-12
+        if not going.all():
+            reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
+            if not len(reps):
+                return best
+        reach = _block_end(n, sign, per_block, t_lo)
+        t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + 1e-6)
+        obstacles = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
+        if obstacles[0].shape[1]:
             # Rays whose range is already below t_lo - margin cannot be shortened by this block.
-            live = np.flatnonzero(best > t_lo - proc.margin - 1e-9)
-            best[live] = np.minimum(best[live], proc.hits(dirs[live], *obstacles).min(axis=1))
-        t_lo = t_hi
-    return best
+            live = ranges > t_lo - proc.margin - 1e-9
+            if live.all():  # always so with one ray per replication
+                best[reps] = np.minimum(ranges, proc.hits(dirs[reps], *obstacles).min(axis=2))
+            else:
+                # each replication casts its live rays, in order, padded by zero rays that never hit
+                n_live = live.sum(axis=1)
+                rays = np.argsort(~live, axis=1, kind="stable")[:, : n_live.max()]
+                rows = reps[:, None]
+                cast = dirs[rows, rays]
+                cast[np.arange(rays.shape[1]) >= n_live[:, None]] = 0.0
+                best[rows, rays] = np.minimum(best[rows, rays], proc.hits(cast, *obstacles).min(axis=2))
+        t_lo = max(reach, t_lo + 1e-6)
 
 
 # The sweep over each process under its own name; benchmarks/tracer.py times
 # the sweeps by wrapping these two attributes.
-def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rng: np.random.Generator) -> np.ndarray:
+def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
-    annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
+    annulus = partial(procsim.sample_boolean_annuli, d, gamma, law)
     proc = _ObstacleProcess(d, gamma, -1, omega(d), law.max_radius, annulus, grain_hits_from_base)
-    return _sweep(proc, dirs, cutoff, rng)
+    return _sweep(proc, dirs, cutoff, rngs)
 
 
-def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rng: np.random.Generator) -> np.ndarray:
+def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Zero-cell visibility ranges: the sweep over the hyperplanes."""
-    annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
+    annulus = partial(procsim.sample_hyperplane_annuli, d, gamma)
     proc = _ObstacleProcess(
         d, gamma, 1, 2.0, 0.0, annulus, lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)
     )
-    return _sweep(proc, dirs, cutoff, rng)
+    return _sweep(proc, dirs, cutoff, rngs)
 
 
-def _replications(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, direction=None):
-    """Each replication's ranges(dirs, cutoff, rng) for n_rays uniform directions or the one fixed direction.
+def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, direction=None):
+    """(first replication, ranges) of each round: ranges(dirs, cutoff, rngs) for its replications.
 
-    Replication i draws from stream(seed, i).
+    Replication i draws n_rays uniform directions (or takes the one fixed
+    direction) and then its obstacles from stream(seed, i), so its ranges do
+    not depend on the round it falls in.
     """
     fixed = _spatial_direction(d, direction)
-    for i in range(n_reps):
-        rng = stream(seed, i)
-        dirs = procsim.unit_vectors(d, rng, n_rays) if fixed is None else fixed
-        yield ranges(dirs, cutoff, rng)
+    size = max(1, _ROUND_PAIRS // (n_rays * _BLOCK_TARGET))
+    for first in range(0, n_reps, size):
+        rngs = [stream(seed, i) for i in range(first, min(first + size, n_reps))]
+        if fixed is None:
+            dirs = procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(len(rngs), n_rays, d)
+        else:
+            dirs = np.broadcast_to(fixed, (len(rngs), 1, d))
+        yield first, ranges(dirs, cutoff, rngs)
 
 
 def _single_ranges(d: int, n: int, cutoff: float, seed: int, ranges: Callable, direction) -> tuple:
     """(values, censored) of n replications with one ray each."""
-    values = np.fromiter((r[0] for r in _replications(d, n, 1, cutoff, seed, ranges, direction)), float, count=n)
+    values = np.empty(n)
+    for first, round_ranges in _rounds(d, n, 1, cutoff, seed, ranges, direction):
+        values[first : first + len(round_ranges)] = round_ranges[:, 0]
     return values, values >= cutoff - 1e-12
 
 
@@ -462,11 +559,13 @@ def estimate_zero_cell_volume(
 
 def _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, closed, seed, ranges, t0) -> EstimateRecord:
     """Record of the mean over replications of omega_d times the ray average of int_0^{min(range, cap)} sinh^{d-1}."""
+    check_replications(n_reps)
     rep_vals = np.empty(n_reps)
     n_censored = 0
-    for i, rep_ranges in enumerate(_replications(d, n_reps, n_rays, cutoff, seed, ranges)):
-        n_censored += int(np.sum(rep_ranges >= cutoff - 1e-12))
-        rep_vals[i] = omega(d) * float(np.mean(sinh_integral(d, np.minimum(rep_ranges, cap))))
+    for first, round_ranges in _rounds(d, n_reps, n_rays, cutoff, seed, ranges):
+        n_censored += int(np.sum(round_ranges >= cutoff - 1e-12))
+        for i, rep_ranges in enumerate(round_ranges, start=first):
+            rep_vals[i] = omega(d) * float(np.mean(sinh_integral(d, np.minimum(rep_ranges, cap))))
     estimate, stderr = float(np.mean(rep_vals)), float(np.std(rep_vals, ddof=1) / math.sqrt(n_reps))
     censored_fraction, runtime_ms = n_censored / (n_reps * n_rays), (time.perf_counter() - t0) * 1e3
     return make_record(
@@ -481,6 +580,7 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     per unit length. Planes farther than the segment length cannot cross it,
     so sampling within that radius is exact.
     """
+    check_replications(n_reps)
     t0 = time.perf_counter()
     direction = np.zeros(d)
     direction[0] = 1.0

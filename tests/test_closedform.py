@@ -113,6 +113,21 @@ class TestBallMeasures:
         for r in (0.2, 1.0, 4.0, 13.0):
             assert cf.radius_at_volume(d, float(cf.ball_volume(d, r))) == pytest.approx(r, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_grouped_inverse_matches_groups_alone(self, n, sign):
+        rng = np.random.default_rng(n)
+        sizes = [5, 0, 1, 40, 3, 0, 17]
+        y = rng.uniform(0.0, 1.0, sum(sizes)) * 10.0 ** rng.uniform(-8.0, 4.0, sum(sizes))
+        y[0] = 0.0
+        grouped = cf.power_integral_inverse(n, y, sign, sizes=sizes)
+        starts = np.cumsum([0] + sizes)
+        for a, b in zip(starts[:-1], starts[1:]):
+            assert np.array_equal(grouped[a:b], cf.power_integral_inverse(n, y[a:b], sign))
+        assert cf.power_integral(n, grouped, sign) == pytest.approx(y, rel=1e-10, abs=1e-300)
+        assert cf.power_integral_inverse(n, y.reshape(3, 22), sign).shape == (3, 22)
+        assert float(cf.power_integral_inverse(n, y[5], sign)) == grouped[5]  # the group of one
+
     def test_mc_ball_volume(self):
         est, stderr = cf.mc_ball_volume(2, 1.0, 200_000, stream(11, 0))
         target = 2 * math.pi * (math.cosh(1) - 1)

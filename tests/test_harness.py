@@ -85,6 +85,32 @@ class TestConfigValidation:
         assert main(["estimate", *argv, "--reps", "10"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_one_replication_refused_unless_stratified(self):
+        law = cf.FixedRadius(0.5)
+        for quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density"):
+            cfg = ExperimentConfig(quantity=quantity, gamma=3.0, law=law, n_reps=1, truncate_at=2.0, r_win=2.0)
+            with pytest.raises(UsageError, match="n_reps >= 2"):
+                cfg.validate()
+        # the stratified estimator takes its standard error across batches, not replications
+        ExperimentConfig(quantity="visvol_truncated", gamma=1.0, law=law, n_reps=1, truncate_at=2.0, stratified=True).validate()
+        # a KS test of one range is still a test
+        ExperimentConfig(quantity="cdf_tessellation", gamma=2.0, n_reps=1).validate()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zero_cell", "--gamma", "3", "--rays", "2"],
+            ["visvol", "--gamma", "3", "--grain", "fixed:0.5", "--rays", "2"],
+            ["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", "2"],
+            ["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "2"],
+        ],
+    )
+    def test_one_replication_is_usage_error(self, argv, capsys):
+        # a standard error across one replication is NaN, which is not even valid JSON
+        assert main(["estimate", *argv, "--reps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "needs n_reps >= 2" in captured.err and captured.out == ""
+
 
 class TestRun:
     def test_cdf_boolean_censored_at_short_cutoff(self):

@@ -143,6 +143,10 @@ class TestEstimateIntersectionDensity:
         stderr = math.sqrt(rec2.stderr**2 + 16 * rec1.stderr**2)
         assert abs(diff) < 3 * stderr
 
+    def test_one_replication_refused(self):
+        with pytest.raises(ValueError, match="n_reps >= 2"):
+            intersect.estimate_intersection_density(1.0, cf.FixedRadius(0.5), 2.0, 1, seed=0)
+
     def test_zero_intensity_limit(self):
         rec = intersect.estimate_intersection_density(1e-3, cf.FixedRadius(0.5), 2.0, 200, seed=55)
         assert rec.estimate < 0.01

@@ -149,6 +149,9 @@ class TestCli:
             ["render", "--gamma", "1", "--grain", "fixed:0.5", "--view-radius", "-1", "--out", "x.svg"],
             ["render", "--gamma", "-1", "--out", "x.svg"],
             ["render", "--dim", "3", "--gamma", "1", "--out", "x.svg"],
+            ["constants", "--dim", "0"],
+            ["constants", "--dim", "1"],
+            ["constants", "--dim", "two"],
         ],
     )
     def test_invalid_argument_is_usage_error(self, argv, capsys):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -423,6 +424,18 @@ class TestEstimators:
         with pytest.raises(ValueError, match="infinite"):
             vis.estimate_zero_cell_volume(2, 1.0, 10, 10, 6.0, seed=0)
 
+    @pytest.mark.parametrize("n_reps", [0, 1])
+    def test_one_replication_refused(self, n_reps):
+        law = cf.FixedRadius(0.5)
+        for call in (
+            lambda: vis.estimate_visible_volume(2, 2.5, law, n_reps, 10, None, 4.0, seed=0),
+            lambda: vis.estimate_visible_volume(2, 1.0, law, n_reps, 10, 2.0, 4.0, seed=0),
+            lambda: vis.estimate_zero_cell_volume(2, 3.0, n_reps, 2, 3.0, seed=0),
+            lambda: vis.estimate_segment_crossings(2, 1.0, 1.0, n_reps, seed=0),
+        ):
+            with pytest.raises(ValueError, match="n_reps >= 2"):
+                call()
+
     def test_segment_crossings_quick(self):
         rec = vis.estimate_segment_crossings(2, 1.0, 1.0, 2000, seed=43)
         assert rec.closed_form == pytest.approx(2 / math.pi, rel=1e-12)
@@ -469,6 +482,195 @@ class TestSweepPinned:
         values, censored = fn(*args)
         assert float(values.sum()) == pytest.approx(total, rel=1e-9)
         assert int(censored.sum()) == n_censored
+
+
+# Reference: the sweep one replication at a time, with the annulus samplers and the dense
+# kernels it used before replication rounds. Replication i draws its rays and then, block
+# by block, its obstacles (count, distances, directions, radii) from stream(seed, i).
+
+
+def _ref_unit_vectors(d, rng, size):
+    g = rng.standard_normal((size, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _ref_profile_annulus(n, sign, t_lo, t_hi, rng, size):
+    u = rng.uniform(size=size)
+    g_lo, g_hi = cf.power_integral(n, t_lo, sign), cf.power_integral(n, t_hi, sign)
+    return cf.power_integral_inverse(n, g_lo + u * (g_hi - g_lo), sign)
+
+
+def _ref_poisson(rng, mean):
+    if mean > ps.MAX_EXPECTED_COUNT:
+        raise ValueError("expected obstacle count exceeds resource guard")
+    return int(rng.poisson(mean))
+
+
+def _ref_boolean_annulus(d, gamma, law, t_lo, t_hi, rng):
+    n = _ref_poisson(rng, gamma * (float(cf.ball_volume(d, t_hi)) - float(cf.ball_volume(d, t_lo))))
+    if n == 0:
+        return np.empty(0), np.empty((0, d)), np.empty(0)
+    dists = _ref_profile_annulus(d - 1, -1, t_lo, t_hi, rng, n)
+    dirs = _ref_unit_vectors(d, rng, n)
+    radii = law.sample_radii(rng, n)
+    keep = dists > radii
+    return dists[keep], dirs[keep], radii[keep]
+
+
+def _ref_hyperplane_annulus(d, gamma, t_lo, t_hi, rng):
+    n = _ref_poisson(rng, gamma * (ps.plane_measure(d, t_hi) - ps.plane_measure(d, t_lo)))
+    if n == 0:
+        return np.empty(0), np.empty((0, d + 1))
+    dists = _ref_profile_annulus(d - 1, 1, t_lo, t_hi, rng, n)
+    return dists, ps.normals_from_polar(dists, _ref_unit_vectors(d, rng, n))
+
+
+def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng):
+    n = d - 1
+    per_block = vis._BLOCK_TARGET / (gamma * scale)
+    best = np.full(len(dirs), cutoff)
+    t_lo = 0.0
+    while True:
+        stop_at = float(best.max()) + margin
+        if t_lo >= stop_at - 1e-12:
+            break
+        reach = float(cf.power_integral_inverse(n, cf.power_integral(n, t_lo, sign) + per_block, sign))
+        t_hi = max(min(stop_at, reach), t_lo + 1e-6)
+        obstacles = annulus(t_lo, t_hi, rng)
+        if len(obstacles[0]):
+            live = np.flatnonzero(best > t_lo - margin - 1e-9)
+            best[live] = np.minimum(best[live], hits(dirs[live], *obstacles).min(axis=1))
+        t_lo = t_hi
+    return best
+
+
+def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None):
+    """(n_reps, n_rays) ranges through the Boolean model (law given) or the hyperplanes (law None)."""
+    out = np.empty((n_reps, n_rays))
+    for i in range(n_reps):
+        rng = stream(seed, i)
+        dirs = _ref_unit_vectors(d, rng, n_rays) if direction is None else np.asarray(direction, float)[None, -d:]
+        if law is None:
+            annulus = partial(_ref_hyperplane_annulus, d, gamma)
+            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, lambda u, x, n: dense_plane_hits(u, n), dirs, cutoff, rng)
+        else:
+            annulus = partial(_ref_boolean_annulus, d, gamma, law)
+            out[i] = _ref_sweep(d, gamma, cf.omega(d), -1, law.max_radius, annulus, dense_grain_hits, dirs, cutoff, rng)
+    return out
+
+
+ROUND = vis._ROUND_PAIRS // vis._BLOCK_TARGET  # replications per round with one ray each
+
+
+def _censored_cutoff(rate):
+    """A cutoff that censors about a fifth of the ranges of an Exp(rate) law."""
+    return math.log(5.0) / rate
+
+
+@pytest.fixture(params=["blocks-256", "blocks-2"])
+def round_size(request, monkeypatch):
+    """Replications per single-ray round: the module's, or 16 with blocks of 2 expected obstacles.
+
+    Small blocks give every replication many blocks, many of them empty, and
+    replications that end at different blocks of one round.
+    """
+    if request.param == "blocks-2":
+        monkeypatch.setattr(vis, "_BLOCK_TARGET", 2)
+        monkeypatch.setattr(vis, "_ROUND_PAIRS", 32)
+    return vis._ROUND_PAIRS // vis._BLOCK_TARGET
+
+
+class TestRounds:
+    """Replication rounds return bit for bit the ranges of sweeping one replication at a time."""
+
+    def test_round_size(self):
+        assert ROUND == 64
+        assert max(1, vis._ROUND_PAIRS // (64 * vis._BLOCK_TARGET)) == 1  # estimators with 64+ rays: one per round
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6)], ids=["fixed", "uniform"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_visibility_ranges(self, d, law, fixed, round_size):
+        v_star = cf.grain_moments(d, law).v_dm1_star
+        gamma = 2.0 * (d - 1) / v_star  # rate 2(d-1): a replication costs a few blocks
+        cutoff, seed = _censored_cutoff(gamma * v_star), 60 + d
+        direction = np.eye(d)[d - 1] if fixed else None
+        n_reps = (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1)
+        ref = reference_ranges(d, gamma, law, max(n_reps), 1, cutoff, seed, direction)[:, 0]
+        ref_censored = ref >= cutoff - 1e-12
+        assert ref_censored.any() and not ref_censored.all()
+        for n in n_reps:
+            values, censored = vis.sample_visibility_ranges(d, gamma, law, n, cutoff, seed, direction)
+            assert np.array_equal(values, ref[:n])
+            assert np.array_equal(censored, ref_censored[:n])
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_zero_cell_ranges(self, d, fixed, round_size):
+        gamma = 2.0 * (d - 1) / cf.zero_cell_rate(d, 1.0)
+        cutoff, seed = _censored_cutoff(cf.zero_cell_rate(d, gamma)), 70 + d
+        direction = np.eye(d + 1)[1] if fixed else None  # the full tangent form of e_1
+        n_reps = (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1)
+        ref = reference_ranges(d, gamma, None, max(n_reps), 1, cutoff, seed, direction)[:, 0]
+        ref_censored = ref >= cutoff - 1e-12
+        assert ref_censored.any() and not ref_censored.all()
+        for n in n_reps:
+            values, censored = vis.sample_zero_cell_ranges(d, gamma, n, cutoff, seed, direction)
+            assert np.array_equal(values, ref[:n])
+            assert np.array_equal(censored, ref_censored[:n])
+
+    def test_prefix_of_a_longer_run(self):
+        values, censored = vis.sample_zero_cell_ranges(3, 6.0, 3 * ROUND + 7, 1.0, 15)
+        for m in (5, ROUND + 3, 2 * ROUND - 1):
+            head, head_censored = vis.sample_zero_cell_ranges(3, 6.0, m, 1.0, 15)
+            assert np.array_equal(head, values[:m]) and np.array_equal(head_censored, censored[:m])
+
+    @pytest.mark.parametrize("n_rays", [3, 64])  # 3 rays: rounds of 21 replications with dead rays; 64: one per round
+    def test_estimators(self, n_rays, round_size):
+        law, cutoff = cf.FixedRadius(0.5), 2.5
+        for rec, ref, cap in (
+            (vis.estimate_visible_volume(2, 2.5, law, 45, n_rays, 2.0, cutoff, 16),
+             reference_ranges(2, 2.5, law, 45, n_rays, cutoff, 16), 2.0),
+            (vis.estimate_zero_cell_volume(2, 3.0, 45, n_rays, cutoff, 17),
+             reference_ranges(2, 3.0, None, 45, n_rays, cutoff, 17), cutoff),
+        ):
+            rep_vals = [cf.omega(2) * float(np.mean(cf.sinh_integral(2, np.minimum(r, cap)))) for r in ref]
+            assert rec.estimate == float(np.mean(rep_vals))
+            assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(45))
+            assert round(rec.censored_fraction * 45 * n_rays) == int(np.sum(ref >= cutoff - 1e-12))
+
+    def test_resource_guard_raises_inside_a_round(self):
+        # the 1e-6 floor on a block's width puts ~2e9 expected planes into the first block
+        with pytest.raises(ValueError, match="resource guard"):
+            vis.sample_zero_cell_ranges(2, 1e15, ROUND + 1, 1.0, 0)
+        with pytest.raises(ValueError, match="resource guard"):
+            vis.sample_visibility_ranges(2, 1e21, cf.FixedRadius(0.5), ROUND + 1, 1.0, 0)
+
+
+class TestFixedDirection:
+    @pytest.mark.parametrize(
+        "d, direction, match",
+        [
+            (2, [3.0, 0.0], "unit vector"),
+            (2, [0.6, 0.6], "unit vector"),
+            (2, [0.0, 1.0, 0.0, 0.0], "2 or 3 entries"),
+            (3, [1.0], "3 or 4 entries"),
+            (2, [[1.0, 0.0]], "2 or 3 entries"),
+            (2, [0.5, 1.0, 0.0], "time component 0"),
+            (2, [np.nan, 1.0], "finite"),
+            (2, [0.0, np.inf, 0.0], "finite"),
+        ],
+    )
+    def test_invalid_direction_refused(self, d, direction, match):
+        with pytest.raises(ValueError, match=match):
+            vis.sample_visibility_ranges(d, 1.5, cf.FixedRadius(0.5), 10, 3.0, 3, direction=direction)
+        with pytest.raises(ValueError, match=match):
+            vis.sample_zero_cell_ranges(d, 2.0, 10, 3.0, 3, direction=direction)
+
+    def test_spatial_and_tangent_forms_agree(self):
+        a, _ = vis.sample_zero_cell_ranges(3, 6.0, 20, 1.0, 5, direction=[0.0, 0.6, 0.8])
+        b, _ = vis.sample_zero_cell_ranges(3, 6.0, 20, 1.0, 5, direction=[0.0, 0.0, 0.6, 0.8])
+        assert np.array_equal(a, b)
 
 
 class TestStratifiedEstimator:
