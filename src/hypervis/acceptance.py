@@ -5,9 +5,11 @@ pre-verified for the pinned seeds; --fresh-seed reruns report without asserting.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,33 +34,48 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} ({self.runtime_s:6.1f}s) {self.name}: {self.detail}"
 
 
-def criterion_1(seed: int) -> CriterionResult:
+CRITERIA: dict[int, Callable[[int], CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str, max_runtime_s: float = math.inf):
+    """Register body(seed) -> (passed, detail[, z_scores]) as a timed criterion that fails at max_runtime_s."""
+
+    def register(body: Callable[[int], tuple]) -> Callable[[int], CriterionResult]:
+        @functools.wraps(body)
+        def criterion(seed: int) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail, *z_scores = body(seed)
+            runtime = time.perf_counter() - t0
+            return CriterionResult(number, name, passed and runtime < max_runtime_s, detail, runtime, *z_scores)
+
+        CRITERIA[number] = criterion
+        return criterion
+
+    return register
+
+
+@_criterion(1, "exponential visibility law", max_runtime_s=30.0)
+def criterion_1(seed: int) -> tuple:
     """Exponential visibility law: KS of 1e4 conditioned ranges against Exp(2 gamma sinh 0.5)."""
-    t0 = time.perf_counter()
     law = FixedRadius(0.5)
     values, censored = visibility.sample_visibility_ranges(2, 1.5, law, 10_000, 12.0, seed)
     rate = 2.0 * 1.5 * math.sinh(0.5)
     ks = harness.ks_exponential(values[~censored], rate)
-    runtime = time.perf_counter() - t0
-    passed = ks.passed and runtime < 30.0
-    detail = f"KS={ks.statistic:.5f} < {ks.critical_1pct:.5f} (n={ks.n}, rate={rate:.6f})"
-    return CriterionResult(1, "exponential visibility law", passed, detail, runtime)
+    return ks.passed, f"KS={ks.statistic:.5f} < {ks.critical_1pct:.5f} (n={ks.n}, rate={rate:.6f})"
 
 
-def criterion_2(seed: int) -> CriterionResult:
+@_criterion(2, "mean visible volume", max_runtime_s=120.0)
+def criterion_2(seed: int) -> tuple:
     """Mean visible volume: |z| < 3 against 2 pi^3/(gamma^2 v1^2 - pi^2)."""
-    t0 = time.perf_counter()
     law = FixedRadius(0.5)
     rec = visibility.estimate_visible_volume(2, 1.5, law, 2000, 200, None, 12.0, seed)
-    runtime = time.perf_counter() - t0
-    passed = abs(rec.z_score) < 3.0 and runtime < 120.0
     detail = f"estimate={rec.estimate:.4f} +- {rec.stderr:.4f}, closed={rec.closed_form:.5f}, z={rec.z_score:+.2f}"
-    return CriterionResult(2, "mean visible volume", passed, detail, runtime, [rec.z_score])
+    return abs(rec.z_score) < 3.0, detail, [rec.z_score]
 
 
-def criterion_3(seed: int) -> CriterionResult:
+@_criterion(3, "finiteness threshold")
+def criterion_3(seed: int) -> tuple:
     """Finiteness threshold: Infinite exactly for gamma <= beta_c; beta_c = 0.9595 to 4 decimals."""
-    t0 = time.perf_counter()
     law = FixedRadius(0.5)
     beta_c = closedform.visibility_threshold(2, 0.5)
     at = closedform.mean_visible_volume(2, beta_c, law)
@@ -66,96 +83,77 @@ def criterion_3(seed: int) -> CriterionResult:
     above = closedform.mean_visible_volume(2, beta_c * (1.0 + 1e-6), law)
     ok_inf = math.isinf(at) and math.isinf(below) and math.isfinite(above)
     ok_value = round(beta_c, 4) == 0.9595
-    passed = ok_inf and ok_value
     detail = f"beta_c={beta_c:.6f}, vol(beta_c)={at}, vol(0.9 beta_c)={below}, vol(beta_c(1+1e-6)) finite={math.isfinite(above)}"
-    return CriterionResult(3, "finiteness threshold", passed, detail, time.perf_counter() - t0)
+    return ok_inf and ok_value, detail
 
 
-def criterion_4(seed: int) -> CriterionResult:
+@_criterion(4, "intersection density", max_runtime_s=120.0)
+def criterion_4(seed: int) -> tuple:
     """Intersection density: |z| < 3 against 4 pi sinh^2(0.5)."""
-    t0 = time.perf_counter()
     rec = intersect.estimate_intersection_density(1.0, FixedRadius(0.5), 3.0, 2000, seed)
-    runtime = time.perf_counter() - t0
-    passed = abs(rec.z_score) < 3.0 and runtime < 120.0
     detail = f"estimate={rec.estimate:.4f} +- {rec.stderr:.4f}, closed={rec.closed_form:.5f}, z={rec.z_score:+.2f}"
-    return CriterionResult(4, "intersection density", passed, detail, runtime, [rec.z_score])
+    return abs(rec.z_score) < 3.0, detail, [rec.z_score]
 
 
-def criterion_5(seed: int) -> CriterionResult:
+@_criterion(5, "zero-cell volume", max_runtime_s=120.0)
+def criterion_5(seed: int) -> tuple:
     """Zero cell: |z| < 3 against 2 pi^3/(16 - pi^2) and KS of ranges against Exp(4/pi)."""
-    t0 = time.perf_counter()
     rec = visibility.estimate_zero_cell_volume(2, 2.0, 2000, 200, 12.0, seed)
     values, censored = visibility.sample_zero_cell_ranges(2, 2.0, 10_000, 12.0, seed + 1)
     ks = harness.ks_exponential(values[~censored], 4.0 / math.pi)
-    runtime = time.perf_counter() - t0
-    passed = abs(rec.z_score) < 3.0 and ks.passed and runtime < 120.0
     detail = (
         f"estimate={rec.estimate:.4f} +- {rec.stderr:.4f}, closed={rec.closed_form:.5f}, "
         f"z={rec.z_score:+.2f}; KS={ks.statistic:.5f} < {ks.critical_1pct:.5f}"
     )
-    return CriterionResult(5, "zero-cell volume", passed, detail, runtime, [rec.z_score])
+    return abs(rec.z_score) < 3.0 and ks.passed, detail, [rec.z_score]
 
 
-def criterion_6(seed: int) -> CriterionResult:
+@_criterion(6, "ell identity", max_runtime_s=5.0)
+def criterion_6(seed: int) -> tuple:
     """Steiner-coefficient identity: quadrature residuals < 1e-8 on the grid."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    for d, k, j in ((3, 1, 0), (3, 2, 0), (3, 2, 1), (4, 2, 1), (4, 3, 1)):
-        for r in (0.3, 1.0, 2.0):
-            worst = max(worst, closedform.verify_ell_identity(d, k, j, r))
-    runtime = time.perf_counter() - t0
-    passed = worst < 1e-8 and runtime < 5.0
-    return CriterionResult(6, "ell identity", passed, f"max residual {worst:.2e}", runtime)
+    worst = max(closedform.ell_identity_residuals().values())
+    return worst < 1e-8, f"max residual {worst:.2e}"
 
 
-def criterion_7(seed: int) -> CriterionResult:
+@_criterion(7, "rate-integral identity")
+def criterion_7(seed: int) -> tuple:
     """Rate integral: gamma form vs quadrature < 1e-10 relative; spot value (2,2) = 1/3."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    for d, a in ((2, 1.5), (2, 2.0), (3, 4.0), (4, 6.0)):
-        gamma_form = closedform.sinh_exp_integral(d, a)
-        quad_form = closedform.sinh_exp_integral_quadrature(d, a)
-        worst = max(worst, abs(gamma_form - quad_form) / gamma_form)
+    worst = max(closedform.rate_integral_residuals().values())
     spot = abs(closedform.sinh_exp_integral(2, 2.0) - 1.0 / 3.0)
-    passed = worst < 1e-10 and spot < 1e-14
-    detail = f"max rel err {worst:.2e}, |value(2,2) - 1/3| = {spot:.2e}"
-    return CriterionResult(7, "rate-integral identity", passed, detail, time.perf_counter() - t0)
+    return worst < 1e-10 and spot < 1e-14, f"max rel err {worst:.2e}, |value(2,2) - 1/3| = {spot:.2e}"
 
 
-def criterion_8(seed: int) -> CriterionResult:
+@_criterion(8, "Steiner and ball-volume checks")
+def criterion_8(seed: int) -> tuple:
     """Steiner fit V0(ball R=1) = cosh 1 within 1e-6; MC ball volume z < 3."""
-    t0 = time.perf_counter()
     coeffs = closedform.steiner_ball_coefficients(2, 1.0)
     v0_err = abs(coeffs[0] - math.cosh(1.0))
     est, stderr = closedform.mc_ball_volume(2, 1.0, 200_000, stream(seed, 808))
     target = 2.0 * math.pi * (math.cosh(1.0) - 1.0)
     z = (est - target) / stderr
-    passed = v0_err < 1e-6 and abs(z) < 3.0
     detail = f"|V0 - cosh 1| = {v0_err:.2e}; MC volume {est:.4f} +- {stderr:.4f} vs {target:.5f}, z={z:+.2f}"
-    return CriterionResult(8, "Steiner and ball-volume checks", passed, detail, time.perf_counter() - t0, [z])
+    return v0_err < 1e-6 and abs(z) < 3.0, detail, [z]
 
 
-def criterion_9(seed: int) -> CriterionResult:
+@_criterion(9, "critical truncated growth", max_runtime_s=180.0)
+def criterion_9(seed: int) -> tuple:
     """Critical truncated growth: (estimate(20) - estimate(10))/10 within 5% of pi."""
-    t0 = time.perf_counter()
     law = FixedRadius(0.5)
     gamma = closedform.visibility_threshold(2, 0.5)
     est = visibility.estimate_visible_volume_stratified(
         2, gamma, law, (10.0, 20.0), band_width=0.5, sims_per_band=25_000, n_batches=8, seed=seed
     )
     increment = (est.estimates[1] - est.estimates[0]) / 10.0
-    runtime = time.perf_counter() - t0
-    passed = abs(increment - math.pi) < 0.05 * math.pi and runtime < 180.0
     detail = (
         f"estimates {est.estimates[0]:.3f}@10, {est.estimates[1]:.3f}@20; "
         f"increment/10 = {increment:.4f} vs pi = {math.pi:.4f} ({abs(increment / math.pi - 1) * 100:.2f}%)"
     )
-    return CriterionResult(9, "critical truncated growth", passed, detail, runtime)
+    return abs(increment - math.pi) < 0.05 * math.pi, detail
 
 
-def criterion_10(seed: int) -> CriterionResult:
+@_criterion(10, "near-critical scaling")
+def criterion_10(seed: int) -> tuple:
     """Near-critical scaling: closed form within 1% of omega_d/(2^{d-1} delta) for d in {2, 3}."""
-    t0 = time.perf_counter()
     delta = 1e-3
     worst = 0.0
     for d in (2, 3):
@@ -164,32 +162,15 @@ def criterion_10(seed: int) -> CriterionResult:
         gamma = (d - 1 + delta) / v_star
         ratio = closedform.mean_visible_volume(d, gamma, law) / closedform.critical_scaling(d, delta)
         worst = max(worst, abs(ratio - 1.0))
-    passed = worst < 0.01
-    return CriterionResult(10, "near-critical scaling", passed, f"max |ratio - 1| = {worst:.2e}", time.perf_counter() - t0)
+    return worst < 0.01, f"max |ratio - 1| = {worst:.2e}"
 
 
-def criterion_11(seed: int) -> CriterionResult:
+@_criterion(11, "Crofton segment crossings")
+def criterion_11(seed: int) -> tuple:
     """Crofton consistency: mean crossings of a unit segment within 3 stderr of 2/pi."""
-    t0 = time.perf_counter()
     rec = visibility.estimate_segment_crossings(2, 1.0, 1.0, 10_000, seed)
-    passed = abs(rec.z_score) < 3.0
     detail = f"mean={rec.estimate:.4f} +- {rec.stderr:.4f} vs {rec.closed_form:.5f}, z={rec.z_score:+.2f}"
-    return CriterionResult(11, "Crofton segment crossings", passed, detail, time.perf_counter() - t0, [rec.z_score])
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-}
+    return abs(rec.z_score) < 3.0, detail, [rec.z_score]
 
 
 def run_all(fresh_seed: bool = False, only: set[int] | None = None) -> list[CriterionResult]:

@@ -53,7 +53,7 @@ def _criterion_numbers(text: str) -> set[int]:
 
 def _add_estimate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=float, default=None, help="intensity; every quantity but formula_check needs it")
     p.add_argument("--grain", type=_grain_law, default=None, help="fixed:R or uniform:A,B")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--rays", type=int, default=200)
@@ -95,47 +95,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FORMULAS = {
-    "ell": (closedform.ell, ("d", "j", "r"), (int, int, float)),
-    "ball_volume": (closedform.ball_volume, ("d", "r"), (int, float)),
-    "ball_surface": (closedform.ball_surface, ("d", "r"), (int, float)),
-    "sinh_exp_integral": (closedform.sinh_exp_integral, ("d", "a"), (int, float)),
-    "critical_scaling": (closedform.critical_scaling, ("d", "delta"), (int, float)),
-    "visibility_threshold": (closedform.visibility_threshold, ("d", "radius"), (int, float)),
-    "zero_cell_mean_volume": (closedform.zero_cell_mean_volume, ("d", "gamma"), (int, float)),
-    "verify_ell_identity": (closedform.verify_ell_identity, ("d", "k", "j", "r"), (int, int, int, float)),
-    "steiner_ball_check": (closedform.steiner_ball_check, ("d", "radius", "r"), (int, float, float)),
-}
+_GRAIN_ARGS = {"d": int, "gamma": float, "grain": parse_grain_law}
 
-_GRAIN_FORMULAS = {
-    "grain_moments": lambda d, gamma, law: vars(closedform.grain_moments(d, law)),
-    "mean_visible_volume": closedform.mean_visible_volume,
-    "intersection_density": closedform.intersection_density,
+# name -> (function, parser of each parameter in call order, default texts)
+_FORMULAS = {
+    "ell": (closedform.ell, {"d": int, "j": int, "r": float}, {}),
+    "ball_volume": (closedform.ball_volume, {"d": int, "r": float}, {}),
+    "ball_surface": (closedform.ball_surface, {"d": int, "r": float}, {}),
+    "sinh_exp_integral": (closedform.sinh_exp_integral, {"d": int, "a": float}, {}),
+    "critical_scaling": (closedform.critical_scaling, {"d": int, "delta": float}, {}),
+    "visibility_threshold": (closedform.visibility_threshold, {"d": int, "radius": float}, {}),
+    "zero_cell_mean_volume": (closedform.zero_cell_mean_volume, {"d": int, "gamma": float}, {}),
+    "verify_ell_identity": (closedform.verify_ell_identity, {"d": int, "k": int, "j": int, "r": float}, {}),
+    "steiner_ball_check": (closedform.steiner_ball_check, {"d": int, "radius": float, "r": float}, {}),
+    "grain_moments": (lambda d, gamma, law: vars(closedform.grain_moments(d, law)), _GRAIN_ARGS, {"gamma": "1"}),
+    "mean_visible_volume": (closedform.mean_visible_volume, _GRAIN_ARGS, {"gamma": "1"}),
+    "intersection_density": (closedform.intersection_density, _GRAIN_ARGS, {"gamma": "1"}),
+    "truncated_visible_volume": (closedform.truncated_visible_volume, {**_GRAIN_ARGS, "r": float}, {}),
 }
 
 
 def _run_formula(name: str, params: list[str]) -> dict:
-    kv = dict(p.split("=", 1) for p in params)
-    if name in _FORMULAS:
-        fn, arg_names, types = _FORMULAS[name]
-        args = [t(kv.pop(a)) for a, t in zip(arg_names, types)]
-        if kv:
-            raise ValueError(f"unused parameters {sorted(kv)}")
-        value = fn(*args)
-        return {"formula": name, "value": value}
-    if name in _GRAIN_FORMULAS:
-        d = int(kv.pop("d"))
-        gamma = float(kv.pop("gamma", 1.0))
-        law = parse_grain_law(kv.pop("grain"))
-        if kv:
-            raise ValueError(f"unused parameters {sorted(kv)}")
-        value = _GRAIN_FORMULAS[name](d, gamma, law)
-        return {"formula": name, "value": value}
-    if name == "truncated_visible_volume":
-        d = int(kv["d"])
-        value = closedform.truncated_visible_volume(d, float(kv["gamma"]), parse_grain_law(kv["grain"]), float(kv["r"]))
-        return {"formula": name, "value": value}
-    raise ValueError(f"unknown formula {name!r}; known: {sorted(_FORMULAS) + sorted(_GRAIN_FORMULAS)}")
+    if name not in _FORMULAS:
+        raise ValueError(f"unknown formula {name!r}; known: {sorted(_FORMULAS)}")
+    fn, parsers, defaults = _FORMULAS[name]
+    given = dict(defaults)
+    for param in params:
+        key, sep, text = param.partition("=")
+        if not sep:
+            raise ValueError(f"malformed parameter {param!r}: expected key=value")
+        if key not in parsers:
+            raise ValueError(f"unknown parameter {key!r}: {name} takes {', '.join(parsers)}")
+        given[key] = text
+    args = []
+    for key, parse in parsers.items():
+        if key not in given:
+            raise ValueError(f"missing parameter {key!r}: {name} takes {', '.join(parsers)}")
+        try:
+            args.append(parse(given[key]))
+        except ValueError as exc:
+            raise ValueError(f"malformed parameter {key}={given[key]!r}: {exc}") from None
+    return {"formula": name, "value": fn(*args)}
 
 
 def main(argv=None) -> int:
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     if args.command == "formula":
         try:
             out = _run_formula(args.name, args.params)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(json.dumps(out, indent=2, default=str))

@@ -468,6 +468,24 @@ def verify_ell_identity(d: int, k: int, j: int, r: float) -> float:
     return abs(lhs - ell(d, j, r))
 
 
+def ell_identity_residuals() -> dict[str, float]:
+    """verify_ell_identity on the (d, k, j) x r grid that the acceptance suite checks, keyed by its arguments."""
+    return {
+        f"ell_identity(d={d},k={k},j={j},r={r})": verify_ell_identity(d, k, j, r)
+        for d, k, j in ((3, 1, 0), (3, 2, 0), (3, 2, 1), (4, 2, 1), (4, 3, 1))
+        for r in (0.3, 1.0, 2.0)
+    }
+
+
+def rate_integral_residuals() -> dict[str, float]:
+    """Relative error of sinh_exp_integral's gamma form against quadrature on the acceptance grid."""
+    residuals = {}
+    for d, a in ((2, 1.5), (2, 2.0), (3, 4.0), (4, 6.0)):
+        gamma_form = sinh_exp_integral(d, a)
+        residuals[f"sinh_exp_integral(d={d},a={a})"] = abs(gamma_form - sinh_exp_integral_quadrature(d, a)) / gamma_form
+    return residuals
+
+
 def steiner_ball_coefficients(d: int, radius: float, fit_radii=None) -> np.ndarray:
     """Steiner coefficients of a ball fitted from the parallel-volume growth.
 

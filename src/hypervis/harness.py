@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class ExperimentConfig:
 
     quantity: str
     d: int = 2
-    gamma: float = 1.0
+    gamma: float | None = 1.0
     law: GrainLaw | None = None
     n_reps: int = 1000
     n_rays: int = 200
@@ -92,6 +93,10 @@ class ExperimentConfig:
             return
         if self.d < 2:
             raise UsageError("dimension must be >= 2")
+        if self.gamma is None:
+            raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
+        if self.stratified and self.quantity != "visvol_truncated":
+            raise UsageError(f"--stratified applies to visvol_truncated only, not {self.quantity}")
         for name in ("gamma", "cutoff", "truncate_at", "r_win"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -120,6 +125,13 @@ class ExperimentConfig:
             raise UsageError("visvol_truncated needs --truncate")
         if self.truncate_at is not None and self.truncate_at > self.cutoff:
             raise UsageError(f"truncate_at {self.truncate_at} exceeds cutoff {self.cutoff}")
+        if self.truncate_at is not None and self.truncate_at < 0:
+            raise UsageError(f"truncate_at must be >= 0, got {self.truncate_at}")
+        if self.stratified:
+            try:
+                visibility.band_count(self.truncate_at)
+            except ValueError as exc:
+                raise UsageError(f"stratified truncate_at: {exc}") from None
         if self.quantity == "intersection_density":
             if self.d != 2:
                 raise UsageError("intersection density verification is restricted to d = 2")
@@ -129,14 +141,7 @@ class ExperimentConfig:
 
 def formula_check() -> FormulaCheckResult:
     """Residuals of the quadrature-vs-closed-form identities; pass when all < 1e-8."""
-    checks: dict[str, float] = {}
-    for d, k, j in ((3, 1, 0), (3, 2, 0), (3, 2, 1), (4, 2, 1), (4, 3, 1)):
-        for r in (0.3, 1.0, 2.0):
-            checks[f"ell_identity(d={d},k={k},j={j},r={r})"] = closedform.verify_ell_identity(d, k, j, r)
-    for d, a in ((2, 1.5), (2, 2.0), (3, 4.0), (4, 6.0)):
-        gamma_form = closedform.sinh_exp_integral(d, a)
-        quad_form = closedform.sinh_exp_integral_quadrature(d, a)
-        checks[f"sinh_exp_integral(d={d},a={a})"] = abs(gamma_form - quad_form) / gamma_form
+    checks = {**closedform.ell_identity_residuals(), **closedform.rate_integral_residuals()}
     for d, radius, r in ((2, 1.0, 0.8), (3, 0.5, 0.9)):
         checks[f"steiner_ball(d={d},R={radius},r={r})"] = closedform.steiner_ball_check(d, radius, r)
     worst = max(checks.values())
@@ -149,38 +154,17 @@ def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckRes
     q = config.quantity
     if q == "formula_check":
         return formula_check()
-    if q == "visvol":
-        return visibility.estimate_visible_volume(
-            config.d, config.gamma, config.law, config.n_reps, config.n_rays, None, config.cutoff, config.seed
+    if q == "visvol_truncated" and config.stratified:
+        t0 = time.perf_counter()
+        est = visibility.estimate_visible_volume_stratified(
+            config.d, config.gamma, config.law, (config.truncate_at,), seed=config.seed
         )
-    if q == "visvol_truncated":
-        if config.stratified:
-            est = visibility.estimate_visible_volume_stratified(
-                config.d, config.gamma, config.law, (config.truncate_at,), seed=config.seed
-            )
-            return visibility.make_record(
-                "visvol_truncated",
-                config.d,
-                config.gamma,
-                config.law,
-                est.estimates[0],
-                est.stderrs[0],
-                0,
-                0,
-                0.0,
-                est.closed_forms[0],
-                config.seed,
-                est.runtime_ms,
-            )
+        values = est.batch_values[:, 0]
+        return visibility.make_record(q, config.d, config.gamma, config.law, values, est.closed_forms[0], config.seed, t0)
+    if q in ("visvol", "visvol_truncated"):
+        truncate_at = config.truncate_at if q == "visvol_truncated" else None
         return visibility.estimate_visible_volume(
-            config.d,
-            config.gamma,
-            config.law,
-            config.n_reps,
-            config.n_rays,
-            config.truncate_at,
-            config.cutoff,
-            config.seed,
+            config.d, config.gamma, config.law, config.n_reps, config.n_rays, truncate_at, config.cutoff, config.seed
         )
     if q == "cdf_boolean":
         values, censored = visibility.sample_visibility_ranges(
@@ -208,22 +192,7 @@ def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckRes
 # Emission
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = (
-    "quantity",
-    "dim",
-    "gamma",
-    "grain_kind",
-    "grain_params",
-    "estimate",
-    "stderr",
-    "n_reps",
-    "n_rays",
-    "censored_fraction",
-    "closed_form",
-    "z_score",
-    "seed",
-    "runtime_ms",
-)
+RECORD_FIELDS = tuple(f.name for f in fields(EstimateRecord))
 
 
 def _sig12(x) -> float | None:

@@ -157,18 +157,5 @@ def estimate_intersection_density(
         tangent_pairs += t
     if tangent_pairs:
         raise RuntimeError(f"observed {tangent_pairs} tangent pairs; tangency has probability zero")
-    estimates = counts / area
-    return make_record(
-        "intersection_density",
-        2,
-        gamma,
-        law,
-        float(np.mean(estimates)),
-        float(np.std(estimates, ddof=1) / math.sqrt(n_reps)),
-        n_reps,
-        0,
-        0.0,
-        closedform.intersection_density(2, gamma, law),
-        seed,
-        (time.perf_counter() - t0) * 1e3,
-    )
+    closed = closedform.intersection_density(2, gamma, law)
+    return make_record("intersection_density", 2, gamma, law, counts / area, closed, seed, t0)

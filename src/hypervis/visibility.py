@@ -84,15 +84,17 @@ def make_record(
     dim: int,
     gamma: float,
     law: GrainLaw | None,
-    estimate: float,
-    stderr: float,
-    n_reps: int,
-    n_rays: int,
-    censored_fraction: float,
+    values,
     closed_form: float | None,
     seed: int,
-    runtime_ms: float,
+    t0: float,
+    n_rays: int = 0,
+    censored_fraction: float = 0.0,
 ) -> EstimateRecord:
+    """Record of the mean of the per-replication values, with its stderr across them (ddof=1), its z
+    against closed_form (None without a finite one) and the milliseconds since the perf_counter reading t0."""
+    values = np.asarray(values, dtype=float)
+    estimate, stderr = float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
     z = None
     if closed_form is not None and math.isfinite(closed_form) and stderr > 0:
         z = (estimate - closed_form) / stderr
@@ -105,13 +107,13 @@ def make_record(
         grain_params=params,
         estimate=estimate,
         stderr=stderr,
-        n_reps=n_reps,
+        n_reps=len(values),
         n_rays=n_rays,
         censored_fraction=censored_fraction,
         closed_form=closed_form,
         z_score=z,
         seed=seed,
-        runtime_ms=runtime_ms,
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -564,13 +566,10 @@ def _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, close
     n_censored = 0
     for first, round_ranges in _rounds(d, n_reps, n_rays, cutoff, seed, ranges):
         n_censored += int(np.sum(round_ranges >= cutoff - 1e-12))
-        for i, rep_ranges in enumerate(round_ranges, start=first):
-            rep_vals[i] = omega(d) * float(np.mean(sinh_integral(d, np.minimum(rep_ranges, cap))))
-    estimate, stderr = float(np.mean(rep_vals)), float(np.std(rep_vals, ddof=1) / math.sqrt(n_reps))
-    censored_fraction, runtime_ms = n_censored / (n_reps * n_rays), (time.perf_counter() - t0) * 1e3
-    return make_record(
-        quantity, d, gamma, law, estimate, stderr, n_reps, n_rays, censored_fraction, closed, seed, runtime_ms
-    )
+        volumes = sinh_integral(d, np.minimum(round_ranges, cap))
+        rep_vals[first : first + len(round_ranges)] = omega(d) * volumes.mean(axis=1)
+    censored_fraction = n_censored / (n_reps * n_rays)
+    return make_record(quantity, d, gamma, law, rep_vals, closed, seed, t0, n_rays, censored_fraction)
 
 
 def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int, seed: int) -> EstimateRecord:
@@ -584,35 +583,23 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     t0 = time.perf_counter()
     direction = np.zeros(d)
     direction[0] = 1.0
-    counts = np.empty(n_reps)
+    counts = np.zeros(n_reps)
     for i in range(n_reps):
         rng = stream(seed, i)
         sample = procsim.sample_hyperplanes(d, gamma, length, rng)
         if sample.n_planes:
             hits = plane_hits_from_base(direction[None, :], sample.normals)
             counts[i] = np.sum(hits[0] <= length)
-        else:
-            counts[i] = 0.0
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length
-    return make_record(
-        "segment_crossings",
-        d,
-        gamma,
-        None,
-        float(np.mean(counts)),
-        float(np.std(counts, ddof=1) / math.sqrt(n_reps)),
-        n_reps,
-        1,
-        0.0,
-        closed,
-        seed,
-        (time.perf_counter() - t0) * 1e3,
-    )
+    return make_record("segment_crossings", d, gamma, None, counts, closed, seed, t0, n_rays=1)
 
 
 # ---------------------------------------------------------------------------
 # Depth-stratified truncated estimator (near-critical regime)
 # ---------------------------------------------------------------------------
+
+
+STRATIFIED_BAND_WIDTH = 0.5
 
 
 @dataclass(frozen=True)
@@ -623,10 +610,18 @@ class StratifiedEstimate:
     estimates: tuple[float, ...]
     stderrs: tuple[float, ...]
     closed_forms: tuple[float, ...]
+    batch_values: np.ndarray  # (n_batches, len(radii)): each batch's estimate at each radius
     band_width: float
     band_survival: np.ndarray  # pooled survival fraction per band
     seed: int
-    runtime_ms: float
+
+
+def band_count(radius: float, band_width: float = STRATIFIED_BAND_WIDTH) -> int:
+    """Number of depth bands of width band_width below radius, a positive multiple of band_width."""
+    n = round(radius / band_width)
+    if n < 1 or abs(n * band_width - radius) > 1e-9:
+        raise ValueError(f"each radius must be a positive integer multiple of band_width {band_width}, got {radius}")
+    return n
 
 
 def estimate_visible_volume_stratified(
@@ -634,7 +629,7 @@ def estimate_visible_volume_stratified(
     gamma: float,
     law: GrainLaw,
     radii: tuple[float, ...],
-    band_width: float = 0.5,
+    band_width: float = STRATIFIED_BAND_WIDTH,
     sims_per_band: int = 25_000,
     n_batches: int = 8,
     seed: int = 0,
@@ -652,13 +647,8 @@ def estimate_visible_volume_stratified(
     Standard errors come from n_batches independent replicates of the whole
     scheme. Radii must be multiples of band_width.
     """
-    t0 = time.perf_counter()
-    r_top = max(radii)
-    n_bands = round(r_top / band_width)
-    if abs(n_bands * band_width - r_top) > 1e-9 or any(
-        abs(round(r / band_width) * band_width - r) > 1e-9 for r in radii
-    ):
-        raise ValueError("each radius must be an integer multiple of band_width")
+    radius_bands = np.array([band_count(r, band_width) for r in radii])
+    n_bands = int(radius_bands.max())
     edges = band_width * np.arange(n_bands + 1)
     lower = sinh_integral(d, edges[:-1])
     batch_vals = np.empty((n_batches, len(radii)))
@@ -675,8 +665,7 @@ def estimate_visible_volume_stratified(
         survive_tally += p_hat
         s_hat = np.concatenate([[1.0], np.cumprod(p_hat)[:-1]])
         contrib = omega(d) * np.cumsum(s_hat * c_hat)
-        for j, r in enumerate(radii):
-            batch_vals[b, j] = contrib[round(r / band_width) - 1]
+        batch_vals[b] = contrib[radius_bands - 1]
     estimates = batch_vals.mean(axis=0)
     stderrs = batch_vals.std(axis=0, ddof=1) / math.sqrt(n_batches)
     closed = tuple(closedform.truncated_visible_volume(d, gamma, law, r) for r in radii)
@@ -685,8 +674,8 @@ def estimate_visible_volume_stratified(
         estimates=tuple(float(v) for v in estimates),
         stderrs=tuple(float(v) for v in stderrs),
         closed_forms=closed,
+        batch_values=batch_vals,
         band_width=band_width,
         band_survival=survive_tally / n_batches,
         seed=seed,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypervis import closedform as cf
-from hypervis import harness
+from hypervis import harness, visibility
 from hypervis.cli import main
 from hypervis.harness import ExperimentConfig, UsageError, ks_exponential
 from hypervis.rng import stream
@@ -111,6 +111,30 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert "needs n_reps >= 2" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["zero_cell", "--gamma", "3", "--reps", "1", "--rays", "2", "--stratified"], "visvol_truncated only"),
+            (["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "2", "--reps", "1", "--stratified"],
+             "visvol_truncated only"),
+            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1.3", "--stratified"],
+             "multiple of band_width 0.5"),
+            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "-1"], "truncate_at must be >= 0"),
+            (["zero_cell", "--reps", "10", "--rays", "2"], "needs an intensity (--gamma)"),
+        ],
+    )
+    def test_misapplied_option_is_usage_error(self, argv, message, capsys):
+        assert main(["estimate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_gamma_required_only_where_used(self, capsys):
+        with pytest.raises(UsageError, match="needs an intensity"):
+            ExperimentConfig(quantity="cdf_tessellation", gamma=None).validate()
+        ExperimentConfig(quantity="formula_check", gamma=None).validate()
+        assert main(["estimate", "formula_check"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
 
 class TestRun:
     def test_cdf_boolean_censored_at_short_cutoff(self):
@@ -182,6 +206,43 @@ class TestRun:
         config = ExperimentConfig(quantity="visvol", gamma=0.9, law=cf.FixedRadius(0.5), n_reps=10, n_rays=10)
         with pytest.raises(UsageError, match="infinite"):
             harness.run(config)
+
+
+# Records of the implementation before the one record builder, at fixed seeds:
+# (call, estimate, stderr, closed form, z, n_reps). The stratified record then
+# reported n_reps = 0; it now counts its batches (n_batches = 8 by default).
+PINNED_RECORDS = {
+    "intersection_density": (
+        lambda: harness.run(
+            ExperimentConfig(quantity="intersection_density", gamma=1.0, law=cf.FixedRadius(0.5), n_reps=200, r_win=2.0, seed=3)
+        ),
+        3.2891803993932767, 0.10141563324277762, 3.412276265284901, -1.2137760417759922, 200,
+    ),
+    "segment_crossings": (
+        lambda: visibility.estimate_segment_crossings(2, 1.0, 1.0, 500, 11),
+        0.662, 0.036799734250151366, 0.6366197723675813, 0.6896850792425048, 500,
+    ),
+    "visvol_truncated-stratified": (
+        lambda: harness.run(
+            ExperimentConfig(
+                quantity="visvol_truncated", gamma=0.8, law=cf.FixedRadius(0.5), truncate_at=3.0, cutoff=4.0, seed=1, stratified=True
+            )
+        ),
+        10.548991543590438, 0.019527391052349616, 10.513573623808524, 1.813755851304669, 8,
+    ),
+}
+
+
+class TestPinnedRecords:
+    @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+    def test_record(self, name):
+        call, estimate, stderr, closed, z, n_reps = PINNED_RECORDS[name]
+        rec = call()
+        assert rec.estimate == pytest.approx(estimate, rel=1e-12)
+        assert rec.stderr == pytest.approx(stderr, rel=1e-12)
+        assert rec.closed_form == pytest.approx(closed, rel=1e-12)
+        assert rec.z_score == pytest.approx(z, rel=1e-9)
+        assert rec.n_reps == n_reps
 
 
 class TestEmit:

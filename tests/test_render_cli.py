@@ -101,6 +101,29 @@ class TestCli:
 
     def test_formula_unknown(self, capsys):
         assert main(["formula", "nope"]) == 2
+        assert "truncated_visible_volume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["truncated_visible_volume", "d=2", "gamma=1", "grain=fixed:0.5", "r=2", "bogus=3"], "unknown parameter 'bogus'"),
+            (["ball_volume", "d=2"], "missing parameter 'r'"),
+            (["ball_volume", "d2"], "malformed parameter 'd2'"),
+            (["ball_volume", "d=two", "r=1"], "malformed parameter d='two'"),
+        ],
+    )
+    def test_formula_bad_parameter(self, argv, message, capsys):
+        assert main(["formula", *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_formula_gamma_default(self, capsys):
+        assert main(["formula", "mean_visible_volume", "d=2", "grain=fixed:0.5"]) == 0
+        default = json.loads(capsys.readouterr().out)["value"]
+        assert main(["formula", "mean_visible_volume", "d=2", "gamma=1", "grain=fixed:0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == default
+        assert main(["formula", "truncated_visible_volume", "d=2", "gamma=1", "grain=fixed:0.5", "r=2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == pytest.approx(cf.truncated_visible_volume(2, 1.0, cf.FixedRadius(0.5), 2.0), rel=1e-15)
 
     def test_estimate_to_file(self, tmp_path, capsys):
         out = tmp_path / "rec.json"

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -700,7 +701,9 @@ class TestStratifiedEstimator:
 
 class TestEstimateRecord:
     def test_z_score_invariant(self):
-        rec = vis.make_record("q", 2, 1.0, None, 3.0, 0.5, 10, 5, 0.0, 2.0, seed=1, runtime_ms=1.0)
+        # two replications 2.5 and 3.5: estimate 3.0, stderr sqrt(0.5)/sqrt(2) = 0.5
+        rec = vis.make_record("q", 2, 1.0, None, [2.5, 3.5], 2.0, seed=1, t0=time.perf_counter(), n_rays=5)
+        assert rec.estimate == 3.0 and rec.stderr == pytest.approx(0.5) and rec.n_reps == 2
         assert rec.z_score == pytest.approx(2.0)
-        rec2 = vis.make_record("q", 2, 1.0, None, 3.0, 0.5, 10, 5, 0.0, None, seed=1, runtime_ms=1.0)
+        rec2 = vis.make_record("q", 2, 1.0, None, [2.5, 3.5], None, seed=1, t0=time.perf_counter(), n_rays=5)
         assert rec2.z_score is None
