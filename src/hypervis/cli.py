@@ -30,6 +30,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _above_zero(text: str) -> float:
+    """A number that is not <= 0. NaN and inf pass, for the configuration to refuse as non-finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+    return value
+
+
 def _dimension(text: str) -> int:
     try:
         value = int(text)
@@ -59,7 +70,7 @@ def _add_estimate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rays", type=int, default=200)
     p.add_argument("--cutoff", type=float, default=12.0)
     p.add_argument("--truncate", type=float, default=None)
-    p.add_argument("--rwin", type=float, default=None)
+    p.add_argument("--rwin", type=_above_zero, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -121,6 +121,20 @@ class ExperimentConfig:
                     f"mean visible volume is infinite at gamma*v* = {a:.6g} <= d-1 = {self.d - 1}; "
                     f"finiteness needs gamma > {threshold:.6g}; use visvol_truncated instead"
                 )
+        sweeps = self.quantity in ("visvol", "visvol_truncated", "cdf_boolean", "cdf_tessellation", "zero_cell")
+        depth = self.cutoff + (self.law.max_radius if needs_law else 0.0)
+        if sweeps and not self.stratified and depth > visibility.max_sweep_depth(self.d):
+            raise UsageError(
+                f"cutoff {self.cutoff} sweeps to depth {depth:.6g}, beyond the "
+                f"{visibility.max_sweep_depth(self.d):.6g} that double precision allows in d = {self.d}"
+            )
+        if self.quantity == "zero_cell" and math.isinf(closedform.zero_cell_mean_volume(self.d, self.gamma)):
+            rate = closedform.zero_cell_rate(self.d, self.gamma)
+            threshold = (self.d - 1) / closedform.zero_cell_rate(self.d, 1.0)
+            raise UsageError(
+                f"mean zero-cell volume is infinite at rate {rate:.6g} <= d-1 = {self.d - 1}; "
+                f"finiteness needs gamma > {threshold:.6g}"
+            )
         if self.quantity == "visvol_truncated" and self.truncate_at is None:
             raise UsageError("visvol_truncated needs --truncate")
         if self.truncate_at is not None and self.truncate_at > self.cutoff:
@@ -137,6 +151,8 @@ class ExperimentConfig:
                 raise UsageError("intersection density verification is restricted to d = 2")
             if self.r_win is None:
                 raise UsageError("intersection_density needs --rwin")
+            if self.r_win <= 0:
+                raise UsageError(f"rwin must be > 0, got {self.r_win}")
 
 
 def formula_check() -> FormulaCheckResult:
@@ -146,6 +162,15 @@ def formula_check() -> FormulaCheckResult:
         checks[f"steiner_ball(d={d},R={radius},r={r})"] = closedform.steiner_ball_check(d, radius, r)
     worst = max(checks.values())
     return FormulaCheckResult(max_residual=worst, passed=worst < 1e-8, checks=checks)
+
+
+def _ks_uncensored(values: np.ndarray, censored: np.ndarray, rate: float, cutoff: float) -> KsResult:
+    """ks_exponential of the ranges below the cutoff, against the law truncated there."""
+    if censored.all():
+        raise UsageError(
+            f"every range is censored at the cutoff {cutoff}, so no range is left to test; raise --cutoff"
+        )
+    return ks_exponential(values[~censored], rate, cutoff)
 
 
 def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckResult:
@@ -171,12 +196,12 @@ def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckRes
             config.d, config.gamma, config.law, config.n_reps, config.cutoff, config.seed
         )
         rate = config.gamma * grain_moments(config.d, config.law).v_dm1_star
-        return ks_exponential(values[~censored], rate, config.cutoff)
+        return _ks_uncensored(values, censored, rate, config.cutoff)
     if q == "cdf_tessellation":
         values, censored = visibility.sample_zero_cell_ranges(
             config.d, config.gamma, config.n_reps, config.cutoff, config.seed
         )
-        return ks_exponential(values[~censored], closedform.zero_cell_rate(config.d, config.gamma), config.cutoff)
+        return _ks_uncensored(values, censored, closedform.zero_cell_rate(config.d, config.gamma), config.cutoff)
     if q == "intersection_density":
         return intersect.estimate_intersection_density(
             config.gamma, config.law, config.r_win, config.n_reps, config.seed

@@ -15,6 +15,10 @@ The round samplers (sample_boolean_annuli, sample_hyperplane_annuli) serve a
 round of independent replications at once: each replication keeps its own
 generator and makes exactly the draws, in the same order, of the one-generator
 sampler, while the radial inverse runs once over all of the round's draws.
+The cap samplers (sample_boolean_cap_annuli, sample_hyperplane_cap_annuli)
+serve a single ray: they draw only the obstacles whose direction lies in the
+cap from which the ray can be reached, each by its distance and the versine
+of its angle to the ray, again an exact Poisson restriction.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -166,6 +170,77 @@ def points_from_polar(dists: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Direction caps of a ray
+# ---------------------------------------------------------------------------
+#
+# A ray from the base point meets an obstacle only if the angle theta between
+# the ray and the obstacle's direction (a grain's center, a plane's normal
+# pointing away from the base point) lies in a cap around the ray. Obstacle
+# directions are uniform, so whatever the ray, cos theta has the density
+# omega_{d-1}/omega_d (1 - c^2)^{(d-3)/2} on [-1, 1], independent of the
+# distance and the radius. Caps and angles are given by their versine
+# 1 - cos theta: deep out a cap is narrower than the rounding of cos theta
+# near 1 (below 1e-16 beyond t = 19 for planes), while its versine keeps
+# full relative precision.
+
+
+def grain_cap_gap(max_radius: float, t: float) -> float:
+    """Versine of the widest angle from a ray at which a grain of radius <= max_radius, centered
+    at distance >= t, can meet the ray.
+
+    A hit needs cos theta > 0 and sinh D sin theta <= sinh r, so the versine
+    is 1 (the half-sphere) for t <= max_radius, and 1 - sqrt(1 - s^2) with
+    s = sinh(max_radius) / sinh(t) beyond.
+    """
+    s = math.sinh(max_radius) / math.sinh(t) if t > max_radius else 1.0
+    return s * s / (1.0 + math.sqrt(1.0 - s * s))
+
+
+def plane_cap_gap(t):
+    """1 - tanh t, vectorized: a plane at distance >= t crosses a ray only if cos theta > tanh t."""
+    e = np.exp(-2.0 * np.asarray(t, dtype=float))
+    out = 2.0 * e / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
+
+
+def _cap_bound(d: int, gap: float) -> float:
+    """The largest (2 - w)^{(d-3)/2}, that is (1 + cos theta)^{(d-3)/2}, over the cap of versines w < gap."""
+    return (2.0 if d >= 3 else 2.0 - gap) ** ((d - 3) / 2)
+
+
+def cap_share(d: int, gap: float) -> float:
+    """Share of all directions that cap_versines proposes for the cap of versine gap, 0 < gap <= 1.
+
+    In the versine w = 1 - cos theta the direction density is
+    omega_{d-1}/omega_d (w (2 - w))^{(d-3)/2}. The proposal density
+    omega_{d-1}/omega_d * M w^{(d-3)/2}, with M the largest (2 - w)^{(d-3)/2}
+    on the cap, bounds it there and integrates to
+    omega_{d-1}/omega_d * M * 2/(d-1) * gap^{(d-1)/2}. In the caps of
+    grain_cap_gap and plane_cap_gap it falls like e^{-(d-1)t}.
+    """
+    return omega(d - 1) / omega(d) * _cap_bound(d, gap) * 2.0 / (d - 1) * gap ** ((d - 1) / 2)
+
+
+def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarray]:
+    """counts[i] proposed versines 1 - cos theta in the cap [0, gap) from generator i, concatenated,
+    and which of them to keep.
+
+    Proposals gap U^{2/(d-1)} have density proportional to w^{(d-3)/2}.
+    Keeping each with probability (2 - w)^{(d-3)/2} / M thins them to the
+    direction density (w (2 - w))^{(d-3)/2}; at d = 3 both are uniform and
+    every proposal is kept. So a Poisson number of proposals, of mean
+    cap_share times the obstacles of an annulus, keeps exactly the obstacles
+    of the cap: a Poisson restriction like the annulus itself.
+    """
+    rows = 1 if d == 3 else 2
+    u = np.concatenate([rng.uniform(size=(rows, c)) for rng, c in zip(rngs, counts)], axis=1)
+    versines = gap * u[0] ** (2.0 / (d - 1))
+    if d == 3:
+        return versines, np.ones(len(versines), dtype=bool)
+    return versines, u[1] * _cap_bound(d, gap) < (2.0 - versines) ** ((d - 3) / 2)
+
+
 def _poisson_count(rng: np.random.Generator, mean: float) -> int:
     if mean > MAX_EXPECTED_COUNT:
         raise ValueError(f"expected obstacle count {mean:.3g} exceeds resource guard {MAX_EXPECTED_COUNT:.0e}")
@@ -227,6 +302,29 @@ def sample_boolean_annuli(
         counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
         dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
     return _padded(counts, dists, np.inf), _padded(counts, dirs, 0.0), _padded(counts, radii, 0.0)
+
+
+def sample_boolean_cap_annuli(
+    d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grains of sample_boolean_annuli that can meet a ray, for each generator: (distances, versines, radii).
+
+    The versine is 1 - cos theta, with theta the angle between the ray and the
+    grain's center direction. Only grains in the cap of
+    grain_cap_gap(law.max_radius, t_lo) are drawn (see cap_versines), and
+    grains covering the base point are deleted. Rows are padded by grains at
+    infinite distance with versine 1 and radius 0, which never hit.
+    """
+    gap = grain_cap_gap(law.max_radius, t_lo)
+    counts = _annulus_counts(gamma, omega(d) * cap_share(d, gap), d - 1, -1, t_lo, t_hi, rngs)
+    if not counts.any():
+        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0)), np.empty((len(rngs), 0))
+    dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
+    versines, keep = cap_versines(d, gap, rngs, counts)
+    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
+    keep &= dists > radii
+    counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
+    return _padded(counts, dists[keep], np.inf), _padded(counts, versines[keep], 1.0), _padded(counts, radii[keep], 0.0)
 
 
 def sample_boolean_annulus(
@@ -337,6 +435,24 @@ def sample_hyperplane_annulus(
     """Planes at distance in [t_lo, t_hi) from the base: (distances, unit normals)."""
     dists, normals = sample_hyperplane_annuli(d, gamma, t_lo, [t_hi], [rng])
     return dists[0], normals[0]
+
+
+def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The planes of sample_hyperplane_annuli that can cross a ray, for each generator: (distances, versines).
+
+    The versine is 1 - cos theta, with theta the angle between the ray and the
+    plane's normal direction, oriented away from the base point. Only planes
+    in the cap cos theta > tanh t_lo are drawn (see cap_versines). Rows are
+    padded by planes at infinite distance with versine 1, which never cross.
+    """
+    gap = plane_cap_gap(t_lo)
+    counts = _annulus_counts(gamma, 2.0 * cap_share(d, gap), d - 1, 1, t_lo, t_hi, rngs)
+    if not counts.any():
+        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0))
+    dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
+    versines, keep = cap_versines(d, gap, rngs, counts)
+    counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
+    return _padded(counts, dists[keep], np.inf), _padded(counts, versines[keep], 1.0)
 
 
 def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Generator) -> HyperplaneSample:

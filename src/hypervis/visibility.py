@@ -17,12 +17,34 @@ hyperplanes) and return bit for bit the matrices of the formula evaluated
 on every pair. The ray pruning is exact too: a pruned ray could not have
 been shortened.
 
-Replications are swept in rounds: max(1, _ROUND_PAIRS // (n_rays *
-_BLOCK_TARGET)) of them at a time, about 64 for the single-ray range samplers
-and one for estimators with 64 or more rays. The replications of a round
-share each block's bounds, one call of the round annulus sampler (and so one
-radial inverse over all their draws) and one kernel call, while each keeps
-its own generator and makes exactly its own draws in its own order.
+A single ray (the range samplers behind the cdf quantities) needs only the
+obstacles that can reach it: a plane at distance t only if the angle theta
+between the ray and its normal has cos theta > tanh t, a grain of radius
+<= m at distance D only if theta < pi/2 and sinh D sin theta <= sinh m.
+Each block then draws, besides distances and radii, only the versine
+1 - cos theta, in the cap at its inner (widest) radius, thinned to the exact
+direction density (procsim.cap_versines): an exact Poisson restriction like
+the annulus itself. A hit depends on an obstacle only through its distance,
+radius and angle, so the hit formula of grain_hits_from_base runs on the
+drawn versines, with no ray x obstacle product; planes cross where
+tanh s = tanh t / cos theta, evaluated from the versines of theta and of the
+cap at t. Versines keep their precision where cos theta rounds to 1.
+Blocks hold _CAP_BLOCK_TARGET expected obstacles of this capped measure,
+which grows about linearly in t (the cap's share of the sphere falls like
+e^{-(d-1)t} while the profile grows like e^{(d-1)t}); a replication reaching
+range R then costs O(R) draws and blocks for every rate, instead of
+e^{(d-1)R}. By isotropy the law of a single ray's range does not depend on
+its direction, which the capped sweep therefore never reads (a given
+direction is still validated).
+
+Replications are swept in rounds: max(1, _ROUND_PAIRS // (n_rays * b)) of
+them at a time, with b the expected obstacles per block (_CAP_BLOCK_TARGET
+for one ray, _BLOCK_TARGET for more), and at most _ROUND_REPS: 512 for the
+single-ray range samplers and one for estimators with 64 or more rays. The
+replications of a round share each block's bounds, one call of the round
+annulus sampler (and so one radial inverse over all their draws) and one
+kernel call, while each keeps its own generator and makes exactly its own
+draws in its own order.
 
 Replication r of a run with master seed s draws from stream(s, r), so runs
 are reproducible and order independent; the rounds leave this contract as it
@@ -115,6 +137,12 @@ def make_record(
         seed=seed,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def max_sweep_depth(d: int) -> float:
+    """Depth beyond which a radial sweep leaves double precision: its profiles grow like e^{(d-1)t}
+    and a ray's direction caps shrink like e^{-2t}, and either passes 1e300 near exponent 700."""
+    return 700.0 / max(d - 1, 2)
 
 
 def check_replications(n_reps: int) -> None:
@@ -238,12 +266,18 @@ def grain_hits_from_base(
     # clip is monotone and lim < 1, so clipping cannot move a pair across the cone test
     cos_t = np.minimum(cos_raw.ravel()[k], 1.0)
     g_dist, sinh_d, cosh_r = g_dist.ravel()[gi], sinh_d.ravel()[gi], cosh_r.ravel()[gi]
-    c = np.sqrt(1.0 + sinh_d**2 * (1.0 - cos_t**2))
-    t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * cos_t) / (np.exp(-g_dist) + sinh_d * (1.0 - cos_t)))
-    t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
     out = np.full(cos_raw.shape, np.inf)
-    out.ravel()[k] = np.where(c <= cosh_r, np.maximum(t, 0.0), np.inf)
+    out.ravel()[k] = _grain_hit(cos_t, 1.0 - cos_t, 1.0 - cos_t**2, g_dist, sinh_d, cosh_r)
     return out
+
+
+def _grain_hit(cos_t, vers, sin2, g_dist, sinh_d, cosh_r) -> np.ndarray:
+    """Hit parameter, inf for a miss, of a ray at angle theta (cos_t > 0) to a grain's center direction,
+    given cos theta, its versine 1 - cos theta and sin^2 theta, each as precise as the caller has it."""
+    c = np.sqrt(1.0 + sinh_d**2 * sin2)
+    t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * cos_t) / (np.exp(-g_dist) + sinh_d * vers))
+    t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
+    return np.where(c <= cosh_r, np.maximum(t, 0.0), np.inf)
 
 
 def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -271,9 +305,15 @@ def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
 # Radial-sweep range sampling
 # ---------------------------------------------------------------------------
 
+# Expected obstacles per block: of the whole annulus for many rays, of the ray's direction cap for one
+# ray. A capped block costs one sampler call per replication whatever it holds, so its target is small
+# but not 1; an uncapped block of a few obstacles would multiply the blocks deep out.
 _BLOCK_TARGET = 256
-# Ray x obstacle pairs per round: a round sweeps max(1, _ROUND_PAIRS // (n_rays * _BLOCK_TARGET)) replications.
+_CAP_BLOCK_TARGET = 8
+# Ray x obstacle pairs per round: a round sweeps max(1, _ROUND_PAIRS // (n_rays * target)) replications,
+# at most _ROUND_REPS, since each replication of a round keeps a live generator (about 2 KB).
 _ROUND_PAIRS = 2**14
+_ROUND_REPS = 512
 
 
 def _spatial_direction(d: int, direction) -> np.ndarray | None:
@@ -298,6 +338,10 @@ def _spatial_direction(d: int, direction) -> np.ndarray | None:
     return u[None, :]
 
 
+def _whole(t_lo: float) -> float:
+    return 1.0
+
+
 @dataclass(frozen=True)
 class _ObstacleProcess:
     """An obstacle process seen from the base point, as the radial sweep needs it.
@@ -305,6 +349,15 @@ class _ObstacleProcess:
     Obstacles within distance t have measure gamma * scale * power_integral(d-1, t, sign):
     grain centers the sinh profile with scale omega_d, hyperplanes the cosh profile
     with scale 2. An obstacle at distance t cannot meet a ray before t - margin.
+
+    annulus draws a share(t_lo) of the obstacles at distance in [t_lo, t_hi),
+    and blocks are sized to hold target of them on average. For many rays that
+    share is 1. For a single ray annulus proposes only the direction cap in
+    which an obstacle at distance t_lo can still reach the ray (the widest of
+    the block's caps), thinned to the exact direction density, so share falls
+    like e^{-(d-1) t_lo} while the profile grows like e^{(d-1) t}: a block then
+    has about the same width at every depth, and a replication's draws and
+    blocks grow linearly with its range.
     """
 
     d: int
@@ -314,6 +367,8 @@ class _ObstacleProcess:
     margin: float
     annulus: Callable  # (t_lo, t_hi per replication, rngs) -> padded obstacle arrays, distances first
     hits: Callable  # (dirs, *obstacle arrays) -> hit parameters, shape (reps, rays, obstacles)
+    target: int
+    share: Callable[[float], float] = _whole
 
 
 @lru_cache(maxsize=2**15)
@@ -327,14 +382,13 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
     """Ranges (censored at cutoff), shape (reps, rays), of a round of replications sweeping the obstacles outward.
 
     Replication i casts the rays dirs[i] (shape (reps, rays, d)) through the
-    obstacles it draws from rngs[i]. Each block is the annulus holding
-    _BLOCK_TARGET expected obstacles; a replication stops once no farther
-    obstacle can shorten any of its rays. The replications still sweeping share
-    each block's bounds (only a replication's last block ends early, at its own
-    stop), its sampler call and its kernel call.
+    obstacles it draws from rngs[i]. Each block is the annulus from which
+    proc.annulus draws proc.target obstacles on average; a replication stops
+    once no farther obstacle can shorten any of its rays. The replications
+    still sweeping share each block's bounds (only a replication's last block
+    ends early, at its own stop), its sampler call and its kernel call.
     """
     n, sign = proc.d - 1, proc.sign
-    per_block = _BLOCK_TARGET / (proc.gamma * proc.scale)
     best = np.full(dirs.shape[:2], cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
     t_lo = 0.0
@@ -346,7 +400,10 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
             if not len(reps):
                 return best
-        reach = _block_end(n, sign, per_block, t_lo)
+        share = proc.share(t_lo)
+        if not share > 0.0:
+            raise ValueError(f"sweep depth {t_lo:.6g} is beyond double precision (see max_sweep_depth)")
+        reach = _block_end(n, sign, proc.target / (proc.gamma * proc.scale * share), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + 1e-6)
         obstacles = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
         if obstacles[0].shape[1]:
@@ -365,21 +422,57 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
         t_lo = max(reach, t_lo + 1e-6)
 
 
+def _cap_grain_hits(dirs, g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
+    """Hit parameters (reps, 1, grains) of one ray per replication, from the versines 1 - cos theta of
+    the grains' angles to it; by isotropy the ray's direction does not enter."""
+    out = np.full(g_dist.shape, np.inf)
+    k = np.isfinite(g_dist)  # the padding lies at infinite distance
+    g_dist, vers = g_dist[k], vers[k]
+    out[k] = _grain_hit(1.0 - vers, vers, vers * (2.0 - vers), g_dist, np.sinh(g_dist), np.cosh(g_rad[k]))
+    return out[:, None, :]
+
+
+def _cap_plane_hits(dirs, p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
+    """Crossing parameters (reps, 1, planes) of one ray per replication, from the versines w of the
+    angles between it and the planes' normals.
+
+    The ray crosses the plane at distance t where tanh s = tanh t / cos theta,
+    that is at s = log((2 - g - w) / (g - w)) / 2 with g = 1 - tanh t, if w < g.
+    Versines keep this precise where cos theta and tanh t both round to 1.
+    """
+    g = procsim.plane_cap_gap(p_dist)  # 0 on the padding, whose versine is 1
+    out = np.full(p_dist.shape, np.inf)
+    k = vers < g
+    out[k] = 0.5 * np.log((2.0 - g[k] - vers[k]) / (g[k] - vers[k]))
+    return out[:, None, :]
+
+
 # The sweep over each process under its own name; benchmarks/tracer.py times
-# the sweeps by wrapping these two attributes.
+# the sweeps by wrapping these two attributes. One ray per replication sweeps
+# the process restricted to that ray's direction cap.
 def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
-    annulus = partial(procsim.sample_boolean_annuli, d, gamma, law)
-    proc = _ObstacleProcess(d, gamma, -1, omega(d), law.max_radius, annulus, grain_hits_from_base)
+    m = law.max_radius
+    if dirs.shape[1] == 1:
+        annulus = partial(procsim.sample_boolean_cap_annuli, d, gamma, law)
+        share = lambda t_lo: procsim.cap_share(d, procsim.grain_cap_gap(m, t_lo))  # noqa: E731
+        proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, _cap_grain_hits, _CAP_BLOCK_TARGET, share)
+    else:
+        annulus = partial(procsim.sample_boolean_annuli, d, gamma, law)
+        proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, grain_hits_from_base, _BLOCK_TARGET)
     return _sweep(proc, dirs, cutoff, rngs)
 
 
 def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Zero-cell visibility ranges: the sweep over the hyperplanes."""
-    annulus = partial(procsim.sample_hyperplane_annuli, d, gamma)
-    proc = _ObstacleProcess(
-        d, gamma, 1, 2.0, 0.0, annulus, lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)
-    )
+    if dirs.shape[1] == 1:
+        annulus = partial(procsim.sample_hyperplane_cap_annuli, d, gamma)
+        share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
+        proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, _cap_plane_hits, _CAP_BLOCK_TARGET, share)
+    else:
+        annulus = partial(procsim.sample_hyperplane_annuli, d, gamma)
+        hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
+        proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, hits, _BLOCK_TARGET)
     return _sweep(proc, dirs, cutoff, rngs)
 
 
@@ -391,7 +484,8 @@ def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: 
     not depend on the round it falls in.
     """
     fixed = _spatial_direction(d, direction)
-    size = max(1, _ROUND_PAIRS // (n_rays * _BLOCK_TARGET))
+    target = _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET
+    size = max(1, min(_ROUND_REPS, _ROUND_PAIRS // (n_rays * target)))
     for first in range(0, n_reps, size):
         rngs = [stream(seed, i) for i in range(first, min(first + size, n_reps))]
         if fixed is None:
@@ -421,7 +515,9 @@ def sample_visibility_ranges(
     """n independent conditioned visibility ranges, one replication per range.
 
     Returns (values, censored). A fixed spatial direction can be supplied;
-    by default each replication draws a fresh uniform direction.
+    by default each replication draws a fresh uniform direction. By isotropy
+    the ranges' law does not depend on the direction: the sweep samples only
+    the grains in the ray's direction cap, by their angle to the ray.
     """
     return _single_ranges(d, n, cutoff, seed, partial(_boolean_ranges, d, gamma, law), direction)
 
@@ -434,7 +530,7 @@ def sample_zero_cell_ranges(
     seed: int,
     direction: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n independent visibility ranges through the hyperplane process."""
+    """n independent visibility ranges through the hyperplane process; direction as in sample_visibility_ranges."""
     return _single_ranges(d, n, cutoff, seed, partial(_hyperplane_ranges, d, gamma), direction)
 
 

@@ -69,6 +69,9 @@ class TestConfigValidation:
             ExperimentConfig(quantity="intersection_density", gamma=1.0, law=cf.FixedRadius(0.5)).validate()
         with pytest.raises(UsageError, match="d = 2"):
             ExperimentConfig(quantity="intersection_density", d=3, gamma=1.0, law=cf.FixedRadius(0.5), r_win=2.0).validate()
+        for r_win in (0.0, -1.0):
+            with pytest.raises(UsageError, match="rwin must be > 0"):
+                ExperimentConfig(quantity="intersection_density", gamma=1.0, law=cf.FixedRadius(0.5), r_win=r_win).validate()
 
     @pytest.mark.parametrize(
         "argv",
@@ -121,6 +124,13 @@ class TestConfigValidation:
              "multiple of band_width 0.5"),
             (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "-1"], "truncate_at must be >= 0"),
             (["zero_cell", "--reps", "10", "--rays", "2"], "needs an intensity (--gamma)"),
+            (["zero_cell", "--gamma", "0.5", "--reps", "3", "--rays", "3"], "mean zero-cell volume is infinite"),
+            (["zero_cell", "--dim", "12", "--gamma", "3", "--reps", "3", "--rays", "3"], "finiteness needs gamma > 46.77"),
+            (["cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--cutoff", "0.001"],
+             "every range is censored at the cutoff"),
+            (["cdf_tessellation", "--gamma", "1", "--reps", "5", "--cutoff", "0.001"], "every range is censored at the cutoff"),
+            (["cdf_tessellation", "--gamma", "1e-9", "--reps", "5", "--cutoff", "400"], "beyond the 350"),
+            (["visvol", "--dim", "10", "--gamma", "2000", "--grain", "fixed:0.5", "--cutoff", "78"], "depth 78.5, beyond"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

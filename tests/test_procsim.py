@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 from hypervis import closedform as cf
 from hypervis import hypgeom as hg
 from hypervis import procsim as ps
+from hypervis import visibility as vis
 from hypervis.rng import stream
 
 from conftest import ks_statistic, random_rotation
@@ -234,3 +235,85 @@ class TestBandFirstTouches:
         trunc = 1.0 - math.exp(-a * 3.0)
         stat = ks_statistic(hit, lambda x: (1.0 - np.exp(-a * x)) / trunc)
         assert stat < 1.63 / math.sqrt(len(hit))
+
+
+def sphere_cap_share(d, w):
+    """Share of uniform directions in S^{d-1} at versine 1 - cos theta below w <= 1: I_{w(2-w)}((d-1)/2, 1/2) / 2."""
+    from scipy.special import betainc
+
+    return 0.5 * betainc((d - 1) / 2, 0.5, w * (2.0 - w))
+
+
+class TestDirectionCaps:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("gap", [1.0, 0.3, 1e-3, 1e-20])
+    def test_kept_versines_are_the_directions_of_the_cap(self, d, gap):
+        # proposals of mean cap_share keep, on average, the sphere's share of the cap, distributed as its angles;
+        # 20 cases, each at the 0.1% level (a missing thinning moves the law far more than that)
+        n = 40_000
+        vers, keep = ps.cap_versines(d, gap, [stream(80, d, round(-math.log10(gap)))], [n])
+        assert np.all((vers >= 0.0) & (vers < gap))
+        kept = vers[keep] / gap
+        # share of the directions with versine below w, over that of the cap: by the density (w (2 - w))^{(d-3)/2}
+        cap = sphere_cap_share(d, gap)
+        mean = ps.cap_share(d, gap) * len(kept) / n
+        assert abs(mean - cap) < 4 * math.sqrt(ps.cap_share(d, gap) * mean / n)
+        stat = ks_statistic(kept, lambda x: sphere_cap_share(d, x * gap) / cap)
+        assert stat < 1.95 / math.sqrt(len(kept))
+
+    def test_cap_gaps(self):
+        assert ps.plane_cap_gap(0.0) == 1.0 and ps.grain_cap_gap(0.5, 0.3) == 1.0
+        for t in (0.01, 1.0, 5.0, 15.0, 40.0):
+            assert ps.plane_cap_gap(t) == pytest.approx(math.exp(-t) / math.cosh(t), rel=1e-14)  # 1 - tanh t
+            s = math.sinh(0.5) / math.sinh(0.5 + t)
+            assert ps.grain_cap_gap(0.5, 0.5 + t) == pytest.approx(2 * math.sin(math.asin(s) / 2) ** 2, rel=1e-12)
+        assert ps.plane_cap_gap(400.0) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_capped_annuli_hold_the_reachable_obstacles(self, d):
+        # the ray e_1 meets as many obstacles of an annulus on average when only its cap is sampled
+        gamma, law, t_lo, t_hi, n = 2.0, cf.UniformRadius(0.2, 0.6), 0.8, 1.6, 3000
+        rays = np.broadcast_to(np.eye(d)[:1], (n, 1, d))
+
+        def agree(full, capped):
+            full, capped = np.isfinite(full).sum(axis=(1, 2)), np.isfinite(capped).sum(axis=(1, 2))
+            se = math.sqrt((np.var(full) + np.var(capped)) / n)
+            assert np.mean(capped) > 0.2 and abs(np.mean(full) - np.mean(capped)) < 4 * se
+
+        grains = ps.sample_boolean_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(81, d, n))
+        capped = ps.sample_boolean_cap_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(82, d, n))
+        agree(vis.grain_hits_from_base(rays, *grains), vis._cap_grain_hits(None, *capped))
+        _, normals = ps.sample_hyperplane_annuli(d, gamma, t_lo, [t_hi] * n, streams(83, d, n))
+        capped = ps.sample_hyperplane_cap_annuli(d, gamma, t_lo, [t_hi] * n, streams(84, d, n))
+        agree(vis.plane_hits_from_base(rays, normals), vis._cap_plane_hits(None, *capped))
+
+    def test_capped_kernels_are_exact_deep_out(self, rng):
+        # obstacles out to distance 30 at versine w from the ray, where cos theta and tanh t round to 1
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+
+        def crossing(t, w):
+            rho = mp.tanh(t) / (1 - mp.mpf(w))
+            return mp.atanh(rho) if rho < 1 else math.inf
+
+        def hit(t, w, r):
+            t, w, r = mp.mpf(t), mp.mpf(w), mp.mpf(r)
+            c = mp.sqrt(1 + mp.sinh(t) ** 2 * w * (2 - w))
+            return max(mp.atanh(mp.tanh(t) * (1 - w)) - mp.acosh(mp.cosh(r) / c), 0) if c <= mp.cosh(r) else math.inf
+
+        n = 300
+        dist, rad = rng.uniform(0.6, 30.0, n), rng.uniform(0.1, 0.5, n)
+        plane_vers = ps.plane_cap_gap(dist) * rng.uniform(0.0, 1.2, n)
+        grain_vers = np.array([ps.grain_cap_gap(0.5, t) for t in dist]) * rng.uniform(0.0, 1.2, n)
+        planes = vis._cap_plane_hits(None, dist[None], plane_vers[None])[0, 0]
+        grains = vis._cap_grain_hits(None, dist[None], grain_vers[None], rad[None])[0, 0]
+        for got, want in ((planes, [crossing(t, w) for t, w in zip(dist, plane_vers)]),
+                          (grains, [hit(t, w, r) for t, w, r in zip(dist, grain_vers, rad)])):
+            want = np.array(want, dtype=float)
+            assert np.isfinite(got[dist > 20.0]).any() and np.isinf(got).any()
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-9)
+
+
+def streams(seed, d, n):
+    return [stream(seed, d, i) for i in range(n)]

@@ -175,6 +175,8 @@ class TestCli:
             ["constants", "--dim", "0"],
             ["constants", "--dim", "1"],
             ["constants", "--dim", "two"],
+            ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "-1"],
+            ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "0"],
         ],
     )
     def test_invalid_argument_is_usage_error(self, argv, capsys):

@@ -1,6 +1,6 @@
 import math
 import time
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -460,11 +460,14 @@ PINNED_ESTIMATES = {
     "zero-cell-d3": (vis.estimate_zero_cell_volume, (3, 6.0, 20, 50, 1.0, 11),
                      0.4259809140791303, 0.0846645065804807, 26),
 }
+
+# Outputs of the capped single-ray sweep at fixed seeds, pinned after its two-sample KS tests
+# against the uncapped reference (TestRounds) and the band oracle (TestCappedSweep) passed.
 PINNED_RANGES = {
-    "boolean-d2": (vis.sample_visibility_ranges, (2, 1.5, cf.FixedRadius(0.5), 200, 2.0, 12), 133.50718186503684, 6),
-    "boolean-d3": (vis.sample_visibility_ranges, (3, 4.0, cf.FixedRadius(0.5), 100, 1.0, 13), 26.377974529424005, 5),
-    "zero-cell-d2": (vis.sample_zero_cell_ranges, (2, 2.0, 200, 2.0, 14), 142.62780307892524, 17),
-    "zero-cell-d3": (vis.sample_zero_cell_ranges, (3, 6.0, 100, 1.0, 15), 29.49368973605027, 5),
+    "boolean-d2": (vis.sample_visibility_ranges, (2, 1.5, cf.FixedRadius(0.5), 200, 2.0, 12), 127.30908485633364, 10),
+    "boolean-d3": (vis.sample_visibility_ranges, (3, 4.0, cf.FixedRadius(0.5), 100, 1.0, 13), 29.054113299317496, 4),
+    "zero-cell-d2": (vis.sample_zero_cell_ranges, (2, 2.0, 200, 2.0, 14), 142.92225400685737, 13),
+    "zero-cell-d3": (vis.sample_zero_cell_ranges, (3, 6.0, 100, 1.0, 15), 36.808111215372655, 8),
 }
 
 
@@ -526,9 +529,9 @@ def _ref_hyperplane_annulus(d, gamma, t_lo, t_hi, rng):
     return dists, ps.normals_from_polar(dists, _ref_unit_vectors(d, rng, n))
 
 
-def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng):
+def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng, block_target):
     n = d - 1
-    per_block = vis._BLOCK_TARGET / (gamma * scale)
+    per_block = block_target / (gamma * scale)
     best = np.full(len(dirs), cutoff)
     t_lo = 0.0
     while True:
@@ -545,22 +548,24 @@ def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng):
     return best
 
 
-def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None):
-    """(n_reps, n_rays) ranges through the Boolean model (law given) or the hyperplanes (law None)."""
+def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None, block_target=None):
+    """(n_reps, n_rays) ranges through the Boolean model (law given) or the hyperplanes (law None),
+    in blocks of block_target expected obstacles (by default the module's _BLOCK_TARGET)."""
+    block_target = vis._BLOCK_TARGET if block_target is None else block_target
     out = np.empty((n_reps, n_rays))
     for i in range(n_reps):
         rng = stream(seed, i)
         dirs = _ref_unit_vectors(d, rng, n_rays) if direction is None else np.asarray(direction, float)[None, -d:]
         if law is None:
             annulus = partial(_ref_hyperplane_annulus, d, gamma)
-            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, lambda u, x, n: dense_plane_hits(u, n), dirs, cutoff, rng)
+            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, lambda u, x, n: dense_plane_hits(u, n), dirs, cutoff, rng, block_target)
         else:
             annulus = partial(_ref_boolean_annulus, d, gamma, law)
-            out[i] = _ref_sweep(d, gamma, cf.omega(d), -1, law.max_radius, annulus, dense_grain_hits, dirs, cutoff, rng)
+            out[i] = _ref_sweep(d, gamma, cf.omega(d), -1, law.max_radius, annulus, dense_grain_hits, dirs, cutoff, rng, block_target)
     return out
 
 
-ROUND = vis._ROUND_PAIRS // vis._BLOCK_TARGET  # replications per round with one ray each
+ROUND = min(vis._ROUND_REPS, vis._ROUND_PAIRS // vis._CAP_BLOCK_TARGET)  # replications per round with one ray each
 
 
 def _censored_cutoff(rate):
@@ -570,22 +575,47 @@ def _censored_cutoff(rate):
 
 @pytest.fixture(params=["blocks-256", "blocks-2"])
 def round_size(request, monkeypatch):
-    """Replications per single-ray round: the module's, or 16 with blocks of 2 expected obstacles.
+    """Replications per single-ray round: the module's (blocks of _BLOCK_TARGET expected obstacles for
+    many rays, _CAP_BLOCK_TARGET in a single ray's cap), or 16 with blocks of 2 expected obstacles.
 
     Small blocks give every replication many blocks, many of them empty, and
     replications that end at different blocks of one round.
     """
     if request.param == "blocks-2":
         monkeypatch.setattr(vis, "_BLOCK_TARGET", 2)
+        monkeypatch.setattr(vis, "_CAP_BLOCK_TARGET", 2)
         monkeypatch.setattr(vis, "_ROUND_PAIRS", 32)
-    return vis._ROUND_PAIRS // vis._BLOCK_TARGET
+    return min(vis._ROUND_REPS, vis._ROUND_PAIRS // vis._CAP_BLOCK_TARGET)
+
+
+@lru_cache(maxsize=None)
+def _single_ray_reference(d, gamma, law, cutoff, seed, fixed):
+    """Ranges of 800 replications of the uncapped reference sweep with one ray each, in blocks of 256."""
+    direction = np.eye(d)[d - 1] if fixed else None
+    return reference_ranges(d, gamma, law, 800, 1, cutoff, seed, direction, block_target=256)[:, 0]
+
+
+def _check_single_ray(sample, ref, cutoff, seed, direction, round_size):
+    """The ranges of 800 replications, sample(800, cutoff, seed, direction), follow the law of the reference
+    ranges. For each n of the grid below 800 (all of it with small rounds; test_prefix_of_a_longer_run runs
+    the module's rounds), the first n are bit for bit those of a run of n, whether n spans part of a round or
+    several."""
+    values, censored = sample(800, cutoff, seed, direction)
+    assert np.array_equal(censored, values >= cutoff - 1e-12)
+    assert censored.any() and not censored.all()
+    for n in (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1):
+        if n < len(values):
+            head, head_censored = sample(n, cutoff, seed, direction)
+            assert np.array_equal(head, values[:n]) and np.array_equal(head_censored, censored[:n])
+    assert ks_2samp(values, ref).pvalue > 0.01
 
 
 class TestRounds:
-    """Replication rounds return bit for bit the ranges of sweeping one replication at a time."""
+    """Replication rounds return bit for bit the ranges of sweeping one replication at a time, whatever
+    the round size; single rays sweep only their direction cap, so their ranges follow the reference's law."""
 
     def test_round_size(self):
-        assert ROUND == 64
+        assert ROUND == 512
         assert max(1, vis._ROUND_PAIRS // (64 * vis._BLOCK_TARGET)) == 1  # estimators with 64+ rays: one per round
 
     @pytest.mark.parametrize("fixed", [False, True])
@@ -593,38 +623,28 @@ class TestRounds:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_visibility_ranges(self, d, law, fixed, round_size):
         v_star = cf.grain_moments(d, law).v_dm1_star
-        gamma = 2.0 * (d - 1) / v_star  # rate 2(d-1): a replication costs a few blocks
+        gamma = 2.0 * (d - 1) / v_star  # rate 2(d-1): a replication of the reference costs a few blocks
         cutoff, seed = _censored_cutoff(gamma * v_star), 60 + d
+        ref = _single_ray_reference(d, gamma, law, cutoff, seed + 2000, fixed)
         direction = np.eye(d)[d - 1] if fixed else None
-        n_reps = (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1)
-        ref = reference_ranges(d, gamma, law, max(n_reps), 1, cutoff, seed, direction)[:, 0]
-        ref_censored = ref >= cutoff - 1e-12
-        assert ref_censored.any() and not ref_censored.all()
-        for n in n_reps:
-            values, censored = vis.sample_visibility_ranges(d, gamma, law, n, cutoff, seed, direction)
-            assert np.array_equal(values, ref[:n])
-            assert np.array_equal(censored, ref_censored[:n])
+        _check_single_ray(partial(vis.sample_visibility_ranges, d, gamma, law), ref, cutoff, seed, direction, round_size)
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_zero_cell_ranges(self, d, fixed, round_size):
         gamma = 2.0 * (d - 1) / cf.zero_cell_rate(d, 1.0)
         cutoff, seed = _censored_cutoff(cf.zero_cell_rate(d, gamma)), 70 + d
+        ref = _single_ray_reference(d, gamma, None, cutoff, seed + 2000, fixed)
         direction = np.eye(d + 1)[1] if fixed else None  # the full tangent form of e_1
-        n_reps = (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1)
-        ref = reference_ranges(d, gamma, None, max(n_reps), 1, cutoff, seed, direction)[:, 0]
-        ref_censored = ref >= cutoff - 1e-12
-        assert ref_censored.any() and not ref_censored.all()
-        for n in n_reps:
-            values, censored = vis.sample_zero_cell_ranges(d, gamma, n, cutoff, seed, direction)
-            assert np.array_equal(values, ref[:n])
-            assert np.array_equal(censored, ref_censored[:n])
+        _check_single_ray(partial(vis.sample_zero_cell_ranges, d, gamma), ref, cutoff, seed, direction, round_size)
 
     def test_prefix_of_a_longer_run(self):
-        values, censored = vis.sample_zero_cell_ranges(3, 6.0, 3 * ROUND + 7, 1.0, 15)
-        for m in (5, ROUND + 3, 2 * ROUND - 1):
-            head, head_censored = vis.sample_zero_cell_ranges(3, 6.0, m, 1.0, 15)
-            assert np.array_equal(head, values[:m]) and np.array_equal(head_censored, censored[:m])
+        for sample in (partial(vis.sample_zero_cell_ranges, 3, 6.0),
+                       partial(vis.sample_visibility_ranges, 3, 4.0, cf.UniformRadius(0.1, 0.6))):
+            values, censored = sample(3 * ROUND + 7, 1.0, 15)
+            for m in (5, ROUND + 3, 2 * ROUND - 1):
+                head, head_censored = sample(m, 1.0, 15)
+                assert np.array_equal(head, values[:m]) and np.array_equal(head_censored, censored[:m])
 
     @pytest.mark.parametrize("n_rays", [3, 64])  # 3 rays: rounds of 21 replications with dead rays; 64: one per round
     def test_estimators(self, n_rays, round_size):
@@ -646,6 +666,54 @@ class TestRounds:
             vis.sample_zero_cell_ranges(2, 1e15, ROUND + 1, 1.0, 0)
         with pytest.raises(ValueError, match="resource guard"):
             vis.sample_visibility_ranges(2, 1e21, cf.FixedRadius(0.5), ROUND + 1, 1.0, 0)
+
+
+class TestCappedSweep:
+    """A single ray sweeps only the obstacles in its direction cap; its ranges keep their law."""
+
+    @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.9)], ids=["fixed", "uniform"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_band_oracle(self, d, law):
+        # the paper's band construction samples, in Fermi coordinates along the ray, exactly the grains
+        # that can first touch it in (0, cutoff]: an independent oracle for the polar sampler
+        v_star = cf.grain_moments(d, law).v_dm1_star
+        gamma = 0.75 * (d - 1) / v_star  # rate below d - 1: long ranges, swept through many blocks
+        cutoff, n = _censored_cutoff(gamma * v_star), 4000
+        values, censored = vis.sample_visibility_ranges(d, gamma, law, n, cutoff, seed=90 + d)
+        first = ps.band_first_touches(d, gamma, law, 0.0, cutoff, n, stream(91, d))
+        assert censored.any() and not censored.all()
+        assert ks_2samp(values, np.minimum(first, cutoff)).pvalue > 0.01
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_deep_ranges_keep_their_law(self, d):
+        # rate 0.1 and cutoff 40: ranges reach depths where cos theta of a reachable obstacle rounds to 1
+        from hypervis.harness import ks_exponential
+
+        rate, cutoff, n = 0.1, 40.0, 2000
+        law = cf.FixedRadius(0.5)
+        for values, censored in (
+            vis.sample_visibility_ranges(d, rate / cf.grain_moments(d, law).v_dm1_star, law, n, cutoff, seed=92 + d),
+            vis.sample_zero_cell_ranges(d, rate / cf.zero_cell_rate(d, 1.0), n, cutoff, seed=94 + d),
+        ):
+            assert np.sum(values[~censored] > 20.0) > 50
+            assert ks_exponential(values[~censored], rate, cutoff).passed
+            assert abs(censored.mean() - math.exp(-rate * cutoff)) < 4 * math.sqrt(math.exp(-rate * cutoff) / n)
+
+    def test_heavy_tail_cost_is_linear_in_range(self, monkeypatch):
+        # rate 1.28 < d - 1 = 2: sampling whole annuli costs e^{2 R} draws for a range R, unbounded in mean
+        from hypervis.harness import ExperimentConfig, run
+
+        drawn = []
+
+        def counted(d, t_lo, t_hi, rng, size, inner=ps.sample_radial_annulus):
+            drawn.append(int(np.sum(size)))
+            return inner(d, t_lo, t_hi, rng, size)
+
+        monkeypatch.setattr(ps, "sample_radial_annulus", counted)
+        config = ExperimentConfig(quantity="cdf_boolean", d=3, gamma=1.5, law=cf.FixedRadius(0.5), n_reps=2000,
+                                  cutoff=8.0, seed=46)
+        assert run(config).passed
+        assert sum(drawn) < 30 * config.n_reps
 
 
 class TestFixedDirection:
