@@ -51,6 +51,16 @@ def _dimension(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _criterion_numbers(text: str) -> set[int]:
     try:
         numbers = {int(s) for s in text.split(",")}
@@ -71,7 +81,7 @@ def _add_estimate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cutoff", type=float, default=12.0)
     p.add_argument("--truncate", type=float, default=None)
     p.add_argument("--rwin", type=_above_zero, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--gamma", type=_positive_float, required=True)
     p_render.add_argument("--grain", type=_grain_law, default=None, help="fixed:R or uniform:A,B; omit for hyperplanes")
     p_render.add_argument("--view-radius", type=_positive_float, default=4.0)
-    p_render.add_argument("--seed", type=int, default=0)
+    p_render.add_argument("--seed", type=_seed, default=0)
     p_render.add_argument("--out", type=str, required=True)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}")
         if self.quantity == "formula_check":
             return
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.d < 2:
             raise UsageError("dimension must be >= 2")
         if self.gamma is None:

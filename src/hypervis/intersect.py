@@ -21,7 +21,7 @@ from . import closedform, procsim
 from .closedform import GrainLaw, ball_volume
 from .hypgeom import dist, exp_map, direction_to, minkowski_dot, normalize_tangent
 from .procsim import BallGrain, BooleanModelSample
-from .rng import stream
+from .rng import stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 from .visibility import EstimateRecord, check_replications, make_record
 
 _TANGENCY_TOL = 1e-12
@@ -149,8 +149,7 @@ def estimate_intersection_density(
     area = float(ball_volume(2, r_win))
     counts = np.empty(n_reps)
     tangent_pairs = 0
-    for i in range(n_reps):
-        rng = stream(seed, i)
+    for i, rng in enumerate(streams(seed, count=n_reps)):
         sample = procsim.sample_boolean(2, gamma, law, r_win, rng, condition_origin_free=False)
         c, t = _count_crossings_vectorized(sample.centers, sample.radii, r_win)
         counts[i] = c

@@ -47,8 +47,10 @@ kernel call, while each keeps its own generator and makes exactly its own
 draws in its own order.
 
 Replication r of a run with master seed s draws from stream(s, r), so runs
-are reproducible and order independent; the rounds leave this contract as it
-was, and the results, bit for bit, do not depend on the round size. Rays
+are reproducible and order independent. The generators of a run come from
+rng.streams, which derives them in chunks and returns bit for bit the
+stream(s, r) generators; the results, bit for bit, depend on neither the
+round size nor the chunk size. Rays
 inside one replication share the realization and are dependent; standard
 errors are computed across replications only, so estimators need at least two.
 """
@@ -59,6 +61,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -68,7 +71,7 @@ from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
 from .hypgeom import GeodesicRay, dist, minkowski_dot
 from .procsim import BallGrain, BooleanModelSample, Hyperplane, HyperplaneSample
-from .rng import stream
+from .rng import stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 
 _HIT_EPS = 1e-12
 
@@ -481,13 +484,15 @@ def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: 
 
     Replication i draws n_rays uniform directions (or takes the one fixed
     direction) and then its obstacles from stream(seed, i), so its ranges do
-    not depend on the round it falls in.
+    not depend on the round it falls in. A round's generators are built as
+    the round starts.
     """
     fixed = _spatial_direction(d, direction)
     target = _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET
     size = max(1, min(_ROUND_REPS, _ROUND_PAIRS // (n_rays * target)))
+    gens = streams(seed, count=n_reps)
     for first in range(0, n_reps, size):
-        rngs = [stream(seed, i) for i in range(first, min(first + size, n_reps))]
+        rngs = list(islice(gens, size))
         if fixed is None:
             dirs = procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(len(rngs), n_rays, d)
         else:
@@ -680,8 +685,7 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     direction = np.zeros(d)
     direction[0] = 1.0
     counts = np.zeros(n_reps)
-    for i in range(n_reps):
-        rng = stream(seed, i)
+    for i, rng in enumerate(streams(seed, count=n_reps)):
         sample = procsim.sample_hyperplanes(d, gamma, length, rng)
         if sample.n_planes:
             hits = plane_hits_from_base(direction[None, :], sample.normals)
@@ -752,8 +756,7 @@ def estimate_visible_volume_stratified(
     for b in range(n_batches):
         p_hat = np.empty(n_bands)
         c_hat = np.empty(n_bands)
-        for k in range(n_bands):
-            rng = stream(seed, b, k)
+        for k, rng in enumerate(streams(seed, b, count=n_bands)):
             first = procsim.band_first_touches(d, gamma, law, edges[k], edges[k + 1], sims_per_band, rng)
             p_hat[k] = float(np.mean(np.isinf(first)))
             upper = sinh_integral(d, np.minimum(first, edges[k + 1]))

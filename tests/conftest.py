@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from hypervis import hypgeom
+from hypervis import hypgeom, rng as rng_module
 from hypervis.rng import stream
 
 
@@ -32,3 +35,27 @@ def random_rotation(d, rng):
     """Haar-random d x d rotation matrix."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+# Ways rng.streams can derive a run's generators; each must give bit for bit the same results.
+STREAM_DERIVATIONS = {
+    "per-key": {"_MIN_BATCH": math.inf},  # every generator from stream(seed, i) alone
+    "chunks-of-7": {"_CHUNK": 7, "_MIN_BATCH": 1},  # every run hashed in vectorized chunks of 7 keys
+}
+
+
+def _comparable(result):
+    """A record without its runtime_ms, or a tuple of arrays as lists."""
+    if dataclasses.is_dataclass(result):
+        return dataclasses.replace(result, runtime_ms=0.0)
+    return [np.asarray(a).tolist() for a in result]
+
+
+def assert_same_under_every_derivation(call, monkeypatch):
+    """call() gives the same result, runtime_ms aside, under each of STREAM_DERIVATIONS."""
+    expected = _comparable(call())
+    for name, settings in STREAM_DERIVATIONS.items():
+        with monkeypatch.context() as m:
+            for attr, value in settings.items():
+                m.setattr(rng_module, attr, value)
+            assert _comparable(call()) == expected, name

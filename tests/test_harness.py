@@ -10,6 +10,8 @@ from hypervis.cli import main
 from hypervis.harness import ExperimentConfig, UsageError, ks_exponential
 from hypervis.rng import stream
 
+from conftest import assert_same_under_every_derivation
+
 
 class TestKsExponential:
     def test_exact_samples_pass(self):
@@ -47,6 +49,10 @@ class TestConfigValidation:
     def test_unknown_quantity(self):
         with pytest.raises(UsageError, match="unknown quantity"):
             ExperimentConfig(quantity="nope").validate()
+
+    def test_negative_seed(self):
+        with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(quantity="cdf_tessellation", seed=-1).validate()
 
     def test_visvol_below_threshold_names_it(self):
         config = ExperimentConfig(quantity="visvol", gamma=0.5, law=cf.FixedRadius(0.5))
@@ -253,6 +259,10 @@ class TestPinnedRecords:
         assert rec.closed_form == pytest.approx(closed, rel=1e-12)
         assert rec.z_score == pytest.approx(z, rel=1e-9)
         assert rec.n_reps == n_reps
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+    def test_independent_of_stream_derivation(self, name, monkeypatch):
+        assert_same_under_every_derivation(PINNED_RECORDS[name][0], monkeypatch)
 
 
 class TestEmit:

@@ -177,6 +177,9 @@ class TestCli:
             ["constants", "--dim", "two"],
             ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "-1"],
             ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "0"],
+            ["estimate", "cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--seed", "-1"],
+            ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--seed", "-5"],
+            ["render", "--gamma", "1", "--seed", "-1", "--out", "x.svg"],
         ],
     )
     def test_invalid_argument_is_usage_error(self, argv, capsys):

@@ -14,7 +14,7 @@ from hypervis import visibility as vis
 from hypervis.procsim import BallGrain, BooleanModelSample, Hyperplane, HyperplaneSample
 from hypervis.rng import stream
 
-from conftest import random_point
+from conftest import assert_same_under_every_derivation, random_point
 
 
 def brute_force_hits(rays, grains, t_pad=0.05, grid_n=800, iters=60):
@@ -486,6 +486,11 @@ class TestSweepPinned:
         values, censored = fn(*args)
         assert float(values.sum()) == pytest.approx(total, rel=1e-9)
         assert int(censored.sum()) == n_censored
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ESTIMATES) + [f"ranges-{n}" for n in sorted(PINNED_RANGES)])
+    def test_independent_of_stream_derivation(self, name, monkeypatch):
+        fn, args, *_ = PINNED_ESTIMATES[name] if name in PINNED_ESTIMATES else PINNED_RANGES[name[len("ranges-"):]]
+        assert_same_under_every_derivation(partial(fn, *args), monkeypatch)
 
 
 # Reference: the sweep one replication at a time, with the annulus samplers and the dense
