@@ -48,6 +48,10 @@ def _dimension(text: str) -> int:
         value = 0
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    try:
+        closedform.kappa(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

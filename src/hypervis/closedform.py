@@ -27,10 +27,17 @@ _THRESHOLD_GUARD = 1e-12
 
 
 def kappa(d: int) -> float:
-    """Volume of the d-dimensional Euclidean unit ball, pi^{d/2}/Gamma(1+d/2)."""
+    """Volume of the d-dimensional Euclidean unit ball, pi^{d/2}/Gamma(1+d/2), for 0 <= d <= 341;
+    beyond, Gamma(1+d/2) overflows a double."""
     if d < 0:
         raise ValueError("dimension must be >= 0")
-    return math.pi ** (d / 2.0) / math.gamma(1.0 + d / 2.0)
+    try:
+        gamma = math.gamma(1.0 + d / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"dimension {d} is too large: the largest supported is d = 341, beyond which Gamma(1 + d/2) overflows"
+        ) from None
+    return math.pi ** (d / 2.0) / gamma
 
 
 def omega(d: int) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import closedform, intersect, visibility
+from . import closedform, intersect, procsim, visibility
 from .closedform import GrainLaw, grain_moments
 from .visibility import EstimateRecord
 
@@ -95,6 +95,10 @@ class ExperimentConfig:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.d < 2:
             raise UsageError("dimension must be >= 2")
+        try:
+            closedform.kappa(self.d)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if self.gamma is None:
             raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
         if self.stratified and self.quantity != "visvol_truncated":
@@ -107,6 +111,11 @@ class ExperimentConfig:
             raise UsageError("intensity gamma must be > 0")
         if self.n_reps < 1 or self.n_rays < 1:
             raise UsageError("n_reps and n_rays must be >= 1")
+        guard = procsim.MAX_EXPECTED_COUNT
+        if self.n_reps > guard:
+            raise UsageError(f"n_reps = {self.n_reps} exceeds the resource guard {guard:.0e}")
+        if self.quantity in ("visvol", "visvol_truncated", "zero_cell") and self.n_rays > guard:
+            raise UsageError(f"n_rays = {self.n_rays} exceeds the resource guard {guard:.0e}")
         estimator = self.quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density")
         if estimator and not self.stratified and self.n_reps < 2:
             raise UsageError(f"{self.quantity} takes its standard error across replications and needs n_reps >= 2")

@@ -11,14 +11,16 @@ processes into radial shells so that estimators can sweep outward from the
 base point and stop as soon as no farther obstacle can matter; restricting a
 Poisson process to a region is again Poisson, so the sweep is exact.
 
-The round samplers (sample_boolean_annuli, sample_hyperplane_annuli) serve a
-round of independent replications at once: each replication keeps its own
-generator and makes exactly the draws, in the same order, of the one-generator
-sampler, while the radial inverse runs once over all of the round's draws.
-The cap samplers (sample_boolean_cap_annuli, sample_hyperplane_cap_annuli)
-serve a single ray: they draw only the obstacles whose direction lies in the
-cap from which the ray can be reached, each by its distance and the versine
-of its angle to the ray, again an exact Poisson restriction.
+The annulus samplers (sample_boolean_annulus, sample_hyperplane_annulus)
+take one generator: the many-ray sweep runs one replication at a time. The
+cap samplers (sample_boolean_cap_annuli, sample_hyperplane_cap_annuli) serve
+a single ray: they draw only the obstacles whose direction lies in the cap
+from which the ray can be reached, each by its distance and the versine of
+its angle to the ray, again an exact Poisson restriction. They serve a round
+of single-ray replications at once: each replication keeps its own generator
+and makes its own draws in its own order, the radial inverse runs once over
+all of the round's draws, and each replication's obstacles fill one row,
+padded to the round's largest count.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -257,8 +259,6 @@ def _annulus_counts(gamma: float, scale: float, n: int, sign: int, t_lo: float, 
 
 def _padded(counts: np.ndarray, flat: np.ndarray, fill: float) -> np.ndarray:
     """The rows of flat, counts[i] of them for generator i, as shape (generators, max count, ...) padded with fill."""
-    if len(counts) == 1:  # nothing to pad
-        return flat[None]
     out = np.full((len(counts), counts.max(initial=0)) + flat.shape[1:], fill)
     out[np.arange(out.shape[1]) < counts[:, None]] = flat
     return out
@@ -280,34 +280,10 @@ def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Gener
     return points_from_polar(dists, unit_vectors(d, rng, n))
 
 
-def sample_boolean_annuli(
-    d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, drop_covering: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grains with center distance in [t_lo, t_hi[i]) for each generator rngs[i]: (distances, directions, radii).
-
-    Row i holds the grains of generator i, which makes the draws of
-    sample_boolean_annulus(d, gamma, law, t_lo, t_hi[i], rngs[i]) in the same
-    order: count, distances, directions, radii. Rows are padded to the largest
-    count by grains at infinite distance with direction 0 and radius 0.
-    """
-    counts = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, t_hi, rngs)
-    if not counts.any():
-        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0, d)), np.empty((len(rngs), 0))
-    dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
-    dirs = unit_vectors(d, rngs, counts)
-    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
-    if drop_covering:
-        # grains containing the base point are deleted, which conditions the model on an uncovered base point
-        keep = dists > radii
-        counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
-        dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
-    return _padded(counts, dists, np.inf), _padded(counts, dirs, 0.0), _padded(counts, radii, 0.0)
-
-
 def sample_boolean_cap_annuli(
     d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grains of sample_boolean_annuli that can meet a ray, for each generator: (distances, versines, radii).
+    """The grains of sample_boolean_annulus that can meet a ray, for each generator: (distances, versines, radii).
 
     The versine is 1 - cos theta, with theta the angle between the ray and the
     grain's center direction. Only grains in the cap of
@@ -336,13 +312,22 @@ def sample_boolean_annulus(
     rng: np.random.Generator,
     drop_covering: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grains with center distance in [t_lo, t_hi): (distances, directions, radii).
+    """Grains with center distance in [t_lo, t_hi): (distances, directions, radii), drawn in that order
+    after their count.
 
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
     """
-    dists, dirs, radii = sample_boolean_annuli(d, gamma, law, t_lo, [t_hi], [rng], drop_covering)
-    return dists[0], dirs[0], radii[0]
+    (count,) = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, [t_hi], [rng])
+    if not count:
+        return np.empty(0), np.empty((0, d)), np.empty(0)
+    dists = sample_radial_annulus(d, t_lo, t_hi, rng, count)
+    dirs = unit_vectors(d, rng, count)
+    radii = law.sample_radii(rng, count)
+    if drop_covering:
+        keep = dists > radii
+        dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
+    return dists, dirs, radii
 
 
 def sample_boolean(
@@ -413,32 +398,19 @@ def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_hyperplane_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Planes at distance in [t_lo, t_hi[i]) from the base for each generator rngs[i]: (distances, unit normals).
-
-    Row i holds the planes of generator i, which makes the draws of
-    sample_hyperplane_annulus(d, gamma, t_lo, t_hi[i], rngs[i]) in the same
-    order. Rows are padded to the largest count by planes at infinite distance
-    with normal 0.
-    """
-    counts = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, t_hi, rngs)
-    if not counts.any():
-        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0, d + 1))
-    dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
-    normals = normals_from_polar(dists, unit_vectors(d, rngs, counts))
-    return _padded(counts, dists, np.inf), _padded(counts, normals, 0.0)
-
-
 def sample_hyperplane_annulus(
     d: int, gamma: float, t_lo: float, t_hi: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Planes at distance in [t_lo, t_hi) from the base: (distances, unit normals)."""
-    dists, normals = sample_hyperplane_annuli(d, gamma, t_lo, [t_hi], [rng])
-    return dists[0], normals[0]
+    (count,) = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, [t_hi], [rng])
+    if not count:
+        return np.empty(0), np.empty((0, d + 1))
+    dists = sample_plane_distances(d, t_lo, t_hi, rng, count)
+    return dists, normals_from_polar(dists, unit_vectors(d, rng, count))
 
 
 def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """The planes of sample_hyperplane_annuli that can cross a ray, for each generator: (distances, versines).
+    """The planes of sample_hyperplane_annulus that can cross a ray, for each generator: (distances, versines).
 
     The versine is 1 - cos theta, with theta the angle between the ray and the
     plane's normal direction, oriented away from the base point. Only planes

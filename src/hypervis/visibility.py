@@ -37,13 +37,11 @@ e^{(d-1)R}. By isotropy the law of a single ray's range does not depend on
 its direction, which the capped sweep therefore never reads (a given
 direction is still validated).
 
-Replications are swept in rounds: max(1, _ROUND_PAIRS // (n_rays * b)) of
-them at a time, with b the expected obstacles per block (_CAP_BLOCK_TARGET
-for one ray, _BLOCK_TARGET for more), and at most _ROUND_REPS: 512 for the
-single-ray range samplers and one for estimators with 64 or more rays. The
-replications of a round share each block's bounds, one call of the round
-annulus sampler (and so one radial inverse over all their draws) and one
-kernel call, while each keeps its own generator and makes exactly its own
+Replications are swept in rounds: _ROUND_REPS (512) at a time for the
+single-ray range samplers, one at a time for the estimators with two or more
+rays. The replications of a single-ray round share each block's bounds, one
+call of the cap sampler (and so one radial inverse over all their draws) and
+one kernel call, while each keeps its own generator and makes exactly its own
 draws in its own order.
 
 Replication r of a run with master seed s draws from stream(s, r), so runs
@@ -213,31 +211,6 @@ def ray_hyperplane_hit(ray: GeodesicRay, plane: Hyperplane) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _unpadded(rows: np.ndarray) -> list:
-    """Per replication, the number of rows of rows (shape (reps, n, k)) that are not zero padding.
-
-    Rays, grain directions and the spatial parts of plane normals are nonzero; the padding trails them.
-    """
-    return np.count_nonzero(rows.any(axis=2), axis=1).tolist()
-
-
-def _cosines(dirs: np.ndarray, g_dir: np.ndarray) -> np.ndarray:
-    """dirs @ g_dir^T per replication: (rays, obstacles) for 2-D arrays, (reps, rays, obstacles) for a round.
-
-    BLAS rounds a product differently with its shape, so each replication's
-    product has the shape a sweep of that replication alone would give it.
-    The arrays of one replication are not padded, and its product is taken
-    whole; in a round of several, each replication's product runs over its
-    own rays and obstacles, with 0 on the padding.
-    """
-    if dirs.ndim == 2 or len(dirs) == 1:
-        return dirs @ np.swapaxes(g_dir, -1, -2)
-    out = np.zeros(dirs.shape[:2] + g_dir.shape[1:2])
-    for r, (k, m) in enumerate(zip(_unpadded(dirs), _unpadded(g_dir))):
-        np.matmul(dirs[r, :k], g_dir[r, :m].T, out=out[r, :k, :m])
-    return out
-
-
 def _obstacle_index(k: np.ndarray, shape: tuple) -> np.ndarray:
     """Flat obstacle index of each flat pair index k of a (rays, obstacles) or (reps, rays, obstacles) matrix."""
     m = shape[-1]
@@ -251,16 +224,15 @@ def grain_hits_from_base(
 
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
-    A round of replications passes dirs of shape (reps, rays, d) and grains of
-    shape (reps, grains[, d]) and gets (reps, rays, grains); rays and grains are
-    padded by trailing zero directions, which never hit.
+    Leading axes broadcast as in matmul: the sweep passes dirs of shape
+    (1, rays, d) and grains of shape (1, grains[, d]) and gets (1, rays, grains).
 
     A hit needs the grain inside the cone cos theta > 0,
     sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1 around the ray. The cone test
     runs on every pair with a slack that exceeds the rounding of the exact
     test; the transcendentals run only on the pairs inside it.
     """
-    cos_raw = _cosines(dirs, g_dir)
+    cos_raw = dirs @ np.swapaxes(g_dir, -1, -2)
     sinh_d = np.sinh(g_dist)
     cosh_r = np.cosh(g_rad)
     lim = np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - ((1.0 + 4e-15) * cosh_r**2 - 1.0) / sinh_d**2)) - 1e-9
@@ -286,8 +258,8 @@ def _grain_hit(cos_t, vers, sin2, g_dist, sinh_d, cosh_r) -> np.ndarray:
 def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Crossing parameters, shape (rays, planes), inf when the ray never crosses.
 
-    A round passes dirs (reps, rays, d) and normals (reps, planes, d+1), padded
-    by trailing zero rows, and gets (reps, rays, planes).
+    Leading axes broadcast as for grain_hits_from_base: dirs (1, rays, d) and
+    normals (1, planes, d+1) give (1, rays, planes).
 
     The ray crosses where tanh t = rho = n_0 / <u, n> lies in (0, 1), which
     needs |<u, n>| > |n_0| with equal signs. Each normal is oriented to
@@ -295,7 +267,7 @@ def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
     and rho and arctanh run only on the pairs that pass it.
     """
     oriented = np.where(normals[..., :1] < 0.0, -normals, normals)
-    un, n0 = _cosines(dirs, oriented[..., 1:]), oriented[..., 0]
+    un, n0 = dirs @ np.swapaxes(oriented[..., 1:], -1, -2), oriented[..., 0]
     k = np.flatnonzero(un > n0[..., None, :])  # flat indices of the pairs that can cross
     rho = n0.ravel()[_obstacle_index(k, un.shape)] / un.ravel()[k]
     cross = (rho > 0.0) & (rho < 1.0)
@@ -313,9 +285,7 @@ def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
 # but not 1; an uncapped block of a few obstacles would multiply the blocks deep out.
 _BLOCK_TARGET = 256
 _CAP_BLOCK_TARGET = 8
-# Ray x obstacle pairs per round: a round sweeps max(1, _ROUND_PAIRS // (n_rays * target)) replications,
-# at most _ROUND_REPS, since each replication of a round keeps a live generator (about 2 KB).
-_ROUND_PAIRS = 2**14
+# Single-ray replications per round; each keeps a live generator (about 2 KB). Many rays sweep one at a time.
 _ROUND_REPS = 512
 
 
@@ -389,7 +359,9 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
     proc.annulus draws proc.target obstacles on average; a replication stops
     once no farther obstacle can shorten any of its rays. The replications
     still sweeping share each block's bounds (only a replication's last block
-    ends early, at its own stop), its sampler call and its kernel call.
+    ends early, at its own stop), its sampler call and its kernel call. Only
+    a round of one replication, which the many-ray sweep always is, can have
+    rays that a block cannot shorten.
     """
     n, sign = proc.d - 1, proc.sign
     best = np.full(dirs.shape[:2], cutoff)
@@ -415,13 +387,8 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             if live.all():  # always so with one ray per replication
                 best[reps] = np.minimum(ranges, proc.hits(dirs[reps], *obstacles).min(axis=2))
             else:
-                # each replication casts its live rays, in order, padded by zero rays that never hit
-                n_live = live.sum(axis=1)
-                rays = np.argsort(~live, axis=1, kind="stable")[:, : n_live.max()]
-                rows = reps[:, None]
-                cast = dirs[rows, rays]
-                cast[np.arange(rays.shape[1]) >= n_live[:, None]] = 0.0
-                best[rows, rays] = np.minimum(best[rows, rays], proc.hits(cast, *obstacles).min(axis=2))
+                r, rays = reps[0], np.flatnonzero(live[0])
+                best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays][None], *obstacles).min(axis=2)[0])
         t_lo = max(reach, t_lo + 1e-6)
 
 
@@ -450,6 +417,11 @@ def _cap_plane_hits(dirs, p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
     return out[:, None, :]
 
 
+def _round_of_one(annulus: Callable) -> Callable:
+    """A one-generator annulus sampler as the sampler of a round of one replication."""
+    return lambda t_lo, t_hi, rngs: tuple(a[None] for a in annulus(t_lo, t_hi[0], rngs[0]))
+
+
 # The sweep over each process under its own name; benchmarks/tracer.py times
 # the sweeps by wrapping these two attributes. One ray per replication sweeps
 # the process restricted to that ray's direction cap.
@@ -461,7 +433,7 @@ def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rn
         share = lambda t_lo: procsim.cap_share(d, procsim.grain_cap_gap(m, t_lo))  # noqa: E731
         proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, _cap_grain_hits, _CAP_BLOCK_TARGET, share)
     else:
-        annulus = partial(procsim.sample_boolean_annuli, d, gamma, law)
+        annulus = _round_of_one(partial(procsim.sample_boolean_annulus, d, gamma, law))
         proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, grain_hits_from_base, _BLOCK_TARGET)
     return _sweep(proc, dirs, cutoff, rngs)
 
@@ -473,7 +445,7 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
         share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
         proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, _cap_plane_hits, _CAP_BLOCK_TARGET, share)
     else:
-        annulus = partial(procsim.sample_hyperplane_annuli, d, gamma)
+        annulus = _round_of_one(partial(procsim.sample_hyperplane_annulus, d, gamma))
         hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
         proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, hits, _BLOCK_TARGET)
     return _sweep(proc, dirs, cutoff, rngs)
@@ -488,8 +460,7 @@ def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: 
     the round starts.
     """
     fixed = _spatial_direction(d, direction)
-    target = _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET
-    size = max(1, min(_ROUND_REPS, _ROUND_PAIRS // (n_rays * target)))
+    size = _ROUND_REPS if n_rays == 1 else 1
     gens = streams(seed, count=n_reps)
     for first in range(0, n_reps, size):
         rngs = list(islice(gens, size))

@@ -41,6 +41,12 @@ class TestConstants:
         c = cf.Constants.for_dim(3)
         assert c.omega_d == pytest.approx(4 * math.pi, rel=1e-14)
 
+    def test_largest_dimension(self):
+        # Gamma(1 + d/2) overflows a double from d = 342 on
+        assert cf.kappa(341) == math.pi ** 170.5 / math.gamma(171.5) > 0.0
+        with pytest.raises(ValueError, match="largest supported is d = 341"):
+            cf.kappa(342)
+
 
 class TestEll:
     @pytest.mark.parametrize("d,j", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])

@@ -137,6 +137,12 @@ class TestConfigValidation:
             (["cdf_tessellation", "--gamma", "1", "--reps", "5", "--cutoff", "0.001"], "every range is censored at the cutoff"),
             (["cdf_tessellation", "--gamma", "1e-9", "--reps", "5", "--cutoff", "400"], "beyond the 350"),
             (["visvol", "--dim", "10", "--gamma", "2000", "--grain", "fixed:0.5", "--cutoff", "78"], "depth 78.5, beyond"),
+            (["zero_cell", "--gamma", "1", "--reps", "5", "--dim", "342", "--cutoff", "1"], "the largest supported is d = 341"),
+            (["cdf_tessellation", "--gamma", "3", "--reps", str(10**12), "--cutoff", "2"],
+             "n_reps = 1000000000000 exceeds the resource guard"),
+            (["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"], "n_rays = 1000000000000 exceeds the resource guard"),
+            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", str(10**12)],
+             "n_rays = 1000000000000 exceeds the resource guard"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

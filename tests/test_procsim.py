@@ -273,19 +273,21 @@ class TestDirectionCaps:
     def test_capped_annuli_hold_the_reachable_obstacles(self, d):
         # the ray e_1 meets as many obstacles of an annulus on average when only its cap is sampled
         gamma, law, t_lo, t_hi, n = 2.0, cf.UniformRadius(0.2, 0.6), 0.8, 1.6, 3000
-        rays = np.broadcast_to(np.eye(d)[:1], (n, 1, d))
+        ray = np.eye(d)[:1]
 
         def agree(full, capped):
-            full, capped = np.isfinite(full).sum(axis=(1, 2)), np.isfinite(capped).sum(axis=(1, 2))
+            # full: the ray's hits among all obstacles, per stream; capped: hit matrix (streams, 1, obstacles)
+            full, capped = np.asarray(full), np.isfinite(capped).sum(axis=(1, 2))
             se = math.sqrt((np.var(full) + np.var(capped)) / n)
             assert np.mean(capped) > 0.2 and abs(np.mean(full) - np.mean(capped)) < 4 * se
 
-        grains = ps.sample_boolean_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(81, d, n))
+        grains = [ps.sample_boolean_annulus(d, gamma, law, t_lo, t_hi, rng) for rng in streams(81, d, n)]
         capped = ps.sample_boolean_cap_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(82, d, n))
-        agree(vis.grain_hits_from_base(rays, *grains), vis._cap_grain_hits(None, *capped))
-        _, normals = ps.sample_hyperplane_annuli(d, gamma, t_lo, [t_hi] * n, streams(83, d, n))
+        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._cap_grain_hits(None, *capped))
+        planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, t_hi, rng) for rng in streams(83, d, n)]
         capped = ps.sample_hyperplane_cap_annuli(d, gamma, t_lo, [t_hi] * n, streams(84, d, n))
-        agree(vis.plane_hits_from_base(rays, normals), vis._cap_plane_hits(None, *capped))
+        agree([np.isfinite(vis.plane_hits_from_base(ray, normals)).sum() for _, normals in planes],
+              vis._cap_plane_hits(None, *capped))
 
     def test_capped_kernels_are_exact_deep_out(self, rng):
         # obstacles out to distance 30 at versine w from the ray, where cos theta and tanh t round to 1

@@ -110,6 +110,7 @@ class TestCli:
             (["ball_volume", "d=2"], "missing parameter 'r'"),
             (["ball_volume", "d2"], "malformed parameter 'd2'"),
             (["ball_volume", "d=two", "r=1"], "malformed parameter d='two'"),
+            (["ball_volume", "d=342", "r=1"], "the largest supported is d = 341"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
@@ -180,6 +181,7 @@ class TestCli:
             ["estimate", "cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--seed", "-1"],
             ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--seed", "-5"],
             ["render", "--gamma", "1", "--seed", "-1", "--out", "x.svg"],
+            ["constants", "--dim", "342"],
         ],
     )
     def test_invalid_argument_is_usage_error(self, argv, capsys):

@@ -570,7 +570,7 @@ def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None
     return out
 
 
-ROUND = min(vis._ROUND_REPS, vis._ROUND_PAIRS // vis._CAP_BLOCK_TARGET)  # replications per round with one ray each
+ROUND = vis._ROUND_REPS  # replications per round with one ray each
 
 
 def _censored_cutoff(rate):
@@ -589,8 +589,8 @@ def round_size(request, monkeypatch):
     if request.param == "blocks-2":
         monkeypatch.setattr(vis, "_BLOCK_TARGET", 2)
         monkeypatch.setattr(vis, "_CAP_BLOCK_TARGET", 2)
-        monkeypatch.setattr(vis, "_ROUND_PAIRS", 32)
-    return min(vis._ROUND_REPS, vis._ROUND_PAIRS // vis._CAP_BLOCK_TARGET)
+        monkeypatch.setattr(vis, "_ROUND_REPS", 16)
+    return vis._ROUND_REPS
 
 
 @lru_cache(maxsize=None)
@@ -621,7 +621,10 @@ class TestRounds:
 
     def test_round_size(self):
         assert ROUND == 512
-        assert max(1, vis._ROUND_PAIRS // (64 * vis._BLOCK_TARGET)) == 1  # estimators with 64+ rays: one per round
+        # one ray: rounds of ROUND replications; two or more rays (the estimators): one replication per round
+        for n_rays, size in ((1, ROUND), (2, 1), (64, 1)):
+            rounds = vis._rounds(2, ROUND + 1, n_rays, 1.0, 0, lambda dirs, cutoff, rngs: dirs[..., 0])
+            assert [first for first, _ in rounds] == list(range(0, ROUND + 1, size))
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6)], ids=["fixed", "uniform"])
@@ -651,7 +654,7 @@ class TestRounds:
                 head, head_censored = sample(m, 1.0, 15)
                 assert np.array_equal(head, values[:m]) and np.array_equal(head_censored, censored[:m])
 
-    @pytest.mark.parametrize("n_rays", [3, 64])  # 3 rays: rounds of 21 replications with dead rays; 64: one per round
+    @pytest.mark.parametrize("n_rays", [2, 3, 64])  # the uncapped sweep, one replication per round; 2 is its fewest rays
     def test_estimators(self, n_rays, round_size):
         law, cutoff = cf.FixedRadius(0.5), 2.5
         for rec, ref, cap in (
@@ -664,6 +667,21 @@ class TestRounds:
             assert rec.estimate == float(np.mean(rep_vals))
             assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(45))
             assert round(rec.censored_fraction * 45 * n_rays) == int(np.sum(ref >= cutoff - 1e-12))
+
+    def test_estimators_sample_one_annulus_per_block(self, monkeypatch):
+        # the many-ray sweep draws each block through the one-generator annulus samplers, where
+        # benchmarks/tracer.py times them; _block_end runs once per block of every sweep
+        calls = dict.fromkeys(("sample_boolean_annulus", "sample_hyperplane_annulus", "_block_end"), 0)
+        for module, name in ((ps, "sample_boolean_annulus"), (ps, "sample_hyperplane_annulus"), (vis, "_block_end")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        vis.estimate_visible_volume(2, 2.5, cf.FixedRadius(0.5), 20, 10, None, 2.5, 16)
+        assert calls["sample_boolean_annulus"] == calls["_block_end"] >= 20 and calls["sample_hyperplane_annulus"] == 0
+        calls.update(dict.fromkeys(calls, 0))
+        vis.estimate_zero_cell_volume(2, 3.0, 20, 10, 2.5, 17)
+        assert calls["sample_hyperplane_annulus"] == calls["_block_end"] >= 20 and calls["sample_boolean_annulus"] == 0
 
     def test_resource_guard_raises_inside_a_round(self):
         # the 1e-6 floor on a block's width puts ~2e9 expected planes into the first block
