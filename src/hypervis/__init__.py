@@ -28,32 +28,18 @@ from .closedform import (
     zero_cell_mean_volume,
 )
 from .harness import ExperimentConfig, KsResult, UsageError, emit, ks_exponential, run
-from .hypgeom import GeodesicRay, base_point, dist, exp_map, minkowski_dot, random_direction, to_poincare
-from .intersect import circle_intersection, count_intersections_in_window, estimate_intersection_density
-from .procsim import (
-    BallGrain,
-    BooleanModelSample,
-    Hyperplane,
-    HyperplaneSample,
-    sample_boolean,
-    sample_hyperplanes,
-    sample_poisson_ball,
-    sample_radial,
-)
+from .hypgeom import base_point, dist, exp_map, minkowski_dot, to_poincare
+from .intersect import estimate_intersection_density
+from .procsim import BooleanModelSample, HyperplaneSample, sample_boolean, sample_hyperplanes, sample_poisson_ball
 from .render import render_svg
 from .rng import stream
 from .visibility import (
     EstimateRecord,
-    VisibilitySample,
     estimate_visible_volume,
     estimate_visible_volume_stratified,
     estimate_zero_cell_volume,
-    ray_grain_hit,
-    ray_hyperplane_hit,
     sample_visibility_ranges,
     sample_zero_cell_ranges,
-    visibility_range,
-    visible_volume_once,
 )
 
 __version__ = "0.1.0"

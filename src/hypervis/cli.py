@@ -8,6 +8,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import acceptance, closedform, harness, procsim, render
 from .closedform import parse_grain_law
 from .rng import stream
@@ -160,7 +162,21 @@ def _run_formula(name: str, params: list[str]) -> dict:
             args.append(parse(given[key]))
         except ValueError as exc:
             raise ValueError(f"malformed parameter {key}={given[key]!r}: {exc}") from None
-    return {"formula": name, "value": fn(*args)}
+    # An overflow inside a formula raises OverflowError from math or gives NaN from numpy, reported here
+    # instead of numpy's warnings. Infinite values are real: mean_visible_volume is infinite below its threshold.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = fn(*args)
+    except OverflowError:
+        value = math.nan
+    if any(math.isnan(v) for v in (value.values() if isinstance(value, dict) else [value])):
+        raise ValueError(f"{name} overflows double precision at these parameters")
+    return {"formula": name, "value": value}
+
+
+def _usage_error(exc: Exception) -> int:
+    print(f"usage error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -196,18 +212,20 @@ def main(argv=None) -> int:
         )
         try:
             result = harness.run(config)
-        except harness.UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
+        except (harness.UsageError, procsim.ResourceGuardError) as exc:
+            return _usage_error(exc)
         harness.emit(result, args.format, args.out if args.out else sys.stdout)
         return 0
 
     if args.command == "render":
         rng = stream(args.seed, 0)
-        if args.grain:
-            model = procsim.sample_boolean(args.dim, args.gamma, args.grain, args.view_radius, rng)
-        else:
-            model = procsim.sample_hyperplanes(args.dim, args.gamma, args.view_radius, rng)
+        try:
+            if args.grain:
+                model = procsim.sample_boolean(args.dim, args.gamma, args.grain, args.view_radius, rng)
+            else:
+                model = procsim.sample_hyperplanes(args.dim, args.gamma, args.view_radius, rng)
+        except procsim.ResourceGuardError as exc:
+            return _usage_error(exc)
         render.render_svg(model, args.out, view_radius=args.view_radius)
         print(args.out)
         return 0

@@ -164,6 +164,14 @@ class ExperimentConfig:
                 raise UsageError("intersection_density needs --rwin")
             if self.r_win <= 0:
                 raise UsageError(f"rwin must be > 0, got {self.r_win}")
+        # A grain sweep ends only past the largest grain radius, so each replication samples the grains centred within it.
+        if self.quantity in ("visvol", "visvol_truncated", "cdf_boolean") and not self.stratified:
+            near = self.n_reps * self.gamma * float(closedform.ball_volume(self.d, self.law.max_radius))
+            if near > guard:
+                raise UsageError(
+                    f"{self.quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
+                    f"point, beyond the resource guard {guard:.0e}"
+                )
 
 
 def formula_check() -> FormulaCheckResult:

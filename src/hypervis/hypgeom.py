@@ -13,12 +13,7 @@ back as floats. The Poincare ball enters only at the rendering boundary via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-# Invariant tolerance for hyperboloid membership and tangency checks.
-GEOM_TOL = 1e-9
 
 
 def minkowski_dot(a, b):
@@ -72,11 +67,6 @@ def exp_map(p, u, t):
     return normalize_point(x)
 
 
-def transport_direction(p, u, t):
-    """Tangent of the geodesic exp_p(t u) at its endpoint: cosh(t) u + sinh(t) p."""
-    return np.cosh(t) * np.asarray(u, dtype=float) + np.sinh(t) * np.asarray(p, dtype=float)
-
-
 def direction_to(p, q) -> np.ndarray:
     """Unit tangent u at p with exp_map(p, u, dist(p, q)) = q (logarithm map)."""
     s = dist(p, q)
@@ -89,109 +79,7 @@ def direction_to(p, q) -> np.ndarray:
     return u / np.sqrt(norm_sq)
 
 
-def angle(u, v):
-    """Angle in [0, pi] between unit tangents based at the same point."""
-    c = np.clip(minkowski_dot(u, v), -1.0, 1.0)
-    return np.arccos(c)
-
-
-def tangent_basis(p) -> np.ndarray:
-    """Minkowski-orthonormal basis (d rows) of the tangent space at p.
-
-    Gram-Schmidt of the coordinate axes against p; the Minkowski form is
-    positive definite on the tangent space, so the usual recursion applies.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    basis = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        v = e + minkowski_dot(e, p) * p  # Minkowski projection onto p's complement
-        for b in basis:
-            v = v - minkowski_dot(v, b) * b
-        q = minkowski_dot(v, v)
-        if q > 1e-12:
-            basis.append(v / np.sqrt(q))
-        if len(basis) == n - 1:
-            break
-    return np.array(basis)
-
-
-def random_direction(p, rng: np.random.Generator) -> np.ndarray:
-    """Unit tangent at p, uniform on the unit sphere of the tangent space.
-
-    A standard Gaussian in tangent coordinates is rotation invariant for the
-    induced (Euclidean) metric, so normalizing gives the uniform sphere law.
-    """
-    p = np.asarray(p, dtype=float)
-    d = p.shape[0] - 1
-    if p[0] == 1.0 and not p[1:].any():
-        u = np.zeros(d + 1)
-        g = rng.standard_normal(d)
-        u[1:] = g / np.linalg.norm(g)
-        return u
-    basis = tangent_basis(p)
-    g = rng.standard_normal(d)
-    return normalize_tangent(g @ basis)
-
-
 def to_poincare(x) -> np.ndarray:
     """Poincare-ball image (x_1, ..., x_d)/(1 + x_0); Euclidean norm < 1."""
     x = np.asarray(x, dtype=float)
     return x[..., 1:] / (1.0 + x[..., 0:1])
-
-
-def poincare_dist(z, w):
-    """Hyperbolic distance between Poincare-ball points (cross-model oracle)."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    zz = np.sum(z * z, axis=-1)
-    ww = np.sum(w * w, axis=-1)
-    d2 = np.sum((z - w) ** 2, axis=-1)
-    return np.arccosh(1.0 + 2.0 * d2 / ((1.0 - zz) * (1.0 - ww)))
-
-
-def rotate_about_base(x, q: np.ndarray) -> np.ndarray:
-    """Apply a spatial orthogonal matrix q (d x d) to the spatial coordinates.
-
-    Rotations about the base point are exactly the isometries fixing it.
-    """
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., 1:] = x[..., 1:] @ q.T
-    return out
-
-
-@dataclass(frozen=True)
-class GeodesicRay:
-    """Unit-speed geodesic ray: origin point and unit tangent there."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        if abs(minkowski_dot(self.origin, self.origin) + 1.0) > 1e-6:
-            raise ValueError("ray origin is not on the hyperboloid")
-        if abs(minkowski_dot(self.origin, self.direction)) > 1e-6:
-            raise ValueError("ray direction is not tangent at its origin")
-
-    def point_at(self, t):
-        return exp_map(self.origin, self.direction, t)
-
-
-def assert_point(x, tol: float = GEOM_TOL) -> None:
-    """Raise unless x satisfies the hyperboloid invariants."""
-    x = np.asarray(x, dtype=float)
-    if abs(minkowski_dot(x, x) + 1.0) > tol:
-        raise AssertionError(f"<x,x> = {minkowski_dot(x, x)} != -1")
-    if x[0] < 1.0 - tol:
-        raise AssertionError(f"x_0 = {x[0]} < 1")
-
-
-def assert_unit_tangent(p, u, tol: float = GEOM_TOL) -> None:
-    """Raise unless u is a unit tangent at p."""
-    if abs(minkowski_dot(u, u) - 1.0) > tol:
-        raise AssertionError(f"<u,u> = {minkowski_dot(u, u)} != 1")
-    if abs(minkowski_dot(p, u)) > tol:
-        raise AssertionError(f"<p,u> = {minkowski_dot(p, u)} != 0")

@@ -24,8 +24,7 @@ padded to the round's largest count.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
-therefore exact as well; rejection sampling is kept behind a flag as the
-cross-check oracle.
+therefore exact as well (the tests cross-check it against rejection sampling).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import GrainLaw, ball_volume, grain_moments, omega, power_integral, power_integral_at
+from .closedform import GrainLaw, ball_volume, omega, power_integral, power_integral_at
 from .closedform import power_integral_inverse
 from .closedform import sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps it here)
 
@@ -43,28 +42,8 @@ from .closedform import sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps 
 MAX_EXPECTED_COUNT = 1e8
 
 
-@dataclass(frozen=True)
-class BallGrain:
-    """One ball grain: hyperboloid center and radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("grain radius must be > 0")
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Totally geodesic hyperplane {x : <x,n> = 0} with unit spacelike normal n."""
-
-    normal: np.ndarray
-
-    @property
-    def offset(self) -> float:
-        """Signed distance of the plane from the base point."""
-        return float(np.arcsinh(self.normal[0]))
+class ResourceGuardError(ValueError):
+    """A sample would hold more obstacles than the resource guard allows; the input asks too much."""
 
 
 @dataclass
@@ -87,14 +66,6 @@ class BooleanModelSample:
     def n_grains(self) -> int:
         return len(self.radii)
 
-    @property
-    def observation_radius(self) -> float:
-        return self.window_radius - self.max_grain_radius
-
-    @property
-    def grains(self) -> list[BallGrain]:
-        return [BallGrain(c, float(r)) for c, r in zip(self.centers, self.radii)]
-
 
 @dataclass
 class HyperplaneSample:
@@ -107,10 +78,6 @@ class HyperplaneSample:
     @property
     def n_planes(self) -> int:
         return len(self.normals)
-
-    @property
-    def planes(self) -> list[Hyperplane]:
-        return [Hyperplane(n) for n in self.normals]
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +118,6 @@ def sample_radial_annulus(d: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
     if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
         raise ValueError("need 0 <= t_lo < t_hi")
     return _profile_annulus(d - 1, -1, t_lo, t_hi, rng, size)
-
-
-def sample_radial(d: int, r_max: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
-    """Distance from the base point of a uniform point in B(base, r_max).
-
-    Density sinh^{d-1}(t) / int_0^{r_max} sinh^{d-1}, sampled by inverse CDF.
-    """
-    if r_max <= 0:
-        raise ValueError("r_max must be > 0")
-    out = sample_radial_annulus(d, 0.0, r_max, rng, size if size is not None else 1)
-    return float(out[0]) if size is None else out
 
 
 def points_from_polar(dists: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -245,7 +201,7 @@ def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarr
 
 def _poisson_count(rng: np.random.Generator, mean: float) -> int:
     if mean > MAX_EXPECTED_COUNT:
-        raise ValueError(f"expected obstacle count {mean:.3g} exceeds resource guard {MAX_EXPECTED_COUNT:.0e}")
+        raise ResourceGuardError(f"expected obstacle count {mean:.3g} exceeds resource guard {MAX_EXPECTED_COUNT:.0e}")
     return int(rng.poisson(mean))
 
 
@@ -337,33 +293,18 @@ def sample_boolean(
     r_obs: float,
     rng: np.random.Generator,
     condition_origin_free: bool = True,
-    method: str = "delete",
 ) -> BooleanModelSample:
     """Boolean-model realization whose grains can reach B(base, r_obs).
 
     Centers are sampled in B(base, r_obs + max radius); conditioning deletes
-    grains covering the base point (method="delete", exact) or resamples whole
-    configurations until the base point is uncovered (method="reject", the
-    distributional cross-check). Rejection needs e^{gamma E vol(grain)}
-    attempts on average and is refused beyond the resource guard.
+    the grains covering the base point, which is exact.
     """
     if r_obs <= 0:
         raise ValueError("r_obs must be > 0")
     if gamma < 0:
         raise ValueError("intensity must be >= 0")
-    if condition_origin_free and method == "reject":
-        exponent = gamma * grain_moments(d, law).mean_volume
-        if exponent > math.log(MAX_EXPECTED_COUNT):
-            raise ValueError(
-                f"rejection needs e^{exponent:.3g} expected attempts, beyond resource guard {MAX_EXPECTED_COUNT:.0e}"
-            )
     r_cen = r_obs + law.max_radius
-    while True:
-        dists, dirs, radii = sample_boolean_annulus(
-            d, gamma, law, 0.0, r_cen, rng, drop_covering=condition_origin_free and method == "delete"
-        )
-        if not condition_origin_free or method == "delete" or not np.any(dists <= radii):
-            break
+    dists, dirs, radii = sample_boolean_annulus(d, gamma, law, 0.0, r_cen, rng, drop_covering=condition_origin_free)
     return BooleanModelSample(
         d=d,
         centers=points_from_polar(dists, dirs),

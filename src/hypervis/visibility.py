@@ -1,11 +1,11 @@
 """Ray casting against grains and hyperplanes, visibility ranges, and the
 Monte Carlo estimators for (truncated) visible volume and zero-cell volume.
 
-The scalar hit tests are exact closed forms from hyperbolic trigonometry.
-The estimators sweep the obstacle process radially outward from the base
-point and stop once no farther obstacle can shorten any ray: a grain at
-center distance D cannot produce a hit before D - radius, and a hyperplane
-at distance t cannot be crossed before t. This keeps the work proportional
+The hit kernels are exact closed forms from hyperbolic trigonometry for
+rays from the base point. The estimators sweep the obstacle process
+radially outward from the base point and stop once no farther obstacle can
+shorten any ray: a grain at center distance D cannot produce a hit before
+D - radius, and a hyperplane at distance t cannot be crossed before t. This keeps the work proportional
 to the realized visibility depth instead of the simulation window volume.
 The same bound prunes rays within the sweep: a block starting at t_lo is
 cast only against the rays whose current range exceeds t_lo minus the edge
@@ -34,8 +34,9 @@ which grows about linearly in t (the cap's share of the sphere falls like
 e^{-(d-1)t} while the profile grows like e^{(d-1)t}); a replication reaching
 range R then costs O(R) draws and blocks for every rate, instead of
 e^{(d-1)R}. By isotropy the law of a single ray's range does not depend on
-its direction, which the capped sweep therefore never reads (a given
-direction is still validated).
+its direction, which the capped sweep therefore never reads. Each
+replication still draws one uniform direction before its obstacles, so its
+stream, and with it every range, stays as it was when the sweep read it.
 
 Replications are swept in rounds: _ROUND_REPS (512) at a time for the
 single-ray range samplers, one at a time for the estimators with two or more
@@ -67,19 +68,7 @@ import numpy as np
 from . import closedform, procsim
 from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power_integral_at, power_integral_inverse
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
-from .hypgeom import GeodesicRay, dist, minkowski_dot
-from .procsim import BallGrain, BooleanModelSample, Hyperplane, HyperplaneSample
 from .rng import stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
-
-_HIT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class VisibilitySample:
-    """One visibility range; censored means the ray left the window uncovered."""
-
-    value: float
-    censored: bool
 
 
 @dataclass(frozen=True)
@@ -150,60 +139,6 @@ def check_replications(n_reps: int) -> None:
     """Standard errors are taken across replications, so an estimator needs at least two."""
     if n_reps < 2:
         raise ValueError(f"a standard error across replications needs n_reps >= 2, got {n_reps}")
-
-
-# ---------------------------------------------------------------------------
-# Scalar hit tests
-# ---------------------------------------------------------------------------
-
-
-def ray_grain_hit(ray: GeodesicRay, grain: BallGrain) -> float | None:
-    """Smallest t >= 0 with dist(ray(t), center) <= radius, or None.
-
-    With D the center distance and theta the angle to the center direction,
-    the distance along the ray satisfies cosh d(t) = C cosh(t - t0) with
-    C = sqrt(1 + sinh^2 D sin^2 theta) and tanh t0 = tanh D cos theta;
-    the first boundary crossing is t0 - acosh(cosh r / C).
-    """
-    d_c = float(dist(ray.origin, grain.center))
-    if d_c <= grain.radius:
-        return 0.0
-    cos_t = float(
-        np.clip(
-            minkowski_dot(ray.direction, (grain.center - math.cosh(d_c) * ray.origin) / math.sinh(d_c)),
-            -1.0,
-            1.0,
-        )
-    )
-    if cos_t <= 0.0:
-        return None
-    sinh_d = math.sinh(d_c)
-    c = math.sqrt(1.0 + sinh_d**2 * (1.0 - cos_t**2))
-    cosh_r = math.cosh(grain.radius)
-    if c > cosh_r:
-        return None
-    a_plus_b = math.cosh(d_c) + sinh_d * cos_t
-    a_minus_b = math.exp(-d_c) + sinh_d * (1.0 - cos_t)
-    t0 = 0.5 * math.log(a_plus_b / a_minus_b)
-    return max(0.0, t0 - math.acosh(max(1.0, cosh_r / c)))
-
-
-def ray_hyperplane_hit(ray: GeodesicRay, plane: Hyperplane) -> float | None:
-    """Crossing parameter of the ray with the hyperplane, or None.
-
-    The ray cosh(t) p + sinh(t) u meets {<x,n> = 0} where tanh t equals
-    rho = -<p,n>/<u,n>; a crossing needs 0 < rho < 1.
-    """
-    pn = float(minkowski_dot(ray.origin, plane.normal))
-    if abs(pn) < _HIT_EPS:
-        return 0.0
-    un = float(minkowski_dot(ray.direction, plane.normal))
-    if un == 0.0:
-        return None
-    rho = -pn / un
-    if 0.0 < rho < 1.0:
-        return float(np.arctanh(rho))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +222,6 @@ _BLOCK_TARGET = 256
 _CAP_BLOCK_TARGET = 8
 # Single-ray replications per round; each keeps a live generator (about 2 KB). Many rays sweep one at a time.
 _ROUND_REPS = 512
-
-
-def _spatial_direction(d: int, direction) -> np.ndarray | None:
-    """(1, d) spatial row of a unit tangent at the base point; None passes through.
-
-    The tangent is given by its d spatial entries or as the full (d+1)-vector,
-    whose time component is then 0. Anything else is a ValueError.
-    """
-    if direction is None:
-        return None
-    u = np.asarray(direction, dtype=float)
-    if u.shape not in ((d,), (d + 1,)):
-        raise ValueError(f"direction must have {d} or {d + 1} entries in d = {d}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"direction must be finite, got {u}")
-    if len(u) == d + 1:
-        if abs(u[0]) > 1e-9:
-            raise ValueError(f"a tangent at the base point has time component 0, got {u[0]}")
-        u = u[1:]
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {np.linalg.norm(u)}")
-    return u[None, :]
 
 
 def _whole(t_lo: float) -> float:
@@ -451,128 +364,44 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
     return _sweep(proc, dirs, cutoff, rngs)
 
 
-def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, direction=None):
+def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable):
     """(first replication, ranges) of each round: ranges(dirs, cutoff, rngs) for its replications.
 
-    Replication i draws n_rays uniform directions (or takes the one fixed
-    direction) and then its obstacles from stream(seed, i), so its ranges do
-    not depend on the round it falls in. A round's generators are built as
-    the round starts.
+    Replication i draws n_rays uniform directions and then its obstacles from
+    stream(seed, i), so its ranges do not depend on the round it falls in. A
+    round's generators are built as the round starts.
     """
-    fixed = _spatial_direction(d, direction)
     size = _ROUND_REPS if n_rays == 1 else 1
     gens = streams(seed, count=n_reps)
     for first in range(0, n_reps, size):
         rngs = list(islice(gens, size))
-        if fixed is None:
-            dirs = procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(len(rngs), n_rays, d)
-        else:
-            dirs = np.broadcast_to(fixed, (len(rngs), 1, d))
+        dirs = procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(len(rngs), n_rays, d)
         yield first, ranges(dirs, cutoff, rngs)
 
 
-def _single_ranges(d: int, n: int, cutoff: float, seed: int, ranges: Callable, direction) -> tuple:
+def _single_ranges(d: int, n: int, cutoff: float, seed: int, ranges: Callable) -> tuple:
     """(values, censored) of n replications with one ray each."""
     values = np.empty(n)
-    for first, round_ranges in _rounds(d, n, 1, cutoff, seed, ranges, direction):
+    for first, round_ranges in _rounds(d, n, 1, cutoff, seed, ranges):
         values[first : first + len(round_ranges)] = round_ranges[:, 0]
     return values, values >= cutoff - 1e-12
 
 
 def sample_visibility_ranges(
-    d: int,
-    gamma: float,
-    law: GrainLaw,
-    n: int,
-    cutoff: float,
-    seed: int,
-    direction: np.ndarray | None = None,
+    d: int, gamma: float, law: GrainLaw, n: int, cutoff: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """n independent conditioned visibility ranges, one replication per range.
 
-    Returns (values, censored). A fixed spatial direction can be supplied;
-    by default each replication draws a fresh uniform direction. By isotropy
-    the ranges' law does not depend on the direction: the sweep samples only
-    the grains in the ray's direction cap, by their angle to the ray.
+    Returns (values, censored). By isotropy the ranges' law does not depend on
+    the ray's direction: the sweep samples only the grains in the ray's
+    direction cap, by their angle to the ray.
     """
-    return _single_ranges(d, n, cutoff, seed, partial(_boolean_ranges, d, gamma, law), direction)
+    return _single_ranges(d, n, cutoff, seed, partial(_boolean_ranges, d, gamma, law))
 
 
-def sample_zero_cell_ranges(
-    d: int,
-    gamma: float,
-    n: int,
-    cutoff: float,
-    seed: int,
-    direction: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """n independent visibility ranges through the hyperplane process; direction as in sample_visibility_ranges."""
-    return _single_ranges(d, n, cutoff, seed, partial(_hyperplane_ranges, d, gamma), direction)
-
-
-# ---------------------------------------------------------------------------
-# Visibility ranges against materialized window samples
-# ---------------------------------------------------------------------------
-
-
-def _model_polar(model: BooleanModelSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g_dist = np.arccosh(np.maximum(1.0, model.centers[:, 0]))
-    sinh_d = np.sinh(g_dist)
-    g_dir = model.centers[:, 1:] / np.where(sinh_d > 0, sinh_d, 1.0)[:, None]
-    return g_dist, g_dir, model.radii
-
-
-def _safe_cutoff(model: BooleanModelSample | HyperplaneSample) -> float:
-    if isinstance(model, BooleanModelSample):
-        return model.window_radius - model.max_grain_radius
-    return model.window_radius
-
-
-def _window_ranges(model: BooleanModelSample | HyperplaneSample, dirs: np.ndarray) -> np.ndarray:
-    """Ranges of rays from the base point through a window sample; inf where nothing is hit."""
-    if isinstance(model, BooleanModelSample):
-        if not model.conditioned:
-            raise ValueError("visibility needs a sample conditioned on an uncovered base point")
-        if model.n_grains:
-            return grain_hits_from_base(dirs, *_model_polar(model)).min(axis=1)
-    elif model.n_planes:
-        return plane_hits_from_base(dirs, model.normals).min(axis=1)
-    return np.full(len(dirs), np.inf)
-
-
-def visibility_range(
-    model: BooleanModelSample | HyperplaneSample, u: np.ndarray, cutoff: float
-) -> VisibilitySample:
-    """Visibility range from the base point in direction u, censored at cutoff.
-
-    u is a unit tangent at the base point, given as a full (d+1)-vector or
-    its spatial part. The cutoff must stay inside the simulated window
-    (window radius minus the grain-radius edge margin for Boolean samples).
-    """
-    if cutoff > _safe_cutoff(model) + 1e-12:
-        raise ValueError(
-            f"cutoff {cutoff} exceeds the safe window {_safe_cutoff(model):.6g} of this sample"
-        )
-    value = min(cutoff, float(_window_ranges(model, _spatial_direction(model.d, u))[0]))
-    return VisibilitySample(value=value, censored=value >= cutoff - 1e-12)
-
-
-def visible_volume_once(
-    model: BooleanModelSample | HyperplaneSample,
-    n_rays: int,
-    rng: np.random.Generator,
-    truncate_at: float,
-) -> float:
-    """Unbiased single-realization estimate of the visible volume within truncate_at.
-
-    Polar integration: omega_d times the ray average of
-    int_0^{min(range, truncate_at)} sinh^{d-1}.
-    """
-    if truncate_at > _safe_cutoff(model) + 1e-12:
-        raise ValueError(f"truncate_at {truncate_at} exceeds the safe window {_safe_cutoff(model):.6g}")
-    d = model.d
-    ranges = _window_ranges(model, procsim.unit_vectors(d, rng, n_rays))
-    return omega(d) * float(np.mean(sinh_integral(d, np.minimum(ranges, truncate_at))))
+def sample_zero_cell_ranges(d: int, gamma: float, n: int, cutoff: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """n independent visibility ranges through the hyperplane process, as in sample_visibility_ranges."""
+    return _single_ranges(d, n, cutoff, seed, partial(_hyperplane_ranges, d, gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,17 @@ class TestConfigValidation:
             (["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"], "n_rays = 1000000000000 exceeds the resource guard"),
             (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", str(10**12)],
              "n_rays = 1000000000000 exceeds the resource guard"),
+            # the sampler's resource guard trips inside the sweep
+            (["cdf_tessellation", "--gamma", "1e15", "--reps", "5", "--cutoff", "1"], "exceeds resource guard 1e+08"),
+            (["cdf_tessellation", "--gamma", "1", "--dim", "341", "--reps", "5", "--cutoff", "1"],
+             "exceeds resource guard 1e+08"),
+            # every replication samples the grains centred within the largest grain radius of the base point
+            (["visvol", "--gamma", "1e12", "--grain", "fixed:0.5", "--reps", "3", "--rays", "2", "--cutoff", "1"],
+             "visvol samples n_reps * gamma * vol B(max radius) = 2.41e+12 grains"),
+            (["cdf_boolean", "--gamma", "1e7", "--grain", "fixed:0.5", "--reps", "20", "--cutoff", "1"],
+             "cdf_boolean samples n_reps * gamma * vol B(max radius) = 1.6e+08 grains"),
+            (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1"],
+             "beyond the resource guard 1e+08"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

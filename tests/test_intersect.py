@@ -7,10 +7,10 @@ from hypervis import closedform as cf
 from hypervis import hypgeom as hg
 from hypervis import intersect
 from hypervis import procsim as ps
-from hypervis.procsim import BallGrain
 from hypervis.rng import stream
 
 from conftest import random_point, random_rotation
+from oracles import BallGrain, circle_intersection, count_intersections_in_window, perp_tangent, rotate_about_base
 
 
 def _grain_at(t, phi, radius):
@@ -22,19 +22,19 @@ class TestCircleIntersection:
     def test_disjoint(self):
         g1 = _grain_at(0.0, 0.0, 0.3)
         g2 = _grain_at(2.0, 0.0, 0.3)
-        assert intersect.circle_intersection(g1, g2) == []
+        assert circle_intersection(g1, g2) == []
 
     def test_nested(self):
         g1 = _grain_at(0.1, 0.0, 1.5)
         g2 = _grain_at(0.2, 0.3, 0.2)
-        assert intersect.circle_intersection(g1, g2) == []
+        assert circle_intersection(g1, g2) == []
 
     def test_defining_property(self, rng):
         found = 0
         while found < 200:
             g1 = BallGrain(random_point(2, rng, 2.0), rng.uniform(0.2, 1.0))
             g2 = BallGrain(random_point(2, rng, 2.0), rng.uniform(0.2, 1.0))
-            points = intersect.circle_intersection(g1, g2)
+            points = circle_intersection(g1, g2)
             if len(points) != 2:
                 continue
             found += 1
@@ -48,7 +48,7 @@ class TestCircleIntersection:
         g2 = _grain_at(1.0, 0.0, 0.6)
         cos_a = math.cosh(0.6) * (math.cosh(1.0) - 1.0) / (math.sinh(0.6) * math.sinh(1.0))
         assert abs(cos_a) < 1.0
-        points = intersect.circle_intersection(g1, g2)
+        points = circle_intersection(g1, g2)
         assert len(points) == 2
 
     def test_symmetry_as_point_set(self, rng):
@@ -56,11 +56,11 @@ class TestCircleIntersection:
         while found < 50:
             g1 = BallGrain(random_point(2, rng, 2.0), rng.uniform(0.3, 1.0))
             g2 = BallGrain(random_point(2, rng, 2.0), rng.uniform(0.3, 1.0))
-            pts_a = intersect.circle_intersection(g1, g2)
+            pts_a = circle_intersection(g1, g2)
             if len(pts_a) != 2:
                 continue
             found += 1
-            pts_b = intersect.circle_intersection(g2, g1)
+            pts_b = circle_intersection(g2, g1)
             # match in coordinates; dist() would amplify 1-ulp noise to sqrt scale
             match = [min(float(np.linalg.norm(a - b)) for b in pts_b) for a in pts_a]
             assert max(match) < 1e-8
@@ -68,31 +68,31 @@ class TestCircleIntersection:
     def test_external_tangency_single_point(self):
         g1 = _grain_at(0.0, 0.0, 0.5)
         g2 = _grain_at(1.2, 0.0, 0.7)
-        points = intersect.circle_intersection(g1, g2)
+        points = circle_intersection(g1, g2)
         assert len(points) == 1
         assert hg.dist(points[0], g1.center) == pytest.approx(0.5, abs=1e-9)
 
     def test_coincident_centers(self):
         g1 = _grain_at(0.0, 0.0, 0.5)
         g2 = _grain_at(0.0, 0.0, 0.8)
-        assert intersect.circle_intersection(g1, g2) == []
+        assert circle_intersection(g1, g2) == []
 
     def test_d3_rejected(self, rng):
         g = BallGrain(hg.base_point(3), 0.5)
         with pytest.raises(ValueError, match="d = 2"):
-            intersect.circle_intersection(g, g)
+            circle_intersection(g, g)
 
 
 class TestCountInWindow:
     def test_empty(self):
-        out = intersect.count_intersections_in_window([], 2.0)
+        out = count_intersections_in_window([], 2.0)
         assert out.count == 0
         assert out.window_area == pytest.approx(float(cf.ball_volume(2, 2.0)), rel=1e-12)
 
     def test_two_circles_crossing_inside(self):
         g1 = _grain_at(0.5, 0.0, 0.6)
         g2 = _grain_at(0.5, math.pi, 0.6)
-        out = intersect.count_intersections_in_window([g1, g2], 3.0)
+        out = count_intersections_in_window([g1, g2], 3.0)
         assert out.count == 2
 
     def test_three_circles_six_points(self):
@@ -103,18 +103,18 @@ class TestCountInWindow:
         c2 = hg.exp_map(base, u, 1.0)
         # third center: one unit from both, found by rotating the midpoint direction
         w = hg.direction_to(base, c2)
-        v = intersect.perp_tangent(base, w)
+        v = perp_tangent(base, w)
         alpha = math.acos(math.cosh(1.0) * (math.cosh(1.0) - 1.0) / math.sinh(1.0) ** 2)
         c3 = hg.exp_map(base, math.cos(alpha) * w + math.sin(alpha) * v, 1.0)
         grains = [BallGrain(base, 1.0), BallGrain(c2, 1.0), BallGrain(c3, 1.0)]
         assert hg.dist(c2, c3) == pytest.approx(1.0, abs=1e-9)
-        out = intersect.count_intersections_in_window(grains, 3.5)
+        out = count_intersections_in_window(grains, 3.5)
         assert out.count == 6
 
     def test_vectorized_matches_scalar(self, rng):
         for trial in range(10):
             sample = ps.sample_boolean(2, 1.0, cf.UniformRadius(0.2, 0.8), 2.0, stream(50, trial), condition_origin_free=False)
-            scalar = intersect.count_intersections_in_window(sample, 2.0)
+            scalar = count_intersections_in_window(sample, 2.0)
             fast, tangent = intersect._count_crossings_vectorized(sample.centers, sample.radii, 2.0)
             assert fast == scalar.count
             assert tangent == scalar.tangencies == 0
@@ -122,9 +122,9 @@ class TestCountInWindow:
     def test_rotation_invariance(self, rng):
         sample = ps.sample_boolean(2, 1.2, cf.FixedRadius(0.5), 2.5, stream(51, 0), condition_origin_free=False)
         q = random_rotation(2, rng)
-        rotated = [BallGrain(hg.rotate_about_base(c, q), float(r)) for c, r in zip(sample.centers, sample.radii)]
-        a = intersect.count_intersections_in_window(sample, 2.5)
-        b = intersect.count_intersections_in_window(rotated, 2.5)
+        rotated = [BallGrain(rotate_about_base(c, q), float(r)) for c, r in zip(sample.centers, sample.radii)]
+        a = count_intersections_in_window(sample, 2.5)
+        b = count_intersections_in_window(rotated, 2.5)
         assert a.count == b.count
 
 

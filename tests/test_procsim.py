@@ -12,23 +12,24 @@ from hypervis import visibility as vis
 from hypervis.rng import stream
 
 from conftest import ks_statistic, random_rotation
+from oracles import assert_point, rotate_about_base, sample_boolean_rejected
 
 
 class TestSampleRadial:
     def test_range(self, rng):
         for d in (2, 3, 5):
-            t = ps.sample_radial(d, 2.0, rng, size=500)
+            t = ps.sample_radial_annulus(d, 0.0, 2.0, rng, 500)
             assert np.all((t >= 0) & (t <= 2.0))
 
     def test_d2_cdf(self):
         r_max = 2.0
-        t = ps.sample_radial(2, r_max, stream(101), size=10_000)
+        t = ps.sample_radial_annulus(2, 0.0, r_max, stream(101), 10_000)
         stat = ks_statistic(t, lambda x: (np.cosh(x) - 1) / (math.cosh(r_max) - 1))
         assert stat < 1.63 / 100
 
     def test_d3_mean_matches_quadrature(self):
         r_max = 2.0
-        t = ps.sample_radial(3, r_max, stream(102), size=20_000)
+        t = ps.sample_radial_annulus(3, 0.0, r_max, stream(102), 20_000)
         norm, _ = quad(lambda s: math.sinh(s) ** 2, 0, r_max)
         mean, _ = quad(lambda s: s * math.sinh(s) ** 2, 0, r_max)
         mean /= norm
@@ -38,7 +39,7 @@ class TestSampleRadial:
         "d, r_max", [(d, 1.5) for d in range(2, 11)] + [(8, 0.1), (10, 0.05)]  # near the origin
     )
     def test_cdf(self, d, r_max):
-        t = ps.sample_radial(d, r_max, stream(103), size=10_000)
+        t = ps.sample_radial_annulus(d, 0.0, r_max, stream(103), 10_000)
         norm, _ = quad(lambda s: math.sinh(s) ** (d - 1), 0, r_max)
 
         def cdf(x):
@@ -74,7 +75,7 @@ class TestSamplePoissonBall:
     def test_points_on_hyperboloid(self, rng):
         pts = ps.sample_poisson_ball(3, 2.0, 1.0, rng)
         for x in pts:
-            hg.assert_point(x)
+            assert_point(x)
 
     def test_resource_guard(self, rng):
         with pytest.raises(ValueError, match="resource guard"):
@@ -122,10 +123,10 @@ class TestSampleBoolean:
         law = cf.FixedRadius(0.5)
         n = 4000
         deleted = np.array(
-            [ps.sample_boolean(2, 1.0, law, 1.5, stream(9, i), method="delete").n_grains for i in range(n)]
+            [ps.sample_boolean(2, 1.0, law, 1.5, stream(9, i)).n_grains for i in range(n)]
         )
         rejected = np.array(
-            [ps.sample_boolean(2, 1.0, law, 1.5, stream(10, i), method="reject").n_grains for i in range(n)]
+            [sample_boolean_rejected(2, 1.0, law, 1.5, stream(10, i)).n_grains for i in range(n)]
         )
         diff = deleted.mean() - rejected.mean()
         stderr = math.sqrt(deleted.var(ddof=1) / n + rejected.var(ddof=1) / n)
@@ -134,7 +135,7 @@ class TestSampleBoolean:
     def test_rejection_refused_beyond_guard(self, rng):
         # P(base point uncovered) = exp(-50 vol B(1)) ~ e^{-171}: rejection would never finish
         with pytest.raises(ValueError, match="resource guard"):
-            ps.sample_boolean(2, 50.0, cf.FixedRadius(1.0), 1.0, rng, method="reject")
+            sample_boolean_rejected(2, 50.0, cf.FixedRadius(1.0), 1.0, rng)
 
     def test_reproducible(self):
         law = cf.UniformRadius(0.0, 1.0)
@@ -149,7 +150,7 @@ class TestSampleBoolean:
         q = random_rotation(2, stream(12))
 
         def nearest(sample, rotate):
-            centers = hg.rotate_about_base(sample.centers, q) if rotate else sample.centers
+            centers = rotate_about_base(sample.centers, q) if rotate else sample.centers
             return float(np.arccosh(np.maximum(1.0, centers[:, 0])).min())
 
         plain = [nearest(ps.sample_boolean(2, 1.0, law, 2.0, stream(13, i)), False) for i in range(800)]

@@ -111,11 +111,18 @@ class TestCli:
             (["ball_volume", "d2"], "malformed parameter 'd2'"),
             (["ball_volume", "d=two", "r=1"], "malformed parameter d='two'"),
             (["ball_volume", "d=342", "r=1"], "the largest supported is d = 341"),
+            (["ball_volume", "d=341", "r=100"], "ball_volume overflows double precision"),
+            (["ball_surface", "d=200", "r=100"], "ball_surface overflows double precision"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
         assert main(["formula", *argv]) == 2
         assert message in capsys.readouterr().err
+
+    def test_formula_infinite_value_is_kept(self, capsys):
+        # below its threshold the mean visible volume is infinite, not an overflow
+        assert main(["formula", "mean_visible_volume", "d=2", "gamma=0.5", "grain=fixed:0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == math.inf
 
     def test_formula_gamma_default(self, capsys):
         assert main(["formula", "mean_visible_volume", "d=2", "grain=fixed:0.5"]) == 0
@@ -189,6 +196,14 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"hypervis {argv[0]}: error: argument" in capsys.readouterr().err
+
+    def test_render_resource_guard_is_usage_error(self, tmp_path, capsys):
+        # about 5e10 planes meet the view: the sampler's resource guard refuses them
+        out = tmp_path / "x.svg"
+        assert main(["render", "--gamma", "1e9", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "usage error: expected obstacle count" in captured.err and "resource guard" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_entry_point_runs(self):
         # the child finds hypervis where this process found it, installed or not

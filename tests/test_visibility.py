@@ -11,10 +11,20 @@ from hypervis import closedform as cf
 from hypervis import hypgeom as hg
 from hypervis import procsim as ps
 from hypervis import visibility as vis
-from hypervis.procsim import BallGrain, BooleanModelSample, Hyperplane, HyperplaneSample
+from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
 
 from conftest import assert_same_under_every_derivation, random_point
+from oracles import (
+    BallGrain,
+    GeodesicRay,
+    Hyperplane,
+    random_direction,
+    ray_grain_hit,
+    ray_hyperplane_hit,
+    visibility_range,
+    visible_volume_once,
+)
 
 
 def brute_force_hits(rays, grains, t_pad=0.05, grid_n=800, iters=60):
@@ -59,28 +69,28 @@ class TestRayGrainHit:
         p = hg.base_point(2)
         u = np.array([0.0, 1.0, 0.0])
         grain = BallGrain(hg.exp_map(p, u, 2.0), 0.5)
-        assert vis.ray_grain_hit(hg.GeodesicRay(p, u), grain) == pytest.approx(1.5, abs=1e-12)
+        assert ray_grain_hit(GeodesicRay(p, u), grain) == pytest.approx(1.5, abs=1e-12)
 
     def test_origin_covered(self):
         p = hg.base_point(2)
         grain = BallGrain(hg.exp_map(p, np.array([0.0, 1.0, 0.0]), 0.3), 0.5)
-        assert vis.ray_grain_hit(hg.GeodesicRay(p, np.array([0.0, 0.0, 1.0])), grain) == 0.0
+        assert ray_grain_hit(GeodesicRay(p, np.array([0.0, 0.0, 1.0])), grain) == 0.0
 
     def test_perpendicular_miss(self):
         p = hg.base_point(2)
         grain = BallGrain(hg.exp_map(p, np.array([0.0, 1.0, 0.0]), 1.0), 0.9)
-        assert vis.ray_grain_hit(hg.GeodesicRay(p, np.array([0.0, 0.0, 1.0])), grain) is None
+        assert ray_grain_hit(GeodesicRay(p, np.array([0.0, 0.0, 1.0])), grain) is None
 
     def test_boundary_property(self, rng):
         hits = 0
         while hits < 200:
             p = random_point(2, rng)
-            u = hg.random_direction(p, rng)
+            u = random_direction(p, rng)
             center = random_point(2, rng, r_max=4.0)
             radius = rng.uniform(0.1, 1.0)
             if hg.dist(p, center) <= radius:
                 continue
-            t = vis.ray_grain_hit(hg.GeodesicRay(p, u), BallGrain(center, radius))
+            t = ray_grain_hit(GeodesicRay(p, u), BallGrain(center, radius))
             if t is None or t == 0.0:
                 continue
             hits += 1
@@ -93,13 +103,13 @@ class TestRayGrainHit:
         rays, grains, closed = [], [], []
         while len(rays) < n:
             p = random_point(3, rng, r_max=1.5)
-            u = hg.random_direction(p, rng)
+            u = random_direction(p, rng)
             center = random_point(3, rng, r_max=4.0)
             radius = rng.uniform(0.1, 1.2)
-            ray = hg.GeodesicRay(p, u)
+            ray = GeodesicRay(p, u)
             rays.append(ray)
             grains.append(BallGrain(center, radius))
-            t = vis.ray_grain_hit(ray, BallGrain(center, radius))
+            t = ray_grain_hit(ray, BallGrain(center, radius))
             closed.append(np.inf if t is None else t)
         closed = np.array(closed)
         oracle = brute_force_hits(rays, grains)
@@ -118,8 +128,8 @@ class TestRayGrainHit:
         centers = ps.points_from_polar(g_dist, g_dir)
         for i in (0, 7, 23):
             for j in (0, 11, 59):
-                ray = hg.GeodesicRay(p, np.concatenate([[0.0], dirs[i]]))
-                t = vis.ray_grain_hit(ray, BallGrain(centers[j], float(g_rad[j])))
+                ray = GeodesicRay(p, np.concatenate([[0.0], dirs[i]]))
+                t = ray_grain_hit(ray, BallGrain(centers[j], float(g_rad[j])))
                 expected = np.inf if t is None else t
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-10)
 
@@ -128,7 +138,7 @@ class TestRayHyperplaneHit:
     def test_through_origin(self):
         p = hg.base_point(2)
         plane = Hyperplane(np.array([0.0, 1.0, 0.0]))
-        assert vis.ray_hyperplane_hit(hg.GeodesicRay(p, np.array([0.0, 1.0, 0.0])), plane) == 0.0
+        assert ray_hyperplane_hit(GeodesicRay(p, np.array([0.0, 1.0, 0.0])), plane) == 0.0
 
     def test_offset_along_ray(self, rng):
         for d in (2, 3):
@@ -137,7 +147,7 @@ class TestRayHyperplaneHit:
             u = np.concatenate([[0.0], w])
             for x in (0.4, 1.7):
                 n = ps.normals_from_polar(np.array([x]), w[None, :])[0]
-                t = vis.ray_hyperplane_hit(hg.GeodesicRay(p, u), Hyperplane(n))
+                t = ray_hyperplane_hit(GeodesicRay(p, u), Hyperplane(n))
                 assert t == pytest.approx(x, abs=1e-12)
 
     def test_parallel_escape(self):
@@ -145,7 +155,7 @@ class TestRayHyperplaneHit:
         w = np.array([1.0, 0.0])
         n = ps.normals_from_polar(np.array([0.5]), w[None, :])[0]
         # ray pointing away from the plane never reaches it
-        assert vis.ray_hyperplane_hit(hg.GeodesicRay(p, np.array([0.0, -1.0, 0.0])), Hyperplane(n)) is None
+        assert ray_hyperplane_hit(GeodesicRay(p, np.array([0.0, -1.0, 0.0])), Hyperplane(n)) is None
 
     def test_crossing_point_is_on_plane(self, rng):
         count = 0
@@ -154,7 +164,7 @@ class TestRayHyperplaneHit:
             w = ps.unit_vectors(2, rng, 1)[0]
             n = ps.normals_from_polar(np.array([x]), w[None, :])[0]
             u = np.concatenate([[0.0], ps.unit_vectors(2, rng, 1)[0]])
-            t = vis.ray_hyperplane_hit(hg.GeodesicRay(hg.base_point(2), u), Hyperplane(n))
+            t = ray_hyperplane_hit(GeodesicRay(hg.base_point(2), u), Hyperplane(n))
             if t is None:
                 continue
             count += 1
@@ -270,12 +280,12 @@ class TestVisibilityRange:
         model = BooleanModelSample(
             d=2, centers=np.empty((0, 3)), radii=np.empty(0), window_radius=5.5, max_grain_radius=0.5, conditioned=True
         )
-        out = vis.visibility_range(model, np.array([0.0, 1.0, 0.0]), 5.0)
+        out = visibility_range(model, np.array([0.0, 1.0, 0.0]), 5.0)
         assert out.censored and out.value == 5.0
 
     def test_single_grain_ahead(self):
         model = _single_grain_model()
-        out = vis.visibility_range(model, np.array([0.0, 1.0, 0.0]), 4.0)
+        out = visibility_range(model, np.array([0.0, 1.0, 0.0]), 4.0)
         assert not out.censored
         assert out.value == pytest.approx(1.5, abs=1e-10)
 
@@ -291,24 +301,24 @@ class TestVisibilityRange:
         )
         for _ in range(20):
             u = np.concatenate([[0.0], ps.unit_vectors(2, rng, 1)[0]])
-            assert vis.visibility_range(more, u, 4.0).value <= vis.visibility_range(model, u, 4.0).value + 1e-12
+            assert visibility_range(more, u, 4.0).value <= visibility_range(model, u, 4.0).value + 1e-12
 
     def test_window_guard(self):
         model = _single_grain_model(window=4.0)
         with pytest.raises(ValueError, match="safe window"):
-            vis.visibility_range(model, np.array([0.0, 1.0, 0.0]), 4.7)
+            visibility_range(model, np.array([0.0, 1.0, 0.0]), 4.7)
 
     def test_requires_conditioned(self):
         model = _single_grain_model()
         model.conditioned = False
         with pytest.raises(ValueError, match="conditioned"):
-            vis.visibility_range(model, np.array([0.0, 1.0, 0.0]), 3.0)
+            visibility_range(model, np.array([0.0, 1.0, 0.0]), 3.0)
 
 
 class TestVisibleVolumeOnce:
     def test_empty_model_gives_ball(self, rng):
         model = HyperplaneSample(d=2, normals=np.empty((0, 3)), window_radius=5.0)
-        value = vis.visible_volume_once(model, 64, rng, truncate_at=3.0)
+        value = visible_volume_once(model, 64, rng, truncate_at=3.0)
         assert value == pytest.approx(float(cf.ball_volume(2, 3.0)), rel=1e-12)
 
     def test_single_grain_angular_quadrature(self):
@@ -319,25 +329,25 @@ class TestVisibleVolumeOnce:
 
         def range_at(phi):
             u = np.array([0.0, math.cos(phi), math.sin(phi)])
-            t = vis.ray_grain_hit(hg.GeodesicRay(p, u), BallGrain(model.centers[0], 0.8))
+            t = ray_grain_hit(GeodesicRay(p, u), BallGrain(model.centers[0], 0.8))
             return min(truncate, truncate if t is None else t)
 
         oracle, _ = quad(lambda phi: float(cf.sinh_integral(2, range_at(phi))), 0, 2 * math.pi, limit=400)
-        reps = np.array([vis.visible_volume_once(model, 400, stream(21, i), truncate) for i in range(60)])
+        reps = np.array([visible_volume_once(model, 400, stream(21, i), truncate) for i in range(60)])
         stderr = reps.std(ddof=1) / math.sqrt(len(reps))
         assert abs(reps.mean() - oracle) < 4 * stderr
 
     def test_two_batches_consistent(self):
         model = _single_grain_model(d_c=1.5, radius=0.6, window=3.0)
-        a = np.array([vis.visible_volume_once(model, 200, stream(22, i), 2.5) for i in range(40)])
-        b = np.array([vis.visible_volume_once(model, 200, stream(23, i), 2.5) for i in range(40)])
+        a = np.array([visible_volume_once(model, 200, stream(22, i), 2.5) for i in range(40)])
+        b = np.array([visible_volume_once(model, 200, stream(23, i), 2.5) for i in range(40)])
         stderr = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
         assert abs(a.mean() - b.mean()) < 4 * stderr
 
     def test_truncation_monotone_same_rays(self):
         model = _single_grain_model(d_c=1.5, radius=0.6, window=3.0)
-        v1 = vis.visible_volume_once(model, 300, stream(24, 0), 1.5)
-        v2 = vis.visible_volume_once(model, 300, stream(24, 0), 2.5)
+        v1 = visible_volume_once(model, 300, stream(24, 0), 1.5)
+        v2 = visible_volume_once(model, 300, stream(24, 0), 2.5)
         assert v1 <= v2
 
 
@@ -352,7 +362,7 @@ class TestRangeSampling:
             rng = stream(32, i)
             model = ps.sample_boolean(d, gamma, law, cutoff, rng)
             u = ps.unit_vectors(d, rng, 1)[0]
-            windowed[i] = vis.visibility_range(model, np.concatenate([[0.0], u]), cutoff).value
+            windowed[i] = visibility_range(model, np.concatenate([[0.0], u]), cutoff).value
         assert ks_2samp(streamed, windowed).pvalue > 0.01
 
     def test_exponential_law_small(self):
@@ -362,14 +372,6 @@ class TestRangeSampling:
         rate = gamma * cf.grain_moments(d, law).v_dm1_star
         values, censored = vis.sample_visibility_ranges(d, gamma, law, 3000, 10.0, seed=33)
         assert ks_exponential(values[~censored], rate).passed
-
-    def test_direction_invariance(self):
-        d, gamma, law = 2, 1.5, cf.FixedRadius(0.5)
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        a, _ = vis.sample_visibility_ranges(d, gamma, law, 2000, 10.0, seed=34, direction=e1)
-        b, _ = vis.sample_visibility_ranges(d, gamma, law, 2000, 10.0, seed=35, direction=e2)
-        assert ks_2samp(a, b).pvalue > 0.01
 
     def test_zero_cell_exponential_law_small(self):
         from hypervis.harness import ks_exponential
@@ -595,29 +597,31 @@ def round_size(request, monkeypatch):
 
 @lru_cache(maxsize=None)
 def _single_ray_reference(d, gamma, law, cutoff, seed, fixed):
-    """Ranges of 800 replications of the uncapped reference sweep with one ray each, in blocks of 256."""
+    """Ranges of 800 replications of the uncapped reference sweep with one ray each, in blocks of 256;
+    the ray has a uniform direction, or with fixed the direction e_d in every replication."""
     direction = np.eye(d)[d - 1] if fixed else None
     return reference_ranges(d, gamma, law, 800, 1, cutoff, seed, direction, block_target=256)[:, 0]
 
 
-def _check_single_ray(sample, ref, cutoff, seed, direction, round_size):
-    """The ranges of 800 replications, sample(800, cutoff, seed, direction), follow the law of the reference
+def _check_single_ray(sample, ref, cutoff, seed, round_size):
+    """The ranges of 800 replications, sample(800, cutoff, seed), follow the law of the reference
     ranges. For each n of the grid below 800 (all of it with small rounds; test_prefix_of_a_longer_run runs
     the module's rounds), the first n are bit for bit those of a run of n, whether n spans part of a round or
     several."""
-    values, censored = sample(800, cutoff, seed, direction)
+    values, censored = sample(800, cutoff, seed)
     assert np.array_equal(censored, values >= cutoff - 1e-12)
     assert censored.any() and not censored.all()
     for n in (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1):
         if n < len(values):
-            head, head_censored = sample(n, cutoff, seed, direction)
+            head, head_censored = sample(n, cutoff, seed)
             assert np.array_equal(head, values[:n]) and np.array_equal(head_censored, censored[:n])
     assert ks_2samp(values, ref).pvalue > 0.01
 
 
 class TestRounds:
     """Replication rounds return bit for bit the ranges of sweeping one replication at a time, whatever
-    the round size; single rays sweep only their direction cap, so their ranges follow the reference's law."""
+    the round size; single rays sweep only their direction cap, so their ranges follow the reference's law.
+    By isotropy that law is the same whether the reference's ray has a uniform or a fixed direction."""
 
     def test_round_size(self):
         assert ROUND == 512
@@ -634,8 +638,7 @@ class TestRounds:
         gamma = 2.0 * (d - 1) / v_star  # rate 2(d-1): a replication of the reference costs a few blocks
         cutoff, seed = _censored_cutoff(gamma * v_star), 60 + d
         ref = _single_ray_reference(d, gamma, law, cutoff, seed + 2000, fixed)
-        direction = np.eye(d)[d - 1] if fixed else None
-        _check_single_ray(partial(vis.sample_visibility_ranges, d, gamma, law), ref, cutoff, seed, direction, round_size)
+        _check_single_ray(partial(vis.sample_visibility_ranges, d, gamma, law), ref, cutoff, seed, round_size)
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -643,8 +646,7 @@ class TestRounds:
         gamma = 2.0 * (d - 1) / cf.zero_cell_rate(d, 1.0)
         cutoff, seed = _censored_cutoff(cf.zero_cell_rate(d, gamma)), 70 + d
         ref = _single_ray_reference(d, gamma, None, cutoff, seed + 2000, fixed)
-        direction = np.eye(d + 1)[1] if fixed else None  # the full tangent form of e_1
-        _check_single_ray(partial(vis.sample_zero_cell_ranges, d, gamma), ref, cutoff, seed, direction, round_size)
+        _check_single_ray(partial(vis.sample_zero_cell_ranges, d, gamma), ref, cutoff, seed, round_size)
 
     def test_prefix_of_a_longer_run(self):
         for sample in (partial(vis.sample_zero_cell_ranges, 3, 6.0),
@@ -737,32 +739,6 @@ class TestCappedSweep:
                                   cutoff=8.0, seed=46)
         assert run(config).passed
         assert sum(drawn) < 30 * config.n_reps
-
-
-class TestFixedDirection:
-    @pytest.mark.parametrize(
-        "d, direction, match",
-        [
-            (2, [3.0, 0.0], "unit vector"),
-            (2, [0.6, 0.6], "unit vector"),
-            (2, [0.0, 1.0, 0.0, 0.0], "2 or 3 entries"),
-            (3, [1.0], "3 or 4 entries"),
-            (2, [[1.0, 0.0]], "2 or 3 entries"),
-            (2, [0.5, 1.0, 0.0], "time component 0"),
-            (2, [np.nan, 1.0], "finite"),
-            (2, [0.0, np.inf, 0.0], "finite"),
-        ],
-    )
-    def test_invalid_direction_refused(self, d, direction, match):
-        with pytest.raises(ValueError, match=match):
-            vis.sample_visibility_ranges(d, 1.5, cf.FixedRadius(0.5), 10, 3.0, 3, direction=direction)
-        with pytest.raises(ValueError, match=match):
-            vis.sample_zero_cell_ranges(d, 2.0, 10, 3.0, 3, direction=direction)
-
-    def test_spatial_and_tangent_forms_agree(self):
-        a, _ = vis.sample_zero_cell_ranges(3, 6.0, 20, 1.0, 5, direction=[0.0, 0.6, 0.8])
-        b, _ = vis.sample_zero_cell_ranges(3, 6.0, 20, 1.0, 5, direction=[0.0, 0.0, 0.6, 0.8])
-        assert np.array_equal(a, b)
 
 
 class TestStratifiedEstimator:
