@@ -114,8 +114,13 @@ class ExperimentConfig:
         guard = procsim.MAX_EXPECTED_COUNT
         if self.n_reps > guard:
             raise UsageError(f"n_reps = {self.n_reps} exceeds the resource guard {guard:.0e}")
-        if self.quantity in ("visvol", "visvol_truncated", "zero_cell") and self.n_rays > guard:
-            raise UsageError(f"n_rays = {self.n_rays} exceeds the resource guard {guard:.0e}")
+        # The many-ray sweep casts every ray against blocks of about _BLOCK_TARGET obstacles.
+        pairs = self.n_rays * visibility._BLOCK_TARGET
+        if self.quantity in ("visvol", "visvol_truncated", "zero_cell") and pairs > guard:
+            raise UsageError(
+                f"n_rays = {self.n_rays} exceeds the resource guard: n_rays x {visibility._BLOCK_TARGET} obstacles "
+                f"per sweep block = {pairs:.3g} ray-obstacle pairs > {guard:.0e}"
+            )
         estimator = self.quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density")
         if estimator and not self.stratified and self.n_reps < 2:
             raise UsageError(f"{self.quantity} takes its standard error across replications and needs n_reps >= 2")

@@ -20,7 +20,11 @@ its angle to the ray, again an exact Poisson restriction. They serve a round
 of single-ray replications at once: each replication keeps its own generator
 and makes its own draws in its own order, the radial inverse runs once over
 all of the round's draws, and each replication's obstacles fill one row,
-padded to the round's largest count.
+padded to the round's largest count. The window samplers of the windowed
+estimators (sample_boolean_windows for the intersection density,
+sample_hyperplane_windows for the segment crossings) serve a round the same
+way; each generator draws exactly what sample_boolean (unconditioned) or
+sample_hyperplanes draws from it.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -286,6 +290,26 @@ def sample_boolean_annulus(
     return dists, dirs, radii
 
 
+def sample_boolean_windows(
+    d: int, gamma: float, law: GrainLaw, r_obs: float, rngs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unconditioned sample_boolean realizations, one per generator: (centers, radii).
+
+    Each generator draws its count, distances, directions and radii in that
+    order, as sample_boolean does. centers (generators, m, d+1) and radii
+    (generators, m) hold each realization's grains in one row, padded to the
+    largest count m by zero vectors (no point of the hyperboloid) of radius 0.
+    """
+    if r_obs <= 0:
+        raise ValueError("r_obs must be > 0")
+    t_hi = [r_obs + law.max_radius] * len(rngs)
+    counts = _annulus_counts(gamma, omega(d), d - 1, -1, 0.0, t_hi, rngs)
+    dists = sample_radial_annulus(d, 0.0, t_hi, rngs, counts)
+    centers = points_from_polar(dists, unit_vectors(d, rngs, counts))
+    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
+    return _padded(counts, centers, 0.0), _padded(counts, radii, 0.0)
+
+
 def sample_boolean(
     d: int,
     gamma: float,
@@ -375,15 +399,22 @@ def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Genera
     uniform direction u and a signed offset x with density prop. to
     cosh^{d-1}|x|, giving the normal sinh(x) base + cosh(x) u.
     """
+    _, normals = sample_hyperplane_windows(d, gamma, r_obs, [rng])
+    return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
+
+
+def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """sample_hyperplanes for each generator: (counts, unit normals concatenated in generator order).
+
+    Each generator draws its count, distances, signs and directions in that order.
+    """
     if r_obs <= 0:
         raise ValueError("r_obs must be > 0")
     mean = gamma * plane_measure(d, r_obs)
-    n = _poisson_count(rng, mean)
-    if n == 0:
-        return HyperplaneSample(d=d, normals=np.empty((0, d + 1)), window_radius=r_obs)
-    offsets = sample_plane_distances(d, 0.0, r_obs, rng, n) * rng.choice([-1.0, 1.0], size=n)
-    normals = normals_from_polar(offsets, unit_vectors(d, rng, n))
-    return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
+    counts = np.array([_poisson_count(rng, mean) for rng in rngs], dtype=int)
+    dists = sample_plane_distances(d, 0.0, [r_obs] * len(rngs), rngs, counts)
+    signs = np.concatenate([rng.choice([-1.0, 1.0], size=c) for rng, c in zip(rngs, counts)])
+    return counts, normals_from_polar(dists * signs, unit_vectors(d, rngs, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +444,13 @@ def band_first_touches(
     m = law.max_radius
     fiber = omega(d - 1) * np.sinh(m) ** (d - 1) / (d - 1)
     width = (s_hi - s_lo) + 2.0 * m
-    counts = rng.poisson(gamma * width * fiber, size=n_sims)
+    mean = gamma * width * fiber
+    if mean * n_sims > MAX_EXPECTED_COUNT:
+        raise ResourceGuardError(
+            f"expected grain count {mean * n_sims:.3g} of {n_sims} band experiments "
+            f"exceeds resource guard {MAX_EXPECTED_COUNT:.0e}"
+        )
+    counts = rng.poisson(mean, size=n_sims)
     total = int(counts.sum())
     first = np.full(n_sims, np.inf)
     if total == 0:

@@ -43,7 +43,9 @@ single-ray range samplers, one at a time for the estimators with two or more
 rays. The replications of a single-ray round share each block's bounds, one
 call of the cap sampler (and so one radial inverse over all their draws) and
 one kernel call, while each keeps its own generator and makes exactly its own
-draws in its own order.
+draws in its own order. The segment-crossing estimator draws rounds of
+_ROUND_REPS windows the same way and casts its segment through all of a
+round's planes at once.
 
 Replication r of a run with master seed s draws from stream(s, r), so runs
 are reproducible and order independent. The generators of a run come from
@@ -220,7 +222,8 @@ def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
 # but not 1; an uncapped block of a few obstacles would multiply the blocks deep out.
 _BLOCK_TARGET = 256
 _CAP_BLOCK_TARGET = 8
-# Single-ray replications per round; each keeps a live generator (about 2 KB). Many rays sweep one at a time.
+# Single-ray replications per round, also of the segment crossings and (at most) of the intersection
+# density; each keeps a live generator (about 2 KB). Many rays sweep one at a time.
 _ROUND_REPS = 512
 
 
@@ -478,18 +481,22 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 
     The invariant-measure (Crofton) value is gamma * 2 kappa_{d-1}/(d kappa_d)
     per unit length. Planes farther than the segment length cannot cross it,
-    so sampling within that radius is exact.
+    so sampling within that radius is exact. Replications are drawn in rounds
+    of _ROUND_REPS, each from its own stream(seed, i), and one kernel call
+    casts the segment through all of a round's planes.
     """
     check_replications(n_reps)
     t0 = time.perf_counter()
-    direction = np.zeros(d)
-    direction[0] = 1.0
-    counts = np.zeros(n_reps)
-    for i, rng in enumerate(streams(seed, count=n_reps)):
-        sample = procsim.sample_hyperplanes(d, gamma, length, rng)
-        if sample.n_planes:
-            hits = plane_hits_from_base(direction[None, :], sample.normals)
-            counts[i] = np.sum(hits[0] <= length)
+    direction = np.zeros((1, d))
+    direction[0, 0] = 1.0
+    counts = np.empty(n_reps)
+    gens = streams(seed, count=n_reps)
+    for first in range(0, n_reps, _ROUND_REPS):
+        rngs = list(islice(gens, _ROUND_REPS))
+        planes, normals = procsim.sample_hyperplane_windows(d, gamma, length, rngs)
+        crossed = plane_hits_from_base(direction, normals)[0] <= length
+        rep = np.repeat(np.arange(len(rngs)), planes)
+        counts[first : first + len(rngs)] = np.bincount(rep[crossed], minlength=len(rngs))
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length
     return make_record("segment_crossings", d, gamma, None, counts, closed, seed, t0, n_rays=1)
 

@@ -59,3 +59,18 @@ def assert_same_under_every_derivation(call, monkeypatch):
             for attr, value in settings.items():
                 m.setattr(rng_module, attr, value)
             assert _comparable(call()) == expected, name
+
+
+def record_and_values(module, call, monkeypatch):
+    """call()'s record and the per-replication values it was built from, as passed to module.make_record."""
+    seen = []
+    make_record = module.make_record
+
+    def spy(*args, **kwargs):
+        seen.append(np.asarray(args[4]))
+        return make_record(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "make_record", spy)
+        record = call()
+    return record, seen[-1]

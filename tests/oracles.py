@@ -3,9 +3,10 @@
 Each oracle computes a quantity of the library by a second, slower route:
 scalar closed-form hit tests on one ray and one obstacle, visibility ranges
 through materialized window samples, circle-circle intersection points and
-their O(n^2) window count, rejection conditioning of the Boolean model, and
+their O(n^2) window count, rejection conditioning of the Boolean model,
 hyperboloid utilities (tangent bases, rotations, the Poincare-ball distance)
-that the checks build on.
+that the checks build on, and the windowed estimators one replication at a
+time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypervis.closedform import ball_volume, grain_moments, omega, sinh_integral
 from hypervis.hypgeom import direction_to, dist, exp_map, minkowski_dot, normalize_tangent
 from hypervis.intersect import _TANGENCY_TOL
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
+from hypervis.rng import stream
 from hypervis.visibility import grain_hits_from_base, plane_hits_from_base
 
 # Invariant tolerance for hyperboloid membership and tangency checks.
@@ -389,3 +391,79 @@ def count_intersections_in_window(grains, r_win: float) -> IntersectionCount:
     return IntersectionCount(
         window_radius=r_win, count=count, window_area=float(ball_volume(2, r_win)), tangencies=tangencies
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-replication windowed estimators
+# ---------------------------------------------------------------------------
+#
+# The intersection-density and segment-crossing estimators before replication
+# rounds: replication i samples one window from stream(seed, i) and counts it
+# alone, with the crossing formula evaluated on every grain pair.
+
+
+def count_crossings_dense(centers: np.ndarray, radii: np.ndarray, r_win: float) -> tuple[int, int]:
+    """(points inside window, tangent pairs) of one realization, the law of cosines on every pair; d = 2."""
+    n = len(radii)
+    if n < 2:
+        return 0, 0
+    gram = centers[:, 1:] @ centers[:, 1:].T - np.outer(centers[:, 0], centers[:, 0])
+    cosh_d = np.maximum(1.0, -gram)
+    iu, ju = np.triu_indices(n, k=1)
+    cosh_dij = cosh_d[iu, ju]
+    near = cosh_dij > 1.0
+    iu, ju, cosh_dij = iu[near], ju[near], cosh_dij[near]
+    sinh_dij = np.sqrt(cosh_dij**2 - 1.0)
+    r1, r2 = radii[iu], radii[ju]
+    cos_a = (np.cosh(r1) * cosh_dij - np.cosh(r2)) / (np.sinh(r1) * sinh_dij)
+    crossing = np.abs(cos_a) < 1.0 - _TANGENCY_TOL
+    tangent = (np.abs(cos_a) >= 1.0 - _TANGENCY_TOL) & (np.abs(cos_a) <= 1.0 + _TANGENCY_TOL)
+    idx = np.flatnonzero(crossing)
+    if len(idx) == 0:
+        return 0, int(tangent.sum())
+    ci, cj = centers[iu[idx]], centers[ju[idx]]
+    cos_a = cos_a[idx]
+    sin_a = np.sqrt(1.0 - cos_a**2)
+    cosh_dij, sinh_dij = cosh_dij[idx], sinh_dij[idx]
+    w = (cj - cosh_dij[:, None] * ci) / sinh_dij[:, None]
+    v = np.cross(ci, w)
+    v[:, 0] = -v[:, 0]
+    norm = np.sqrt(np.sum(v[:, 1:] ** 2, axis=1) - v[:, 0] ** 2)
+    v /= norm[:, None]
+    r1 = radii[iu[idx]]
+    base = np.cosh(r1)[:, None] * ci
+    along = np.sinh(r1)[:, None]
+    x0_plus = base[:, 0] + along[:, 0] * (cos_a * w[:, 0] + sin_a * v[:, 0])
+    x0_minus = base[:, 0] + along[:, 0] * (cos_a * w[:, 0] - sin_a * v[:, 0])
+    cosh_win = math.cosh(r_win)
+    count = int(np.sum(x0_plus < cosh_win) + np.sum(x0_minus < cosh_win))
+    return count, int(tangent.sum())
+
+
+def intersection_counts_per_replication(gamma: float, law, r_win: float, n_reps: int, seed: int) -> np.ndarray:
+    """Crossing points inside the window of each of n_reps unconditioned realizations; raises on a tangency."""
+    counts = np.empty(n_reps)
+    tangent_pairs = 0
+    for i in range(n_reps):
+        sample = procsim.sample_boolean(2, gamma, law, r_win, stream(seed, i), condition_origin_free=False)
+        counts[i], t = count_crossings_dense(sample.centers, sample.radii, r_win)
+        tangent_pairs += t
+    if tangent_pairs:
+        raise RuntimeError(f"observed {tangent_pairs} tangent pairs; tangency has probability zero")
+    return counts
+
+
+def segment_crossings_per_replication(d: int, gamma: float, length: float, n_reps: int, seed: int) -> np.ndarray:
+    """Planes crossing the segment of the given length along the first axis, in each of n_reps realizations."""
+    direction = np.zeros(d)
+    direction[0] = 1.0
+    counts = np.zeros(n_reps)
+    for i in range(n_reps):
+        rng = stream(seed, i)
+        n = int(rng.poisson(gamma * procsim.plane_measure(d, length)))
+        if n:
+            offsets = procsim.sample_plane_distances(d, 0.0, length, rng, n) * rng.choice([-1.0, 1.0], size=n)
+            normals = procsim.normals_from_polar(offsets, procsim.unit_vectors(d, rng, n))
+            hits = plane_hits_from_base(direction[None, :], normals)
+            counts[i] = np.sum(hits[0] <= length)
+    return counts

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypervis import closedform as cf
-from hypervis import harness, visibility
+from hypervis import harness, procsim, visibility
 from hypervis.cli import main
 from hypervis.harness import ExperimentConfig, UsageError, ks_exponential
 from hypervis.rng import stream
@@ -46,6 +46,16 @@ class TestKsExponential:
 
 
 class TestConfigValidation:
+    def test_rays_bounded_by_sweep_block_pairs(self):
+        law = cf.FixedRadius(0.5)
+        limit = int(procsim.MAX_EXPECTED_COUNT) // visibility._BLOCK_TARGET
+        for quantity in ("visvol", "visvol_truncated", "zero_cell"):
+            config = ExperimentConfig(quantity=quantity, gamma=3.0, law=law, n_reps=3, n_rays=limit, truncate_at=1.0, cutoff=1.0)
+            config.validate()
+            config.n_rays = limit + 1
+            with pytest.raises(UsageError, match="ray-obstacle pairs"):
+                config.validate()
+
     def test_unknown_quantity(self):
         with pytest.raises(UsageError, match="unknown quantity"):
             ExperimentConfig(quantity="nope").validate()
@@ -154,6 +164,12 @@ class TestConfigValidation:
              "cdf_boolean samples n_reps * gamma * vol B(max radius) = 1.6e+08 grains"),
             (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1"],
              "beyond the resource guard 1e+08"),
+            # the many-ray sweep holds a rays x obstacles matrix per block; refused before the rays are drawn
+            (["visvol", "--gamma", "3", "--grain", "fixed:0.5", "--reps", "3", "--rays", "100000000", "--cutoff", "1"],
+             "n_rays = 100000000 exceeds the resource guard: n_rays x 256 obstacles per sweep block = 2.56e+10"),
+            # the stratified estimator's band experiments trip the sampler's resource guard
+            (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1",
+              "--stratified"], "band experiments exceeds resource guard 1e+08"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

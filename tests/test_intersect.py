@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,18 @@ from hypervis import hypgeom as hg
 from hypervis import intersect
 from hypervis import procsim as ps
 from hypervis.rng import stream
+from hypervis.visibility import make_record
 
-from conftest import random_point, random_rotation
-from oracles import BallGrain, circle_intersection, count_intersections_in_window, perp_tangent, rotate_about_base
+from conftest import random_point, random_rotation, record_and_values
+from oracles import (
+    BallGrain,
+    circle_intersection,
+    count_crossings_dense,
+    count_intersections_in_window,
+    intersection_counts_per_replication,
+    perp_tangent,
+    rotate_about_base,
+)
 
 
 def _grain_at(t, phi, radius):
@@ -150,3 +160,66 @@ class TestEstimateIntersectionDensity:
     def test_zero_intensity_limit(self):
         rec = intersect.estimate_intersection_density(1e-3, cf.FixedRadius(0.5), 2.0, 200, seed=55)
         assert rec.estimate < 0.01
+
+
+def _comparable(record):
+    return dataclasses.replace(record, runtime_ms=0.0)
+
+
+class TestRounds:
+    """The rounds give bit for bit the records and counts of one realization per kernel call.
+
+    The round kernel takes cosh D from one Minkowski Gram product, which may round differently
+    in the last bit from the reference's spatial product minus x0 x0; a count could move only for
+    a crossing point within about 1e-13 of the window's edge, or a pair that close to tangency.
+    """
+
+    @pytest.mark.parametrize(
+        "gamma, law",
+        [(1.0, cf.FixedRadius(0.5)), (0.05, cf.FixedRadius(0.5)), (1.0, cf.UniformRadius(0.2, 0.8))],
+        ids=["fixed", "sparse", "uniform"],
+    )
+    def test_match_per_replication(self, gamma, law, monkeypatch):
+        r_win, seed = 2.0, 60
+        size = intersect._round_size(gamma, law, r_win)
+        n_max = 2 * size + 1
+        reference = intersection_counts_per_replication(gamma, law, r_win, n_max, seed)
+        if gamma < 0.1:  # some realizations hold no grain or a single one
+            grains = {ps.sample_boolean(2, gamma, law, r_win, stream(seed, i), condition_origin_free=False).n_grains
+                      for i in range(n_max)}
+            assert {0, 1} <= grains
+        area = float(cf.ball_volume(2, r_win))
+        for n_reps in sorted({2, size - 1, size, size + 1, n_max} - {0, 1}):
+            call = lambda: intersect.estimate_intersection_density(gamma, law, r_win, n_reps, seed)  # noqa: E731
+            record, values = record_and_values(intersect, call, monkeypatch)
+            assert np.array_equal(values, reference[:n_reps] / area)
+            expected = make_record("intersection_density", 2, gamma, law, reference[:n_reps] / area, record.closed_form, seed, 0.0)
+            assert _comparable(record) == _comparable(expected)
+
+    def test_round_without_grains(self):
+        rec = intersect.estimate_intersection_density(1e-9, cf.FixedRadius(0.5), 2.0, 3, seed=0)
+        assert rec.estimate == rec.stderr == 0.0 and rec.n_reps == 3
+
+    @staticmethod
+    def _crafted_round():
+        """Realization 0: two circles crossing inside the window; 1: a tangent pair; 2: one grain, padded."""
+        crossing = [_grain_at(0.5, 0.0, 0.6), _grain_at(0.5, math.pi, 0.6)]
+        tangent = [_grain_at(0.0, 0.0, 0.5), _grain_at(1.2, 0.0, 0.7)]
+        single = [_grain_at(0.3, 1.0, 0.4)]
+        centers, radii = np.zeros((3, 2, 3)), np.zeros((3, 2))
+        for k, grains in enumerate((crossing, tangent, single)):
+            centers[k, : len(grains)] = [g.center for g in grains]
+            radii[k, : len(grains)] = [g.radius for g in grains]
+        return centers, radii
+
+    def test_padded_round_kernel(self):
+        centers, radii = self._crafted_round()
+        counts, tangents = intersect._count_crossings_vectorized(centers, radii, 3.0)
+        assert counts.tolist() == [2, 0, 0] and tangents == 1
+        assert count_crossings_dense(centers[1], radii[1], 3.0) == (0, 1)
+
+    def test_tangent_pair_raises(self, monkeypatch):
+        centers, radii = self._crafted_round()
+        monkeypatch.setattr(ps, "sample_boolean_windows", lambda d, gamma, law, r_obs, rngs: (centers, radii))
+        with pytest.raises(RuntimeError, match="observed 1 tangent pairs"):
+            intersect.estimate_intersection_density(1.0, cf.FixedRadius(0.5), 3.0, 3, seed=0)

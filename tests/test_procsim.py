@@ -157,8 +157,29 @@ class TestSampleBoolean:
         rotated = [nearest(ps.sample_boolean(2, 1.0, law, 2.0, stream(14, i)), True) for i in range(800)]
         assert ks_2samp(plain, rotated).pvalue > 0.01
 
+    def test_windows_match_one_generator(self):
+        # each row of a round is the unconditioned window sample_boolean draws from that generator, then padding
+        gamma, law, r_obs = 0.1, cf.UniformRadius(0.2, 0.8), 1.5
+        centers, radii = ps.sample_boolean_windows(2, gamma, law, r_obs, [stream(22, i) for i in range(8)])
+        grains = []
+        for i in range(8):
+            one = ps.sample_boolean(2, gamma, law, r_obs, stream(22, i), condition_origin_free=False)
+            n = one.n_grains
+            grains.append(n)
+            assert np.array_equal(centers[i, :n], one.centers) and np.array_equal(radii[i, :n], one.radii)
+            assert not centers[i, n:].any() and not radii[i, n:].any()
+        assert min(grains) <= 1 and centers.shape[1] == max(grains)
+
 
 class TestSampleHyperplanes:
+    def test_windows_match_one_generator(self):
+        # a generator's planes do not depend on the round it is drawn in
+        counts, normals = ps.sample_hyperplane_windows(3, 0.5, 1.0, [stream(23, i) for i in range(8)])
+        rows = np.split(normals, np.cumsum(counts)[:-1])
+        for i in range(8):
+            assert np.array_equal(rows[i], ps.sample_hyperplanes(3, 0.5, 1.0, stream(23, i)).normals)
+        assert 0 in counts
+
     def test_normal_invariants(self, rng):
         sample = ps.sample_hyperplanes(2, 1.0, 2.0, rng)
         for n in sample.normals:
@@ -236,6 +257,14 @@ class TestBandFirstTouches:
         trunc = 1.0 - math.exp(-a * 3.0)
         stat = ks_statistic(hit, lambda x: (1.0 - np.exp(-a * x)) / trunc)
         assert stat < 1.63 / math.sqrt(len(hit))
+
+
+    def test_resource_guard(self):
+        # d = 2: a band of width w takes (w + 2 max radius) * omega_1 * sinh(max radius) grains per unit intensity
+        law = cf.FixedRadius(0.5)
+        gamma = ps.MAX_EXPECTED_COUNT / (1.5 * cf.omega(1) * math.sinh(0.5) * 1000)  # 1000 experiments hold the guard
+        with pytest.raises(ps.ResourceGuardError, match="1000 band experiments exceeds resource guard"):
+            ps.band_first_touches(2, gamma * 1.01, law, 0.0, 0.5, 1000, stream(21))
 
 
 def sphere_cap_share(d, w):

@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from hypervis import intersect
+
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
@@ -22,9 +26,19 @@ def test_wrapped_attributes_exist():
 def test_install_restores_every_attribute():
     tracer = _load_tracer()
     before = {(module.__name__, attr): getattr(module, attr) for module, attr, *_ in tracer.WRAPPED}
+    kernel = intersect._count_crossings_vectorized
     t = tracer.Tracer()
     try:
         t.install()
+        assert intersect._count_crossings_vectorized is not kernel
     finally:
         t.uninstall()
     assert all(getattr(module, attr) is before[module.__name__, attr] for module, attr, *_ in tracer.WRAPPED)
+    assert intersect._count_crossings_vectorized is kernel
+
+
+def test_crossing_kernel_exists():
+    # the tracer counts grain pairs by wrapping this kernel outside WRAPPED, by name and signature
+    assert callable(intersect._count_crossings_vectorized)
+    counts, tangents = intersect._count_crossings_vectorized(np.zeros((0, 3)), np.zeros(0), 1.0)
+    assert (counts, tangents) == (0, 0)

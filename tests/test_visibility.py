@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from functools import lru_cache, partial
@@ -14,7 +15,7 @@ from hypervis import visibility as vis
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
 
-from conftest import assert_same_under_every_derivation, random_point
+from conftest import assert_same_under_every_derivation, random_point, record_and_values
 from oracles import (
     BallGrain,
     GeodesicRay,
@@ -22,6 +23,7 @@ from oracles import (
     random_direction,
     ray_grain_hit,
     ray_hyperplane_hit,
+    segment_crossings_per_replication,
     visibility_range,
     visible_volume_once,
 )
@@ -443,6 +445,20 @@ class TestEstimators:
         rec = vis.estimate_segment_crossings(2, 1.0, 1.0, 2000, seed=43)
         assert rec.closed_form == pytest.approx(2 / math.pi, rel=1e-12)
         assert abs(rec.z_score) < 3.5
+
+    @pytest.mark.parametrize("d, gamma", [(2, 1.0), (3, 1.0), (2, 0.05)], ids=["d2", "d3", "d2-sparse"])
+    def test_segment_crossing_rounds_match_per_replication(self, d, gamma, monkeypatch):
+        length, seed, size = 1.0, 62, vis._ROUND_REPS
+        n_max = 2 * size + 1
+        reference = segment_crossings_per_replication(d, gamma, length, n_max, seed)
+        if gamma < 0.1:  # some realizations hold no plane or a single one
+            assert {0, 1} <= {ps.sample_hyperplanes(d, gamma, length, stream(seed, i)).n_planes for i in range(n_max)}
+        for n_reps in (2, size - 1, size, size + 1, n_max):
+            call = partial(vis.estimate_segment_crossings, d, gamma, length, n_reps, seed)
+            record, values = record_and_values(vis, call, monkeypatch)
+            assert np.array_equal(values, reference[:n_reps])
+            expected = vis.make_record("segment_crossings", d, gamma, None, reference[:n_reps], record.closed_form, seed, 0.0, 1)
+            assert dataclasses.replace(record, runtime_ms=0.0) == dataclasses.replace(expected, runtime_ms=0.0)
 
 
 # Outputs of the dense sweep that ran every ray against every block, at fixed seeds.
