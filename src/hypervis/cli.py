@@ -7,6 +7,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -78,21 +79,6 @@ def _criterion_numbers(text: str) -> set[int]:
     return numbers
 
 
-def _add_estimate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--gamma", type=float, default=None, help="intensity; every quantity but formula_check needs it")
-    p.add_argument("--grain", type=_grain_law, default=None, help="fixed:R or uniform:A,B")
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--rays", type=int, default=200)
-    p.add_argument("--cutoff", type=float, default=12.0)
-    p.add_argument("--truncate", type=float, default=None)
-    p.add_argument("--rwin", type=_above_zero, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", type=str, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hypervis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -106,7 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="run one Monte Carlo estimate")
     p_est.add_argument("quantity", choices=harness.QUANTITIES)
-    _add_estimate_args(p_est)
+    p_est.add_argument("--dim", dest="d", type=int, default=2)
+    p_est.add_argument("--gamma", type=float, default=None, help="intensity; every quantity but formula_check needs it")
+    p_est.add_argument("--grain", dest="law", type=_grain_law, default=None, help="fixed:R or uniform:A,B")
+    p_est.add_argument("--reps", dest="n_reps", type=int, default=1000)
+    p_est.add_argument("--rays", dest="n_rays", type=int, default=200)
+    p_est.add_argument("--cutoff", type=float, default=12.0)
+    p_est.add_argument("--truncate", dest="truncate_at", type=float, default=None)
+    p_est.add_argument("--rwin", dest="r_win", type=_above_zero, default=None)
+    p_est.add_argument("--seed", type=_seed, default=0)
+    p_est.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
+    p_est.add_argument("--format", choices=("json", "csv"), default="json")
+    p_est.add_argument("--out", type=str, default=None)
 
     p_render = sub.add_parser("render", help="draw a realization on the Poincare disk")
     p_render.add_argument("--dim", type=int, choices=(2,), default=2, help="SVG rendering is for d = 2 only")
@@ -197,19 +194,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "estimate":
-        config = harness.ExperimentConfig(
-            quantity=args.quantity,
-            d=args.dim,
-            gamma=args.gamma,
-            law=args.grain,
-            n_reps=args.reps,
-            n_rays=args.rays,
-            cutoff=args.cutoff,
-            truncate_at=args.truncate,
-            r_win=args.rwin,
-            seed=args.seed,
-            stratified=args.stratified,
-        )
+        config = harness.ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)})
         try:
             result = harness.run(config)
         except (harness.UsageError, procsim.ResourceGuardError) as exc:

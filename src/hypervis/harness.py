@@ -1,4 +1,4 @@
-"""Experiment configuration, statistical utilities, dispatch, and result emission."""
+"""The `hypervis estimate` quantity table, experiment configuration and validation, the KS test, result emission."""
 
 from __future__ import annotations
 
@@ -6,22 +6,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from . import closedform, intersect, procsim, visibility
 from .closedform import GrainLaw, grain_moments
 from .visibility import EstimateRecord
-
-QUANTITIES = (
-    "visvol",
-    "visvol_truncated",
-    "cdf_boolean",
-    "cdf_tessellation",
-    "intersection_density",
-    "zero_cell",
-    "formula_check",
-)
 
 # Asymptotic 1% Kolmogorov-Smirnov critical coefficient.
 KS_COEFF_1PCT = 1.628
@@ -70,6 +61,20 @@ def ks_exponential(samples, rate: float, cutoff: float = math.inf) -> KsResult:
     return KsResult(statistic=statistic, n=n, critical_1pct=critical, passed=statistic < critical)
 
 
+@dataclass(frozen=True)
+class Quantity:
+    """One `estimate` quantity: its runner and the facts `ExperimentConfig.validate` reads."""
+
+    runner: Callable[[ExperimentConfig], EstimateRecord | KsResult | FormulaCheckResult]
+    simulated: bool = True  # False: reads no option (formula_check)
+    law: bool = False  # a Boolean model with a grain law; False: a hyperplane process
+    sweep: bool = False  # sweeps radially out to the cutoff
+    replicated: bool = False  # takes its standard error across replications
+    mean: str | None = None  # the mean it estimates, which must be finite: a > d - 1
+    check: Callable[[ExperimentConfig], None] | None = None  # refuses its own options by UsageError
+    stratified: Callable | None = None  # the runner under --stratified
+
+
 @dataclass
 class ExperimentConfig:
     """Parameters of one estimation or goodness-of-fit run."""
@@ -86,97 +91,83 @@ class ExperimentConfig:
     seed: int = 0
     stratified: bool = False
 
+    def range_rate(self) -> float:
+        """Range rate a, the rate of the exponential visibility ranges: gamma v* for grains, else the zero-cell rate."""
+        if QUANTITIES[self.quantity].law:
+            return self.gamma * grain_moments(self.d, self.law).v_dm1_star
+        return closedform.zero_cell_rate(self.d, self.gamma)
+
     def validate(self) -> None:
-        if self.quantity not in QUANTITIES:
-            raise UsageError(f"unknown quantity {self.quantity!r}; choose from {QUANTITIES}")
-        if self.quantity == "formula_check":
-            return
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
-        if self.d < 2:
-            raise UsageError("dimension must be >= 2")
         try:
+            if self.quantity not in QUANTITIES:
+                raise UsageError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
+            q = QUANTITIES[self.quantity]
+            if not q.simulated:
+                return
+            if self.seed < 0:
+                raise UsageError(f"seed must be >= 0, got {self.seed}")
+            if self.d < 2:
+                raise UsageError("dimension must be >= 2")
             closedform.kappa(self.d)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if self.gamma is None:
-            raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
-        if self.stratified and self.quantity != "visvol_truncated":
-            raise UsageError(f"--stratified applies to visvol_truncated only, not {self.quantity}")
-        for name in ("gamma", "cutoff", "truncate_at", "r_win"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value}")
-        if self.gamma <= 0:
-            raise UsageError("intensity gamma must be > 0")
-        if self.n_reps < 1 or self.n_rays < 1:
-            raise UsageError("n_reps and n_rays must be >= 1")
-        guard = procsim.MAX_EXPECTED_COUNT
-        if self.n_reps > guard:
-            raise UsageError(f"n_reps = {self.n_reps} exceeds the resource guard {guard:.0e}")
-        # The many-ray sweep casts every ray against blocks of about _BLOCK_TARGET obstacles.
-        pairs = self.n_rays * visibility._BLOCK_TARGET
-        if self.quantity in ("visvol", "visvol_truncated", "zero_cell") and pairs > guard:
-            raise UsageError(
-                f"n_rays = {self.n_rays} exceeds the resource guard: n_rays x {visibility._BLOCK_TARGET} obstacles "
-                f"per sweep block = {pairs:.3g} ray-obstacle pairs > {guard:.0e}"
-            )
-        estimator = self.quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density")
-        if estimator and not self.stratified and self.n_reps < 2:
-            raise UsageError(f"{self.quantity} takes its standard error across replications and needs n_reps >= 2")
-        if self.cutoff <= 0:
-            raise UsageError("cutoff must be > 0")
-        needs_law = self.quantity in ("visvol", "visvol_truncated", "cdf_boolean", "intersection_density")
-        if needs_law and self.law is None:
-            raise UsageError(f"quantity {self.quantity} needs a grain law (--grain fixed:R or uniform:A,B)")
-        if self.quantity == "visvol":
-            a = self.gamma * grain_moments(self.d, self.law).v_dm1_star
-            if a <= self.d - 1:
-                threshold = (self.d - 1) / grain_moments(self.d, self.law).v_dm1_star
+            if self.gamma is None:
+                raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
+            if self.stratified and q.stratified is None:
+                takes = [name for name, entry in QUANTITIES.items() if entry.stratified]
+                raise UsageError(f"--stratified applies to {' and '.join(takes)} only, not {self.quantity}")
+            for name in ("gamma", "cutoff", "truncate_at", "r_win"):
+                value = getattr(self, name)
+                if value is not None and not math.isfinite(value):
+                    raise UsageError(f"{name} must be finite, got {value}")
+            if self.gamma <= 0:
+                raise UsageError("intensity gamma must be > 0")
+            if self.n_reps < 1 or self.n_rays < 1:
+                raise UsageError("n_reps and n_rays must be >= 1")
+            guard = procsim.MAX_EXPECTED_COUNT
+            if self.n_reps > guard:
+                raise UsageError(f"n_reps = {self.n_reps} exceeds the resource guard {guard:.0e}")
+            # The many-ray sweep casts every ray against blocks of about _BLOCK_TARGET obstacles.
+            pairs = self.n_rays * visibility._BLOCK_TARGET
+            if q.sweep and q.replicated and pairs > guard:
                 raise UsageError(
-                    f"mean visible volume is infinite at gamma*v* = {a:.6g} <= d-1 = {self.d - 1}; "
-                    f"finiteness needs gamma > {threshold:.6g}; use visvol_truncated instead"
+                    f"n_rays = {self.n_rays} exceeds the resource guard: n_rays x {visibility._BLOCK_TARGET} obstacles "
+                    f"per sweep block = {pairs:.3g} ray-obstacle pairs > {guard:.0e}"
                 )
-        sweeps = self.quantity in ("visvol", "visvol_truncated", "cdf_boolean", "cdf_tessellation", "zero_cell")
-        depth = self.cutoff + (self.law.max_radius if needs_law else 0.0)
-        if sweeps and not self.stratified and depth > visibility.max_sweep_depth(self.d):
-            raise UsageError(
-                f"cutoff {self.cutoff} sweeps to depth {depth:.6g}, beyond the "
-                f"{visibility.max_sweep_depth(self.d):.6g} that double precision allows in d = {self.d}"
-            )
-        if self.quantity == "zero_cell" and math.isinf(closedform.zero_cell_mean_volume(self.d, self.gamma)):
-            rate = closedform.zero_cell_rate(self.d, self.gamma)
-            threshold = (self.d - 1) / closedform.zero_cell_rate(self.d, 1.0)
-            raise UsageError(
-                f"mean zero-cell volume is infinite at rate {rate:.6g} <= d-1 = {self.d - 1}; "
-                f"finiteness needs gamma > {threshold:.6g}"
-            )
-        if self.quantity == "visvol_truncated" and self.truncate_at is None:
-            raise UsageError("visvol_truncated needs --truncate")
-        if self.truncate_at is not None and self.truncate_at > self.cutoff:
-            raise UsageError(f"truncate_at {self.truncate_at} exceeds cutoff {self.cutoff}")
-        if self.truncate_at is not None and self.truncate_at < 0:
-            raise UsageError(f"truncate_at must be >= 0, got {self.truncate_at}")
-        if self.stratified:
-            try:
+            if q.replicated and not self.stratified:
+                visibility.check_replications(self.n_reps)
+            if self.cutoff <= 0:
+                raise UsageError("cutoff must be > 0")
+            if q.law and self.law is None:
+                raise UsageError(f"quantity {self.quantity} needs a grain law (--grain fixed:R or uniform:A,B)")
+            if q.mean and math.isinf(closedform.sinh_exp_integral(self.d, self.range_rate())):
+                a = self.range_rate()
+                raise UsageError(
+                    f"{q.mean} is infinite at range rate a = {a:.6g} <= d-1 = {self.d - 1}; "
+                    f"finiteness needs gamma > {(self.d - 1) * self.gamma / a:.6g}"
+                )
+            depth = self.cutoff + (self.law.max_radius if q.law else 0.0)
+            if q.sweep and depth > visibility.max_sweep_depth(self.d):
+                raise UsageError(
+                    f"cutoff {self.cutoff} sweeps to depth {depth:.6g}, beyond the "
+                    f"{visibility.max_sweep_depth(self.d):.6g} that double precision allows in d = {self.d}"
+                )
+            if q.check:
+                q.check(self)
+            if self.truncate_at is not None and self.truncate_at > self.cutoff:
+                raise UsageError(f"truncate_at {self.truncate_at} exceeds cutoff {self.cutoff}")
+            if self.truncate_at is not None and self.truncate_at < 0:
+                raise UsageError(f"truncate_at must be >= 0, got {self.truncate_at}")
+            if self.stratified:
                 visibility.band_count(self.truncate_at)
-            except ValueError as exc:
-                raise UsageError(f"stratified truncate_at: {exc}") from None
-        if self.quantity == "intersection_density":
-            if self.d != 2:
-                raise UsageError("intersection density verification is restricted to d = 2")
-            if self.r_win is None:
-                raise UsageError("intersection_density needs --rwin")
-            if self.r_win <= 0:
-                raise UsageError(f"rwin must be > 0, got {self.r_win}")
-        # A grain sweep ends only past the largest grain radius, so each replication samples the grains centred within it.
-        if self.quantity in ("visvol", "visvol_truncated", "cdf_boolean") and not self.stratified:
-            near = self.n_reps * self.gamma * float(closedform.ball_volume(self.d, self.law.max_radius))
-            if near > guard:
-                raise UsageError(
-                    f"{self.quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
-                    f"point, beyond the resource guard {guard:.0e}"
-                )
+            # A grain sweep ends past the largest grain radius, so each replication samples the grains centred within it.
+            if q.law and q.sweep and not self.stratified:
+                near = self.n_reps * self.gamma * float(closedform.ball_volume(self.d, self.law.max_radius))
+                if near > guard:
+                    raise UsageError(
+                        f"{self.quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
+                        f"point, beyond the resource guard {guard:.0e}"
+                    )
+        except ValueError as exc:  # the library's own refusals: kappa, check_replications, band_count
+            raise UsageError(str(exc)) from None
 
 
 def formula_check() -> FormulaCheckResult:
@@ -188,53 +179,72 @@ def formula_check() -> FormulaCheckResult:
     return FormulaCheckResult(max_residual=worst, passed=worst < 1e-8, checks=checks)
 
 
-def _ks_uncensored(values: np.ndarray, censored: np.ndarray, rate: float, cutoff: float) -> KsResult:
-    """ks_exponential of the ranges below the cutoff, against the law truncated there."""
+def _ks_ranges(c: ExperimentConfig, values: np.ndarray, censored: np.ndarray) -> KsResult:
+    """ks_exponential of the ranges below the cutoff, against Exp(range rate) truncated there."""
     if censored.all():
         raise UsageError(
-            f"every range is censored at the cutoff {cutoff}, so no range is left to test; raise --cutoff"
+            f"every range is censored at the cutoff {c.cutoff}, so no range is left to test; raise --cutoff"
         )
-    return ks_exponential(values[~censored], rate, cutoff)
+    return ks_exponential(values[~censored], c.range_rate(), c.cutoff)
+
+
+def _stratified(c: ExperimentConfig) -> EstimateRecord:
+    t0 = time.perf_counter()
+    est = visibility.estimate_visible_volume_stratified(c.d, c.gamma, c.law, (c.truncate_at,), seed=c.seed)
+    values = est.batch_values[:, 0]
+    return visibility.make_record(c.quantity, c.d, c.gamma, c.law, values, est.closed_forms[0], c.seed, t0)
+
+
+def _needs_truncate(c: ExperimentConfig) -> None:
+    if c.truncate_at is None:
+        raise UsageError(f"{c.quantity} needs --truncate")
+
+
+def _window(c: ExperimentConfig) -> None:
+    if c.d != 2:
+        raise UsageError("intersection density verification is restricted to d = 2")
+    if c.r_win is None:
+        raise UsageError(f"{c.quantity} needs --rwin")
+    if not (c.r_win > 0 and closedform.ball_volume(2, c.r_win) > 0):
+        raise UsageError(f"rwin must be > 0 with a window area > 0, got {c.r_win}")
+
+
+QUANTITIES = {
+    "visvol": Quantity(
+        lambda c: visibility.estimate_visible_volume(c.d, c.gamma, c.law, c.n_reps, c.n_rays, None, c.cutoff, c.seed),
+        law=True, sweep=True, replicated=True, mean="mean visible volume",
+    ),
+    "visvol_truncated": Quantity(
+        lambda c: visibility.estimate_visible_volume(
+            c.d, c.gamma, c.law, c.n_reps, c.n_rays, c.truncate_at, c.cutoff, c.seed
+        ),
+        law=True, sweep=True, replicated=True, check=_needs_truncate, stratified=_stratified,
+    ),
+    "cdf_boolean": Quantity(
+        lambda c: _ks_ranges(c, *visibility.sample_visibility_ranges(c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed)),
+        law=True, sweep=True,
+    ),
+    "cdf_tessellation": Quantity(
+        lambda c: _ks_ranges(c, *visibility.sample_zero_cell_ranges(c.d, c.gamma, c.n_reps, c.cutoff, c.seed)),
+        sweep=True,
+    ),
+    "intersection_density": Quantity(
+        lambda c: intersect.estimate_intersection_density(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
+        law=True, replicated=True, check=_window,
+    ),
+    "zero_cell": Quantity(
+        lambda c: visibility.estimate_zero_cell_volume(c.d, c.gamma, c.n_reps, c.n_rays, c.cutoff, c.seed),
+        sweep=True, replicated=True, mean="mean zero-cell volume",
+    ),
+    "formula_check": Quantity(lambda c: formula_check(), simulated=False),
+}
 
 
 def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckResult:
     """Dispatch a validated configuration; deterministic given the seed."""
     config.validate()
-    q = config.quantity
-    if q == "formula_check":
-        return formula_check()
-    if q == "visvol_truncated" and config.stratified:
-        t0 = time.perf_counter()
-        est = visibility.estimate_visible_volume_stratified(
-            config.d, config.gamma, config.law, (config.truncate_at,), seed=config.seed
-        )
-        values = est.batch_values[:, 0]
-        return visibility.make_record(q, config.d, config.gamma, config.law, values, est.closed_forms[0], config.seed, t0)
-    if q in ("visvol", "visvol_truncated"):
-        truncate_at = config.truncate_at if q == "visvol_truncated" else None
-        return visibility.estimate_visible_volume(
-            config.d, config.gamma, config.law, config.n_reps, config.n_rays, truncate_at, config.cutoff, config.seed
-        )
-    if q == "cdf_boolean":
-        values, censored = visibility.sample_visibility_ranges(
-            config.d, config.gamma, config.law, config.n_reps, config.cutoff, config.seed
-        )
-        rate = config.gamma * grain_moments(config.d, config.law).v_dm1_star
-        return _ks_uncensored(values, censored, rate, config.cutoff)
-    if q == "cdf_tessellation":
-        values, censored = visibility.sample_zero_cell_ranges(
-            config.d, config.gamma, config.n_reps, config.cutoff, config.seed
-        )
-        return _ks_uncensored(values, censored, closedform.zero_cell_rate(config.d, config.gamma), config.cutoff)
-    if q == "intersection_density":
-        return intersect.estimate_intersection_density(
-            config.gamma, config.law, config.r_win, config.n_reps, config.seed
-        )
-    if q == "zero_cell":
-        return visibility.estimate_zero_cell_volume(
-            config.d, config.gamma, config.n_reps, config.n_rays, config.cutoff, config.seed
-        )
-    raise UsageError(f"unhandled quantity {q!r}")
+    q = QUANTITIES[config.quantity]
+    return (q.stratified if config.stratified else q.runner)(config)
 
 
 # ---------------------------------------------------------------------------

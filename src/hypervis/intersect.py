@@ -106,6 +106,10 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
 def _round_size(gamma: float, law: GrainLaw, r_win: float) -> int:
     """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most _ROUND_REPS."""
     grains = gamma * float(ball_volume(2, r_win + law.max_radius))
+    if grains**2 > procsim.MAX_EXPECTED_COUNT:  # one realization's Gram matrix holds all its grain pairs
+        raise procsim.ResourceGuardError(
+            f"{grains**2:.3g} expected grain pairs per realization exceed resource guard {procsim.MAX_EXPECTED_COUNT:.0e}"
+        )
     return int(min(_ROUND_REPS, max(1.0, _ROUND_PAIRS // (1.0 + grains) ** 2)))
 
 

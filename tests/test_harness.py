@@ -170,6 +170,15 @@ class TestConfigValidation:
             # the stratified estimator's band experiments trip the sampler's resource guard
             (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1",
               "--stratified"], "band experiments exceeds resource guard 1e+08"),
+            # one realization's Gram matrix would hold about 1e12 grain pairs; refused before any draw
+            (["intersection_density", "--gamma", "10000", "--grain", "fixed:0.5", "--rwin", "3", "--reps", "2"],
+             "9.57e+11 expected grain pairs per realization exceed resource guard 1e+08"),
+            # the stratified estimator's band experiments are bounded by the same sweep depth
+            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1000", "--cutoff", "1000",
+              "--stratified"], "sweeps to depth 1000.5, beyond the 350"),
+            # a window whose area is 0 in double precision would give a NaN estimate, which is not valid JSON
+            (["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "1e-300", "--reps", "2"],
+             "rwin must be > 0 with a window area > 0, got 1e-300"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

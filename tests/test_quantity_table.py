@@ -1,0 +1,60 @@
+"""`hypervis estimate` quantities are declared once, in harness.QUANTITIES: validation and dispatch read
+the entries and never compare the quantity to a name, and the README's estimate examples stay valid."""
+
+import ast
+import shlex
+from pathlib import Path
+
+from hypervis import harness
+from hypervis.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _name_comparisons(tree) -> list[str]:
+    """Source of each comparison in tree with a string literal, or a container of them, on either side."""
+    def literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(literal(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(literal(side) for side in (node.left, *node.comparators))
+    ]
+
+
+def test_detector_sees_name_comparisons():
+    tree = ast.parse('if q == "visvol" or q in ("a", "b") or "c" != q:\n    pass')
+    assert len(_name_comparisons(tree)) == 3
+
+
+def test_validate_and_run_compare_no_quantity_name():
+    tree = ast.parse((ROOT / "src" / "hypervis" / "harness.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    methods = {node.name: node for node in config.body if isinstance(node, ast.FunctionDef)}
+    for node in (methods["validate"], methods["range_rate"], functions["run"]):
+        assert not _name_comparisons(node), f"{node.name} branches on a quantity name instead of its table entry"
+
+
+def _readme_estimate_examples() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("hypervis estimate ")]
+
+
+def test_readme_estimate_examples_validate(monkeypatch, tmp_path):
+    examples = _readme_estimate_examples()
+    assert len(examples) >= 5
+    configs = []
+    stub = harness.FormulaCheckResult(0.0, True, {})
+    # validate only: the examples' runs take seconds each
+    monkeypatch.setattr(harness, "run", lambda config: configs.append(config) or stub)
+    monkeypatch.chdir(tmp_path)  # an example may write its record with --out
+    for argv in examples:
+        assert main(argv) == 0, argv
+    assert [c.quantity for c in configs] == [argv[1] for argv in examples]
+    assert set(harness.QUANTITIES) <= {c.quantity for c in configs}, "every quantity has a README example"
+    for config in configs:
+        config.validate()
