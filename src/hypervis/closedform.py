@@ -354,7 +354,9 @@ def sinh_exp_integral(d: int, a: float) -> float:
     if a - (d - 1) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
         return math.inf
     lg = math.lgamma((a - d + 1) / 2.0) - math.lgamma((a + d + 1) / 2.0)
-    return math.factorial(d - 1) / 2.0**d * math.exp(lg)
+    if d < 172:  # (d-1)! is a float below d = 172
+        return math.factorial(d - 1) / 2.0**d * math.exp(lg)
+    return math.exp(math.lgamma(d) - d * math.log(2.0) + lg)
 
 
 def sinh_exp_integral_quadrature(d: int, a: float) -> float:

@@ -205,8 +205,9 @@ def _window(c: ExperimentConfig) -> None:
         raise UsageError("intersection density verification is restricted to d = 2")
     if c.r_win is None:
         raise UsageError(f"{c.quantity} needs --rwin")
-    if not (c.r_win > 0 and closedform.ball_volume(2, c.r_win) > 0):
-        raise UsageError(f"rwin must be > 0 with a window area > 0, got {c.r_win}")
+    with np.errstate(over="ignore"):  # a window too wide for a float has area inf, which the estimator's guard refuses
+        if not (c.r_win > 0 and closedform.ball_volume(2, c.r_win) > 0):
+            raise UsageError(f"rwin must be > 0 with a window area > 0, got {c.r_win}")
 
 
 QUANTITIES = {

@@ -125,8 +125,9 @@ def estimate_intersection_density(
     """
     check_replications(n_reps)
     t0 = time.perf_counter()
-    area = float(ball_volume(2, r_win))
-    size = _round_size(gamma, law, r_win)
+    with np.errstate(over="ignore"):  # a window too wide for a float holds inf grains, which _round_size refuses
+        size = _round_size(gamma, law, r_win)
+        area = float(ball_volume(2, r_win))
     counts = np.empty(n_reps)
     tangent_pairs = 0
     gens = streams(seed, count=n_reps)

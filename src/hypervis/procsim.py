@@ -12,15 +12,15 @@ base point and stop as soon as no farther obstacle can matter; restricting a
 Poisson process to a region is again Poisson, so the sweep is exact.
 
 The annulus samplers (sample_boolean_annulus, sample_hyperplane_annulus)
-take one generator: the many-ray sweep runs one replication at a time. The
-cap samplers (sample_boolean_cap_annuli, sample_hyperplane_cap_annuli) serve
-a single ray: they draw only the obstacles whose direction lies in the cap
-from which the ray can be reached, each by its distance and the versine of
-its angle to the ray, again an exact Poisson restriction. They serve a round
-of single-ray replications at once: each replication keeps its own generator
-and makes its own draws in its own order, the radial inverse runs once over
-all of the round's draws, and each replication's obstacles fill one row,
-padded to the round's largest count. The window samplers of the windowed
+serve the many-ray sweep. The cap samplers (sample_boolean_cap_annuli,
+sample_hyperplane_cap_annuli) serve a single ray: they draw only the
+obstacles whose direction lies in the cap from which the ray can be reached,
+each by its distance and the versine of its angle to the ray, again an exact
+Poisson restriction. Both serve a round of replications at once: each
+replication keeps its own generator and makes its own draws in its own order,
+the radial inverse runs once over all of the round's draws, and each
+replication's obstacles fill one row, padded to the round's largest count
+(given one generator, the annulus samplers return its one row). The window samplers of the windowed
 estimators (sample_boolean_windows for the intersection density,
 sample_hyperplane_windows for the segment crossings) serve a round the same
 way; each generator draws exactly what sample_boolean (unconditioned) or
@@ -268,8 +268,8 @@ def sample_boolean_annulus(
     gamma: float,
     law: GrainLaw,
     t_lo: float,
-    t_hi: float,
-    rng: np.random.Generator,
+    t_hi,
+    rng,
     drop_covering: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grains with center distance in [t_lo, t_hi): (distances, directions, radii), drawn in that order
@@ -277,17 +277,22 @@ def sample_boolean_annulus(
 
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
+    rng may be a sequence of generators, with t_hi given per generator: each
+    draws its own grains, and each array holds one row per generator, padded
+    to the largest count by grains at infinite distance (direction 0, radius 0).
     """
-    (count,) = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, [t_hi], [rng])
-    if not count:
-        return np.empty(0), np.empty((0, d)), np.empty(0)
-    dists = sample_radial_annulus(d, t_lo, t_hi, rng, count)
-    dirs = unit_vectors(d, rng, count)
-    radii = law.sample_radii(rng, count)
+    one = isinstance(rng, np.random.Generator)
+    rngs, t_hi = ([rng], [t_hi]) if one else (rng, t_hi)
+    counts = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, t_hi, rngs)
+    dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
+    dirs = unit_vectors(d, rngs, counts)
+    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
     if drop_covering:
         keep = dists > radii
+        counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
         dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
-    return dists, dirs, radii
+    out = _padded(counts, dists, np.inf), _padded(counts, dirs, 0.0), _padded(counts, radii, 0.0)
+    return tuple(a[0] for a in out) if one else out
 
 
 def sample_boolean_windows(
@@ -363,15 +368,18 @@ def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_hyperplane_annulus(
-    d: int, gamma: float, t_lo: float, t_hi: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Planes at distance in [t_lo, t_hi) from the base: (distances, unit normals)."""
-    (count,) = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, [t_hi], [rng])
-    if not count:
-        return np.empty(0), np.empty((0, d + 1))
-    dists = sample_plane_distances(d, t_lo, t_hi, rng, count)
-    return dists, normals_from_polar(dists, unit_vectors(d, rng, count))
+def sample_hyperplane_annulus(d: int, gamma: float, t_lo: float, t_hi, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Planes at distance in [t_lo, t_hi) from the base: (distances, unit normals).
+
+    rng may be a sequence of generators, as for sample_boolean_annulus; rows are
+    padded by planes at infinite distance with normal 0.
+    """
+    one = isinstance(rng, np.random.Generator)
+    rngs, t_hi = ([rng], [t_hi]) if one else (rng, t_hi)
+    counts = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, t_hi, rngs)
+    dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
+    out = _padded(counts, dists, np.inf), _padded(counts, normals_from_polar(dists, unit_vectors(d, rngs, counts)), 0.0)
+    return tuple(a[0] for a in out) if one else out
 
 
 def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -403,6 +411,10 @@ def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Genera
     return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
 
 
+# The signs rng.choice([-1.0, 1.0], size=c) draws, as an index into this: the same draws, at half the cost.
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple[np.ndarray, np.ndarray]:
     """sample_hyperplanes for each generator: (counts, unit normals concatenated in generator order).
 
@@ -413,7 +425,7 @@ def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple
     mean = gamma * plane_measure(d, r_obs)
     counts = np.array([_poisson_count(rng, mean) for rng in rngs], dtype=int)
     dists = sample_plane_distances(d, 0.0, [r_obs] * len(rngs), rngs, counts)
-    signs = np.concatenate([rng.choice([-1.0, 1.0], size=c) for rng, c in zip(rngs, counts)])
+    signs = _SIGNS[np.concatenate([rng.integers(0, 2, size=c) for rng, c in zip(rngs, counts)])]
     return counts, normals_from_polar(dists * signs, unit_vectors(d, rngs, counts))
 
 

@@ -38,14 +38,16 @@ its direction, which the capped sweep therefore never reads. Each
 replication still draws one uniform direction before its obstacles, so its
 stream, and with it every range, stays as it was when the sweep read it.
 
-Replications are swept in rounds: _ROUND_REPS (512) at a time for the
-single-ray range samplers, one at a time for the estimators with two or more
-rays. The replications of a single-ray round share each block's bounds, one
-call of the cap sampler (and so one radial inverse over all their draws) and
-one kernel call, while each keeps its own generator and makes exactly its own
-draws in its own order. The segment-crossing estimator draws rounds of
-_ROUND_REPS windows the same way and casts its segment through all of a
-round's planes at once.
+Replications are swept in rounds of at most 4096 rays and 4096 expected
+obstacles per block: 512 (_ROUND_REPS) for the single-ray range samplers,
+16 for the estimators with up to 256 rays, fewer beyond. A round shares each
+block's bounds and one sampler call (one radial inverse over all its draws),
+while each replication keeps its own generator and makes exactly its own
+draws in its own order. A single-ray round shares one kernel call too; with
+many rays each replication makes the kernel call it would make alone, as a
+padded or batched matrix product can move the last bits of a hit. The
+segment-crossing estimator draws rounds of _ROUND_REPS windows the same way
+and casts its segment through all of a round's planes at once.
 
 Replication r of a run with master seed s draws from stream(s, r), so runs
 are reproducible and order independent. The generators of a run come from
@@ -223,7 +225,7 @@ def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
 _BLOCK_TARGET = 256
 _CAP_BLOCK_TARGET = 8
 # Single-ray replications per round, also of the segment crossings and (at most) of the intersection
-# density; each keeps a live generator (about 2 KB). Many rays sweep one at a time.
+# density; each keeps a live generator (about 2 KB). Rounds of many rays are smaller (see _rounds).
 _ROUND_REPS = 512
 
 
@@ -275,9 +277,10 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
     proc.annulus draws proc.target obstacles on average; a replication stops
     once no farther obstacle can shorten any of its rays. The replications
     still sweeping share each block's bounds (only a replication's last block
-    ends early, at its own stop), its sampler call and its kernel call. Only
-    a round of one replication, which the many-ray sweep always is, can have
-    rays that a block cannot shorten.
+    ends early, at its own stop) and its sampler call. With one ray each they
+    share its kernel call too, on the padded rows; with many rays each casts
+    only its live rays through only its own obstacles, unpadded, so that its
+    kernel call is the one it would make alone.
     """
     n, sign = proc.d - 1, proc.sign
     best = np.full(dirs.shape[:2], cutoff)
@@ -297,14 +300,16 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
         reach = _block_end(n, sign, proc.target / (proc.gamma * proc.scale * share), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + 1e-6)
         obstacles = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
-        if obstacles[0].shape[1]:
+        if dirs.shape[1] > 1:
             # Rays whose range is already below t_lo - margin cannot be shortened by this block.
             live = ranges > t_lo - proc.margin - 1e-9
-            if live.all():  # always so with one ray per replication
-                best[reps] = np.minimum(ranges, proc.hits(dirs[reps], *obstacles).min(axis=2))
-            else:
-                r, rays = reps[0], np.flatnonzero(live[0])
-                best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays][None], *obstacles).min(axis=2)[0])
+            for j, m in enumerate(np.count_nonzero(np.isfinite(obstacles[0]), axis=1)):  # padding lies at inf
+                r, rays = reps[j], np.flatnonzero(live[j])
+                if m and len(rays):
+                    own = [a[j : j + 1, :m] for a in obstacles]
+                    best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays][None], *own).min(axis=2)[0])
+        elif obstacles[0].shape[1]:  # the cap kernels take the round's padded rows
+            best[reps] = np.minimum(ranges, proc.hits(dirs[reps], *obstacles).min(axis=2))
         t_lo = max(reach, t_lo + 1e-6)
 
 
@@ -333,11 +338,6 @@ def _cap_plane_hits(dirs, p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
     return out[:, None, :]
 
 
-def _round_of_one(annulus: Callable) -> Callable:
-    """A one-generator annulus sampler as the sampler of a round of one replication."""
-    return lambda t_lo, t_hi, rngs: tuple(a[None] for a in annulus(t_lo, t_hi[0], rngs[0]))
-
-
 # The sweep over each process under its own name; benchmarks/tracer.py times
 # the sweeps by wrapping these two attributes. One ray per replication sweeps
 # the process restricted to that ray's direction cap.
@@ -349,7 +349,7 @@ def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rn
         share = lambda t_lo: procsim.cap_share(d, procsim.grain_cap_gap(m, t_lo))  # noqa: E731
         proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, _cap_grain_hits, _CAP_BLOCK_TARGET, share)
     else:
-        annulus = _round_of_one(partial(procsim.sample_boolean_annulus, d, gamma, law))
+        annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
         proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, grain_hits_from_base, _BLOCK_TARGET)
     return _sweep(proc, dirs, cutoff, rngs)
 
@@ -361,7 +361,7 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
         share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
         proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, _cap_plane_hits, _CAP_BLOCK_TARGET, share)
     else:
-        annulus = _round_of_one(partial(procsim.sample_hyperplane_annulus, d, gamma))
+        annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
         hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
         proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, hits, _BLOCK_TARGET)
     return _sweep(proc, dirs, cutoff, rngs)
@@ -370,11 +370,13 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
 def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable):
     """(first replication, ranges) of each round: ranges(dirs, cutoff, rngs) for its replications.
 
-    Replication i draws n_rays uniform directions and then its obstacles from
-    stream(seed, i), so its ranges do not depend on the round it falls in. A
-    round's generators are built as the round starts.
+    A round holds at least one replication and at most _ROUND_REPS * _CAP_BLOCK_TARGET
+    rays and expected obstacles per block. Replication i draws n_rays uniform
+    directions and then its obstacles from stream(seed, i), so its ranges do
+    not depend on the round it falls in. A round's generators are built as the
+    round starts.
     """
-    size = _ROUND_REPS if n_rays == 1 else 1
+    size = max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
     gens = streams(seed, count=n_reps)
     for first in range(0, n_reps, size):
         rngs = list(islice(gens, size))

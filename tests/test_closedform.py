@@ -180,6 +180,21 @@ class TestSinhExpIntegral:
         assert math.isinf(cf.sinh_exp_integral(2, 1.0))
         assert math.isinf(cf.sinh_exp_integral(2, 0.5))
 
+    def test_log_form_beyond_the_factorial(self):
+        # (d-1)! is a float up to d = 171, where the value stays the factorial form's, bit for bit;
+        # from d = 172 on the log form takes over, and at d = 171 both agree to rounding
+        def factorial_form(d, a):
+            lg = math.lgamma((a - d + 1) / 2.0) - math.lgamma((a + d + 1) / 2.0)
+            return math.factorial(d - 1) / 2.0**d * math.exp(lg)
+
+        for d in range(2, 172):
+            for a in (d - 0.5, 2.0 * d, 1e4):
+                assert cf.sinh_exp_integral(d, a) == factorial_form(d, a)
+        lg = math.lgamma(0.5) - math.lgamma(171.5)  # d = 171, a = 171
+        assert math.exp(math.lgamma(171) - 171 * math.log(2.0) + lg) == pytest.approx(factorial_form(171, 171.0), rel=1e-11)
+        for d in (172, 200, 341):
+            assert 0.0 < cf.sinh_exp_integral(d, 2.0 * d) < math.inf
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_gamma_form_vs_quadrature(self, d):
         for a in (d - 1 + 0.5, float(d), d + 3.0):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ class TestConfigValidation:
         assert main(["estimate", *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    def test_window_overflow_prints_only_the_usage_line(self, capsys):
+        # the window's area overflows to inf; no RuntimeWarning may precede the resource guard's refusal
+        argv = ["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "1000", "--reps", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["usage error: inf expected grain pairs per realization exceed resource guard 1e+08"]
+        assert captured.out == ""
+
+    def test_zero_cell_beyond_the_factorial(self, capsys):
+        # the closed form needs (d-1)!, no float from d = 172 on
+        assert main(["estimate", "zero_cell", "--dim", "200", "--gamma", "1e4", "--reps", "3", "--rays", "3", "--cutoff", "1"]) == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["closed_form"] < math.inf
 
     def test_gamma_required_only_where_used(self, capsys):
         with pytest.raises(UsageError, match="needs an intensity"):

@@ -180,6 +180,15 @@ class TestSampleHyperplanes:
             assert np.array_equal(rows[i], ps.sample_hyperplanes(3, 0.5, 1.0, stream(23, i)).normals)
         assert 0 in counts
 
+    def test_signs_are_the_draws_of_choice(self):
+        # the window sampler draws its plane signs as _SIGNS[rng.integers(0, 2, size=c)]: the values of
+        # rng.choice([-1.0, 1.0], size=c), the pinned records' draws, and the same generator state after them
+        for seed in range(50):
+            a, b = stream(24, seed), stream(24, seed)
+            for size in range(102):
+                assert np.array_equal(ps._SIGNS[a.integers(0, 2, size=size)], b.choice([-1.0, 1.0], size=size))
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_normal_invariants(self, rng):
         sample = ps.sample_hyperplanes(2, 1.0, 2.0, rng)
         for n in sample.normals:

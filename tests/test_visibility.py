@@ -602,7 +602,8 @@ def round_size(request, monkeypatch):
     many rays, _CAP_BLOCK_TARGET in a single ray's cap), or 16 with blocks of 2 expected obstacles.
 
     Small blocks give every replication many blocks, many of them empty, and
-    replications that end at different blocks of one round.
+    replications that end at different blocks of one round. Many-ray rounds
+    then hold 16 replications at 2 rays, 10 at 3 and one from 33 rays on.
     """
     if request.param == "blocks-2":
         monkeypatch.setattr(vis, "_BLOCK_TARGET", 2)
@@ -641,10 +642,15 @@ class TestRounds:
 
     def test_round_size(self):
         assert ROUND == 512
-        # one ray: rounds of ROUND replications; two or more rays (the estimators): one replication per round
-        for n_rays, size in ((1, ROUND), (2, 1), (64, 1)):
+        # a round holds at most 4096 expected obstacles per block and 4096 rays: one ray sweeps blocks of 8
+        # in its cap, many rays blocks of 256 (16 replications), and beyond 256 rays the ray count bounds it
+        for n_rays, size in ((1, ROUND), (2, 16), (50, 16), (200, 16), (256, 16), (300, 13), (4096, 1), (4097, 1)):
             rounds = vis._rounds(2, ROUND + 1, n_rays, 1.0, 0, lambda dirs, cutoff, rngs: dirs[..., 0])
             assert [first for first, _ in rounds] == list(range(0, ROUND + 1, size))
+
+    def test_rounds_of_one_beyond_the_ray_budget(self):
+        rounds = vis._rounds(2, 3, 390_625, 1.0, 0, lambda dirs, cutoff, rngs: dirs[..., 0])
+        assert [(first, len(ranges)) for first, ranges in rounds] == [(0, 1), (1, 1), (2, 1)]
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6)], ids=["fixed", "uniform"])
@@ -686,20 +692,55 @@ class TestRounds:
             assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(45))
             assert round(rec.censored_fraction * 45 * n_rays) == int(np.sum(ref >= cutoff - 1e-12))
 
+    @pytest.mark.parametrize("n_rays", [2, 3, 64, 200])
+    def test_estimator_records_do_not_depend_on_round_size(self, n_rays, round_size, monkeypatch):
+        # each replication of a many-ray round makes its own draws and kernel calls, so every record is bit
+        # for bit that of rounds of one replication, which a budget of _CAP_BLOCK_TARGET rays forces. Blocks of
+        # 256 obstacles reach t = 2 or so at once, so they need a deeper cutoff for replications to end in
+        # different blocks.
+        cutoff = 3.0 if round_size == ROUND else 1.0
+        estimates = (
+            partial(vis.estimate_visible_volume, 3, 3.0, cf.FixedRadius(0.5), 20, n_rays, None, cutoff, 18),
+            partial(vis.estimate_visible_volume, 3, 2.0, cf.UniformRadius(0.1, 0.6), 20, n_rays, cutoff / 2, cutoff, 19),
+            partial(vis.estimate_zero_cell_volume, 3, 5.0, 20, n_rays, cutoff, 20),
+        )
+        generators = []  # per sampler call: (t_lo, generators in the call)
+        for name in ("sample_boolean_annulus", "sample_hyperplane_annulus"):
+            def counted(*args, _fn=getattr(ps, name)):
+                generators.append((args[-3], len(args[-1])))
+                return _fn(*args)
+            monkeypatch.setattr(ps, name, counted)
+        records = [dataclasses.replace(estimate(), runtime_ms=0.0) for estimate in estimates]
+        # a round starts at t_lo = 0; in some round of several replications some stop blocks before others
+        starts = [i for i, (t_lo, _) in enumerate(generators) if t_lo == 0.0] + [len(generators)]
+        shared = [{k for _, k in generators[a:b]} for a, b in zip(starts, starts[1:]) if generators[a][1] > 1]
+        assert bool(shared) == (n_rays < 33 or round_size == ROUND)
+        assert not shared or any(len(sizes) > 1 for sizes in shared)
+        monkeypatch.setattr(vis, "_ROUND_REPS", 1)
+        assert [dataclasses.replace(estimate(), runtime_ms=0.0) for estimate in estimates] == records
+
     def test_estimators_sample_one_annulus_per_block(self, monkeypatch):
-        # the many-ray sweep draws each block through the one-generator annulus samplers, where
-        # benchmarks/tracer.py times them; _block_end runs once per block of every sweep
-        calls = dict.fromkeys(("sample_boolean_annulus", "sample_hyperplane_annulus", "_block_end"), 0)
+        # the many-ray sweep draws each block of a round in one call of the annulus samplers, looked up
+        # as procsim attributes, where benchmarks/tracer.py times them; _block_end runs once per block of
+        # every sweep. 20 replications of 10 rays make two rounds, of 16 and 4 replications.
+        calls = {"sample_boolean_annulus": [], "sample_hyperplane_annulus": [], "_block_end": []}
         for module, name in ((ps, "sample_boolean_annulus"), (ps, "sample_hyperplane_annulus"), (vis, "_block_end")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args[-1])  # a sampler's generators, or a block's t_lo
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        vis.estimate_visible_volume(2, 2.5, cf.FixedRadius(0.5), 20, 10, None, 2.5, 16)
-        assert calls["sample_boolean_annulus"] == calls["_block_end"] >= 20 and calls["sample_hyperplane_annulus"] == 0
-        calls.update(dict.fromkeys(calls, 0))
-        vis.estimate_zero_cell_volume(2, 3.0, 20, 10, 2.5, 17)
-        assert calls["sample_hyperplane_annulus"] == calls["_block_end"] >= 20 and calls["sample_boolean_annulus"] == 0
+        for estimate, sampler, other in (
+            (partial(vis.estimate_visible_volume, 2, 2.5, cf.FixedRadius(0.5), 20, 10, None, 2.5, 16),
+             "sample_boolean_annulus", "sample_hyperplane_annulus"),
+            (partial(vis.estimate_zero_cell_volume, 2, 3.0, 20, 10, 2.5, 17),
+             "sample_hyperplane_annulus", "sample_boolean_annulus"),
+        ):
+            for seen in calls.values():
+                seen.clear()
+            estimate()
+            sizes = [len(rngs) for rngs in calls[sampler]]
+            assert len(sizes) == len(calls["_block_end"]) and not calls[other]
+            assert sizes[0] == max(sizes) == 16 and 4 in sizes
 
     def test_resource_guard_raises_inside_a_round(self):
         # the 1e-6 floor on a block's width puts ~2e9 expected planes into the first block
