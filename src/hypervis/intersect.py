@@ -7,8 +7,9 @@ center-to-center direction with
 cos(alpha) = (cosh r1 cosh D - cosh r2) / (sinh r1 sinh D),
 the hyperbolic law of cosines. The estimator draws a round of realizations
 at once, each from its own generator and in its own order
-(procsim.sample_boolean_windows), and one kernel call counts the crossing
-points inside the window for all grain pairs of the round. The law of
+(procsim.sample_boolean_annulus), pads each realization's grains to one row
+of the round, and one kernel call counts the crossing points inside the
+window for all grain pairs of the round. The law of
 cosines runs only on the pairs whose centers are close enough to cross, by
 a test that keeps every pair the formula could call crossing or tangent, so
 the counts are those of the formula evaluated on every pair. Higher
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import islice
 
 import numpy as np
 
 from . import closedform, procsim
 from .closedform import GrainLaw, ball_volume
-from .rng import stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
+from .rng import rounds, stream  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 from .visibility import _ROUND_REPS, EstimateRecord, check_replications, make_record
 
 _TANGENCY_TOL = 1e-12
@@ -103,6 +103,13 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
     return (int(counts[0]) if not lead else counts.reshape(lead)), tangent
 
 
+def _rows(counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The rows of flat, counts[i] of them for realization i, as shape (realizations, max count, ...) padded by 0."""
+    out = np.zeros((len(counts), counts.max(initial=0)) + flat.shape[1:])
+    out[np.arange(out.shape[1]) < counts[:, None]] = flat
+    return out
+
+
 def _round_size(gamma: float, law: GrainLaw, r_win: float) -> int:
     """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most _ROUND_REPS."""
     grains = gamma * float(ball_volume(2, r_win + law.max_radius))
@@ -124,16 +131,21 @@ def estimate_intersection_density(
     stream(seed, i), whatever round it falls in.
     """
     check_replications(n_reps)
+    if not r_win > 0:
+        raise ValueError(f"window radius must be > 0, got {r_win}")
     t0 = time.perf_counter()
     with np.errstate(over="ignore"):  # a window too wide for a float holds inf grains, which _round_size refuses
         size = _round_size(gamma, law, r_win)
         area = float(ball_volume(2, r_win))
     counts = np.empty(n_reps)
     tangent_pairs = 0
-    gens = streams(seed, count=n_reps)
-    for first in range(0, n_reps, size):
-        rngs = list(islice(gens, size))
-        c, t = _count_crossings_vectorized(*procsim.sample_boolean_windows(2, gamma, law, r_win, rngs), r_win)
+    t_hi = r_win + law.max_radius
+    for first, rngs in rounds(seed, n_reps, size):
+        dists, dirs, radii, grains = procsim.sample_boolean_annulus(
+            2, gamma, law, 0.0, [t_hi] * len(rngs), rngs, drop_covering=False
+        )
+        centers = procsim.points_from_polar(dists, dirs)
+        c, t = _count_crossings_vectorized(_rows(grains, centers), _rows(grains, radii), r_win)
         counts[first : first + len(rngs)] = c
         tangent_pairs += t
     if tangent_pairs:

@@ -12,19 +12,17 @@ base point and stop as soon as no farther obstacle can matter; restricting a
 Poisson process to a region is again Poisson, so the sweep is exact.
 
 The annulus samplers (sample_boolean_annulus, sample_hyperplane_annulus)
-serve the many-ray sweep. The cap samplers (sample_boolean_cap_annuli,
-sample_hyperplane_cap_annuli) serve a single ray: they draw only the
-obstacles whose direction lies in the cap from which the ray can be reached,
-each by its distance and the versine of its angle to the ray, again an exact
-Poisson restriction. Both serve a round of replications at once: each
-replication keeps its own generator and makes its own draws in its own order,
-the radial inverse runs once over all of the round's draws, and each
-replication's obstacles fill one row, padded to the round's largest count
-(given one generator, the annulus samplers return its one row). The window samplers of the windowed
-estimators (sample_boolean_windows for the intersection density,
-sample_hyperplane_windows for the segment crossings) serve a round the same
-way; each generator draws exactly what sample_boolean (unconditioned) or
-sample_hyperplanes draws from it.
+serve the many-ray sweep and the intersection density. The cap samplers
+(sample_boolean_cap_annuli, sample_hyperplane_cap_annuli) serve a single ray:
+they draw only the obstacles whose direction lies in the cap from which the
+ray can be reached, each by its distance and the versine of its angle to the
+ray, again an exact Poisson restriction. sample_hyperplane_windows serves the
+segment crossings. Each of them draws a round of replications at once, from
+one generator per replication: each generator makes its own draws in its own
+order, and the radial inverse runs once over all of the round's draws. They
+return each per-obstacle array flat, the obstacles of the generators
+concatenated in generator order, followed by one obstacle count per
+generator.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -217,11 +215,9 @@ def _annulus_counts(gamma: float, scale: float, n: int, sign: int, t_lo: float, 
     return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, means)], dtype=int)
 
 
-def _padded(counts: np.ndarray, flat: np.ndarray, fill: float) -> np.ndarray:
-    """The rows of flat, counts[i] of them for generator i, as shape (generators, max count, ...) padded with fill."""
-    out = np.full((len(counts), counts.max(initial=0)) + flat.shape[1:], fill)
-    out[np.arange(out.shape[1]) < counts[:, None]] = flat
-    return out
+def _kept(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """How many draws each generator keeps, of counts[i] draws by generator i concatenated in generator order."""
+    return np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +236,21 @@ def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Gener
     return points_from_polar(dists, unit_vectors(d, rng, n))
 
 
-def sample_boolean_cap_annuli(
-    d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grains of sample_boolean_annulus that can meet a ray, for each generator: (distances, versines, radii).
+def sample_boolean_cap_annuli(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
+    """The grains of sample_boolean_annulus that can meet a ray: (distances, versines, radii, counts).
 
     The versine is 1 - cos theta, with theta the angle between the ray and the
     grain's center direction. Only grains in the cap of
     grain_cap_gap(law.max_radius, t_lo) are drawn (see cap_versines), and
-    grains covering the base point are deleted. Rows are padded by grains at
-    infinite distance with versine 1 and radius 0, which never hit.
+    grains covering the base point are deleted.
     """
     gap = grain_cap_gap(law.max_radius, t_lo)
     counts = _annulus_counts(gamma, omega(d) * cap_share(d, gap), d - 1, -1, t_lo, t_hi, rngs)
-    if not counts.any():
-        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0)), np.empty((len(rngs), 0))
     dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
     versines, keep = cap_versines(d, gap, rngs, counts)
     radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
     keep &= dists > radii
-    counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
-    return _padded(counts, dists[keep], np.inf), _padded(counts, versines[keep], 1.0), _padded(counts, radii[keep], 0.0)
+    return dists[keep], versines[keep], radii[keep], _kept(counts, keep)
 
 
 def sample_boolean_annulus(
@@ -269,50 +259,23 @@ def sample_boolean_annulus(
     law: GrainLaw,
     t_lo: float,
     t_hi,
-    rng,
+    rngs,
     drop_covering: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grains with center distance in [t_lo, t_hi): (distances, directions, radii), drawn in that order
-    after their count.
+) -> tuple[np.ndarray, ...]:
+    """Grains with center distance in [t_lo, t_hi[i]) from each generator rngs[i]: (distances,
+    directions, radii, counts), each generator drawing them in that order after its count.
 
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
-    rng may be a sequence of generators, with t_hi given per generator: each
-    draws its own grains, and each array holds one row per generator, padded
-    to the largest count by grains at infinite distance (direction 0, radius 0).
     """
-    one = isinstance(rng, np.random.Generator)
-    rngs, t_hi = ([rng], [t_hi]) if one else (rng, t_hi)
     counts = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, t_hi, rngs)
     dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
     dirs = unit_vectors(d, rngs, counts)
     radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
-    if drop_covering:
-        keep = dists > radii
-        counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
-        dists, dirs, radii = dists[keep], dirs[keep], radii[keep]
-    out = _padded(counts, dists, np.inf), _padded(counts, dirs, 0.0), _padded(counts, radii, 0.0)
-    return tuple(a[0] for a in out) if one else out
-
-
-def sample_boolean_windows(
-    d: int, gamma: float, law: GrainLaw, r_obs: float, rngs
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unconditioned sample_boolean realizations, one per generator: (centers, radii).
-
-    Each generator draws its count, distances, directions and radii in that
-    order, as sample_boolean does. centers (generators, m, d+1) and radii
-    (generators, m) hold each realization's grains in one row, padded to the
-    largest count m by zero vectors (no point of the hyperboloid) of radius 0.
-    """
-    if r_obs <= 0:
-        raise ValueError("r_obs must be > 0")
-    t_hi = [r_obs + law.max_radius] * len(rngs)
-    counts = _annulus_counts(gamma, omega(d), d - 1, -1, 0.0, t_hi, rngs)
-    dists = sample_radial_annulus(d, 0.0, t_hi, rngs, counts)
-    centers = points_from_polar(dists, unit_vectors(d, rngs, counts))
-    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
-    return _padded(counts, centers, 0.0), _padded(counts, radii, 0.0)
+    if not drop_covering:
+        return dists, dirs, radii, counts
+    keep = dists > radii
+    return dists[keep], dirs[keep], radii[keep], _kept(counts, keep)
 
 
 def sample_boolean(
@@ -333,7 +296,7 @@ def sample_boolean(
     if gamma < 0:
         raise ValueError("intensity must be >= 0")
     r_cen = r_obs + law.max_radius
-    dists, dirs, radii = sample_boolean_annulus(d, gamma, law, 0.0, r_cen, rng, drop_covering=condition_origin_free)
+    dists, dirs, radii, _ = sample_boolean_annulus(d, gamma, law, 0.0, [r_cen], [rng], condition_origin_free)
     return BooleanModelSample(
         d=d,
         centers=points_from_polar(dists, dirs),
@@ -368,36 +331,26 @@ def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_hyperplane_annulus(d: int, gamma: float, t_lo: float, t_hi, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Planes at distance in [t_lo, t_hi) from the base: (distances, unit normals).
-
-    rng may be a sequence of generators, as for sample_boolean_annulus; rows are
-    padded by planes at infinite distance with normal 0.
-    """
-    one = isinstance(rng, np.random.Generator)
-    rngs, t_hi = ([rng], [t_hi]) if one else (rng, t_hi)
+def sample_hyperplane_annulus(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
+    """Planes at distance in [t_lo, t_hi[i]) from the base, from each generator rngs[i]: (distances,
+    unit normals, counts), each generator drawing distances and then directions after its count."""
     counts = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, t_hi, rngs)
     dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
-    out = _padded(counts, dists, np.inf), _padded(counts, normals_from_polar(dists, unit_vectors(d, rngs, counts)), 0.0)
-    return tuple(a[0] for a in out) if one else out
+    return dists, normals_from_polar(dists, unit_vectors(d, rngs, counts)), counts
 
 
-def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """The planes of sample_hyperplane_annulus that can cross a ray, for each generator: (distances, versines).
+def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
+    """The planes of sample_hyperplane_annulus that can cross a ray: (distances, versines, counts).
 
     The versine is 1 - cos theta, with theta the angle between the ray and the
     plane's normal direction, oriented away from the base point. Only planes
-    in the cap cos theta > tanh t_lo are drawn (see cap_versines). Rows are
-    padded by planes at infinite distance with versine 1, which never cross.
+    in the cap cos theta > tanh t_lo are drawn (see cap_versines).
     """
     gap = plane_cap_gap(t_lo)
     counts = _annulus_counts(gamma, 2.0 * cap_share(d, gap), d - 1, 1, t_lo, t_hi, rngs)
-    if not counts.any():
-        return np.empty((len(rngs), 0)), np.empty((len(rngs), 0))
     dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
     versines, keep = cap_versines(d, gap, rngs, counts)
-    counts = np.bincount(np.repeat(np.arange(len(rngs)), counts)[keep], minlength=len(rngs))
-    return _padded(counts, dists[keep], np.inf), _padded(counts, versines[keep], 1.0)
+    return dists[keep], versines[keep], _kept(counts, keep)
 
 
 def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Generator) -> HyperplaneSample:
@@ -407,7 +360,7 @@ def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Genera
     uniform direction u and a signed offset x with density prop. to
     cosh^{d-1}|x|, giving the normal sinh(x) base + cosh(x) u.
     """
-    _, normals = sample_hyperplane_windows(d, gamma, r_obs, [rng])
+    normals, _ = sample_hyperplane_windows(d, gamma, r_obs, [rng])
     return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
 
 
@@ -416,7 +369,7 @@ _SIGNS = np.array([-1.0, 1.0])
 
 
 def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """sample_hyperplanes for each generator: (counts, unit normals concatenated in generator order).
+    """sample_hyperplanes for each generator: (unit normals, counts).
 
     Each generator draws its count, distances, signs and directions in that order.
     """
@@ -426,7 +379,7 @@ def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple
     counts = np.array([_poisson_count(rng, mean) for rng in rngs], dtype=int)
     dists = sample_plane_distances(d, 0.0, [r_obs] * len(rngs), rngs, counts)
     signs = _SIGNS[np.concatenate([rng.integers(0, 2, size=c) for rng, c in zip(rngs, counts)])]
-    return counts, normals_from_polar(dists * signs, unit_vectors(d, rngs, counts))
+    return normals_from_polar(dists * signs, unit_vectors(d, rngs, counts)), counts
 
 
 # ---------------------------------------------------------------------------

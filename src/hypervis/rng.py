@@ -19,6 +19,7 @@ grouped.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -138,3 +139,10 @@ def streams(seed: int, *prefix: int, count: int, start: int = 0) -> Iterator[np.
             lo = fast
         for i in range(lo, hi):
             yield stream(*key, i)
+
+
+def rounds(seed: int, count: int, size: int) -> Iterator[tuple[int, list[np.random.Generator]]]:
+    """Yield (first index, its generators) for each round of size generators of streams(seed, count=count)."""
+    gens = streams(seed, count=count)
+    for first in range(0, count, size):
+        yield first, list(islice(gens, size))

@@ -43,9 +43,10 @@ obstacles per block: 512 (_ROUND_REPS) for the single-ray range samplers,
 16 for the estimators with up to 256 rays, fewer beyond. A round shares each
 block's bounds and one sampler call (one radial inverse over all its draws),
 while each replication keeps its own generator and makes exactly its own
-draws in its own order. A single-ray round shares one kernel call too; with
-many rays each replication makes the kernel call it would make alone, as a
-padded or batched matrix product can move the last bits of a hit. The
+draws in its own order. A single-ray round shares one kernel call too, with
+one hit per obstacle; with many rays each replication casts its rays through
+its own slice of the round's obstacles, the kernel call it would make alone,
+as a batched matrix product can move the last bits of a hit. The
 segment-crossing estimator draws rounds of _ROUND_REPS windows the same way
 and casts its segment through all of a round's planes at once.
 
@@ -64,7 +65,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -72,7 +72,7 @@ import numpy as np
 from . import closedform, procsim
 from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power_integral_at, power_integral_inverse
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
-from .rng import stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
+from .rng import rounds, stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,6 @@ def check_replications(n_reps: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _obstacle_index(k: np.ndarray, shape: tuple) -> np.ndarray:
-    """Flat obstacle index of each flat pair index k of a (rays, obstacles) or (reps, rays, obstacles) matrix."""
-    m = shape[-1]
-    return k // (shape[-2] * m) * m + k % m
-
-
 def grain_hits_from_base(
     dirs: np.ndarray, g_dist: np.ndarray, g_dir: np.ndarray, g_rad: np.ndarray
 ) -> np.ndarray:
@@ -163,23 +157,21 @@ def grain_hits_from_base(
 
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
-    Leading axes broadcast as in matmul: the sweep passes dirs of shape
-    (1, rays, d) and grains of shape (1, grains[, d]) and gets (1, rays, grains).
 
     A hit needs the grain inside the cone cos theta > 0,
     sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1 around the ray. The cone test
     runs on every pair with a slack that exceeds the rounding of the exact
     test; the transcendentals run only on the pairs inside it.
     """
-    cos_raw = dirs @ np.swapaxes(g_dir, -1, -2)
+    cos_raw = dirs @ g_dir.T
     sinh_d = np.sinh(g_dist)
     cosh_r = np.cosh(g_rad)
     lim = np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - ((1.0 + 4e-15) * cosh_r**2 - 1.0) / sinh_d**2)) - 1e-9
-    k = np.flatnonzero(cos_raw > np.maximum(lim, 0.0)[..., None, :])  # flat indices of the pairs in the cone
-    gi = _obstacle_index(k, cos_raw.shape)
+    k = np.flatnonzero(cos_raw > np.maximum(lim, 0.0))  # flat indices of the pairs in the cone
+    gi = k % len(g_dist)
     # clip is monotone and lim < 1, so clipping cannot move a pair across the cone test
     cos_t = np.minimum(cos_raw.ravel()[k], 1.0)
-    g_dist, sinh_d, cosh_r = g_dist.ravel()[gi], sinh_d.ravel()[gi], cosh_r.ravel()[gi]
+    g_dist, sinh_d, cosh_r = g_dist[gi], sinh_d[gi], cosh_r[gi]
     out = np.full(cos_raw.shape, np.inf)
     out.ravel()[k] = _grain_hit(cos_t, 1.0 - cos_t, 1.0 - cos_t**2, g_dist, sinh_d, cosh_r)
     return out
@@ -197,18 +189,15 @@ def _grain_hit(cos_t, vers, sin2, g_dist, sinh_d, cosh_r) -> np.ndarray:
 def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Crossing parameters, shape (rays, planes), inf when the ray never crosses.
 
-    Leading axes broadcast as for grain_hits_from_base: dirs (1, rays, d) and
-    normals (1, planes, d+1) give (1, rays, planes).
-
     The ray crosses where tanh t = rho = n_0 / <u, n> lies in (0, 1), which
     needs |<u, n>| > |n_0| with equal signs. Each normal is oriented to
     n_0 >= 0 (it is the same plane), so that test is one comparison per pair,
     and rho and arctanh run only on the pairs that pass it.
     """
-    oriented = np.where(normals[..., :1] < 0.0, -normals, normals)
-    un, n0 = dirs @ np.swapaxes(oriented[..., 1:], -1, -2), oriented[..., 0]
-    k = np.flatnonzero(un > n0[..., None, :])  # flat indices of the pairs that can cross
-    rho = n0.ravel()[_obstacle_index(k, un.shape)] / un.ravel()[k]
+    oriented = np.where(normals[:, :1] < 0.0, -normals, normals)
+    un, n0 = dirs @ oriented[:, 1:].T, oriented[:, 0]
+    k = np.flatnonzero(un > n0)  # flat indices of the pairs that can cross
+    rho = n0[k % len(n0)] / un.ravel()[k]
     cross = (rho > 0.0) & (rho < 1.0)
     out = np.full(un.shape, np.inf)
     out.ravel()[k[cross]] = np.arctanh(rho[cross])
@@ -256,8 +245,8 @@ class _ObstacleProcess:
     sign: int
     scale: float
     margin: float
-    annulus: Callable  # (t_lo, t_hi per replication, rngs) -> padded obstacle arrays, distances first
-    hits: Callable  # (dirs, *obstacle arrays) -> hit parameters, shape (reps, rays, obstacles)
+    annulus: Callable  # (t_lo, t_hi per replication, rngs) -> flat obstacle arrays, distances first, then counts
+    hits: Callable  # ([dirs,] *obstacle arrays) -> hit parameters, (rays, obstacles) or, without dirs, (obstacles,)
     target: int
     share: Callable[[float], float] = _whole
 
@@ -278,9 +267,9 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
     once no farther obstacle can shorten any of its rays. The replications
     still sweeping share each block's bounds (only a replication's last block
     ends early, at its own stop) and its sampler call. With one ray each they
-    share its kernel call too, on the padded rows; with many rays each casts
-    only its live rays through only its own obstacles, unpadded, so that its
-    kernel call is the one it would make alone.
+    share its kernel call too, whose hits are reduced per replication; with
+    many rays each casts only its live rays through only its own obstacles,
+    so that its kernel call is the one it would make alone.
     """
     n, sign = proc.d - 1, proc.sign
     best = np.full(dirs.shape[:2], cutoff)
@@ -299,43 +288,42 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             raise ValueError(f"sweep depth {t_lo:.6g} is beyond double precision (see max_sweep_depth)")
         reach = _block_end(n, sign, proc.target / (proc.gamma * proc.scale * share), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + 1e-6)
-        obstacles = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
+        *obstacles, counts = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
+        starts = np.cumsum(counts) - counts
         if dirs.shape[1] > 1:
             # Rays whose range is already below t_lo - margin cannot be shortened by this block.
             live = ranges > t_lo - proc.margin - 1e-9
-            for j, m in enumerate(np.count_nonzero(np.isfinite(obstacles[0]), axis=1)):  # padding lies at inf
+            for j, (lo, m) in enumerate(zip(starts, counts)):
                 r, rays = reps[j], np.flatnonzero(live[j])
                 if m and len(rays):
-                    own = [a[j : j + 1, :m] for a in obstacles]
-                    best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays][None], *own).min(axis=2)[0])
-        elif obstacles[0].shape[1]:  # the cap kernels take the round's padded rows
-            best[reps] = np.minimum(ranges, proc.hits(dirs[reps], *obstacles).min(axis=2))
+                    own = [a[lo : lo + m] for a in obstacles]
+                    best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays], *own).min(axis=1))
+        elif counts.any():
+            some = counts > 0  # reduceat would give a replication without obstacles its successor's first hit
+            nearest = np.minimum.reduceat(proc.hits(*obstacles), starts[some])
+            best[reps[some], 0] = np.minimum(ranges[some, 0], nearest)
         t_lo = max(reach, t_lo + 1e-6)
 
 
-def _cap_grain_hits(dirs, g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
-    """Hit parameters (reps, 1, grains) of one ray per replication, from the versines 1 - cos theta of
-    the grains' angles to it; by isotropy the ray's direction does not enter."""
-    out = np.full(g_dist.shape, np.inf)
-    k = np.isfinite(g_dist)  # the padding lies at infinite distance
-    g_dist, vers = g_dist[k], vers[k]
-    out[k] = _grain_hit(1.0 - vers, vers, vers * (2.0 - vers), g_dist, np.sinh(g_dist), np.cosh(g_rad[k]))
-    return out[:, None, :]
+def _cap_grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
+    """Hit parameters of a ray on each grain, from the versines 1 - cos theta of the grains' angles to
+    it; by isotropy the ray's direction does not enter."""
+    return _grain_hit(1.0 - vers, vers, vers * (2.0 - vers), g_dist, np.sinh(g_dist), np.cosh(g_rad))
 
 
-def _cap_plane_hits(dirs, p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
-    """Crossing parameters (reps, 1, planes) of one ray per replication, from the versines w of the
-    angles between it and the planes' normals.
+def _cap_plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
+    """Crossing parameters of a ray on each plane, from the versines w of the angles between it and
+    the planes' normals.
 
     The ray crosses the plane at distance t where tanh s = tanh t / cos theta,
     that is at s = log((2 - g - w) / (g - w)) / 2 with g = 1 - tanh t, if w < g.
     Versines keep this precise where cos theta and tanh t both round to 1.
     """
-    g = procsim.plane_cap_gap(p_dist)  # 0 on the padding, whose versine is 1
+    g = procsim.plane_cap_gap(p_dist)
     out = np.full(p_dist.shape, np.inf)
     k = vers < g
     out[k] = 0.5 * np.log((2.0 - g[k] - vers[k]) / (g[k] - vers[k]))
-    return out[:, None, :]
+    return out
 
 
 # The sweep over each process under its own name; benchmarks/tracer.py times
@@ -377,9 +365,7 @@ def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: 
     round starts.
     """
     size = max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
-    gens = streams(seed, count=n_reps)
-    for first in range(0, n_reps, size):
-        rngs = list(islice(gens, size))
+    for first, rngs in rounds(seed, n_reps, size):
         dirs = procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(len(rngs), n_rays, d)
         yield first, ranges(dirs, cutoff, rngs)
 
@@ -492,13 +478,10 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     direction = np.zeros((1, d))
     direction[0, 0] = 1.0
     counts = np.empty(n_reps)
-    gens = streams(seed, count=n_reps)
-    for first in range(0, n_reps, _ROUND_REPS):
-        rngs = list(islice(gens, _ROUND_REPS))
-        planes, normals = procsim.sample_hyperplane_windows(d, gamma, length, rngs)
+    for first, rngs in rounds(seed, n_reps, _ROUND_REPS):
+        normals, planes = procsim.sample_hyperplane_windows(d, gamma, length, rngs)
         crossed = plane_hits_from_base(direction, normals)[0] <= length
-        rep = np.repeat(np.arange(len(rngs)), planes)
-        counts[first : first + len(rngs)] = np.bincount(rep[crossed], minlength=len(rngs))
+        counts[first : first + len(rngs)] = procsim._kept(planes, crossed)
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length
     return make_record("segment_crossings", d, gamma, None, counts, closed, seed, t0, n_rays=1)
 

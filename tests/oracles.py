@@ -177,7 +177,7 @@ def sample_boolean_rejected(d: int, gamma: float, law, r_obs: float, rng: np.ran
         )
     r_cen = r_obs + law.max_radius
     while True:
-        dists, dirs, radii = procsim.sample_boolean_annulus(d, gamma, law, 0.0, r_cen, rng, drop_covering=False)
+        dists, dirs, radii, _ = procsim.sample_boolean_annulus(d, gamma, law, 0.0, [r_cen], [rng], drop_covering=False)
         if not np.any(dists <= radii):
             centers = procsim.points_from_polar(dists, dirs)
             return BooleanModelSample(d, centers, radii, r_cen, law.max_radius, conditioned=True)

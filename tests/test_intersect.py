@@ -219,7 +219,15 @@ class TestRounds:
         assert count_crossings_dense(centers[1], radii[1], 3.0) == (0, 1)
 
     def test_tangent_pair_raises(self, monkeypatch):
-        centers, radii = self._crafted_round()
-        monkeypatch.setattr(ps, "sample_boolean_windows", lambda d, gamma, law, r_obs, rngs: (centers, radii))
+        # the grains of _crafted_round as the sampler draws them: (distances, directions, radii, counts)
+        dists, phis, radii = np.array([[0.5, 0.5, 0.0, 1.2, 0.3], [0.0, math.pi, 0.0, 0.0, 1.0], [0.6, 0.6, 0.5, 0.7, 0.4]])
+        round_ = dists, np.stack([np.cos(phis), np.sin(phis)], axis=1), radii, np.array([2, 2, 1])
+        monkeypatch.setattr(ps, "sample_boolean_annulus", lambda *args, **kwargs: round_)
         with pytest.raises(RuntimeError, match="observed 1 tangent pairs"):
             intersect.estimate_intersection_density(1.0, cf.FixedRadius(0.5), 3.0, 3, seed=0)
+
+    @pytest.mark.parametrize("r_win", [0.0, -1.0])
+    def test_window_must_be_wider_than_zero(self, r_win, monkeypatch):
+        monkeypatch.setattr(ps, "sample_boolean_annulus", None)  # refused before any draw
+        with pytest.raises(ValueError, match="window radius must be > 0"):
+            intersect.estimate_intersection_density(1.0, cf.FixedRadius(0.5), r_win, 3, seed=0)

@@ -157,29 +157,8 @@ class TestSampleBoolean:
         rotated = [nearest(ps.sample_boolean(2, 1.0, law, 2.0, stream(14, i)), True) for i in range(800)]
         assert ks_2samp(plain, rotated).pvalue > 0.01
 
-    def test_windows_match_one_generator(self):
-        # each row of a round is the unconditioned window sample_boolean draws from that generator, then padding
-        gamma, law, r_obs = 0.1, cf.UniformRadius(0.2, 0.8), 1.5
-        centers, radii = ps.sample_boolean_windows(2, gamma, law, r_obs, [stream(22, i) for i in range(8)])
-        grains = []
-        for i in range(8):
-            one = ps.sample_boolean(2, gamma, law, r_obs, stream(22, i), condition_origin_free=False)
-            n = one.n_grains
-            grains.append(n)
-            assert np.array_equal(centers[i, :n], one.centers) and np.array_equal(radii[i, :n], one.radii)
-            assert not centers[i, n:].any() and not radii[i, n:].any()
-        assert min(grains) <= 1 and centers.shape[1] == max(grains)
-
 
 class TestSampleHyperplanes:
-    def test_windows_match_one_generator(self):
-        # a generator's planes do not depend on the round it is drawn in
-        counts, normals = ps.sample_hyperplane_windows(3, 0.5, 1.0, [stream(23, i) for i in range(8)])
-        rows = np.split(normals, np.cumsum(counts)[:-1])
-        for i in range(8):
-            assert np.array_equal(rows[i], ps.sample_hyperplanes(3, 0.5, 1.0, stream(23, i)).normals)
-        assert 0 in counts
-
     def test_signs_are_the_draws_of_choice(self):
         # the window sampler draws its plane signs as _SIGNS[rng.integers(0, 2, size=c)]: the values of
         # rng.choice([-1.0, 1.0], size=c), the pinned records' draws, and the same generator state after them
@@ -314,19 +293,19 @@ class TestDirectionCaps:
         gamma, law, t_lo, t_hi, n = 2.0, cf.UniformRadius(0.2, 0.6), 0.8, 1.6, 3000
         ray = np.eye(d)[:1]
 
-        def agree(full, capped):
-            # full: the ray's hits among all obstacles, per stream; capped: hit matrix (streams, 1, obstacles)
-            full, capped = np.asarray(full), np.isfinite(capped).sum(axis=(1, 2))
+        def agree(full, capped, counts):
+            # full: the ray's hits among all obstacles, per stream; capped: its hit on each capped obstacle
+            full, capped = np.asarray(full), ps._kept(counts, np.isfinite(capped))
             se = math.sqrt((np.var(full) + np.var(capped)) / n)
             assert np.mean(capped) > 0.2 and abs(np.mean(full) - np.mean(capped)) < 4 * se
 
-        grains = [ps.sample_boolean_annulus(d, gamma, law, t_lo, t_hi, rng) for rng in streams(81, d, n)]
-        capped = ps.sample_boolean_cap_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(82, d, n))
-        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._cap_grain_hits(None, *capped))
-        planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, t_hi, rng) for rng in streams(83, d, n)]
-        capped = ps.sample_hyperplane_cap_annuli(d, gamma, t_lo, [t_hi] * n, streams(84, d, n))
-        agree([np.isfinite(vis.plane_hits_from_base(ray, normals)).sum() for _, normals in planes],
-              vis._cap_plane_hits(None, *capped))
+        grains = [ps.sample_boolean_annulus(d, gamma, law, t_lo, [t_hi], [rng])[:3] for rng in streams(81, d, n)]
+        *capped, counts = ps.sample_boolean_cap_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(82, d, n))
+        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._cap_grain_hits(*capped), counts)
+        planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, [t_hi], [rng]) for rng in streams(83, d, n)]
+        *capped, counts = ps.sample_hyperplane_cap_annuli(d, gamma, t_lo, [t_hi] * n, streams(84, d, n))
+        agree([np.isfinite(vis.plane_hits_from_base(ray, normals)).sum() for _, normals, _ in planes],
+              vis._cap_plane_hits(*capped), counts)
 
     def test_capped_kernels_are_exact_deep_out(self, rng):
         # obstacles out to distance 30 at versine w from the ray, where cos theta and tanh t round to 1
@@ -346,8 +325,8 @@ class TestDirectionCaps:
         dist, rad = rng.uniform(0.6, 30.0, n), rng.uniform(0.1, 0.5, n)
         plane_vers = ps.plane_cap_gap(dist) * rng.uniform(0.0, 1.2, n)
         grain_vers = np.array([ps.grain_cap_gap(0.5, t) for t in dist]) * rng.uniform(0.0, 1.2, n)
-        planes = vis._cap_plane_hits(None, dist[None], plane_vers[None])[0, 0]
-        grains = vis._cap_grain_hits(None, dist[None], grain_vers[None], rad[None])[0, 0]
+        planes = vis._cap_plane_hits(dist, plane_vers)
+        grains = vis._cap_grain_hits(dist, grain_vers, rad)
         for got, want in ((planes, [crossing(t, w) for t, w in zip(dist, plane_vers)]),
                           (grains, [hit(t, w, r) for t, w, r in zip(dist, grain_vers, rad)])):
             want = np.array(want, dtype=float)
@@ -358,3 +337,27 @@ class TestDirectionCaps:
 
 def streams(seed, d, n):
     return [stream(seed, d, i) for i in range(n)]
+
+
+# Every sampler of a round of replications, as (generators, t_hi per generator) -> its arrays and counts.
+LAW, T_LO = cf.UniformRadius(0.2, 0.8), 0.5
+ROUND_SAMPLERS = {
+    "boolean-annulus": lambda rngs, t_hi: ps.sample_boolean_annulus(4, 1.0, LAW, T_LO, t_hi, rngs),
+    "boolean-annulus-undeleted": lambda rngs, t_hi: ps.sample_boolean_annulus(4, 1.0, LAW, T_LO, t_hi, rngs, False),
+    "boolean-cap": lambda rngs, t_hi: ps.sample_boolean_cap_annuli(4, 1.0, LAW, T_LO, t_hi, rngs),
+    "hyperplane-annulus": lambda rngs, t_hi: ps.sample_hyperplane_annulus(4, 2.0, T_LO, t_hi, rngs),
+    "hyperplane-cap": lambda rngs, t_hi: ps.sample_hyperplane_cap_annuli(4, 3.0, T_LO, t_hi, rngs),
+    "hyperplane-windows": lambda rngs, t_hi: ps.sample_hyperplane_windows(4, 0.6, 1.0, rngs),
+}
+
+
+@pytest.mark.parametrize("sampler", ROUND_SAMPLERS.values(), ids=ROUND_SAMPLERS.keys())
+def test_round_layout(sampler):
+    # a round returns each generator's lone draws, flat and concatenated in generator order, then a count per
+    # generator. The first annulus is 1e-9 wide, so its generator draws no obstacles (the windows: some generator).
+    t_hi = [T_LO + 1e-9] + [T_LO + 0.1 * i for i in range(1, 8)]
+    *arrays, counts = sampler([stream(25, i) for i in range(8)], t_hi)
+    assert 0 in counts and counts.max() > 1 and all(len(a) == counts.sum() for a in arrays)
+    for i, rows in enumerate(zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in arrays))):
+        *alone, count = sampler([stream(25, i)], t_hi[i : i + 1])
+        assert count.tolist() == [counts[i]] and all(np.array_equal(r, a) for r, a in zip(rows, alone))

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hypervis import intersect
+from hypervis import intersect, procsim
+from hypervis.closedform import FixedRadius
+from hypervis.rng import stream
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -42,3 +44,13 @@ def test_crossing_kernel_exists():
     assert callable(intersect._count_crossings_vectorized)
     counts, tangents = intersect._count_crossings_vectorized(np.zeros((0, 3)), np.zeros(0), 1.0)
     assert (counts, tangents) == (0, 0)
+
+
+def test_annulus_work_counts_obstacles():
+    # the tracer counts an annulus sampler's work as the length of its first array: the round's obstacles
+    tracer = _load_tracer()
+    rngs = [stream(26, i) for i in range(5)]
+    rounds = (procsim.sample_boolean_annulus(3, 1.0, FixedRadius(0.5), 0.5, [1.5] * 5, rngs),
+              procsim.sample_hyperplane_annulus(3, 1.0, 0.5, [1.5] * 5, rngs))
+    for out in rounds:
+        assert tracer._first_len(None, out) == out[-1].sum() > len(rngs)
