@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -144,6 +145,15 @@ class ExperimentConfig:
                     f"{q.mean} is infinite at range rate a = {a:.6g} <= d-1 = {self.d - 1}; "
                     f"finiteness needs gamma > {(self.d - 1) * self.gamma / a:.6g}"
                 )
+            if q.sweep and q.replicated:  # the ray-volume averages: ranges of mean 1/a give volumes near vol B(1/a)
+                a = self.range_rate()
+                with np.errstate(over="ignore", invalid="ignore"):  # a long mean range has volume inf or nan
+                    volume = float(closedform.ball_volume(self.d, 1.0 / a)) if a > 0 else math.inf
+                if volume < sys.float_info.min:
+                    raise UsageError(
+                        f"{self.quantity} averages ray volumes near vol B(1/a) = {volume:.3g} at mean range "
+                        f"1/a = {1.0 / a:.6g}, which underflows double precision; every estimate would read 0"
+                    )
             depth = self.cutoff + (self.law.max_radius if q.law else 0.0)
             if q.sweep and depth > visibility.max_sweep_depth(self.d):
                 raise UsageError(
@@ -210,6 +220,15 @@ def _window(c: ExperimentConfig) -> None:
             raise UsageError(f"rwin must be > 0 with a window area > 0, got {c.r_win}")
 
 
+def _grain_cap(c: ExperimentConfig) -> None:
+    m = c.law.max_radius
+    if procsim.cap_share(c.d, procsim.grain_cap_gap(m, c.cutoff + m)) == 0.0:
+        raise UsageError(
+            f"grain radius {m:g} is too small for the single-ray sweep to cutoff {c.cutoff:g}: the directions from "
+            f"which a grain at depth {c.cutoff + m:.6g} can reach the ray have share 0 in double precision"
+        )
+
+
 QUANTITIES = {
     "visvol": Quantity(
         lambda c: visibility.estimate_visible_volume(c.d, c.gamma, c.law, c.n_reps, c.n_rays, None, c.cutoff, c.seed),
@@ -223,7 +242,7 @@ QUANTITIES = {
     ),
     "cdf_boolean": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_visibility_ranges(c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed)),
-        law=True, sweep=True,
+        law=True, sweep=True, check=_grain_cap,
     ),
     "cdf_tessellation": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_zero_cell_ranges(c.d, c.gamma, c.n_reps, c.cutoff, c.seed)),

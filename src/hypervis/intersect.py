@@ -1,20 +1,19 @@
 """Monte Carlo check of the intersection density of grain boundaries in the
 hyperbolic plane (d = 2 only).
 
-Two circles with center distance D cross transversally iff
-|r1 - r2| < D < r1 + r2; the crossing points sit at angle +-alpha off the
-center-to-center direction with
-cos(alpha) = (cosh r1 cosh D - cosh r2) / (sinh r1 sinh D),
-the hyperbolic law of cosines. The estimator draws a round of realizations
-at once, each from its own generator and in its own order
-(procsim.sample_boolean_annulus), pads each realization's grains to one row
-of the round, and one kernel call counts the crossing points inside the
-window for all grain pairs of the round. The law of
-cosines runs only on the pairs whose centers are close enough to cross, by
-a test that keeps every pair the formula could call crossing or tangent, so
-the counts are those of the formula evaluated on every pair. Higher
-dimensions would need d mutually intersecting hyperspheres and are out of
-scope.
+In the hyperboloid model the circle of radius r about c is the linear
+condition <p, c> = -cosh r, so two circles cross where two such conditions
+meet the sheet <p, p> = -1, p_0 > 0: in two points iff their Gram
+determinant, sinh^2 r_i sinh^2 D sin^2 alpha (D the center distance, alpha
+the points' angle off the center-to-center direction), is positive. The
+estimator draws a round of realizations at once, each from its own
+generator and in its own order (procsim.sample_boolean_annulus), pads each
+realization's grains to one row of the round, and one kernel call counts
+the crossing points inside the window for all grain pairs of the round. It
+solves only the pairs whose centers are close enough to cross, by a test
+that keeps every pair the solve could call crossing or tangent, so the
+counts are those of the solve on every pair. Higher dimensions would need
+d mutually intersecting hyperspheres and are out of scope.
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ def _crossing_bound(radii: np.ndarray) -> float:
     """A bound on cosh D beyond which no pair of grains with these radii (> 0) comes within
     _TANGENCY_TOL of crossing, rounding included: (1 + slack) cosh(2m), m the largest radius.
 
-    Past cosh D = C = cosh(r_i + r_j), cos alpha - 1 is convex in cosh D and grows
-    at least like (cosh D / C - 1) C sinh r_j / (sinh r_i sinh^2(r_i + r_j)); the
-    tolerance and the rounding of cos alpha, about 1e-16 coth r_i, add up to
-    about 1e-12 coth r_i. So the slack 1e-9 cosh(2m) cosh(m) / sinh(r_min) is
-    about a thousand times what is needed.
+    det = (C+ - cosh D)(cosh D - C-) with C+- = cosh(r_i +- r_j), so past C+ the value
+    -sin^2 alpha >= (1 - C+ / cosh D) 2 sinh r_j / (sinh r_i C+) is at least about 2e-9 coth r_i
+    at cosh D = (1 + slack) C+, slack 1e-9 cosh(2m) cosh(m) / sinh(r_min). The tolerance,
+    2e-12, and the rounding of sin^2 alpha, at most about 1e-15 / sinh^2 r_i, stay below a
+    hundredth of that for radii above 1e-4.
     """
     r_min, m = float(radii.min()), float(radii.max())
     if not r_min > 0.0:
@@ -61,9 +60,14 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
     points come per realization (an int for a single one); the tangent pairs
     are summed over all of them.
 
-    cosh D comes from one Minkowski Gram matrix per realization, and cosh r,
-    sinh r are evaluated once per grain. The law of cosines runs only on the
-    pairs with 1 < cosh D < _crossing_bound(radii).
+    C = cosh D comes from one Minkowski Gram matrix per realization, and a = cosh r,
+    sinh r are evaluated once per grain. Only pairs with 1 < C < _crossing_bound(radii) are
+    solved: sin^2 alpha = det / (sinh^2 r_i (C^2 - 1)) decides crossing and tangency, with
+    det = 1 + 2 C a_i a_j - C^2 - a_i^2 - a_j^2 taken as (sinh r_i sinh r_j)^2 - (C - a_i a_j)^2,
+    which keeps its precision for small radii. The points solve both conditions as
+    p = a_i c_i + y (c_j - C c_i) +- t n, n normal to both centers; in this basis, which keeps
+    its precision for close centers, p_0 = a_i c_i0 + [(C a_i - a_j)(c_j0 - C c_i0)
+    +- sqrt(det) (c_i1 c_j2 - c_i2 c_j1)] / (C^2 - 1).
     """
     lead, m = radii.shape[:-1], radii.shape[-1]
     n_real = math.prod(lead)
@@ -77,29 +81,22 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
     rep, i, j = np.unravel_index(np.flatnonzero(near), near.shape)
     upper = i < j
     rep, i, j = rep[upper], i[upper], j[upper]
-    cosh_dij = cosh_d[rep, i, j]
-    sinh_dij = np.sqrt(cosh_dij**2 - 1.0)
+    c = cosh_d[rep, i, j]
     cosh_r, sinh_r = np.cosh(radii), np.sinh(radii)
-    cos_a = (cosh_r[rep, i] * cosh_dij - cosh_r[rep, j]) / (sinh_r[rep, i] * sinh_dij)
-    crossing = np.abs(cos_a) < 1.0 - _TANGENCY_TOL
-    tangent = int(np.count_nonzero(~crossing & (np.abs(cos_a) <= 1.0 + _TANGENCY_TOL)))
+    a_i, a_j, s_i, sinh2_d = cosh_r[rep, i], cosh_r[rep, j], sinh_r[rep, i], c**2 - 1.0
+    det = (s_i * sinh_r[rep, j]) ** 2 - (c - a_i * a_j) ** 2
+    sin2_a = det / (s_i**2 * sinh2_d)
+    crossing = sin2_a > 1.0 - (1.0 - _TANGENCY_TOL) ** 2
+    tangent = int(np.count_nonzero(~crossing & (sin2_a >= 1.0 - (1.0 + _TANGENCY_TOL) ** 2)))
     idx = np.flatnonzero(crossing)
     if len(idx):
-        rep, i, j = rep[idx], i[idx], j[idx]
-        ci, cj = centers[rep, i], centers[rep, j]
-        cos_a = cos_a[idx]
-        sin_a = np.sqrt(1.0 - cos_a**2)
-        cosh_dij, sinh_dij = cosh_dij[idx], sinh_dij[idx]
-        w = (cj - cosh_dij[:, None] * ci) / sinh_dij[:, None]
-        v = np.cross(ci, w)
-        v[:, 0] = -v[:, 0]
-        norm = np.sqrt(np.sum(v[:, 1:] ** 2, axis=1) - v[:, 0] ** 2)
-        v /= norm[:, None]
-        base, along = cosh_r[rep, i] * ci[:, 0], sinh_r[rep, i]
+        rep, c, a_i, a_j, sinh2_d = rep[idx], c[idx], a_i[idx], a_j[idx], sinh2_d[idx]
+        ci, cj = centers[rep, i[idx]], centers[rep, j[idx]]
+        base, along = a_i * ci[:, 0], (c * a_i - a_j) * (cj[:, 0] - c * ci[:, 0])
+        off = np.sqrt(det[idx]) * (ci[:, 1] * cj[:, 2] - ci[:, 2] * cj[:, 1])
         cosh_win = math.cosh(r_win)
-        for sign in (1.0, -1.0):
-            inside = base + along * (cos_a * w[:, 0] + sign * (sin_a * v[:, 0])) < cosh_win
-            counts += np.bincount(rep[inside], minlength=n_real)
+        for x0 in (base + (along + off) / sinh2_d, base + (along - off) / sinh2_d):
+            counts += np.bincount(rep[x0 < cosh_win], minlength=n_real)
     return (int(counts[0]) if not lead else counts.reshape(lead)), tangent
 
 

@@ -180,6 +180,14 @@ class TestConfigValidation:
             # a window whose area is 0 in double precision would give a NaN estimate, which is not valid JSON
             (["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "1e-300", "--reps", "2"],
              "rwin must be > 0 with a window area > 0, got 1e-300"),
+            # the direction cap a grain this small reaches the ray from has share 0, so the capped sweep cannot draw it
+            (["cdf_boolean", "--gamma", "1", "--grain", "fixed:1e-300", "--reps", "5", "--cutoff", "2"],
+             "grain radius 1e-300 is too small for the single-ray sweep to cutoff 2"),
+            (["cdf_boolean", "--gamma", "1", "--grain", "uniform:0,1e-200", "--reps", "5", "--cutoff", "2"],
+             "grain radius 1e-200 is too small for the single-ray sweep to cutoff 2"),
+            # ranges of mean 1/a = 1.8e-3 in d = 200 have volumes that underflow: the estimate would read 0
+            (["zero_cell", "--dim", "200", "--gamma", "1e4", "--reps", "3", "--rays", "3", "--cutoff", "1"],
+             "zero_cell averages ray volumes near vol B(1/a) = 0 at mean range 1/a = 0.00177024, which underflows"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):
@@ -198,9 +206,10 @@ class TestConfigValidation:
         assert captured.out == ""
 
     def test_zero_cell_beyond_the_factorial(self, capsys):
-        # the closed form needs (d-1)!, no float from d = 172 on
-        assert main(["estimate", "zero_cell", "--dim", "200", "--gamma", "1e4", "--reps", "3", "--rays", "3", "--cutoff", "1"]) == 0
-        assert 0.0 < json.loads(capsys.readouterr().out)["closed_form"] < math.inf
+        # the closed form needs (d-1)!, no float from d = 172 on; an estimate there is refused, since its
+        # ray volumes underflow (test_misapplied_option_is_usage_error), but the formula is still a float
+        assert main(["formula", "zero_cell_mean_volume", "d=200", "gamma=1e4"]) == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["value"] < math.inf
 
     def test_gamma_required_only_where_used(self, capsys):
         with pytest.raises(UsageError, match="needs an intensity"):

@@ -122,12 +122,24 @@ class TestCountInWindow:
         assert out.count == 6
 
     def test_vectorized_matches_scalar(self, rng):
-        for trial in range(10):
-            sample = ps.sample_boolean(2, 1.0, cf.UniformRadius(0.2, 0.8), 2.0, stream(50, trial), condition_origin_free=False)
-            scalar = count_intersections_in_window(sample, 2.0)
-            fast, tangent = intersect._count_crossings_vectorized(sample.centers, sample.radii, 2.0)
-            assert fast == scalar.count
-            assert tangent == scalar.tangencies == 0
+        # the oracles take the law of cosines, the kernel the linear conditions: radii near 0
+        # (uniform:0,1), large radii at low intensity (fixed:2), a wide spread (uniform:0.5,3), and
+        # a window a thousandth wide, whose close centers need the kernel's basis c_i, c_j - C c_i
+        cases = [
+            (1.0, cf.UniformRadius(0.2, 0.8), 2.0, 10),
+            (0.5, cf.UniformRadius(0.0, 1.0), 3.0, 5),
+            (0.05, cf.FixedRadius(2.0), 2.5, 10),
+            (0.3, cf.UniformRadius(0.5, 3.0), 2.0, 2),
+            (2e7, cf.FixedRadius(1e-4), 1e-3, 3),
+        ]
+        for gamma, law, r_win, trials in cases:
+            for trial in range(trials):
+                sample = ps.sample_boolean(2, gamma, law, r_win, stream(50, trial), condition_origin_free=False)
+                scalar = count_intersections_in_window(sample, r_win)
+                fast, tangent = intersect._count_crossings_vectorized(sample.centers, sample.radii, r_win)
+                assert (fast, tangent) == count_crossings_dense(sample.centers, sample.radii, r_win)
+                assert fast == scalar.count
+                assert tangent == scalar.tangencies == 0
 
     def test_rotation_invariance(self, rng):
         sample = ps.sample_boolean(2, 1.2, cf.FixedRadius(0.5), 2.5, stream(51, 0), condition_origin_free=False)
@@ -176,8 +188,9 @@ class TestRounds:
 
     @pytest.mark.parametrize(
         "gamma, law",
-        [(1.0, cf.FixedRadius(0.5)), (0.05, cf.FixedRadius(0.5)), (1.0, cf.UniformRadius(0.2, 0.8))],
-        ids=["fixed", "sparse", "uniform"],
+        [(1.0, cf.FixedRadius(0.5)), (0.05, cf.FixedRadius(0.5)), (1.0, cf.UniformRadius(0.2, 0.8)),
+         (0.3, cf.UniformRadius(0.5, 3.0))],
+        ids=["fixed", "sparse", "uniform", "wide"],
     )
     def test_match_per_replication(self, gamma, law, monkeypatch):
         r_win, seed = 2.0, 60
