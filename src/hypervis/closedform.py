@@ -163,20 +163,27 @@ def ell_deriv(d: int, j: int, r: float) -> float:
     return omega(d - j) * math.cosh(r) ** j * math.sinh(r) ** (d - 1 - j)
 
 
-# Below this argument the sinh reduction formula cancels; its power series takes over.
-_SERIES_BELOW = 0.5
 _TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=None)
-def _sinh_power_series(n: int) -> np.ndarray:
-    """Coefficients b_k of int_0^t sinh^n = t^{n+1} sum_k b_k t^{2k}, as many as doubles need below _SERIES_BELOW."""
-    k = np.arange(24)
+def _sinh_power_series(n: int) -> tuple[float, np.ndarray]:
+    """Where the power series of int_0^t sinh^n takes over from the reduction formula, and its
+    coefficients b_k of int_0^t sinh^n = t^{n+1} sum_k b_k t^{2k}, as many as doubles need below that.
+
+    Each step of the sinh reduction formula scales the relative error by about
+    sinh^{-2} t, so it is stable from t = asinh 1 on, and below that its n/2
+    steps lose about sinh^{-n} t. The series takes over below asinh 1, or for
+    n <= 9 below 0.5, where the recursion loses up to 2e-13 (at n = 9).
+    """
+    below = 0.5 if n <= 9 else math.asinh(1.0)
+    k = np.arange(24 + n // 2)  # more than doubles need below asinh 1 (142 at n = 340)
+    inverse_factorials = [1.0 / math.factorial(2 * j + 1) if j < 85 else 0.0 for j in k]  # 171! overflows a double
     coef = np.ones(1)
     for _ in range(n):
-        coef = np.convolve(coef, 1.0 / np.array([math.factorial(2 * j + 1) for j in k], dtype=float))[: len(k)]
+        coef = np.convolve(coef, inverse_factorials)[: len(k)]
     coef = coef / (n + 1 + 2 * k)
-    return coef[coef * _SERIES_BELOW ** (2 * k) > 1e-17 * coef[0]]
+    return below, coef[coef * below ** (2 * k) > 1e-17 * coef[0]]
 
 
 def power_integral(n: int, t, sign: int = -1):
@@ -187,29 +194,41 @@ def power_integral(n: int, t, sign: int = -1):
     within distance t have measure 2 * power_integral(d-1, t, +1). Computed by
     the reduction formula n I_n = f^{n-1} g + sign (n-1) I_{n-2}, with
     (f, g) = (sinh, cosh) or (cosh, sinh), from I_0 = t and I_1 = 2 sinh^2(t/2)
-    or sinh t; a power series replaces the cancelling sinh recursion near 0.
+    or sinh t; a power series replaces the cancelling sinh recursion near 0
+    (below t = 0.5 for n <= 9, asinh 1 beyond: see _sinh_power_series).
     """
     t = np.asarray(t, dtype=float)
+    if n == 0:
+        return t
+    if n == 1:
+        return 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else np.sinh(t)
+    return _profile(n, t.ravel(), sign)[0].reshape(t.shape)
+
+
+def _profile(n: int, t: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """power_integral(n, t, sign) for n >= 2 and flat t, and f = sinh t (sign -1) or cosh t (sign +1):
+    f^n is the profile's slope."""
+    f, g = (np.sinh(t), np.cosh(t)) if sign < 0 else (np.cosh(t), np.sinh(t))
     if n % 2 == 0:
         out = t
     else:
-        out = 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else np.sinh(t)
-    if n < 2:
-        return out
-    f, g = (np.sinh(t), np.cosh(t)) if sign < 0 else (np.cosh(t), np.sinh(t))
+        out = 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else g
     f2 = f * f
     term = g * (f if n % 2 == 0 else f2)  # f^{k-1} g
     for k in range(2 + n % 2, n + 1, 2):
         out = (term + sign * (k - 1) * out) / k
-        term = term * f2
+        if k < n:
+            term = term * f2
     if sign < 0:
-        small = t < _SERIES_BELOW
-        if np.any(small):
-            x, series = t * t, 0.0
-            for b in _sinh_power_series(n)[::-1]:  # Horner in t^2
+        below, coef = _sinh_power_series(n)
+        small = t < below
+        if small.any():
+            ts = t[small]
+            x, series = ts * ts, 0.0
+            for b in coef[::-1]:  # Horner in t^2
                 series = series * x + b
-            out = np.where(small, t ** (n + 1) * series, out)
-    return out
+            out[small] = ts ** (n + 1) * series
+    return out, f
 
 
 @lru_cache(maxsize=2**15)
@@ -219,41 +238,79 @@ def power_integral_at(n: int, t: float, sign: int = -1) -> float:
     return float(power_integral(n, t, sign))
 
 
-def power_integral_inverse(n: int, y, sign: int = -1, sizes=None):
+# Points of _start_table: read off linearly, it starts Newton within about 1e-7 of the root (3e-6 for
+# cosh near t = 0.5), close enough for two or three steps to converge.
+_START_POINTS = 8192
+
+
+@lru_cache(maxsize=None)
+def _start_table(n: int, sign: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Newton's starts for power_integral(n, t, sign) = y, for the y of 1e-3 <= t <= 20 that are
+    normal doubles: log sinh t at _START_POINTS values of log y evenly spaced over that range, as
+    (first log y, points per unit of log y, log sinh t, rise to the next point).
+
+    Like log y, log sinh t goes as log t near 0 and linearly in t beyond 1,
+    so it is nearly linear in log y. Built on first use, from the profile on
+    a finer grid of t.
+    """
+    t = np.geomspace(1e-3, 20.0, 2 * _START_POINTS)
+    with np.errstate(all="ignore"):  # for large n the profile leaves the normal doubles within 1e-3..20
+        y = _profile(n, t, sign)[0]
+    keep = (y >= _TINY) & (y < np.inf)
+    log_y, t = np.log(y[keep]), t[keep]
+    log_sinh = np.interp(np.linspace(log_y[0], log_y[-1], _START_POINTS), log_y, np.log(np.sinh(t)))
+    return log_y[0], (_START_POINTS - 1) / (log_y[-1] - log_y[0]), log_sinh, np.diff(log_sinh)
+
+
+def _newton_start(n: int, y: np.ndarray, sign: int) -> np.ndarray:
+    """A start for Newton on power_integral(n, t, sign) = y: read off _start_table, or outside it,
+    where the root is small or large, from the bounds asinh((n y)^{1/n}) <= t <= ((n+1) y)^{1/(n+1)}
+    (sinh; the upper one where it is below 1, else the lower one) or t <= min(y, acosh((1 + n y)^{1/n})) (cosh)."""
+    log_lo, per, log_sinh, rise = _start_table(n, sign)
+    half = 0.5 * (len(log_sinh) - 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf lies outside the table
+        pos = (np.log(y) - log_lo) * per
+    inside = np.abs(pos - half) < half
+    t = np.empty_like(y)
+    pos = pos[inside]
+    i = pos.astype(np.intp)
+    t[inside] = np.arcsinh(np.exp(log_sinh[i] + (pos - i) * rise[i]))
+    outside = ~inside
+    if outside.any():
+        y = y[outside]
+        if sign < 0:
+            upper = ((n + 1) * y) ** (1.0 / (n + 1))
+            t[outside] = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
+        else:
+            t[outside] = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
+    return t
+
+
+def power_integral_inverse(n: int, y, sign: int = -1):
     """The t >= 0 with power_integral(n, t, sign) = y, for n >= 1, vectorized over y >= 0.
 
     Closed forms for n = 1. Otherwise Newton's method on the convex profile,
-    which decreases monotonically to the root from any start above it, started
-    from the bounds asinh((n y)^{1/n}) <= t <= ((n+1) y)^{1/(n+1)} (sinh; the
-    upper one where it is below 1, else the lower one, whose first step lands
-    above the root) or t <= min(y, acosh((1 + n y)^{1/n})) (cosh).
-
-    Newton stops once every root has converged, so the last bits of a root
-    depend on the others in the call. With sizes, y is the concatenation of
-    groups of these lengths, and each group stops on its own: its roots are
-    bit for bit those of a call with that group alone.
+    which from any start steps to or above the root and then decreases
+    monotonically to it, started from _newton_start. Each root is iterated
+    until its own step is below 1e-13 of it, so it depends only on its y:
+    it is bit for bit the root of a call with that y alone.
     """
     y = np.asarray(y, dtype=float)
     if n == 1:
         return 2.0 * np.arcsinh(np.sqrt(y / 2.0)) if sign < 0 else np.arcsinh(y)
     shape, y = y.shape, y.ravel()
-    if sign < 0:
-        upper = ((n + 1) * y) ** (1.0 / (n + 1))
-        t = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
-    else:
-        t = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
-    sizes = [y.size] if sizes is None else sizes
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    stopped = np.zeros(y.size, dtype=bool)  # roots of the groups that have converged, held fixed
+    out = t = _newton_start(n, y, sign)
+    active = np.arange(y.size)  # where in out the roots still iterated go
     for _ in range(50):
-        slope = np.maximum((np.sinh(t) if sign < 0 else np.cosh(t)) ** n, _TINY)  # t = 0 only where y = 0
-        step = (power_integral(n, t, sign) - y) / slope
-        t = np.where(stopped, t, t - step)
-        unconverged = ~(stopped | (np.abs(step) <= 1e-13 * t))
-        if not unconverged.any():
+        value, f = _profile(n, t, sign)
+        step = (value - y) / np.maximum(f**n, _TINY)  # the slope is tiny only where y and t are 0
+        t = t - step
+        out[active] = t
+        going = np.abs(step) > 1e-13 * t
+        if not going.any():
             break
-        stopped |= np.bincount(group[unconverged], minlength=len(sizes))[group] == 0
-    return t.reshape(shape)
+        active, t, y = active[going], t[going], y[going]
+    return out.reshape(shape)
 
 
 def sinh_integral(d: int, r) -> np.ndarray | float:

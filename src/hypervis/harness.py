@@ -218,6 +218,15 @@ def _window(c: ExperimentConfig) -> None:
     with np.errstate(over="ignore"):  # a window too wide for a float has area inf, which the estimator's guard refuses
         if not (c.r_win > 0 and closedform.ball_volume(2, c.r_win) > 0):
             raise UsageError(f"rwin must be > 0 with a window area > 0, got {c.r_win}")
+    try:
+        density = closedform.intersection_density(2, c.gamma, c.law)
+    except OverflowError:
+        raise UsageError("the intersection density kappa_2 (v* gamma)^2 overflows double precision") from None
+    if density < sys.float_info.min:
+        raise UsageError(
+            f"the intersection density kappa_2 (v* gamma)^2 = {density:.3g} underflows double precision; "
+            "every estimate would read 0"
+        )
 
 
 def _grain_cap(c: ExperimentConfig) -> None:

@@ -19,8 +19,9 @@ ray can be reached, each by its distance and the versine of its angle to the
 ray, again an exact Poisson restriction. sample_hyperplane_windows serves the
 segment crossings. Each of them draws a round of replications at once, from
 one generator per replication: each generator makes its own draws in its own
-order, and the radial inverse runs once over all of the round's draws. They
-return each per-obstacle array flat, the obstacles of the generators
+order, and the radial inverse runs once over all of the round's draws. Each
+root of the inverse converges on its own, so no draw depends on the others.
+They return each per-obstacle array flat, the obstacles of the generators
 concatenated in generator order, followed by one obstacle count per
 generator.
 
@@ -87,39 +88,32 @@ class HyperplaneSample:
 # ---------------------------------------------------------------------------
 
 
-def unit_vectors(d: int, rng, size) -> np.ndarray:
-    """(size, d) array of uniform unit vectors (spatial parts of base tangents).
-
-    rng may be a sequence of generators, with size a count per generator: each
-    draws its own vectors, and the rows come back concatenated in generator order.
-    """
-    if isinstance(rng, np.random.Generator):
-        g = rng.standard_normal((size, d))
-    else:
-        g = np.concatenate([r.standard_normal((s, d)) for r, s in zip(rng, size)])
+def unit_vectors(d: int, rngs, sizes) -> np.ndarray:
+    """(sum(sizes), d) array of uniform unit vectors (spatial parts of base tangents): sizes[i] drawn
+    by generator rngs[i], the rows concatenated in generator order."""
+    g = np.concatenate([rng.standard_normal((size, d)) for rng, size in zip(rngs, sizes)])
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
-    """Distances on [t_lo, t_hi] with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF.
+def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+    """Distances with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF:
+    sizes[i] on [t_lo, t_hi[i]] from generator rngs[i], concatenated in generator order.
 
-    rng may be a sequence of generators, with t_hi and size given per generator:
-    each draws the uniforms of its own annulus, one inversion serves all of
-    them, and the distances come back concatenated in generator order.
+    Each generator draws the uniforms of its own annulus and one inversion
+    serves all of them. Each root of the inversion converges on its own, so a
+    distance depends only on its own uniform and annulus.
     """
-    if isinstance(rng, np.random.Generator):
-        rng, t_hi, size = [rng], [t_hi], [size]
     g_lo = power_integral_at(n, t_lo, sign)
     span = np.array([power_integral_at(n, t, sign) for t in t_hi]) - g_lo
-    u = np.concatenate([r.uniform(size=s) for r, s in zip(rng, size)])
-    return power_integral_inverse(n, g_lo + u * np.repeat(span, size), sign, sizes=size)
+    u = np.concatenate([rng.uniform(size=size) for rng, size in zip(rngs, sizes)])
+    return power_integral_inverse(n, g_lo + u * np.repeat(span, sizes), sign)
 
 
-def sample_radial_annulus(d: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
-    """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi] (per generator: see _profile_annulus)."""
+def sample_radial_annulus(d: int, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+    """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
     if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
         raise ValueError("need 0 <= t_lo < t_hi")
-    return _profile_annulus(d - 1, -1, t_lo, t_hi, rng, size)
+    return _profile_annulus(d - 1, -1, t_lo, t_hi, rngs, sizes)
 
 
 def points_from_polar(dists: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -232,8 +226,8 @@ def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Gener
     n = _poisson_count(rng, gamma * float(ball_volume(d, r_max)))
     if n == 0:
         return np.empty((0, d + 1))
-    dists = sample_radial_annulus(d, 0.0, r_max, rng, n)
-    return points_from_polar(dists, unit_vectors(d, rng, n))
+    dists = sample_radial_annulus(d, 0.0, [r_max], [rng], [n])
+    return points_from_polar(dists, unit_vectors(d, [rng], [n]))
 
 
 def sample_boolean_cap_annuli(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
@@ -318,9 +312,9 @@ def plane_measure(d: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_plane_distances(d: int, t_lo: float, t_hi, rng, size) -> np.ndarray:
-    """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi] (per generator: see _profile_annulus)."""
-    return _profile_annulus(d - 1, 1, t_lo, t_hi, rng, size)
+def sample_plane_distances(d: int, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+    """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
+    return _profile_annulus(d - 1, 1, t_lo, t_hi, rngs, sizes)
 
 
 def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:

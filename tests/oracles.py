@@ -307,7 +307,7 @@ def visible_volume_once(
     if truncate_at > _safe_cutoff(model) + 1e-12:
         raise ValueError(f"truncate_at {truncate_at} exceeds the safe window {_safe_cutoff(model):.6g}")
     d = model.d
-    ranges = _window_ranges(model, procsim.unit_vectors(d, rng, n_rays))
+    ranges = _window_ranges(model, procsim.unit_vectors(d, [rng], [n_rays]))
     return omega(d) * float(np.mean(sinh_integral(d, np.minimum(ranges, truncate_at))))
 
 
@@ -462,8 +462,8 @@ def segment_crossings_per_replication(d: int, gamma: float, length: float, n_rep
         rng = stream(seed, i)
         n = int(rng.poisson(gamma * procsim.plane_measure(d, length)))
         if n:
-            offsets = procsim.sample_plane_distances(d, 0.0, length, rng, n) * rng.choice([-1.0, 1.0], size=n)
-            normals = procsim.normals_from_polar(offsets, procsim.unit_vectors(d, rng, n))
+            offsets = procsim.sample_plane_distances(d, 0.0, [length], [rng], [n]) * rng.choice([-1.0, 1.0], size=n)
+            normals = procsim.normals_from_polar(offsets, procsim.unit_vectors(d, [rng], [n]))
             hits = plane_hits_from_base(direction[None, :], normals)
             counts[i] = np.sum(hits[0] <= length)
     return counts

@@ -188,6 +188,11 @@ class TestConfigValidation:
             # ranges of mean 1/a = 1.8e-3 in d = 200 have volumes that underflow: the estimate would read 0
             (["zero_cell", "--dim", "200", "--gamma", "1e4", "--reps", "3", "--rays", "3", "--cutoff", "1"],
              "zero_cell averages ray volumes near vol B(1/a) = 0 at mean range 1/a = 0.00177024, which underflows"),
+            # grains this small cross with an intersection density that underflows: the estimate would read 0
+            (["intersection_density", "--gamma", "1", "--grain", "fixed:1e-300", "--rwin", "1", "--reps", "3"],
+             "the intersection density kappa_2 (v* gamma)^2 = 0 underflows double precision"),
+            (["intersection_density", "--gamma", "1e200", "--grain", "fixed:0.5", "--rwin", "1", "--reps", "3"],
+             "the intersection density kappa_2 (v* gamma)^2 overflows double precision"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

@@ -18,18 +18,18 @@ from oracles import assert_point, rotate_about_base, sample_boolean_rejected
 class TestSampleRadial:
     def test_range(self, rng):
         for d in (2, 3, 5):
-            t = ps.sample_radial_annulus(d, 0.0, 2.0, rng, 500)
+            t = ps.sample_radial_annulus(d, 0.0, [2.0], [rng], [500])
             assert np.all((t >= 0) & (t <= 2.0))
 
     def test_d2_cdf(self):
         r_max = 2.0
-        t = ps.sample_radial_annulus(2, 0.0, r_max, stream(101), 10_000)
+        t = ps.sample_radial_annulus(2, 0.0, [r_max], [stream(101)], [10_000])
         stat = ks_statistic(t, lambda x: (np.cosh(x) - 1) / (math.cosh(r_max) - 1))
         assert stat < 1.63 / 100
 
     def test_d3_mean_matches_quadrature(self):
         r_max = 2.0
-        t = ps.sample_radial_annulus(3, 0.0, r_max, stream(102), 20_000)
+        t = ps.sample_radial_annulus(3, 0.0, [r_max], [stream(102)], [20_000])
         norm, _ = quad(lambda s: math.sinh(s) ** 2, 0, r_max)
         mean, _ = quad(lambda s: s * math.sinh(s) ** 2, 0, r_max)
         mean /= norm
@@ -39,7 +39,7 @@ class TestSampleRadial:
         "d, r_max", [(d, 1.5) for d in range(2, 11)] + [(8, 0.1), (10, 0.05)]  # near the origin
     )
     def test_cdf(self, d, r_max):
-        t = ps.sample_radial_annulus(d, 0.0, r_max, stream(103), 10_000)
+        t = ps.sample_radial_annulus(d, 0.0, [r_max], [stream(103)], [10_000])
         norm, _ = quad(lambda s: math.sinh(s) ** (d - 1), 0, r_max)
 
         def cdf(x):
@@ -48,7 +48,7 @@ class TestSampleRadial:
         assert ks_statistic(t, cdf) < 1.63 / 100
 
     def test_annulus_restriction(self, rng):
-        t = ps.sample_radial_annulus(3, 1.0, 1.5, rng, 1000)
+        t = ps.sample_radial_annulus(3, 1.0, [1.5], [rng], [1000])
         assert np.all((t >= 1.0) & (t <= 1.5))
 
 
@@ -179,7 +179,7 @@ class TestSampleHyperplanes:
         # the normal built from (offset, direction) annihilates the foot point
         for d in (2, 3):
             x = rng.uniform(-2, 2)
-            w = ps.unit_vectors(d, rng, 1)[0]
+            w = ps.unit_vectors(d, [rng], [1])[0]
             n = ps.normals_from_polar(np.array([x]), w[None, :])[0]
             assert hg.minkowski_dot(n, n) == pytest.approx(1.0, abs=1e-12)
             u = np.concatenate([[0.0], w])
@@ -203,14 +203,14 @@ class TestSampleHyperplanes:
 
     def test_offset_density_d2(self):
         r_obs = 1.5
-        dists = ps.sample_plane_distances(2, 0.0, r_obs, stream(17), 10_000)
+        dists = ps.sample_plane_distances(2, 0.0, [r_obs], [stream(17)], [10_000])
         stat = ks_statistic(dists, lambda x: np.sinh(x) / math.sinh(r_obs))
         assert stat < 1.63 / 100
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_offset_density(self, d):
         r_obs = 1.0
-        dists = ps.sample_plane_distances(d, 0.0, r_obs, stream(18), 10_000)
+        dists = ps.sample_plane_distances(d, 0.0, [r_obs], [stream(18)], [10_000])
         norm, _ = quad(lambda s: math.cosh(s) ** (d - 1), 0, r_obs)
 
         def cdf(x):

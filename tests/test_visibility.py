@@ -122,9 +122,9 @@ class TestRayGrainHit:
 
     def test_vector_kernel_matches_scalar(self, rng):
         p = hg.base_point(2)
-        dirs = ps.unit_vectors(2, rng, 40)
+        dirs = ps.unit_vectors(2, [rng], [40])
         g_dist = rng.uniform(0.5, 4.0, size=60)
-        g_dir = ps.unit_vectors(2, rng, 60)
+        g_dir = ps.unit_vectors(2, [rng], [60])
         g_rad = rng.uniform(0.05, 0.45, size=60)
         matrix = vis.grain_hits_from_base(dirs, g_dist, g_dir, g_rad)
         centers = ps.points_from_polar(g_dist, g_dir)
@@ -145,7 +145,7 @@ class TestRayHyperplaneHit:
     def test_offset_along_ray(self, rng):
         for d in (2, 3):
             p = hg.base_point(d)
-            w = ps.unit_vectors(d, rng, 1)[0]
+            w = ps.unit_vectors(d, [rng], [1])[0]
             u = np.concatenate([[0.0], w])
             for x in (0.4, 1.7):
                 n = ps.normals_from_polar(np.array([x]), w[None, :])[0]
@@ -163,9 +163,9 @@ class TestRayHyperplaneHit:
         count = 0
         while count < 100:
             x = rng.uniform(0.1, 2.0)
-            w = ps.unit_vectors(2, rng, 1)[0]
+            w = ps.unit_vectors(2, [rng], [1])[0]
             n = ps.normals_from_polar(np.array([x]), w[None, :])[0]
-            u = np.concatenate([[0.0], ps.unit_vectors(2, rng, 1)[0]])
+            u = np.concatenate([[0.0], ps.unit_vectors(2, [rng], [1])[0]])
             t = ray_hyperplane_hit(GeodesicRay(hg.base_point(2), u), Hyperplane(n))
             if t is None:
                 continue
@@ -211,7 +211,7 @@ class TestSparseKernels:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_grains_on_cone_boundary(self, d, rng):
-        dirs = ps.unit_vectors(d, rng, 30)
+        dirs = ps.unit_vectors(d, [rng], [30])
         n = 400
         g_rad = rng.uniform(0.0, 1.0, n) * np.repeat([1e-7, 1e-4, 1e-2, 1.0], n // 4)
         # center distances from just above the radius to far away
@@ -228,10 +228,10 @@ class TestSparseKernels:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_grains_random(self, d, rng):
         for n_rays, n_grains in ((200, 300), (1, 50), (7, 1), (5, 0)):
-            dirs = ps.unit_vectors(d, rng, n_rays)
+            dirs = ps.unit_vectors(d, [rng], [n_rays])
             g_rad = rng.uniform(0.05, 0.6, n_grains)
             g_dist = g_rad + rng.exponential(1.5, n_grains)
-            g_dir = ps.unit_vectors(d, rng, n_grains) if n_grains else np.empty((0, d))
+            g_dir = ps.unit_vectors(d, [rng], [n_grains]) if n_grains else np.empty((0, d))
             got = vis.grain_hits_from_base(dirs, g_dist, g_dir, g_rad)
             assert got.shape == (n_rays, n_grains)
             assert np.array_equal(got, dense_grain_hits(dirs, g_dist, g_dir, g_rad))
@@ -239,7 +239,7 @@ class TestSparseKernels:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_grain_straight_ahead_cosine_above_one(self, d, rng):
         # grains centered on the rays themselves: dirs @ dirs.T rounds above 1 on some diagonals
-        dirs = ps.unit_vectors(d, rng, 200)
+        dirs = ps.unit_vectors(d, [rng], [200])
         cos = np.einsum("ij,ij->i", dirs, dirs)
         assert (cos > 1.0).any()
         g_dist, g_rad = rng.uniform(0.6, 3.0, 200), np.full(200, 0.5)
@@ -249,10 +249,10 @@ class TestSparseKernels:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_planes(self, d, rng):
-        dirs = ps.unit_vectors(d, rng, 200)
+        dirs = ps.unit_vectors(d, [rng], [200])
         signed = ps.sample_hyperplanes(d, 2.0, 3.0, rng).normals
         assert (signed[:, 0] < 0).any() and (signed[:, 0] > 0).any()
-        one_sided = ps.normals_from_polar(rng.exponential(1.0, 300), ps.unit_vectors(d, rng, 300))
+        one_sided = ps.normals_from_polar(rng.exponential(1.0, 300), ps.unit_vectors(d, [rng], [300]))
         # un = 0 exactly: ray 0 along e_1, normals along e_2 with offsets of both signs
         dirs[0] = np.eye(d)[0]
         flat = ps.normals_from_polar(np.array([0.3, -0.3]), np.eye(d)[[1, 1]])
@@ -302,7 +302,7 @@ class TestVisibilityRange:
             conditioned=True,
         )
         for _ in range(20):
-            u = np.concatenate([[0.0], ps.unit_vectors(2, rng, 1)[0]])
+            u = np.concatenate([[0.0], ps.unit_vectors(2, [rng], [1])[0]])
             assert visibility_range(more, u, 4.0).value <= visibility_range(model, u, 4.0).value + 1e-12
 
     def test_window_guard(self):
@@ -363,7 +363,7 @@ class TestRangeSampling:
         for i in range(n):
             rng = stream(32, i)
             model = ps.sample_boolean(d, gamma, law, cutoff, rng)
-            u = ps.unit_vectors(d, rng, 1)[0]
+            u = ps.unit_vectors(d, [rng], [1])[0]
             windowed[i] = visibility_range(model, np.concatenate([[0.0], u]), cutoff).value
         assert ks_2samp(streamed, windowed).pvalue > 0.01
 
