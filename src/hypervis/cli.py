@@ -46,16 +46,9 @@ def _above_zero(text: str) -> float:
 
 def _dimension(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
-    try:
-        closedform.kappa(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+        return closedform.Constants.for_dim(int(text)).d
+    except ValueError as exc:  # not an integer, or not a dimension 2..341
+        raise argparse.ArgumentTypeError(f"must be an integer dimension, got {text!r}: {exc}") from None
 
 
 def _seed(text: str) -> int:

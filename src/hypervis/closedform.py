@@ -202,21 +202,33 @@ def power_integral(n: int, t, sign: int = -1):
         return t
     if n == 1:
         return 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else np.sinh(t)
-    return _profile(n, t.ravel(), sign)[0].reshape(t.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # the terms overflow below the integral, redone halved
+        out = _profile(n, t.ravel(), sign)[0]
+        big = ~np.isfinite(out)
+        if big.any():
+            out[big] = np.ldexp(_profile(n, t.ravel()[big], sign, 0.5)[0], n)
+    return out.reshape(t.shape)
 
 
-def _profile(n: int, t: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+def _profile(n: int, t: np.ndarray, sign: int, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """power_integral(n, t, sign) for n >= 2 and flat t, and f = sinh t (sign -1) or cosh t (sign +1):
-    f^n is the profile's slope."""
+    f^n is the profile's slope.
+
+    With scale 0.5, f and g are halved, and the integral n times: 2^{-n} power_integral stays a double
+    where the formula's f^{n-1} g term overflows (from about 1.8e308 / n) but the integral does not. A power
+    of two rounds nothing, so it is the unhalved value times 2^{-n} wherever both are normal doubles.
+    """
     f, g = (np.sinh(t), np.cosh(t)) if sign < 0 else (np.cosh(t), np.sinh(t))
     if n % 2 == 0:
         out = t
     else:
         out = 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else g
+    if scale != 1.0:
+        f, g, out = f * scale, g * scale, out * scale ** (n % 2)
     f2 = f * f
     term = g * (f if n % 2 == 0 else f2)  # f^{k-1} g
     for k in range(2 + n % 2, n + 1, 2):
-        out = (term + sign * (k - 1) * out) / k
+        out = (term + sign * (k - 1) * scale * scale * out) / k
         if k < n:
             term = term * f2
     if sign < 0:
@@ -227,7 +239,7 @@ def _profile(n: int, t: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
             x, series = ts * ts, 0.0
             for b in coef[::-1]:  # Horner in t^2
                 series = series * x + b
-            out[small] = ts ** (n + 1) * series
+            out[small] = ts ** (n + 1) * series * scale**n
     return out, f
 
 
@@ -262,14 +274,15 @@ def _start_table(n: int, sign: int) -> tuple[float, float, np.ndarray, np.ndarra
     return log_y[0], (_START_POINTS - 1) / (log_y[-1] - log_y[0]), log_sinh, np.diff(log_sinh)
 
 
-def _newton_start(n: int, y: np.ndarray, sign: int) -> np.ndarray:
-    """A start for Newton on power_integral(n, t, sign) = y: read off _start_table, or outside it,
+def _newton_start(n: int, y: np.ndarray, sign: int, halvings: int = 0) -> np.ndarray:
+    """A start for Newton on 2^{-halvings n} power_integral(n, t, sign) = y: read off _start_table, or outside it,
     where the root is small or large, from the bounds asinh((n y)^{1/n}) <= t <= ((n+1) y)^{1/(n+1)}
     (sinh; the upper one where it is below 1, else the lower one) or t <= min(y, acosh((1 + n y)^{1/n})) (cosh)."""
     log_lo, per, log_sinh, rise = _start_table(n, sign)
     half = 0.5 * (len(log_sinh) - 1)
     with np.errstate(divide="ignore"):  # log 0 = -inf lies outside the table
-        pos = (np.log(y) - log_lo) * per
+        log_y = np.log(y) + halvings * n * math.log(2.0)  # log of the integral, of which y is 2^{-halvings n}
+        pos = (log_y - log_lo) * per
     inside = np.abs(pos - half) < half
     t = np.empty_like(y)
     pos = pos[inside]
@@ -277,33 +290,44 @@ def _newton_start(n: int, y: np.ndarray, sign: int) -> np.ndarray:
     t[inside] = np.arcsinh(np.exp(log_sinh[i] + (pos - i) * rise[i]))
     outside = ~inside
     if outside.any():
-        y = y[outside]
-        if sign < 0:
-            upper = ((n + 1) * y) ** (1.0 / (n + 1))
-            t[outside] = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
-        else:
-            t[outside] = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
+        y, log_y = y[outside], log_y[outside]
+        with np.errstate(over="ignore"):  # where n y overflows, or y is halved, its n-th root is taken in logs below
+            if sign < 0:
+                upper = ((n + 1) * y) ** (1.0 / (n + 1))
+                start = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
+            else:
+                start = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
+            big = np.isinf(n * y) | (halvings > 0)
+        if big.any():
+            root = np.exp((math.log(n) + log_y[big]) / n)
+            start[big] = np.arcsinh(root) if sign < 0 else np.arccosh(root)
+        t[outside] = start
     return t
 
 
-def power_integral_inverse(n: int, y, sign: int = -1):
-    """The t >= 0 with power_integral(n, t, sign) = y, for n >= 1, vectorized over y >= 0.
+def power_integral_inverse(n: int, y, sign: int = -1, halvings: int = 0):
+    """The t >= 0 with power_integral(n, t, sign) = y 2^{halvings n}, for n >= 1, vectorized over y >= 0;
+    halvings > 0 (see _profile) reaches integrals beyond the doubles, for n >= 2.
 
-    Closed forms for n = 1. Otherwise Newton's method on the convex profile,
-    which from any start steps to or above the root and then decreases
-    monotonically to it, started from _newton_start. Each root is iterated
-    until its own step is below 1e-13 of it, so it depends only on its y:
-    it is bit for bit the root of a call with that y alone.
+    Closed forms for n = 1. Otherwise Newton's method on the convex profile, which from any start steps to or
+    above the root and then decreases monotonically to it, started from _newton_start. Each root is iterated until
+    its own step is below 1e-13 of it, so it is bit for bit the root of a call with that y alone.
     """
     y = np.asarray(y, dtype=float)
     if n == 1:
         return 2.0 * np.arcsinh(np.sqrt(y / 2.0)) if sign < 0 else np.arcsinh(y)
     shape, y = y.shape, y.ravel()
-    out = t = _newton_start(n, y, sign)
-    active = np.arange(y.size)  # where in out the roots still iterated go
+    out = t = _newton_start(n, y, sign, halvings)
+    active, scale = np.arange(y.size), 0.5**halvings  # where in out the roots still iterated go
     for _ in range(50):
-        value, f = _profile(n, t, sign)
-        step = (value - y) / np.maximum(f**n, _TINY)  # the slope is tiny only where y and t are 0
+        with np.errstate(over="ignore", invalid="ignore"):  # where the profile or its slope overflows, halve it
+            value, f = _profile(n, t, sign, scale)
+            slope = f**n
+            step = (value - y) / np.maximum(slope, _TINY)  # the slope is tiny only where y and t are 0
+            big = ~(np.isfinite(value) & np.isfinite(slope))
+            if big.any():
+                value, f = _profile(n, t[big], sign, scale / 2)
+                step[big] = (value - np.ldexp(y[big], -n)) / np.maximum(f**n, _TINY)
         t = t - step
         out[active] = t
         going = np.abs(step) > 1e-13 * t
@@ -355,10 +379,15 @@ def mc_ball_volume(d: int, r: float, n: int, rng: np.random.Generator) -> tuple[
 
 
 def radius_at_volume(d: int, v: float) -> float:
-    """Inverse of ball_volume in the radius."""
+    """Inverse of ball_volume in the radius. Where v / omega_d passes the doubles (omega_341 is 2e-221), the
+    profile is halved k times, so that v 2^{-k(d-1)} / omega_d is a double."""
     if v <= 0:
         return 0.0
-    return float(power_integral_inverse(d - 1, v / omega(d), -1))
+    y, k = float(v) / omega(d), 0
+    if math.isinf(y) and math.isfinite(v):
+        k = math.ceil((math.log2(v) - math.log2(omega(d)) - 1000.0) / (d - 1))
+        y = v / math.ldexp(omega(d), k * (d - 1))
+    return float(power_integral_inverse(d - 1, y, -1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +451,22 @@ def sinh_exp_integral_quadrature(d: int, a: float) -> float:
     Truncated where the integrand falls below 1e-16 of its peak; the decay
     rate is a - d + 1.
     """
-    if a <= d - 1:
+    if math.isinf(sinh_exp_integral(d, a)):
         raise ValueError("quadrature cross-check needs a > d-1")
     upper = 40.0 / (a - d + 1) + 40.0 / a
     return _quad(lambda s: math.sinh(s) ** (d - 1) * math.exp(-a * s), 0.0, upper)
+
+
+def range_rate(d: int, gamma: float, law: GrainLaw | None) -> float:
+    """Rate of the exponential visibility ranges: gamma v* through grains of law, the zero-cell rate if law is None."""
+    return zero_cell_rate(d, gamma) if law is None else gamma * grain_moments(d, law).v_dm1_star
 
 
 def mean_visible_volume(d: int, gamma: float, law: GrainLaw) -> float:
     """Mean visible volume of the conditioned Boolean model; math.inf at or below threshold."""
     if gamma <= 0:
         raise ValueError("intensity must be > 0")
-    a = gamma * grain_moments(d, law).v_dm1_star
-    return omega(d) * sinh_exp_integral(d, a)
+    return omega(d) * sinh_exp_integral(d, range_rate(d, gamma, law))
 
 
 def truncated_visible_volume(d: int, gamma: float, law: GrainLaw, r: float) -> float:
@@ -442,7 +475,7 @@ def truncated_visible_volume(d: int, gamma: float, law: GrainLaw, r: float) -> f
         raise ValueError("truncation radius must be >= 0")
     if r == 0:
         return 0.0
-    a = gamma * grain_moments(d, law).v_dm1_star
+    a = range_rate(d, gamma, law)
     return omega(d) * _quad(lambda s: math.exp(-a * s) * math.sinh(s) ** (d - 1), 0.0, r)
 
 
@@ -453,7 +486,7 @@ def truncation_asymptote(d: int, gamma: float, law: GrainLaw, r: float) -> tuple
     critical (a = d-1): omega_d/2^{d-1} r for the value;
     supercritical (a > d-1): omega_d/(2^{d-1}(a-d+1)) e^{-(a-d+1)r} for the tail.
     """
-    a = gamma * grain_moments(d, law).v_dm1_star
+    a = range_rate(d, gamma, law)
     gap = a - (d - 1)
     scale = omega(d) / 2.0 ** (d - 1)
     if abs(gap) <= _THRESHOLD_GUARD * max(1.0, abs(a)):

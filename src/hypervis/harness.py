@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from . import closedform, intersect, procsim, visibility
-from .closedform import GrainLaw, grain_moments
+from . import closedform, intersect, visibility
+from .closedform import GrainLaw
 from .visibility import EstimateRecord
 
 # Asymptotic 1% Kolmogorov-Smirnov critical coefficient.
@@ -64,16 +63,14 @@ def ks_exponential(samples, rate: float, cutoff: float = math.inf) -> KsResult:
 
 @dataclass(frozen=True)
 class Quantity:
-    """One `estimate` quantity: its runner and the facts `ExperimentConfig.validate` reads."""
+    """One `estimate` quantity: its runner, the library check validation calls, and the options it needs."""
 
     runner: Callable[[ExperimentConfig], EstimateRecord | KsResult | FormulaCheckResult]
-    simulated: bool = True  # False: reads no option (formula_check)
+    check: Callable[[ExperimentConfig], None] | None = None  # None: reads no option (formula_check)
     law: bool = False  # a Boolean model with a grain law; False: a hyperplane process
-    sweep: bool = False  # sweeps radially out to the cutoff
-    replicated: bool = False  # takes its standard error across replications
-    mean: str | None = None  # the mean it estimates, which must be finite: a > d - 1
-    check: Callable[[ExperimentConfig], None] | None = None  # refuses its own options by UsageError
-    stratified: Callable | None = None  # the runner under --stratified
+    needs: tuple[str, str] | None = None  # (config field, flag) of a further option it cannot run without
+    planar: bool = False  # d = 2 only
+    stratified: Quantity | None = None  # the quantity under --stratified
 
 
 @dataclass
@@ -94,89 +91,29 @@ class ExperimentConfig:
 
     def range_rate(self) -> float:
         """Range rate a, the rate of the exponential visibility ranges: gamma v* for grains, else the zero-cell rate."""
-        if QUANTITIES[self.quantity].law:
-            return self.gamma * grain_moments(self.d, self.law).v_dm1_star
-        return closedform.zero_cell_rate(self.d, self.gamma)
+        return closedform.range_rate(self.d, self.gamma, self.law if QUANTITIES[self.quantity].law else None)
 
     def validate(self) -> None:
+        """Refuse by UsageError what the quantity needs but lacks, or what its library check refuses."""
+        if self.quantity not in QUANTITIES:
+            raise UsageError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
+        q = QUANTITIES[self.quantity]
+        if q.check is None:
+            return
+        if self.gamma is None:
+            raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
+        if self.stratified and q.stratified is None:
+            takes = [name for name, entry in QUANTITIES.items() if entry.stratified]
+            raise UsageError(f"--stratified applies to {' and '.join(takes)} only, not {self.quantity}")
+        if q.law and self.law is None:
+            raise UsageError(f"quantity {self.quantity} needs a grain law (--grain fixed:R or uniform:A,B)")
+        if q.needs and getattr(self, q.needs[0]) is None:
+            raise UsageError(f"{self.quantity} needs {q.needs[1]}")
+        if q.planar and self.d != 2:
+            raise UsageError(f"{self.quantity} is restricted to d = 2")
         try:
-            if self.quantity not in QUANTITIES:
-                raise UsageError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
-            q = QUANTITIES[self.quantity]
-            if not q.simulated:
-                return
-            if self.seed < 0:
-                raise UsageError(f"seed must be >= 0, got {self.seed}")
-            if self.d < 2:
-                raise UsageError("dimension must be >= 2")
-            closedform.kappa(self.d)
-            if self.gamma is None:
-                raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
-            if self.stratified and q.stratified is None:
-                takes = [name for name, entry in QUANTITIES.items() if entry.stratified]
-                raise UsageError(f"--stratified applies to {' and '.join(takes)} only, not {self.quantity}")
-            for name in ("gamma", "cutoff", "truncate_at", "r_win"):
-                value = getattr(self, name)
-                if value is not None and not math.isfinite(value):
-                    raise UsageError(f"{name} must be finite, got {value}")
-            if self.gamma <= 0:
-                raise UsageError("intensity gamma must be > 0")
-            if self.n_reps < 1 or self.n_rays < 1:
-                raise UsageError("n_reps and n_rays must be >= 1")
-            guard = procsim.MAX_EXPECTED_COUNT
-            if self.n_reps > guard:
-                raise UsageError(f"n_reps = {self.n_reps} exceeds the resource guard {guard:.0e}")
-            # The many-ray sweep casts every ray against blocks of about _BLOCK_TARGET obstacles.
-            pairs = self.n_rays * visibility._BLOCK_TARGET
-            if q.sweep and q.replicated and pairs > guard:
-                raise UsageError(
-                    f"n_rays = {self.n_rays} exceeds the resource guard: n_rays x {visibility._BLOCK_TARGET} obstacles "
-                    f"per sweep block = {pairs:.3g} ray-obstacle pairs > {guard:.0e}"
-                )
-            if q.replicated and not self.stratified:
-                visibility.check_replications(self.n_reps)
-            if self.cutoff <= 0:
-                raise UsageError("cutoff must be > 0")
-            if q.law and self.law is None:
-                raise UsageError(f"quantity {self.quantity} needs a grain law (--grain fixed:R or uniform:A,B)")
-            if q.mean and math.isinf(closedform.sinh_exp_integral(self.d, self.range_rate())):
-                a = self.range_rate()
-                raise UsageError(
-                    f"{q.mean} is infinite at range rate a = {a:.6g} <= d-1 = {self.d - 1}; "
-                    f"finiteness needs gamma > {(self.d - 1) * self.gamma / a:.6g}"
-                )
-            if q.sweep and q.replicated:  # the ray-volume averages: ranges of mean 1/a give volumes near vol B(1/a)
-                a = self.range_rate()
-                with np.errstate(over="ignore", invalid="ignore"):  # a long mean range has volume inf or nan
-                    volume = float(closedform.ball_volume(self.d, 1.0 / a)) if a > 0 else math.inf
-                if volume < sys.float_info.min:
-                    raise UsageError(
-                        f"{self.quantity} averages ray volumes near vol B(1/a) = {volume:.3g} at mean range "
-                        f"1/a = {1.0 / a:.6g}, which underflows double precision; every estimate would read 0"
-                    )
-            depth = self.cutoff + (self.law.max_radius if q.law else 0.0)
-            if q.sweep and depth > visibility.max_sweep_depth(self.d):
-                raise UsageError(
-                    f"cutoff {self.cutoff} sweeps to depth {depth:.6g}, beyond the "
-                    f"{visibility.max_sweep_depth(self.d):.6g} that double precision allows in d = {self.d}"
-                )
-            if q.check:
-                q.check(self)
-            if self.truncate_at is not None and self.truncate_at > self.cutoff:
-                raise UsageError(f"truncate_at {self.truncate_at} exceeds cutoff {self.cutoff}")
-            if self.truncate_at is not None and self.truncate_at < 0:
-                raise UsageError(f"truncate_at must be >= 0, got {self.truncate_at}")
-            if self.stratified:
-                visibility.band_count(self.truncate_at)
-            # A grain sweep ends past the largest grain radius, so each replication samples the grains centred within it.
-            if q.law and q.sweep and not self.stratified:
-                near = self.n_reps * self.gamma * float(closedform.ball_volume(self.d, self.law.max_radius))
-                if near > guard:
-                    raise UsageError(
-                        f"{self.quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
-                        f"point, beyond the resource guard {guard:.0e}"
-                    )
-        except ValueError as exc:  # the library's own refusals: kappa, check_replications, band_count
+            (q.stratified if self.stratified else q).check(self)
+        except ValueError as exc:  # the library's refusals, its resource guard's among them
             raise UsageError(str(exc)) from None
 
 
@@ -192,9 +129,7 @@ def formula_check() -> FormulaCheckResult:
 def _ks_ranges(c: ExperimentConfig, values: np.ndarray, censored: np.ndarray) -> KsResult:
     """ks_exponential of the ranges below the cutoff, against Exp(range rate) truncated there."""
     if censored.all():
-        raise UsageError(
-            f"every range is censored at the cutoff {c.cutoff}, so no range is left to test; raise --cutoff"
-        )
+        raise UsageError(f"every range is censored at the cutoff {c.cutoff}: no range is left to test; raise --cutoff")
     return ks_exponential(values[~censored], c.range_rate(), c.cutoff)
 
 
@@ -205,67 +140,50 @@ def _stratified(c: ExperimentConfig) -> EstimateRecord:
     return visibility.make_record(c.quantity, c.d, c.gamma, c.law, values, est.closed_forms[0], c.seed, t0)
 
 
-def _needs_truncate(c: ExperimentConfig) -> None:
-    if c.truncate_at is None:
-        raise UsageError(f"{c.quantity} needs --truncate")
-
-
-def _window(c: ExperimentConfig) -> None:
-    if c.d != 2:
-        raise UsageError("intersection density verification is restricted to d = 2")
-    if c.r_win is None:
-        raise UsageError(f"{c.quantity} needs --rwin")
-    with np.errstate(over="ignore"):  # a window too wide for a float has area inf, which the estimator's guard refuses
-        if not (c.r_win > 0 and closedform.ball_volume(2, c.r_win) > 0):
-            raise UsageError(f"rwin must be > 0 with a window area > 0, got {c.r_win}")
-    try:
-        density = closedform.intersection_density(2, c.gamma, c.law)
-    except OverflowError:
-        raise UsageError("the intersection density kappa_2 (v* gamma)^2 overflows double precision") from None
-    if density < sys.float_info.min:
-        raise UsageError(
-            f"the intersection density kappa_2 (v* gamma)^2 = {density:.3g} underflows double precision; "
-            "every estimate would read 0"
-        )
-
-
-def _grain_cap(c: ExperimentConfig) -> None:
-    m = c.law.max_radius
-    if procsim.cap_share(c.d, procsim.grain_cap_gap(m, c.cutoff + m)) == 0.0:
-        raise UsageError(
-            f"grain radius {m:g} is too small for the single-ray sweep to cutoff {c.cutoff:g}: the directions from "
-            f"which a grain at depth {c.cutoff + m:.6g} can reach the ray have share 0 in double precision"
-        )
-
-
 QUANTITIES = {
     "visvol": Quantity(
         lambda c: visibility.estimate_visible_volume(c.d, c.gamma, c.law, c.n_reps, c.n_rays, None, c.cutoff, c.seed),
-        law=True, sweep=True, replicated=True, mean="mean visible volume",
+        lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, c.n_rays),
+        law=True,
     ),
     "visvol_truncated": Quantity(
         lambda c: visibility.estimate_visible_volume(
             c.d, c.gamma, c.law, c.n_reps, c.n_rays, c.truncate_at, c.cutoff, c.seed
         ),
-        law=True, sweep=True, replicated=True, check=_needs_truncate, stratified=_stratified,
+        lambda c: visibility.check_sweep(
+            c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, c.n_rays, c.truncate_at
+        ),
+        law=True,
+        needs=("truncate_at", "--truncate"),
+        stratified=Quantity(
+            _stratified,
+            lambda c: visibility.check_sweep(
+                c.quantity, c.d, c.gamma, c.law, visibility.STRATIFIED_BATCHES, c.truncate_at, c.seed,
+                bands=(visibility.STRATIFIED_BAND_WIDTH, visibility.STRATIFIED_SIMS),
+            ),
+        ),
     ),
     "cdf_boolean": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_visibility_ranges(c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed)),
-        law=True, sweep=True, check=_grain_cap,
+        lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, replicated=False),
+        law=True,
     ),
     "cdf_tessellation": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_zero_cell_ranges(c.d, c.gamma, c.n_reps, c.cutoff, c.seed)),
-        sweep=True,
+        lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, None, c.n_reps, c.cutoff, c.seed, replicated=False),
     ),
     "intersection_density": Quantity(
         lambda c: intersect.estimate_intersection_density(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
-        law=True, replicated=True, check=_window,
+        lambda c: intersect.check_window(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
+        law=True,
+        needs=("r_win", "--rwin"),
+        planar=True,
     ),
     "zero_cell": Quantity(
         lambda c: visibility.estimate_zero_cell_volume(c.d, c.gamma, c.n_reps, c.n_rays, c.cutoff, c.seed),
-        sweep=True, replicated=True, mean="mean zero-cell volume",
+        lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, None, c.n_reps, c.cutoff, c.seed, c.n_rays),
     ),
-    "formula_check": Quantity(lambda c: formula_check(), simulated=False),
+    "formula_check": Quantity(lambda c: formula_check()),
 }
 
 
@@ -273,7 +191,7 @@ def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckRes
     """Dispatch a validated configuration; deterministic given the seed."""
     config.validate()
     q = QUANTITIES[config.quantity]
-    return (q.stratified if config.stratified else q.runner)(config)
+    return (q.stratified if config.stratified else q).runner(config)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,17 @@ meet the sheet <p, p> = -1, p_0 > 0: in two points iff their Gram
 determinant, sinh^2 r_i sinh^2 D sin^2 alpha (D the center distance, alpha
 the points' angle off the center-to-center direction), is positive. The
 estimator draws a round of realizations at once, each from its own
-generator and in its own order (procsim.sample_boolean_annulus), pads each
-realization's grains to one row of the round, and one kernel call counts
-the crossing points inside the window for all grain pairs of the round. It
-solves only the pairs whose centers are close enough to cross, by a test
-that keeps every pair the solve could call crossing or tangent, so the
-counts are those of the solve on every pair. Higher dimensions would need
-d mutually intersecting hyperspheres and are out of scope.
+generator and in its own order, pads each realization's grains to one row,
+and one kernel call counts the crossing points inside the window for all
+grain pairs of the round. It solves only the pairs close enough to cross or
+touch, so the counts are those of the solve on every pair. Higher
+dimensions would need d mutually intersecting hyperspheres: out of scope.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from . import closedform, procsim
 from .closedform import GrainLaw, ball_volume
 from .rng import rounds, stream  # noqa: F401 (benchmarks/tracer.py wraps stream here)
-from .visibility import _ROUND_REPS, EstimateRecord, check_replications, make_record
+from .visibility import _ROUND_REPS, EstimateRecord, check_run, make_record
 
 _TANGENCY_TOL = 1e-12
 # Expected grain pairs per round (see _round_size): the round's padded Gram matrix and pair tests
@@ -110,11 +109,31 @@ def _rows(counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def _round_size(gamma: float, law: GrainLaw, r_win: float) -> int:
     """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most _ROUND_REPS."""
     grains = gamma * float(ball_volume(2, r_win + law.max_radius))
-    if grains**2 > procsim.MAX_EXPECTED_COUNT:  # one realization's Gram matrix holds all its grain pairs
+    if grains * grains > procsim.MAX_EXPECTED_COUNT:  # one realization's Gram matrix holds all its grain pairs
         raise procsim.ResourceGuardError(
-            f"{grains**2:.3g} expected grain pairs per realization exceed resource guard {procsim.MAX_EXPECTED_COUNT:.0e}"
+            f"{grains * grains:.3g} expected grain pairs per realization exceed resource guard "
+            f"{procsim.MAX_EXPECTED_COUNT:.0e}"
         )
     return int(min(_ROUND_REPS, max(1.0, _ROUND_PAIRS // (1.0 + grains) ** 2)))
+
+
+def check_window(gamma: float, law: GrainLaw, r_win: float, n_reps: int, seed: int) -> None:
+    """Refuse before any draw what estimate_intersection_density cannot serve: ValueError, or ResourceGuardError."""
+    check_run(gamma, n_reps, seed, r_win=r_win)
+    with np.errstate(over="ignore"):  # a window too wide for a float has area inf
+        if not (r_win > 0 and ball_volume(2, r_win) > 0):
+            raise ValueError(f"rwin must be > 0 with a window area > 0, got {r_win}")
+    try:
+        density = closedform.intersection_density(2, gamma, law)
+    except OverflowError:
+        raise ValueError("the intersection density kappa_2 (v* gamma)^2 overflows double precision") from None
+    if density < sys.float_info.min:
+        raise ValueError(
+            f"the intersection density kappa_2 (v* gamma)^2 = {density:.3g} underflows double precision; "
+            "every estimate would read 0"
+        )
+    with np.errstate(over="ignore"):  # such a window holds inf grains, which the resource guard refuses
+        _round_size(gamma, law, r_win)
 
 
 def estimate_intersection_density(
@@ -127,13 +146,10 @@ def estimate_intersection_density(
     window area over unconditioned realizations. Realization i draws from
     stream(seed, i), whatever round it falls in.
     """
-    check_replications(n_reps)
-    if not r_win > 0:
-        raise ValueError(f"window radius must be > 0, got {r_win}")
     t0 = time.perf_counter()
-    with np.errstate(over="ignore"):  # a window too wide for a float holds inf grains, which _round_size refuses
-        size = _round_size(gamma, law, r_win)
-        area = float(ball_volume(2, r_win))
+    check_window(gamma, law, r_win, n_reps, seed)
+    size = _round_size(gamma, law, r_win)
+    area = float(ball_volume(2, r_win))
     counts = np.empty(n_reps)
     tangent_pairs = 0
     t_hi = r_win + law.max_radius

@@ -11,19 +11,14 @@ processes into radial shells so that estimators can sweep outward from the
 base point and stop as soon as no farther obstacle can matter; restricting a
 Poisson process to a region is again Poisson, so the sweep is exact.
 
-The annulus samplers (sample_boolean_annulus, sample_hyperplane_annulus)
-serve the many-ray sweep and the intersection density. The cap samplers
-(sample_boolean_cap_annuli, sample_hyperplane_cap_annuli) serve a single ray:
-they draw only the obstacles whose direction lies in the cap from which the
-ray can be reached, each by its distance and the versine of its angle to the
-ray, again an exact Poisson restriction. sample_hyperplane_windows serves the
-segment crossings. Each of them draws a round of replications at once, from
-one generator per replication: each generator makes its own draws in its own
-order, and the radial inverse runs once over all of the round's draws. Each
-root of the inverse converges on its own, so no draw depends on the others.
-They return each per-obstacle array flat, the obstacles of the generators
-concatenated in generator order, followed by one obstacle count per
-generator.
+The annulus samplers (sample_*_annulus) serve the many-ray sweep and the
+intersection density, the cap samplers (sample_*_cap_annuli) a single ray,
+drawing only the obstacles in the cap of directions from which it can be
+reached (again an exact Poisson restriction), and sample_hyperplane_windows
+the segment crossings. Each draws a round of replications at once, each
+generator making its own draws in its own order, and runs the radial
+inverse once over the round, each root converging on its own. They return
+each per-obstacle array flat in generator order, then a count per generator.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -381,6 +376,19 @@ def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple
 # ---------------------------------------------------------------------------
 
 
+def band_grains(d: int, gamma: float, law: GrainLaw, s_lo: float, s_hi: float, n_sims: int) -> float:
+    """Expected grains of one band experiment of band_first_touches, refused beyond the resource guard."""
+    m = law.max_radius
+    fiber = omega(d - 1) * np.sinh(m) ** (d - 1) / (d - 1)
+    mean = gamma * ((s_hi - s_lo) + 2.0 * m) * fiber
+    if mean * n_sims > MAX_EXPECTED_COUNT:
+        raise ResourceGuardError(
+            f"expected grain count {mean * n_sims:.3g} of {n_sims} band experiments "
+            f"exceeds resource guard {MAX_EXPECTED_COUNT:.0e}"
+        )
+    return mean
+
+
 def band_first_touches(
     d: int,
     gamma: float,
@@ -401,14 +409,7 @@ def band_first_touches(
     inf for experiments whose band stays clear.
     """
     m = law.max_radius
-    fiber = omega(d - 1) * np.sinh(m) ** (d - 1) / (d - 1)
-    width = (s_hi - s_lo) + 2.0 * m
-    mean = gamma * width * fiber
-    if mean * n_sims > MAX_EXPECTED_COUNT:
-        raise ResourceGuardError(
-            f"expected grain count {mean * n_sims:.3g} of {n_sims} band experiments "
-            f"exceeds resource guard {MAX_EXPECTED_COUNT:.0e}"
-        )
+    mean = band_grains(d, gamma, law, s_lo, s_hi, n_sims)
     counts = rng.poisson(mean, size=n_sims)
     total = int(counts.sum())
     first = np.full(n_sims, np.inf)

@@ -1,67 +1,43 @@
 """Ray casting against grains and hyperplanes, visibility ranges, and the
 Monte Carlo estimators for (truncated) visible volume and zero-cell volume.
+Each estimator first calls check_sweep, which refuses before any draw every
+input it cannot serve.
 
-The hit kernels are exact closed forms from hyperbolic trigonometry for
-rays from the base point. The estimators sweep the obstacle process
-radially outward from the base point and stop once no farther obstacle can
-shorten any ray: a grain at center distance D cannot produce a hit before
-D - radius, and a hyperplane at distance t cannot be crossed before t. This keeps the work proportional
-to the realized visibility depth instead of the simulation window volume.
-The same bound prunes rays within the sweep: a block starting at t_lo is
-cast only against the rays whose current range exceeds t_lo minus the edge
-margin, since it cannot shorten the others.
-
-The vectorized kernels evaluate the hit formula only on the pairs that pass
-a one-comparison prefilter (a cone test for grains, a sign test for
-hyperplanes) and return bit for bit the matrices of the formula evaluated
-on every pair. The ray pruning is exact too: a pruned ray could not have
-been shortened.
+The hit kernels are exact closed forms from hyperbolic trigonometry for rays
+from the base point, evaluated only on the pairs that pass a one-comparison
+prefilter (a cone test for grains, a sign test for hyperplanes), bit for bit
+as on every pair. The estimators sweep the obstacle process radially outward
+from the base point and stop once no farther obstacle can shorten any ray: a
+grain at center distance D cannot hit before D - radius, nor a hyperplane at
+distance t before t. The work follows the realized depth, not a window's
+volume, and a block is cast only against the rays it can shorten.
 
 A single ray (the range samplers behind the cdf quantities) needs only the
-obstacles that can reach it: a plane at distance t only if the angle theta
-between the ray and its normal has cos theta > tanh t, a grain of radius
-<= m at distance D only if theta < pi/2 and sinh D sin theta <= sinh m.
-Each block then draws, besides distances and radii, only the versine
-1 - cos theta, in the cap at its inner (widest) radius, thinned to the exact
-direction density (procsim.cap_versines): an exact Poisson restriction like
-the annulus itself. A hit depends on an obstacle only through its distance,
-radius and angle, so the hit formula of grain_hits_from_base runs on the
-drawn versines, with no ray x obstacle product; planes cross where
-tanh s = tanh t / cos theta, evaluated from the versines of theta and of the
-cap at t. Versines keep their precision where cos theta rounds to 1.
-Blocks hold _CAP_BLOCK_TARGET expected obstacles of this capped measure,
-which grows about linearly in t (the cap's share of the sphere falls like
-e^{-(d-1)t} while the profile grows like e^{(d-1)t}); a replication reaching
-range R then costs O(R) draws and blocks for every rate, instead of
-e^{(d-1)R}. By isotropy the law of a single ray's range does not depend on
-its direction, which the capped sweep therefore never reads. Each
-replication still draws one uniform direction before its obstacles, so its
-stream, and with it every range, stays as it was when the sweep read it.
+obstacles in its direction cap: a plane at distance t only if the angle
+theta between the ray and its normal has cos theta > tanh t, a grain of
+radius <= m at distance D only if theta < pi/2 and sinh D sin theta <=
+sinh m. Each block draws, besides distances and radii, only the versines
+1 - cos theta in the cap at its inner radius (procsim.cap_versines): an exact
+Poisson restriction like the annulus itself. The hit formulas run on the
+versines, which keep their precision where cos theta rounds to 1. Blocks
+hold _CAP_BLOCK_TARGET expected obstacles of this capped measure, so a
+replication reaching range R costs O(R) draws instead of e^{(d-1)R}. By
+isotropy the capped sweep never reads the ray's direction; each replication
+still draws one, so that its stream and every range stay as they were.
 
-Replications are swept in rounds of at most 4096 rays and 4096 expected
-obstacles per block: 512 (_ROUND_REPS) for the single-ray range samplers,
-16 for the estimators with up to 256 rays, fewer beyond. A round shares each
-block's bounds and one sampler call (one radial inverse over all its draws),
-while each replication keeps its own generator and makes exactly its own
-draws in its own order. A single-ray round shares one kernel call too, with
-one hit per obstacle; with many rays each replication casts its rays through
-its own slice of the round's obstacles, the kernel call it would make alone,
-as a batched matrix product can move the last bits of a hit. The
-segment-crossing estimator draws rounds of _ROUND_REPS windows the same way
-and casts its segment through all of a round's planes at once.
-
-Replication r of a run with master seed s draws from stream(s, r), so runs
-are reproducible and order independent. The generators of a run come from
-rng.streams, which derives them in chunks and returns bit for bit the
-stream(s, r) generators; the results, bit for bit, depend on neither the
-round size nor the chunk size. Rays
-inside one replication share the realization and are dependent; standard
-errors are computed across replications only, so estimators need at least two.
+Replications are swept in rounds (see _rounds) that share each block's
+bounds and sampler call, while each keeps its own generator from rng.streams
+and makes its own draws in its own order: results are bit for bit
+independent of round and chunk sizes. A single-ray round shares one kernel
+call too; with many rays each replication makes the kernel call it would
+make alone, as a batched matrix product can move the last bits of a hit.
+Standard errors are taken across replications only.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -70,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import closedform, procsim
-from .closedform import GrainLaw, grain_kind_params, grain_moments, omega, power_integral_at, power_integral_inverse
+from .closedform import GrainLaw, grain_kind_params, omega, power_integral_at, power_integral_inverse
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
 from .rng import rounds, stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 
@@ -133,16 +109,87 @@ def make_record(
     )
 
 
-def max_sweep_depth(d: int) -> float:
-    """Depth beyond which a radial sweep leaves double precision: its profiles grow like e^{(d-1)t}
-    and a ray's direction caps shrink like e^{-2t}, and either passes 1e300 near exponent 700."""
-    return 700.0 / max(d - 1, 2)
-
-
-def check_replications(n_reps: int) -> None:
-    """Standard errors are taken across replications, so an estimator needs at least two."""
-    if n_reps < 2:
+def check_run(gamma: float, n_reps: int, seed: int, replicated: bool = True, **lengths: float | None) -> None:
+    """Refuse what no estimator can serve: a gamma not finite and > 0, a seed < 0, a length (by name; None: not
+    given) not finite, and n_reps below 1, below 2 where replicated, or beyond the resource guard."""
+    for name, value in {"gamma": gamma, **lengths}.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not gamma > 0:
+        raise ValueError("intensity gamma must be > 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if replicated and n_reps < 2:
         raise ValueError(f"a standard error across replications needs n_reps >= 2, got {n_reps}")
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    if n_reps > procsim.MAX_EXPECTED_COUNT:
+        raise procsim.ResourceGuardError(
+            f"n_reps = {n_reps} exceeds the resource guard {procsim.MAX_EXPECTED_COUNT:.0e}"
+        )
+
+
+def check_sweep(
+    quantity, d, gamma, law, n_reps, cutoff, seed, n_rays=None, truncate_at=None, bands=None, replicated=True
+) -> None:
+    """Refuse, before any generator is built, a sweep of quantity (named in the messages) that this module cannot
+    serve: by ValueError, or procsim.ResourceGuardError beyond the resource guard. Every estimator here and
+    `hypervis estimate` call it. The sweep passes the grains of law (hyperplanes for None) out to cutoff in n_reps
+    replications, with a standard error across them if replicated. n_rays rays per replication average volumes
+    within truncate_at or else the mean, which must be finite (the paper's a > d - 1); without n_rays a
+    replication sweeps one ray or a segment. bands = (band_width, sims_per_band) is the stratified estimator."""
+    closedform.Constants.for_dim(d)  # 2 <= d <= 341
+    check_run(gamma, n_reps, seed, replicated, cutoff=cutoff, truncate_at=truncate_at)
+    guard = procsim.MAX_EXPECTED_COUNT
+    if n_rays is not None and n_rays < 1:
+        raise ValueError(f"n_rays must be >= 1, got {n_rays}")
+    if n_rays is not None and n_rays * _BLOCK_TARGET > guard:  # the many-ray sweep casts every ray against each block
+        raise procsim.ResourceGuardError(
+            f"n_rays = {n_rays} exceeds the resource guard: n_rays x {_BLOCK_TARGET} obstacles "
+            f"per sweep block = {n_rays * _BLOCK_TARGET:.3g} ray-obstacle pairs > {guard:.0e}"
+        )
+    if not cutoff > 0:
+        raise ValueError("cutoff must be > 0")
+    a = closedform.range_rate(d, gamma, law)
+    if n_rays is not None and truncate_at is None and math.isinf(closedform.sinh_exp_integral(d, a)):
+        raise ValueError(
+            f"mean {'visible' if law else 'zero-cell'} volume is infinite at range rate a = {a:.6g} <= d-1 = {d - 1}; "
+            f"finiteness needs gamma > {(d - 1) * gamma / a:.6g}"
+        )
+    if n_rays is not None or bands:  # ranges of mean 1/a give volumes near vol B(1/a)
+        with np.errstate(over="ignore", invalid="ignore"):  # a long mean range has volume inf or nan
+            volume = float(closedform.ball_volume(d, 1.0 / a)) if a > 0 else math.inf
+        if volume < sys.float_info.min:
+            raise ValueError(
+                f"{quantity} averages ray volumes near vol B(1/a) = {volume:.3g} at mean range "
+                f"1/a = {1.0 / a:.6g}, which underflows double precision; every estimate would read 0"
+            )
+    m = law.max_radius if law else 0.0
+    deepest = 700.0 / max(d - 1, 2)  # profiles grow like e^{(d-1)t}, caps shrink like e^{-2t}: 1e300 near 700
+    if cutoff + m > deepest:
+        raise ValueError(
+            f"cutoff {cutoff} sweeps to depth {cutoff + m:.6g}, beyond the {deepest:.6g} that double precision "
+            f"allows in d = {d}"
+        )
+    if law and not bands and (n_rays or 1) == 1 and procsim.cap_share(d, procsim.grain_cap_gap(m, cutoff + m)) == 0.0:
+        raise ValueError(
+            f"grain radius {m:g} is too small for the single-ray sweep to cutoff {cutoff:g}: the directions from "
+            f"which a grain at depth {cutoff + m:.6g} can reach the ray have share 0 in double precision"
+        )
+    if truncate_at is not None and truncate_at > cutoff:
+        raise ValueError(f"truncate_at {truncate_at} exceeds cutoff {cutoff}")
+    if truncate_at is not None and truncate_at < 0:
+        raise ValueError(f"truncate_at must be >= 0, got {truncate_at}")
+    if bands:
+        band_count(cutoff, bands[0])
+        procsim.band_grains(d, gamma, law, 0.0, *bands)
+    elif law:  # a grain sweep ends past the largest grain radius, so each replication samples the grains within it
+        near = n_reps * gamma * float(closedform.ball_volume(d, m))
+        if near > guard:
+            raise procsim.ResourceGuardError(
+                f"{quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
+                f"point, beyond the resource guard {guard:.0e}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +330,7 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
             if not len(reps):
                 return best
-        share = proc.share(t_lo)
-        if not share > 0.0:
-            raise ValueError(f"sweep depth {t_lo:.6g} is beyond double precision (see max_sweep_depth)")
-        reach = _block_end(n, sign, proc.target / (proc.gamma * proc.scale * share), t_lo)
+        reach = _block_end(n, sign, proc.target / (proc.gamma * proc.scale * proc.share(t_lo)), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + 1e-6)
         *obstacles, counts = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
         starts = np.cumsum(counts) - counts
@@ -387,11 +431,13 @@ def sample_visibility_ranges(
     the ray's direction: the sweep samples only the grains in the ray's
     direction cap, by their angle to the ray.
     """
+    check_sweep("cdf_boolean", d, gamma, law, n, cutoff, seed, replicated=False)
     return _single_ranges(d, n, cutoff, seed, partial(_boolean_ranges, d, gamma, law))
 
 
 def sample_zero_cell_ranges(d: int, gamma: float, n: int, cutoff: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n independent visibility ranges through the hyperplane process, as in sample_visibility_ranges."""
+    check_sweep("cdf_tessellation", d, gamma, None, n, cutoff, seed, replicated=False)
     return _single_ranges(d, n, cutoff, seed, partial(_hyperplane_ranges, d, gamma))
 
 
@@ -412,27 +458,19 @@ def estimate_visible_volume(
 ) -> EstimateRecord:
     """Mean (truncated) visible volume over independent conditioned realizations.
 
-    truncate_at=None targets the untruncated mean, which requires the rate
-    gamma v* to exceed d-1; rays are then censored at the cutoff, whose
-    exponential tail should be negligible against the standard error.
+    Ranges are censored at the cutoff, so the estimate targets the mean within c = min(truncate_at, cutoff),
+    omega_d int_0^c sinh^{d-1}(t) e^{-at} dt with a = gamma v*. closed_form is that mean at c = truncate_at, or
+    without truncate_at the untruncated mean (finite only for a > d-1), whose tail beyond the cutoff the
+    estimate misses: at d = 2, pi (e^{-(a-1)c}/(a-1) - e^{-(a+1)c}/(a+1)). That tail is 0.0065 for criterion 2,
+    but 0.433 of the mean 10.116 for criterion 5 (a zero cell), against standard errors of 0.40-1.28.
     """
     t0 = time.perf_counter()
-    a = gamma * grain_moments(d, law).v_dm1_star
+    quantity = "visvol" if truncate_at is None else "visvol_truncated"
+    check_sweep(quantity, d, gamma, law, n_reps, cutoff, seed, n_rays, truncate_at)
     if truncate_at is None:
-        if a <= d - 1:
-            raise ValueError(
-                f"untruncated mean visible volume is infinite: gamma*v* = {a:.6g} <= d-1 = {d - 1} "
-                f"(threshold gamma = {(d - 1) / grain_moments(d, law).v_dm1_star:.6g}); use a truncated estimate"
-            )
-        cap = cutoff
-        closed = closedform.mean_visible_volume(d, gamma, law)
-        quantity = "visvol"
+        cap, closed = cutoff, closedform.mean_visible_volume(d, gamma, law)
     else:
-        if truncate_at > cutoff + 1e-12:
-            raise ValueError("truncate_at must not exceed cutoff")
-        cap = truncate_at
-        closed = closedform.truncated_visible_volume(d, gamma, law, truncate_at)
-        quantity = "visvol_truncated"
+        cap, closed = truncate_at, closedform.truncated_visible_volume(d, gamma, law, truncate_at)
     ranges = partial(_boolean_ranges, d, gamma, law)
     return _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, closed, seed, ranges, t0)
 
@@ -440,20 +478,16 @@ def estimate_visible_volume(
 def estimate_zero_cell_volume(
     d: int, gamma: float, n_reps: int, n_rays: int, cutoff: float, seed: int
 ) -> EstimateRecord:
-    """Mean zero-cell volume of the hyperplane tessellation by ray sampling."""
+    """Mean zero-cell volume by ray sampling; like visvol's, its closed_form holds the tail beyond the cutoff."""
     t0 = time.perf_counter()
+    check_sweep("zero_cell", d, gamma, None, n_reps, cutoff, seed, n_rays)
     closed = closedform.zero_cell_mean_volume(d, gamma)
-    if math.isinf(closed):
-        raise ValueError(
-            f"zero-cell mean volume is infinite: rate {closedform.zero_cell_rate(d, gamma):.6g} <= d-1 = {d - 1}"
-        )
     ranges = partial(_hyperplane_ranges, d, gamma)
     return _estimate_volume("zero_cell", d, gamma, None, n_reps, n_rays, cutoff, cutoff, closed, seed, ranges, t0)
 
 
 def _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, closed, seed, ranges, t0) -> EstimateRecord:
     """Record of the mean over replications of omega_d times the ray average of int_0^{min(range, cap)} sinh^{d-1}."""
-    check_replications(n_reps)
     rep_vals = np.empty(n_reps)
     n_censored = 0
     for first, round_ranges in _rounds(d, n_reps, n_rays, cutoff, seed, ranges):
@@ -469,12 +503,12 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 
     The invariant-measure (Crofton) value is gamma * 2 kappa_{d-1}/(d kappa_d)
     per unit length. Planes farther than the segment length cannot cross it,
-    so sampling within that radius is exact. Replications are drawn in rounds
-    of _ROUND_REPS, each from its own stream(seed, i), and one kernel call
-    casts the segment through all of a round's planes.
+    so sampling within that radius (check_sweep's cutoff) is exact. Replications
+    are drawn in rounds of _ROUND_REPS, each from its own stream(seed, i), and
+    one kernel call casts the segment through all of a round's planes.
     """
-    check_replications(n_reps)
     t0 = time.perf_counter()
+    check_sweep("segment_crossings", d, gamma, None, n_reps, length, seed)
     direction = np.zeros((1, d))
     direction[0, 0] = 1.0
     counts = np.empty(n_reps)
@@ -491,7 +525,8 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 # ---------------------------------------------------------------------------
 
 
-STRATIFIED_BAND_WIDTH = 0.5
+# The stratified estimator's band width, band experiments per band and batch, and batches.
+STRATIFIED_BAND_WIDTH, STRATIFIED_SIMS, STRATIFIED_BATCHES = 0.5, 25_000, 8
 
 
 @dataclass(frozen=True)
@@ -522,8 +557,8 @@ def estimate_visible_volume_stratified(
     law: GrainLaw,
     radii: tuple[float, ...],
     band_width: float = STRATIFIED_BAND_WIDTH,
-    sims_per_band: int = 25_000,
-    n_batches: int = 8,
+    sims_per_band: int = STRATIFIED_SIMS,
+    n_batches: int = STRATIFIED_BATCHES,
     seed: int = 0,
 ) -> StratifiedEstimate:
     """Truncated mean visible volume at several radii by depth stratification.
@@ -539,6 +574,7 @@ def estimate_visible_volume_stratified(
     Standard errors come from n_batches independent replicates of the whole
     scheme. Radii must be multiples of band_width.
     """
+    check_sweep("visvol_truncated", d, gamma, law, n_batches, max(radii), seed, bands=(band_width, sims_per_band))
     radius_bands = np.array([band_count(r, band_width) for r in radii])
     n_bands = int(radius_bands.max())
     edges = band_width * np.arange(n_bands + 1)

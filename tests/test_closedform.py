@@ -133,7 +133,7 @@ class TestBallMeasures:
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_grouped_inverse_matches_groups_alone(self, n, sign):
         # Each root converges on its own: any concatenation of y returns, bit for bit, each y's root alone.
-        # y = 0, then 1e-300 up to 1e305: beyond about 1.8e308 / n the profile's f^{n-1} g term overflows
+        # y = 0, then 1e-300 up to 1e305 (test_inverse_up_to_the_largest_doubles goes on to 1.7e308)
         rng = np.random.default_rng(n)
         spread = rng.uniform(0.0, 1.0, 100) * 10.0 ** rng.uniform(-8.0, 4.0, 100)
         y = np.concatenate([[0.0], np.sort(np.r_[np.logspace(-300.0, 305.0, 300), spread])])
@@ -146,6 +146,45 @@ class TestBallMeasures:
         # 2.2e-13: the worst residual of the former group-stopping Newton on these y (n = 9), wherever it
         # converged; at n = 340 it found no sinh root for 39 of them
         assert residual.max() <= 2.2e-13
+
+    @pytest.mark.parametrize("n", [2, 9, 340])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_inverse_up_to_the_largest_doubles(self, n, sign):
+        # the reduction formula's f^{n-1} g term and the slope f^n overflow from about 1.8e308 / n, below
+        # the integral: there the profile is evaluated with f and g halved, which rounds nothing
+        y = np.geomspace(1e300, 1.7e308, 400)
+        roots = cf.power_integral_inverse(n, y, sign)
+        assert np.all(np.isfinite(roots)) and np.all(np.diff(roots) > 0.0)
+        assert np.abs(cf.power_integral(n, roots, sign) / y - 1.0).max() <= 2.2e-13
+        assert [float(cf.power_integral_inverse(n, v, sign)) for v in y[::37]] == roots[::37].tolist()
+
+    @pytest.mark.parametrize("n", [2, 9, 340])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_halved_profile_rounds_nothing(self, n, sign):
+        t = np.linspace(0.01, float(cf.power_integral_inverse(n, 1.7e308, sign)), 2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole, f = cf._profile(n, t, sign)
+            halved, f_half = cf._profile(n, t, sign, 0.5)
+        assert np.isfinite(whole).sum() < len(t) and np.isfinite(halved).all()
+        both = np.isfinite(whole) & (halved >= np.finfo(float).tiny)  # scaling rounds subnormals
+        assert both.sum() > 1000 and np.array_equal(np.ldexp(halved[both], n), whole[both])
+        assert np.array_equal(2.0 * f_half, f)
+
+    def test_inverse_where_the_terms_overflowed(self):
+        assert cf.power_integral_inverse(2, 1.7e308) == pytest.approx(355.903139217454, rel=1e-13)
+        assert cf.power_integral(340, cf.power_integral_inverse(340, 1e307)) == pytest.approx(1e307, rel=2.2e-13)
+        assert cf.radius_at_volume(10, 1.7e308) == pytest.approx(79.43596036846056, rel=1e-13)
+
+    def test_radius_at_volume_beyond_the_doubles_of_the_profile(self):
+        # omega_341 = 2.1e-221, so from vol 3.8e87 on the profile int_0^r sinh^340 passes the doubles
+        omega = cf.omega(341)
+        v = np.geomspace(1e80, 1.7e308, 300)
+        radii = np.array([cf.radius_at_volume(341, x) for x in v])
+        assert np.all(np.isfinite(radii)) and np.all(np.diff(radii) > 0.0)
+        for x, r in zip(v[::25], radii[::25]):  # the profile halved k times, and scaled back, is the volume
+            k = max(0, math.ceil((math.log2(x) - math.log2(omega) - 1000.0) / 340))
+            volume = cf._profile(340, np.array([r]), -1, 0.5**k)[0][0] * math.ldexp(omega, 340 * k)
+            assert volume == pytest.approx(x, rel=2.2e-13)
 
     def test_mc_ball_volume(self):
         est, stderr = cf.mc_ball_volume(2, 1.0, 200_000, stream(11, 0))

@@ -242,5 +242,5 @@ class TestRounds:
     @pytest.mark.parametrize("r_win", [0.0, -1.0])
     def test_window_must_be_wider_than_zero(self, r_win, monkeypatch):
         monkeypatch.setattr(ps, "sample_boolean_annulus", None)  # refused before any draw
-        with pytest.raises(ValueError, match="window radius must be > 0"):
+        with pytest.raises(ValueError, match=f"rwin must be > 0 with a window area > 0, got {r_win}"):
             intersect.estimate_intersection_density(1.0, cf.FixedRadius(0.5), r_win, 3, seed=0)

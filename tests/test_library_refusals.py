@@ -1,0 +1,79 @@
+"""Every estimator and range sampler refuses what it cannot serve itself, called directly and not only through
+`hypervis estimate`: by ValueError, or procsim.ResourceGuardError for the resource guard's rules, before it
+builds any generator."""
+
+import math
+import re
+
+import pytest
+
+from hypervis import closedform as cf
+from hypervis import intersect, procsim, rng, visibility
+
+HALF = cf.FixedRadius(0.5)
+# gamma whose range rate a = gamma v* is 1 + 1e-13, within the finite-mean rule's guard of d - 1 = 1
+NEAR_CRITICAL = (1.0 + 1e-13) / cf.grain_moments(2, HALF).v_dm1_star
+GUARD = procsim.ResourceGuardError
+
+PROBES = {
+    # the intersection density's closed form overflows, as a bare OverflowError unless refused first
+    "density-overflow": (lambda: intersect.estimate_intersection_density(1e200, HALF, 1.0, 3, 0),
+                         ValueError, "intersection density kappa_2 (v* gamma)^2 overflows"),
+    # grains too small to cross in double precision: unrefused, the estimate reads 0.0 against 0.0
+    "density-underflow": (lambda: intersect.estimate_intersection_density(1.0, cf.FixedRadius(1e-300), 1.0, 3, 0),
+                          ValueError, "= 0 underflows double precision"),
+    "window-area": (lambda: intersect.estimate_intersection_density(1.0, HALF, 1e-300, 3, 0),
+                    ValueError, "rwin must be > 0 with a window area > 0, got 1e-300"),
+    "window-pairs": (lambda: intersect.estimate_intersection_density(1e4, HALF, 3.0, 2, 0),
+                     GUARD, "9.57e+11 expected grain pairs per realization"),
+    # the ray volumes underflow: unrefused, the estimate reads 0.0 against 1.37e-282
+    "zero-cell-underflow": (lambda: visibility.estimate_zero_cell_volume(200, 1e4, 3, 3, 1.0, 0),
+                            ValueError, "zero_cell averages ray volumes near vol B(1/a) = 0"),
+    "zero-cell-infinite": (lambda: visibility.estimate_zero_cell_volume(2, 0.5, 3, 3, 2.0, 0),
+                           ValueError, "mean zero-cell volume is infinite"),
+    # unrefused, numpy's Poisson sampler raises "lam < 0 or lam is NaN" after the generators are built
+    "gamma-nan": (lambda: visibility.estimate_visible_volume(2, math.nan, HALF, 3, 3, None, 2.0, 0),
+                  ValueError, "gamma must be finite, got nan"),
+    # unrefused, a record with closed_form inf and z None
+    "near-critical": (lambda: visibility.estimate_visible_volume(2, NEAR_CRITICAL, HALF, 3, 3, None, 2.0, 0),
+                      ValueError, "mean visible volume is infinite at range rate a = 1 <= d-1 = 1"),
+    # unrefused, an estimate of 0 with z None
+    "cutoff-zero": (lambda: visibility.estimate_visible_volume(2, 1.0, HALF, 3, 3, 0.0, 0.0, 0),
+                    ValueError, "cutoff must be > 0"),
+    "truncate-beyond-cutoff": (lambda: visibility.estimate_visible_volume(2, 1.0, HALF, 3, 3, 2.5, 2.0, 0),
+                               ValueError, "truncate_at 2.5 exceeds cutoff 2.0"),
+    "grains-near-base": (lambda: visibility.estimate_visible_volume(2, 1e12, HALF, 3, 2, None, 1.0, 0),
+                         GUARD, "visvol samples n_reps * gamma * vol B(max radius) = 2.41e+12 grains"),
+    "many-rays": (lambda: visibility.estimate_visible_volume(2, 3.0, HALF, 3, 10**8, 1.0, 1.0, 0),
+                  GUARD, "n_rays = 100000000 exceeds the resource guard"),
+    "one-replication": (lambda: visibility.estimate_segment_crossings(2, 1.0, 1.0, 1, 0),
+                        ValueError, "needs n_reps >= 2, got 1"),
+    "segment-seed": (lambda: visibility.estimate_segment_crossings(2, 1.0, 1.0, 5, -1),
+                     ValueError, "seed must be >= 0, got -1"),
+    "grain-cap": (lambda: visibility.sample_visibility_ranges(2, 1.0, cf.FixedRadius(1e-300), 5, 2.0, 0),
+                  ValueError, "grain radius 1e-300 is too small for the single-ray sweep to cutoff 2"),
+    "sweep-depth": (lambda: visibility.sample_zero_cell_ranges(2, 1e-9, 5, 400.0, 0),
+                    ValueError, "cutoff 400.0 sweeps to depth 400, beyond the 350"),
+    "range-replications": (lambda: visibility.sample_zero_cell_ranges(2, 3.0, 10**12, 2.0, 0),
+                           GUARD, "n_reps = 1000000000000 exceeds the resource guard"),
+    "dimension": (lambda: visibility.sample_zero_cell_ranges(342, 1.0, 5, 1.0, 0),
+                  ValueError, "the largest supported is d = 341"),
+    "band-grains": (lambda: visibility.estimate_visible_volume_stratified(2, 1e9, HALF, (1.0,)),
+                    GUARD, "band experiments exceeds resource guard"),
+    "band-multiple": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, (1.3,)),
+                      ValueError, "multiple of band_width 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_entry_point_refuses_before_any_generator(name, monkeypatch):
+    call, kind, message = PROBES[name]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built before the input was refused")
+
+    for module, attr in ((rng, "streams"), (rng, "stream"), (visibility, "streams")):
+        monkeypatch.setattr(module, attr, no_generator)
+    with pytest.raises(ValueError, match=re.escape(message)) as refused:
+        call()
+    assert type(refused.value) is kind

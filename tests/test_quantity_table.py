@@ -1,5 +1,6 @@
 """`hypervis estimate` quantities are declared once, in harness.QUANTITIES: validation and dispatch read
-the entries and never compare the quantity to a name, and the README's estimate examples stay valid."""
+the entries and never compare the quantity to a name, the library's own checks hold the input rules, and the
+README's estimate examples stay valid."""
 
 import ast
 import shlex
@@ -37,6 +38,33 @@ def test_validate_and_run_compare_no_quantity_name():
     methods = {node.name: node for node in config.body if isinstance(node, ast.FunctionDef)}
     for node in (methods["validate"], methods["range_rate"], functions["run"]):
         assert not _name_comparisons(node), f"{node.name} branches on a quantity name instead of its table entry"
+
+
+# The modules whose checks and constants harness would otherwise re-implement.
+LIBRARY = ("visibility", "procsim", "intersect", "closedform")
+
+
+def _private_reads(tree) -> list[str]:
+    """Source of each read of, or import of, a _-prefixed name of a LIBRARY module in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in LIBRARY:
+            if node.attr.startswith("_"):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in LIBRARY:
+            found += [f"{node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_detector_sees_private_reads():
+    tree = ast.parse("from .visibility import _a, b\nx = procsim._guard + intersect.public + closedform._c(1)")
+    assert _private_reads(tree) == ["visibility._a", "procsim._guard", "closedform._c"]
+
+
+def test_harness_reads_no_private_name_of_the_library():
+    # validate calls each quantity's library check instead of repeating its rules from the module's internals
+    tree = ast.parse((ROOT / "src" / "hypervis" / "harness.py").read_text())
+    assert not _private_reads(tree)
 
 
 def _readme_estimate_examples() -> list[list[str]]:

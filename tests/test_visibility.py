@@ -392,7 +392,7 @@ class TestRangeSampling:
 class TestEstimators:
     def test_refusal_below_threshold(self):
         law = cf.FixedRadius(0.5)
-        with pytest.raises(ValueError, match="threshold gamma"):
+        with pytest.raises(ValueError, match="finiteness needs gamma > 0.959517"):
             vis.estimate_visible_volume(2, 0.5, law, 10, 10, None, 8.0, seed=0)
 
     def test_truncated_matches_closed_form_subcritical(self):
