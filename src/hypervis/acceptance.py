@@ -140,12 +140,10 @@ def criterion_9(seed: int) -> tuple:
     """Critical truncated growth: (estimate(20) - estimate(10))/10 within 5% of pi."""
     law = FixedRadius(0.5)
     gamma = closedform.visibility_threshold(2, 0.5)
-    est = visibility.estimate_visible_volume_stratified(
-        2, gamma, law, (10.0, 20.0), band_width=0.5, sims_per_band=25_000, n_batches=8, seed=seed
-    )
-    increment = (est.estimates[1] - est.estimates[0]) / 10.0
+    at_10, at_20 = visibility.estimate_visible_volume_stratified(2, gamma, law, (10.0, 20.0), seed=seed)
+    increment = (at_20.estimate - at_10.estimate) / 10.0
     detail = (
-        f"estimates {est.estimates[0]:.3f}@10, {est.estimates[1]:.3f}@20; "
+        f"estimates {at_10.estimate:.3f}@10, {at_20.estimate:.3f}@20; "
         f"increment/10 = {increment:.4f} vs pi = {math.pi:.4f} ({abs(increment / math.pi - 1) * 100:.2f}%)"
     )
     return abs(increment - math.pi) < 0.05 * math.pi, detail

@@ -33,17 +33,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _above_zero(text: str) -> float:
-    """A number that is not <= 0. NaN and inf pass, for the configuration to refuse as non-finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
-    return value
-
-
 def _dimension(text: str) -> int:
     try:
         return closedform.Constants.for_dim(int(text)).d
@@ -92,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--rays", dest="n_rays", type=int, default=200)
     p_est.add_argument("--cutoff", type=float, default=12.0)
     p_est.add_argument("--truncate", dest="truncate_at", type=float, default=None)
-    p_est.add_argument("--rwin", dest="r_win", type=_above_zero, default=None)
+    p_est.add_argument("--rwin", dest="r_win", type=float, default=None)
     p_est.add_argument("--seed", type=_seed, default=0)
     p_est.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
     p_est.add_argument("--format", choices=("json", "csv"), default="json")

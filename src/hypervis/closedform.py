@@ -585,27 +585,23 @@ def rate_integral_residuals() -> dict[str, float]:
     return residuals
 
 
-def steiner_ball_coefficients(d: int, radius: float, fit_radii=None) -> np.ndarray:
+def steiner_ball_coefficients(d: int, radius: float) -> np.ndarray:
     """Steiner coefficients of a ball fitted from the parallel-volume growth.
 
     Solves vol(B(radius + r_i)) - vol(B(radius)) = sum_j c_j ell_{d,j}(r_i)
-    at d distinct r_i; returns (c_0, ..., c_{d-1}). For d = 2 the exact
-    answer is (cosh radius, pi sinh radius).
+    at the d radii r_i = 0.3, 0.6, ..., 0.3 d; returns (c_0, ..., c_{d-1}).
+    For d = 2 the exact answer is (cosh radius, pi sinh radius).
     """
-    if fit_radii is None:
-        fit_radii = [0.3 * (i + 1) for i in range(d)]
-    fit_radii = list(fit_radii)
-    if len(fit_radii) != d:
-        raise ValueError(f"need exactly d={d} fit radii")
+    fit_radii = [0.3 * (i + 1) for i in range(d)]
     m = np.array([[ell(d, j, ri) for j in range(d)] for ri in fit_radii])
     rhs = np.array([float(ball_volume(d, radius + ri)) - float(ball_volume(d, radius)) for ri in fit_radii])
     return np.linalg.solve(m, rhs)
 
 
-def steiner_ball_check(d: int, radius: float, r: float, fit_radii=None) -> float:
+def steiner_ball_check(d: int, radius: float, r: float) -> float:
     """Prediction residual of the fitted Steiner expansion at a fresh parallel radius r."""
     if r == 0:
         return 0.0
-    coeffs = steiner_ball_coefficients(d, radius, fit_radii)
+    coeffs = steiner_ball_coefficients(d, radius)
     predicted = float(ball_volume(d, radius)) + sum(coeffs[j] * ell(d, j, r) for j in range(d))
     return abs(predicted - float(ball_volume(d, radius + r)))

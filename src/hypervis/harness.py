@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -133,13 +132,6 @@ def _ks_ranges(c: ExperimentConfig, values: np.ndarray, censored: np.ndarray) ->
     return ks_exponential(values[~censored], c.range_rate(), c.cutoff)
 
 
-def _stratified(c: ExperimentConfig) -> EstimateRecord:
-    t0 = time.perf_counter()
-    est = visibility.estimate_visible_volume_stratified(c.d, c.gamma, c.law, (c.truncate_at,), seed=c.seed)
-    values = est.batch_values[:, 0]
-    return visibility.make_record(c.quantity, c.d, c.gamma, c.law, values, est.closed_forms[0], c.seed, t0)
-
-
 QUANTITIES = {
     "visvol": Quantity(
         lambda c: visibility.estimate_visible_volume(c.d, c.gamma, c.law, c.n_reps, c.n_rays, None, c.cutoff, c.seed),
@@ -156,10 +148,9 @@ QUANTITIES = {
         law=True,
         needs=("truncate_at", "--truncate"),
         stratified=Quantity(
-            _stratified,
+            lambda c: visibility.estimate_visible_volume_stratified(c.d, c.gamma, c.law, (c.truncate_at,), c.seed)[0],
             lambda c: visibility.check_sweep(
-                c.quantity, c.d, c.gamma, c.law, visibility.STRATIFIED_BATCHES, c.truncate_at, c.seed,
-                bands=(visibility.STRATIFIED_BAND_WIDTH, visibility.STRATIFIED_SIMS),
+                c.quantity, c.d, c.gamma, c.law, None, c.truncate_at, c.seed, stratified=True
             ),
         ),
     ),

@@ -117,28 +117,25 @@ def _pcg64_states(head: list[int], indices: np.ndarray) -> np.ndarray:
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def streams(seed: int, *prefix: int, count: int, start: int = 0) -> Iterator[np.random.Generator]:
-    """Yield stream(seed, *prefix, i) for i in range(start, start + count), lazily and bit for bit.
+def streams(seed: int, *prefix: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield stream(seed, *prefix, i) for i in range(count), lazily and bit for bit.
 
     States are hashed a chunk of up to _CHUNK indices at a time and each
-    generator is built when it is asked for. An index >= 2**32 takes a
-    second entropy word, and a run of fewer than _MIN_BATCH keys is cheaper
-    one at a time; both go through stream().
+    generator is built when it is asked for. A run of fewer than _MIN_BATCH
+    keys is cheaper one at a time, through stream(). Indices are hashed as
+    one uint32 word, so count is at most 2**32.
     """
-    key = _check_key((seed, *prefix, start))[:-1]
-    if count < 0:
-        raise ValueError(f"a run of streams needs count >= 0, got {count}")
+    key = _check_key((seed, *prefix, 0))[:-1]
+    if not 0 <= count <= 2**32:
+        raise ValueError(f"a run of streams needs 0 <= count <= 2**32, got {count}")
     head = [w for k in key for w in _words(k)]
-    stop = start + count
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        fast = min(hi, 2**32)
-        if fast - lo >= _MIN_BATCH:
-            for state in _pcg64_states(head, np.arange(lo, fast, dtype=np.uint32)):
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        if hi - lo < _MIN_BATCH:
+            yield from (stream(*key, i) for i in range(lo, hi))
+        else:
+            for state in _pcg64_states(head, np.arange(lo, hi, dtype=np.uint32)):
                 yield np.random.Generator(np.random.PCG64(_PresetState(state)))
-            lo = fast
-        for i in range(lo, hi):
-            yield stream(*key, i)
 
 
 def rounds(seed: int, count: int, size: int) -> Iterator[tuple[int, list[np.random.Generator]]]:

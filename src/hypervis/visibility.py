@@ -130,15 +130,20 @@ def check_run(gamma: float, n_reps: int, seed: int, replicated: bool = True, **l
 
 
 def check_sweep(
-    quantity, d, gamma, law, n_reps, cutoff, seed, n_rays=None, truncate_at=None, bands=None, replicated=True
+    quantity, d, gamma, law, n_reps, cutoff, seed, n_rays=None, truncate_at=None, stratified=False, replicated=True
 ) -> None:
     """Refuse, before any generator is built, a sweep of quantity (named in the messages) that this module cannot
     serve: by ValueError, or procsim.ResourceGuardError beyond the resource guard. Every estimator here and
     `hypervis estimate` call it. The sweep passes the grains of law (hyperplanes for None) out to cutoff in n_reps
     replications, with a standard error across them if replicated. n_rays rays per replication average volumes
     within truncate_at or else the mean, which must be finite (the paper's a > d - 1); without n_rays a
-    replication sweeps one ray or a segment. bands = (band_width, sims_per_band) is the stratified estimator."""
+    replication sweeps one ray, or if replicated draws the planes that can cross a segment of length cutoff.
+    A replication's first draw, of the first sweep block or the segment's planes, is refused beyond the guard.
+    With stratified, the stratified estimator's STRATIFIED_BATCHES batches stand in for n_reps (None there)
+    and its bands reach the cutoff."""
     closedform.Constants.for_dim(d)  # 2 <= d <= 341
+    if stratified:
+        n_reps = STRATIFIED_BATCHES
     check_run(gamma, n_reps, seed, replicated, cutoff=cutoff, truncate_at=truncate_at)
     guard = procsim.MAX_EXPECTED_COUNT
     if n_rays is not None and n_rays < 1:
@@ -156,7 +161,7 @@ def check_sweep(
             f"mean {'visible' if law else 'zero-cell'} volume is infinite at range rate a = {a:.6g} <= d-1 = {d - 1}; "
             f"finiteness needs gamma > {(d - 1) * gamma / a:.6g}"
         )
-    if n_rays is not None or bands:  # ranges of mean 1/a give volumes near vol B(1/a)
+    if n_rays is not None or stratified:  # ranges of mean 1/a give volumes near vol B(1/a)
         with np.errstate(over="ignore", invalid="ignore"):  # a long mean range has volume inf or nan
             volume = float(closedform.ball_volume(d, 1.0 / a)) if a > 0 else math.inf
         if volume < sys.float_info.min:
@@ -164,14 +169,14 @@ def check_sweep(
                 f"{quantity} averages ray volumes near vol B(1/a) = {volume:.3g} at mean range "
                 f"1/a = {1.0 / a:.6g}, which underflows double precision; every estimate would read 0"
             )
-    m = law.max_radius if law else 0.0
+    m, single = (law.max_radius if law else 0.0), (n_rays or 1) == 1
     deepest = 700.0 / max(d - 1, 2)  # profiles grow like e^{(d-1)t}, caps shrink like e^{-2t}: 1e300 near 700
     if cutoff + m > deepest:
         raise ValueError(
             f"cutoff {cutoff} sweeps to depth {cutoff + m:.6g}, beyond the {deepest:.6g} that double precision "
             f"allows in d = {d}"
         )
-    if law and not bands and (n_rays or 1) == 1 and procsim.cap_share(d, procsim.grain_cap_gap(m, cutoff + m)) == 0.0:
+    if law and not stratified and single and procsim.cap_share(d, procsim.grain_cap_gap(m, cutoff + m)) == 0.0:
         raise ValueError(
             f"grain radius {m:g} is too small for the single-ray sweep to cutoff {cutoff:g}: the directions from "
             f"which a grain at depth {cutoff + m:.6g} can reach the ray have share 0 in double precision"
@@ -180,16 +185,27 @@ def check_sweep(
         raise ValueError(f"truncate_at {truncate_at} exceeds cutoff {cutoff}")
     if truncate_at is not None and truncate_at < 0:
         raise ValueError(f"truncate_at must be >= 0, got {truncate_at}")
-    if bands:
-        band_count(cutoff, bands[0])
-        procsim.band_grains(d, gamma, law, 0.0, *bands)
-    elif law:  # a grain sweep ends past the largest grain radius, so each replication samples the grains within it
+    if stratified:
+        band_count(cutoff)
+        procsim.band_grains(d, gamma, law, 0.0, STRATIFIED_BAND_WIDTH, STRATIFIED_SIMS)
+        return
+    if law:  # a grain sweep ends past the largest grain radius, so each replication samples the grains within it
         near = n_reps * gamma * float(closedform.ball_volume(d, m))
         if near > guard:
             raise procsim.ResourceGuardError(
                 f"{quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
                 f"point, beyond the resource guard {guard:.0e}"
             )
+    if n_rays is None and replicated:  # a segment: each replication draws the planes within its length at once
+        first, what = gamma * procsim.plane_measure(d, cutoff), f"planes within {cutoff:g} of the base point"
+    else:  # a sweep: each replication draws its first block, at least _MIN_BLOCK_WIDTH wide, first
+        proc = _process(d, gamma, law, single)
+        first = proc.density(0.0) * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, proc.sign)
+        what = f"obstacles in its first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide"
+    if first > guard:
+        raise procsim.ResourceGuardError(
+            f"{quantity} expects {first:.3g} {what} per replication, which exceeds resource guard {guard:.0e}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +279,8 @@ _CAP_BLOCK_TARGET = 8
 # Single-ray replications per round, also of the segment crossings and (at most) of the intersection
 # density; each keeps a live generator (about 2 KB). Rounds of many rays are smaller (see _rounds).
 _ROUND_REPS = 512
+# The narrowest block: a block whose target is reached closer to its inner radius is widened to this.
+_MIN_BLOCK_WIDTH = 1e-6
 
 
 def _whole(t_lo: float) -> float:
@@ -297,6 +315,10 @@ class _ObstacleProcess:
     target: int
     share: Callable[[float], float] = _whole
 
+    def density(self, t_lo: float) -> float:
+        """Obstacles that a block from t_lo draws per unit of profile measure."""
+        return self.gamma * self.scale * self.share(t_lo)
+
 
 @lru_cache(maxsize=2**15)
 def _block_end(n: int, sign: int, per_block: float, t_lo: float) -> float:
@@ -330,8 +352,8 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
             if not len(reps):
                 return best
-        reach = _block_end(n, sign, proc.target / (proc.gamma * proc.scale * proc.share(t_lo)), t_lo)
-        t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + 1e-6)
+        reach = _block_end(n, sign, proc.target / proc.density(t_lo), t_lo)
+        t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + _MIN_BLOCK_WIDTH)
         *obstacles, counts = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
         starts = np.cumsum(counts) - counts
         if dirs.shape[1] > 1:
@@ -346,7 +368,7 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             some = counts > 0  # reduceat would give a replication without obstacles its successor's first hit
             nearest = np.minimum.reduceat(proc.hits(*obstacles), starts[some])
             best[reps[some], 0] = np.minimum(ranges[some, 0], nearest)
-        t_lo = max(reach, t_lo + 1e-6)
+        t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)
 
 
 def _cap_grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
@@ -370,33 +392,36 @@ def _cap_plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
     return out
 
 
-# The sweep over each process under its own name; benchmarks/tracer.py times
-# the sweeps by wrapping these two attributes. One ray per replication sweeps
-# the process restricted to that ray's direction cap.
-def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rngs: list) -> np.ndarray:
-    """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
+def _process(d: int, gamma: float, law: GrainLaw | None, single: bool) -> _ObstacleProcess:
+    """The obstacles that the sweep passes: the grains of law not covering the base point, or hyperplanes for
+    None. One ray per replication (single) sweeps the process restricted to that ray's direction cap."""
+    if law is None:
+        if single:
+            annulus = partial(procsim.sample_hyperplane_cap_annuli, d, gamma)
+            share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
+            return _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, _cap_plane_hits, _CAP_BLOCK_TARGET, share)
+        annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
+        hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
+        return _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, hits, _BLOCK_TARGET)
     m = law.max_radius
-    if dirs.shape[1] == 1:
+    if single:
         annulus = partial(procsim.sample_boolean_cap_annuli, d, gamma, law)
         share = lambda t_lo: procsim.cap_share(d, procsim.grain_cap_gap(m, t_lo))  # noqa: E731
-        proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, _cap_grain_hits, _CAP_BLOCK_TARGET, share)
-    else:
-        annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
-        proc = _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, grain_hits_from_base, _BLOCK_TARGET)
-    return _sweep(proc, dirs, cutoff, rngs)
+        return _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, _cap_grain_hits, _CAP_BLOCK_TARGET, share)
+    annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
+    return _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, grain_hits_from_base, _BLOCK_TARGET)
+
+
+# The sweep over each process under its own name; benchmarks/tracer.py times
+# the sweeps by wrapping these two attributes.
+def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rngs: list) -> np.ndarray:
+    """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
+    return _sweep(_process(d, gamma, law, dirs.shape[1] == 1), dirs, cutoff, rngs)
 
 
 def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Zero-cell visibility ranges: the sweep over the hyperplanes."""
-    if dirs.shape[1] == 1:
-        annulus = partial(procsim.sample_hyperplane_cap_annuli, d, gamma)
-        share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
-        proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, _cap_plane_hits, _CAP_BLOCK_TARGET, share)
-    else:
-        annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
-        hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
-        proc = _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, hits, _BLOCK_TARGET)
-    return _sweep(proc, dirs, cutoff, rngs)
+    return _sweep(_process(d, gamma, None, dirs.shape[1] == 1), dirs, cutoff, rngs)
 
 
 def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable):
@@ -503,7 +528,8 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 
     The invariant-measure (Crofton) value is gamma * 2 kappa_{d-1}/(d kappa_d)
     per unit length. Planes farther than the segment length cannot cross it,
-    so sampling within that radius (check_sweep's cutoff) is exact. Replications
+    so sampling within that radius (check_sweep's cutoff, which refuses more
+    planes there than the resource guard) is exact. Replications
     are drawn in rounds of _ROUND_REPS, each from its own stream(seed, i), and
     one kernel call casts the segment through all of a round's planes.
     """
@@ -529,80 +555,52 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 STRATIFIED_BAND_WIDTH, STRATIFIED_SIMS, STRATIFIED_BATCHES = 0.5, 25_000, 8
 
 
-@dataclass(frozen=True)
-class StratifiedEstimate:
-    """Truncated visible-volume estimates from depth-band survival products."""
-
-    radii: tuple[float, ...]
-    estimates: tuple[float, ...]
-    stderrs: tuple[float, ...]
-    closed_forms: tuple[float, ...]
-    batch_values: np.ndarray  # (n_batches, len(radii)): each batch's estimate at each radius
-    band_width: float
-    band_survival: np.ndarray  # pooled survival fraction per band
-    seed: int
-
-
-def band_count(radius: float, band_width: float = STRATIFIED_BAND_WIDTH) -> int:
-    """Number of depth bands of width band_width below radius, a positive multiple of band_width."""
-    n = round(radius / band_width)
-    if n < 1 or abs(n * band_width - radius) > 1e-9:
-        raise ValueError(f"each radius must be a positive integer multiple of band_width {band_width}, got {radius}")
+def band_count(radius: float) -> int:
+    """Number of depth bands of width STRATIFIED_BAND_WIDTH below radius, a positive multiple of that width."""
+    n = round(radius / STRATIFIED_BAND_WIDTH)
+    if n < 1 or abs(n * STRATIFIED_BAND_WIDTH - radius) > 1e-9:
+        raise ValueError(
+            f"each radius must be a positive integer multiple of band_width {STRATIFIED_BAND_WIDTH}, got {radius}"
+        )
     return n
 
 
 def estimate_visible_volume_stratified(
-    d: int,
-    gamma: float,
-    law: GrainLaw,
-    radii: tuple[float, ...],
-    band_width: float = STRATIFIED_BAND_WIDTH,
-    sims_per_band: int = STRATIFIED_SIMS,
-    n_batches: int = STRATIFIED_BATCHES,
-    seed: int = 0,
-) -> StratifiedEstimate:
-    """Truncated mean visible volume at several radii by depth stratification.
+    d: int, gamma: float, law: GrainLaw, radii: tuple[float, ...], seed: int = 0
+) -> list[EstimateRecord]:
+    """Truncated mean visible volume at each of radii by depth stratification: one visvol_truncated record per
+    radius, in order, each against truncated_visible_volume there and all timed from one start.
 
     The first-touch parameters along a ray restricted to disjoint depth bands
     are independent Poisson restrictions, so the survival S(s_k) factorizes
-    into band survival probabilities. Each band is estimated from independent
-    geometric experiments (band_first_touches); the estimate at radius R is
-    omega_d * sum_k S_k * c_k over bands below R, with c_k the mean band
-    volume contribution. Unlike the plain ray estimator, the deep bands keep
-    a controlled relative error, which is what the near-critical regime needs.
+    into band survival probabilities. Each band is estimated from
+    STRATIFIED_SIMS independent geometric experiments (band_first_touches);
+    the estimate at radius R is omega_d * sum_k S_k * c_k over bands below R,
+    with c_k the mean band volume contribution. Unlike the plain ray
+    estimator, the deep bands keep a controlled relative error, which is what
+    the near-critical regime needs.
 
-    Standard errors come from n_batches independent replicates of the whole
-    scheme. Radii must be multiples of band_width.
+    Standard errors come from STRATIFIED_BATCHES independent replicates of
+    the whole scheme, which are the records' replications. Radii must be
+    multiples of STRATIFIED_BAND_WIDTH.
     """
-    check_sweep("visvol_truncated", d, gamma, law, n_batches, max(radii), seed, bands=(band_width, sims_per_band))
-    radius_bands = np.array([band_count(r, band_width) for r in radii])
+    t0 = time.perf_counter()
+    check_sweep("visvol_truncated", d, gamma, law, None, max(radii), seed, stratified=True)
+    radius_bands = np.array([band_count(r) for r in radii])
     n_bands = int(radius_bands.max())
-    edges = band_width * np.arange(n_bands + 1)
+    edges = STRATIFIED_BAND_WIDTH * np.arange(n_bands + 1)
     lower = sinh_integral(d, edges[:-1])
-    batch_vals = np.empty((n_batches, len(radii)))
-    survive_tally = np.zeros(n_bands)
-    for b in range(n_batches):
+    batch_vals = np.empty((STRATIFIED_BATCHES, len(radii)))
+    for b in range(STRATIFIED_BATCHES):
         p_hat = np.empty(n_bands)
         c_hat = np.empty(n_bands)
         for k, rng in enumerate(streams(seed, b, count=n_bands)):
-            first = procsim.band_first_touches(d, gamma, law, edges[k], edges[k + 1], sims_per_band, rng)
+            first = procsim.band_first_touches(d, gamma, law, edges[k], edges[k + 1], STRATIFIED_SIMS, rng)
             p_hat[k] = float(np.mean(np.isinf(first)))
             upper = sinh_integral(d, np.minimum(first, edges[k + 1]))
             c_hat[k] = float(np.mean(upper - lower[k]))
-        survive_tally += p_hat
         s_hat = np.concatenate([[1.0], np.cumprod(p_hat)[:-1]])
         contrib = omega(d) * np.cumsum(s_hat * c_hat)
         batch_vals[b] = contrib[radius_bands - 1]
-    estimates = batch_vals.mean(axis=0)
-    stderrs = batch_vals.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    closed = tuple(closedform.truncated_visible_volume(d, gamma, law, r) for r in radii)
-    return StratifiedEstimate(
-        radii=tuple(radii),
-        estimates=tuple(float(v) for v in estimates),
-        stderrs=tuple(float(v) for v in stderrs),
-        closed_forms=closed,
-        batch_values=batch_vals,
-        band_width=band_width,
-        band_survival=survive_tally / n_batches,
-        seed=seed,
-    )
+    closed = [closedform.truncated_visible_volume(d, gamma, law, r) for r in radii]
+    return [make_record("visvol_truncated", d, gamma, law, v, c, seed, t0) for v, c in zip(batch_vals.T, closed)]

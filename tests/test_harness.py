@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -154,7 +155,7 @@ class TestConfigValidation:
             (["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"], "n_rays = 1000000000000 exceeds the resource guard"),
             (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", str(10**12)],
              "n_rays = 1000000000000 exceeds the resource guard"),
-            # the sampler's resource guard trips inside the sweep
+            # each replication's first sweep block would trip the sampler's resource guard; check_sweep refuses it
             (["cdf_tessellation", "--gamma", "1e15", "--reps", "5", "--cutoff", "1"], "exceeds resource guard 1e+08"),
             (["cdf_tessellation", "--gamma", "1", "--dim", "341", "--reps", "5", "--cutoff", "1"],
              "exceeds resource guard 1e+08"),
@@ -271,6 +272,13 @@ class TestRun:
         assert rec.closed_form == pytest.approx(cf.truncated_visible_volume(2, 0.8, cf.FixedRadius(0.5), 3.0), rel=1e-9)
         assert abs(rec.estimate - rec.closed_form) < 5 * rec.stderr
 
+    def test_stratified_record_is_the_estimators_first(self):
+        config = ExperimentConfig(
+            quantity="visvol_truncated", d=3, gamma=0.9, law=cf.FixedRadius(0.5), truncate_at=1.0, seed=6, stratified=True
+        )
+        first = visibility.estimate_visible_volume_stratified(3, 0.9, cf.FixedRadius(0.5), (1.0, 2.0), seed=6)[0]
+        assert dataclasses.replace(harness.run(config), runtime_ms=0.0) == dataclasses.replace(first, runtime_ms=0.0)
+
     def test_zero_cell_dispatch(self):
         config = ExperimentConfig(quantity="zero_cell", gamma=3.0, n_reps=200, n_rays=64, cutoff=8.0, seed=2)
         rec = harness.run(config)
@@ -298,7 +306,7 @@ class TestRun:
 
 # Records of the implementation before the one record builder, at fixed seeds:
 # (call, estimate, stderr, closed form, z, n_reps). The stratified record then
-# reported n_reps = 0; it now counts its batches (n_batches = 8 by default).
+# reported n_reps = 0; it now counts its batches (visibility.STRATIFIED_BATCHES = 8).
 PINNED_RECORDS = {
     "intersection_density": (
         lambda: harness.run(

@@ -62,6 +62,14 @@ PROBES = {
                     GUARD, "band experiments exceeds resource guard"),
     "band-multiple": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, (1.3,)),
                       ValueError, "multiple of band_width 0.5"),
+    # unrefused, the first sweep block (1e-6 wide at the least) or the segment's window trips the resource guard
+    # after a generator is built
+    "first-block-capped": (lambda: visibility.sample_zero_cell_ranges(2, 1e15, 5, 1.0, 0),
+                           GUARD, "cdf_tessellation expects 1.27e+09 obstacles in its first sweep block"),
+    "first-block": (lambda: visibility.estimate_zero_cell_volume(2, 1e15, 5, 3, 1.0, 0),
+                    GUARD, "zero_cell expects 2e+09 obstacles in its first sweep block"),
+    "segment-window": (lambda: visibility.estimate_segment_crossings(2, 1e15, 1.0, 5, 0),
+                       GUARD, "segment_crossings expects 2.35e+15 planes within 1 of the base point"),
 }
 
 

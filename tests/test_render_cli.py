@@ -183,8 +183,8 @@ class TestCli:
             ["constants", "--dim", "0"],
             ["constants", "--dim", "1"],
             ["constants", "--dim", "two"],
-            ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "-1"],
-            ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "0"],
+            ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "abc"],
+            ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin"],
             ["estimate", "cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--seed", "-1"],
             ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--seed", "-5"],
             ["render", "--gamma", "1", "--seed", "-1", "--out", "x.svg"],
@@ -196,6 +196,14 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"hypervis {argv[0]}: error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r_win", ["-1", "0"])
+    def test_rwin_not_above_zero_is_refused_by_the_library(self, r_win, capsys):
+        # the parser reads any number; intersect.check_window holds the rule
+        argv = ["estimate", "intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", r_win]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rwin must be > 0" in captured.err
 
     def test_render_resource_guard_is_usage_error(self, tmp_path, capsys):
         # about 5e10 planes meet the view: the sampler's resource guard refuses them

@@ -743,7 +743,8 @@ class TestRounds:
             assert sizes[0] == max(sizes) == 16 and 4 in sizes
 
     def test_resource_guard_raises_inside_a_round(self):
-        # the 1e-6 floor on a block's width puts ~2e9 expected planes into the first block
+        # both are refused before the first round is drawn: the first block, at least _MIN_BLOCK_WIDTH = 1e-6
+        # wide, expects 1.27e9 planes in the ray's cap, and 4.1e23 grains lie near the base point
         with pytest.raises(ValueError, match="resource guard"):
             vis.sample_zero_cell_ranges(2, 1e15, ROUND + 1, 1.0, 0)
         with pytest.raises(ValueError, match="resource guard"):
@@ -799,28 +800,25 @@ class TestCappedSweep:
 
 
 class TestStratifiedEstimator:
+    @pytest.fixture(autouse=True)
+    def small_scheme(self, monkeypatch):
+        """4 batches of 4000 band experiments per band, in place of the module's 8 of 25,000."""
+        monkeypatch.setattr(vis, "STRATIFIED_SIMS", 4000)
+        monkeypatch.setattr(vis, "STRATIFIED_BATCHES", 4)
+
     def test_matches_plain_estimator_supercritical(self):
         law = cf.FixedRadius(0.5)
         gamma = 2.0
-        strat = vis.estimate_visible_volume_stratified(
-            2, gamma, law, (2.0, 4.0), band_width=0.5, sims_per_band=4000, n_batches=4, seed=44
-        )
-        for r, est, err, closed in zip(strat.radii, strat.estimates, strat.stderrs, strat.closed_forms):
-            assert abs(est - closed) < 4 * err
-
-    def test_band_survival_matches_rate(self):
-        law = cf.FixedRadius(0.5)
-        gamma = cf.visibility_threshold(2, 0.5)
-        a = gamma * cf.grain_moments(2, law).v_dm1_star
-        strat = vis.estimate_visible_volume_stratified(
-            2, gamma, law, (3.0,), band_width=0.5, sims_per_band=4000, n_batches=4, seed=45
-        )
-        expected = math.exp(-a * 0.5)
-        assert np.all(np.abs(strat.band_survival - expected) < 5 * math.sqrt(expected * (1 - expected) / 16000))
+        records = vis.estimate_visible_volume_stratified(2, gamma, law, (2.0, 4.0), seed=44)
+        assert len(records) == 2
+        for r, rec in zip((2.0, 4.0), records):
+            assert rec.quantity == "visvol_truncated" and rec.n_reps == 4 and rec.n_rays == 0 and rec.seed == 44
+            assert rec.closed_form == cf.truncated_visible_volume(2, gamma, law, r)
+            assert abs(rec.estimate - rec.closed_form) < 4 * rec.stderr
 
     def test_radius_grid_validation(self):
         with pytest.raises(ValueError, match="multiple of band_width"):
-            vis.estimate_visible_volume_stratified(2, 1.0, cf.FixedRadius(0.5), (1.3,), band_width=0.5)
+            vis.estimate_visible_volume_stratified(2, 1.0, cf.FixedRadius(0.5), (1.3,))
 
 
 class TestEstimateRecord:
