@@ -23,6 +23,12 @@ each per-obstacle array flat in generator order, then a count per generator.
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
 therefore exact as well (the tests cross-check it against rejection sampling).
+
+The band sampler band_first_touches serves the depth-stratified estimator. It
+draws, for many independent experiments at once, only the grains whose first
+contact with a ray falls in a depth band: one Poisson draw labelled by
+experiment, each contact uniform in the band, with no Fermi window and no
+contact geometry (the tests keep the window sampler as an oracle).
 """
 
 from __future__ import annotations
@@ -372,12 +378,21 @@ def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Fermi-coordinate band sampler (depth-stratified estimators)
+# Band sampler (depth-stratified estimators)
 # ---------------------------------------------------------------------------
 
 
 def band_grains(d: int, gamma: float, law: GrainLaw, s_lo: float, s_hi: float, n_sims: int) -> float:
-    """Expected grains of one band experiment of band_first_touches, refused beyond the resource guard."""
+    """Expected grains per experiment of the Fermi window of the band (s_lo, s_hi] along a ray, refused beyond the
+    resource guard for n_sims experiments.
+
+    In Fermi coordinates along the ray a grain has a foot coordinate y and a
+    fiber distance zeta. The window, y in [s_lo - m, s_hi + m] and zeta < m
+    for the largest grain radius m, holds every grain that can first touch
+    the ray in the band. band_first_touches draws only the share
+    (s_hi - s_lo) / (s_hi - s_lo + 2m) of them, so the window bounds its draws
+    and the guard refuses by the window.
+    """
     m = law.max_radius
     fiber = omega(d - 1) * np.sinh(m) ** (d - 1) / (d - 1)
     mean = gamma * ((s_hi - s_lo) + 2.0 * m) * fiber
@@ -398,31 +413,34 @@ def band_first_touches(
     n_sims: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """First-touch parameters in (s_lo, s_hi] for n_sims independent band experiments.
+    """First-touch parameters in (s_lo, s_hi] for n_sims independent band experiments, inf where the band stays clear.
 
     Each experiment realizes, for a ray known to be unobstructed up to s_lo,
     exactly those grains whose first contact with the ray lies in the band
-    (a Poisson restriction, independent across disjoint bands). Grains are
-    sampled in Fermi coordinates along the ray: foot coordinate y uniform,
-    fiber distance zeta with density prop. to cosh(zeta) sinh^{d-2}(zeta),
-    covering every grain that can first touch inside the band. Entries are
-    inf for experiments whose band stays clear.
+    (a Poisson restriction, independent across disjoint bands). In Fermi
+    coordinates (y, zeta, r) along the ray a grain touches the ray iff
+    zeta < r, first at y - w with cosh w = cosh r / cosh zeta. The foot y has
+    uniform intensity independent of the marks (zeta, r), so for every
+    touching grain a y-interval of length s_hi - s_lo puts its contact in the
+    band, and the contact is uniform there: w shifts a uniform coordinate and
+    never changes the law, so it is never computed. The n_sims experiments
+    together make one Poisson process on experiments x band x marks: one
+    Poisson count, then for each grain a uniform experiment label, a uniform
+    contact, zeta with density prop. to cosh(zeta) sinh^{d-2}(zeta) below the
+    largest radius m (sinh zeta = U^{1/(d-1)} sinh m) and a radius. Sorted by
+    label, the touching grains fall into one segment per experiment, whose
+    least contact is the experiment's first touch.
     """
-    m = law.max_radius
-    mean = band_grains(d, gamma, law, s_lo, s_hi, n_sims)
-    counts = rng.poisson(mean, size=n_sims)
-    total = int(counts.sum())
-    first = np.full(n_sims, np.inf)
-    if total == 0:
-        return first
-    sim_idx = np.repeat(np.arange(n_sims), counts)
-    y = rng.uniform(s_lo - m, s_hi + m, size=total)
+    m, width = law.max_radius, s_hi - s_lo
+    mean = band_grains(d, gamma, law, s_lo, s_hi, n_sims) * width / (width + 2.0 * m)
+    total = int(rng.poisson(n_sims * mean))
+    labels = rng.integers(0, n_sims, size=total)
+    contacts = rng.uniform(s_lo, s_hi, size=total)
     zeta = np.arcsinh(rng.uniform(size=total) ** (1.0 / (d - 1)) * np.sinh(m))
-    radii = law.sample_radii(rng, total)
-    touches = zeta < radii
-    # first contact at y - w with cosh(w) = cosh(r)/cosh(zeta)
-    w = np.arccosh(np.maximum(1.0, np.cosh(radii[touches]) / np.cosh(zeta[touches])))
-    tau = y[touches] - w
-    keep = (tau > s_lo) & (tau <= s_hi)
-    np.minimum.at(first, sim_idx[touches][keep], tau[keep])
+    touching = np.flatnonzero((zeta < law.sample_radii(rng, total)) & (contacts > s_lo))
+    by_label = touching[np.argsort(labels[touching])]
+    labels, contacts = labels[by_label], contacts[by_label]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    first = np.full(n_sims, np.inf)
+    first[labels[starts]] = np.minimum.reduceat(contacts, starts)
     return first

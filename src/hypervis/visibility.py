@@ -582,9 +582,11 @@ def estimate_visible_volume_stratified(
 
     Standard errors come from STRATIFIED_BATCHES independent replicates of
     the whole scheme, which are the records' replications. Radii must be
-    multiples of STRATIFIED_BAND_WIDTH.
+    one or more finite multiples of STRATIFIED_BAND_WIDTH, all > 0.
     """
     t0 = time.perf_counter()
+    if len(radii) == 0 or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError(f"radii must be one or more finite values > 0, got {tuple(radii)}")
     check_sweep("visvol_truncated", d, gamma, law, None, max(radii), seed, stratified=True)
     radius_bands = np.array([band_count(r) for r in radii])
     n_bands = int(radius_bands.max())

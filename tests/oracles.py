@@ -5,8 +5,8 @@ scalar closed-form hit tests on one ray and one obstacle, visibility ranges
 through materialized window samples, circle-circle intersection points and
 their O(n^2) window count, rejection conditioning of the Boolean model,
 hyperboloid utilities (tangent bases, rotations, the Poincare-ball distance)
-that the checks build on, and the windowed estimators one replication at a
-time.
+that the checks build on, the windowed estimators one replication at a
+time, and the band experiments through the whole Fermi window.
 """
 
 from __future__ import annotations
@@ -467,3 +467,36 @@ def segment_crossings_per_replication(d: int, gamma: float, length: float, n_rep
             hits = plane_hits_from_base(direction[None, :], normals)
             counts[i] = np.sum(hits[0] <= length)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Fermi-window band sampler
+# ---------------------------------------------------------------------------
+
+
+def fermi_band_first_touches(d: int, gamma: float, law, s_lo: float, s_hi: float, n_sims: int, rng) -> np.ndarray:
+    """procsim.band_first_touches by the whole Fermi window, with the contact geometry.
+
+    Each experiment draws its own Poisson count of the window's grains
+    (procsim.band_grains): foot y uniform on [s_lo - m, s_hi + m], fiber
+    distance zeta with density prop. to cosh(zeta) sinh^{d-2}(zeta) below the
+    largest radius m, and a radius. A grain with zeta < r first touches the
+    ray at y - w, cosh w = cosh r / cosh zeta; the experiment keeps its least
+    touch inside (s_lo, s_hi].
+    """
+    m = law.max_radius
+    counts = rng.poisson(procsim.band_grains(d, gamma, law, s_lo, s_hi, n_sims), size=n_sims)
+    total = int(counts.sum())
+    first = np.full(n_sims, np.inf)
+    if total == 0:
+        return first
+    sim_idx = np.repeat(np.arange(n_sims), counts)
+    y = rng.uniform(s_lo - m, s_hi + m, size=total)
+    zeta = np.arcsinh(rng.uniform(size=total) ** (1.0 / (d - 1)) * np.sinh(m))
+    radii = law.sample_radii(rng, total)
+    touches = zeta < radii
+    w = np.arccosh(np.maximum(1.0, np.cosh(radii[touches]) / np.cosh(zeta[touches])))
+    tau = y[touches] - w
+    keep = (tau > s_lo) & (tau <= s_hi)
+    np.minimum.at(first, sim_idx[touches][keep], tau[keep])
+    return first

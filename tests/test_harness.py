@@ -306,7 +306,8 @@ class TestRun:
 
 # Records of the implementation before the one record builder, at fixed seeds:
 # (call, estimate, stderr, closed form, z, n_reps). The stratified record then
-# reported n_reps = 0; it now counts its batches (visibility.STRATIFIED_BATCHES = 8).
+# reported n_reps = 0; it now counts its batches (visibility.STRATIFIED_BATCHES = 8), and its band experiments
+# are one labelled Poisson draw per band (procsim.band_first_touches).
 PINNED_RECORDS = {
     "intersection_density": (
         lambda: harness.run(
@@ -324,7 +325,7 @@ PINNED_RECORDS = {
                 quantity="visvol_truncated", gamma=0.8, law=cf.FixedRadius(0.5), truncate_at=3.0, cutoff=4.0, seed=1, stratified=True
             )
         ),
-        10.548991543590438, 0.019527391052349616, 10.513573623808524, 1.813755851304669, 8,
+        10.474861841912357, 0.019362784414100873, 10.513573623808524, -1.9992879674875137, 8,
     ),
 }
 

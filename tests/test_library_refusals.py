@@ -60,6 +60,13 @@ PROBES = {
                   ValueError, "the largest supported is d = 341"),
     "band-grains": (lambda: visibility.estimate_visible_volume_stratified(2, 1e9, HALF, (1.0,)),
                     GUARD, "band experiments exceeds resource guard"),
+    # unrefused, max() of no radii, round() of a NaN, and a negative radius named as the cutoff
+    "radii-empty": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, ()),
+                    ValueError, "radii must be one or more finite values > 0, got ()"),
+    "radii-nan": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, (1.0, math.nan)),
+                  ValueError, "radii must be one or more finite values > 0, got (1.0, nan)"),
+    "radii-negative": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, (-0.5,)),
+                       ValueError, "radii must be one or more finite values > 0, got (-0.5,)"),
     "band-multiple": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, (1.3,)),
                       ValueError, "multiple of band_width 0.5"),
     # unrefused, the first sweep block (1e-6 wide at the least) or the segment's window trips the resource guard

@@ -12,7 +12,7 @@ from hypervis import visibility as vis
 from hypervis.rng import stream
 
 from conftest import ks_statistic, random_rotation
-from oracles import assert_point, rotate_about_base, sample_boolean_rejected
+from oracles import assert_point, fermi_band_first_touches, rotate_about_base, sample_boolean_rejected
 
 
 class TestSampleRadial:
@@ -230,6 +230,23 @@ class TestBandFirstTouches:
         p_hat = np.mean(np.isinf(first))
         p = math.exp(-a * width)
         assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("s_lo", [0.0, 7.5])
+    @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.9)], ids=["fixed", "uniform"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_fermi_window_oracle(self, d, law, s_lo):
+        # the band draw leaves out the window's grains that cannot touch inside the band, and w with them
+        width, n = 1.0, 20_000
+        a = 0.9
+        gamma = a / cf.grain_moments(d, law).v_dm1_star
+        seed = 10 * d + int(s_lo)
+        band = ps.band_first_touches(d, gamma, law, s_lo, s_lo + width, n, stream(22, seed))
+        window = fermi_band_first_touches(d, gamma, law, s_lo, s_lo + width, n, stream(23, seed))
+        clear = math.exp(-a * width)
+        for first in (band, window):
+            assert abs(np.mean(np.isinf(first)) - clear) < 4 * math.sqrt(clear * (1 - clear) / n)
+        censor = s_lo + 2 * width
+        assert ks_2samp(np.minimum(band, censor), np.minimum(window, censor)).pvalue > 0.01
 
     def test_touch_positions_in_band(self, rng):
         first = ps.band_first_touches(2, 1.0, cf.UniformRadius(0.1, 0.7), 1.0, 1.5, 2000, rng)

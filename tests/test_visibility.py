@@ -800,19 +800,14 @@ class TestCappedSweep:
 
 
 class TestStratifiedEstimator:
-    @pytest.fixture(autouse=True)
-    def small_scheme(self, monkeypatch):
-        """4 batches of 4000 band experiments per band, in place of the module's 8 of 25,000."""
-        monkeypatch.setattr(vis, "STRATIFIED_SIMS", 4000)
-        monkeypatch.setattr(vis, "STRATIFIED_BATCHES", 4)
-
     def test_matches_plain_estimator_supercritical(self):
         law = cf.FixedRadius(0.5)
         gamma = 2.0
         records = vis.estimate_visible_volume_stratified(2, gamma, law, (2.0, 4.0), seed=44)
         assert len(records) == 2
         for r, rec in zip((2.0, 4.0), records):
-            assert rec.quantity == "visvol_truncated" and rec.n_reps == 4 and rec.n_rays == 0 and rec.seed == 44
+            assert rec.quantity == "visvol_truncated" and rec.n_reps == vis.STRATIFIED_BATCHES
+            assert rec.n_rays == 0 and rec.seed == 44
             assert rec.closed_form == cf.truncated_visible_volume(2, gamma, law, r)
             assert abs(rec.estimate - rec.closed_form) < 4 * rec.stderr
 
