@@ -14,8 +14,10 @@ Poisson process to a region is again Poisson, so the sweep is exact.
 The annulus samplers (sample_*_annulus) serve the many-ray sweep and the
 intersection density, the cap samplers (sample_*_cap_annuli) a single ray,
 drawing only the obstacles in the cap of directions from which it can be
-reached (again an exact Poisson restriction), and sample_hyperplane_windows
-the segment crossings. Each draws a round of replications at once, each
+reached (again an exact Poisson restriction), the cap-union samplers
+(sample_*_cap_union) the many-ray sweep deep out, drawing only the union of
+the caps of a replication's live rays, and sample_hyperplane_windows the
+segment crossings. Each draws a round of replications at once, each
 generator making its own draws in its own order, and runs the radial
 inverse once over the round, each root converging on its own. They return
 each per-obstacle array flat in generator order, then a count per generator.
@@ -196,23 +198,63 @@ def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarr
     return versines, u[1] * _cap_bound(d, gap) < (2.0 - versines) ** ((d - 3) / 2)
 
 
-def _poisson_count(rng: np.random.Generator, mean: float) -> int:
+def _poisson_count(rng: np.random.Generator, mean: float, size: int | None = None):
+    """A Poisson count of the given mean, or size of them, refused beyond the resource guard."""
     if mean > MAX_EXPECTED_COUNT:
         raise ResourceGuardError(f"expected obstacle count {mean:.3g} exceeds resource guard {MAX_EXPECTED_COUNT:.0e}")
-    return int(rng.poisson(mean))
+    return rng.poisson(mean, size)
+
+
+def _annulus_means(gamma: float, scale: float, n: int, sign: int, t_lo: float, t_hi) -> list[float]:
+    """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, of a process with
+    gamma * scale * power_integral(n, t, sign) obstacles within distance t on average."""
+    g_lo = power_integral_at(n, t_lo, sign)
+    return [gamma * (scale * power_integral_at(n, t, sign) - scale * g_lo) for t in t_hi]
 
 
 def _annulus_counts(gamma: float, scale: float, n: int, sign: int, t_lo: float, t_hi, rngs) -> np.ndarray:
-    """One Poisson count per generator, of the obstacles at distance in [t_lo, t_hi[i]) of a process
-    with gamma * scale * power_integral(n, t, sign) obstacles within distance t on average."""
-    g_lo = power_integral_at(n, t_lo, sign)
-    means = [gamma * (scale * power_integral_at(n, t, sign) - scale * g_lo) for t in t_hi]
+    """One Poisson count per generator, of the obstacles of _annulus_means."""
+    means = _annulus_means(gamma, scale, n, sign, t_lo, t_hi)
     return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, means)], dtype=int)
 
 
 def _kept(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """How many draws each generator keeps, of counts[i] draws by generator i concatenated in generator order."""
     return np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
+
+
+def _outside_earlier_caps(dirs: np.ndarray, owners: np.ndarray, rays: np.ndarray, gap: float) -> np.ndarray:
+    """Which of the unit vectors dirs, dirs[k] drawn in the cap of versine gap around rays[owners[k]], lie in
+    the cap of no earlier ray. The versines |dir - ray|^2 / 2 keep their precision in caps of any size."""
+    versines = 0.5 * np.sum((dirs[:, None, :] - rays) ** 2, axis=2)
+    return ~np.any((versines < gap) & (np.arange(len(rays)) < owners[:, None]), axis=1)
+
+
+def _cap_union(d: int, gamma: float, scale: float, sign: int, gap: float, t_lo: float, t_hi, rngs, rays) -> tuple:
+    """Proposals for the obstacles at distance in [t_lo, t_hi[i]) whose direction lies in the cap of versine gap
+    around some ray of rays[i], of a process with gamma * scale * power_integral(d - 1, t, sign) obstacles within
+    distance t: (distances, directions, keep, counts), counts[i] of them drawn by generator rngs[i].
+
+    Generator i draws one Poisson count per ray of rays[i] (cap_share of the annulus each), then the
+    distances, the versines w (cap_versines) and the directions (1 - w) u + sqrt(w (2 - w)) v of its
+    proposals, cap by cap in ray order, with u the cap's ray and v uniform and orthogonal to u. A
+    proposal is kept if cap_versines keeps it and its direction lies in no earlier ray's cap, so each
+    point of the union is drawn from exactly one cap: a Poisson restriction like the annulus itself.
+    """
+    means = _annulus_means(gamma, scale * cap_share(d, gap), d - 1, sign, t_lo, t_hi)
+    caps = [_poisson_count(rng, mean, len(u)) for rng, mean, u in zip(rngs, means, rays)]
+    owners = [np.repeat(np.arange(len(c)), c) for c in caps]
+    counts = np.array([len(o) for o in owners], dtype=int)
+    dists = _profile_annulus(d - 1, sign, t_lo, t_hi, rngs, counts)
+    versines, keep = cap_versines(d, gap, rngs, counts)
+    axes = np.concatenate([u[o] for u, o in zip(rays, owners)])
+    v = np.concatenate([rng.standard_normal((c, d)) for rng, c in zip(rngs, counts)])
+    v -= np.sum(v * axes, axis=1, keepdims=True) * axes
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    dirs = (1.0 - versines)[:, None] * axes + np.sqrt(versines * (2.0 - versines))[:, None] * v
+    for lo, u, o in zip(np.cumsum(counts) - counts, rays, owners):
+        keep[lo : lo + len(o)] &= _outside_earlier_caps(dirs[lo : lo + len(o)], o, u, gap)
+    return dists, dirs, keep, counts
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +288,19 @@ def sample_boolean_cap_annuli(d: int, gamma: float, law: GrainLaw, t_lo: float, 
     radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
     keep &= dists > radii
     return dists[keep], versines[keep], radii[keep], _kept(counts, keep)
+
+
+def sample_boolean_cap_union(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, rays) -> tuple:
+    """The grains of sample_boolean_annulus whose center direction lies in the cap of
+    grain_cap_gap(law.max_radius, t_lo) around some ray of rays[i], for each generator rngs[i]:
+    (distances, directions, radii, counts), each generator drawing its radii after the proposals
+    of _cap_union. Grains covering the base point are deleted.
+    """
+    gap = grain_cap_gap(law.max_radius, t_lo)
+    dists, dirs, keep, counts = _cap_union(d, gamma, omega(d), -1, gap, t_lo, t_hi, rngs, rays)
+    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
+    keep &= dists > radii
+    return dists[keep], dirs[keep], radii[keep], _kept(counts, keep)
 
 
 def sample_boolean_annulus(
@@ -348,6 +403,14 @@ def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) 
     return dists[keep], versines[keep], _kept(counts, keep)
 
 
+def sample_hyperplane_cap_union(d: int, gamma: float, t_lo: float, t_hi, rngs, rays) -> tuple[np.ndarray, ...]:
+    """The planes of sample_hyperplane_annulus whose normal direction lies in the cap cos theta > tanh t_lo
+    around some ray of rays[i], for each generator rngs[i]: (distances, unit normals, counts), drawn as in
+    _cap_union."""
+    dists, dirs, keep, counts = _cap_union(d, gamma, 2.0, 1, plane_cap_gap(t_lo), t_lo, t_hi, rngs, rays)
+    return dists[keep], normals_from_polar(dists[keep], dirs[keep]), _kept(counts, keep)
+
+
 def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Generator) -> HyperplaneSample:
     """Hyperplane-process realization restricted to planes meeting B(base, r_obs).
 
@@ -427,9 +490,8 @@ def band_first_touches(
     together make one Poisson process on experiments x band x marks: one
     Poisson count, then for each grain a uniform experiment label, a uniform
     contact, zeta with density prop. to cosh(zeta) sinh^{d-2}(zeta) below the
-    largest radius m (sinh zeta = U^{1/(d-1)} sinh m) and a radius. Sorted by
-    label, the touching grains fall into one segment per experiment, whose
-    least contact is the experiment's first touch.
+    largest radius m (sinh zeta = U^{1/(d-1)} sinh m) and a radius. The least
+    contact of the touching grains with an experiment's label is its first touch.
     """
     m, width = law.max_radius, s_hi - s_lo
     mean = band_grains(d, gamma, law, s_lo, s_hi, n_sims) * width / (width + 2.0 * m)
@@ -437,10 +499,7 @@ def band_first_touches(
     labels = rng.integers(0, n_sims, size=total)
     contacts = rng.uniform(s_lo, s_hi, size=total)
     zeta = np.arcsinh(rng.uniform(size=total) ** (1.0 / (d - 1)) * np.sinh(m))
-    touching = np.flatnonzero((zeta < law.sample_radii(rng, total)) & (contacts > s_lo))
-    by_label = touching[np.argsort(labels[touching])]
-    labels, contacts = labels[by_label], contacts[by_label]
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    touching = (zeta < law.sample_radii(rng, total)) & (contacts > s_lo)
     first = np.full(n_sims, np.inf)
-    first[labels[starts]] = np.minimum.reduceat(contacts, starts)
+    np.minimum.at(first, labels[touching], contacts[touching])
     return first

@@ -25,6 +25,14 @@ replication reaching range R costs O(R) draws instead of e^{(d-1)R}. By
 isotropy the capped sweep never reads the ray's direction; each replication
 still draws one, so that its stream and every range stay as they were.
 
+Many rays sweep whole annuli, in blocks of _BLOCK_TARGET expected obstacles,
+until the caps of all n_rays rays hold less than the annulus
+(n_rays * share(t_lo) <= 1). From there a block draws only the union of the
+caps of the replication's live rays (procsim.sample_*_cap_union), with
+_CAP_BLOCK_TARGET expected per cap and each point of the union drawn from
+the first cap that holds it: again an exact Poisson restriction. Those
+obstacles carry full directions and meet every live ray in the dense kernels.
+
 Replications are swept in rounds (see _rounds) that share each block's
 bounds and sampler call, while each keeps its own generator from rng.streams
 and makes its own draws in its own order: results are bit for bit
@@ -199,7 +207,7 @@ def check_sweep(
     if n_rays is None and replicated:  # a segment: each replication draws the planes within its length at once
         first, what = gamma * procsim.plane_measure(d, cutoff), f"planes within {cutoff:g} of the base point"
     else:  # a sweep: each replication draws its first block, at least _MIN_BLOCK_WIDTH wide, first
-        proc = _process(d, gamma, law, single)
+        proc = _process(d, gamma, law, n_rays or 1)
         first = proc.density(0.0) * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, proc.sign)
         what = f"obstacles in its first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide"
     if first > guard:
@@ -303,6 +311,10 @@ class _ObstacleProcess:
     like e^{-(d-1) t_lo} while the profile grows like e^{(d-1) t}: a block then
     has about the same width at every depth, and a replication's draws and
     blocks grow linearly with its range.
+
+    Many rays take their annulus with the live rays of each replication, and
+    caps, if given, is the process of the same obstacles in the union of those
+    rays' caps, with the single ray's share and target per cap.
     """
 
     d: int
@@ -310,10 +322,11 @@ class _ObstacleProcess:
     sign: int
     scale: float
     margin: float
-    annulus: Callable  # (t_lo, t_hi per replication, rngs) -> flat obstacle arrays, distances first, then counts
+    annulus: Callable  # (t_lo, t_hi per replication, rngs[, live rays per replication]) -> flat arrays, counts
     hits: Callable  # ([dirs,] *obstacle arrays) -> hit parameters, (rays, obstacles) or, without dirs, (obstacles,)
     target: int
     share: Callable[[float], float] = _whole
+    caps: _ObstacleProcess | None = None
 
     def density(self, t_lo: float) -> float:
         """Obstacles that a block from t_lo draws per unit of profile measure."""
@@ -338,9 +351,13 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
     ends early, at its own stop) and its sampler call. With one ray each they
     share its kernel call too, whose hits are reduced per replication; with
     many rays each casts only its live rays through only its own obstacles,
-    so that its kernel call is the one it would make alone.
+    so that its kernel call is the one it would make alone. Many rays switch
+    to proc.caps once the caps of all n_rays rays hold less than the annulus,
+    0 < n_rays * share <= 1: from there each replication draws only the union
+    of its live rays' caps. The switch depends on depth and n_rays alone, so
+    a round keeps sharing its block bounds.
     """
-    n, sign = proc.d - 1, proc.sign
+    n, sign, n_rays = proc.d - 1, proc.sign, dirs.shape[1]
     best = np.full(dirs.shape[:2], cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
     t_lo = 0.0
@@ -352,22 +369,26 @@ def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) 
             reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
             if not len(reps):
                 return best
+        if proc.caps is not None and 0.0 < n_rays * proc.caps.share(t_lo) <= 1.0:
+            proc = proc.caps  # caps only narrow with depth, so every later block is capped too
         reach = _block_end(n, sign, proc.target / proc.density(t_lo), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + _MIN_BLOCK_WIDTH)
-        *obstacles, counts = proc.annulus(t_lo, t_hi, [rngs[i] for i in reps])
-        starts = np.cumsum(counts) - counts
-        if dirs.shape[1] > 1:
+        drawing = [rngs[i] for i in reps]
+        if n_rays == 1:
+            *obstacles, counts = proc.annulus(t_lo, t_hi, drawing)
+            if counts.any():
+                some = counts > 0  # reduceat would give a replication without obstacles its successor's first hit
+                nearest = np.minimum.reduceat(proc.hits(*obstacles), (np.cumsum(counts) - counts)[some])
+                best[reps[some], 0] = np.minimum(ranges[some, 0], nearest)
+        else:
             # Rays whose range is already below t_lo - margin cannot be shortened by this block.
             live = ranges > t_lo - proc.margin - 1e-9
-            for j, (lo, m) in enumerate(zip(starts, counts)):
+            *obstacles, counts = proc.annulus(t_lo, t_hi, drawing, [dirs[r, alive] for r, alive in zip(reps, live)])
+            for j, (lo, m) in enumerate(zip(np.cumsum(counts) - counts, counts)):
                 r, rays = reps[j], np.flatnonzero(live[j])
                 if m and len(rays):
                     own = [a[lo : lo + m] for a in obstacles]
                     best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays], *own).min(axis=1))
-        elif counts.any():
-            some = counts > 0  # reduceat would give a replication without obstacles its successor's first hit
-            nearest = np.minimum.reduceat(proc.hits(*obstacles), starts[some])
-            best[reps[some], 0] = np.minimum(ranges[some, 0], nearest)
         t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)
 
 
@@ -392,43 +413,52 @@ def _cap_plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _process(d: int, gamma: float, law: GrainLaw | None, single: bool) -> _ObstacleProcess:
-    """The obstacles that the sweep passes: the grains of law not covering the base point, or hyperplanes for
-    None. One ray per replication (single) sweeps the process restricted to that ray's direction cap."""
+def _process(d: int, gamma: float, law: GrainLaw | None, n_rays: int) -> _ObstacleProcess:
+    """The obstacles that the sweep passes with n_rays rays per replication: the grains of law not covering the
+    base point, or hyperplanes for None. One ray sweeps the process restricted to its direction cap. Many rays
+    sweep whole annuli and then the union of their live rays' caps, unless a capped block, _CAP_BLOCK_TARGET
+    obstacles per ray cast against every ray, could hold more ray-obstacle pairs than the resource guard."""
     if law is None:
-        if single:
-            annulus = partial(procsim.sample_hyperplane_cap_annuli, d, gamma)
-            share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
-            return _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, _cap_plane_hits, _CAP_BLOCK_TARGET, share)
+        sign, scale, m = 1, 2.0, 0.0
+        share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
+        cap_annuli, cap_hits = partial(procsim.sample_hyperplane_cap_annuli, d, gamma), _cap_plane_hits
         annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
+        union = partial(procsim.sample_hyperplane_cap_union, d, gamma)
         hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
-        return _ObstacleProcess(d, gamma, 1, 2.0, 0.0, annulus, hits, _BLOCK_TARGET)
-    m = law.max_radius
-    if single:
-        annulus = partial(procsim.sample_boolean_cap_annuli, d, gamma, law)
+    else:
+        sign, scale, m = -1, omega(d), law.max_radius
         share = lambda t_lo: procsim.cap_share(d, procsim.grain_cap_gap(m, t_lo))  # noqa: E731
-        return _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, _cap_grain_hits, _CAP_BLOCK_TARGET, share)
-    annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
-    return _ObstacleProcess(d, gamma, -1, omega(d), m, annulus, grain_hits_from_base, _BLOCK_TARGET)
+        cap_annuli, cap_hits = partial(procsim.sample_boolean_cap_annuli, d, gamma, law), _cap_grain_hits
+        annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
+        union = partial(procsim.sample_boolean_cap_union, d, gamma, law)
+        hits = grain_hits_from_base
+    if n_rays == 1:
+        return _ObstacleProcess(d, gamma, sign, scale, m, cap_annuli, cap_hits, _CAP_BLOCK_TARGET, share)
+    caps = None
+    if n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT:
+        caps = _ObstacleProcess(d, gamma, sign, scale, m, union, hits, _CAP_BLOCK_TARGET, share)
+    whole = lambda t_lo, t_hi, rngs, rays: annulus(t_lo, t_hi, rngs)  # noqa: E731 (a whole annulus needs no rays)
+    return _ObstacleProcess(d, gamma, sign, scale, m, whole, hits, _BLOCK_TARGET, caps=caps)
 
 
 # The sweep over each process under its own name; benchmarks/tracer.py times
 # the sweeps by wrapping these two attributes.
 def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
-    return _sweep(_process(d, gamma, law, dirs.shape[1] == 1), dirs, cutoff, rngs)
+    return _sweep(_process(d, gamma, law, dirs.shape[1]), dirs, cutoff, rngs)
 
 
 def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Zero-cell visibility ranges: the sweep over the hyperplanes."""
-    return _sweep(_process(d, gamma, None, dirs.shape[1] == 1), dirs, cutoff, rngs)
+    return _sweep(_process(d, gamma, None, dirs.shape[1]), dirs, cutoff, rngs)
 
 
 def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable):
     """(first replication, ranges) of each round: ranges(dirs, cutoff, rngs) for its replications.
 
     A round holds at least one replication and at most _ROUND_REPS * _CAP_BLOCK_TARGET
-    rays and expected obstacles per block. Replication i draws n_rays uniform
+    rays, and as many expected obstacles per annulus block; a block of the union of the
+    live rays' caps expects _CAP_BLOCK_TARGET per live ray. Replication i draws n_rays uniform
     directions and then its obstacles from stream(seed, i), so its ranges do
     not depend on the round it falls in. A round's generators are built as the
     round starts.

@@ -352,12 +352,70 @@ class TestDirectionCaps:
             np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)], rtol=1e-9)
 
 
+def union_share(d, gap, phi):
+    """Share of the directions within versine gap of one of two rays at angle phi, at d = 2 or 3."""
+    theta = math.acos(1.0 - gap)
+    if d == 2:
+        return (2.0 * theta + min(phi, 2.0 * theta)) / (2.0 * math.pi)
+
+    def lens(alpha):  # polar angle alpha about the first ray, times the azimuths within theta of the second
+        c = (math.cos(theta) - math.cos(alpha) * math.cos(phi)) / (math.sin(alpha) * math.sin(phi))
+        return math.sin(alpha) * 2.0 * math.acos(min(1.0, max(-1.0, c)))
+
+    return (4.0 * math.pi * gap - quad(lens, 0.0, theta, epsabs=1e-13)[0]) / (4.0 * math.pi)
+
+
+class TestCapUnion:
+    """The cap-union samplers draw each obstacle of the union of the rays' caps exactly once."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), None], ids=["grains", "planes"])
+    def test_two_overlapping_caps(self, d, law, monkeypatch):
+        gamma, t_lo, t_hi, n = 3.0, 2.0, 2.5, 3000
+        gap = ps.grain_cap_gap(0.5, t_lo) if law else ps.plane_cap_gap(t_lo)
+        theta = math.acos(1.0 - gap)  # the rays are a cap radius apart, so the caps overlap
+        rays = np.zeros((2, d))
+        rays[0, 0], rays[1, :2] = 1.0, (math.cos(theta), math.sin(theta))
+        seen = []  # (directions, owners, rays, gap, outside) of each call
+        inner = ps._outside_earlier_caps
+
+        def spy(*args):
+            seen.append((*args, inner(*args)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(ps, "_outside_earlier_caps", spy)
+        rngs = [stream(85, d, i) for i in range(n)]
+        if law:
+            _, dirs, _, counts = ps.sample_boolean_cap_union(d, gamma, law, t_lo, [t_hi] * n, rngs, [rays] * n)
+            annulus = gamma * cf.omega(d) * (cf.power_integral(d - 1, t_hi) - cf.power_integral(d - 1, t_lo))
+        else:
+            dists, normals, counts = ps.sample_hyperplane_cap_union(d, gamma, t_lo, [t_hi] * n, rngs, [rays] * n)
+            dirs = normals[:, 1:] / np.cosh(dists)[:, None]
+            annulus = gamma * (ps.plane_measure(d, t_hi) - ps.plane_measure(d, t_lo))
+        in_caps = 0.5 * np.sum((dirs[:, None, :] - rays) ** 2, axis=2) < gap
+        assert in_caps.any(axis=1).all()
+        # the union's obstacles, and those of the overlap, each drawn once: Poisson counts of the exact means
+        union = union_share(d, gap, theta)
+        overlap = ps._kept(counts, in_caps.all(axis=1))
+        for got, share in ((counts, union), (overlap, 2.0 * sphere_cap_share(d, gap) - union)):
+            mean = annulus * share
+            assert mean > 0.5 and abs(got.mean() - mean) < 4.0 * math.sqrt(mean / n)
+        # a proposal is kept exactly when its own cap is the first that holds it, and only those are returned
+        for proposals, owners, axes, g, outside in seen:
+            first = np.argmax(0.5 * np.sum((proposals[:, None, :] - axes) ** 2, axis=2) < g, axis=1)
+            assert np.array_equal(outside, first == owners)
+        if law:
+            kept = {tuple(row) for proposals, *_, outside in seen for row in proposals[outside]}
+            assert all(tuple(row) in kept for row in dirs)
+
+
 def streams(seed, d, n):
     return [stream(seed, d, i) for i in range(n)]
 
 
 # Every sampler of a round of replications, as (generators, t_hi per generator) -> its arrays and counts.
 LAW, T_LO = cf.UniformRadius(0.2, 0.8), 0.5
+RAYS = ps.unit_vectors(4, [stream(27)], [3])  # the live rays of every generator of the cap unions
 ROUND_SAMPLERS = {
     "boolean-annulus": lambda rngs, t_hi: ps.sample_boolean_annulus(4, 1.0, LAW, T_LO, t_hi, rngs),
     "boolean-annulus-undeleted": lambda rngs, t_hi: ps.sample_boolean_annulus(4, 1.0, LAW, T_LO, t_hi, rngs, False),
@@ -365,6 +423,8 @@ ROUND_SAMPLERS = {
     "hyperplane-annulus": lambda rngs, t_hi: ps.sample_hyperplane_annulus(4, 2.0, T_LO, t_hi, rngs),
     "hyperplane-cap": lambda rngs, t_hi: ps.sample_hyperplane_cap_annuli(4, 3.0, T_LO, t_hi, rngs),
     "hyperplane-windows": lambda rngs, t_hi: ps.sample_hyperplane_windows(4, 0.6, 1.0, rngs),
+    "boolean-cap-union": lambda rngs, t_hi: ps.sample_boolean_cap_union(4, 1.0, LAW, T_LO, t_hi, rngs, [RAYS] * 8),
+    "hyperplane-cap-union": lambda rngs, t_hi: ps.sample_hyperplane_cap_union(4, 3.0, T_LO, t_hi, rngs, [RAYS] * 8),
 }
 
 

@@ -465,12 +465,14 @@ class TestEstimators:
 # Skipping rays that a block cannot shorten changes which rays enter the ray x obstacle
 # product, so BLAS may round cos(theta) differently by an ulp; a grazing hit magnifies that
 # through arccosh, hence the relative tolerance. The censored counts must match exactly.
+# The two d = 2 visvol runs reach the depth from which blocks draw only the union of the live
+# rays' caps, and were pinned again once that changed their draws (the others never reach it).
 PINNED_ESTIMATES = {
     "visvol-d2": (vis.estimate_visible_volume, (2, 2.5, cf.FixedRadius(0.5), 40, 100, None, 4.0, 7),
-                  1.1805029246328944, 0.25256421255594425, 2),
+                  1.160498798250675, 0.2387549282343776, 0),
     "visvol-d2-uniform-truncated": (vis.estimate_visible_volume,
                                     (2, 1.2, cf.UniformRadius(0.1, 0.6), 40, 100, 3.0, 4.0, 8),
-                                    9.915268406077889, 0.8109589446364148, 125),
+                                    9.915268406077889, 0.8109589446364148, 135),
     "visvol-d3": (vis.estimate_visible_volume, (3, 4.0, cf.FixedRadius(0.5), 20, 50, 1.5, 1.5, 9),
                   0.7567249314277686, 0.17731392160528853, 7),
     "zero-cell-d2": (vis.estimate_zero_cell_volume, (2, 3.0, 40, 100, 3.0, 10),
@@ -513,7 +515,9 @@ class TestSweepPinned:
 
 # Reference: the sweep one replication at a time, with the annulus samplers and the dense
 # kernels it used before replication rounds. Replication i draws its rays and then, block
-# by block, its obstacles (count, distances, directions, radii) from stream(seed, i).
+# by block, its obstacles (count, distances, directions, radii) from stream(seed, i). Once the
+# caps of all its rays hold less than the annulus, a block draws only the union of its live
+# rays' caps, in the order of procsim._cap_union.
 
 
 def _ref_unit_vectors(d, rng, size):
@@ -552,28 +556,69 @@ def _ref_hyperplane_annulus(d, gamma, t_lo, t_hi, rng):
     return dists, ps.normals_from_polar(dists, _ref_unit_vectors(d, rng, n))
 
 
-def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng, block_target):
+def _ref_cap_union(d, gamma, scale, sign, gap, t_lo, t_hi, rng, rays):
+    """(distances, directions, keep): a Poisson count per ray's cap of versine gap, then distances, versines
+    w (proposed as gap U^{2/(d-1)}, thinned to the direction density) and directions (1 - w) u + sqrt(w (2 - w)) v
+    with v uniform and orthogonal to the cap's ray u; kept where thinning keeps them and no earlier cap holds them."""
+    s = scale * ps.cap_share(d, gap)
+    mean = gamma * (s * cf.power_integral(d - 1, t_hi, sign) - s * cf.power_integral(d - 1, t_lo, sign))
+    owners = np.repeat(np.arange(len(rays)), rng.poisson(mean, len(rays)))
+    n = len(owners)
+    dists = _ref_profile_annulus(d - 1, sign, t_lo, t_hi, rng, n)
+    u = rng.uniform(size=(1 if d == 3 else 2, n))
+    vers = gap * u[0] ** (2.0 / (d - 1))
+    bound = (2.0 if d >= 3 else 2.0 - gap) ** ((d - 3) / 2)
+    keep = np.ones(n, dtype=bool) if d == 3 else u[1] * bound < (2.0 - vers) ** ((d - 3) / 2)
+    axes = rays[owners]
+    v = rng.standard_normal((n, d))
+    v -= np.sum(v * axes, axis=1, keepdims=True) * axes
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    dirs = (1.0 - vers)[:, None] * axes + np.sqrt(vers * (2.0 - vers))[:, None] * v
+    for k, owner in enumerate(owners):
+        keep[k] &= not np.any(0.5 * np.sum((dirs[k] - rays[:owner]) ** 2, axis=1) < gap)
+    return dists, dirs, keep
+
+
+def _ref_boolean_cap_union(d, gamma, law, t_lo, t_hi, rng, rays):
+    gap = ps.grain_cap_gap(law.max_radius, t_lo)
+    dists, dirs, keep = _ref_cap_union(d, gamma, cf.omega(d), -1, gap, t_lo, t_hi, rng, rays)
+    radii = law.sample_radii(rng, len(dists))
+    keep &= dists > radii
+    return dists[keep], dirs[keep], radii[keep]
+
+
+def _ref_hyperplane_cap_union(d, gamma, t_lo, t_hi, rng, rays):
+    dists, dirs, keep = _ref_cap_union(d, gamma, 2.0, 1, ps.plane_cap_gap(t_lo), t_lo, t_hi, rng, rays)
+    return dists[keep], ps.normals_from_polar(dists[keep], dirs[keep])
+
+
+def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng, block_target, caps=None):
+    """Ranges of one replication; caps, if given, is (share, union sampler) of the capped blocks."""
     n = d - 1
-    per_block = block_target / (gamma * scale)
     best = np.full(len(dirs), cutoff)
-    t_lo = 0.0
+    t_lo, capped = 0.0, False
     while True:
         stop_at = float(best.max()) + margin
         if t_lo >= stop_at - 1e-12:
             break
+        capped = capped or (caps is not None and 0.0 < len(dirs) * caps[0](t_lo) <= 1.0)
+        share = caps[0](t_lo) if capped else 1.0
+        per_block = (vis._CAP_BLOCK_TARGET if capped else block_target) / (gamma * scale * share)
         reach = float(cf.power_integral_inverse(n, cf.power_integral(n, t_lo, sign) + per_block, sign))
         t_hi = max(min(stop_at, reach), t_lo + 1e-6)
-        obstacles = annulus(t_lo, t_hi, rng)
+        live = np.flatnonzero(best > t_lo - margin - 1e-9)
+        obstacles = caps[1](t_lo, t_hi, rng, dirs[live]) if capped else annulus(t_lo, t_hi, rng)
         if len(obstacles[0]):
-            live = np.flatnonzero(best > t_lo - margin - 1e-9)
             best[live] = np.minimum(best[live], hits(dirs[live], *obstacles).min(axis=1))
         t_lo = t_hi
     return best
 
 
-def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None, block_target=None):
+def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None, block_target=None, capped=True):
     """(n_reps, n_rays) ranges through the Boolean model (law given) or the hyperplanes (law None),
-    in blocks of block_target expected obstacles (by default the module's _BLOCK_TARGET)."""
+    in blocks of block_target expected obstacles (by default the module's _BLOCK_TARGET). With capped and
+    more than one ray, the blocks from where n_rays caps hold less than the annulus draw the union of the
+    live rays' caps."""
     block_target = vis._BLOCK_TARGET if block_target is None else block_target
     out = np.empty((n_reps, n_rays))
     for i in range(n_reps):
@@ -581,10 +626,16 @@ def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None
         dirs = _ref_unit_vectors(d, rng, n_rays) if direction is None else np.asarray(direction, float)[None, -d:]
         if law is None:
             annulus = partial(_ref_hyperplane_annulus, d, gamma)
-            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, lambda u, x, n: dense_plane_hits(u, n), dirs, cutoff, rng, block_target)
+            share = lambda t: ps.cap_share(d, ps.plane_cap_gap(t))  # noqa: E731
+            caps = (share, partial(_ref_hyperplane_cap_union, d, gamma)) if capped and n_rays > 1 else None
+            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, lambda u, x, n: dense_plane_hits(u, n), dirs, cutoff,
+                                rng, block_target, caps)
         else:
             annulus = partial(_ref_boolean_annulus, d, gamma, law)
-            out[i] = _ref_sweep(d, gamma, cf.omega(d), -1, law.max_radius, annulus, dense_grain_hits, dirs, cutoff, rng, block_target)
+            share = lambda t: ps.cap_share(d, ps.grain_cap_gap(law.max_radius, t))  # noqa: E731
+            caps = (share, partial(_ref_boolean_cap_union, d, gamma, law)) if capped and n_rays > 1 else None
+            out[i] = _ref_sweep(d, gamma, cf.omega(d), -1, law.max_radius, annulus, dense_grain_hits, dirs, cutoff,
+                                rng, block_target, caps)
     return out
 
 
@@ -705,9 +756,10 @@ class TestRounds:
             partial(vis.estimate_zero_cell_volume, 3, 5.0, 20, n_rays, cutoff, 20),
         )
         generators = []  # per sampler call: (t_lo, generators in the call)
-        for name in ("sample_boolean_annulus", "sample_hyperplane_annulus"):
-            def counted(*args, _fn=getattr(ps, name)):
-                generators.append((args[-3], len(args[-1])))
+        for name, rays in (("sample_boolean_annulus", 0), ("sample_hyperplane_annulus", 0),
+                           ("sample_boolean_cap_union", 1), ("sample_hyperplane_cap_union", 1)):
+            def counted(*args, _fn=getattr(ps, name), _rays=rays):  # the cap unions take the live rays last
+                generators.append((args[-3 - _rays], len(args[-1 - _rays])))
                 return _fn(*args)
             monkeypatch.setattr(ps, name, counted)
         records = [dataclasses.replace(estimate(), runtime_ms=0.0) for estimate in estimates]
@@ -749,6 +801,50 @@ class TestRounds:
             vis.sample_zero_cell_ranges(2, 1e15, ROUND + 1, 1.0, 0)
         with pytest.raises(ValueError, match="resource guard"):
             vis.sample_visibility_ranges(2, 1e21, cf.FixedRadius(0.5), ROUND + 1, 1.0, 0)
+
+
+class TestCapUnionSweep:
+    """Many-ray blocks draw only the union of the live rays' caps once the caps of all the rays hold less than
+    the annulus; the ranges keep the law of the full-annulus reference."""
+
+    @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6), None],
+                             ids=["fixed", "uniform", "planes"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ranges_match_the_annulus_reference(self, d, law, monkeypatch):
+        # rate d - 1, three rays and annulus blocks of 8: most replications sweep past the switch, at t = 0 to 0.65
+        monkeypatch.setattr(vis, "_BLOCK_TARGET", 8)
+        calls = []
+        for name in ("sample_boolean_cap_union", "sample_hyperplane_cap_union"):
+            def counted(*args, _fn=getattr(ps, name)):
+                calls.append(len(args[-1]))
+                return _fn(*args)
+            monkeypatch.setattr(ps, name, counted)
+        rate = float(d - 1)
+        gamma = rate / (cf.grain_moments(d, law).v_dm1_star if law else cf.zero_cell_rate(d, 1.0))
+        n_reps, n_rays, cutoff, seed = 400, 3, 2.0, 110 + d
+        sweep = partial(vis._boolean_ranges, d, gamma, law) if law else partial(vis._hyperplane_ranges, d, gamma)
+        capped = np.concatenate([r for _, r in vis._rounds(d, n_reps, n_rays, cutoff, seed, sweep)])
+        ref = reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed + 1000, block_target=256, capped=False)
+        assert sum(calls) > n_reps / 4  # the replications still sweeping in each capped block
+        # the replications are independent, their rays are not: compare the replications' mean ranges
+        assert ks_2samp(capped.mean(axis=1), ref.mean(axis=1)).pvalue > 0.01
+
+    def test_caps_of_share_zero_keep_annulus_blocks(self, monkeypatch):
+        # grains of radius 1e-300 have caps of share 0 in double precision: the sweep keeps its annulus blocks,
+        # and the record is bit for bit that of the full-annulus reference
+        law, cutoff = cf.FixedRadius(1e-300), 2.0
+        assert ps.cap_share(2, ps.grain_cap_gap(1e-300, 1e-6)) == 0.0
+
+        def refused(*args):
+            raise AssertionError("a block of share 0 drew the union of its rays' caps")
+
+        monkeypatch.setattr(ps, "sample_boolean_cap_union", refused)
+        vis.check_sweep("visvol_truncated", 2, 1.0, law, 5, cutoff, 3, 3, 1.0)
+        rec = vis.estimate_visible_volume(2, 1.0, law, 5, 3, 1.0, cutoff, 3)
+        ref = reference_ranges(2, 1.0, law, 5, 3, cutoff, 3, capped=False)
+        rep_vals = [cf.omega(2) * float(np.mean(cf.sinh_integral(2, np.minimum(r, 1.0)))) for r in ref]
+        assert rec.estimate == float(np.mean(rep_vals)) and rec.censored_fraction == 1.0
+        assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(5))
 
 
 class TestCappedSweep:
