@@ -97,7 +97,7 @@ def criterion_4(seed: int) -> tuple:
 
 @_criterion(5, "zero-cell volume", max_runtime_s=120.0)
 def criterion_5(seed: int) -> tuple:
-    """Zero cell: |z| < 3 against 2 pi^3/(16 - pi^2) and KS of ranges against Exp(4/pi)."""
+    """Zero cell: |z| < 3 against the part of 2 pi^3/(16 - pi^2) within the cutoff 12, and KS of ranges against Exp(4/pi)."""
     rec = visibility.estimate_zero_cell_volume(2, 2.0, 2000, 200, 12.0, seed)
     values, censored = visibility.sample_zero_cell_ranges(2, 2.0, 10_000, 12.0, seed + 1)
     ks = harness.ks_exponential(values[~censored], 4.0 / math.pi)

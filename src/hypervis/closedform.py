@@ -469,14 +469,18 @@ def mean_visible_volume(d: int, gamma: float, law: GrainLaw) -> float:
     return omega(d) * sinh_exp_integral(d, range_rate(d, gamma, law))
 
 
-def truncated_visible_volume(d: int, gamma: float, law: GrainLaw, r: float) -> float:
-    """Mean visible volume within distance r: omega_d int_0^r e^{-as} sinh^{d-1}(s) ds."""
+def truncated_visible_volume(d: int, gamma: float, law: GrainLaw | None, r: float) -> float:
+    """Mean visible volume within distance r: omega_d int_0^r e^{-as} sinh^{d-1}(s) ds, a = range_rate
+    (the zero cell's for law None). The integrand is divided by its largest value on [0, r], at
+    tanh s = (d-1)/a or r, so that quad's absolute tolerance stays relative to it at every d."""
     if r < 0:
         raise ValueError("truncation radius must be >= 0")
     if r == 0:
         return 0.0
     a = range_rate(d, gamma, law)
-    return omega(d) * _quad(lambda s: math.exp(-a * s) * math.sinh(s) ** (d - 1), 0.0, r)
+    peak = min(r, math.atanh((d - 1) / a)) if a > d - 1 else r
+    top = math.exp(-a * peak) * math.sinh(peak) ** (d - 1)
+    return omega(d) * top * _quad(lambda s: math.exp(-a * s) * math.sinh(s) ** (d - 1) / top, 0.0, r)
 
 
 def truncation_asymptote(d: int, gamma: float, law: GrainLaw, r: float) -> tuple[str, float]:

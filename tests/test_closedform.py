@@ -307,6 +307,17 @@ class TestTruncatedVisibleVolume:
             cf.mean_visible_volume(2, gamma, law), abs=1e-8
         )
 
+    @pytest.mark.parametrize("d, gamma", [(2, 2.0), (10, 80.0), (61, 700.0)])
+    def test_zero_cell_relative_precision(self, d, gamma):
+        # The rate e^{-(a-d+1) r} tail beyond r = 11 is below 1e-13 of the mean here at d = 10 and 61, though
+        # the mean itself (6.1e-44 at d = 61) lies far below quad's absolute tolerance; at d = 2 the tail
+        # beyond 12 has the closed form pi (e^{-(a-1) r}/(a-1) - e^{-(a+1) r}/(a+1)).
+        a, r = cf.zero_cell_rate(d, gamma), 11.0 if d > 2 else 12.0
+        tail = math.pi * (math.exp(-(a - 1) * r) / (a - 1) - math.exp(-(a + 1) * r) / (a + 1)) if d == 2 else 0.0
+        assert cf.truncated_visible_volume(d, gamma, None, r) == pytest.approx(
+            cf.zero_cell_mean_volume(d, gamma) - tail, rel=1e-10
+        )
+
 
 class TestTruncationAsymptote:
     def _gamma_for_rate(self, a):

@@ -420,6 +420,12 @@ class TestEstimators:
         rec = vis.estimate_zero_cell_volume(2, 3.0, 400, 100, 10.0, seed=41)
         assert abs(rec.z_score) < 3.5
 
+    def test_zero_cell_compares_with_the_mean_within_its_cutoff(self):
+        rec = vis.estimate_zero_cell_volume(2, 2.0, 20, 10, 3.0, seed=41)
+        assert rec.closed_form == cf.truncated_visible_volume(2, 2.0, None, 3.0)
+        assert rec.closed_form < cf.zero_cell_mean_volume(2, 2.0)
+        assert rec.z_score == (rec.estimate - rec.closed_form) / rec.stderr
+
     def test_zero_cell_large_intensity(self):
         rec = vis.estimate_zero_cell_volume(2, 50.0, 300, 80, 6.0, seed=42)
         assert rec.estimate < 0.01
