@@ -11,16 +11,17 @@ processes into radial shells so that estimators can sweep outward from the
 base point and stop as soon as no farther obstacle can matter; restricting a
 Poisson process to a region is again Poisson, so the sweep is exact.
 
-The annulus samplers (sample_*_annulus) serve the many-ray sweep and the
-intersection density, the cap samplers (sample_*_cap_annuli) a single ray,
-drawing only the obstacles in the cap of directions from which it can be
-reached (again an exact Poisson restriction), the cap-union samplers
-(sample_*_cap_union) the many-ray sweep deep out, drawing only the union of
-the caps of a replication's live rays, and sample_hyperplane_windows the
-segment crossings. Each draws a round of replications at once, each
-generator making its own draws in its own order, and runs the radial
-inverse once over the round, each root converging on its own. They return
-each per-obstacle array flat in generator order, then a count per generator.
+Obstacles describes each kind once (profile, edge margin, direction caps)
+to three samplers: sample_annulus serves the many-ray sweep and the
+intersection density, sample_cap_annuli a single ray, drawing only the
+obstacles in the cap of directions from which it can be reached (again an
+exact Poisson restriction), and sample_cap_union the many-ray sweep deep
+out, drawing only the union of the caps of a replication's live rays.
+sample_hyperplane_windows serves the segment crossings. Each draws a round
+of replications at once, each generator making its own draws in its own
+order, and runs the radial inverse once over the round, each root
+converging on its own. They return each per-obstacle array flat in
+generator order, then a count per generator.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -36,7 +37,7 @@ contact geometry (the tests keep the window sampler as an oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,19 +206,6 @@ def _poisson_count(rng: np.random.Generator, mean: float, size: int | None = Non
     return rng.poisson(mean, size)
 
 
-def _annulus_means(gamma: float, scale: float, n: int, sign: int, t_lo: float, t_hi) -> list[float]:
-    """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, of a process with
-    gamma * scale * power_integral(n, t, sign) obstacles within distance t on average."""
-    g_lo = power_integral_at(n, t_lo, sign)
-    return [gamma * (scale * power_integral_at(n, t, sign) - scale * g_lo) for t in t_hi]
-
-
-def _annulus_counts(gamma: float, scale: float, n: int, sign: int, t_lo: float, t_hi, rngs) -> np.ndarray:
-    """One Poisson count per generator, of the obstacles of _annulus_means."""
-    means = _annulus_means(gamma, scale, n, sign, t_lo, t_hi)
-    return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, means)], dtype=int)
-
-
 def _kept(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """How many draws each generator keeps, of counts[i] draws by generator i concatenated in generator order."""
     return np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
@@ -230,22 +218,122 @@ def _outside_earlier_caps(dirs: np.ndarray, owners: np.ndarray, rays: np.ndarray
     return ~np.any((versines < gap) & (np.arange(len(rays)) < owners[:, None]), axis=1)
 
 
-def _cap_union(d: int, gamma: float, scale: float, sign: int, gap: float, t_lo: float, t_hi, rngs, rays) -> tuple:
-    """Proposals for the obstacles at distance in [t_lo, t_hi[i]) whose direction lies in the cap of versine gap
-    around some ray of rays[i], of a process with gamma * scale * power_integral(d - 1, t, sign) obstacles within
-    distance t: (distances, directions, keep, counts), counts[i] of them drawn by generator rngs[i].
+# ---------------------------------------------------------------------------
+# Radial sweeps: annuli, capped annuli and unions of caps
+# ---------------------------------------------------------------------------
 
-    Generator i draws one Poisson count per ray of rays[i] (cap_share of the annulus each), then the
-    distances, the versines w (cap_versines) and the directions (1 - w) u + sqrt(w (2 - w)) v of its
-    proposals, cap by cap in ray order, with u the cap's ray and v uniform and orthogonal to u. A
-    proposal is kept if cap_versines keeps it and its direction lies in no earlier ray's cap, so each
-    point of the union is drawn from exactly one cap: a Poisson restriction like the annulus itself.
+
+@dataclass(frozen=True)
+class Obstacles:
+    """The obstacles a radial sweep from the base point passes: the grains of law, or hyperplanes for None,
+    at intensity gamma in H^d.
+
+    Obstacles within distance t number gamma * scale * power_integral(d - 1, t, sign) on average: grain
+    centers follow the sinh profile (sign -1) with scale omega_d, planes the cosh profile (sign +1) with
+    scale 2. An obstacle at distance t cannot meet a ray before t - margin, the largest grain radius (0
+    for planes), and one at distance >= t meets it only from the cap of versine gap(t) around the ray,
+    in which cap_versines proposes the share(t) of all directions.
     """
-    means = _annulus_means(gamma, scale * cap_share(d, gap), d - 1, sign, t_lo, t_hi)
+
+    d: int
+    gamma: float
+    law: GrainLaw | None = None
+    sign: int = field(init=False)
+    scale: float = field(init=False)
+    margin: float = field(init=False)
+
+    def __post_init__(self):
+        kind = (1, 2.0, 0.0) if self.law is None else (-1, omega(self.d), self.law.max_radius)
+        for name, value in zip(("sign", "scale", "margin"), kind):
+            object.__setattr__(self, name, value)
+
+    def gap(self, t: float) -> float:
+        return plane_cap_gap(t) if self.law is None else grain_cap_gap(self.margin, t)
+
+    def share(self, t: float) -> float:
+        return cap_share(self.d, self.gap(t))
+
+
+def _means(obs: Obstacles, share: float, t_lo: float, t_hi) -> list[float]:
+    """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, with directions in a share of all."""
+    n, scale = obs.d - 1, obs.scale * share
+    g_lo = power_integral_at(n, t_lo, obs.sign)
+    return [obs.gamma * (scale * power_integral_at(n, t, obs.sign) - scale * g_lo) for t in t_hi]
+
+
+def _counts(obs: Obstacles, share: float, t_lo: float, t_hi, rngs) -> np.ndarray:
+    """One Poisson count per generator, of the obstacles of _means."""
+    return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, _means(obs, share, t_lo, t_hi))], dtype=int)
+
+
+def _distances(obs: Obstacles, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+    """sizes[i] distances on [t_lo, t_hi[i]] from generator rngs[i] by the obstacles' profile, concatenated."""
+    sample = sample_plane_distances if obs.law is None else sample_radial_annulus
+    return sample(obs.d, t_lo, t_hi, rngs, sizes)
+
+
+def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering: bool = True) -> tuple:
+    """(distances, where, radii, counts) of the proposed grains, each generator drawing its radii last, or
+    (distances, where, counts) of the planes, where a direction (a row) becomes a plane's unit normal and a
+    versine stays. Only proposals that keep selects (all for None) remain, with drop_covering no grain covering
+    the base point, and counts[i], the proposals of generator rngs[i], becomes what it keeps."""
+    marks = ()
+    if obs.law is not None:
+        marks = (np.concatenate([obs.law.sample_radii(rng, c) for rng, c in zip(rngs, counts)]),)
+        if drop_covering:
+            keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
+    if keep is not None:
+        dists, where, marks, counts = dists[keep], where[keep], tuple(m[keep] for m in marks), _kept(counts, keep)
+    if obs.law is None and where.ndim == 2:
+        where = normals_from_polar(dists, where)
+    return dists, where, *marks, counts
+
+
+def sample_annulus(obs: Obstacles, t_lo: float, t_hi, rngs, drop_covering: bool = True) -> tuple[np.ndarray, ...]:
+    """Obstacles at distance in [t_lo, t_hi[i]) from each generator rngs[i]: (distances, directions, radii,
+    counts) of grains or (distances, unit normals, counts) of planes, each generator drawing its count,
+    distances, directions and radii in that order.
+
+    With drop_covering, grains containing the base point (distance <= radius)
+    are deleted, which conditions the model on an uncovered base point.
+    """
+    counts = _counts(obs, 1.0, t_lo, t_hi, rngs)
+    dists = _distances(obs, t_lo, t_hi, rngs, counts)
+    return _marked(obs, rngs, counts, dists, unit_vectors(obs.d, rngs, counts), None, drop_covering)
+
+
+def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
+    """The obstacles of sample_annulus that can meet a ray: (distances, versines, radii, counts) of grains
+    or (distances, versines, counts) of planes.
+
+    The versine is 1 - cos theta, with theta the angle between the ray and the
+    obstacle's direction (a grain's center, a plane's normal oriented away
+    from the base point). Only the obstacles in the cap of versine
+    obs.gap(t_lo) are drawn (see cap_versines), after the distances.
+    """
+    gap = obs.gap(t_lo)
+    counts = _counts(obs, cap_share(obs.d, gap), t_lo, t_hi, rngs)
+    dists = _distances(obs, t_lo, t_hi, rngs, counts)
+    return _marked(obs, rngs, counts, dists, *cap_versines(obs.d, gap, rngs, counts))
+
+
+def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.ndarray, ...]:
+    """The obstacles of sample_annulus whose direction lies in the cap of versine obs.gap(t_lo) around some
+    ray of rays[i], for each generator rngs[i]: (distances, directions, radii, counts) of grains or
+    (distances, unit normals, counts) of planes.
+
+    Generator i draws one Poisson count per ray of rays[i] (the share of the annulus in one cap), then the
+    distances, the versines w (cap_versines), the directions (1 - w) u + sqrt(w (2 - w)) v of its
+    proposals, cap by cap in ray order, with u the cap's ray and v uniform and orthogonal to u, and the
+    radii. A proposal is kept if cap_versines keeps it and its direction lies in no earlier ray's cap, so
+    each point of the union is drawn from exactly one cap: a Poisson restriction like the annulus itself.
+    """
+    d, gap = obs.d, obs.gap(t_lo)
+    means = _means(obs, cap_share(d, gap), t_lo, t_hi)
     caps = [_poisson_count(rng, mean, len(u)) for rng, mean, u in zip(rngs, means, rays)]
     owners = [np.repeat(np.arange(len(c)), c) for c in caps]
     counts = np.array([len(o) for o in owners], dtype=int)
-    dists = _profile_annulus(d - 1, sign, t_lo, t_hi, rngs, counts)
+    dists = _distances(obs, t_lo, t_hi, rngs, counts)
     versines, keep = cap_versines(d, gap, rngs, counts)
     axes = np.concatenate([u[o] for u, o in zip(rays, owners)])
     v = np.concatenate([rng.standard_normal((c, d)) for rng, c in zip(rngs, counts)])
@@ -254,7 +342,7 @@ def _cap_union(d: int, gamma: float, scale: float, sign: int, gap: float, t_lo: 
     dirs = (1.0 - versines)[:, None] * axes + np.sqrt(versines * (2.0 - versines))[:, None] * v
     for lo, u, o in zip(np.cumsum(counts) - counts, rays, owners):
         keep[lo : lo + len(o)] &= _outside_earlier_caps(dirs[lo : lo + len(o)], o, u, gap)
-    return dists, dirs, keep, counts
+    return _marked(obs, rngs, counts, dists, dirs, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -273,59 +361,9 @@ def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Gener
     return points_from_polar(dists, unit_vectors(d, [rng], [n]))
 
 
-def sample_boolean_cap_annuli(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
-    """The grains of sample_boolean_annulus that can meet a ray: (distances, versines, radii, counts).
-
-    The versine is 1 - cos theta, with theta the angle between the ray and the
-    grain's center direction. Only grains in the cap of
-    grain_cap_gap(law.max_radius, t_lo) are drawn (see cap_versines), and
-    grains covering the base point are deleted.
-    """
-    gap = grain_cap_gap(law.max_radius, t_lo)
-    counts = _annulus_counts(gamma, omega(d) * cap_share(d, gap), d - 1, -1, t_lo, t_hi, rngs)
-    dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
-    versines, keep = cap_versines(d, gap, rngs, counts)
-    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
-    keep &= dists > radii
-    return dists[keep], versines[keep], radii[keep], _kept(counts, keep)
-
-
-def sample_boolean_cap_union(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, rays) -> tuple:
-    """The grains of sample_boolean_annulus whose center direction lies in the cap of
-    grain_cap_gap(law.max_radius, t_lo) around some ray of rays[i], for each generator rngs[i]:
-    (distances, directions, radii, counts), each generator drawing its radii after the proposals
-    of _cap_union. Grains covering the base point are deleted.
-    """
-    gap = grain_cap_gap(law.max_radius, t_lo)
-    dists, dirs, keep, counts = _cap_union(d, gamma, omega(d), -1, gap, t_lo, t_hi, rngs, rays)
-    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
-    keep &= dists > radii
-    return dists[keep], dirs[keep], radii[keep], _kept(counts, keep)
-
-
-def sample_boolean_annulus(
-    d: int,
-    gamma: float,
-    law: GrainLaw,
-    t_lo: float,
-    t_hi,
-    rngs,
-    drop_covering: bool = True,
-) -> tuple[np.ndarray, ...]:
-    """Grains with center distance in [t_lo, t_hi[i]) from each generator rngs[i]: (distances,
-    directions, radii, counts), each generator drawing them in that order after its count.
-
-    With drop_covering, grains containing the base point (distance <= radius)
-    are deleted, which conditions the model on an uncovered base point.
-    """
-    counts = _annulus_counts(gamma, omega(d), d - 1, -1, t_lo, t_hi, rngs)
-    dists = sample_radial_annulus(d, t_lo, t_hi, rngs, counts)
-    dirs = unit_vectors(d, rngs, counts)
-    radii = np.concatenate([law.sample_radii(rng, c) for rng, c in zip(rngs, counts)])
-    if not drop_covering:
-        return dists, dirs, radii, counts
-    keep = dists > radii
-    return dists[keep], dirs[keep], radii[keep], _kept(counts, keep)
+def sample_boolean_annulus(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, drop_covering=True):
+    """sample_annulus of the grains of law: (distances, directions, radii, counts)."""
+    return sample_annulus(Obstacles(d, gamma, law), t_lo, t_hi, rngs, drop_covering)
 
 
 def sample_boolean(
@@ -382,33 +420,8 @@ def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def sample_hyperplane_annulus(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
-    """Planes at distance in [t_lo, t_hi[i]) from the base, from each generator rngs[i]: (distances,
-    unit normals, counts), each generator drawing distances and then directions after its count."""
-    counts = _annulus_counts(gamma, 2.0, d - 1, 1, t_lo, t_hi, rngs)
-    dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
-    return dists, normals_from_polar(dists, unit_vectors(d, rngs, counts)), counts
-
-
-def sample_hyperplane_cap_annuli(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
-    """The planes of sample_hyperplane_annulus that can cross a ray: (distances, versines, counts).
-
-    The versine is 1 - cos theta, with theta the angle between the ray and the
-    plane's normal direction, oriented away from the base point. Only planes
-    in the cap cos theta > tanh t_lo are drawn (see cap_versines).
-    """
-    gap = plane_cap_gap(t_lo)
-    counts = _annulus_counts(gamma, 2.0 * cap_share(d, gap), d - 1, 1, t_lo, t_hi, rngs)
-    dists = sample_plane_distances(d, t_lo, t_hi, rngs, counts)
-    versines, keep = cap_versines(d, gap, rngs, counts)
-    return dists[keep], versines[keep], _kept(counts, keep)
-
-
-def sample_hyperplane_cap_union(d: int, gamma: float, t_lo: float, t_hi, rngs, rays) -> tuple[np.ndarray, ...]:
-    """The planes of sample_hyperplane_annulus whose normal direction lies in the cap cos theta > tanh t_lo
-    around some ray of rays[i], for each generator rngs[i]: (distances, unit normals, counts), drawn as in
-    _cap_union."""
-    dists, dirs, keep, counts = _cap_union(d, gamma, 2.0, 1, plane_cap_gap(t_lo), t_lo, t_hi, rngs, rays)
-    return dists[keep], normals_from_polar(dists[keep], dirs[keep]), _kept(counts, keep)
+    """sample_annulus of the hyperplanes: (distances, unit normals, counts)."""
+    return sample_annulus(Obstacles(d, gamma), t_lo, t_hi, rngs)
 
 
 def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Generator) -> HyperplaneSample:

@@ -28,7 +28,7 @@ still draws one, so that its stream and every range stay as they were.
 Many rays sweep whole annuli, in blocks of _BLOCK_TARGET expected obstacles,
 until the caps of all n_rays rays hold less than the annulus
 (n_rays * share(t_lo) <= 1). From there a block draws only the union of the
-caps of the replication's live rays (procsim.sample_*_cap_union), with
+caps of the replication's live rays (procsim.sample_cap_union), with
 _CAP_BLOCK_TARGET expected per cap and each point of the union drawn from
 the first cap that holds it: again an exact Poisson restriction. Those
 obstacles carry full directions and meet every live ray in the dense kernels.
@@ -91,10 +91,12 @@ def make_record(
     n_rays: int = 0,
     censored_fraction: float = 0.0,
 ) -> EstimateRecord:
-    """Record of the mean of the per-replication values, with its stderr across them (ddof=1), its z
-    against closed_form (None without a finite one) and the milliseconds since the perf_counter reading t0."""
+    """Record of the mean of the per-replication values, with its stderr across them (ddof=1; exactly 0 where
+    they are all equal, whose computed spread is only rounding), its z against closed_form (None without a
+    finite one or a positive stderr) and the milliseconds since the perf_counter reading t0."""
     values = np.asarray(values, dtype=float)
-    estimate, stderr = float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    estimate = float(np.mean(values))
+    stderr = 0.0 if np.all(values == values[0]) else float(np.std(values, ddof=1) / math.sqrt(len(values)))
     z = None
     if closed_form is not None and math.isfinite(closed_form) and stderr > 0:
         z = (estimate - closed_form) / stderr
@@ -177,14 +179,15 @@ def check_sweep(
                 f"{quantity} averages ray volumes near vol B(1/a) = {volume:.3g} at mean range "
                 f"1/a = {1.0 / a:.6g}, which underflows double precision; every estimate would read 0"
             )
-    m, single = (law.max_radius if law else 0.0), (n_rays or 1) == 1
+    obs, single = procsim.Obstacles(d, gamma, law), (n_rays or 1) == 1
+    m = obs.margin
     deepest = 700.0 / max(d - 1, 2)  # profiles grow like e^{(d-1)t}, caps shrink like e^{-2t}: 1e300 near 700
     if cutoff + m > deepest:
         raise ValueError(
             f"cutoff {cutoff} sweeps to depth {cutoff + m:.6g}, beyond the {deepest:.6g} that double precision "
             f"allows in d = {d}"
         )
-    if law and not stratified and single and procsim.cap_share(d, procsim.grain_cap_gap(m, cutoff + m)) == 0.0:
+    if law and not stratified and single and obs.share(cutoff + m) == 0.0:
         raise ValueError(
             f"grain radius {m:g} is too small for the single-ray sweep to cutoff {cutoff:g}: the directions from "
             f"which a grain at depth {cutoff + m:.6g} can reach the ray have share 0 in double precision"
@@ -207,8 +210,8 @@ def check_sweep(
     if n_rays is None and replicated:  # a segment: each replication draws the planes within its length at once
         first, what = gamma * procsim.plane_measure(d, cutoff), f"planes within {cutoff:g} of the base point"
     else:  # a sweep: each replication draws its first block, at least _MIN_BLOCK_WIDTH wide, first
-        proc = _process(d, gamma, law, n_rays or 1)
-        first = proc.density(0.0) * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, proc.sign)
+        share = obs.share(0.0) if single else 1.0  # one ray sweeps its direction cap, many rays whole annuli
+        first = obs.gamma * obs.scale * share * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, obs.sign)
         what = f"obstacles in its first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide"
     if first > guard:
         raise procsim.ResourceGuardError(
@@ -291,48 +294,6 @@ _ROUND_REPS = 512
 _MIN_BLOCK_WIDTH = 1e-6
 
 
-def _whole(t_lo: float) -> float:
-    return 1.0
-
-
-@dataclass(frozen=True)
-class _ObstacleProcess:
-    """An obstacle process seen from the base point, as the radial sweep needs it.
-
-    Obstacles within distance t have measure gamma * scale * power_integral(d-1, t, sign):
-    grain centers the sinh profile with scale omega_d, hyperplanes the cosh profile
-    with scale 2. An obstacle at distance t cannot meet a ray before t - margin.
-
-    annulus draws a share(t_lo) of the obstacles at distance in [t_lo, t_hi),
-    and blocks are sized to hold target of them on average. For many rays that
-    share is 1. For a single ray annulus proposes only the direction cap in
-    which an obstacle at distance t_lo can still reach the ray (the widest of
-    the block's caps), thinned to the exact direction density, so share falls
-    like e^{-(d-1) t_lo} while the profile grows like e^{(d-1) t}: a block then
-    has about the same width at every depth, and a replication's draws and
-    blocks grow linearly with its range.
-
-    Many rays take their annulus with the live rays of each replication, and
-    caps, if given, is the process of the same obstacles in the union of those
-    rays' caps, with the single ray's share and target per cap.
-    """
-
-    d: int
-    gamma: float
-    sign: int
-    scale: float
-    margin: float
-    annulus: Callable  # (t_lo, t_hi per replication, rngs[, live rays per replication]) -> flat arrays, counts
-    hits: Callable  # ([dirs,] *obstacle arrays) -> hit parameters, (rays, obstacles) or, without dirs, (obstacles,)
-    target: int
-    share: Callable[[float], float] = _whole
-    caps: _ObstacleProcess | None = None
-
-    def density(self, t_lo: float) -> float:
-        """Obstacles that a block from t_lo draws per unit of profile measure."""
-        return self.gamma * self.scale * self.share(t_lo)
-
-
 @lru_cache(maxsize=2**15)
 def _block_end(n: int, sign: int, per_block: float, t_lo: float) -> float:
     """The t whose profile measure exceeds that at t_lo by per_block. Every replication of a
@@ -340,55 +301,67 @@ def _block_end(n: int, sign: int, per_block: float, t_lo: float) -> float:
     return float(power_integral_inverse(n, power_integral_at(n, t_lo, sign) + per_block, sign))
 
 
-def _sweep(proc: _ObstacleProcess, dirs: np.ndarray, cutoff: float, rngs: list) -> np.ndarray:
+def _sweep(obs: procsim.Obstacles, dirs: np.ndarray, cutoff: float, rngs: list) -> np.ndarray:
     """Ranges (censored at cutoff), shape (reps, rays), of a round of replications sweeping the obstacles outward.
 
     Replication i casts the rays dirs[i] (shape (reps, rays, d)) through the
-    obstacles it draws from rngs[i]. Each block is the annulus from which
-    proc.annulus draws proc.target obstacles on average; a replication stops
-    once no farther obstacle can shorten any of its rays. The replications
-    still sweeping share each block's bounds (only a replication's last block
-    ends early, at its own stop) and its sampler call. With one ray each they
-    share its kernel call too, whose hits are reduced per replication; with
-    many rays each casts only its live rays through only its own obstacles,
-    so that its kernel call is the one it would make alone. Many rays switch
-    to proc.caps once the caps of all n_rays rays hold less than the annulus,
-    0 < n_rays * share <= 1: from there each replication draws only the union
-    of its live rays' caps. The switch depends on depth and n_rays alone, so
-    a round keeps sharing its block bounds.
+    obstacles it draws from rngs[i], block by block, and stops once no farther
+    obstacle can shorten any of its rays. The replications still sweeping
+    share each block's bounds (only a replication's last block ends early, at
+    its own stop) and its sampler call. A capped block holds _CAP_BLOCK_TARGET
+    expected obstacles per ray in the cap of versine obs.gap(t_lo), the widest
+    of its caps: obs.share falls like e^{-(d-1) t} while the profile grows like
+    e^{(d-1) t}, so capped blocks have about the same width at every depth.
+    One ray sweeps its cap, and a round shares its kernel call. Many rays cap
+    their blocks as the module docstring says, unless a capped block could
+    hold more ray-obstacle pairs than the resource guard, and each replication
+    casts only its live rays through its own obstacles, as it would alone.
     """
-    n, sign, n_rays = proc.d - 1, proc.sign, dirs.shape[1]
+    n, n_rays, grains = obs.d - 1, dirs.shape[1], obs.law is not None
+    cap_hits = _cap_grain_hits if grains else _cap_plane_hits
+    capped, can_cap = n_rays == 1, n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT
     best = np.full(dirs.shape[:2], cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
     t_lo = 0.0
     while True:
         ranges = best[reps]
-        stop_at = ranges.max(axis=1) + proc.margin
+        stop_at = ranges.max(axis=1) + obs.margin
         going = t_lo < stop_at - 1e-12
         if not going.all():
             reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
             if not len(reps):
                 return best
-        if proc.caps is not None and 0.0 < n_rays * proc.caps.share(t_lo) <= 1.0:
-            proc = proc.caps  # caps only narrow with depth, so every later block is capped too
-        reach = _block_end(n, sign, proc.target / proc.density(t_lo), t_lo)
+        if not capped and can_cap:  # caps only narrow with depth, so every later block is capped too
+            capped = 0.0 < n_rays * obs.share(t_lo) <= 1.0
+        share, target = (obs.share(t_lo), _CAP_BLOCK_TARGET) if capped else (1.0, _BLOCK_TARGET)
+        reach = _block_end(n, obs.sign, target / (obs.gamma * obs.scale * share), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + _MIN_BLOCK_WIDTH)
         drawing = [rngs[i] for i in reps]
         if n_rays == 1:
-            *obstacles, counts = proc.annulus(t_lo, t_hi, drawing)
+            *obstacles, counts = procsim.sample_cap_annuli(obs, t_lo, t_hi, drawing)
             if counts.any():
                 some = counts > 0  # reduceat would give a replication without obstacles its successor's first hit
-                nearest = np.minimum.reduceat(proc.hits(*obstacles), (np.cumsum(counts) - counts)[some])
+                nearest = np.minimum.reduceat(cap_hits(*obstacles), (np.cumsum(counts) - counts)[some])
                 best[reps[some], 0] = np.minimum(ranges[some, 0], nearest)
         else:
             # Rays whose range is already below t_lo - margin cannot be shortened by this block.
-            live = ranges > t_lo - proc.margin - 1e-9
-            *obstacles, counts = proc.annulus(t_lo, t_hi, drawing, [dirs[r, alive] for r, alive in zip(reps, live)])
+            live = ranges > t_lo - obs.margin - 1e-9
+            if capped:
+                live_rays = [dirs[r, alive] for r, alive in zip(reps, live)]
+                *obstacles, counts = procsim.sample_cap_union(obs, t_lo, t_hi, drawing, live_rays)
+            elif grains:  # the named samplers, where benchmarks/tracer.py times the annuli
+                *obstacles, counts = procsim.sample_boolean_annulus(obs.d, obs.gamma, obs.law, t_lo, t_hi, drawing)
+            else:
+                *obstacles, counts = procsim.sample_hyperplane_annulus(obs.d, obs.gamma, t_lo, t_hi, drawing)
+            # the plane kernel reads the unit normals alone
+            kernel, read = (grain_hits_from_base, obstacles) if grains else (plane_hits_from_base, obstacles[1:])
             for j, (lo, m) in enumerate(zip(np.cumsum(counts) - counts, counts)):
                 r, rays = reps[j], np.flatnonzero(live[j])
                 if m and len(rays):
-                    own = [a[lo : lo + m] for a in obstacles]
-                    best[r, rays] = np.minimum(best[r, rays], proc.hits(dirs[r, rays], *own).min(axis=1))
+                    own = [a[lo : lo + m] for a in read]
+                    # Reduced where it is made: a hit matrix kept past its reduction into the next kernel call
+                    # cost criterion 2 ten times the minor page faults (82-89k against 8.3k) and a fifth more time.
+                    best[r, rays] = np.minimum(best[r, rays], kernel(dirs[r, rays], *own).min(axis=1))
         t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)
 
 
@@ -413,44 +386,16 @@ def _cap_plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _process(d: int, gamma: float, law: GrainLaw | None, n_rays: int) -> _ObstacleProcess:
-    """The obstacles that the sweep passes with n_rays rays per replication: the grains of law not covering the
-    base point, or hyperplanes for None. One ray sweeps the process restricted to its direction cap. Many rays
-    sweep whole annuli and then the union of their live rays' caps, unless a capped block, _CAP_BLOCK_TARGET
-    obstacles per ray cast against every ray, could hold more ray-obstacle pairs than the resource guard."""
-    if law is None:
-        sign, scale, m = 1, 2.0, 0.0
-        share = lambda t_lo: procsim.cap_share(d, procsim.plane_cap_gap(t_lo))  # noqa: E731
-        cap_annuli, cap_hits = partial(procsim.sample_hyperplane_cap_annuli, d, gamma), _cap_plane_hits
-        annulus = partial(procsim.sample_hyperplane_annulus, d, gamma)
-        union = partial(procsim.sample_hyperplane_cap_union, d, gamma)
-        hits = lambda dirs, p_dist, normals: plane_hits_from_base(dirs, normals)  # noqa: E731
-    else:
-        sign, scale, m = -1, omega(d), law.max_radius
-        share = lambda t_lo: procsim.cap_share(d, procsim.grain_cap_gap(m, t_lo))  # noqa: E731
-        cap_annuli, cap_hits = partial(procsim.sample_boolean_cap_annuli, d, gamma, law), _cap_grain_hits
-        annulus = partial(procsim.sample_boolean_annulus, d, gamma, law)
-        union = partial(procsim.sample_boolean_cap_union, d, gamma, law)
-        hits = grain_hits_from_base
-    if n_rays == 1:
-        return _ObstacleProcess(d, gamma, sign, scale, m, cap_annuli, cap_hits, _CAP_BLOCK_TARGET, share)
-    caps = None
-    if n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT:
-        caps = _ObstacleProcess(d, gamma, sign, scale, m, union, hits, _CAP_BLOCK_TARGET, share)
-    whole = lambda t_lo, t_hi, rngs, rays: annulus(t_lo, t_hi, rngs)  # noqa: E731 (a whole annulus needs no rays)
-    return _ObstacleProcess(d, gamma, sign, scale, m, whole, hits, _BLOCK_TARGET, caps=caps)
-
-
 # The sweep over each process under its own name; benchmarks/tracer.py times
 # the sweeps by wrapping these two attributes.
 def _boolean_ranges(d: int, gamma: float, law: GrainLaw, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Conditioned visibility ranges: the sweep over the grains not covering the base point."""
-    return _sweep(_process(d, gamma, law, dirs.shape[1]), dirs, cutoff, rngs)
+    return _sweep(procsim.Obstacles(d, gamma, law), dirs, cutoff, rngs)
 
 
 def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) -> np.ndarray:
     """Zero-cell visibility ranges: the sweep over the hyperplanes."""
-    return _sweep(_process(d, gamma, None, dirs.shape[1]), dirs, cutoff, rngs)
+    return _sweep(procsim.Obstacles(d, gamma), dirs, cutoff, rngs)
 
 
 def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable):

@@ -8,8 +8,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hypervis"
 
 # Top-level definitions kept although nothing in src/ uses them, each with its reason.
 ALLOWED = {
-    "truncation_asymptote": "the analytic tail of the near-critical estimator that ROADMAP item 1 builds on",
+    "truncation_asymptote": "the subcritical exponent d - 1 - a that ROADMAP item 7's verdicts check",
     "sample_poisson_ball": "the public Poisson point sampler",
+    "radius_at_volume": "benchmarks/tracer.py wraps it in closedform and visibility",
 }
 # Decorators that register what they decorate, which is then reached through the registry.
 REGISTRARS = {"_criterion"}
@@ -24,15 +25,13 @@ def _registered(node) -> bool:
 
 
 def _names(tree) -> list[str]:
-    """Every name that tree reads, looks up as an attribute or imports."""
+    """Every name that tree reads or looks up as an attribute; an import alone is not a use."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.append(node.id)
         elif isinstance(node, ast.Attribute):
             out.append(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.extend(alias.name for alias in node.names)
     return out
 
 

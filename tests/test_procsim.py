@@ -317,10 +317,10 @@ class TestDirectionCaps:
             assert np.mean(capped) > 0.2 and abs(np.mean(full) - np.mean(capped)) < 4 * se
 
         grains = [ps.sample_boolean_annulus(d, gamma, law, t_lo, [t_hi], [rng])[:3] for rng in streams(81, d, n)]
-        *capped, counts = ps.sample_boolean_cap_annuli(d, gamma, law, t_lo, [t_hi] * n, streams(82, d, n))
+        *capped, counts = ps.sample_cap_annuli(ps.Obstacles(d, gamma, law), t_lo, [t_hi] * n, streams(82, d, n))
         agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._cap_grain_hits(*capped), counts)
         planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, [t_hi], [rng]) for rng in streams(83, d, n)]
-        *capped, counts = ps.sample_hyperplane_cap_annuli(d, gamma, t_lo, [t_hi] * n, streams(84, d, n))
+        *capped, counts = ps.sample_cap_annuli(ps.Obstacles(d, gamma), t_lo, [t_hi] * n, streams(84, d, n))
         agree([np.isfinite(vis.plane_hits_from_base(ray, normals)).sum() for _, normals, _ in planes],
               vis._cap_plane_hits(*capped), counts)
 
@@ -385,11 +385,12 @@ class TestCapUnion:
 
         monkeypatch.setattr(ps, "_outside_earlier_caps", spy)
         rngs = [stream(85, d, i) for i in range(n)]
+        out = ps.sample_cap_union(ps.Obstacles(d, gamma, law), t_lo, [t_hi] * n, rngs, [rays] * n)
         if law:
-            _, dirs, _, counts = ps.sample_boolean_cap_union(d, gamma, law, t_lo, [t_hi] * n, rngs, [rays] * n)
+            _, dirs, _, counts = out
             annulus = gamma * cf.omega(d) * (cf.power_integral(d - 1, t_hi) - cf.power_integral(d - 1, t_lo))
         else:
-            dists, normals, counts = ps.sample_hyperplane_cap_union(d, gamma, t_lo, [t_hi] * n, rngs, [rays] * n)
+            dists, normals, counts = out
             dirs = normals[:, 1:] / np.cosh(dists)[:, None]
             annulus = gamma * (ps.plane_measure(d, t_hi) - ps.plane_measure(d, t_lo))
         in_caps = 0.5 * np.sum((dirs[:, None, :] - rays) ** 2, axis=2) < gap
@@ -416,15 +417,17 @@ def streams(seed, d, n):
 # Every sampler of a round of replications, as (generators, t_hi per generator) -> its arrays and counts.
 LAW, T_LO = cf.UniformRadius(0.2, 0.8), 0.5
 RAYS = ps.unit_vectors(4, [stream(27)], [3])  # the live rays of every generator of the cap unions
+GRAINS, PLANES = ps.Obstacles(4, 1.0, LAW), ps.Obstacles(4, 3.0)
 ROUND_SAMPLERS = {
     "boolean-annulus": lambda rngs, t_hi: ps.sample_boolean_annulus(4, 1.0, LAW, T_LO, t_hi, rngs),
     "boolean-annulus-undeleted": lambda rngs, t_hi: ps.sample_boolean_annulus(4, 1.0, LAW, T_LO, t_hi, rngs, False),
-    "boolean-cap": lambda rngs, t_hi: ps.sample_boolean_cap_annuli(4, 1.0, LAW, T_LO, t_hi, rngs),
+    "boolean-cap": lambda rngs, t_hi: ps.sample_cap_annuli(GRAINS, T_LO, t_hi, rngs),
     "hyperplane-annulus": lambda rngs, t_hi: ps.sample_hyperplane_annulus(4, 2.0, T_LO, t_hi, rngs),
-    "hyperplane-cap": lambda rngs, t_hi: ps.sample_hyperplane_cap_annuli(4, 3.0, T_LO, t_hi, rngs),
+    "hyperplane-cap": lambda rngs, t_hi: ps.sample_cap_annuli(PLANES, T_LO, t_hi, rngs),
     "hyperplane-windows": lambda rngs, t_hi: ps.sample_hyperplane_windows(4, 0.6, 1.0, rngs),
-    "boolean-cap-union": lambda rngs, t_hi: ps.sample_boolean_cap_union(4, 1.0, LAW, T_LO, t_hi, rngs, [RAYS] * 8),
-    "hyperplane-cap-union": lambda rngs, t_hi: ps.sample_hyperplane_cap_union(4, 3.0, T_LO, t_hi, rngs, [RAYS] * 8),
+    "boolean-cap-union": lambda rngs, t_hi: ps.sample_cap_union(GRAINS, T_LO, t_hi, rngs, [RAYS] * 8),
+    "hyperplane-cap-union": lambda rngs, t_hi: ps.sample_cap_union(PLANES, T_LO, t_hi, rngs, [RAYS] * 8),
+    "planes-annulus": lambda rngs, t_hi: ps.sample_annulus(PLANES, T_LO, t_hi, rngs),
 }
 
 
@@ -438,3 +441,32 @@ def test_round_layout(sampler):
     for i, rows in enumerate(zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in arrays))):
         *alone, count = sampler([stream(25, i)], t_hi[i : i + 1])
         assert count.tolist() == [counts[i]] and all(np.array_equal(r, a) for r, a in zip(rows, alone))
+
+
+class TestObstacles:
+    """Obstacles describes each kind once: its profile, edge margin and direction caps."""
+
+    @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6), None],
+                             ids=["fixed", "uniform", "planes"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_profile_margin_and_caps(self, d, law):
+        gamma = 1.7
+        obs = ps.Obstacles(d, gamma, law)
+        assert obs.margin == (law.max_radius if law else 0.0)
+        for t in (1e-3, 0.05, 0.7, 3.0, 9.0):
+            within = ps._means(obs, 1.0, 0.0, [t])[0]  # the expected obstacles within distance t
+            assert within == pytest.approx(gamma * (cf.ball_volume(d, t) if law else ps.plane_measure(d, t)), rel=1e-13)
+            gap = ps.grain_cap_gap(law.max_radius, t) if law else ps.plane_cap_gap(t)
+            assert obs.gap(t) == gap and obs.share(t) == ps.cap_share(d, gap)
+
+    @pytest.mark.parametrize("drop_covering", [True, False])
+    def test_named_annuli_are_the_generic_sampler(self, drop_covering):
+        t_hi = [T_LO + 0.3 * i for i in range(1, 6)]
+        for named, generic in (
+            (ps.sample_boolean_annulus(3, 2.0, LAW, T_LO, t_hi, streams(28, 3, 5), drop_covering),
+             ps.sample_annulus(ps.Obstacles(3, 2.0, LAW), T_LO, t_hi, streams(28, 3, 5), drop_covering)),
+            (ps.sample_hyperplane_annulus(3, 2.0, T_LO, t_hi, streams(29, 3, 5)),
+             ps.sample_annulus(ps.Obstacles(3, 2.0), T_LO, t_hi, streams(29, 3, 5))),
+        ):
+            assert len(named) == len(generic) and named[-1].sum() > 5
+            assert all(np.array_equal(a, b) for a, b in zip(named, generic))

@@ -523,7 +523,7 @@ class TestSweepPinned:
 # kernels it used before replication rounds. Replication i draws its rays and then, block
 # by block, its obstacles (count, distances, directions, radii) from stream(seed, i). Once the
 # caps of all its rays hold less than the annulus, a block draws only the union of its live
-# rays' caps, in the order of procsim._cap_union.
+# rays' caps, in the order of procsim.sample_cap_union.
 
 
 def _ref_unit_vectors(d, rng, size):
@@ -762,9 +762,8 @@ class TestRounds:
             partial(vis.estimate_zero_cell_volume, 3, 5.0, 20, n_rays, cutoff, 20),
         )
         generators = []  # per sampler call: (t_lo, generators in the call)
-        for name, rays in (("sample_boolean_annulus", 0), ("sample_hyperplane_annulus", 0),
-                           ("sample_boolean_cap_union", 1), ("sample_hyperplane_cap_union", 1)):
-            def counted(*args, _fn=getattr(ps, name), _rays=rays):  # the cap unions take the live rays last
+        for name, rays in (("sample_boolean_annulus", 0), ("sample_hyperplane_annulus", 0), ("sample_cap_union", 1)):
+            def counted(*args, _fn=getattr(ps, name), _rays=rays):  # the cap union takes the live rays last
                 generators.append((args[-3 - _rays], len(args[-1 - _rays])))
                 return _fn(*args)
             monkeypatch.setattr(ps, name, counted)
@@ -820,11 +819,12 @@ class TestCapUnionSweep:
         # rate d - 1, three rays and annulus blocks of 8: most replications sweep past the switch, at t = 0 to 0.65
         monkeypatch.setattr(vis, "_BLOCK_TARGET", 8)
         calls = []
-        for name in ("sample_boolean_cap_union", "sample_hyperplane_cap_union"):
-            def counted(*args, _fn=getattr(ps, name)):
-                calls.append(len(args[-1]))
-                return _fn(*args)
-            monkeypatch.setattr(ps, name, counted)
+
+        def counted(*args, _fn=ps.sample_cap_union):
+            calls.append(len(args[-1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(ps, "sample_cap_union", counted)
         rate = float(d - 1)
         gamma = rate / (cf.grain_moments(d, law).v_dm1_star if law else cf.zero_cell_rate(d, 1.0))
         n_reps, n_rays, cutoff, seed = 400, 3, 2.0, 110 + d
@@ -844,13 +844,13 @@ class TestCapUnionSweep:
         def refused(*args):
             raise AssertionError("a block of share 0 drew the union of its rays' caps")
 
-        monkeypatch.setattr(ps, "sample_boolean_cap_union", refused)
+        monkeypatch.setattr(ps, "sample_cap_union", refused)
         vis.check_sweep("visvol_truncated", 2, 1.0, law, 5, cutoff, 3, 3, 1.0)
         rec = vis.estimate_visible_volume(2, 1.0, law, 5, 3, 1.0, cutoff, 3)
         ref = reference_ranges(2, 1.0, law, 5, 3, cutoff, 3, capped=False)
         rep_vals = [cf.omega(2) * float(np.mean(cf.sinh_integral(2, np.minimum(r, 1.0)))) for r in ref]
         assert rec.estimate == float(np.mean(rep_vals)) and rec.censored_fraction == 1.0
-        assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(5))
+        assert len(set(rep_vals)) == 1 and rec.stderr == 0.0  # equal replications have no spread
 
 
 class TestCappedSweep:
@@ -926,3 +926,14 @@ class TestEstimateRecord:
         assert rec.z_score == pytest.approx(2.0)
         rec2 = vis.make_record("q", 2, 1.0, None, [2.5, 3.5], None, seed=1, t0=time.perf_counter(), n_rays=5)
         assert rec2.z_score is None
+
+    def test_equal_values_have_no_spread(self):
+        # `hypervis estimate visvol_truncated --gamma 1 --grain fixed:1e-300 --reps 5 --rays 3 --truncate 1
+        # --cutoff 2 --seed 3` censors every ray, so its replications are equal; their computed std is rounding
+        rec = vis.estimate_visible_volume(2, 1.0, cf.FixedRadius(1e-300), 5, 3, 1.0, 2.0, 3)
+        assert rec.censored_fraction == 1.0 and rec.stderr == 0.0 and rec.z_score is None
+        assert rec.estimate == pytest.approx(rec.closed_form, rel=1e-14)
+        values = [0.1] * 7
+        assert np.std(values, ddof=1) > 0.0
+        rec = vis.make_record("q", 2, 1.0, None, values, 0.1, seed=1, t0=time.perf_counter())
+        assert rec.stderr == 0.0 and rec.z_score is None
