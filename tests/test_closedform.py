@@ -319,6 +319,15 @@ class TestTruncatedVisibleVolume:
         )
 
 
+    @pytest.mark.parametrize("gamma", [1e5, 1e8])
+    def test_bump_far_below_the_panel_width(self, gamma):
+        # at a = 2 gamma / pi the integrand's bump is 1/a wide: on [0, 12] every node of a few equal panels
+        # underflows to 0, so the rule stops at the bump's own scale; 2 pi/(a^2 - 1) is the whole mean at d = 2
+        a = cf.zero_cell_rate(2, gamma)
+        whole = 2 * math.pi / (a * a - 1)
+        assert cf.truncated_visible_volume(2, gamma, None, 12.0) == pytest.approx(whole, rel=1e-13, abs=0.0)
+
+
 class TestTruncationAsymptote:
     def _gamma_for_rate(self, a):
         return a / (2 * math.sinh(0.5))
@@ -430,6 +439,11 @@ class TestEllIdentity:
         assert lhs == pytest.approx(ell_closed(3, 0, r), rel=1e-13)
         assert cf.verify_ell_identity(3, 1, 0, r) < 1e-10
 
+    @pytest.mark.parametrize("d,k,j", [(5, 2, 0), (5, 3, 1)])
+    def test_square_root_endpoint_below_the_top_order(self, d, k, j):
+        # k < d-1: acosh(cosh r / cosh s) still goes as sqrt(r - s) at s = r, which the substitution removes
+        assert cf.verify_ell_identity(d, k, j, 2.0) < 1e-8
+
     def test_precondition(self):
         with pytest.raises(ValueError, match="j < k"):
             cf.verify_ell_identity(3, 1, 1, 1.0)
@@ -450,3 +464,77 @@ class TestSteinerBall:
         assert cf.steiner_ball_check(2, 1.0, 0.8) < 1e-6
         assert cf.steiner_ball_check(3, 0.5, 0.9) < 1e-6
         assert cf.steiner_ball_check(4, 0.6, 0.5) < 1e-6
+
+
+# Independent oracle: scipy's adaptive Gauss-Kronrod quad against the library's fixed-order Gauss-Legendre rule.
+ORACLE_RTOL = 1e-13
+ORACLE_LAWS = {"planes": None, "fixed:0.5": cf.FixedRadius(0.5), "fixed:1.5": cf.FixedRadius(1.5),
+               "uniform:0.2,0.9": cf.UniformRadius(0.2, 0.9), "uniform:0,1.5": cf.UniformRadius(0.0, 1.5)}
+
+
+def _oracle_quad(f, a, b, points=None):
+    value, _ = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=1000, points=points)
+    return value
+
+
+def truncated_by_quad(d, gamma, law, r):
+    """omega_d int_0^r e^{-as} sinh^{d-1}(s) ds by quad, split at the peak's doublings so that it finds the bump."""
+    a = cf.range_rate(d, gamma, law)
+    peak = min(r, math.atanh((d - 1) / a)) if a > d - 1 else r
+    sinh_peak = math.sinh(peak)
+    top = math.exp(-a * peak) * sinh_peak ** (d - 1)  # OverflowError where the value is beyond the doubles
+    splits = [p for p in peak * 2.0 ** np.arange(12) if p < r] or None
+    value = _oracle_quad(lambda s: math.exp((d - 1) * math.log(math.sinh(s) / sinh_peak) - a * (s - peak)), 0.0, r,
+                         splits)
+    return cf.omega(d) * top * value
+
+
+class TestQuadratureAgainstScipy:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 61])
+    @pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+    def test_truncated_visible_volume(self, d, law):
+        for gamma in (0.5, 3.0, 40.0, 700.0):
+            for r in (0.3, 2.0, 7.0, 20.0):
+                try:
+                    oracle = truncated_by_quad(d, gamma, ORACLE_LAWS[law], r)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        cf.truncated_visible_volume(d, gamma, ORACLE_LAWS[law], r)
+                    continue
+                assert cf.truncated_visible_volume(d, gamma, ORACLE_LAWS[law], r) == pytest.approx(
+                    oracle, rel=ORACLE_RTOL, abs=0.0
+                ), (gamma, r)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_ell(self, d):
+        radii = np.array([0.01, 0.3, 1.0, 2.5, 6.0])
+        for j in range(d):
+            oracle = [cf.omega(d - j) * _oracle_quad(lambda t: math.cosh(t) ** j * math.sinh(t) ** (d - 1 - j), 0.0, r)
+                      for r in radii]
+            assert cf.ell(d, j, radii) == pytest.approx(oracle, rel=ORACLE_RTOL, abs=0.0)
+            assert [cf.ell(d, j, r) for r in radii] == pytest.approx(oracle, rel=ORACLE_RTOL, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 61])
+    @pytest.mark.parametrize("lo, hi", [(0.2, 0.9), (0.0, 1.5)])
+    def test_uniform_grain_moments(self, d, lo, hi):
+        gm = cf.grain_moments(d, cf.UniformRadius(lo, hi))
+        surface = _oracle_quad(lambda r: cf.ball_surface(d, r), lo, hi) / (hi - lo)
+        volume = _oracle_quad(lambda r: float(cf.ball_volume(d, r)), lo, hi) / (hi - lo)
+        assert gm.v_dm1 == pytest.approx(surface, rel=ORACLE_RTOL, abs=0.0)
+        assert gm.mean_volume == pytest.approx(volume, rel=ORACLE_RTOL, abs=0.0)
+
+    def test_fixed_grain_moments_need_no_quadrature(self):
+        gm = cf.grain_moments(3, cf.FixedRadius(0.7))
+        assert (gm.v_dm1, gm.mean_volume) == (cf.ball_surface(3, 0.7), float(cf.ball_volume(3, 0.7)))
+
+
+class TestGaussLegendreRule:
+    def test_vector_of_integrals(self):
+        k = np.arange(1.0, 6.0)[:, None]
+        exact = np.expm1(2.0 * k[:, 0]) / k[:, 0]
+        assert cf._quad(lambda x: np.exp(k * x), 0.0, 2.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_refuses_an_unconverged_value(self):
+        # a jump converges only as the panel width, far from 1e-13 at the panel limit
+        with pytest.raises(ValueError, match="did not reach 1e-13 relative"):
+            cf._quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0)

@@ -2,6 +2,9 @@
 only the tests use lives in tests/oracles.py."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hypervis"
@@ -62,3 +65,11 @@ def test_the_library_imports_nothing_from_tests():
             else:
                 continue
             assert not any(n.split(".")[0] in ("tests", "oracles", "conftest") for n in names), module
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only: the library's quadrature is numpy's Gauss-Legendre rule
+    code = "import sys, hypervis.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

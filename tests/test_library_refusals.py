@@ -92,3 +92,22 @@ def test_entry_point_refuses_before_any_generator(name, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(message)) as refused:
         call()
     assert type(refused.value) is kind
+
+
+# Closed forms refuse a radius that is not finite by its parameter name: unrefused, ell(2, 0, nan) read 0.0
+RADIUS_PROBES = {
+    "ell": (lambda x: cf.ell(2, 0, x), "r"),
+    "ell-vector": (lambda x: cf.ell(3, 1, [0.5, x]), "r"),
+    "truncated_visible_volume": (lambda x: cf.truncated_visible_volume(2, 1.0, HALF, x), "r"),
+    "verify_ell_identity": (lambda x: cf.verify_ell_identity(3, 2, 1, x), "r"),
+    "steiner-radius": (lambda x: cf.steiner_ball_check(2, x, 0.5), "radius"),
+    "steiner-r": (lambda x: cf.steiner_ball_check(2, 1.0, x), "r"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(RADIUS_PROBES))
+def test_closed_form_refuses_a_radius_by_name(name, value):
+    call, parameter = RADIUS_PROBES[name]
+    with pytest.raises(ValueError, match=f"^{parameter} must be finite and >= 0, got"):
+        call(value)

@@ -113,11 +113,17 @@ class TestCli:
             (["ball_volume", "d=342", "r=1"], "the largest supported is d = 341"),
             (["ball_volume", "d=341", "r=100"], "ball_volume overflows double precision"),
             (["ball_surface", "d=200", "r=100"], "ball_surface overflows double precision"),
+            (["ell", "d=2", "j=0", "r=800"], "ell overflows double precision"),
+            (["ell", "d=2", "j=0", "r=nan"], "r must be finite and >= 0, got nan"),
+            (["truncated_visible_volume", "d=2", "gamma=1", "grain=fixed:0.5", "r=nan"], "r must be finite and >= 0"),
+            (["verify_ell_identity", "d=3", "k=2", "j=1", "r=inf"], "r must be finite and >= 0, got inf"),
+            (["steiner_ball_check", "d=2", "radius=nan", "r=1"], "radius must be finite and >= 0, got nan"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
         assert main(["formula", *argv]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
 
     def test_formula_infinite_value_is_kept(self, capsys):
         # below its threshold the mean visible volume is infinite, not an overflow
