@@ -28,10 +28,8 @@ from .closedform import (
     zero_cell_mean_volume,
 )
 from .harness import ExperimentConfig, KsResult, UsageError, emit, ks_exponential, run
-from .hypgeom import base_point, dist, exp_map, minkowski_dot, to_poincare
 from .intersect import estimate_intersection_density
-from .procsim import BooleanModelSample, HyperplaneSample, sample_boolean, sample_hyperplanes, sample_poisson_ball
-from .render import render_svg
+from .procsim import BooleanModelSample, HyperplaneSample, sample_boolean, sample_hyperplanes
 from .rng import stream
 from .visibility import (
     EstimateRecord,

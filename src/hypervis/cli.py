@@ -1,5 +1,5 @@
 """Command-line interface: constants, formula evaluation, estimation runs,
-SVG rendering, and the acceptance verification suite."""
+and the acceptance verification suite."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import acceptance, closedform, harness, procsim, render
+from . import acceptance, closedform, harness, procsim
 from .closedform import parse_grain_law
-from .rng import stream
 
 
 def _grain_law(text: str) -> closedform.GrainLaw:
@@ -21,16 +20,6 @@ def _grain_law(text: str) -> closedform.GrainLaw:
         return parse_grain_law(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 def _dimension(text: str) -> int:
@@ -86,14 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
     p_est.add_argument("--format", choices=("json", "csv"), default="json")
     p_est.add_argument("--out", type=str, default=None)
-
-    p_render = sub.add_parser("render", help="draw a realization on the Poincare disk")
-    p_render.add_argument("--dim", type=int, choices=(2,), default=2, help="SVG rendering is for d = 2 only")
-    p_render.add_argument("--gamma", type=_positive_float, required=True)
-    p_render.add_argument("--grain", type=_grain_law, default=None, help="fixed:R or uniform:A,B; omit for hyperplanes")
-    p_render.add_argument("--view-radius", type=_positive_float, default=4.0)
-    p_render.add_argument("--seed", type=_seed, default=0)
-    p_render.add_argument("--out", type=str, required=True)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--fresh-seed", action="store_true", help="report with a fresh seed, never fail")
@@ -153,11 +134,6 @@ def _run_formula(name: str, params: list[str]) -> dict:
     return {"formula": name, "value": value}
 
 
-def _usage_error(exc: Exception) -> int:
-    print(f"usage error: {exc}", file=sys.stderr)
-    return 2
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -180,21 +156,9 @@ def main(argv=None) -> int:
         try:
             result = harness.run(config)
         except (harness.UsageError, procsim.ResourceGuardError) as exc:
-            return _usage_error(exc)
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
         harness.emit(result, args.format, args.out if args.out else sys.stdout)
-        return 0
-
-    if args.command == "render":
-        rng = stream(args.seed, 0)
-        try:
-            if args.grain:
-                model = procsim.sample_boolean(args.dim, args.gamma, args.grain, args.view_radius, rng)
-            else:
-                model = procsim.sample_hyperplanes(args.dim, args.gamma, args.view_radius, rng)
-        except procsim.ResourceGuardError as exc:
-            return _usage_error(exc)
-        render.render_svg(model, args.out, view_radius=args.view_radius)
-        print(args.out)
         return 0
 
     if args.command == "verify":

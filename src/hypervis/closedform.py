@@ -463,15 +463,15 @@ def grain_moments(d: int, law: GrainLaw) -> GrainMoments:
 def sinh_exp_integral(d: int, a: float) -> float:
     """int_0^inf sinh^{d-1}(s) e^{-as} ds; finite iff a > d-1, else math.inf.
 
-    Finite value ((d-1)!/2^d) Gamma((a-d+1)/2) / Gamma((a+d+1)/2), evaluated
-    through log-gamma to avoid overflow.
+    Finite value ((d-1)!/2^d) Gamma(x) / Gamma(x + d) with x = (a-d+1)/2. The
+    two arguments differ by the integer d, so this is the exact product
+    2^{-d}/x prod_{k=1}^{d-1} k/(x+k), whose factors are all <= 1: no partial
+    product overflows, and none underflows unless the value itself does.
     """
     if a - (d - 1) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
         return math.inf
-    lg = math.lgamma((a - d + 1) / 2.0) - math.lgamma((a + d + 1) / 2.0)
-    if d < 172:  # (d-1)! is a float below d = 172
-        return math.factorial(d - 1) / 2.0**d * math.exp(lg)
-    return math.exp(math.lgamma(d) - d * math.log(2.0) + lg)
+    x = (a - d + 1) / 2.0
+    return math.prod(k / (x + k) for k in range(1, d)) / (2.0**d * x)
 
 
 def sinh_exp_integral_quadrature(d: int, a: float) -> float:

@@ -1,4 +1,4 @@
-"""Samplers for Poisson point, ball-grain, and hyperplane processes.
+"""Samplers for ball-grain and hyperplane processes.
 
 Grain centers follow a Poisson process with intensity gamma times hyperbolic
 volume; radii are drawn independently from the grain law. Hyperplanes follow
@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import GrainLaw, ball_volume, omega, power_integral, power_integral_at
+from .closedform import GrainLaw, omega, power_integral, power_integral_at
 from .closedform import power_integral_inverse
-from .closedform import sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps it here)
+from .closedform import ball_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps them here)
 
 # Refuse samples whose expected obstacle count exceeds this (resource guard).
 MAX_EXPECTED_COUNT = 1e8
@@ -346,19 +346,8 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
 
 
 # ---------------------------------------------------------------------------
-# Point and Boolean-model samplers
+# Boolean-model samplers
 # ---------------------------------------------------------------------------
-
-
-def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Generator) -> np.ndarray:
-    """Poisson(gamma * volume) many uniform points in B(base, r_max), shape (n, d+1)."""
-    if gamma < 0:
-        raise ValueError("intensity must be >= 0")
-    n = _poisson_count(rng, gamma * float(ball_volume(d, r_max)))
-    if n == 0:
-        return np.empty((0, d + 1))
-    dists = sample_radial_annulus(d, 0.0, [r_max], [rng], [n])
-    return points_from_polar(dists, unit_vectors(d, [rng], [n]))
 
 
 def sample_boolean_annulus(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, drop_covering=True):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hypervis import hypgeom, rng as rng_module
+from hypervis import rng as rng_module
 from hypervis.rng import stream
+
+import hypgeom
 
 
 @pytest.fixture

@@ -7,8 +7,10 @@ Minkowski form -x_0 y_0 + sum_{i>=1} x_i y_i. Tangent vectors at x are
 Geodesics are exact: exp_x(t u) = cosh(t) x + sinh(t) u.
 
 All functions accept batched arrays (leading axes broadcast); scalars come
-back as floats. The Poincare ball enters only at the rendering boundary via
-``to_poincare``.
+back as floats. ``to_poincare`` maps a point to the Poincare ball.
+
+The library works in polar coordinates about the base point and needs none
+of these; the tests build their geometric checks and oracles on them.
 """
 
 from __future__ import annotations

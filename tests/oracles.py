@@ -3,10 +3,11 @@
 Each oracle computes a quantity of the library by a second, slower route:
 scalar closed-form hit tests on one ray and one obstacle, visibility ranges
 through materialized window samples, circle-circle intersection points and
-their O(n^2) window count, rejection conditioning of the Boolean model,
-hyperboloid utilities (tangent bases, rotations, the Poincare-ball distance)
-that the checks build on, the windowed estimators one replication at a
-time, and the band experiments through the whole Fermi window.
+their O(n^2) window count, the Poisson point sampler in a ball and rejection
+conditioning of the Boolean model, hyperboloid utilities (tangent bases,
+rotations, the Poincare-ball distance) that the checks build on, the windowed
+estimators one replication at a time, and the band experiments through the
+whole Fermi window.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 
 from hypervis import procsim
 from hypervis.closedform import ball_volume, grain_moments, omega, sinh_integral
-from hypervis.hypgeom import direction_to, dist, exp_map, minkowski_dot, normalize_tangent
 from hypervis.intersect import _TANGENCY_TOL
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
 from hypervis.visibility import grain_hits_from_base, plane_hits_from_base
+
+from hypgeom import direction_to, dist, exp_map, minkowski_dot, normalize_tangent
 
 # Invariant tolerance for hyperboloid membership and tangency checks.
 GEOM_TOL = 1e-9
@@ -136,7 +138,7 @@ def assert_unit_tangent(p, u, tol: float = GEOM_TOL) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single obstacles and rejection conditioning
+# Single obstacles, Poisson points and rejection conditioning
 # ---------------------------------------------------------------------------
 
 
@@ -162,6 +164,17 @@ class Hyperplane:
 def grains_of(sample: BooleanModelSample) -> list[BallGrain]:
     """The grains of a window sample, one BallGrain each."""
     return [BallGrain(c, float(r)) for c, r in zip(sample.centers, sample.radii)]
+
+
+def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson(gamma * volume) many uniform points in B(base, r_max), shape (n, d+1)."""
+    if gamma < 0:
+        raise ValueError("intensity must be >= 0")
+    n = procsim._poisson_count(rng, gamma * float(ball_volume(d, r_max)))
+    if n == 0:
+        return np.empty((0, d + 1))
+    dists = procsim.sample_radial_annulus(d, 0.0, [r_max], [rng], [n])
+    return procsim.points_from_polar(dists, procsim.unit_vectors(d, [rng], [n]))
 
 
 def sample_boolean_rejected(d: int, gamma: float, law, r_obs: float, rng: np.random.Generator) -> BooleanModelSample:

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,18 +234,21 @@ class TestSinhExpIntegral:
         assert math.isinf(cf.sinh_exp_integral(2, 1.0))
         assert math.isinf(cf.sinh_exp_integral(2, 0.5))
 
-    def test_log_form_beyond_the_factorial(self):
-        # (d-1)! is a float up to d = 171, where the value stays the factorial form's, bit for bit;
-        # from d = 172 on the log form takes over, and at d = 171 both agree to rounding
-        def factorial_form(d, a):
-            lg = math.lgamma((a - d + 1) / 2.0) - math.lgamma((a + d + 1) / 2.0)
-            return math.factorial(d - 1) / 2.0**d * math.exp(lg)
+    def test_product_form_against_exact_rationals(self):
+        # for a = p/q the value is (d-1)! q^d / prod_{k<d} (p - (d-1-2k) q) exactly; the float is within 1e-14
+        # wherever that is a normal float, also beyond d = 171, where (d-1)! is no float
+        def exact(d, a):
+            p, q = a.as_integer_ratio()
+            return Fraction(math.factorial(d - 1) * q**d, math.prod(p - (d - 1 - 2 * k) * q for k in range(d)))
 
-        for d in range(2, 172):
-            for a in (d - 0.5, 2.0 * d, 1e4):
-                assert cf.sinh_exp_integral(d, a) == factorial_form(d, a)
-        lg = math.lgamma(0.5) - math.lgamma(171.5)  # d = 171, a = 171
-        assert math.exp(math.lgamma(171) - 171 * math.log(2.0) + lg) == pytest.approx(factorial_form(171, 171.0), rel=1e-11)
+        checked = 0
+        for d in range(2, 342):
+            for a in (d - 0.5, d - 1 + 1e-6, 2.0 * d, 1e4, 6.4e7):
+                value = exact(d, a)
+                if value >= sys.float_info.min:
+                    assert abs(Fraction(cf.sinh_exp_integral(d, a)) - value) <= 1e-14 * value, (d, a)
+                    checked += 1
+        assert checked > 1000
         for d in (172, 200, 341):
             assert 0.0 < cf.sinh_exp_integral(d, 2.0 * d) < math.inf
 

@@ -212,7 +212,7 @@ class TestConfigValidation:
         assert captured.out == ""
 
     def test_zero_cell_beyond_the_factorial(self, capsys):
-        # the closed form needs (d-1)!, no float from d = 172 on; an estimate there is refused, since its
+        # the closed form holds (d-1)!, no float from d = 172 on; an estimate there is refused, since its
         # ray volumes underflow (test_misapplied_option_is_usage_error), but the formula is still a float
         assert main(["formula", "zero_cell_mean_volume", "d=200", "gamma=1e4"]) == 0
         assert 0.0 < json.loads(capsys.readouterr().out)["value"] < math.inf

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hypervis import hypgeom as hg
 from hypervis.rng import stream
 
+import hypgeom as hg
 from conftest import ks_statistic, random_point, random_rotation
 from oracles import (
     GeodesicRay,

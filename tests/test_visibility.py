@@ -9,12 +9,12 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from hypervis import closedform as cf
-from hypervis import hypgeom as hg
 from hypervis import procsim as ps
 from hypervis import visibility as vis
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
 
+import hypgeom as hg
 from conftest import assert_same_under_every_derivation, random_point, record_and_values
 from oracles import (
     BallGrain,
