@@ -83,6 +83,10 @@ class FixedRadius:
     def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.radius)
 
+    def sample_round_radii(self, rngs, counts) -> np.ndarray:
+        """sample_radii of counts[i] grains from each generator rngs[i], concatenated: no generator draws."""
+        return np.full(int(np.sum(counts)), self.radius)
+
 
 @dataclass(frozen=True)
 class UniformRadius:
@@ -100,7 +104,12 @@ class UniformRadius:
         return self.hi
 
     def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=n)
+        # the bits of rng.uniform(lo, hi, n), which computes the same lo + (hi - lo) U at over twice the cost
+        return self.lo + (self.hi - self.lo) * rng.random(n)
+
+    def sample_round_radii(self, rngs, counts) -> np.ndarray:
+        """sample_radii of counts[i] grains from each generator rngs[i], concatenated."""
+        return self.lo + (self.hi - self.lo) * np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
 
 
 GrainLaw = FixedRadius | UniformRadius
@@ -398,7 +407,7 @@ def mc_ball_volume(d: int, r: float, n: int, rng: np.random.Generator) -> tuple[
     sinh-antiderivative route, so it serves as its oracle.
     """
     rho = math.tanh(r / 2.0)
-    radii = rho * rng.uniform(size=n) ** (1.0 / d)
+    radii = rho * rng.random(n) ** (1.0 / d)
     weights = (2.0 / (1.0 - radii**2)) ** d
     euclidean = kappa(d) * rho**d
     return (

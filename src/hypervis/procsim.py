@@ -99,25 +99,33 @@ def unit_vectors(d: int, rngs, sizes) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+def _profile_at(n: int, sign: int, t_lo: float, t_hi) -> tuple[float, np.ndarray]:
+    """(g_lo, g_hi): power_integral_at(n, ., sign) at t_lo and at each t_hi[i]. A round's replications
+    share most of their bounds, so each distinct bound is looked up once."""
+    t_hi = np.asarray(t_hi, dtype=float).tolist()
+    values = {t: power_integral_at(n, t, sign) for t in set(t_hi)}
+    return power_integral_at(n, t_lo, sign), np.array([values[t] for t in t_hi])
+
+
+def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
     """Distances with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF:
-    sizes[i] on [t_lo, t_hi[i]] from generator rngs[i], concatenated in generator order.
+    sizes[i] on [t_lo, t_hi[i]] from generator rngs[i], concatenated in generator order. profile is
+    _profile_at of the bounds, where the caller has looked them up already.
 
     Each generator draws the uniforms of its own annulus and one inversion
     serves all of them. Each root of the inversion converges on its own, so a
     distance depends only on its own uniform and annulus.
     """
-    g_lo = power_integral_at(n, t_lo, sign)
-    span = np.array([power_integral_at(n, t, sign) for t in t_hi]) - g_lo
-    u = np.concatenate([rng.uniform(size=size) for rng, size in zip(rngs, sizes)])
-    return power_integral_inverse(n, g_lo + u * np.repeat(span, sizes), sign)
+    g_lo, g_hi = profile or _profile_at(n, sign, t_lo, t_hi)
+    u = np.concatenate([rng.random(size) for rng, size in zip(rngs, sizes)])
+    return power_integral_inverse(n, g_lo + u * np.repeat(g_hi - g_lo, sizes), sign)
 
 
-def sample_radial_annulus(d: int, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+def sample_radial_annulus(d: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
     """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
     if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
         raise ValueError("need 0 <= t_lo < t_hi")
-    return _profile_annulus(d - 1, -1, t_lo, t_hi, rngs, sizes)
+    return _profile_annulus(d - 1, -1, t_lo, t_hi, rngs, sizes, profile)
 
 
 def points_from_polar(dists: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -192,7 +200,7 @@ def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarr
     of the cap: a Poisson restriction like the annulus itself.
     """
     rows = 1 if d == 3 else 2
-    u = np.concatenate([rng.uniform(size=(rows, c)) for rng, c in zip(rngs, counts)], axis=1)
+    u = np.concatenate([rng.random((rows, c)) for rng, c in zip(rngs, counts)], axis=1)
     versines = gap * u[0] ** (2.0 / (d - 1))
     if d == 3:
         return versines, np.ones(len(versines), dtype=bool)
@@ -254,22 +262,28 @@ class Obstacles:
         return cap_share(self.d, self.gap(t))
 
 
-def _means(obs: Obstacles, share: float, t_lo: float, t_hi) -> list[float]:
-    """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, with directions in a share of all."""
-    n, scale = obs.d - 1, obs.scale * share
-    g_lo = power_integral_at(n, t_lo, obs.sign)
-    return [obs.gamma * (scale * power_integral_at(n, t, obs.sign) - scale * g_lo) for t in t_hi]
+def _bounds(obs: Obstacles, t_lo: float, t_hi) -> tuple[float, np.ndarray]:
+    """_profile_at of the bounds [t_lo, t_hi[i]) of a round's block, by the obstacles' profile."""
+    return _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
 
 
-def _counts(obs: Obstacles, share: float, t_lo: float, t_hi, rngs) -> np.ndarray:
+def _means(obs: Obstacles, share: float, profile: tuple) -> list[float]:
+    """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, with directions in a share of all,
+    from profile = _bounds(obs, t_lo, t_hi)."""
+    g_lo, g_hi = profile
+    scale = obs.scale * share
+    return (obs.gamma * (scale * g_hi - scale * g_lo)).tolist()
+
+
+def _counts(obs: Obstacles, share: float, profile: tuple, rngs) -> np.ndarray:
     """One Poisson count per generator, of the obstacles of _means."""
-    return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, _means(obs, share, t_lo, t_hi))], dtype=int)
+    return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, _means(obs, share, profile))], dtype=int)
 
 
-def _distances(obs: Obstacles, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+def _distances(obs: Obstacles, t_lo: float, t_hi, rngs, sizes, profile: tuple) -> np.ndarray:
     """sizes[i] distances on [t_lo, t_hi[i]] from generator rngs[i] by the obstacles' profile, concatenated."""
     sample = sample_plane_distances if obs.law is None else sample_radial_annulus
-    return sample(obs.d, t_lo, t_hi, rngs, sizes)
+    return sample(obs.d, t_lo, t_hi, rngs, sizes, profile=profile)
 
 
 def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering: bool = True) -> tuple:
@@ -279,7 +293,7 @@ def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering
     the base point, and counts[i], the proposals of generator rngs[i], becomes what it keeps."""
     marks = ()
     if obs.law is not None:
-        marks = (np.concatenate([obs.law.sample_radii(rng, c) for rng, c in zip(rngs, counts)]),)
+        marks = (obs.law.sample_round_radii(rngs, counts),)
         if drop_covering:
             keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
     if keep is not None:
@@ -297,8 +311,9 @@ def sample_annulus(obs: Obstacles, t_lo: float, t_hi, rngs, drop_covering: bool 
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
     """
-    counts = _counts(obs, 1.0, t_lo, t_hi, rngs)
-    dists = _distances(obs, t_lo, t_hi, rngs, counts)
+    profile = _bounds(obs, t_lo, t_hi)
+    counts = _counts(obs, 1.0, profile, rngs)
+    dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
     return _marked(obs, rngs, counts, dists, unit_vectors(obs.d, rngs, counts), None, drop_covering)
 
 
@@ -312,8 +327,9 @@ def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarr
     obs.gap(t_lo) are drawn (see cap_versines), after the distances.
     """
     gap = obs.gap(t_lo)
-    counts = _counts(obs, cap_share(obs.d, gap), t_lo, t_hi, rngs)
-    dists = _distances(obs, t_lo, t_hi, rngs, counts)
+    profile = _bounds(obs, t_lo, t_hi)
+    counts = _counts(obs, cap_share(obs.d, gap), profile, rngs)
+    dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
     return _marked(obs, rngs, counts, dists, *cap_versines(obs.d, gap, rngs, counts))
 
 
@@ -329,11 +345,12 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
     each point of the union is drawn from exactly one cap: a Poisson restriction like the annulus itself.
     """
     d, gap = obs.d, obs.gap(t_lo)
-    means = _means(obs, cap_share(d, gap), t_lo, t_hi)
+    profile = _bounds(obs, t_lo, t_hi)
+    means = _means(obs, cap_share(d, gap), profile)
     caps = [_poisson_count(rng, mean, len(u)) for rng, mean, u in zip(rngs, means, rays)]
     owners = [np.repeat(np.arange(len(c)), c) for c in caps]
     counts = np.array([len(o) for o in owners], dtype=int)
-    dists = _distances(obs, t_lo, t_hi, rngs, counts)
+    dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
     versines, keep = cap_versines(d, gap, rngs, counts)
     axes = np.concatenate([u[o] for u, o in zip(rays, owners)])
     v = np.concatenate([rng.standard_normal((c, d)) for rng, c in zip(rngs, counts)])
@@ -395,9 +412,9 @@ def plane_measure(d: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_plane_distances(d: int, t_lo: float, t_hi, rngs, sizes) -> np.ndarray:
+def sample_plane_distances(d: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
     """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
-    return _profile_annulus(d - 1, 1, t_lo, t_hi, rngs, sizes)
+    return _profile_annulus(d - 1, 1, t_lo, t_hi, rngs, sizes, profile)
 
 
 def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -499,8 +516,8 @@ def band_first_touches(
     mean = band_grains(d, gamma, law, s_lo, s_hi, n_sims) * width / (width + 2.0 * m)
     total = int(rng.poisson(n_sims * mean))
     labels = rng.integers(0, n_sims, size=total)
-    contacts = rng.uniform(s_lo, s_hi, size=total)
-    zeta = np.arcsinh(rng.uniform(size=total) ** (1.0 / (d - 1)) * np.sinh(m))
+    contacts = s_lo + width * rng.random(total)
+    zeta = np.arcsinh(rng.random(total) ** (1.0 / (d - 1)) * np.sinh(m))
     touching = (zeta < law.sample_radii(rng, total)) & (contacts > s_lo)
     first = np.full(n_sims, np.inf)
     np.minimum.at(first, labels[touching], contacts[touching])

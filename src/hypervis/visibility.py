@@ -31,14 +31,17 @@ until the caps of all n_rays rays hold less than the annulus
 caps of the replication's live rays (procsim.sample_cap_union), with
 _CAP_BLOCK_TARGET expected per cap and each point of the union drawn from
 the first cap that holds it: again an exact Poisson restriction. Those
-obstacles carry full directions and meet every live ray in the dense kernels.
+obstacles carry full directions and meet every live ray, as in the annulus blocks.
 
 Replications are swept in rounds (see _rounds) that share each block's
 bounds and sampler call, while each keeps its own generator from rng.streams
 and makes its own draws in its own order: results are bit for bit
 independent of round and chunk sizes. A single-ray round shares one kernel
-call too; with many rays each replication makes the kernel call it would
-make alone, as a batched matrix product can move the last bits of a hit.
+call too. With many rays each replication takes the product of its live
+rays with its own obstacles that it would take alone, as a batched matrix
+product can move the last bits of a hit, and keeps the pairs that pass the
+prefilter; the hit formula, the minimum per ray and the write of the ranges
+run once per round block, on the pairs of all its replications (_round_hits).
 Standard errors are taken across replications only.
 """
 
@@ -231,24 +234,35 @@ def grain_hits_from_base(
 
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
+    """
+    return _hits_from_base(dirs, _grain_cone(g_dist, g_dir, g_rad))
+
+
+def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Crossing parameters, shape (rays, planes), inf when the ray never crosses."""
+    return _hits_from_base(dirs, _plane_side(normals))
+
+
+def _grain_cone(g_dist: np.ndarray, g_dir: np.ndarray, g_rad: np.ndarray) -> tuple:
+    """The prefilter of rays against grains: (directions, bounds, hit, per-grain arguments of hit).
 
     A hit needs the grain inside the cone cos theta > 0,
     sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1 around the ray. The cone test
-    runs on every pair with a slack that exceeds the rounding of the exact
-    test; the transcendentals run only on the pairs inside it.
+    cos theta > bound runs on every pair with a slack that exceeds the
+    rounding of the exact test; the transcendentals run only on the pairs
+    inside it.
     """
-    cos_raw = dirs @ g_dir.T
     sinh_d = np.sinh(g_dist)
     cosh_r = np.cosh(g_rad)
     lim = np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - ((1.0 + 4e-15) * cosh_r**2 - 1.0) / sinh_d**2)) - 1e-9
-    k = np.flatnonzero(cos_raw > np.maximum(lim, 0.0))  # flat indices of the pairs in the cone
-    gi = k % len(g_dist)
-    # clip is monotone and lim < 1, so clipping cannot move a pair across the cone test
-    cos_t = np.minimum(cos_raw.ravel()[k], 1.0)
-    g_dist, sinh_d, cosh_r = g_dist[gi], sinh_d[gi], cosh_r[gi]
-    out = np.full(cos_raw.shape, np.inf)
-    out.ravel()[k] = _grain_hit(cos_t, 1.0 - cos_t, 1.0 - cos_t**2, g_dist, sinh_d, cosh_r)
-    return out
+    return g_dir, np.maximum(lim, 0.0), _grain_pair_hits, (g_dist, sinh_d, cosh_r)
+
+
+def _grain_pair_hits(cos_raw, g_dist, sinh_d, cosh_r) -> np.ndarray:
+    """Hit parameters of the pairs inside the cone, from their products cos theta."""
+    # clip is monotone and the bound < 1, so clipping cannot move a pair across the cone test
+    cos_t = np.minimum(cos_raw, 1.0)
+    return _grain_hit(cos_t, 1.0 - cos_t, 1.0 - cos_t**2, g_dist, sinh_d, cosh_r)
 
 
 def _grain_hit(cos_t, vers, sin2, g_dist, sinh_d, cosh_r) -> np.ndarray:
@@ -260,21 +274,42 @@ def _grain_hit(cos_t, vers, sin2, g_dist, sinh_d, cosh_r) -> np.ndarray:
     return np.where(c <= cosh_r, np.maximum(t, 0.0), np.inf)
 
 
-def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Crossing parameters, shape (rays, planes), inf when the ray never crosses.
+def _plane_side(normals: np.ndarray) -> tuple:
+    """The prefilter of rays against planes: (directions, bounds, hit, per-plane arguments of hit).
 
-    The ray crosses where tanh t = rho = n_0 / <u, n> lies in (0, 1), which
+    The ray u crosses where tanh t = rho = n_0 / <u, n> lies in (0, 1), which
     needs |<u, n>| > |n_0| with equal signs. Each normal is oriented to
-    n_0 >= 0 (it is the same plane), so that test is one comparison per pair,
-    and rho and arctanh run only on the pairs that pass it.
+    n_0 >= 0 (it is the same plane), so that test is the one comparison
+    <u, n> > n_0 per pair, and rho and arctanh run only on the pairs that pass it.
     """
     oriented = np.where(normals[:, :1] < 0.0, -normals, normals)
-    un, n0 = dirs @ oriented[:, 1:].T, oriented[:, 0]
-    k = np.flatnonzero(un > n0)  # flat indices of the pairs that can cross
-    rho = n0[k % len(n0)] / un.ravel()[k]
+    return oriented[:, 1:], oriented[:, 0], _plane_pair_hits, (oriented[:, 0],)
+
+
+def _plane_pair_hits(un, n0) -> np.ndarray:
+    """Crossing parameters of the pairs that pass the sign test, from their products <u, n>."""
+    rho = n0 / un
     cross = (rho > 0.0) & (rho < 1.0)
-    out = np.full(un.shape, np.inf)
-    out.ravel()[k[cross]] = np.arctanh(rho[cross])
+    out = np.full(len(rho), np.inf)
+    out[cross] = np.arctanh(rho[cross])
+    return out
+
+
+def _pairs(dirs: np.ndarray, cols: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat indices into the (rays, obstacles) products dirs @ cols.T, those products) of the pairs
+    whose product exceeds its obstacle's bound: the only pairs that can hit."""
+    prod = dirs @ cols.T
+    k = np.flatnonzero(prod > bounds)
+    return k, prod.ravel()[k]
+
+
+def _hits_from_base(dirs: np.ndarray, prefilter: tuple) -> np.ndarray:
+    """Hits of the rays dirs on the obstacles of prefilter (_grain_cone or _plane_side), shape (rays, obstacles)."""
+    cols, bounds, hit, args = prefilter
+    k, prod = _pairs(dirs, cols, bounds)
+    j = k % len(bounds)
+    out = np.full((len(dirs), len(bounds)), np.inf)
+    out.ravel()[k] = hit(prod, *(a[j] for a in args))
     return out
 
 
@@ -315,7 +350,7 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray, cutoff: float, rngs: list) 
     One ray sweeps its cap, and a round shares its kernel call. Many rays cap
     their blocks as the module docstring says, unless a capped block could
     hold more ray-obstacle pairs than the resource guard, and each replication
-    casts only its live rays through its own obstacles, as it would alone.
+    casts only its live rays through its own obstacles (_round_hits).
     """
     n, n_rays, grains = obs.d - 1, dirs.shape[1], obs.law is not None
     cap_hits = _cap_grain_hits if grains else _cap_plane_hits
@@ -353,16 +388,43 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray, cutoff: float, rngs: list) 
                 *obstacles, counts = procsim.sample_boolean_annulus(obs.d, obs.gamma, obs.law, t_lo, t_hi, drawing)
             else:
                 *obstacles, counts = procsim.sample_hyperplane_annulus(obs.d, obs.gamma, t_lo, t_hi, drawing)
-            # the plane kernel reads the unit normals alone
-            kernel, read = (grain_hits_from_base, obstacles) if grains else (plane_hits_from_base, obstacles[1:])
-            for j, (lo, m) in enumerate(zip(np.cumsum(counts) - counts, counts)):
-                r, rays = reps[j], np.flatnonzero(live[j])
-                if m and len(rays):
-                    own = [a[lo : lo + m] for a in read]
-                    # Reduced where it is made: a hit matrix kept past its reduction into the next kernel call
-                    # cost criterion 2 ten times the minor page faults (82-89k against 8.3k) and a fifth more time.
-                    best[r, rays] = np.minimum(best[r, rays], kernel(dirs[r, rays], *own).min(axis=1))
+            prefilter = _grain_cone(*obstacles) if grains else _plane_side(obstacles[1])
+            _round_hits(best, reps, live, prefilter, counts, dirs)
         t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)
+
+
+def _round_hits(best, reps, live, prefilter: tuple, counts, dirs) -> None:
+    """Shorten the ranges best of a round's replications reps by one block: replication reps[j] drew the
+    next counts[j] obstacles of prefilter (flat, in replication order) and casts its live rays dirs[reps[j],
+    live[j]].
+
+    Each replication takes its own product of its live rays with its own
+    obstacles, as it would alone (a batched product can move the last bits of
+    a hit), and keeps the pairs that pass the prefilter. The hits of the
+    pairs of all replications, their minimum per ray and the write into best
+    then run once.
+    """
+    cols, bounds, hit, args = prefilter
+    n_rays = best.shape[1]
+    prods, obstacle, cell = [], [], []
+    for lo, m, r, alive in zip(np.cumsum(counts) - counts, counts, reps, live):
+        rays = np.flatnonzero(alive)
+        if m and len(rays):
+            k, prod = _pairs(dirs[r, rays], cols[lo : lo + m], bounds[lo : lo + m])
+            if len(k):
+                row, col = np.divmod(k, m)
+                prods.append(prod)
+                obstacle.append(lo + col)
+                cell.append(r * n_rays + rays[row])
+    if not cell:
+        return
+    cell = np.concatenate(cell)  # flat indices into best, in order: replications, rays and pairs run in order
+    j = np.concatenate(obstacle)
+    hits = hit(np.concatenate(prods), *(a[j] for a in args))
+    first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    cell = cell[first]
+    flat = best.reshape(-1)
+    flat[cell] = np.minimum(flat[cell], np.minimum.reduceat(hits, first))
 
 
 def _cap_grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:

@@ -220,6 +220,30 @@ class TestGrainMoments:
         with pytest.raises(ValueError):
             cf.FixedRadius(0.0)
 
+    # (lo, hi) of grain laws and of the stratified estimator's depth bands, tiny, wide and one ulp apart
+    DRAW_RANGES = [(0.0, 1.0), (0.0, 1.5), (0.1, 0.6), (0.1, 0.9), (0.2, 0.9), (1e-300, 1e-3),
+                   (0.3, 0.30000000000000004), (0.0, 1e-12), (2.5, 7.25), (9.5, 10.0), (19.5, 20.0), (12.0, 700.0),
+                   (1.0 / 3.0, math.pi)]
+
+    @pytest.mark.parametrize("lo, hi", DRAW_RANGES)
+    def test_draws_are_those_of_generator_uniform(self, lo, hi):
+        # the library draws lo + (hi - lo) * Generator.random: the bits of Generator.uniform(lo, hi), at less than
+        # half its cost
+        n, counts = 2000, [3, 0, 700, 1]
+        assert np.array_equal(lo + (hi - lo) * stream(31, 0).random(n), stream(31, 0).uniform(lo, hi, n))
+        assert np.array_equal(stream(31, 1).random((2, n)), stream(31, 1).uniform(size=(2, n)))
+        law = cf.UniformRadius(lo, hi)
+        assert np.array_equal(law.sample_radii(stream(31, 2), n), stream(31, 2).uniform(lo, hi, size=n))
+        rounds = law.sample_round_radii([stream(31, 3, i) for i in range(4)], counts)
+        uniform = [stream(31, 3, i).uniform(lo, hi, size=c) for i, c in enumerate(counts)]
+        assert np.array_equal(rounds, np.concatenate(uniform))
+
+    def test_fixed_round_radii_draw_nothing(self):
+        rngs = [stream(32, i) for i in range(3)]
+        radii = cf.FixedRadius(0.5).sample_round_radii(rngs, np.array([2, 0, 5]))
+        assert np.array_equal(radii, np.full(7, 0.5))
+        assert all(g.bit_generator.state == stream(32, i).bit_generator.state for i, g in enumerate(rngs))
+
     def test_parse(self):
         assert cf.parse_grain_law("fixed:0.5") == cf.FixedRadius(0.5)
         assert cf.parse_grain_law("uniform:0,1") == cf.UniformRadius(0.0, 1.0)

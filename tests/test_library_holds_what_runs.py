@@ -17,6 +17,8 @@ ALLOWED = {
     "radius_at_volume": "benchmarks/tracer.py wraps it in closedform and visibility",
     "sample_boolean": "the public windowed sampler; benchmarks/tracer.py wraps it",
     "sample_hyperplanes": "the public windowed sampler; benchmarks/tracer.py wraps it",
+    "grain_hits_from_base": "the public (rays, grains) hit matrix, which the sweep's round pass no longer builds; "
+    "benchmarks/tracer.py wraps it",
 }
 # Decorators that register what they decorate, which is then reached through the registry.
 REGISTRARS = {"_criterion"}
@@ -79,6 +81,13 @@ def test_the_library_imports_nothing_from_tests():
             else:
                 continue
             assert not any(n.split(".")[0] in ("tests", "oracles", "conftest", "hypgeom") for n in names), module
+
+
+def test_the_library_calls_no_generator_uniform():
+    # Generator.uniform(lo, hi) returns the bits of lo + (hi - lo) * Generator.random at more than twice its cost
+    calls = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "uniform"]
+    assert len(_modules()) > 5 and calls == []
 
 
 def test_importing_the_cli_loads_no_scipy():

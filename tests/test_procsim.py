@@ -460,7 +460,7 @@ class TestObstacles:
         obs = ps.Obstacles(d, gamma, law)
         assert obs.margin == (law.max_radius if law else 0.0)
         for t in (1e-3, 0.05, 0.7, 3.0, 9.0):
-            within = ps._means(obs, 1.0, 0.0, [t])[0]  # the expected obstacles within distance t
+            within = ps._means(obs, 1.0, ps._bounds(obs, 0.0, [t]))[0]  # the expected obstacles within distance t
             assert within == pytest.approx(gamma * (cf.ball_volume(d, t) if law else ps.plane_measure(d, t)), rel=1e-13)
             gap = ps.grain_cap_gap(law.max_radius, t) if law else ps.plane_cap_gap(t)
             assert obs.gap(t) == gap and obs.share(t) == ps.cap_share(d, gap)

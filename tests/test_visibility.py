@@ -735,19 +735,39 @@ class TestRounds:
                 head, head_censored = sample(m, 1.0, 15)
                 assert np.array_equal(head, values[:m]) and np.array_equal(head_censored, censored[:m])
 
-    @pytest.mark.parametrize("n_rays", [2, 3, 64])  # the uncapped sweep, one replication per round; 2 is its fewest rays
-    def test_estimators(self, n_rays, round_size):
-        law, cutoff = cf.FixedRadius(0.5), 2.5
-        for rec, ref, cap in (
-            (vis.estimate_visible_volume(2, 2.5, law, 45, n_rays, 2.0, cutoff, 16),
-             reference_ranges(2, 2.5, law, 45, n_rays, cutoff, 16), 2.0),
-            (vis.estimate_zero_cell_volume(2, 3.0, 45, n_rays, cutoff, 17),
-             reference_ranges(2, 3.0, None, 45, n_rays, cutoff, 17), cutoff),
+    # (d, n_rays, n_reps, (grain, plane) intensities, cutoff). 2 is the fewest rays of a many-ray sweep. 200 rays
+    # in d = 2 at rates near 1 sweep past t = 5, beyond where their caps hold less than the annulus (t = 4.3 for
+    # grains, 4.9 for planes); 50 rays in d = 4 get there by t = 1. Each replication of a many-ray round takes
+    # its own products, and the hits, minima and writes of the round's pairs run once.
+    @pytest.mark.parametrize("d, n_rays, n_reps, gammas, cutoff", [
+        (2, 2, 45, (2.5, 3.0), 2.5),
+        (2, 3, 45, (2.5, 3.0), 2.5),
+        (2, 64, 45, (2.5, 3.0), 2.5),
+        (2, 200, 20, (1.0, 1.7), 8.0),
+        (4, 50, 20, (6.0, 9.0), 4.0),
+    ], ids=["2", "3", "64", "200", "d4-50"])
+    def test_estimators(self, d, n_rays, n_reps, gammas, cutoff, round_size, monkeypatch):
+        law = cf.FixedRadius(0.5)
+        capped = []
+
+        def counted(*args, _fn=ps.sample_cap_union):
+            capped.append(len(args[-1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(ps, "sample_cap_union", counted)
+        for estimate, ref, cap in (
+            (partial(vis.estimate_visible_volume, d, gammas[0], law, n_reps, n_rays, 2.0, cutoff, 16),
+             reference_ranges(d, gammas[0], law, n_reps, n_rays, cutoff, 16), 2.0),
+            (partial(vis.estimate_zero_cell_volume, d, gammas[1], n_reps, n_rays, cutoff, 17),
+             reference_ranges(d, gammas[1], None, n_reps, n_rays, cutoff, 17), cutoff),
         ):
-            rep_vals = [cf.omega(2) * float(np.mean(cf.sinh_integral(2, np.minimum(r, cap)))) for r in ref]
+            capped.clear()
+            rec = estimate()
+            assert capped or n_rays <= 64
+            rep_vals = [cf.omega(d) * float(np.mean(cf.sinh_integral(d, np.minimum(r, cap)))) for r in ref]
             assert rec.estimate == float(np.mean(rep_vals))
-            assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(45))
-            assert round(rec.censored_fraction * 45 * n_rays) == int(np.sum(ref >= cutoff - 1e-12))
+            assert rec.stderr == float(np.std(rep_vals, ddof=1) / math.sqrt(n_reps))
+            assert round(rec.censored_fraction * n_reps * n_rays) == int(np.sum(ref >= cutoff - 1e-12))
 
     @pytest.mark.parametrize("n_rays", [2, 3, 64, 200])
     def test_estimator_records_do_not_depend_on_round_size(self, n_rays, round_size, monkeypatch):
@@ -798,6 +818,27 @@ class TestRounds:
             sizes = [len(rngs) for rngs in calls[sampler]]
             assert len(sizes) == len(calls["_block_end"]) and not calls[other]
             assert sizes[0] == max(sizes) == 16 and 4 in sizes
+
+    def test_a_many_ray_block_runs_the_hit_formula_once(self, monkeypatch):
+        # 16 replications of 200 rays make one round, which sweeps one annulus block and then blocks of the union
+        # of the live rays' caps. Each block evaluates _grain_hit once, on the pairs of every replication that
+        # pass the cone test, not once for each replication that drew obstacles.
+        hits, blocks = [], []
+
+        def counted_hit(*args, _fn=vis._grain_hit):
+            hits.append(len(args[0]))
+            return _fn(*args)
+
+        monkeypatch.setattr(vis, "_grain_hit", counted_hit)
+        for name in ("sample_boolean_annulus", "sample_cap_union"):
+            def counted_block(*args, _fn=getattr(ps, name)):
+                out = _fn(*args)
+                blocks.append(out[-1])
+                return out
+            monkeypatch.setattr(ps, name, counted_block)
+        vis.estimate_visible_volume(2, 1.0, cf.FixedRadius(0.5), 16, 200, 2.0, 8.0, 16)
+        assert np.count_nonzero(blocks[0]) == 16
+        assert 0 < len(hits) <= len(blocks) < sum(np.count_nonzero(counts) for counts in blocks)
 
     def test_resource_guard_raises_inside_a_round(self):
         # both are refused before the first round is drawn: the first block, at least _MIN_BLOCK_WIDTH = 1e-6
@@ -890,9 +931,9 @@ class TestCappedSweep:
 
         drawn = []
 
-        def counted(d, t_lo, t_hi, rng, size, inner=ps.sample_radial_annulus):
+        def counted(d, t_lo, t_hi, rng, size, profile=None, inner=ps.sample_radial_annulus):
             drawn.append(int(np.sum(size)))
-            return inner(d, t_lo, t_hi, rng, size)
+            return inner(d, t_lo, t_hi, rng, size, profile)
 
         monkeypatch.setattr(ps, "sample_radial_annulus", counted)
         config = ExperimentConfig(quantity="cdf_boolean", d=3, gamma=1.5, law=cf.FixedRadius(0.5), n_reps=2000,
