@@ -80,11 +80,8 @@ class FixedRadius:
     def max_radius(self) -> float:
         return self.radius
 
-    def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.radius)
-
-    def sample_round_radii(self, rngs, counts) -> np.ndarray:
-        """sample_radii of counts[i] grains from each generator rngs[i], concatenated: no generator draws."""
+    def sample_radii(self, rngs, counts) -> np.ndarray:
+        """Radii of counts[i] grains from each generator rngs[i], concatenated: no generator draws."""
         return np.full(int(np.sum(counts)), self.radius)
 
 
@@ -103,12 +100,9 @@ class UniformRadius:
     def max_radius(self) -> float:
         return self.hi
 
-    def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_radii(self, rngs, counts) -> np.ndarray:
+        """Radii of counts[i] grains from each generator rngs[i], concatenated."""
         # the bits of rng.uniform(lo, hi, n), which computes the same lo + (hi - lo) U at over twice the cost
-        return self.lo + (self.hi - self.lo) * rng.random(n)
-
-    def sample_round_radii(self, rngs, counts) -> np.ndarray:
-        """sample_radii of counts[i] grains from each generator rngs[i], concatenated."""
         return self.lo + (self.hi - self.lo) * np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
 
 
@@ -388,8 +382,20 @@ def sinh_integral(d: int, r) -> np.ndarray | float:
 
 
 def ball_volume(d: int, r) -> np.ndarray | float:
-    """Volume of a hyperbolic ball of radius r: omega_d * int_0^r sinh^{d-1}."""
-    return omega(d) * sinh_integral(d, r)
+    """Volume of a hyperbolic ball of radius r: omega_d * int_0^r sinh^{d-1}, vectorized.
+
+    Where the integral passes the doubles but the volume need not (omega_341 is 2e-221), the profile is halved
+    k times, as in radius_at_volume, with k the least for which omega_d 2^{k(d-1)} >= 2^{d-1}: then
+    2^{-k(d-1)} int_0^r sinh^{d-1} and the terms of its reduction formula are doubles wherever the volume is.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.asarray(omega(d) * sinh_integral(d, r))
+    big = ~np.isfinite(out) & np.isfinite(r)  # the integral is inf, or nan where its halved terms overflowed too
+    if d > 2 and big.any():  # omega_2 > 1: in d = 2 the volume overflows with the integral
+        k = math.ceil(1.0 - math.log2(omega(d)) / (d - 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in power_integral, nan where the terms overflow
+            out[big] = math.ldexp(omega(d), k * (d - 1)) * _profile(d - 1, r[big], -1, 0.5**k)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def ball_surface(d: int, r: float) -> float:

@@ -3,25 +3,27 @@
 Grain centers follow a Poisson process with intensity gamma times hyperbolic
 volume; radii are drawn independently from the grain law. Hyperplanes follow
 a Poisson process on the invariant hyperplane measure, realized as a uniform
-direction plus a signed offset with density proportional to cosh^{d-1}.
+direction plus an offset t >= 0 with density proportional to cosh^{d-1} t:
+the plane of offset -t and direction -u is the plane of t and u, so a sign
+would not change the law.
 
-Windowed samplers materialize every obstacle that can reach the observation
-ball (edge-corrected center window). The annulus samplers carve the same
-processes into radial shells so that estimators can sweep outward from the
-base point and stop as soon as no farther obstacle can matter; restricting a
-Poisson process to a region is again Poisson, so the sweep is exact.
+The annulus samplers carve the processes into radial shells so that
+estimators can sweep outward from the base point and stop as soon as no
+farther obstacle can matter; restricting a Poisson process to a region is
+again Poisson, so the sweep is exact. A window of radius R, which holds
+every obstacle that can reach the observation ball, is the annulus [0, R].
 
 Obstacles describes each kind once (profile, edge margin, direction caps)
-to three samplers: sample_annulus serves the many-ray sweep and the
-intersection density, sample_cap_annuli a single ray, drawing only the
-obstacles in the cap of directions from which it can be reached (again an
-exact Poisson restriction), and sample_cap_union the many-ray sweep deep
-out, drawing only the union of the caps of a replication's live rays.
-sample_hyperplane_windows serves the segment crossings. Each draws a round
-of replications at once, each generator making its own draws in its own
-order, and runs the radial inverse once over the round, each root
-converging on its own. They return each per-obstacle array flat in
-generator order, then a count per generator.
+to three samplers, which draw every obstacle but the band experiments':
+sample_annulus serves the many-ray sweep, the intersection density, the
+segment crossings and the windowed samplers, sample_cap_annuli a single ray,
+drawing only the obstacles in the cap of directions from which it can be
+reached (again an exact Poisson restriction), and sample_cap_union the
+many-ray sweep deep out, drawing only the union of the caps of a
+replication's live rays. Each draws a round of replications at once, each
+generator making its own draws in its own order, and runs the radial inverse
+once over the round, each root converging on its own. They return each
+per-obstacle array flat in generator order, then a count per generator.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -262,14 +264,9 @@ class Obstacles:
         return cap_share(self.d, self.gap(t))
 
 
-def _bounds(obs: Obstacles, t_lo: float, t_hi) -> tuple[float, np.ndarray]:
-    """_profile_at of the bounds [t_lo, t_hi[i]) of a round's block, by the obstacles' profile."""
-    return _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-
-
 def _means(obs: Obstacles, share: float, profile: tuple) -> list[float]:
     """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, with directions in a share of all,
-    from profile = _bounds(obs, t_lo, t_hi)."""
+    from profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)."""
     g_lo, g_hi = profile
     scale = obs.scale * share
     return (obs.gamma * (scale * g_hi - scale * g_lo)).tolist()
@@ -293,7 +290,7 @@ def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering
     the base point, and counts[i], the proposals of generator rngs[i], becomes what it keeps."""
     marks = ()
     if obs.law is not None:
-        marks = (obs.law.sample_round_radii(rngs, counts),)
+        marks = (obs.law.sample_radii(rngs, counts),)
         if drop_covering:
             keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
     if keep is not None:
@@ -311,7 +308,7 @@ def sample_annulus(obs: Obstacles, t_lo: float, t_hi, rngs, drop_covering: bool 
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
     """
-    profile = _bounds(obs, t_lo, t_hi)
+    profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
     counts = _counts(obs, 1.0, profile, rngs)
     dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
     return _marked(obs, rngs, counts, dists, unit_vectors(obs.d, rngs, counts), None, drop_covering)
@@ -327,7 +324,7 @@ def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarr
     obs.gap(t_lo) are drawn (see cap_versines), after the distances.
     """
     gap = obs.gap(t_lo)
-    profile = _bounds(obs, t_lo, t_hi)
+    profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
     counts = _counts(obs, cap_share(obs.d, gap), profile, rngs)
     dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
     return _marked(obs, rngs, counts, dists, *cap_versines(obs.d, gap, rngs, counts))
@@ -345,7 +342,7 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
     each point of the union is drawn from exactly one cap: a Poisson restriction like the annulus itself.
     """
     d, gap = obs.d, obs.gap(t_lo)
-    profile = _bounds(obs, t_lo, t_hi)
+    profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
     means = _means(obs, cap_share(d, gap), profile)
     caps = [_poisson_count(rng, mean, len(u)) for rng, mean, u in zip(rngs, means, rays)]
     owners = [np.repeat(np.arange(len(c)), c) for c in caps]
@@ -431,32 +428,16 @@ def sample_hyperplane_annulus(d: int, gamma: float, t_lo: float, t_hi, rngs) -> 
 
 
 def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Generator) -> HyperplaneSample:
-    """Hyperplane-process realization restricted to planes meeting B(base, r_obs).
+    """Hyperplane-process realization restricted to planes meeting B(base, r_obs): the annulus [0, r_obs].
 
-    Count is Poisson(gamma * 2 int_0^{r_obs} cosh^{d-1}); each plane takes a
-    uniform direction u and a signed offset x with density prop. to
-    cosh^{d-1}|x|, giving the normal sinh(x) base + cosh(x) u.
-    """
-    normals, _ = sample_hyperplane_windows(d, gamma, r_obs, [rng])
-    return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
-
-
-# The signs rng.choice([-1.0, 1.0], size=c) draws, as an index into this: the same draws, at half the cost.
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def sample_hyperplane_windows(d: int, gamma: float, r_obs: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """sample_hyperplanes for each generator: (unit normals, counts).
-
-    Each generator draws its count, distances, signs and directions in that order.
+    Count is Poisson(gamma * 2 int_0^{r_obs} cosh^{d-1}); each plane takes an
+    offset x >= 0 with density prop. to cosh^{d-1} x and a uniform direction u,
+    giving the normal sinh(x) base + cosh(x) u.
     """
     if r_obs <= 0:
         raise ValueError("r_obs must be > 0")
-    mean = gamma * plane_measure(d, r_obs)
-    counts = np.array([_poisson_count(rng, mean) for rng in rngs], dtype=int)
-    dists = sample_plane_distances(d, 0.0, [r_obs] * len(rngs), rngs, counts)
-    signs = _SIGNS[np.concatenate([rng.integers(0, 2, size=c) for rng, c in zip(rngs, counts)])]
-    return normals_from_polar(dists * signs, unit_vectors(d, rngs, counts)), counts
+    _, normals, _ = sample_hyperplane_annulus(d, gamma, 0.0, [r_obs], [rng])
+    return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +499,7 @@ def band_first_touches(
     labels = rng.integers(0, n_sims, size=total)
     contacts = s_lo + width * rng.random(total)
     zeta = np.arcsinh(rng.random(total) ** (1.0 / (d - 1)) * np.sinh(m))
-    touching = (zeta < law.sample_radii(rng, total)) & (contacts > s_lo)
+    touching = (zeta < law.sample_radii([rng], [total])) & (contacts > s_lo)
     first = np.full(n_sims, np.inf)
     np.minimum.at(first, labels[touching], contacts[touching])
     return first

@@ -22,8 +22,8 @@ Poisson restriction like the annulus itself. The hit formulas run on the
 versines, which keep their precision where cos theta rounds to 1. Blocks
 hold _CAP_BLOCK_TARGET expected obstacles of this capped measure, so a
 replication reaching range R costs O(R) draws instead of e^{(d-1)R}. By
-isotropy the capped sweep never reads the ray's direction; each replication
-still draws one, so that its stream and every range stay as they were.
+isotropy the capped sweep never reads the ray's direction, so a single-ray
+replication draws none.
 
 Many rays sweep whole annuli, in blocks of _BLOCK_TARGET expected obstacles,
 until the caps of all n_rays rays hold less than the annulus
@@ -336,10 +336,11 @@ def _block_end(n: int, sign: int, per_block: float, t_lo: float) -> float:
     return float(power_integral_inverse(n, power_integral_at(n, t_lo, sign) + per_block, sign))
 
 
-def _sweep(obs: procsim.Obstacles, dirs: np.ndarray, cutoff: float, rngs: list) -> np.ndarray:
+def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs: list) -> np.ndarray:
     """Ranges (censored at cutoff), shape (reps, rays), of a round of replications sweeping the obstacles outward.
 
-    Replication i casts the rays dirs[i] (shape (reps, rays, d)) through the
+    Replication i casts the rays dirs[i] (shape (reps, rays, d)), or for dirs
+    None one ray whose direction the capped sweep never reads, through the
     obstacles it draws from rngs[i], block by block, and stops once no farther
     obstacle can shorten any of its rays. The replications still sweeping
     share each block's bounds (only a replication's last block ends early, at
@@ -352,10 +353,10 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray, cutoff: float, rngs: list) 
     hold more ray-obstacle pairs than the resource guard, and each replication
     casts only its live rays through its own obstacles (_round_hits).
     """
-    n, n_rays, grains = obs.d - 1, dirs.shape[1], obs.law is not None
+    n, n_rays, grains = obs.d - 1, 1 if dirs is None else dirs.shape[1], obs.law is not None
     cap_hits = _cap_grain_hits if grains else _cap_plane_hits
     capped, can_cap = n_rays == 1, n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT
-    best = np.full(dirs.shape[:2], cutoff)
+    best = np.full((len(rngs), n_rays), cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
     t_lo = 0.0
     while True:
@@ -465,14 +466,14 @@ def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: 
 
     A round holds at least one replication and at most _ROUND_REPS * _CAP_BLOCK_TARGET
     rays, and as many expected obstacles per annulus block; a block of the union of the
-    live rays' caps expects _CAP_BLOCK_TARGET per live ray. Replication i draws n_rays uniform
-    directions and then its obstacles from stream(seed, i), so its ranges do
-    not depend on the round it falls in. A round's generators are built as the
-    round starts.
+    live rays' caps expects _CAP_BLOCK_TARGET per live ray. Replication i draws from
+    stream(seed, i) its obstacles, after n_rays uniform directions where n_rays > 1 (one ray
+    gets dirs None: its capped sweep reads no direction), so its ranges do not depend on the
+    round it falls in. A round's generators are built as the round starts.
     """
     size = max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
     for first, rngs in rounds(seed, n_reps, size):
-        dirs = procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(len(rngs), n_rays, d)
+        dirs = None if n_rays == 1 else procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(-1, n_rays, d)
         yield first, ranges(dirs, cutoff, rngs)
 
 
@@ -568,10 +569,12 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 
     The invariant-measure (Crofton) value is gamma * 2 kappa_{d-1}/(d kappa_d)
     per unit length. Planes farther than the segment length cannot cross it,
-    so sampling within that radius (check_sweep's cutoff, which refuses more
-    planes there than the resource guard) is exact. Replications
-    are drawn in rounds of _ROUND_REPS, each from its own stream(seed, i), and
-    one kernel call casts the segment through all of a round's planes.
+    so sampling the annulus [0, length] (check_sweep's cutoff, which refuses
+    more planes there than the resource guard) is exact. Replications are
+    drawn in rounds of _ROUND_REPS, each from its own stream(seed, i): one
+    procsim.sample_hyperplane_annulus call per round draws each replication's
+    count, distances and directions in that order, and one kernel call casts
+    the segment through all of the round's planes.
     """
     t0 = time.perf_counter()
     check_sweep("segment_crossings", d, gamma, None, n_reps, length, seed)
@@ -579,7 +582,7 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     direction[0, 0] = 1.0
     counts = np.empty(n_reps)
     for first, rngs in rounds(seed, n_reps, _ROUND_REPS):
-        normals, planes = procsim.sample_hyperplane_windows(d, gamma, length, rngs)
+        _, normals, planes = procsim.sample_hyperplane_annulus(d, gamma, 0.0, [length] * len(rngs), rngs)
         crossed = plane_hits_from_base(direction, normals)[0] <= length
         counts[first : first + len(rngs)] = procsim._kept(planes, crossed)
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length

@@ -467,7 +467,8 @@ def intersection_counts_per_replication(gamma: float, law, r_win: float, n_reps:
 
 
 def segment_crossings_per_replication(d: int, gamma: float, length: float, n_reps: int, seed: int) -> np.ndarray:
-    """Planes crossing the segment of the given length along the first axis, in each of n_reps realizations."""
+    """Planes crossing the segment of the given length along the first axis, in each of n_reps realizations:
+    replication i draws from stream(seed, i) the count, the offsets and the directions of its planes."""
     direction = np.zeros(d)
     direction[0] = 1.0
     counts = np.zeros(n_reps)
@@ -475,7 +476,7 @@ def segment_crossings_per_replication(d: int, gamma: float, length: float, n_rep
         rng = stream(seed, i)
         n = int(rng.poisson(gamma * procsim.plane_measure(d, length)))
         if n:
-            offsets = procsim.sample_plane_distances(d, 0.0, [length], [rng], [n]) * rng.choice([-1.0, 1.0], size=n)
+            offsets = procsim.sample_plane_distances(d, 0.0, [length], [rng], [n])
             normals = procsim.normals_from_polar(offsets, procsim.unit_vectors(d, [rng], [n]))
             hits = plane_hits_from_base(direction[None, :], normals)
             counts[i] = np.sum(hits[0] <= length)
@@ -506,7 +507,7 @@ def fermi_band_first_touches(d: int, gamma: float, law, s_lo: float, s_hi: float
     sim_idx = np.repeat(np.arange(n_sims), counts)
     y = rng.uniform(s_lo - m, s_hi + m, size=total)
     zeta = np.arcsinh(rng.uniform(size=total) ** (1.0 / (d - 1)) * np.sinh(m))
-    radii = law.sample_radii(rng, total)
+    radii = law.sample_radii([rng], [total])
     touches = zeta < radii
     w = np.arccosh(np.maximum(1.0, np.cosh(radii[touches]) / np.cosh(zeta[touches])))
     tau = y[touches] - w

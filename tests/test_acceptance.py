@@ -47,14 +47,16 @@ def test_criterion(results, number):
 # read the many-ray sweeps whose deep blocks draw only the union of the live rays' caps. Criterion 5
 # compares with the zero cell's mean within its cutoff 12, the mean its censored ranges estimate.
 # Criterion 8's |V0 - cosh 1| is the rounding of the Steiner fit through ell's Gauss-Legendre rule.
+# Criteria 1 and 5's KS read single-ray ranges whose replications draw no ray direction, and criterion 11
+# the segment crossings' planes drawn without a sign.
 _PINNED_DETAILS = {
-    1: "KS=0.00999 < 0.01628 (n=10000, rate=1.563286)",
+    1: "KS=0.00968 < 0.01628 (n=10000, rate=1.563286)",
     2: "estimate=4.3843 +- 0.1070, closed=4.35165, z=+0.31",
     4: "estimate=3.4245 +- 0.0199, closed=3.41228, z=+0.61",
-    5: "estimate=8.7408 +- 0.3165, closed=9.68247, z=-2.98; KS=0.00985 < 0.01628",
+    5: "estimate=8.7408 +- 0.3165, closed=9.68247, z=-2.98; KS=0.00741 < 0.01628",
     8: "|V0 - cosh 1| = 2.22e-16; MC volume 3.4104 +- 0.0011 vs 3.41228, z=-1.80",
     9: "estimates 29.766@10, 61.105@20; increment/10 = 3.1339 vs pi = 3.1416 (0.24%)",
-    11: "mean=0.6294 +- 0.0079 vs 0.63662, z=-0.91",
+    11: "mean=0.6415 +- 0.0079 vs 0.63662, z=+0.61",
     12: "max |z| = 2.98 < 4",
 }
 

@@ -188,6 +188,21 @@ class TestBallMeasures:
             volume = cf._profile(340, np.array([r]), -1, 0.5**k)[0][0] * math.ldexp(omega, 340 * k)
             assert volume == pytest.approx(x, rel=2.2e-13)
 
+    # (d, r, omega_d int_0^r sinh^{d-1} by mpmath at 40 digits): the profile passes the doubles, the volume does not
+    BEYOND_THE_PROFILE = [(341, 3.0, 1.12177629664325e117), (100, 8.5, 1.08547219147206e296),
+                          (60, 13.0, 6.93798282042534e297), (341, 4.0, 1.06862952628068e265)]
+
+    @pytest.mark.parametrize("d, r, volume", BEYOND_THE_PROFILE)
+    def test_volume_beyond_the_doubles_of_the_profile(self, d, r, volume):
+        assert not math.isfinite(cf.sinh_integral(d, r))
+        assert cf.ball_volume(d, r) == pytest.approx(volume, rel=1e-12)
+        assert cf.ball_volume(d, np.array([0.5, r]))[1] == cf.ball_volume(d, r)
+        assert cf.radius_at_volume(d, volume) == pytest.approx(r, rel=1e-12)
+
+    def test_volume_beyond_the_doubles_stays_inf(self):
+        # omega_20 int_0^40 sinh^19 is 6.0e322
+        assert cf.ball_volume(20, 40.0) == math.inf
+
     def test_mc_ball_volume(self):
         est, stderr = cf.mc_ball_volume(2, 1.0, 200_000, stream(11, 0))
         target = 2 * math.pi * (math.cosh(1) - 1)
@@ -233,14 +248,14 @@ class TestGrainMoments:
         assert np.array_equal(lo + (hi - lo) * stream(31, 0).random(n), stream(31, 0).uniform(lo, hi, n))
         assert np.array_equal(stream(31, 1).random((2, n)), stream(31, 1).uniform(size=(2, n)))
         law = cf.UniformRadius(lo, hi)
-        assert np.array_equal(law.sample_radii(stream(31, 2), n), stream(31, 2).uniform(lo, hi, size=n))
-        rounds = law.sample_round_radii([stream(31, 3, i) for i in range(4)], counts)
+        assert np.array_equal(law.sample_radii([stream(31, 2)], [n]), stream(31, 2).uniform(lo, hi, size=n))
+        rounds = law.sample_radii([stream(31, 3, i) for i in range(4)], counts)
         uniform = [stream(31, 3, i).uniform(lo, hi, size=c) for i, c in enumerate(counts)]
         assert np.array_equal(rounds, np.concatenate(uniform))
 
     def test_fixed_round_radii_draw_nothing(self):
         rngs = [stream(32, i) for i in range(3)]
-        radii = cf.FixedRadius(0.5).sample_round_radii(rngs, np.array([2, 0, 5]))
+        radii = cf.FixedRadius(0.5).sample_radii(rngs, np.array([2, 0, 5]))
         assert np.array_equal(radii, np.full(7, 0.5))
         assert all(g.bit_generator.state == stream(32, i).bit_generator.state for i, g in enumerate(rngs))
 

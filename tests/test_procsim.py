@@ -165,14 +165,13 @@ class TestSampleBoolean:
 
 
 class TestSampleHyperplanes:
-    def test_signs_are_the_draws_of_choice(self):
-        # the window sampler draws its plane signs as _SIGNS[rng.integers(0, 2, size=c)]: the values of
-        # rng.choice([-1.0, 1.0], size=c), the pinned records' draws, and the same generator state after them
-        for seed in range(50):
-            a, b = stream(24, seed), stream(24, seed)
-            for size in range(102):
-                assert np.array_equal(ps._SIGNS[a.integers(0, 2, size=size)], b.choice([-1.0, 1.0], size=size))
-            assert a.bit_generator.state == b.bit_generator.state
+    def test_window_is_the_annulus_from_the_base_point(self):
+        # the planes meeting B(base, r_obs) are the annulus [0, r_obs]: offsets >= 0, as one generator draws them
+        sample = ps.sample_hyperplanes(3, 2.0, 1.5, stream(17))
+        _, normals, counts = ps.sample_hyperplane_annulus(3, 2.0, 0.0, [1.5], [stream(17)])
+        assert counts[0] > 5 and np.array_equal(sample.normals, normals) and (normals[:, 0] >= 0.0).all()
+        with pytest.raises(ValueError, match="r_obs must be > 0"):
+            ps.sample_hyperplanes(3, 2.0, 0.0, stream(17))
 
     def test_normal_invariants(self, rng):
         sample = ps.sample_hyperplanes(2, 1.0, 2.0, rng)
@@ -430,7 +429,6 @@ ROUND_SAMPLERS = {
     "boolean-cap": lambda rngs, t_hi: ps.sample_cap_annuli(GRAINS, T_LO, t_hi, rngs),
     "hyperplane-annulus": lambda rngs, t_hi: ps.sample_hyperplane_annulus(4, 2.0, T_LO, t_hi, rngs),
     "hyperplane-cap": lambda rngs, t_hi: ps.sample_cap_annuli(PLANES, T_LO, t_hi, rngs),
-    "hyperplane-windows": lambda rngs, t_hi: ps.sample_hyperplane_windows(4, 0.6, 1.0, rngs),
     "boolean-cap-union": lambda rngs, t_hi: ps.sample_cap_union(GRAINS, T_LO, t_hi, rngs, [RAYS] * 8),
     "hyperplane-cap-union": lambda rngs, t_hi: ps.sample_cap_union(PLANES, T_LO, t_hi, rngs, [RAYS] * 8),
     "planes-annulus": lambda rngs, t_hi: ps.sample_annulus(PLANES, T_LO, t_hi, rngs),
@@ -440,7 +438,7 @@ ROUND_SAMPLERS = {
 @pytest.mark.parametrize("sampler", ROUND_SAMPLERS.values(), ids=ROUND_SAMPLERS.keys())
 def test_round_layout(sampler):
     # a round returns each generator's lone draws, flat and concatenated in generator order, then a count per
-    # generator. The first annulus is 1e-9 wide, so its generator draws no obstacles (the windows: some generator).
+    # generator. The first annulus is 1e-9 wide, so its generator draws no obstacles.
     t_hi = [T_LO + 1e-9] + [T_LO + 0.1 * i for i in range(1, 8)]
     *arrays, counts = sampler([stream(25, i) for i in range(8)], t_hi)
     assert 0 in counts and counts.max() > 1 and all(len(a) == counts.sum() for a in arrays)
@@ -460,7 +458,7 @@ class TestObstacles:
         obs = ps.Obstacles(d, gamma, law)
         assert obs.margin == (law.max_radius if law else 0.0)
         for t in (1e-3, 0.05, 0.7, 3.0, 9.0):
-            within = ps._means(obs, 1.0, ps._bounds(obs, 0.0, [t]))[0]  # the expected obstacles within distance t
+            within = ps._means(obs, 1.0, ps._profile_at(d - 1, obs.sign, 0.0, [t]))[0]  # expected obstacles within t
             assert within == pytest.approx(gamma * (cf.ball_volume(d, t) if law else ps.plane_measure(d, t)), rel=1e-13)
             gap = ps.grain_cap_gap(law.max_radius, t) if law else ps.plane_cap_gap(t)
             assert obs.gap(t) == gap and obs.share(t) == ps.cap_share(d, gap)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hypervis import intersect, procsim
+from hypervis import intersect, procsim, visibility
 from hypervis.closedform import FixedRadius
 from hypervis.rng import stream
 
@@ -54,3 +54,20 @@ def test_annulus_work_counts_obstacles():
               procsim.sample_hyperplane_annulus(3, 1.0, 0.5, [1.5] * 5, rngs))
     for out in rounds:
         assert tracer._first_len(None, out) == out[-1].sum() > len(rngs)
+
+
+def test_segment_planes_are_counted_as_the_hyperplane_annulus():
+    # the segment crossings draw their planes through procsim.sample_hyperplane_annulus, one call per round of
+    # 512 replications, so the tracer's procsim.hyperplane_annulus layer counts every plane of every replication
+    tracer = _load_tracer()
+    d, gamma, length, n_reps, seed = 2, 1.0, 1.0, 700, 11
+    t = tracer.Tracer()
+    try:
+        t.install()
+        visibility.estimate_segment_crossings(d, gamma, length, n_reps, seed)
+    finally:
+        t.uninstall()
+    metrics = tracer.layer_metrics(tracer.SpanTable(t), t.intersect_pairs)
+    planes = sum(int(stream(seed, i).poisson(gamma * procsim.plane_measure(d, length))) for i in range(n_reps))
+    assert metrics["procsim.hyperplane_annulus.calls"] == 2
+    assert metrics["procsim.hyperplane_annulus.obstacles"] == planes > n_reps

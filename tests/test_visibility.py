@@ -250,7 +250,7 @@ class TestSparseKernels:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_planes(self, d, rng):
         dirs = ps.unit_vectors(d, [rng], [200])
-        signed = ps.sample_hyperplanes(d, 2.0, 3.0, rng).normals
+        signed = ps.normals_from_polar(rng.uniform(-3.0, 3.0, 300), ps.unit_vectors(d, [rng], [300]))
         assert (signed[:, 0] < 0).any() and (signed[:, 0] > 0).any()
         one_sided = ps.normals_from_polar(rng.exponential(1.0, 300), ps.unit_vectors(d, [rng], [300]))
         # un = 0 exactly: ray 0 along e_1, normals along e_2 with offsets of both signs
@@ -452,6 +452,19 @@ class TestEstimators:
         assert rec.closed_form == pytest.approx(2 / math.pi, rel=1e-12)
         assert abs(rec.z_score) < 3.5
 
+    def test_segment_crossings_draw_once_per_round(self, monkeypatch):
+        # a round draws the planes of all its replications on [0, length] in one annulus call
+        calls = []
+
+        def counted(d, gamma, t_lo, t_hi, rngs, _fn=ps.sample_hyperplane_annulus):
+            calls.append((t_lo, list(t_hi), len(rngs)))
+            return _fn(d, gamma, t_lo, t_hi, rngs)
+
+        monkeypatch.setattr(ps, "sample_hyperplane_annulus", counted)
+        size = vis._ROUND_REPS
+        vis.estimate_segment_crossings(2, 1.0, 0.7, 2 * size + 3, seed=5)
+        assert calls == [(0.0, [0.7] * n, n) for n in (size, size, 3)]
+
     @pytest.mark.parametrize("d, gamma", [(2, 1.0), (3, 1.0), (2, 0.05)], ids=["d2", "d3", "d2-sparse"])
     def test_segment_crossing_rounds_match_per_replication(self, d, gamma, monkeypatch):
         length, seed, size = 1.0, 62, vis._ROUND_REPS
@@ -488,12 +501,13 @@ PINNED_ESTIMATES = {
 }
 
 # Outputs of the capped single-ray sweep at fixed seeds, pinned after its two-sample KS tests
-# against the uncapped reference (TestRounds) and the band oracle (TestCappedSweep) passed.
+# against the uncapped reference (TestRounds) and the band oracle (TestCappedSweep) passed, and
+# pinned again once a single-ray replication stopped drawing the direction its sweep never reads.
 PINNED_RANGES = {
-    "boolean-d2": (vis.sample_visibility_ranges, (2, 1.5, cf.FixedRadius(0.5), 200, 2.0, 12), 127.30908485633364, 10),
-    "boolean-d3": (vis.sample_visibility_ranges, (3, 4.0, cf.FixedRadius(0.5), 100, 1.0, 13), 29.054113299317496, 4),
-    "zero-cell-d2": (vis.sample_zero_cell_ranges, (2, 2.0, 200, 2.0, 14), 142.92225400685737, 13),
-    "zero-cell-d3": (vis.sample_zero_cell_ranges, (3, 6.0, 100, 1.0, 15), 36.808111215372655, 8),
+    "boolean-d2": (vis.sample_visibility_ranges, (2, 1.5, cf.FixedRadius(0.5), 200, 2.0, 12), 136.23008537630324, 11),
+    "boolean-d3": (vis.sample_visibility_ranges, (3, 4.0, cf.FixedRadius(0.5), 100, 1.0, 13), 24.757038780411083, 2),
+    "zero-cell-d2": (vis.sample_zero_cell_ranges, (2, 2.0, 200, 2.0, 14), 140.45256682770076, 19),
+    "zero-cell-d3": (vis.sample_zero_cell_ranges, (3, 6.0, 100, 1.0, 15), 30.254976116841494, 6),
 }
 
 
@@ -549,7 +563,7 @@ def _ref_boolean_annulus(d, gamma, law, t_lo, t_hi, rng):
         return np.empty(0), np.empty((0, d)), np.empty(0)
     dists = _ref_profile_annulus(d - 1, -1, t_lo, t_hi, rng, n)
     dirs = _ref_unit_vectors(d, rng, n)
-    radii = law.sample_radii(rng, n)
+    radii = law.sample_radii([rng], [n])
     keep = dists > radii
     return dists[keep], dirs[keep], radii[keep]
 
@@ -588,7 +602,7 @@ def _ref_cap_union(d, gamma, scale, sign, gap, t_lo, t_hi, rng, rays):
 def _ref_boolean_cap_union(d, gamma, law, t_lo, t_hi, rng, rays):
     gap = ps.grain_cap_gap(law.max_radius, t_lo)
     dists, dirs, keep = _ref_cap_union(d, gamma, cf.omega(d), -1, gap, t_lo, t_hi, rng, rays)
-    radii = law.sample_radii(rng, len(dists))
+    radii = law.sample_radii([rng], [len(dists)])
     keep &= dists > radii
     return dists[keep], dirs[keep], radii[keep]
 
@@ -702,8 +716,23 @@ class TestRounds:
         # a round holds at most 4096 expected obstacles per block and 4096 rays: one ray sweeps blocks of 8
         # in its cap, many rays blocks of 256 (16 replications), and beyond 256 rays the ray count bounds it
         for n_rays, size in ((1, ROUND), (2, 16), (50, 16), (200, 16), (256, 16), (300, 13), (4096, 1), (4097, 1)):
-            rounds = vis._rounds(2, ROUND + 1, n_rays, 1.0, 0, lambda dirs, cutoff, rngs: dirs[..., 0])
+            rounds = vis._rounds(2, ROUND + 1, n_rays, 1.0, 0, lambda dirs, cutoff, rngs: rngs)
             assert [first for first, _ in rounds] == list(range(0, ROUND + 1, size))
+
+    def test_single_rays_draw_no_direction(self, monkeypatch):
+        # by isotropy the capped sweep never reads a single ray's direction, so no replication draws one;
+        # two rays per replication do draw theirs
+        def refused(*args):
+            raise AssertionError("a replication drew ray directions")
+
+        monkeypatch.setattr(ps, "unit_vectors", refused)
+        law = cf.FixedRadius(0.5)
+        vis.sample_visibility_ranges(2, 1.5, law, ROUND + 7, 2.0, 12)
+        vis.sample_zero_cell_ranges(3, 6.0, ROUND + 7, 1.0, 15)
+        assert vis.estimate_visible_volume(2, 2.5, law, 40, 1, None, 4.0, 7).n_rays == 1
+        assert vis.estimate_zero_cell_volume(2, 3.0, 40, 1, 3.0, 10).n_rays == 1
+        with pytest.raises(AssertionError, match="drew ray directions"):
+            vis.estimate_visible_volume(2, 2.5, law, 40, 2, None, 4.0, 7)
 
     def test_rounds_of_one_beyond_the_ray_budget(self):
         rounds = vis._rounds(2, 3, 390_625, 1.0, 0, lambda dirs, cutoff, rngs: dirs[..., 0])
