@@ -122,14 +122,16 @@ def _run_formula(name: str, params: list[str]) -> dict:
             args.append(parse(given[key]))
         except ValueError as exc:
             raise ValueError(f"malformed parameter {key}={given[key]!r}: {exc}") from None
-    # An overflow inside a formula raises OverflowError from math or gives NaN from numpy, reported here
-    # instead of numpy's warnings. Infinite values are real: mean_visible_volume is infinite below its threshold.
+    # An overflow inside a formula raises OverflowError from math or gives inf or NaN from numpy, reported here
+    # instead of numpy's warnings. Only the formulas on sinh_exp_integral are infinite, at or below their threshold.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = fn(*args)
     except OverflowError:
         value = math.nan
-    if any(math.isnan(v) for v in (value.values() if isinstance(value, dict) else [value])):
+    values = value.values() if isinstance(value, dict) else [value]
+    infinite = name in ("sinh_exp_integral", "mean_visible_volume", "zero_cell_mean_volume")
+    if any(math.isnan(v) or math.isinf(v) and not infinite for v in values):
         raise ValueError(f"{name} overflows double precision at these parameters")
     return {"formula": name, "value": value}
 

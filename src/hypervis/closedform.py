@@ -219,7 +219,7 @@ def _sinh_power_series(n: int) -> tuple[float, np.ndarray]:
 
 
 def power_integral(n: int, t, sign: int = -1):
-    """int_0^t sinh^n (sign -1) or cosh^n (sign +1), vectorized over t >= 0.
+    """int_0^t sinh^n (sign -1) or cosh^n (sign +1), vectorized over t >= 0; inf past the doubles.
 
     The radial profile of both obstacle processes: grain centers within
     distance t have volume omega_d * power_integral(d-1, t, -1), hyperplanes
@@ -237,8 +237,10 @@ def power_integral(n: int, t, sign: int = -1):
     with np.errstate(over="ignore", invalid="ignore"):  # the terms overflow below the integral, redone halved
         out = _profile(n, t.ravel(), sign)[0]
         big = ~np.isfinite(out)
-        if big.any():
-            out[big] = np.ldexp(_profile(n, t.ravel()[big], sign, 0.5)[0], n)
+        if big.any():  # halved terms that overflow too (nan: inf - inf) put the integral past 2^n / n * 1.8e308
+            t_big = t.ravel()[big]
+            halved = _profile(n, t_big, sign, 0.5)[0]
+            out[big] = np.ldexp(np.where(np.isnan(halved) & ~np.isnan(t_big), np.inf, halved), n)
     return out.reshape(t.shape)
 
 
@@ -293,9 +295,9 @@ def _start_table(n: int, sign: int) -> tuple[float, float, np.ndarray, np.ndarra
     normal doubles: log sinh t at _START_POINTS values of log y evenly spaced over that range, as
     (first log y, points per unit of log y, log sinh t, rise to the next point).
 
-    Like log y, log sinh t goes as log t near 0 and linearly in t beyond 1,
-    so it is nearly linear in log y. Built on first use, from the profile on
-    a finer grid of t.
+    Like log y, log sinh t goes as log t near 0 (to O(t^2)) and linearly in t for large t (to O(e^{-2t})),
+    so it is nearly linear in log y, and beyond the table's ends it carries on along the end segments.
+    Built on first use, from the profile on a finer grid of t.
     """
     t = np.geomspace(1e-3, 20.0, 2 * _START_POINTS)
     with np.errstate(all="ignore"):  # for large n the profile leaves the normal doubles within 1e-3..20
@@ -307,34 +309,13 @@ def _start_table(n: int, sign: int) -> tuple[float, float, np.ndarray, np.ndarra
 
 
 def _newton_start(n: int, y: np.ndarray, sign: int, halvings: int = 0) -> np.ndarray:
-    """A start for Newton on 2^{-halvings n} power_integral(n, t, sign) = y: read off _start_table, or outside it,
-    where the root is small or large, from the bounds asinh((n y)^{1/n}) <= t <= ((n+1) y)^{1/(n+1)}
-    (sinh; the upper one where it is below 1, else the lower one) or t <= min(y, acosh((1 + n y)^{1/n})) (cosh)."""
+    """A start for Newton on 2^{-halvings n} power_integral(n, t, sign) = y: read off _start_table, along its
+    first or last segment beyond its ends. y = 0 starts at 0, and y = nan at nan."""
     log_lo, per, log_sinh, rise = _start_table(n, sign)
-    half = 0.5 * (len(log_sinh) - 1)
-    with np.errstate(divide="ignore"):  # log 0 = -inf lies outside the table
-        log_y = np.log(y) + halvings * n * math.log(2.0)  # log of the integral, of which y is 2^{-halvings n}
-        pos = (log_y - log_lo) * per
-    inside = np.abs(pos - half) < half
-    t = np.empty_like(y)
-    pos = pos[inside]
-    i = pos.astype(np.intp)
-    t[inside] = np.arcsinh(np.exp(log_sinh[i] + (pos - i) * rise[i]))
-    outside = ~inside
-    if outside.any():
-        y, log_y = y[outside], log_y[outside]
-        with np.errstate(over="ignore"):  # where n y overflows, or y is halved, its n-th root is taken in logs below
-            if sign < 0:
-                upper = ((n + 1) * y) ** (1.0 / (n + 1))
-                start = np.where(upper < 1.0, upper, np.arcsinh((n * y) ** (1.0 / n)))
-            else:
-                start = np.minimum(y, np.arccosh((1.0 + n * y) ** (1.0 / n)))
-            big = np.isinf(n * y) | (halvings > 0)
-        if big.any():
-            root = np.exp((math.log(n) + log_y[big]) / n)
-            start[big] = np.arcsinh(root) if sign < 0 else np.arccosh(root)
-        t[outside] = start
-    return t
+    with np.errstate(divide="ignore"):  # log 0 = -inf, read along the first segment to sinh t = 0
+        pos = (np.log(y) + halvings * n * math.log(2.0) - log_lo) * per  # y is 2^{-halvings n} the integral
+    i = np.fmin(np.fmax(pos, 0), len(rise) - 1).astype(np.intp)  # fmax reads nan as 0
+    return np.arcsinh(np.exp(log_sinh[i] + (pos - i) * rise[i]))
 
 
 def power_integral_inverse(n: int, y, sign: int = -1, halvings: int = 0):
@@ -342,8 +323,9 @@ def power_integral_inverse(n: int, y, sign: int = -1, halvings: int = 0):
     halvings > 0 (see _profile) reaches integrals beyond the doubles, for n >= 2.
 
     Closed forms for n = 1. Otherwise Newton's method on the convex profile, which from any start steps to or
-    above the root and then decreases monotonically to it, started from _newton_start. Each root is iterated until
-    its own step is below 1e-13 of it, so it is bit for bit the root of a call with that y alone.
+    above the root and then decreases monotonically to it, started from _newton_start's one rule, the start table
+    read linearly in log y (along its end segments beyond its ends). Each root is iterated until its own step is
+    below 1e-13 of it, so it is bit for bit the root of a call with that y alone; y = nan returns nan.
     """
     y = np.asarray(y, dtype=float)
     if n == 1:
@@ -390,11 +372,11 @@ def ball_volume(d: int, r) -> np.ndarray | float:
     """
     r = np.asarray(r, dtype=float)
     out = np.asarray(omega(d) * sinh_integral(d, r))
-    big = ~np.isfinite(out) & np.isfinite(r)  # the integral is inf, or nan where its halved terms overflowed too
+    big = np.isinf(out) & np.isfinite(r)  # the integral passes the doubles
     if d > 2 and big.any():  # omega_2 > 1: in d = 2 the volume overflows with the integral
         k = math.ceil(1.0 - math.log2(omega(d)) / (d - 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # as in power_integral, nan where the terms overflow
-            out[big] = math.ldexp(omega(d), k * (d - 1)) * _profile(d - 1, r[big], -1, 0.5**k)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in power_integral; fmin reads nan (inf - inf) as inf
+            out[big] = math.ldexp(omega(d), k * (d - 1)) * np.fmin(_profile(d - 1, r[big], -1, 0.5**k)[0], np.inf)
     return float(out) if out.ndim == 0 else out
 
 

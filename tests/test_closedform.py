@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,9 @@ from scipy.special import hyp2f1
 from hypervis import closedform as cf
 from hypervis import procsim as ps
 from hypervis.rng import stream
+
+# every closed form here keeps numpy's warnings to itself: an overflow or nan is handled, not warned of
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def ell_closed(d, j, r):
@@ -202,6 +206,34 @@ class TestBallMeasures:
     def test_volume_beyond_the_doubles_stays_inf(self):
         # omega_20 int_0^40 sinh^19 is 6.0e322
         assert cf.ball_volume(20, 40.0) == math.inf
+        # the halved terms f^{n-1} g overflow only where the integral passes 2^n / n times the largest double
+        assert cf.sinh_integral(341, 4.0) == cf.power_integral(340, math.inf) == math.inf
+        assert cf.sinh_integral(341, 3.0) == cf.power_integral(340, math.inf, 1) == math.inf
+        assert cf.ball_volume(341, 100.0) == cf.ball_volume(341, math.inf) == math.inf
+        assert np.array_equal(cf.ball_volume(341, np.array([4.0, 100.0, 3.0])),
+                              [cf.ball_volume(341, 4.0), math.inf, cf.ball_volume(341, 3.0)])
+        profile = cf.power_integral(340, np.array([[math.nan, 4.0], [1.0, 1000.0]]))
+        assert math.isnan(profile[0, 0]) and profile[0, 1] == profile[1, 1] == math.inf
+        assert profile[1, 0] == cf.power_integral(340, 1.0)
+        assert math.isnan(cf.sinh_integral(341, math.nan)) and math.isnan(cf.ball_volume(341, math.nan))
+
+    def test_inverse_at_subnormal_y(self):
+        # roots of int_0^t sinh^340 = y for the doubles y nearest 1e-320 and 1e-315, found by mpmath at 50 digits
+        # from the 2F1 form of test_sinh_profile_matches_hypergeometric; y keeps about 11 and 27 bits there
+        roots = cf.power_integral_inverse(340, np.array([1e-320, 1e-315]), -1)
+        assert roots == pytest.approx([0.116958006094907, 0.120955203384898], rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 9, 340])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_inverse_at_the_ends_of_the_doubles(self, n, sign):
+        y = np.array([0.0, 5e-324, 1e-320, 1.7e308, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = cf.power_integral_inverse(n, y, sign)
+            alone = [float(cf.power_integral_inverse(n, v, sign)) for v in y]
+        assert roots[0] == 0.0 and 0.0 < roots[1] < roots[2] < roots[3] < math.inf and math.isnan(roots[4])
+        assert np.array_equal(roots, alone, equal_nan=True)
+        assert roots[3] == cf.power_integral_inverse(n, np.geomspace(1e300, 1.7e308, 400), sign)[-1]
 
     def test_mc_ball_volume(self):
         est, stderr = cf.mc_ball_volume(2, 1.0, 200_000, stream(11, 0))

@@ -45,6 +45,7 @@ class TestCli:
             (["truncated_visible_volume", "d=2", "gamma=1", "grain=fixed:0.5", "r=nan"], "r must be finite and >= 0"),
             (["verify_ell_identity", "d=3", "k=2", "j=1", "r=inf"], "r must be finite and >= 0, got inf"),
             (["steiner_ball_check", "d=2", "radius=nan", "r=1"], "radius must be finite and >= 0, got nan"),
+            (["ball_volume", "d=2", "r=1000"], "ball_volume overflows double precision"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
