@@ -232,9 +232,9 @@ def power_integral(n: int, t, sign: int = -1):
     t = np.asarray(t, dtype=float)
     if n == 0:
         return t
-    if n == 1:
-        return 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else np.sinh(t)
     with np.errstate(over="ignore", invalid="ignore"):  # the terms overflow below the integral, redone halved
+        if n == 1:
+            return 2.0 * np.sinh(t / 2.0) ** 2 if sign < 0 else np.sinh(t)  # quietly inf past the doubles, too
         out = _profile(n, t.ravel(), sign)[0]
         big = ~np.isfinite(out)
         if big.any():  # halved terms that overflow too (nan: inf - inf) put the integral past 2^n / n * 1.8e308
@@ -325,14 +325,15 @@ def power_integral_inverse(n: int, y, sign: int = -1, halvings: int = 0):
     Closed forms for n = 1. Otherwise Newton's method on the convex profile, which from any start steps to or
     above the root and then decreases monotonically to it, started from _newton_start's one rule, the start table
     read linearly in log y (along its end segments beyond its ends). Each root is iterated until its own step is
-    below 1e-13 of it, so it is bit for bit the root of a call with that y alone; y = nan returns nan.
+    below 1e-13 of it, so it is bit for bit the root of a call with that y alone; y = nan returns nan, y = inf inf.
     """
     y = np.asarray(y, dtype=float)
     if n == 1:
         return 2.0 * np.arcsinh(np.sqrt(y / 2.0)) if sign < 0 else np.arcsinh(y)
     shape, y = y.shape, y.ravel()
-    out = t = _newton_start(n, y, sign, halvings)
-    active, scale = np.arange(y.size), 0.5**halvings  # where in out the roots still iterated go
+    out = _newton_start(n, y, sign, halvings)
+    active, scale = np.flatnonzero(y < np.inf), 0.5**halvings  # where in out the roots still iterated go
+    t, y = out[active], y[active]  # nan and inf start at their roots
     for _ in range(50):
         with np.errstate(over="ignore", invalid="ignore"):  # where the profile or its slope overflows, halve it
             value, f = _profile(n, t, sign, scale)

@@ -23,7 +23,9 @@ many-ray sweep deep out, drawing only the union of the caps of a
 replication's live rays. Each draws a round of replications at once, each
 generator making its own draws in its own order, and runs the radial inverse
 once over the round, each root converging on its own. They return each
-per-obstacle array flat in generator order, then a count per generator.
+per-obstacle array flat in generator order, then a count per generator, in
+polar form: distances, unit directions (to a grain's center or a plane's
+foot) or versines, and radii. Only sample_hyperplanes builds plane normals.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -112,12 +114,14 @@ def _profile_at(n: int, sign: int, t_lo: float, t_hi) -> tuple[float, np.ndarray
 def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
     """Distances with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF:
     sizes[i] on [t_lo, t_hi[i]] from generator rngs[i], concatenated in generator order. profile is
-    _profile_at of the bounds, where the caller has looked them up already.
+    _profile_at of the bounds, where the caller has looked them up already. Refuses bounds but 0 <= t_lo < t_hi[i].
 
     Each generator draws the uniforms of its own annulus and one inversion
     serves all of them. Each root of the inversion converges on its own, so a
     distance depends only on its own uniform and annulus.
     """
+    if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
+        raise ValueError("need 0 <= t_lo < t_hi")
     g_lo, g_hi = profile or _profile_at(n, sign, t_lo, t_hi)
     u = np.concatenate([rng.random(size) for rng, size in zip(rngs, sizes)])
     return power_integral_inverse(n, g_lo + u * np.repeat(g_hi - g_lo, sizes), sign)
@@ -125,8 +129,6 @@ def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rngs, sizes, profile=
 
 def sample_radial_annulus(d: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
     """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
-    if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
-        raise ValueError("need 0 <= t_lo < t_hi")
     return _profile_annulus(d - 1, -1, t_lo, t_hi, rngs, sizes, profile)
 
 
@@ -143,8 +145,8 @@ def points_from_polar(dists: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # A ray from the base point meets an obstacle only if the angle theta between
-# the ray and the obstacle's direction (a grain's center, a plane's normal
-# pointing away from the base point) lies in a cap around the ray. Obstacle
+# the ray and the obstacle's direction (to a grain's center or a plane's
+# foot, away from the base point) lies in a cap around the ray. Obstacle
 # directions are uniform, so whatever the ray, cos theta has the density
 # omega_{d-1}/omega_d (1 - c^2)^{(d-3)/2} on [-1, 1], independent of the
 # distance and the radius. Caps and angles are given by their versine
@@ -285,9 +287,9 @@ def _distances(obs: Obstacles, t_lo: float, t_hi, rngs, sizes, profile: tuple) -
 
 def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering: bool = True) -> tuple:
     """(distances, where, radii, counts) of the proposed grains, each generator drawing its radii last, or
-    (distances, where, counts) of the planes, where a direction (a row) becomes a plane's unit normal and a
-    versine stays. Only proposals that keep selects (all for None) remain, with drop_covering no grain covering
-    the base point, and counts[i], the proposals of generator rngs[i], becomes what it keeps."""
+    (distances, where, counts) of the planes, where is a unit direction (a row) or a versine per proposal. Only
+    proposals that keep selects (all for None) remain, with drop_covering no grain covering the base point,
+    and counts[i], the proposals of generator rngs[i], becomes what it keeps."""
     marks = ()
     if obs.law is not None:
         marks = (obs.law.sample_radii(rngs, counts),)
@@ -295,14 +297,12 @@ def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering
             keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
     if keep is not None:
         dists, where, marks, counts = dists[keep], where[keep], tuple(m[keep] for m in marks), _kept(counts, keep)
-    if obs.law is None and where.ndim == 2:
-        where = normals_from_polar(dists, where)
     return dists, where, *marks, counts
 
 
 def sample_annulus(obs: Obstacles, t_lo: float, t_hi, rngs, drop_covering: bool = True) -> tuple[np.ndarray, ...]:
     """Obstacles at distance in [t_lo, t_hi[i]) from each generator rngs[i]: (distances, directions, radii,
-    counts) of grains or (distances, unit normals, counts) of planes, each generator drawing its count,
+    counts) of grains or (distances, directions, counts) of planes, each generator drawing its count,
     distances, directions and radii in that order.
 
     With drop_covering, grains containing the base point (distance <= radius)
@@ -319,8 +319,8 @@ def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarr
     or (distances, versines, counts) of planes.
 
     The versine is 1 - cos theta, with theta the angle between the ray and the
-    obstacle's direction (a grain's center, a plane's normal oriented away
-    from the base point). Only the obstacles in the cap of versine
+    obstacle's direction (to a grain's center or a plane's foot, away from
+    the base point). Only the obstacles in the cap of versine
     obs.gap(t_lo) are drawn (see cap_versines), after the distances.
     """
     gap = obs.gap(t_lo)
@@ -333,7 +333,7 @@ def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarr
 def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.ndarray, ...]:
     """The obstacles of sample_annulus whose direction lies in the cap of versine obs.gap(t_lo) around some
     ray of rays[i], for each generator rngs[i]: (distances, directions, radii, counts) of grains or
-    (distances, unit normals, counts) of planes.
+    (distances, directions, counts) of planes.
 
     Generator i draws one Poisson count per ray of rays[i] (the share of the annulus in one cap), then the
     distances, the versines w (cap_versines), the directions (1 - w) u + sqrt(w (2 - w)) v of its
@@ -423,7 +423,7 @@ def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def sample_hyperplane_annulus(d: int, gamma: float, t_lo: float, t_hi, rngs) -> tuple[np.ndarray, ...]:
-    """sample_annulus of the hyperplanes: (distances, unit normals, counts)."""
+    """sample_annulus of the hyperplanes: (distances, directions, counts), in polar form like the grains."""
     return sample_annulus(Obstacles(d, gamma), t_lo, t_hi, rngs)
 
 
@@ -436,8 +436,8 @@ def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Genera
     """
     if r_obs <= 0:
         raise ValueError("r_obs must be > 0")
-    _, normals, _ = sample_hyperplane_annulus(d, gamma, 0.0, [r_obs], [rng])
-    return HyperplaneSample(d=d, normals=normals, window_radius=r_obs)
+    dists, dirs, _ = sample_hyperplane_annulus(d, gamma, 0.0, [r_obs], [rng])
+    return HyperplaneSample(d=d, normals=normals_from_polar(dists, dirs), window_radius=r_obs)
 
 
 # ---------------------------------------------------------------------------

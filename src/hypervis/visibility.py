@@ -3,25 +3,29 @@ Monte Carlo estimators for (truncated) visible volume and zero-cell volume.
 Each estimator first calls check_sweep, which refuses before any draw every
 input it cannot serve.
 
-The hit kernels are exact closed forms from hyperbolic trigonometry for rays
-from the base point, evaluated only on the pairs that pass a one-comparison
-prefilter (a cone test for grains, a sign test for hyperplanes), bit for bit
-as on every pair. The estimators sweep the obstacle process radially outward
-from the base point and stop once no farther obstacle can shorten any ray: a
-grain at center distance D cannot hit before D - radius, nor a hyperplane at
-distance t before t. The work follows the realized depth, not a window's
-volume, and a block is cast only against the rays it can shorten.
+Obstacles of both kinds come in polar form: distance, unit direction from
+the base point (a grain's center, a plane's foot) and a grain's radius. By
+isotropy a hit depends only on these and the versine w = 1 - cos theta of the
+angle between the ray and that direction, so each kind has one exact hit
+kernel in w (_grain_hits, _plane_hits). Many rays evaluate it at
+w = 1 - min(cos theta, 1) only on the pairs that pass a one-comparison
+prefilter (a cone for grains, cos theta > tanh t for planes) whose slack
+exceeds the rounding of the kernel's own test: bit for bit as on every pair.
+The estimators sweep the obstacle process radially outward from the base
+point and stop once no farther obstacle can shorten any ray: a grain at
+center distance D cannot hit before D - radius, nor a hyperplane at distance
+t before t. The work follows the realized depth, not a window's volume, and
+a block is cast only against the rays it can shorten.
 
 A single ray (the range samplers behind the cdf quantities) needs only the
-obstacles in its direction cap: a plane at distance t only if the angle
-theta between the ray and its normal has cos theta > tanh t, a grain of
-radius <= m at distance D only if theta < pi/2 and sinh D sin theta <=
-sinh m. Each block draws, besides distances and radii, only the versines
-1 - cos theta in the cap at its inner radius (procsim.cap_versines): an exact
-Poisson restriction like the annulus itself. The hit formulas run on the
-versines, which keep their precision where cos theta rounds to 1. Blocks
-hold _CAP_BLOCK_TARGET expected obstacles of this capped measure, so a
-replication reaching range R costs O(R) draws instead of e^{(d-1)R}. By
+obstacles in its direction cap: a plane at distance t only if
+cos theta > tanh t, a grain of radius <= m at distance D only if
+theta < pi/2 and sinh D sin theta <= sinh m. Each block draws, besides
+distances and radii, only the versines in the cap at its inner radius
+(procsim.cap_versines): an exact Poisson restriction like the annulus
+itself, and versines keep their precision where cos theta rounds to 1.
+Blocks hold _CAP_BLOCK_TARGET expected obstacles of this capped measure, so
+a replication reaching range R costs O(R) draws instead of e^{(d-1)R}. By
 isotropy the capped sweep never reads the ray's direction, so a single-ray
 replication draws none.
 
@@ -36,12 +40,12 @@ obstacles carry full directions and meet every live ray, as in the annulus block
 Replications are swept in rounds (see _rounds) that share each block's
 bounds and sampler call, while each keeps its own generator from rng.streams
 and makes its own draws in its own order: results are bit for bit
-independent of round and chunk sizes. A single-ray round shares one kernel
-call too. With many rays each replication takes the product of its live
-rays with its own obstacles that it would take alone, as a batched matrix
-product can move the last bits of a hit, and keeps the pairs that pass the
-prefilter; the hit formula, the minimum per ray and the write of the ranges
-run once per round block, on the pairs of all its replications (_round_hits).
+independent of round and chunk sizes. With many rays each replication
+takes the product of its live rays with its own obstacles that it would take
+alone, as a batched matrix product can move the last bits of a hit, and keeps
+the pairs that pass the prefilter (_round_hits). Either way the hit kernel,
+the minimum per ray and the write of the ranges (_nearest) run once per round
+block, on the obstacles or pairs of all its replications.
 Standard errors are taken across replications only.
 """
 
@@ -235,81 +239,76 @@ def grain_hits_from_base(
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
     """
-    return _hits_from_base(dirs, _grain_cone(g_dist, g_dir, g_rad))
+    return _hits_from_base(dirs, (g_dist, g_dir, g_rad), _grain_bounds, _grain_hits)
 
 
-def plane_hits_from_base(dirs: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Crossing parameters, shape (rays, planes), inf when the ray never crosses."""
-    return _hits_from_base(dirs, _plane_side(normals))
+def plane_hits_from_base(dirs: np.ndarray, p_dist: np.ndarray, p_dir: np.ndarray) -> np.ndarray:
+    """Crossing parameters, shape (rays, planes), inf when the ray never crosses.
 
-
-def _grain_cone(g_dist: np.ndarray, g_dir: np.ndarray, g_rad: np.ndarray) -> tuple:
-    """The prefilter of rays against grains: (directions, bounds, hit, per-grain arguments of hit).
-
-    A hit needs the grain inside the cone cos theta > 0,
-    sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1 around the ray. The cone test
-    cos theta > bound runs on every pair with a slack that exceeds the
-    rounding of the exact test; the transcendentals run only on the pairs
-    inside it.
+    Planes are given in polar form, like grains: the distance of each plane
+    from the base point and the unit direction from the base point to its foot.
     """
-    sinh_d = np.sinh(g_dist)
-    cosh_r = np.cosh(g_rad)
-    lim = np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - ((1.0 + 4e-15) * cosh_r**2 - 1.0) / sinh_d**2)) - 1e-9
-    return g_dir, np.maximum(lim, 0.0), _grain_pair_hits, (g_dist, sinh_d, cosh_r)
+    return _hits_from_base(dirs, (p_dist, p_dir), _plane_bounds, _plane_hits)
 
 
-def _grain_pair_hits(cos_raw, g_dist, sinh_d, cosh_r) -> np.ndarray:
-    """Hit parameters of the pairs inside the cone, from their products cos theta."""
-    # clip is monotone and the bound < 1, so clipping cannot move a pair across the cone test
-    cos_t = np.minimum(cos_raw, 1.0)
-    return _grain_hit(cos_t, 1.0 - cos_t, 1.0 - cos_t**2, g_dist, sinh_d, cosh_r)
+def _grain_bounds(g_dist: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
+    """cos theta above which a grain can meet the ray, less a slack wider than the rounding of _grain_hits'
+    test: a hit needs the grain inside the cone cos theta > 0, sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1."""
+    sin2 = ((1.0 + 4e-15) * np.cosh(g_rad) ** 2 - 1.0) / np.sinh(g_dist) ** 2
+    return np.maximum(np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - sin2)) - 1e-9, 0.0)
 
 
-def _grain_hit(cos_t, vers, sin2, g_dist, sinh_d, cosh_r) -> np.ndarray:
-    """Hit parameter, inf for a miss, of a ray at angle theta (cos_t > 0) to a grain's center direction,
-    given cos theta, its versine 1 - cos theta and sin^2 theta, each as precise as the caller has it."""
-    c = np.sqrt(1.0 + sinh_d**2 * sin2)
-    t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * cos_t) / (np.exp(-g_dist) + sinh_d * vers))
+def _grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
+    """Hit parameter, inf for a miss, of a ray at versine vers < 1 to each grain's center direction.
+
+    With sin^2 theta = w (2 - w) and C = sqrt(1 + sinh^2 D sin^2 theta), the
+    ray meets the grain iff C <= cosh r, first at t0 - arccosh(cosh r / C),
+    tanh t0 = tanh D cos theta. The versine keeps this precise where cos theta
+    rounds to 1.
+    """
+    sinh_d, cosh_r = np.sinh(g_dist), np.cosh(g_rad)
+    c = np.sqrt(1.0 + sinh_d**2 * (vers * (2.0 - vers)))
+    t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * (1.0 - vers)) / (np.exp(-g_dist) + sinh_d * vers))
     t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
     return np.where(c <= cosh_r, np.maximum(t, 0.0), np.inf)
 
 
-def _plane_side(normals: np.ndarray) -> tuple:
-    """The prefilter of rays against planes: (directions, bounds, hit, per-plane arguments of hit).
+def _plane_bounds(p_dist: np.ndarray) -> np.ndarray:
+    """cos theta above which a plane can cross the ray: tanh t, less 1e-12, far more than the few 1e-16
+    by which w < 1 - tanh t rounds."""
+    return np.tanh(p_dist) - 1e-12
 
-    The ray u crosses where tanh t = rho = n_0 / <u, n> lies in (0, 1), which
-    needs |<u, n>| > |n_0| with equal signs. Each normal is oriented to
-    n_0 >= 0 (it is the same plane), so that test is the one comparison
-    <u, n> > n_0 per pair, and rho and arctanh run only on the pairs that pass it.
+
+def _plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
+    """Crossing parameters of a ray on each plane, inf where it never crosses, from the versines w of the
+    angles between the ray and the planes' directions.
+
+    The ray crosses the plane at distance t where tanh s = tanh t / cos theta,
+    that is at s = log((2 - g - w) / (g - w)) / 2 with g = 1 - tanh t, if w < g.
+    Versines keep this precise where cos theta and tanh t both round to 1.
     """
-    oriented = np.where(normals[:, :1] < 0.0, -normals, normals)
-    return oriented[:, 1:], oriented[:, 0], _plane_pair_hits, (oriented[:, 0],)
-
-
-def _plane_pair_hits(un, n0) -> np.ndarray:
-    """Crossing parameters of the pairs that pass the sign test, from their products <u, n>."""
-    rho = n0 / un
-    cross = (rho > 0.0) & (rho < 1.0)
-    out = np.full(len(rho), np.inf)
-    out[cross] = np.arctanh(rho[cross])
-    return out
+    g = procsim.plane_cap_gap(p_dist)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w >= g never crosses; np.where drops those
+        s = 0.5 * np.log((2.0 - g - vers) / (g - vers))
+    return np.where(vers < g, s, np.inf)
 
 
 def _pairs(dirs: np.ndarray, cols: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat indices into the (rays, obstacles) products dirs @ cols.T, those products) of the pairs
-    whose product exceeds its obstacle's bound: the only pairs that can hit."""
+    """(flat indices into the (rays, obstacles) products cos theta = dirs @ cols.T, versines 1 - cos theta)
+    of the pairs whose product exceeds its obstacle's bound, the only pairs that can hit. A product of unit
+    vectors can round above 1; its versine is 0."""
     prod = dirs @ cols.T
     k = np.flatnonzero(prod > bounds)
-    return k, prod.ravel()[k]
+    return k, 1.0 - np.minimum(prod.ravel()[k], 1.0)
 
 
-def _hits_from_base(dirs: np.ndarray, prefilter: tuple) -> np.ndarray:
-    """Hits of the rays dirs on the obstacles of prefilter (_grain_cone or _plane_side), shape (rays, obstacles)."""
-    cols, bounds, hit, args = prefilter
-    k, prod = _pairs(dirs, cols, bounds)
-    j = k % len(bounds)
-    out = np.full((len(dirs), len(bounds)), np.inf)
-    out.ravel()[k] = hit(prod, *(a[j] for a in args))
+def _hits_from_base(dirs: np.ndarray, obstacles: tuple, bound: Callable, hit: Callable) -> np.ndarray:
+    """Hits of the rays dirs on the obstacles (distances, directions, *marks), shape (rays, obstacles)."""
+    dists, cols, *marks = obstacles
+    k, vers = _pairs(dirs, cols, bound(dists, *marks))
+    j = k % len(dists)
+    out = np.full((len(dirs), len(dists)), np.inf)
+    out.ravel()[k] = hit(dists[j], vers, *(m[j] for m in marks))
     return out
 
 
@@ -354,7 +353,7 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
     casts only its live rays through its own obstacles (_round_hits).
     """
     n, n_rays, grains = obs.d - 1, 1 if dirs is None else dirs.shape[1], obs.law is not None
-    cap_hits = _cap_grain_hits if grains else _cap_plane_hits
+    bound, hit = (_grain_bounds, _grain_hits) if grains else (_plane_bounds, _plane_hits)
     capped, can_cap = n_rays == 1, n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT
     best = np.full((len(rngs), n_rays), cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
@@ -375,10 +374,7 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
         drawing = [rngs[i] for i in reps]
         if n_rays == 1:
             *obstacles, counts = procsim.sample_cap_annuli(obs, t_lo, t_hi, drawing)
-            if counts.any():
-                some = counts > 0  # reduceat would give a replication without obstacles its successor's first hit
-                nearest = np.minimum.reduceat(cap_hits(*obstacles), (np.cumsum(counts) - counts)[some])
-                best[reps[some], 0] = np.minimum(ranges[some, 0], nearest)
+            _nearest(best, np.repeat(reps, counts), hit(*obstacles))
         else:
             # Rays whose range is already below t_lo - margin cannot be shortened by this block.
             live = ranges > t_lo - obs.margin - 1e-9
@@ -389,15 +385,14 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
                 *obstacles, counts = procsim.sample_boolean_annulus(obs.d, obs.gamma, obs.law, t_lo, t_hi, drawing)
             else:
                 *obstacles, counts = procsim.sample_hyperplane_annulus(obs.d, obs.gamma, t_lo, t_hi, drawing)
-            prefilter = _grain_cone(*obstacles) if grains else _plane_side(obstacles[1])
-            _round_hits(best, reps, live, prefilter, counts, dirs)
+            _round_hits(best, reps, live, obstacles, counts, dirs, bound, hit)
         t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)
 
 
-def _round_hits(best, reps, live, prefilter: tuple, counts, dirs) -> None:
+def _round_hits(best, reps, live, obstacles: tuple, counts, dirs, bound: Callable, hit: Callable) -> None:
     """Shorten the ranges best of a round's replications reps by one block: replication reps[j] drew the
-    next counts[j] obstacles of prefilter (flat, in replication order) and casts its live rays dirs[reps[j],
-    live[j]].
+    next counts[j] of the obstacles (distances, directions, *marks), flat in replication order, and casts
+    its live rays dirs[reps[j], live[j]].
 
     Each replication takes its own product of its live rays with its own
     obstacles, as it would alone (a batched product can move the last bits of
@@ -405,48 +400,30 @@ def _round_hits(best, reps, live, prefilter: tuple, counts, dirs) -> None:
     pairs of all replications, their minimum per ray and the write into best
     then run once.
     """
-    cols, bounds, hit, args = prefilter
+    dists, cols, *marks = obstacles
+    bounds = bound(dists, *marks)
     n_rays = best.shape[1]
-    prods, obstacle, cell = [], [], []
+    versines, obstacle, cell = [], [], []
     for lo, m, r, alive in zip(np.cumsum(counts) - counts, counts, reps, live):
         rays = np.flatnonzero(alive)
         if m and len(rays):
-            k, prod = _pairs(dirs[r, rays], cols[lo : lo + m], bounds[lo : lo + m])
-            if len(k):
-                row, col = np.divmod(k, m)
-                prods.append(prod)
-                obstacle.append(lo + col)
-                cell.append(r * n_rays + rays[row])
-    if not cell:
-        return
-    cell = np.concatenate(cell)  # flat indices into best, in order: replications, rays and pairs run in order
-    j = np.concatenate(obstacle)
-    hits = hit(np.concatenate(prods), *(a[j] for a in args))
-    first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    cell = cell[first]
-    flat = best.reshape(-1)
-    flat[cell] = np.minimum(flat[cell], np.minimum.reduceat(hits, first))
+            k, vers = _pairs(dirs[r, rays], cols[lo : lo + m], bounds[lo : lo + m])
+            row, col = np.divmod(k, m)
+            versines.append(vers)
+            obstacle.append(lo + col)
+            cell.append(r * n_rays + rays[row])
+    if cell:  # flat indices into best, in order: replications, rays and pairs run in order
+        j = np.concatenate(obstacle)
+        _nearest(best, np.concatenate(cell), hit(dists[j], np.concatenate(versines), *(a[j] for a in marks)))
 
 
-def _cap_grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
-    """Hit parameters of a ray on each grain, from the versines 1 - cos theta of the grains' angles to
-    it; by isotropy the ray's direction does not enter."""
-    return _grain_hit(1.0 - vers, vers, vers * (2.0 - vers), g_dist, np.sinh(g_dist), np.cosh(g_rad))
-
-
-def _cap_plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
-    """Crossing parameters of a ray on each plane, from the versines w of the angles between it and
-    the planes' normals.
-
-    The ray crosses the plane at distance t where tanh s = tanh t / cos theta,
-    that is at s = log((2 - g - w) / (g - w)) / 2 with g = 1 - tanh t, if w < g.
-    Versines keep this precise where cos theta and tanh t both round to 1.
-    """
-    g = procsim.plane_cap_gap(p_dist)
-    out = np.full(p_dist.shape, np.inf)
-    k = vers < g
-    out[k] = 0.5 * np.log((2.0 - g[k] - vers[k]) / (g[k] - vers[k]))
-    return out
+def _nearest(best: np.ndarray, cell: np.ndarray, hits: np.ndarray) -> None:
+    """Shorten the ranges best, at the flat indices cell (each index in one run), to their nearest hits."""
+    if len(cell):
+        first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+        cell = cell[first]
+        flat = best.reshape(-1)
+        flat[cell] = np.minimum(flat[cell], np.minimum.reduceat(hits, first))
 
 
 # The sweep over each process under its own name; benchmarks/tracer.py times
@@ -582,8 +559,8 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     direction[0, 0] = 1.0
     counts = np.empty(n_reps)
     for first, rngs in rounds(seed, n_reps, _ROUND_REPS):
-        _, normals, planes = procsim.sample_hyperplane_annulus(d, gamma, 0.0, [length] * len(rngs), rngs)
-        crossed = plane_hits_from_base(direction, normals)[0] <= length
+        p_dist, p_dir, planes = procsim.sample_hyperplane_annulus(d, gamma, 0.0, [length] * len(rngs), rngs)
+        crossed = plane_hits_from_base(direction, p_dist, p_dir)[0] <= length
         counts[first : first + len(rngs)] = procsim._kept(planes, crossed)
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length
     return make_record("segment_crossings", d, gamma, None, counts, closed, seed, t0, n_rays=1)

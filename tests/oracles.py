@@ -270,6 +270,13 @@ def _model_polar(model: BooleanModelSample) -> tuple[np.ndarray, np.ndarray, np.
     return g_dist, g_dir, model.radii
 
 
+def _planes_polar(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, unit directions) of the planes with unit normals sinh(x) base + cosh(x) u: the plane of
+    offset x < 0 and direction u is the plane at distance -x in direction -u."""
+    oriented = np.where(normals[:, :1] < 0.0, -normals, normals)
+    return np.arcsinh(oriented[:, 0]), oriented[:, 1:] / np.linalg.norm(oriented[:, 1:], axis=1, keepdims=True)
+
+
 def _safe_cutoff(model: BooleanModelSample | HyperplaneSample) -> float:
     if isinstance(model, BooleanModelSample):
         return model.window_radius - model.max_grain_radius
@@ -284,7 +291,7 @@ def _window_ranges(model: BooleanModelSample | HyperplaneSample, dirs: np.ndarra
         if model.n_grains:
             return grain_hits_from_base(dirs, *_model_polar(model)).min(axis=1)
     elif model.n_planes:
-        return plane_hits_from_base(dirs, model.normals).min(axis=1)
+        return plane_hits_from_base(dirs, *_planes_polar(model.normals)).min(axis=1)
     return np.full(len(dirs), np.inf)
 
 
@@ -477,8 +484,7 @@ def segment_crossings_per_replication(d: int, gamma: float, length: float, n_rep
         n = int(rng.poisson(gamma * procsim.plane_measure(d, length)))
         if n:
             offsets = procsim.sample_plane_distances(d, 0.0, [length], [rng], [n])
-            normals = procsim.normals_from_polar(offsets, procsim.unit_vectors(d, [rng], [n]))
-            hits = plane_hits_from_base(direction[None, :], normals)
+            hits = plane_hits_from_base(direction[None, :], offsets, procsim.unit_vectors(d, [rng], [n]))
             counts[i] = np.sum(hits[0] <= length)
     return counts
 

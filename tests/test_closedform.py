@@ -217,6 +217,13 @@ class TestBallMeasures:
         assert profile[1, 0] == cf.power_integral(340, 1.0)
         assert math.isnan(cf.sinh_integral(341, math.nan)) and math.isnan(cf.ball_volume(341, math.nan))
 
+    def test_closed_forms_of_one_power_overflow_without_warning(self):
+        # the n = 1 profiles 2 sinh^2(t/2) and sinh t, like those of n >= 2, overflow to inf quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cf.ball_volume(2, 1000.0) == math.inf
+            assert ps.plane_measure(2, 1000.0) == math.inf
+
     def test_inverse_at_subnormal_y(self):
         # roots of int_0^t sinh^340 = y for the doubles y nearest 1e-320 and 1e-315, found by mpmath at 50 digits
         # from the 2F1 form of test_sinh_profile_matches_hypergeometric; y keeps about 11 and 27 bits there
@@ -226,12 +233,14 @@ class TestBallMeasures:
     @pytest.mark.parametrize("n", [2, 9, 340])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_inverse_at_the_ends_of_the_doubles(self, n, sign):
-        y = np.array([0.0, 5e-324, 1e-320, 1.7e308, math.nan])
+        y = np.array([0.0, 5e-324, 1e-320, 1.7e308, math.nan, math.inf])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             roots = cf.power_integral_inverse(n, y, sign)
             alone = [float(cf.power_integral_inverse(n, v, sign)) for v in y]
+            pair = cf.power_integral_inverse(n, [1.0, math.inf], sign)
         assert roots[0] == 0.0 and 0.0 < roots[1] < roots[2] < roots[3] < math.inf and math.isnan(roots[4])
+        assert roots[5] == math.inf and pair[1] == math.inf and pair[0] == cf.power_integral_inverse(n, 1.0, sign)
         assert np.array_equal(roots, alone, equal_nan=True)
         assert roots[3] == cf.power_integral_inverse(n, np.geomspace(1e300, 1.7e308, 400), sign)[-1]
 

@@ -57,6 +57,13 @@ class TestSampleRadial:
         t = ps.sample_radial_annulus(3, 1.0, [1.5], [rng], [1000])
         assert np.all((t >= 1.0) & (t <= 1.5))
 
+    @pytest.mark.parametrize("sample", [ps.sample_radial_annulus, ps.sample_plane_distances])
+    def test_bounds_refused(self, sample):
+        # both annulus samplers refuse reversed, empty and negative bounds alike, before any draw
+        for t_lo, t_hi in ((1.0, [0.5]), (1.0, [1.5, 1.0]), (-1.0, [0.5])):
+            with pytest.raises(ValueError, match="need 0 <= t_lo < t_hi"):
+                sample(3, t_lo, t_hi, [stream(104)] * len(t_hi), [10] * len(t_hi))
+
 
 class TestSamplePoissonBall:
     def test_mean_count(self):
@@ -168,7 +175,8 @@ class TestSampleHyperplanes:
     def test_window_is_the_annulus_from_the_base_point(self):
         # the planes meeting B(base, r_obs) are the annulus [0, r_obs]: offsets >= 0, as one generator draws them
         sample = ps.sample_hyperplanes(3, 2.0, 1.5, stream(17))
-        _, normals, counts = ps.sample_hyperplane_annulus(3, 2.0, 0.0, [1.5], [stream(17)])
+        dists, dirs, counts = ps.sample_hyperplane_annulus(3, 2.0, 0.0, [1.5], [stream(17)])
+        normals = ps.normals_from_polar(dists, dirs)
         assert counts[0] > 5 and np.array_equal(sample.normals, normals) and (normals[:, 0] >= 0.0).all()
         with pytest.raises(ValueError, match="r_obs must be > 0"):
             ps.sample_hyperplanes(3, 2.0, 0.0, stream(17))
@@ -323,11 +331,10 @@ class TestDirectionCaps:
 
         grains = [ps.sample_boolean_annulus(d, gamma, law, t_lo, [t_hi], [rng])[:3] for rng in streams(81, d, n)]
         *capped, counts = ps.sample_cap_annuli(ps.Obstacles(d, gamma, law), t_lo, [t_hi] * n, streams(82, d, n))
-        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._cap_grain_hits(*capped), counts)
-        planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, [t_hi], [rng]) for rng in streams(83, d, n)]
+        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._grain_hits(*capped), counts)
+        planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, [t_hi], [rng])[:2] for rng in streams(83, d, n)]
         *capped, counts = ps.sample_cap_annuli(ps.Obstacles(d, gamma), t_lo, [t_hi] * n, streams(84, d, n))
-        agree([np.isfinite(vis.plane_hits_from_base(ray, normals)).sum() for _, normals, _ in planes],
-              vis._cap_plane_hits(*capped), counts)
+        agree([np.isfinite(vis.plane_hits_from_base(ray, *p)).sum() for p in planes], vis._plane_hits(*capped), counts)
 
     def test_capped_kernels_are_exact_deep_out(self, rng):
         # obstacles out to distance 30 at versine w from the ray, where cos theta and tanh t round to 1
@@ -347,8 +354,8 @@ class TestDirectionCaps:
         dist, rad = rng.uniform(0.6, 30.0, n), rng.uniform(0.1, 0.5, n)
         plane_vers = ps.plane_cap_gap(dist) * rng.uniform(0.0, 1.2, n)
         grain_vers = np.array([ps.grain_cap_gap(0.5, t) for t in dist]) * rng.uniform(0.0, 1.2, n)
-        planes = vis._cap_plane_hits(dist, plane_vers)
-        grains = vis._cap_grain_hits(dist, grain_vers, rad)
+        planes = vis._plane_hits(dist, plane_vers)
+        grains = vis._grain_hits(dist, grain_vers, rad)
         for got, want in ((planes, [crossing(t, w) for t, w in zip(dist, plane_vers)]),
                           (grains, [hit(t, w, r) for t, w, r in zip(dist, grain_vers, rad)])):
             want = np.array(want, dtype=float)
@@ -391,12 +398,10 @@ class TestCapUnion:
         monkeypatch.setattr(ps, "_outside_earlier_caps", spy)
         rngs = [stream(85, d, i) for i in range(n)]
         out = ps.sample_cap_union(ps.Obstacles(d, gamma, law), t_lo, [t_hi] * n, rngs, [rays] * n)
+        dirs, counts = out[1], out[-1]
         if law:
-            _, dirs, _, counts = out
             annulus = gamma * cf.omega(d) * (cf.power_integral(d - 1, t_hi) - cf.power_integral(d - 1, t_lo))
         else:
-            dists, normals, counts = out
-            dirs = normals[:, 1:] / np.cosh(dists)[:, None]
             annulus = gamma * (ps.plane_measure(d, t_hi) - ps.plane_measure(d, t_lo))
         in_caps = 0.5 * np.sum((dirs[:, None, :] - rays) ** 2, axis=2) < gap
         assert in_caps.any(axis=1).all()
@@ -410,9 +415,8 @@ class TestCapUnion:
         for proposals, owners, axes, g, outside in seen:
             first = np.argmax(0.5 * np.sum((proposals[:, None, :] - axes) ** 2, axis=2) < g, axis=1)
             assert np.array_equal(outside, first == owners)
-        if law:
-            kept = {tuple(row) for proposals, *_, outside in seen for row in proposals[outside]}
-            assert all(tuple(row) in kept for row in dirs)
+        kept = {tuple(row) for proposals, *_, outside in seen for row in proposals[outside]}
+        assert all(tuple(row) in kept for row in dirs)
 
 
 def streams(seed, d, n):

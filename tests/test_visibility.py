@@ -176,27 +176,28 @@ class TestRayHyperplaneHit:
 
 
 def dense_grain_hits(dirs, g_dist, g_dir, g_rad):
-    """Reference: the hit formula evaluated on every ray x grain pair."""
-    cos_t = np.clip(dirs @ g_dir.T, -1.0, 1.0)
+    """Reference: the hit formula evaluated on every ray x grain pair, at the versine w = 1 - cos theta."""
+    vers = 1.0 - np.clip(dirs @ g_dir.T, -1.0, 1.0)
     sinh_d = np.sinh(g_dist)
-    c = np.sqrt(1.0 + sinh_d**2 * (1.0 - cos_t**2))
+    c = np.sqrt(1.0 + sinh_d**2 * (vers * (2.0 - vers)))
     cosh_r = np.cosh(g_rad)
-    hit = (cos_t > 0.0) & (c <= cosh_r)
-    a_plus_b = np.cosh(g_dist) + sinh_d * cos_t
-    a_minus_b = np.exp(-g_dist) + sinh_d * (1.0 - cos_t)
+    hit = (vers < 1.0) & (c <= cosh_r)
+    a_plus_b = np.cosh(g_dist) + sinh_d * (1.0 - vers)
+    a_minus_b = np.exp(-g_dist) + sinh_d * vers
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = 0.5 * np.log(a_plus_b / a_minus_b)
         t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
     return np.where(hit, np.maximum(t, 0.0), np.inf)
 
 
-def dense_plane_hits(dirs, normals):
-    """Reference: the crossing formula evaluated on every ray x plane pair."""
-    un = dirs @ normals[:, 1:].T
+def dense_plane_hits(dirs, p_dist, p_dir):
+    """Reference: the crossing formula evaluated on every ray x plane pair, at the versine w = 1 - cos theta:
+    with g = 1 - tanh t, the ray crosses at log((2 - g - w) / (g - w)) / 2 if w < g."""
+    vers = 1.0 - np.clip(dirs @ p_dir.T, -1.0, 1.0)
+    g = np.asarray(ps.plane_cap_gap(p_dist))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = normals[:, 0] / un
-        t = np.arctanh(np.clip(rho, 0.0, 1.0 - 1e-16))
-    return np.where((rho > 0.0) & (rho < 1.0), t, np.inf)
+        t = 0.5 * np.log((2.0 - g - vers) / (g - vers))
+    return np.where(vers < g, t, np.inf)
 
 
 def _at_angle(u, theta, rng):
@@ -250,18 +251,36 @@ class TestSparseKernels:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_planes(self, d, rng):
         dirs = ps.unit_vectors(d, [rng], [200])
-        signed = ps.normals_from_polar(rng.uniform(-3.0, 3.0, 300), ps.unit_vectors(d, [rng], [300]))
-        assert (signed[:, 0] < 0).any() and (signed[:, 0] > 0).any()
-        one_sided = ps.normals_from_polar(rng.exponential(1.0, 300), ps.unit_vectors(d, [rng], [300]))
-        # un = 0 exactly: ray 0 along e_1, normals along e_2 with offsets of both signs
+        # a plane of signed offset x < 0 and direction u is the plane at distance -x in direction -u
+        x, u = rng.uniform(-3.0, 3.0, 300), ps.unit_vectors(d, [rng], [300])
+        assert (x < 0).any() and (x > 0).any()
+        signed = (np.abs(x), np.sign(x)[:, None] * u)
+        one_sided = (rng.exponential(1.0, 300), ps.unit_vectors(d, [rng], [300]))
+        # cos theta = 0 exactly: ray 0 along e_1, planes in directions e_2 and -e_2, one through the base point
         dirs[0] = np.eye(d)[0]
-        flat = ps.normals_from_polar(np.array([0.3, -0.3]), np.eye(d)[[1, 1]])
-        assert (dirs[:1] @ flat[:, 1:].T == 0.0).all()
-        for normals in (signed, one_sided, flat, np.empty((0, d + 1))):
+        flat = (np.array([0.3, 0.3, 0.0]), np.eye(d)[[1, 1, 1]] * np.array([[1.0], [-1.0], [1.0]]))
+        assert (dirs[:1] @ flat[1].T == 0.0).all()
+        for p_dist, p_dir in (signed, one_sided, flat, (np.empty(0), np.empty((0, d)))):
             for rays in (dirs, dirs[:1]):
-                got = vis.plane_hits_from_base(rays, normals)
-                assert got.shape == (len(rays), len(normals))
-                assert np.array_equal(got, dense_plane_hits(rays, normals))
+                got = vis.plane_hits_from_base(rays, p_dist, p_dir)
+                assert got.shape == (len(rays), len(p_dist))
+                assert np.array_equal(got, dense_plane_hits(rays, p_dist, p_dir))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_planes_on_cap_boundary(self, d, rng):
+        # each plane's direction lies at relative distance 1e-16..1e-6 inside or outside the cap cos theta > tanh t
+        # of one ray, t = 0 (the half-sphere) included
+        dirs = ps.unit_vectors(d, [rng], [30])
+        n = 400
+        p_dist = rng.uniform(0.0, 1.0, n) * np.repeat([0.0, 1e-7, 1e-3, 1.0, 6.0], n // 5)
+        rel = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -6, n)
+        theta = np.arccos(np.tanh(p_dist)) * (1.0 + rel)
+        p_dir = np.array([_at_angle(dirs[j % 30], theta[j], rng) for j in range(n)])
+        expected = dense_plane_hits(dirs, p_dist, p_dir)
+        assert np.array_equal(vis.plane_hits_from_base(dirs, p_dist, p_dir), expected)
+        cap = expected[np.arange(n) % 30, np.arange(n)]
+        for half_sphere in (p_dist == 0.0, p_dist > 0.0):  # both sides of the boundary occur
+            assert np.isfinite(cap[half_sphere]).any() and np.isinf(cap[half_sphere]).any()
 
 
 def _single_grain_model(d_c=2.0, radius=0.5, window=4.0):
@@ -571,9 +590,8 @@ def _ref_boolean_annulus(d, gamma, law, t_lo, t_hi, rng):
 def _ref_hyperplane_annulus(d, gamma, t_lo, t_hi, rng):
     n = _ref_poisson(rng, gamma * (ps.plane_measure(d, t_hi) - ps.plane_measure(d, t_lo)))
     if n == 0:
-        return np.empty(0), np.empty((0, d + 1))
-    dists = _ref_profile_annulus(d - 1, 1, t_lo, t_hi, rng, n)
-    return dists, ps.normals_from_polar(dists, _ref_unit_vectors(d, rng, n))
+        return np.empty(0), np.empty((0, d))
+    return _ref_profile_annulus(d - 1, 1, t_lo, t_hi, rng, n), _ref_unit_vectors(d, rng, n)
 
 
 def _ref_cap_union(d, gamma, scale, sign, gap, t_lo, t_hi, rng, rays):
@@ -609,7 +627,7 @@ def _ref_boolean_cap_union(d, gamma, law, t_lo, t_hi, rng, rays):
 
 def _ref_hyperplane_cap_union(d, gamma, t_lo, t_hi, rng, rays):
     dists, dirs, keep = _ref_cap_union(d, gamma, 2.0, 1, ps.plane_cap_gap(t_lo), t_lo, t_hi, rng, rays)
-    return dists[keep], ps.normals_from_polar(dists[keep], dirs[keep])
+    return dists[keep], dirs[keep]
 
 
 def _ref_sweep(d, gamma, scale, sign, margin, annulus, hits, dirs, cutoff, rng, block_target, caps=None):
@@ -648,8 +666,7 @@ def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None
             annulus = partial(_ref_hyperplane_annulus, d, gamma)
             share = lambda t: ps.cap_share(d, ps.plane_cap_gap(t))  # noqa: E731
             caps = (share, partial(_ref_hyperplane_cap_union, d, gamma)) if capped and n_rays > 1 else None
-            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, lambda u, x, n: dense_plane_hits(u, n), dirs, cutoff,
-                                rng, block_target, caps)
+            out[i] = _ref_sweep(d, gamma, 2.0, 1, 0.0, annulus, dense_plane_hits, dirs, cutoff, rng, block_target, caps)
         else:
             annulus = partial(_ref_boolean_annulus, d, gamma, law)
             share = lambda t: ps.cap_share(d, ps.grain_cap_gap(law.max_radius, t))  # noqa: E731
@@ -850,15 +867,15 @@ class TestRounds:
 
     def test_a_many_ray_block_runs_the_hit_formula_once(self, monkeypatch):
         # 16 replications of 200 rays make one round, which sweeps one annulus block and then blocks of the union
-        # of the live rays' caps. Each block evaluates _grain_hit once, on the pairs of every replication that
+        # of the live rays' caps. Each block evaluates _grain_hits once, on the pairs of every replication that
         # pass the cone test, not once for each replication that drew obstacles.
         hits, blocks = [], []
 
-        def counted_hit(*args, _fn=vis._grain_hit):
+        def counted_hit(*args, _fn=vis._grain_hits):
             hits.append(len(args[0]))
             return _fn(*args)
 
-        monkeypatch.setattr(vis, "_grain_hit", counted_hit)
+        monkeypatch.setattr(vis, "_grain_hits", counted_hit)
         for name in ("sample_boolean_annulus", "sample_cap_union"):
             def counted_block(*args, _fn=getattr(ps, name)):
                 out = _fn(*args)
