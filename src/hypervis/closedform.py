@@ -328,8 +328,11 @@ def power_integral_inverse(n: int, y, sign: int = -1, halvings: int = 0):
     below 1e-13 of it, so it is bit for bit the root of a call with that y alone; y = nan returns nan, y = inf inf.
     """
     y = np.asarray(y, dtype=float)
-    if n == 1:
-        return 2.0 * np.arcsinh(np.sqrt(y / 2.0)) if sign < 0 else np.arcsinh(y)
+    if n == 1 and sign > 0:
+        return np.arcsinh(y)
+    if n == 1:  # y / 2 rounds where y is subnormal; there sqrt(2^107 y) / 2^54 is sqrt(y / 2) without rounding
+        low = np.ldexp(np.sqrt(np.ldexp(np.minimum(y, _TINY), 107)), -54)
+        return 2.0 * np.arcsinh(np.where(y < _TINY, low, np.sqrt(y / 2.0)))
     shape, y = y.shape, y.ravel()
     out = _newton_start(n, y, sign, halvings)
     active, scale = np.flatnonzero(y < np.inf), 0.5**halvings  # where in out the roots still iterated go

@@ -15,7 +15,10 @@ the same machine. It hashes the keys of a chunk of up to _CHUNK indices at
 once, as numpy array operations on uint32 words, and builds each generator
 only when it is asked for: memory stays O(_CHUNK) however long the run.
 Results therefore do not depend on the chunk size, nor on how a run's
-generators are grouped.
+generators are grouped. A run may start at any index (streams' and rounds'
+start), so that a worker process sweeping a span of replications (see
+visibility._map_rounds) builds only its own generators, bit for bit those a
+serial run builds for the same indices.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ def _pcg64_states(head: list[int], indices: np.ndarray) -> np.ndarray:
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def streams(seed: int, *prefix: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield stream(seed, *prefix, i) for i in range(count), lazily and bit for bit.
+def streams(seed: int, *prefix: int, count: int, start: int = 0) -> Iterator[np.random.Generator]:
+    """Yield stream(seed, *prefix, i) for i in range(start, count), lazily and bit for bit.
 
     States are hashed a chunk of up to _CHUNK indices at a time and each
     generator is built when it is asked for. A run of fewer than _MIN_BATCH
@@ -127,8 +130,10 @@ def streams(seed: int, *prefix: int, count: int) -> Iterator[np.random.Generator
     key = _check_key((seed, *prefix, 0))[:-1]
     if not 0 <= count <= 2**32:
         raise ValueError(f"a run of streams needs 0 <= count <= 2**32, got {count}")
+    if start < 0:
+        raise ValueError(f"a run of streams needs start >= 0, got {start}")
     head = [w for k in key for w in _words(k)]
-    for lo in range(0, count, _CHUNK):
+    for lo in range(start, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         if hi - lo < _MIN_BATCH:
             yield from (stream(*key, i) for i in range(lo, hi))
@@ -137,8 +142,9 @@ def streams(seed: int, *prefix: int, count: int) -> Iterator[np.random.Generator
                 yield np.random.Generator(np.random.PCG64(_PresetState(state)))
 
 
-def rounds(seed: int, count: int, size: int) -> Iterator[tuple[int, list[np.random.Generator]]]:
-    """Yield (first index, its generators) for each round of size generators of streams(seed, count=count)."""
-    gens = streams(seed, count=count)
-    for first in range(0, count, size):
+def rounds(seed: int, count: int, size: int, start: int = 0) -> Iterator[tuple[int, list[np.random.Generator]]]:
+    """Yield (first index, its generators) for each round of size generators of streams(seed, count=count,
+    start=start); with start a multiple of size, these are the rounds of a run from 0 that begin at or after it."""
+    gens = streams(seed, count=count, start=start)
+    for first in range(start, count, size):
         yield first, list(islice(gens, size))

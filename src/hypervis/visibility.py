@@ -47,12 +47,22 @@ the pairs that pass the prefilter (_round_hits). Either way the hit kernel,
 the minimum per ray and the write of the ranges (_nearest) run once per round
 block, on the obstacles or pairs of all its replications.
 Standard errors are taken across replications only.
+
+A large run sweeps its rounds on every CPU it may use (_map_rounds): with
+W = min(CPUs in its affinity mask, rounds) > 1, at least _FORK_MIN_RAYS rays
+in all (n_reps * n_rays) and no other thread running, it cuts the rounds into
+W contiguous spans of whole rounds. The process sweeps the first span and
+W - 1 children forked from it (fanout.fork_map) sweep the rest, each building
+only its own span's generators and sending back only its per-replication
+values. Records and ranges are bit for bit those of the serial run, whatever W.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -60,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import closedform, procsim
+from . import closedform, fanout, procsim
 from .closedform import GrainLaw, grain_kind_params, omega, power_integral_at, power_integral_inverse
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
 from .rng import rounds, stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
@@ -326,6 +336,9 @@ _CAP_BLOCK_TARGET = 8
 _ROUND_REPS = 512
 # The narrowest block: a block whose target is reached closer to its inner radius is widened to this.
 _MIN_BLOCK_WIDTH = 1e-6
+# The fewest rays (n_reps * n_rays) of a run that forks workers (see _map_rounds). A fork and its pickled
+# result cost milliseconds, and criterion 1's 10,000 single rays sweep in about 0.1 s.
+_FORK_MIN_RAYS = 2**17
 
 
 @lru_cache(maxsize=2**15)
@@ -438,8 +451,14 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
     return _sweep(procsim.Obstacles(d, gamma), dirs, cutoff, rngs)
 
 
-def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable):
-    """(first replication, ranges) of each round: ranges(dirs, cutoff, rngs) for its replications.
+def _round_size(n_rays: int) -> int:
+    """Replications per round of n_rays rays each (see _rounds)."""
+    return max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
+
+
+def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, start: int = 0):
+    """(first replication, ranges) of each round from replication start (a round's first) on:
+    ranges(dirs, cutoff, rngs) for its replications.
 
     A round holds at least one replication and at most _ROUND_REPS * _CAP_BLOCK_TARGET
     rays, and as many expected obstacles per annulus block; a block of the union of the
@@ -448,17 +467,40 @@ def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: 
     gets dirs None: its capped sweep reads no direction), so its ranges do not depend on the
     round it falls in. A round's generators are built as the round starts.
     """
-    size = max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
-    for first, rngs in rounds(seed, n_reps, size):
+    for first, rngs in rounds(seed, n_reps, _round_size(n_rays), start):
         dirs = None if n_rays == 1 else procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(-1, n_rays, d)
         yield first, ranges(dirs, cutoff, rngs)
 
 
+def _map_rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, per_round: Callable):
+    """per_round(round ranges) of every round of _rounds, a tuple of per-replication arrays, each concatenated
+    over the rounds in replication order.
+
+    W = min(CPUs in the affinity mask, rounds) processes share the rounds, in
+    contiguous spans of whole rounds, unless the run has fewer than
+    _FORK_MIN_RAYS rays or another thread is running (a fork copies only the
+    calling thread): then W = 1 and the run is serial. Every replication
+    draws from its own stream and per_round sees the rounds it sees serially,
+    so the result does not depend on W.
+    """
+    size = _round_size(n_rays)
+    n_rounds = -(-n_reps // size)
+    workers = min(len(os.sched_getaffinity(0)), n_rounds)
+    if n_reps * n_rays < _FORK_MIN_RAYS or threading.active_count() > 1:
+        workers = 1
+    cuts = [min(n_reps, size * (k * n_rounds // workers)) for k in range(workers + 1)]
+
+    def sweep(lo: int, hi: int) -> list[np.ndarray]:
+        parts = [per_round(r) for _, r in _rounds(d, hi, n_rays, cutoff, seed, ranges, start=lo)]
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    spans = fanout.fork_map(sweep, list(zip(cuts, cuts[1:])))
+    return tuple(np.concatenate(p) for p in zip(*spans))
+
+
 def _single_ranges(d: int, n: int, cutoff: float, seed: int, ranges: Callable) -> tuple:
     """(values, censored) of n replications with one ray each."""
-    values = np.empty(n)
-    for first, round_ranges in _rounds(d, n, 1, cutoff, seed, ranges):
-        values[first : first + len(round_ranges)] = round_ranges[:, 0]
+    (values,) = _map_rounds(d, n, 1, cutoff, seed, ranges, lambda round_ranges: (round_ranges[:, 0],))
     return values, values >= cutoff - 1e-12
 
 
@@ -531,13 +573,13 @@ def estimate_zero_cell_volume(
 
 def _estimate_volume(quantity, d, gamma, law, n_reps, n_rays, cap, cutoff, closed, seed, ranges, t0) -> EstimateRecord:
     """Record of the mean over replications of omega_d times the ray average of int_0^{min(range, cap)} sinh^{d-1}."""
-    rep_vals = np.empty(n_reps)
-    n_censored = 0
-    for first, round_ranges in _rounds(d, n_reps, n_rays, cutoff, seed, ranges):
-        n_censored += int(np.sum(round_ranges >= cutoff - 1e-12))
-        volumes = sinh_integral(d, np.minimum(round_ranges, cap))
-        rep_vals[first : first + len(round_ranges)] = omega(d) * volumes.mean(axis=1)
-    censored_fraction = n_censored / (n_reps * n_rays)
+
+    def volumes(round_ranges: np.ndarray) -> tuple:  # per replication: volume, censored rays
+        volume = omega(d) * sinh_integral(d, np.minimum(round_ranges, cap)).mean(axis=1)
+        return volume, np.sum(round_ranges >= cutoff - 1e-12, axis=1)
+
+    rep_vals, censored = _map_rounds(d, n_reps, n_rays, cutoff, seed, ranges, volumes)
+    censored_fraction = int(censored.sum()) / (n_reps * n_rays)
     return make_record(quantity, d, gamma, law, rep_vals, closed, seed, t0, n_rays, censored_fraction)
 
 

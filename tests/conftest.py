@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,18 @@ from hypervis import rng as rng_module
 from hypervis.rng import stream
 
 import hypgeom
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process behind, running or not reaped (see fanout.fork_map)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    left = "a child process still runs" if pid == 0 else f"child {pid} ended (status {status}) but was not reaped"
+    pytest.fail(f"the test left a child process behind: {left}")
 
 
 @pytest.fixture

@@ -229,8 +229,11 @@ class TestBallMeasures:
         # from the 2F1 form of test_sinh_profile_matches_hypergeometric; y keeps about 11 and 27 bits there
         roots = cf.power_integral_inverse(340, np.array([1e-320, 1e-315]), -1)
         assert roots == pytest.approx([0.116958006094907, 0.120955203384898], rel=1e-6)
+        # n = 1: the root 2 arcsinh(sqrt(y / 2)) is sqrt(2 y) there, and doubling a subnormal y is exact
+        y = np.array([5e-324, 1.5e-323, 1e-310])
+        assert cf.power_integral_inverse(1, y, -1) == pytest.approx(np.sqrt(2.0 * y), rel=1e-15)
 
-    @pytest.mark.parametrize("n", [2, 9, 340])
+    @pytest.mark.parametrize("n", [1, 2, 9, 340])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_inverse_at_the_ends_of_the_doubles(self, n, sign):
         y = np.array([0.0, 5e-324, 1e-320, 1.7e308, math.nan, math.inf])

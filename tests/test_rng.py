@@ -76,3 +76,36 @@ def test_preset_state_serves_pcg64_only():
     g = next(streams(1, count=rng._MIN_BATCH))
     with pytest.raises(ValueError, match="generate_state"):
         g.bit_generator.seed_seq.generate_state(8, np.uint32)
+
+
+@pytest.mark.parametrize("start", [0, 1, rng._MIN_BATCH - 1, 2 * rng._MIN_BATCH + 3, CHUNK - 2, CHUNK, CHUNK + 5])
+def test_streams_from_start(start):
+    # a worker sweeping replications start..count-1 builds only their generators, those of stream(seed, i)
+    count = CHUNK + 21
+    gens = list(streams(42, 3, count=count, start=start))
+    assert len(gens) == count - start
+    for i, g in enumerate(gens, start):
+        ref = stream(42, 3, i)
+        assert g.bit_generator.state == ref.bit_generator.state and g.uniform() == ref.uniform(), i
+
+
+@pytest.mark.parametrize("size", [1, 7, 16, 512])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_rounds_from_start(size, k, monkeypatch):
+    # the rounds from start = k * size on are the tail of the rounds from 0, generator for generator, with
+    # the module's chunks and with chunks of 7 keys
+    count = 3 * size + 2
+    for chunk, min_batch in ((rng._CHUNK, rng._MIN_BATCH), (7, 1)):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        monkeypatch.setattr(rng, "_MIN_BATCH", min_batch)
+        tail = list(rng.rounds(9, count, size, start=k * size))
+        assert [first for first, _ in tail] == list(range(k * size, count, size))
+        for first, gens in tail:
+            assert len(gens) == min(size, count - first)
+            for i, g in enumerate(gens, first):
+                assert g.bit_generator.state == stream(9, i).bit_generator.state, (first, i)
+
+
+def test_negative_start_refused():
+    with pytest.raises(ValueError, match=re.escape("needs start >= 0, got -1")):
+        next(streams(1, count=3, start=-1))

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 from functools import lru_cache, partial
 
@@ -9,13 +13,15 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from hypervis import closedform as cf
+from hypervis import fanout
 from hypervis import procsim as ps
+from hypervis import rng as rng_module
 from hypervis import visibility as vis
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
 
 import hypgeom as hg
-from conftest import assert_same_under_every_derivation, random_point, record_and_values
+from conftest import STREAM_DERIVATIONS, _comparable, assert_same_under_every_derivation, random_point, record_and_values
 from oracles import (
     BallGrain,
     GeodesicRay,
@@ -893,6 +899,174 @@ class TestRounds:
             vis.sample_zero_cell_ranges(2, 1e15, ROUND + 1, 1.0, 0)
         with pytest.raises(ValueError, match="resource guard"):
             vis.sample_visibility_ranges(2, 1e21, cf.FixedRadius(0.5), ROUND + 1, 1.0, 0)
+
+
+# Runs cut into spans of whole rounds for forked workers, each as (rays per replication, call of n replications).
+# The d = 4 volumes are truncated; at this intensity the uniform law's untruncated mean is infinite (a = 1.83 < 3).
+FAN_OUT_CALLS = {
+    "visvol-d2-fixed": (3, lambda n: vis.estimate_visible_volume(2, 2.5, cf.FixedRadius(0.5), n, 3, None, 2.5, 31)),
+    "visvol-d2-uniform": (3, lambda n: vis.estimate_visible_volume(2, 1.2, cf.UniformRadius(0.1, 0.6), n, 3, 2.0,
+                                                                   2.5, 32)),
+    "visvol-d4-fixed": (3, lambda n: vis.estimate_visible_volume(4, 6.0, cf.FixedRadius(0.5), n, 3, 1.0, 1.5, 33)),
+    "visvol-d4-uniform": (3, lambda n: vis.estimate_visible_volume(4, 6.0, cf.UniformRadius(0.1, 0.6), n, 3, 1.0,
+                                                                   1.5, 34)),
+    "zero-cell-d2": (3, lambda n: vis.estimate_zero_cell_volume(2, 3.0, n, 3, 2.5, 35)),
+    "ranges-d2": (1, lambda n: vis.sample_visibility_ranges(2, 1.5, cf.FixedRadius(0.5), n, 2.0, 36)),
+}
+
+
+def _serial(call):
+    """call()'s result, runtime_ms aside, from a serial run."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(vis, "_FORK_MIN_RAYS", math.inf)
+        return _comparable(call())
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork makes, with the floor of rays for a fork lowered to 1."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(vis, "_FORK_MIN_RAYS", 1)
+    return pids
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fails_in_a_child(monkeypatch, name, fail):
+    """Make procsim's sampler name call fail() in a forked child, and sweep as usual in this process."""
+    parent, sampler = os.getpid(), getattr(ps, name)
+
+    def sample(*args):
+        if os.getpid() != parent:
+            fail()
+        return sampler(*args)
+
+    monkeypatch.setattr(ps, name, sample)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedRounds:
+    """A large run sweeps contiguous spans of whole rounds in forked children, and its records and ranges are bit
+    for bit those of the serial run, whatever the number of CPUs."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FAN_OUT_CALLS))
+    def test_same_as_serial(self, name, cpus, round_size, forks, monkeypatch):
+        # for each n of the round-size grid, under every stream derivation; a span of W = min(cpus, rounds)
+        # holds one round or more, so the grid has spans of part of a round and of several
+        n_rays, call = FAN_OUT_CALLS[name]
+        size = vis._round_size(n_rays)
+        _cpus(monkeypatch, cpus)
+        for n in (1, size - 1, size, size + 1, 2 * size + 1):
+            if n < 2 and n_rays > 1:  # a standard error needs two replications
+                continue
+            expected = _serial(partial(call, n))
+            for derivation in [{}, *STREAM_DERIVATIONS.values()]:
+                forks.clear()
+                with monkeypatch.context() as m:
+                    for attr, value in derivation.items():
+                        m.setattr(rng_module, attr, value)
+                    assert _comparable(call(n)) == expected, (n, derivation)
+                assert len(forks) == min(cpus, -(-n // size)) - 1, n
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_same_as_serial_deep(self, cpus, forks, monkeypatch):
+        # 200 rays sweep past the depth from which blocks draw the union of the live rays' caps (see
+        # TestRounds.test_estimators); 20 replications make rounds of 16 and 4
+        _cpus(monkeypatch, cpus)
+        for call in (partial(vis.estimate_visible_volume, 2, 1.0, cf.FixedRadius(0.5), 20, 200, 2.0, 8.0, 16),
+                     partial(vis.estimate_zero_cell_volume, 2, 1.7, 20, 200, 8.0, 17)):
+            assert _comparable(call()) == _serial(call)
+        assert len(forks) == 2
+
+    def test_the_fan_out_rule(self, monkeypatch):
+        # criteria 2 and 5 sweep 2000 x 200 rays, criterion 1 10,000 single rays, and the benchmark's sweeps
+        # at most 35,000 rays per call
+        assert 35_000 < vis._FORK_MIN_RAYS <= 2000 * 200
+        monkeypatch.setattr(vis, "_FORK_MIN_RAYS", 1)
+        _cpus(monkeypatch, 2)
+        sweeps = []
+        monkeypatch.setattr(fanout, "fork_map", lambda fn, spans: sweeps.append(spans) or [fn(*s) for s in spans])
+        vis.sample_zero_cell_ranges(2, 2.0, ROUND + 1, 2.0, 3)  # two rounds
+        vis.sample_zero_cell_ranges(2, 2.0, ROUND, 2.0, 3)  # one round
+        _cpus(monkeypatch, 1)
+        vis.sample_zero_cell_ranges(2, 2.0, ROUND + 1, 2.0, 3)
+        assert sweeps == [[(0, ROUND), (ROUND, ROUND + 1)], [(0, ROUND)], [(0, ROUND + 1)]]
+
+    def test_serial_while_another_thread_runs(self, forks, monkeypatch):
+        _cpus(monkeypatch, 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            vis.sample_zero_cell_ranges(2, 2.0, ROUND + 1, 2.0, 3)
+        finally:
+            done.set()
+            thread.join()
+        assert forks == []
+        vis.sample_zero_cell_ranges(2, 2.0, ROUND + 1, 2.0, 3)
+        assert len(forks) == 1
+
+    def test_a_child_error_reaches_the_caller(self, forks, monkeypatch):
+        def guard():
+            raise ps.ResourceGuardError("raised in a child")
+
+        _cpus(monkeypatch, 3)
+        _fails_in_a_child(monkeypatch, "sample_boolean_annulus", guard)
+        with pytest.raises(ps.ResourceGuardError, match="raised in a child"):
+            vis.estimate_visible_volume(2, 2.5, cf.FixedRadius(0.5), 40, 3, None, 2.5, 31)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_raises(self, forks, monkeypatch):
+        _cpus(monkeypatch, 2)
+        _fails_in_a_child(monkeypatch, "sample_hyperplane_annulus", lambda: os._exit(3))
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="died without a result, exit status 3"):
+            vis.estimate_zero_cell_volume(2, 3.0, 40, 3, 2.5, 35)
+        assert time.perf_counter() - t0 < 10.0
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_an_error_here_kills_the_children(self, forks, monkeypatch):
+        # the children of a failing call are killed and reaped; the third one's span would sweep for minutes
+        parent, sampler = os.getpid(), ps.sample_cap_annuli
+
+        def sample(*args):
+            if os.getpid() == parent:
+                raise ps.ResourceGuardError("raised here")
+            time.sleep(60.0)
+            return sampler(*args)
+
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(ps, "sample_cap_annuli", sample)
+        t0 = time.perf_counter()
+        with pytest.raises(ps.ResourceGuardError, match="raised here"):
+            vis.sample_visibility_ranges(2, 1.5, cf.FixedRadius(0.5), 3 * ROUND, 2.0, 36)
+        assert time.perf_counter() - t0 < 10.0
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_import_loads_no_process_pool(self):
+        # the workers are bare forks: importing a pool's modules would cost every run's set-up time
+        code = "import hypervis, sys; print(sorted(m for m in sys.modules if m.split('.')[0] in {'multiprocessing', 'concurrent'}))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "[]"
 
 
 class TestCapUnionSweep:
