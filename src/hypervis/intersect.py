@@ -10,8 +10,11 @@ estimator draws a round of realizations at once, each from its own
 generator and in its own order, pads each realization's grains to one row,
 and one kernel call counts the crossing points inside the window for all
 grain pairs of the round. It solves only the pairs close enough to cross or
-touch, so the counts are those of the solve on every pair. Higher
-dimensions would need d mutually intersecting hyperspheres: out of scope.
+touch, so the counts are those of the solve on every pair. A large run
+sweeps its rounds on every CPU it may use, by the rule of fanout.map_spans
+with the run's expected grains as its work; the records do not depend on
+the number of processes. Higher dimensions would need d mutually
+intersecting hyperspheres: out of scope.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import closedform, procsim
+from . import closedform, fanout, procsim
 from .closedform import GrainLaw, ball_volume
 from .rng import rounds, stream  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 from .visibility import _ROUND_REPS, EstimateRecord, check_run, make_record
@@ -106,9 +109,14 @@ def _rows(counts: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expected_grains(gamma: float, law: GrainLaw, r_win: float) -> float:
+    """Expected grains of one realization, whose centers lie in B(base, r_win + max radius)."""
+    return gamma * float(ball_volume(2, r_win + law.max_radius))
+
+
 def _round_size(gamma: float, law: GrainLaw, r_win: float) -> int:
     """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most _ROUND_REPS."""
-    grains = gamma * float(ball_volume(2, r_win + law.max_radius))
+    grains = _expected_grains(gamma, law, r_win)
     if grains * grains > procsim.MAX_EXPECTED_COUNT:  # one realization's Gram matrix holds all its grain pairs
         raise procsim.ResourceGuardError(
             f"{grains * grains:.3g} expected grain pairs per realization exceed resource guard "
@@ -144,23 +152,33 @@ def estimate_intersection_density(
     Centers are sampled in B(base, r_win + max radius) so every boundary that
     can enter the window is present; the estimate is the mean point count per
     window area over unconditioned realizations. Realization i draws from
-    stream(seed, i), whatever round it falls in.
+    stream(seed, i), whatever round it falls in. The rounds are shared by
+    fanout.map_spans, whose work is n_reps times the expected grains of a
+    realization; each span returns its counts and tangent pairs, so the
+    record, and the error a tangent pair raises, do not depend on the number
+    of processes.
     """
     t0 = time.perf_counter()
     check_window(gamma, law, r_win, n_reps, seed)
     size = _round_size(gamma, law, r_win)
     area = float(ball_volume(2, r_win))
-    counts = np.empty(n_reps)
-    tangent_pairs = 0
     t_hi = r_win + law.max_radius
-    for first, rngs in rounds(seed, n_reps, size):
-        dists, dirs, radii, grains = procsim.sample_boolean_annulus(
-            2, gamma, law, 0.0, [t_hi] * len(rngs), rngs, drop_covering=False
-        )
-        centers = procsim.points_from_polar(dists, dirs)
-        c, t = _count_crossings_vectorized(_rows(grains, centers), _rows(grains, radii), r_win)
-        counts[first : first + len(rngs)] = c
-        tangent_pairs += t
+
+    def sweep(lo: int, hi: int) -> tuple[np.ndarray, int]:
+        counts, tangent_pairs = [], 0
+        for _, rngs in rounds(seed, hi, size, lo):
+            dists, dirs, radii, grains = procsim.sample_boolean_annulus(
+                2, gamma, law, 0.0, [t_hi] * len(rngs), rngs, drop_covering=False
+            )
+            centers = procsim.points_from_polar(dists, dirs)
+            c, t = _count_crossings_vectorized(_rows(grains, centers), _rows(grains, radii), r_win)
+            counts.append(c)
+            tangent_pairs += t
+        return np.concatenate(counts), tangent_pairs
+
+    spans = fanout.map_spans(sweep, n_reps, size, n_reps * _expected_grains(gamma, law, r_win))
+    counts = np.concatenate([c for c, _ in spans])
+    tangent_pairs = sum(t for _, t in spans)
     if tangent_pairs:
         raise RuntimeError(f"observed {tangent_pairs} tangent pairs; tangency has probability zero")
     closed = closedform.intersection_density(2, gamma, law)

@@ -48,21 +48,19 @@ the minimum per ray and the write of the ranges (_nearest) run once per round
 block, on the obstacles or pairs of all its replications.
 Standard errors are taken across replications only.
 
-A large run sweeps its rounds on every CPU it may use (_map_rounds): with
-W = min(CPUs in its affinity mask, rounds) > 1, at least _FORK_MIN_RAYS rays
-in all (n_reps * n_rays) and no other thread running, it cuts the rounds into
-W contiguous spans of whole rounds. The process sweeps the first span and
-W - 1 children forked from it (fanout.fork_map) sweep the rest, each building
-only its own span's generators and sending back only its per-replication
-values. Records and ranges are bit for bit those of the serial run, whatever W.
+A large run sweeps its rounds on every CPU it may use (_map_rounds, by the
+rule of fanout.map_spans, its work n_reps * n_rays): W contiguous spans of
+whole rounds, the first swept here and the rest in forked children, each
+building only its own span's generators and sending back only its
+per-replication values. Records and ranges are bit for bit those of the
+serial run, whatever W; so are the stratified estimator's, whose batches
+fan out the same way.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -336,9 +334,6 @@ _CAP_BLOCK_TARGET = 8
 _ROUND_REPS = 512
 # The narrowest block: a block whose target is reached closer to its inner radius is widened to this.
 _MIN_BLOCK_WIDTH = 1e-6
-# The fewest rays (n_reps * n_rays) of a run that forks workers (see _map_rounds). A fork and its pickled
-# result cost milliseconds, and criterion 1's 10,000 single rays sweep in about 0.1 s.
-_FORK_MIN_RAYS = 2**17
 
 
 @lru_cache(maxsize=2**15)
@@ -476,25 +471,17 @@ def _map_rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, rang
     """per_round(round ranges) of every round of _rounds, a tuple of per-replication arrays, each concatenated
     over the rounds in replication order.
 
-    W = min(CPUs in the affinity mask, rounds) processes share the rounds, in
-    contiguous spans of whole rounds, unless the run has fewer than
-    _FORK_MIN_RAYS rays or another thread is running (a fork copies only the
-    calling thread): then W = 1 and the run is serial. Every replication
-    draws from its own stream and per_round sees the rounds it sees serially,
-    so the result does not depend on W.
+    The rounds are shared by fanout.map_spans, whose work is the run's rays
+    (n_reps * n_rays). Every replication draws from its own stream and
+    per_round sees the rounds it sees serially, so the result does not depend
+    on the number of processes.
     """
-    size = _round_size(n_rays)
-    n_rounds = -(-n_reps // size)
-    workers = min(len(os.sched_getaffinity(0)), n_rounds)
-    if n_reps * n_rays < _FORK_MIN_RAYS or threading.active_count() > 1:
-        workers = 1
-    cuts = [min(n_reps, size * (k * n_rounds // workers)) for k in range(workers + 1)]
 
     def sweep(lo: int, hi: int) -> list[np.ndarray]:
         parts = [per_round(r) for _, r in _rounds(d, hi, n_rays, cutoff, seed, ranges, start=lo)]
         return [np.concatenate(p) for p in zip(*parts)]
 
-    spans = fanout.fork_map(sweep, list(zip(cuts, cuts[1:])))
+    spans = fanout.map_spans(sweep, n_reps, _round_size(n_rays), n_reps * n_rays)
     return tuple(np.concatenate(p) for p in zip(*spans))
 
 
@@ -644,7 +631,11 @@ def estimate_visible_volume_stratified(
 
     Standard errors come from STRATIFIED_BATCHES independent replicates of
     the whole scheme, which are the records' replications. Radii must be
-    one or more finite multiples of STRATIFIED_BAND_WIDTH, all > 0.
+    one or more finite multiples of STRATIFIED_BAND_WIDTH, all > 0. Batch b
+    draws band k from streams(seed, b)'s k-th generator, so the batches are
+    rounds of one for fanout.map_spans, whose work is batches x
+    STRATIFIED_SIMS x bands; the records do not depend on the number of
+    processes.
     """
     t0 = time.perf_counter()
     if len(radii) == 0 or not all(math.isfinite(r) and r > 0 for r in radii):
@@ -654,17 +645,23 @@ def estimate_visible_volume_stratified(
     n_bands = int(radius_bands.max())
     edges = STRATIFIED_BAND_WIDTH * np.arange(n_bands + 1)
     lower = sinh_integral(d, edges[:-1])
-    batch_vals = np.empty((STRATIFIED_BATCHES, len(radii)))
-    for b in range(STRATIFIED_BATCHES):
-        p_hat = np.empty(n_bands)
-        c_hat = np.empty(n_bands)
-        for k, rng in enumerate(streams(seed, b, count=n_bands)):
-            first = procsim.band_first_touches(d, gamma, law, edges[k], edges[k + 1], STRATIFIED_SIMS, rng)
-            p_hat[k] = float(np.mean(np.isinf(first)))
-            upper = sinh_integral(d, np.minimum(first, edges[k + 1]))
-            c_hat[k] = float(np.mean(upper - lower[k]))
-        s_hat = np.concatenate([[1.0], np.cumprod(p_hat)[:-1]])
-        contrib = omega(d) * np.cumsum(s_hat * c_hat)
-        batch_vals[b] = contrib[radius_bands - 1]
+
+    def batches(lo: int, hi: int) -> np.ndarray:
+        vals = np.empty((hi - lo, len(radii)))
+        for b in range(lo, hi):
+            p_hat = np.empty(n_bands)
+            c_hat = np.empty(n_bands)
+            for k, rng in enumerate(streams(seed, b, count=n_bands)):
+                first = procsim.band_first_touches(d, gamma, law, edges[k], edges[k + 1], STRATIFIED_SIMS, rng)
+                p_hat[k] = float(np.mean(np.isinf(first)))
+                upper = sinh_integral(d, np.minimum(first, edges[k + 1]))
+                c_hat[k] = float(np.mean(upper - lower[k]))
+            s_hat = np.concatenate([[1.0], np.cumprod(p_hat)[:-1]])
+            contrib = omega(d) * np.cumsum(s_hat * c_hat)
+            vals[b - lo] = contrib[radius_bands - 1]
+        return vals
+
+    work = STRATIFIED_BATCHES * STRATIFIED_SIMS * n_bands
+    batch_vals = np.concatenate(fanout.map_spans(batches, STRATIFIED_BATCHES, 1, work))
     closed = [closedform.truncated_visible_volume(d, gamma, law, r) for r in radii]
     return [make_record("visvol_truncated", d, gamma, law, v, c, seed, t0) for v, c in zip(batch_vals.T, closed)]

@@ -60,10 +60,10 @@ STREAM_DERIVATIONS = {
 
 
 def _comparable(result):
-    """A record without its runtime_ms, or a tuple of arrays as lists."""
+    """A record without its runtime_ms, or a sequence of records or arrays, each comparable."""
     if dataclasses.is_dataclass(result):
         return dataclasses.replace(result, runtime_ms=0.0)
-    return [np.asarray(a).tolist() for a in result]
+    return [_comparable(a) if dataclasses.is_dataclass(a) else np.asarray(a).tolist() for a in result]
 
 
 def assert_same_under_every_derivation(call, monkeypatch):

@@ -1,19 +1,23 @@
 import dataclasses
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+from hypervis import acceptance
 from hypervis import closedform as cf
-from hypervis import fanout
+from hypervis import fanout, intersect
 from hypervis import procsim as ps
 from hypervis import rng as rng_module
 from hypervis import visibility as vis
@@ -918,13 +922,13 @@ FAN_OUT_CALLS = {
 def _serial(call):
     """call()'s result, runtime_ms aside, from a serial run."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(vis, "_FORK_MIN_RAYS", math.inf)
+        m.setattr(fanout, "_FORK_MIN_WORK", math.inf)
         return _comparable(call())
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children os.fork makes, with the floor of rays for a fork lowered to 1."""
+    """The pids of the children os.fork makes, with the floor of work for a fork lowered to 1."""
     pids, fork = [], os.fork
 
     def counted():
@@ -934,7 +938,7 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(vis, "_FORK_MIN_RAYS", 1)
+    monkeypatch.setattr(fanout, "_FORK_MIN_WORK", 1)
     return pids
 
 
@@ -946,10 +950,10 @@ def _fails_in_a_child(monkeypatch, name, fail):
     """Make procsim's sampler name call fail() in a forked child, and sweep as usual in this process."""
     parent, sampler = os.getpid(), getattr(ps, name)
 
-    def sample(*args):
+    def sample(*args, **kwargs):
         if os.getpid() != parent:
             fail()
-        return sampler(*args)
+        return sampler(*args, **kwargs)
 
     monkeypatch.setattr(ps, name, sample)
 
@@ -993,11 +997,56 @@ class TestForkedRounds:
             assert _comparable(call()) == _serial(call)
         assert len(forks) == 2
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("gamma, law, r_win", [(1.0, cf.FixedRadius(0.5), 3.0), (0.6, cf.UniformRadius(0.2, 0.8), 2.0)],
+                             ids=["criterion-4", "uniform"])
+    def test_windows_same_as_serial(self, gamma, law, r_win, cpus, forks, monkeypatch):
+        # the intersection density over its round-size grid: rounds of 13 windows at criterion 4's parameters
+        size = intersect._round_size(gamma, law, r_win)
+        _cpus(monkeypatch, cpus)
+        for n in (size - 1, size, size + 1, 2 * size + 1):
+            call = partial(intersect.estimate_intersection_density, gamma, law, r_win, n, 61)
+            expected = _serial(call)
+            forks.clear()
+            assert _comparable(call()) == expected, n
+            assert len(forks) == min(cpus, -(-n // size)) - 1, n
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_strata_same_as_serial(self, cpus, forks, monkeypatch):
+        # the 8 batches are rounds of one: spans of 8, of 4 and 4, and of 2, 3 and 3 batches
+        monkeypatch.setattr(vis, "STRATIFIED_SIMS", 500)
+        _cpus(monkeypatch, cpus)
+        call = partial(vis.estimate_visible_volume_stratified, 2, 1.0, cf.FixedRadius(0.5), (1.0, 2.5), 62)
+        expected = _serial(call)
+        assert _comparable(call()) == expected
+        assert len(forks) == cpus - 1
+
+    def test_tangent_pairs_of_every_span_are_summed(self, forks, monkeypatch):
+        # a tolerance of 0.1 takes many pairs for tangent: the error names the serial run's count
+        monkeypatch.setattr(intersect, "_TANGENCY_TOL", 0.1)
+        call = partial(intersect.estimate_intersection_density, 1.0, cf.FixedRadius(0.5), 3.0, 27, 63)
+        with pytest.raises(RuntimeError, match="tangent pairs") as serial:
+            _serial(call)
+        _cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(serial.value))}$"):
+            call()
+        assert len(forks) == 2
+
+    def test_a_tangent_pair_in_a_child_raises(self, forks, monkeypatch):
+        # only the child's span takes near pairs for tangent; the parent's span alone finds none
+        call = partial(intersect.estimate_intersection_density, 1.0, cf.FixedRadius(0.5), 3.0, 27, 63)
+        _serial(call)
+        _cpus(monkeypatch, 2)
+        _fails_in_a_child(monkeypatch, "sample_boolean_annulus", lambda: setattr(intersect, "_TANGENCY_TOL", 0.1))
+        with pytest.raises(RuntimeError, match=r"observed \d+ tangent pairs; tangency has probability zero"):
+            call()
+        assert len(forks) == 1
+
     def test_the_fan_out_rule(self, monkeypatch):
         # criteria 2 and 5 sweep 2000 x 200 rays, criterion 1 10,000 single rays, and the benchmark's sweeps
         # at most 35,000 rays per call
-        assert 35_000 < vis._FORK_MIN_RAYS <= 2000 * 200
-        monkeypatch.setattr(vis, "_FORK_MIN_RAYS", 1)
+        assert 35_000 < fanout._FORK_MIN_WORK <= 2000 * 200
+        monkeypatch.setattr(fanout, "_FORK_MIN_WORK", 1)
         _cpus(monkeypatch, 2)
         sweeps = []
         monkeypatch.setattr(fanout, "fork_map", lambda fn, spans: sweeps.append(spans) or [fn(*s) for s in spans])
@@ -1006,6 +1055,42 @@ class TestForkedRounds:
         _cpus(monkeypatch, 1)
         vis.sample_zero_cell_ranges(2, 2.0, ROUND + 1, 2.0, 3)
         assert sweeps == [[(0, ROUND), (ROUND, ROUND + 1)], [(0, ROUND)], [(0, ROUND + 1)]]
+
+    def test_which_runs_fork(self, monkeypatch):
+        # the work each run passes to fanout.map_spans, taken there before any draw: criteria 4 and 9 reach the
+        # floor, criterion 1 and every sweep call of the benchmark's workloads fall below it
+        class Stop(Exception):
+            pass
+
+        def work_of(run):
+            works = []
+
+            def spy(fn, count, size, work):
+                works.append(work)
+                raise Stop
+
+            with monkeypatch.context() as m:
+                m.setattr(fanout, "map_spans", spy)
+                with pytest.raises(Stop):
+                    run()
+            return works[0]
+
+        floor, seed = fanout._FORK_MIN_WORK, acceptance.DEFAULT_SEED
+        # 2000 windows of radius 3 and grains of radius 0.5 at intensity 1: about 97.85 expected grains each
+        c4 = work_of(lambda: acceptance.CRITERIA[4](seed))
+        assert c4 == pytest.approx(2000 * 2 * math.pi * (math.cosh(3.5) - 1), rel=1e-12) and c4 >= floor
+        assert work_of(lambda: acceptance.CRITERIA[9](seed)) == 8 * 25_000 * 40 >= floor
+        assert work_of(lambda: acceptance.CRITERIA[1](seed)) == 10_000 < floor
+        # criterion 11 sweeps no rounds of its own: 10,000 segments through 2 sinh(1) expected planes each
+        assert 10_000 * ps.plane_measure(2, 1.0) < floor
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("hypervis_benchmark_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
+        spec.loader.exec_module(workloads)
+        calls = [call for name in ("sweep-d3", "sweep-highdim") for call in workloads.WORKLOADS[name](seed, False).calls]
+        works = [work_of(call.run) for call in calls]
+        assert len(works) == 5 and max(works) == 700 * 50 < floor
 
     def test_serial_while_another_thread_runs(self, forks, monkeypatch):
         _cpus(monkeypatch, 2)
