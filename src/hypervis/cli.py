@@ -160,16 +160,21 @@ def main(argv=None) -> int:
         except (harness.UsageError, procsim.ResourceGuardError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-        harness.emit(result, args.format, args.out if args.out else sys.stdout)
+        try:
+            harness.emit(result, args.format, args.out if args.out else sys.stdout)
+        except OSError as exc:
+            print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+            return 2
         return 0
 
     if args.command == "verify":
-        results = acceptance.run_all(fresh_seed=args.fresh_seed, only=args.only)
+        seed = int(np.random.SeedSequence().entropy % 2**31) if args.fresh_seed else acceptance.DEFAULT_SEED
+        results = acceptance.run_all(seed, only=args.only)
         for res in results:
             print(res.line())
         failed = [r for r in results if not r.passed]
         if args.fresh_seed:
-            print(f"reported {len(results)} criteria with a fresh seed (not asserted)")
+            print(f"reported {len(results)} criteria with the fresh master seed {seed} (not asserted)")
             return 0
         print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
         return 1 if failed else 0

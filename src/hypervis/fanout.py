@@ -1,10 +1,12 @@
 """The one fan-out rule of the large estimates (map_spans), over processes forked from this one (fork_map).
 
-Its callers and their units of work: visibility._map_rounds (rays),
+map_rounds sweeps the rounds of visibility._map_rounds (work: rays),
 intersect.estimate_intersection_density (expected grains of its windows)
-and visibility.estimate_visible_volume_stratified (band experiments). Each
-draws item i of a run from its own index-keyed stream, so what it returns
-does not depend on how many processes share the run.
+and visibility.estimate_segment_crossings (expected planes), whose item i
+draws from stream(seed, i). The stratified estimator calls map_spans with
+batches as rounds of one (band experiments): batch b draws its bands from
+streams(seed, b, ...), not from one generator per item. What a run returns
+does not depend on how many processes share it.
 
 fork_map runs the first of its calls in this process and each other call in
 a child made by a bare os.fork: no process pool, whose modules alone would
@@ -20,6 +22,10 @@ import pickle
 import signal
 import threading
 from typing import Callable
+
+import numpy as np
+
+from .rng import rounds
 
 # The least work of a run that forks. A fork and its pickled result cost milliseconds: criterion 1's
 # 10,000 single rays sweep in about 0.1 s, and on a 2-vCPU VM a sweep of 35,000 rays at d = 4 ran
@@ -43,6 +49,18 @@ def map_spans(fn: Callable[[int, int], object], count: int, size: int, work: flo
         workers = 1
     cuts = [min(count, size * (k * n_rounds // workers)) for k in range(workers + 1)]
     return fork_map(fn, list(zip(cuts, cuts[1:])))
+
+
+def map_rounds(fn: Callable[[list], tuple], seed: int, count: int, size: int, work: float) -> tuple:
+    """fn(rngs) for each round of rng.rounds(seed, count, size), a tuple of per-item arrays, each concatenated
+    over the rounds in item order. map_spans cuts the rounds into spans by this work, and each span builds
+    only its own generators."""
+
+    def span(lo: int, hi: int) -> list[np.ndarray]:
+        parts = [fn(rngs) for _, rngs in rounds(seed, hi, size, lo)]
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    return tuple(np.concatenate(p) for p in zip(*map_spans(span, count, size, work)))
 
 
 def fork_map(fn: Callable, spans: list[tuple]) -> list:

@@ -11,9 +11,9 @@ generator and in its own order, pads each realization's grains to one row,
 and one kernel call counts the crossing points inside the window for all
 grain pairs of the round. It solves only the pairs close enough to cross or
 touch, so the counts are those of the solve on every pair. A large run
-sweeps its rounds on every CPU it may use, by the rule of fanout.map_spans
-with the run's expected grains as its work; the records do not depend on
-the number of processes. Higher dimensions would need d mutually
+sweeps its rounds on every CPU it may use, by fanout.map_rounds with the
+run's expected grains as its work; the records do not depend on the number
+of processes. Higher dimensions would need d mutually
 intersecting hyperspheres: out of scope.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import closedform, fanout, procsim
 from .closedform import GrainLaw, ball_volume
-from .rng import rounds, stream  # noqa: F401 (benchmarks/tracer.py wraps stream here)
+from .rng import stream  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 from .visibility import _ROUND_REPS, EstimateRecord, check_run, make_record
 
 _TANGENCY_TOL = 1e-12
@@ -152,9 +152,9 @@ def estimate_intersection_density(
     Centers are sampled in B(base, r_win + max radius) so every boundary that
     can enter the window is present; the estimate is the mean point count per
     window area over unconditioned realizations. Realization i draws from
-    stream(seed, i), whatever round it falls in. The rounds are shared by
-    fanout.map_spans, whose work is n_reps times the expected grains of a
-    realization; each span returns its counts and tangent pairs, so the
+    stream(seed, i), whatever round it falls in. The rounds are swept by
+    fanout.map_rounds, whose work is n_reps times the expected grains of a
+    realization; each round returns its counts and tangent pairs, so the
     record, and the error a tangent pair raises, do not depend on the number
     of processes.
     """
@@ -164,22 +164,16 @@ def estimate_intersection_density(
     area = float(ball_volume(2, r_win))
     t_hi = r_win + law.max_radius
 
-    def sweep(lo: int, hi: int) -> tuple[np.ndarray, int]:
-        counts, tangent_pairs = [], 0
-        for _, rngs in rounds(seed, hi, size, lo):
-            dists, dirs, radii, grains = procsim.sample_boolean_annulus(
-                2, gamma, law, 0.0, [t_hi] * len(rngs), rngs, drop_covering=False
-            )
-            centers = procsim.points_from_polar(dists, dirs)
-            c, t = _count_crossings_vectorized(_rows(grains, centers), _rows(grains, radii), r_win)
-            counts.append(c)
-            tangent_pairs += t
-        return np.concatenate(counts), tangent_pairs
+    def sweep(rngs: list) -> tuple:
+        dists, dirs, radii, grains = procsim.sample_boolean_annulus(
+            2, gamma, law, 0.0, [t_hi] * len(rngs), rngs, drop_covering=False
+        )
+        centers = procsim.points_from_polar(dists, dirs)
+        counts, tangent_pairs = _count_crossings_vectorized(_rows(grains, centers), _rows(grains, radii), r_win)
+        return counts, [tangent_pairs]
 
-    spans = fanout.map_spans(sweep, n_reps, size, n_reps * _expected_grains(gamma, law, r_win))
-    counts = np.concatenate([c for c, _ in spans])
-    tangent_pairs = sum(t for _, t in spans)
-    if tangent_pairs:
-        raise RuntimeError(f"observed {tangent_pairs} tangent pairs; tangency has probability zero")
+    counts, tangent_pairs = fanout.map_rounds(sweep, seed, n_reps, size, n_reps * _expected_grains(gamma, law, r_win))
+    if tangent_pairs.any():
+        raise RuntimeError(f"observed {tangent_pairs.sum()} tangent pairs; tangency has probability zero")
     closed = closedform.intersection_density(2, gamma, law)
     return make_record("intersection_density", 2, gamma, law, counts / area, closed, seed, t0)

@@ -17,7 +17,7 @@ only when it is asked for: memory stays O(_CHUNK) however long the run.
 Results therefore do not depend on the chunk size, nor on how a run's
 generators are grouped. A run may start at any index (streams' and rounds'
 start), so that a worker process sweeping a span of replications (see
-fanout.map_spans) builds only its own generators, bit for bit those a
+fanout.map_rounds) builds only its own generators, bit for bit those a
 serial run builds for the same indices.
 """
 

@@ -37,7 +37,7 @@ _CAP_BLOCK_TARGET expected per cap and each point of the union drawn from
 the first cap that holds it: again an exact Poisson restriction. Those
 obstacles carry full directions and meet every live ray, as in the annulus blocks.
 
-Replications are swept in rounds (see _rounds) that share each block's
+Replications are swept in rounds (see _map_rounds) that share each block's
 bounds and sampler call, while each keeps its own generator from rng.streams
 and makes its own draws in its own order: results are bit for bit
 independent of round and chunk sizes. With many rays each replication
@@ -48,13 +48,13 @@ the minimum per ray and the write of the ranges (_nearest) run once per round
 block, on the obstacles or pairs of all its replications.
 Standard errors are taken across replications only.
 
-A large run sweeps its rounds on every CPU it may use (_map_rounds, by the
-rule of fanout.map_spans, its work n_reps * n_rays): W contiguous spans of
-whole rounds, the first swept here and the rest in forked children, each
-building only its own span's generators and sending back only its
-per-replication values. Records and ranges are bit for bit those of the
-serial run, whatever W; so are the stratified estimator's, whose batches
-fan out the same way.
+A large run sweeps its rounds on every CPU it may use (fanout.map_rounds,
+its work n_reps * n_rays for the ranges and the expected planes for the
+segment crossings): W contiguous spans of whole rounds, the first swept
+here and the rest in forked children, each building only its own span's
+generators and sending back only its per-replication values. Records and
+ranges are bit for bit those of the serial run, whatever W; so are the
+stratified estimator's, whose batches fan out by fanout.map_spans.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import numpy as np
 from . import closedform, fanout, procsim
 from .closedform import GrainLaw, grain_kind_params, omega, power_integral_at, power_integral_inverse
 from .closedform import radius_at_volume, sinh_integral  # noqa: F401 (benchmarks/tracer.py wraps radius_at_volume here)
-from .rng import rounds, stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
+from .rng import stream, streams  # noqa: F401 (benchmarks/tracer.py wraps stream here)
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,7 @@ def _hits_from_base(dirs: np.ndarray, obstacles: tuple, bound: Callable, hit: Ca
 _BLOCK_TARGET = 256
 _CAP_BLOCK_TARGET = 8
 # Single-ray replications per round, also of the segment crossings and (at most) of the intersection
-# density; each keeps a live generator (about 2 KB). Rounds of many rays are smaller (see _rounds).
+# density; each keeps a live generator (about 2 KB). Rounds of many rays are smaller (see _round_size).
 _ROUND_REPS = 512
 # The narrowest block: a block whose target is reached closer to its inner radius is widened to this.
 _MIN_BLOCK_WIDTH = 1e-6
@@ -447,42 +447,21 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
 
 
 def _round_size(n_rays: int) -> int:
-    """Replications per round of n_rays rays each (see _rounds)."""
+    """Replications per round of n_rays rays each: at least one, and at most _ROUND_REPS * _CAP_BLOCK_TARGET
+    rays and as many expected obstacles per annulus block."""
     return max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
 
 
-def _rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, start: int = 0):
-    """(first replication, ranges) of each round from replication start (a round's first) on:
-    ranges(dirs, cutoff, rngs) for its replications.
-
-    A round holds at least one replication and at most _ROUND_REPS * _CAP_BLOCK_TARGET
-    rays, and as many expected obstacles per annulus block; a block of the union of the
-    live rays' caps expects _CAP_BLOCK_TARGET per live ray. Replication i draws from
-    stream(seed, i) its obstacles, after n_rays uniform directions where n_rays > 1 (one ray
-    gets dirs None: its capped sweep reads no direction), so its ranges do not depend on the
-    round it falls in. A round's generators are built as the round starts.
-    """
-    for first, rngs in rounds(seed, n_reps, _round_size(n_rays), start):
-        dirs = None if n_rays == 1 else procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(-1, n_rays, d)
-        yield first, ranges(dirs, cutoff, rngs)
-
-
 def _map_rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, per_round: Callable):
-    """per_round(round ranges) of every round of _rounds, a tuple of per-replication arrays, each concatenated
-    over the rounds in replication order.
+    """per_round(ranges(dirs, cutoff, rngs)) of each round of fanout.map_rounds (work: the rays), a tuple of
+    per-replication arrays. Replication i draws from stream(seed, i) its obstacles, after n_rays uniform
+    directions where n_rays > 1 (one ray gets dirs None: its capped sweep reads no direction)."""
 
-    The rounds are shared by fanout.map_spans, whose work is the run's rays
-    (n_reps * n_rays). Every replication draws from its own stream and
-    per_round sees the rounds it sees serially, so the result does not depend
-    on the number of processes.
-    """
+    def sweep(rngs: list) -> tuple:
+        dirs = None if n_rays == 1 else procsim.unit_vectors(d, rngs, [n_rays] * len(rngs)).reshape(-1, n_rays, d)
+        return per_round(ranges(dirs, cutoff, rngs))
 
-    def sweep(lo: int, hi: int) -> list[np.ndarray]:
-        parts = [per_round(r) for _, r in _rounds(d, hi, n_rays, cutoff, seed, ranges, start=lo)]
-        return [np.concatenate(p) for p in zip(*parts)]
-
-    spans = fanout.map_spans(sweep, n_reps, _round_size(n_rays), n_reps * n_rays)
-    return tuple(np.concatenate(p) for p in zip(*spans))
+    return fanout.map_rounds(sweep, seed, n_reps, _round_size(n_rays), n_reps * n_rays)
 
 
 def _single_ranges(d: int, n: int, cutoff: float, seed: int, ranges: Callable) -> tuple:
@@ -577,7 +556,8 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     per unit length. Planes farther than the segment length cannot cross it,
     so sampling the annulus [0, length] (check_sweep's cutoff, which refuses
     more planes there than the resource guard) is exact. Replications are
-    drawn in rounds of _ROUND_REPS, each from its own stream(seed, i): one
+    drawn in rounds of _ROUND_REPS by fanout.map_rounds (work: the expected
+    planes), each from its own stream(seed, i): one
     procsim.sample_hyperplane_annulus call per round draws each replication's
     count, distances and directions in that order, and one kernel call casts
     the segment through all of the round's planes.
@@ -586,11 +566,12 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     check_sweep("segment_crossings", d, gamma, None, n_reps, length, seed)
     direction = np.zeros((1, d))
     direction[0, 0] = 1.0
-    counts = np.empty(n_reps)
-    for first, rngs in rounds(seed, n_reps, _ROUND_REPS):
+
+    def cross(rngs: list) -> tuple:
         p_dist, p_dir, planes = procsim.sample_hyperplane_annulus(d, gamma, 0.0, [length] * len(rngs), rngs)
-        crossed = plane_hits_from_base(direction, p_dist, p_dir)[0] <= length
-        counts[first : first + len(rngs)] = procsim._kept(planes, crossed)
+        return (procsim._kept(planes, plane_hits_from_base(direction, p_dist, p_dir)[0] <= length),)
+
+    (counts,) = fanout.map_rounds(cross, seed, n_reps, _ROUND_REPS, n_reps * gamma * procsim.plane_measure(d, length))
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length
     return make_record("segment_crossings", d, gamma, None, counts, closed, seed, t0, n_rays=1)
 

@@ -90,6 +90,14 @@ def test_the_library_calls_no_generator_uniform():
     assert len(_modules()) > 5 and calls == []
 
 
+def test_only_fanout_loops_over_rounds():
+    # fanout.map_rounds owns the round loop of the index-keyed estimators: a round loop written out
+    # anywhere else would call rng.rounds itself
+    calls = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "rounds" in (getattr(node.func, n, None) for n in ("id", "attr"))]
+    assert len(calls) == 1 and calls[0].startswith("fanout.py:"), calls
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test dependency only: the library's quadrature is numpy's Gauss-Legendre rule
     code = "import sys, hypervis.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from hypervis import acceptance
 from hypervis import closedform as cf
 from hypervis.cli import main
 
@@ -88,6 +90,14 @@ class TestCli:
         assert data["quantity"] == "visvol_truncated"
         assert data["grain_kind"] == "fixed"
 
+    @pytest.mark.parametrize("name, reason", [("missing/rec.json", "No such file or directory"), (".", "Is a directory")])
+    def test_estimate_to_an_unwritable_path(self, name, reason, tmp_path, capsys):
+        out = tmp_path / name
+        argv = ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--cutoff", "1", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: cannot write {out}: {reason}\n"
+
     def test_estimate_usage_error(self, capsys):
         code = main(["estimate", "visvol", "--gamma", "0.5", "--grain", "fixed:0.5", "--reps", "10"])
         assert code == 2
@@ -97,6 +107,13 @@ class TestCli:
         assert main(["verify", "--only", "3,7,10"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 3
+
+    def test_fresh_seed_is_printed_and_reruns(self, capsys):
+        assert main(["verify", "--fresh-seed", "--only", "1,11"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        seed = int(re.fullmatch(r"reported 2 criteria with the fresh master seed (\d+) \(not asserted\)", out[-1])[1])
+        rerun = acceptance.run_all(seed, only={1, 11})
+        assert [line.split(") ", 1)[1] for line in out[:-1]] == [res.line().split(") ", 1)[1] for res in rerun]
 
     @pytest.mark.parametrize(
         "argv",

@@ -733,6 +733,11 @@ def _check_single_ray(sample, ref, cutoff, seed, round_size):
     assert ks_2samp(values, ref).pvalue > 0.01
 
 
+def _round_of(value) -> tuple:
+    """The per_round of vis._map_rounds that keeps what its ranges function returned for each round."""
+    return (value,)
+
+
 class TestRounds:
     """Replication rounds return bit for bit the ranges of sweeping one replication at a time, whatever
     the round size; single rays sweep only their direction cap, so their ranges follow the reference's law.
@@ -743,8 +748,8 @@ class TestRounds:
         # a round holds at most 4096 expected obstacles per block and 4096 rays: one ray sweeps blocks of 8
         # in its cap, many rays blocks of 256 (16 replications), and beyond 256 rays the ray count bounds it
         for n_rays, size in ((1, ROUND), (2, 16), (50, 16), (200, 16), (256, 16), (300, 13), (4096, 1), (4097, 1)):
-            rounds = vis._rounds(2, ROUND + 1, n_rays, 1.0, 0, lambda dirs, cutoff, rngs: rngs)
-            assert [first for first, _ in rounds] == list(range(0, ROUND + 1, size))
+            (sizes,) = vis._map_rounds(2, ROUND + 1, n_rays, 1.0, 0, lambda dirs, cutoff, rngs: [len(rngs)], _round_of)
+            assert list(np.cumsum(sizes) - sizes) == list(range(0, ROUND + 1, size))
 
     def test_single_rays_draw_no_direction(self, monkeypatch):
         # by isotropy the capped sweep never reads a single ray's direction, so no replication draws one;
@@ -762,8 +767,8 @@ class TestRounds:
             vis.estimate_visible_volume(2, 2.5, law, 40, 2, None, 4.0, 7)
 
     def test_rounds_of_one_beyond_the_ray_budget(self):
-        rounds = vis._rounds(2, 3, 390_625, 1.0, 0, lambda dirs, cutoff, rngs: dirs[..., 0])
-        assert [(first, len(ranges)) for first, ranges in rounds] == [(0, 1), (1, 1), (2, 1)]
+        (sizes,) = vis._map_rounds(2, 3, 390_625, 1.0, 0, lambda dirs, cutoff, rngs: [len(dirs[..., 0])], _round_of)
+        assert list(zip(np.cumsum(sizes) - sizes, sizes)) == [(0, 1), (1, 1), (2, 1)]
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6)], ids=["fixed", "uniform"])
@@ -916,6 +921,7 @@ FAN_OUT_CALLS = {
                                                                    1.5, 34)),
     "zero-cell-d2": (3, lambda n: vis.estimate_zero_cell_volume(2, 3.0, n, 3, 2.5, 35)),
     "ranges-d2": (1, lambda n: vis.sample_visibility_ranges(2, 1.5, cf.FixedRadius(0.5), n, 2.0, 36)),
+    "segments-d2": (1, lambda n: vis.estimate_segment_crossings(2, 1.0, 1.0, n, 37)),  # rounds of _ROUND_REPS
 }
 
 
@@ -976,7 +982,7 @@ class TestForkedRounds:
         size = vis._round_size(n_rays)
         _cpus(monkeypatch, cpus)
         for n in (1, size - 1, size, size + 1, 2 * size + 1):
-            if n < 2 and n_rays > 1:  # a standard error needs two replications
+            if n < 2 and name != "ranges-d2":  # a standard error needs two replications
                 continue
             expected = _serial(partial(call, n))
             for derivation in [{}, *STREAM_DERIVATIONS.values()]:
@@ -1058,7 +1064,7 @@ class TestForkedRounds:
 
     def test_which_runs_fork(self, monkeypatch):
         # the work each run passes to fanout.map_spans, taken there before any draw: criteria 4 and 9 reach the
-        # floor, criterion 1 and every sweep call of the benchmark's workloads fall below it
+        # floor, criteria 1 and 11 and every sweep call of the benchmark's workloads fall below it
         class Stop(Exception):
             pass
 
@@ -1081,8 +1087,8 @@ class TestForkedRounds:
         assert c4 == pytest.approx(2000 * 2 * math.pi * (math.cosh(3.5) - 1), rel=1e-12) and c4 >= floor
         assert work_of(lambda: acceptance.CRITERIA[9](seed)) == 8 * 25_000 * 40 >= floor
         assert work_of(lambda: acceptance.CRITERIA[1](seed)) == 10_000 < floor
-        # criterion 11 sweeps no rounds of its own: 10,000 segments through 2 sinh(1) expected planes each
-        assert 10_000 * ps.plane_measure(2, 1.0) < floor
+        # criterion 11: 10,000 segments of length 1 through 2 sinh(1) expected planes each at intensity 1
+        assert work_of(lambda: acceptance.CRITERIA[11](seed)) == 10_000 * 1.0 * ps.plane_measure(2, 1.0) < floor
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
         spec = importlib.util.spec_from_file_location("hypervis_benchmark_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
@@ -1175,7 +1181,7 @@ class TestCapUnionSweep:
         gamma = rate / (cf.grain_moments(d, law).v_dm1_star if law else cf.zero_cell_rate(d, 1.0))
         n_reps, n_rays, cutoff, seed = 400, 3, 2.0, 110 + d
         sweep = partial(vis._boolean_ranges, d, gamma, law) if law else partial(vis._hyperplane_ranges, d, gamma)
-        capped = np.concatenate([r for _, r in vis._rounds(d, n_reps, n_rays, cutoff, seed, sweep)])
+        (capped,) = vis._map_rounds(d, n_reps, n_rays, cutoff, seed, sweep, _round_of)
         ref = reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed + 1000, block_target=256, capped=False)
         assert sum(calls) > n_reps / 4  # the replications still sweeping in each capped block
         # the replications are independent, their rays are not: compare the replications' mean ranges
