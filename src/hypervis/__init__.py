@@ -22,7 +22,6 @@ from .closedform import (
     sinh_exp_integral,
     steiner_ball_check,
     truncated_visible_volume,
-    truncation_asymptote,
     verify_ell_identity,
     visibility_threshold,
     zero_cell_mean_volume,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -155,11 +156,22 @@ def main(argv=None) -> int:
 
     if args.command == "estimate":
         config = harness.ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)})
+        made = bool(args.out) and not os.path.lexists(args.out)
+        try:  # probe the path before the run; a file the probe made goes again unless the run completes
+            if args.out:
+                open(args.out, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        result = None
         try:
             result = harness.run(config)
         except (harness.UsageError, procsim.ResourceGuardError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
+        finally:
+            if made and result is None:
+                os.remove(args.out)
         try:
             harness.emit(result, args.format, args.out if args.out else sys.stdout)
         except OSError as exc:

@@ -522,23 +522,6 @@ def truncated_visible_volume(d: int, gamma: float, law: GrainLaw | None, r: floa
     return omega(d) * top * float(_quad(scaled, 0.0, min(r, reach)))
 
 
-def truncation_asymptote(d: int, gamma: float, law: GrainLaw, r: float) -> tuple[str, float]:
-    """Growth regime and comparator for the truncated visible volume at radius r.
-
-    subcritical (a < d-1): omega_d/(2^{d-1}(d-1-a)) e^{(d-1-a)r} for the value;
-    critical (a = d-1): omega_d/2^{d-1} r for the value;
-    supercritical (a > d-1): omega_d/(2^{d-1}(a-d+1)) e^{-(a-d+1)r} for the tail.
-    """
-    a = range_rate(d, gamma, law)
-    gap = a - (d - 1)
-    scale = omega(d) / 2.0 ** (d - 1)
-    if abs(gap) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
-        return "critical", scale * r
-    if gap < 0:
-        return "subcritical", scale / (-gap) * math.exp(-gap * r)
-    return "supercritical", scale / gap * math.exp(-gap * r)
-
-
 def critical_scaling(d: int, delta: float) -> float:
     """Leading divergence omega_d/(2^{d-1} delta) of the mean visible volume at rate d-1+delta."""
     if delta <= 0:

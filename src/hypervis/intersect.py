@@ -117,11 +117,7 @@ def _expected_grains(gamma: float, law: GrainLaw, r_win: float) -> float:
 def _round_size(gamma: float, law: GrainLaw, r_win: float) -> int:
     """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most _ROUND_REPS."""
     grains = _expected_grains(gamma, law, r_win)
-    if grains * grains > procsim.MAX_EXPECTED_COUNT:  # one realization's Gram matrix holds all its grain pairs
-        raise procsim.ResourceGuardError(
-            f"{grains * grains:.3g} expected grain pairs per realization exceed resource guard "
-            f"{procsim.MAX_EXPECTED_COUNT:.0e}"
-        )
+    procsim.guard(grains * grains, "expected grain pairs per realization")  # one realization's Gram matrix holds them
     return int(min(_ROUND_REPS, max(1.0, _ROUND_PAIRS // (1.0 + grains) ** 2)))
 
 

@@ -57,6 +57,12 @@ class ResourceGuardError(ValueError):
     """A sample would hold more obstacles than the resource guard allows; the input asks too much."""
 
 
+def guard(amount: float, what: str) -> None:
+    """Refuse an amount of what beyond the resource guard, nan passing; it prints in full, so it reads above."""
+    if amount > MAX_EXPECTED_COUNT:
+        raise ResourceGuardError(f"{what} = {amount} exceeds resource guard {MAX_EXPECTED_COUNT:.0e}")
+
+
 @dataclass
 class BooleanModelSample:
     """One realization of the grain process inside a center window.
@@ -213,8 +219,7 @@ def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarr
 
 def _poisson_count(rng: np.random.Generator, mean: float, size: int | None = None):
     """A Poisson count of the given mean, or size of them, refused beyond the resource guard."""
-    if mean > MAX_EXPECTED_COUNT:
-        raise ResourceGuardError(f"expected obstacle count {mean:.3g} exceeds resource guard {MAX_EXPECTED_COUNT:.0e}")
+    guard(mean, "expected obstacle count")
     return rng.poisson(mean, size)
 
 
@@ -459,11 +464,7 @@ def band_grains(d: int, gamma: float, law: GrainLaw, s_lo: float, s_hi: float, n
     m = law.max_radius
     fiber = omega(d - 1) * np.sinh(m) ** (d - 1) / (d - 1)
     mean = gamma * ((s_hi - s_lo) + 2.0 * m) * fiber
-    if mean * n_sims > MAX_EXPECTED_COUNT:
-        raise ResourceGuardError(
-            f"expected grain count {mean * n_sims:.3g} of {n_sims} band experiments "
-            f"exceeds resource guard {MAX_EXPECTED_COUNT:.0e}"
-        )
+    guard(mean * n_sims, f"expected grain count of {n_sims} band experiments")
     return mean
 
 

@@ -148,10 +148,7 @@ def check_run(gamma: float, n_reps: int, seed: int, replicated: bool = True, **l
         raise ValueError(f"a standard error across replications needs n_reps >= 2, got {n_reps}")
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if n_reps > procsim.MAX_EXPECTED_COUNT:
-        raise procsim.ResourceGuardError(
-            f"n_reps = {n_reps} exceeds the resource guard {procsim.MAX_EXPECTED_COUNT:.0e}"
-        )
+    procsim.guard(n_reps, "n_reps")
 
 
 def check_sweep(
@@ -170,14 +167,11 @@ def check_sweep(
     if stratified:
         n_reps = STRATIFIED_BATCHES
     check_run(gamma, n_reps, seed, replicated, cutoff=cutoff, truncate_at=truncate_at)
-    guard = procsim.MAX_EXPECTED_COUNT
     if n_rays is not None and n_rays < 1:
         raise ValueError(f"n_rays must be >= 1, got {n_rays}")
-    if n_rays is not None and n_rays * _BLOCK_TARGET > guard:  # the many-ray sweep casts every ray against each block
-        raise procsim.ResourceGuardError(
-            f"n_rays = {n_rays} exceeds the resource guard: n_rays x {_BLOCK_TARGET} obstacles "
-            f"per sweep block = {n_rays * _BLOCK_TARGET:.3g} ray-obstacle pairs > {guard:.0e}"
-        )
+    if n_rays is not None:  # the many-ray sweep casts every ray against each block
+        pairs = f"n_rays = {n_rays} rays x {_BLOCK_TARGET} obstacles per sweep block, in ray-obstacle pairs"
+        procsim.guard(n_rays * _BLOCK_TARGET, pairs)
     if not cutoff > 0:
         raise ValueError("cutoff must be > 0")
     a = closedform.range_rate(d, gamma, law)
@@ -217,21 +211,14 @@ def check_sweep(
         return
     if law:  # a grain sweep ends past the largest grain radius, so each replication samples the grains within it
         near = n_reps * gamma * float(closedform.ball_volume(d, m))
-        if near > guard:
-            raise procsim.ResourceGuardError(
-                f"{quantity} samples n_reps * gamma * vol B(max radius) = {near:.3g} grains near the base "
-                f"point, beyond the resource guard {guard:.0e}"
-            )
+        procsim.guard(near, f"{quantity} samples n_reps * gamma * vol B(max radius) grains near the base point")
     if n_rays is None and replicated:  # a segment: each replication draws the planes within its length at once
         first, what = gamma * procsim.plane_measure(d, cutoff), f"planes within {cutoff:g} of the base point"
     else:  # a sweep: each replication draws its first block, at least _MIN_BLOCK_WIDTH wide, first
         share = obs.share(0.0) if single else 1.0  # one ray sweeps its direction cap, many rays whole annuli
         first = obs.gamma * obs.scale * share * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, obs.sign)
-        what = f"obstacles in its first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide"
-    if first > guard:
-        raise procsim.ResourceGuardError(
-            f"{quantity} expects {first:.3g} {what} per replication, which exceeds resource guard {guard:.0e}"
-        )
+        what = f"obstacles in the first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide,"
+    procsim.guard(first, f"expected {what} per replication of {quantity}")
 
 
 # ---------------------------------------------------------------------------

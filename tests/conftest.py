@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ def ks_statistic(samples, cdf):
     f = cdf(x)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+def guard_amount_and_limit(message):
+    """The amount and the limit that a resource guard's refusal prints, read back as floats."""
+    match = re.fullmatch(r".* = (\S+) exceeds resource guard (\S+)", message.strip())
+    return float(match[1]), float(match[2])
 
 
 def random_point(d, rng, r_max=3.0):

@@ -6,8 +6,8 @@ through materialized window samples, circle-circle intersection points and
 their O(n^2) window count, the Poisson point sampler in a ball and rejection
 conditioning of the Boolean model, hyperboloid utilities (tangent bases,
 rotations, the Poincare-ball distance) that the checks build on, the windowed
-estimators one replication at a time, and the band experiments through the
-whole Fermi window.
+estimators one replication at a time, the band experiments through the
+whole Fermi window, and the leading growth of the truncated visible volume.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypervis import procsim
-from hypervis.closedform import ball_volume, grain_moments, omega, sinh_integral
+from hypervis.closedform import _THRESHOLD_GUARD, ball_volume, grain_moments, omega, range_rate, sinh_integral
 from hypervis.intersect import _TANGENCY_TOL
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
@@ -520,3 +520,25 @@ def fermi_band_first_touches(d: int, gamma: float, law, s_lo: float, s_hi: float
     keep = (tau > s_lo) & (tau <= s_hi)
     np.minimum.at(first, sim_idx[touches][keep], tau[keep])
     return first
+
+
+# ---------------------------------------------------------------------------
+# Truncation asymptotes
+# ---------------------------------------------------------------------------
+
+
+def truncation_asymptote(d: int, gamma: float, law, r: float) -> tuple[str, float]:
+    """Growth regime and comparator for the truncated visible volume at radius r.
+
+    subcritical (a < d-1): omega_d/(2^{d-1}(d-1-a)) e^{(d-1-a)r} for the value;
+    critical (a = d-1): omega_d/2^{d-1} r for the value;
+    supercritical (a > d-1): omega_d/(2^{d-1}(a-d+1)) e^{-(a-d+1)r} for the tail.
+    """
+    a = range_rate(d, gamma, law)
+    gap = a - (d - 1)
+    scale = omega(d) / 2.0 ** (d - 1)
+    if abs(gap) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
+        return "critical", scale * r
+    if gap < 0:
+        return "subcritical", scale / (-gap) * math.exp(-gap * r)
+    return "supercritical", scale / gap * math.exp(-gap * r)

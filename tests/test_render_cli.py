@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hypervis import acceptance
+from hypervis import acceptance, visibility
 from hypervis import closedform as cf
 from hypervis.cli import main
 
@@ -91,12 +91,35 @@ class TestCli:
         assert data["grain_kind"] == "fixed"
 
     @pytest.mark.parametrize("name, reason", [("missing/rec.json", "No such file or directory"), (".", "Is a directory")])
-    def test_estimate_to_an_unwritable_path(self, name, reason, tmp_path, capsys):
+    def test_estimate_to_an_unwritable_path(self, name, reason, tmp_path, capsys, monkeypatch):
+        # the path is probed before the run, so no replication is swept
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a replication was swept before the path was found unwritable")
+
+        monkeypatch.setattr(visibility, "_sweep", no_sweep)
         out = tmp_path / name
         argv = ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--cutoff", "1", "--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: cannot write {out}: {reason}\n"
+
+    def test_estimate_that_fails_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        out, kept = tmp_path / "rec.json", tmp_path / "kept.json"
+        kept.write_text("earlier\n")
+        refused = ["estimate", "zero_cell", "--gamma", "0.5", "--reps", "3", "--rays", "3", "--cutoff", "1"]
+        for path in (out, kept):
+            assert main([*refused, "--out", str(path)]) == 2
+        assert "usage error: mean zero-cell volume is infinite" in capsys.readouterr().err
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("failed mid-run")
+
+        monkeypatch.setattr(visibility, "_sweep", fails)
+        argv = ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--cutoff", "1"]
+        for path in (out, kept):
+            with pytest.raises(RuntimeError, match="failed mid-run"):
+                main([*argv, "--out", str(path)])
+        assert not out.exists() and kept.read_text() == "earlier\n"
 
     def test_estimate_usage_error(self, capsys):
         code = main(["estimate", "visvol", "--gamma", "0.5", "--grain", "fixed:0.5", "--reps", "10"])
