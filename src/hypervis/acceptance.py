@@ -1,7 +1,7 @@
 """Acceptance verification suite: each criterion runs at its stated tolerance
 with a pinned seed and reports one pass/fail line. Statistical criteria were
 pre-verified for the pinned seeds; --fresh-seed reruns report without asserting,
-and print their master seed, which run_all(seed) takes to re-run them.
+and print their master seed, which verify --seed and run_all(seed) take to re-run them.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ and visibility.estimate_segment_crossings (expected planes), whose item i
 draws from stream(seed, i). The stratified estimator calls map_spans with
 batches as rounds of one (band experiments): batch b draws its bands from
 streams(seed, b, ...), not from one generator per item. What a run returns
-does not depend on how many processes share it.
+does not depend on how many processes share it. A run forks from
+_FORK_MIN_WORK units of work, the measured crossover above which two spans
+beat one: criteria 1, 2, 4, 5, 9 and 11 fork, single-ray runs of a few
+thousand rays stay serial.
 
 fork_map runs the first of its calls in this process and each other call in
 a child made by a bare os.fork: no process pool, whose modules alone would
@@ -27,10 +30,12 @@ import numpy as np
 
 from .rng import rounds
 
-# The least work of a run that forks. A fork and its pickled result cost milliseconds: criterion 1's
-# 10,000 single rays sweep in about 0.1 s, and on a 2-vCPU VM a sweep of 35,000 rays at d = 4 ran
-# slower in two spans than in one.
-_FORK_MIN_WORK = 2**17
+# The least work of a run that forks, in its caller's unit. A bare fork_map round trip costs 3-5 ms on a
+# 2-vCPU Intel Xeon VM. There, as the median time in two spans over the median serial time, single-ray
+# ranges (d = 2 and 3, balls and planes) and segment crossings ran at 0.93-1.62 of serial at 1,024 units,
+# up to 1.16 at 4,096 and 0.58-0.88 at 8,192; 50-ray d = 4 volumes ran at 1.36-1.38 at 1,600 rays and
+# 0.65-0.74 at 12,800. So forking wins from 8,192 units on, in every unit a caller passes.
+_FORK_MIN_WORK = 2**13
 
 
 def map_spans(fn: Callable[[int, int], object], count: int, size: int, work: float) -> list:

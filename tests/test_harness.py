@@ -135,66 +135,92 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["zero_cell", "--gamma", "3", "--reps", "1", "--rays", "2", "--stratified"], "visvol_truncated only"),
-            (["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "2", "--reps", "1", "--stratified"],
-             "visvol_truncated only"),
-            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1.3", "--stratified"],
-             "multiple of band_width 0.5"),
-            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "-1"], "truncate_at must be >= 0"),
-            (["zero_cell", "--reps", "10", "--rays", "2"], "needs an intensity (--gamma)"),
-            (["zero_cell", "--gamma", "0.5", "--reps", "3", "--rays", "3"], "mean zero-cell volume is infinite"),
-            (["zero_cell", "--dim", "12", "--gamma", "3", "--reps", "3", "--rays", "3"], "finiteness needs gamma > 46.77"),
-            (["cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--cutoff", "0.001"],
-             "every range is censored at the cutoff"),
-            (["cdf_tessellation", "--gamma", "1", "--reps", "5", "--cutoff", "0.001"], "every range is censored at the cutoff"),
-            (["cdf_tessellation", "--gamma", "1e-9", "--reps", "5", "--cutoff", "400"], "beyond the 350"),
-            (["visvol", "--dim", "10", "--gamma", "2000", "--grain", "fixed:0.5", "--cutoff", "78"], "depth 78.5, beyond"),
-            (["zero_cell", "--gamma", "1", "--reps", "5", "--dim", "342", "--cutoff", "1"], "the largest supported is d = 341"),
-            (["cdf_tessellation", "--gamma", "3", "--reps", str(10**12), "--cutoff", "2"],
-             "n_reps = 1000000000000 exceeds resource guard 1e+08"),
-            (["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"],
-             "n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds"),
-            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", str(10**12)],
-             "n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds"),
+            pytest.param(["zero_cell", "--gamma", "3", "--reps", "1", "--rays", "2", "--stratified"],
+                         "visvol_truncated only", id="argv0-visvol_truncated only"),
+            pytest.param(["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "2", "--reps", "1", "--stratified"],
+                         "visvol_truncated only", id="argv1-visvol_truncated only"),
+            pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1.3", "--stratified"],
+                         "multiple of band_width 0.5", id="argv2-multiple of band_width 0.5"),
+            pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "-1"],
+                         "truncate_at must be >= 0", id="argv3-truncate_at must be >= 0"),
+            pytest.param(["zero_cell", "--reps", "10", "--rays", "2"],
+                         "needs an intensity (--gamma)", id="argv4-needs an intensity (--gamma)"),
+            pytest.param(["zero_cell", "--gamma", "0.5", "--reps", "3", "--rays", "3"],
+                         "mean zero-cell volume is infinite", id="argv5-mean zero-cell volume is infinite"),
+            pytest.param(["zero_cell", "--dim", "12", "--gamma", "3", "--reps", "3", "--rays", "3"],
+                         "finiteness needs gamma > 46.77", id="argv6-finiteness needs gamma > 46.77"),
+            pytest.param(["cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--cutoff", "0.001"],
+                         "every range is censored at the cutoff", id="argv7-every range is censored at the cutoff"),
+            pytest.param(["cdf_tessellation", "--gamma", "1", "--reps", "5", "--cutoff", "0.001"],
+                         "every range is censored at the cutoff", id="argv8-every range is censored at the cutoff"),
+            pytest.param(["cdf_tessellation", "--gamma", "1e-9", "--reps", "5", "--cutoff", "400"],
+                         "beyond the 350", id="argv9-beyond the 350"),
+            pytest.param(["visvol", "--dim", "10", "--gamma", "2000", "--grain", "fixed:0.5", "--cutoff", "78"],
+                         "depth 78.5, beyond", id="argv10-depth 78.5, beyond"),
+            pytest.param(["zero_cell", "--gamma", "1", "--reps", "5", "--dim", "342", "--cutoff", "1"],
+                         "the largest supported is d = 341", id="argv11-the largest supported is d = 341"),
+            pytest.param(["cdf_tessellation", "--gamma", "3", "--reps", str(10**12), "--cutoff", "2"],
+                         "n_reps = 1000000000000 exceeds resource guard 1e+08",
+                         id="argv12-n_reps = 1000000000000 exceeds resource guard 1e+08"),
+            pytest.param(["zero_cell", "--gamma", "3", "--rays", str(10**12), "--cutoff", "2"],
+                         "n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds",
+                         id="argv13-n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds"),
+            pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "2", "--rays", str(10**12)],
+                         "n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds",
+                         id="argv14-n_rays = 1000000000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 256000000000000 exceeds"),
             # each replication's first sweep block would trip the sampler's resource guard; check_sweep refuses it
-            (["cdf_tessellation", "--gamma", "1e15", "--reps", "5", "--cutoff", "1"], "exceeds resource guard 1e+08"),
-            (["cdf_tessellation", "--gamma", "1", "--dim", "341", "--reps", "5", "--cutoff", "1"],
-             "exceeds resource guard 1e+08"),
+            pytest.param(["cdf_tessellation", "--gamma", "1e15", "--reps", "5", "--cutoff", "1"],
+                         "exceeds resource guard 1e+08", id="argv15-exceeds resource guard 1e+08"),
+            pytest.param(["cdf_tessellation", "--gamma", "1", "--dim", "341", "--reps", "5", "--cutoff", "1"],
+                         "exceeds resource guard 1e+08", id="argv16-exceeds resource guard 1e+08"),
             # every replication samples the grains centred within the largest grain radius of the base point
-            (["visvol", "--gamma", "1e12", "--grain", "fixed:0.5", "--reps", "3", "--rays", "2", "--cutoff", "1"],
-             "visvol samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768198."),
-            (["cdf_boolean", "--gamma", "1e7", "--grain", "fixed:0.5", "--reps", "20", "--cutoff", "1"],
-             "cdf_boolean samples n_reps * gamma * vol B(max radius) grains near the base point = 160379517.8"),
-            (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1"],
-             "visvol_truncated samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768.1"),
+            pytest.param(["visvol", "--gamma", "1e12", "--grain", "fixed:0.5", "--reps", "3", "--rays", "2", "--cutoff", "1"],
+                         "visvol samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768198.",
+                         id="argv17-visvol samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768198."),
+            pytest.param(["cdf_boolean", "--gamma", "1e7", "--grain", "fixed:0.5", "--reps", "20", "--cutoff", "1"],
+                         "cdf_boolean samples n_reps * gamma * vol B(max radius) grains near the base point = 160379517.8",
+                         id="argv18-cdf_boolean samples n_reps * gamma * vol B(max radius) grains near the base point = 160379517.8"),
+            pytest.param(["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1"],
+                         "visvol_truncated samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768.1",
+                         id="argv19-visvol_truncated samples n_reps * gamma * vol B(max radius) grains near the base point = 2405692768.1"),
             # the many-ray sweep holds a rays x obstacles matrix per block; refused before the rays are drawn
-            (["visvol", "--gamma", "3", "--grain", "fixed:0.5", "--reps", "3", "--rays", "100000000", "--cutoff", "1"],
-             "n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000 exceeds"),
+            pytest.param(["visvol", "--gamma", "3", "--grain", "fixed:0.5", "--reps", "3", "--rays", "100000000", "--cutoff", "1"],
+                         "n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000 exceeds",
+                         id="argv20-n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000 exceeds"),
             # the stratified estimator's band experiments trip the sampler's resource guard
-            (["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1",
-              "--stratified"], "band experiments = 39082147912031."),
+            pytest.param(["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1",
+                          "--stratified"],
+                         "band experiments = 39082147912031.", id="argv21-band experiments = 39082147912031."),
             # one realization's Gram matrix would hold about 1e12 grain pairs; refused before any draw
-            (["intersection_density", "--gamma", "10000", "--grain", "fixed:0.5", "--rwin", "3", "--reps", "2"],
-             "expected grain pairs per realization = 957402428663.1"),
+            pytest.param(["intersection_density", "--gamma", "10000", "--grain", "fixed:0.5", "--rwin", "3", "--reps", "2"],
+                         "expected grain pairs per realization = 957402428663.1",
+                         id="argv22-expected grain pairs per realization = 957402428663.1"),
             # the stratified estimator's band experiments are bounded by the same sweep depth
-            (["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1000", "--cutoff", "1000",
-              "--stratified"], "sweeps to depth 1000.5, beyond the 350"),
+            pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1000", "--cutoff", "1000",
+                          "--stratified"],
+                         "sweeps to depth 1000.5, beyond the 350", id="argv23-sweeps to depth 1000.5, beyond the 350"),
             # a window whose area is 0 in double precision would give a NaN estimate, which is not valid JSON
-            (["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "1e-300", "--reps", "2"],
-             "rwin must be > 0 with a window area > 0, got 1e-300"),
+            pytest.param(["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "1e-300", "--reps", "2"],
+                         "rwin must be > 0 with a window area > 0, got 1e-300",
+                         id="argv24-rwin must be > 0 with a window area > 0, got 1e-300"),
             # the direction cap a grain this small reaches the ray from has share 0, so the capped sweep cannot draw it
-            (["cdf_boolean", "--gamma", "1", "--grain", "fixed:1e-300", "--reps", "5", "--cutoff", "2"],
-             "grain radius 1e-300 is too small for the single-ray sweep to cutoff 2"),
-            (["cdf_boolean", "--gamma", "1", "--grain", "uniform:0,1e-200", "--reps", "5", "--cutoff", "2"],
-             "grain radius 1e-200 is too small for the single-ray sweep to cutoff 2"),
+            pytest.param(["cdf_boolean", "--gamma", "1", "--grain", "fixed:1e-300", "--reps", "5", "--cutoff", "2"],
+                         "grain radius 1e-300 is too small for the single-ray sweep to cutoff 2",
+                         id="argv25-grain radius 1e-300 is too small for the single-ray sweep to cutoff 2"),
+            pytest.param(["cdf_boolean", "--gamma", "1", "--grain", "uniform:0,1e-200", "--reps", "5", "--cutoff", "2"],
+                         "grain radius 1e-200 is too small for the single-ray sweep to cutoff 2",
+                         id="argv26-grain radius 1e-200 is too small for the single-ray sweep to cutoff 2"),
             # ranges of mean 1/a = 1.8e-3 in d = 200 have volumes that underflow: the estimate would read 0
-            (["zero_cell", "--dim", "200", "--gamma", "1e4", "--reps", "3", "--rays", "3", "--cutoff", "1"],
-             "zero_cell averages ray volumes near vol B(1/a) = 0 at mean range 1/a = 0.00177024, which underflows"),
+            pytest.param(["zero_cell", "--dim", "200", "--gamma", "1e4", "--reps", "3", "--rays", "3", "--cutoff", "1"],
+                         "zero_cell averages ray volumes near vol B(1/a) = 0 at mean range 1/a = 0.00177024, which underflows",
+                         id="argv27-zero_cell averages ray volumes near vol B(1/a) = 0 at mean range 1/a = 0.00177024, which underflows"),
             # grains this small cross with an intersection density that underflows: the estimate would read 0
-            (["intersection_density", "--gamma", "1", "--grain", "fixed:1e-300", "--rwin", "1", "--reps", "3"],
-             "the intersection density kappa_2 (v* gamma)^2 = 0 underflows double precision"),
-            (["intersection_density", "--gamma", "1e200", "--grain", "fixed:0.5", "--rwin", "1", "--reps", "3"],
-             "the intersection density kappa_2 (v* gamma)^2 overflows double precision"),
+            pytest.param(["intersection_density", "--gamma", "1", "--grain", "fixed:1e-300", "--rwin", "1", "--reps", "3"],
+                         "the intersection density kappa_2 (v* gamma)^2 = 0 underflows double precision",
+                         id="argv28-the intersection density kappa_2 (v* gamma)^2 = 0 underflows double precision"),
+            pytest.param(["intersection_density", "--gamma", "1e200", "--grain", "fixed:0.5", "--rwin", "1", "--reps", "3"],
+                         "the intersection density kappa_2 (v* gamma)^2 overflows double precision",
+                         id="argv29-the intersection density kappa_2 (v* gamma)^2 overflows double precision"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

@@ -134,9 +134,22 @@ class TestCli:
     def test_fresh_seed_is_printed_and_reruns(self, capsys):
         assert main(["verify", "--fresh-seed", "--only", "1,11"]) == 0
         out = capsys.readouterr().out.splitlines()
-        seed = int(re.fullmatch(r"reported 2 criteria with the fresh master seed (\d+) \(not asserted\)", out[-1])[1])
-        rerun = acceptance.run_all(seed, only={1, 11})
-        assert [line.split(") ", 1)[1] for line in out[:-1]] == [res.line().split(") ", 1)[1] for res in rerun]
+        last = re.fullmatch(r"reported 2 criteria with the fresh master seed (\d+) \(not asserted\); re-run them with --seed (\d+)",
+                            out[-1])
+        seed = last[1]
+        assert last[2] == seed
+        assert main(["verify", "--seed", seed, "--only", "1,11"]) == 0
+        rerun = capsys.readouterr().out.splitlines()
+        assert rerun[-1] == f"reported 2 criteria with the master seed {seed} (not asserted)"
+        assert [line.split(") ", 1)[1] for line in out[:-1]] == [line.split(") ", 1)[1] for line in rerun[:-1]]
+
+    def test_seed_reports_without_failing(self, monkeypatch, capsys):
+        failing = acceptance.CriterionResult(3, "finiteness threshold", False, "made to fail", 0.0)
+        monkeypatch.setitem(acceptance.CRITERIA, 3, lambda seed: failing)
+        assert main(["verify", "--only", "3"]) == 1
+        seed = acceptance.DEFAULT_SEED
+        assert main(["verify", "--seed", str(seed), "--only", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"reported 1 criteria with the master seed {seed} (not asserted)"
 
     @pytest.mark.parametrize(
         "argv",
@@ -153,6 +166,8 @@ class TestCli:
             ["estimate", "cdf_boolean", "--gamma", "1", "--grain", "fixed:0.5", "--reps", "5", "--seed", "-1"],
             ["estimate", "zero_cell", "--gamma", "3", "--reps", "3", "--rays", "3", "--seed", "-5"],
             ["constants", "--dim", "342"],
+            ["verify", "--seed", "-1"],
+            ["verify", "--seed", "7", "--fresh-seed"],
         ],
     )
     def test_invalid_argument_is_usage_error(self, argv, capsys):
