@@ -47,7 +47,8 @@ def _criterion_numbers(text: str) -> set[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated criterion numbers, got {text!r}") from None
     unknown = sorted(numbers - set(acceptance.CRITERIA))
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown criteria {unknown}; known: {sorted(acceptance.CRITERIA)}")
+        known = f"{sorted(acceptance.CRITERIA)}, and 12 (the family-wise z bound), which runs only on a full run"
+        raise argparse.ArgumentTypeError(f"unknown criteria {unknown}; known: {known}")
     return numbers
 
 

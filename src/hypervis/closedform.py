@@ -375,6 +375,8 @@ def ball_volume(d: int, r) -> np.ndarray | float:
     2^{-k(d-1)} int_0^r sinh^{d-1} and the terms of its reduction formula are doubles wherever the volume is.
     """
     r = np.asarray(r, dtype=float)
+    if not (r >= 0).all():  # nan too, which sinh_integral would pass on
+        raise ValueError("radius must be >= 0")
     out = np.asarray(omega(d) * sinh_integral(d, r))
     big = np.isinf(out) & np.isfinite(r)  # the integral passes the doubles
     if d > 2 and big.any():  # omega_2 > 1: in d = 2 the volume overflows with the integral
@@ -386,8 +388,8 @@ def ball_volume(d: int, r) -> np.ndarray | float:
 
 def ball_surface(d: int, r: float) -> float:
     """Boundary content of a hyperbolic ball: omega_d sinh^{d-1}(r)."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    if not r >= 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
     return omega(d) * math.sinh(r) ** (d - 1)
 
 
@@ -469,6 +471,8 @@ def sinh_exp_integral(d: int, a: float) -> float:
     2^{-d}/x prod_{k=1}^{d-1} k/(x+k), whose factors are all <= 1: no partial
     product overflows, and none underflows unless the value itself does.
     """
+    if math.isnan(a):
+        raise ValueError("rate a must be a number, got nan")
     if a - (d - 1) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
         return math.inf
     x = (a - d + 1) / 2.0
@@ -494,8 +498,8 @@ def range_rate(d: int, gamma: float, law: GrainLaw | None) -> float:
 
 def mean_visible_volume(d: int, gamma: float, law: GrainLaw) -> float:
     """Mean visible volume of the conditioned Boolean model; math.inf at or below threshold."""
-    if gamma <= 0:
-        raise ValueError("intensity must be > 0")
+    if not gamma > 0:
+        raise ValueError(f"intensity must be > 0, got {gamma}")
     return omega(d) * sinh_exp_integral(d, range_rate(d, gamma, law))
 
 
@@ -508,6 +512,8 @@ def truncated_visible_volume(d: int, gamma: float, law: GrainLaw | None, r: floa
     further on it is below e^{-40} of its peak: the rule stops there, at the bump's own scale, if that is before r.
     """
     _finite_radius("r", r)
+    if not gamma >= 0:  # gamma = 0 gives the ball's volume
+        raise ValueError(f"intensity must be >= 0, got {gamma}")
     if r == 0:
         return 0.0
     a = range_rate(d, gamma, law)
@@ -524,15 +530,15 @@ def truncated_visible_volume(d: int, gamma: float, law: GrainLaw | None, r: floa
 
 def critical_scaling(d: int, delta: float) -> float:
     """Leading divergence omega_d/(2^{d-1} delta) of the mean visible volume at rate d-1+delta."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
     return omega(d) / (2.0 ** (d - 1) * delta)
 
 
 def intersection_density(d: int, gamma: float, law: GrainLaw) -> float:
     """Expected boundary-intersection points per unit volume: kappa_d (v* gamma)^d."""
-    if gamma < 0:
-        raise ValueError("intensity must be >= 0")
+    if not gamma >= 0:
+        raise ValueError(f"intensity must be >= 0, got {gamma}")
     if gamma == 0:
         return 0.0
     return kappa(d) * (grain_moments(d, law).v_dm1_star * gamma) ** d
@@ -540,8 +546,8 @@ def intersection_density(d: int, gamma: float, law: GrainLaw) -> float:
 
 def visibility_threshold(d: int, radius: float) -> float:
     """Critical intensity (d-1)/(kappa_{d-1} sinh^{d-1}(radius)) for fixed-radius balls."""
-    if radius <= 0:
-        raise ValueError("grain radius must be > 0")
+    if not radius > 0:
+        raise ValueError(f"grain radius must be > 0, got {radius}")
     return (d - 1) / (kappa(d - 1) * math.sinh(radius) ** (d - 1))
 
 
@@ -552,8 +558,8 @@ def zero_cell_rate(d: int, gamma: float) -> float:
 
 def zero_cell_mean_volume(d: int, gamma: float) -> float:
     """Mean zero-cell volume of the hyperplane tessellation; math.inf iff rate <= d-1."""
-    if gamma <= 0:
-        raise ValueError("intensity must be > 0")
+    if not gamma > 0:
+        raise ValueError(f"intensity must be > 0, got {gamma}")
     return omega(d) * sinh_exp_integral(d, zero_cell_rate(d, gamma))
 
 

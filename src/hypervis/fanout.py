@@ -1,15 +1,16 @@
 """The one fan-out rule of the large estimates (map_spans), over processes forked from this one (fork_map).
 
-map_rounds sweeps the rounds of visibility._map_rounds (work: rays),
-intersect.estimate_intersection_density (expected grains of its windows)
-and visibility.estimate_segment_crossings (expected planes), whose item i
-draws from stream(seed, i). The stratified estimator calls map_spans with
-batches as rounds of one (band experiments): batch b draws its bands from
-streams(seed, b, ...), not from one generator per item. What a run returns
-does not depend on how many processes share it. A run forks from
-_FORK_MIN_WORK units of work, the measured crossover above which two spans
-beat one: criteria 1, 2, 4, 5, 9 and 11 fork, single-ray runs of a few
-thousand rays stay serial.
+map_rounds, the one place that groups generators into rounds, slices each
+span's rounds from one run of rng.streams(seed). It sweeps the rounds of
+visibility._map_rounds (work: rays), intersect.estimate_intersection_density
+(expected grains of its windows) and visibility.estimate_segment_crossings
+(expected planes), whose item i draws from stream(seed, i). The stratified
+estimator calls map_spans with batches as rounds of one (band experiments):
+batch b draws its bands from streams(seed, b, ...), not from one generator
+per item. What a run returns does not depend on how many processes share
+it. A run forks from _FORK_MIN_WORK units of work, the measured crossover
+above which two spans beat one: criteria 1, 2, 4, 5, 9 and 11 fork,
+single-ray runs of a few thousand rays stay serial.
 
 fork_map runs the first of its calls in this process and each other call in
 a child made by a bare os.fork: no process pool, whose modules alone would
@@ -24,11 +25,15 @@ import os
 import pickle
 import signal
 import threading
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
-from .rng import rounds
+from .rng import streams
+
+# The most items a caller's round may hold, each with a live generator (about 2 KB); callers read it at call time.
+ROUND_REPS = 512
 
 # The least work of a run that forks, in its caller's unit. A bare fork_map round trip costs 3-5 ms on a
 # 2-vCPU Intel Xeon VM. There, as the median time in two spans over the median serial time, single-ray
@@ -57,12 +62,13 @@ def map_spans(fn: Callable[[int, int], object], count: int, size: int, work: flo
 
 
 def map_rounds(fn: Callable[[list], tuple], seed: int, count: int, size: int, work: float) -> tuple:
-    """fn(rngs) for each round of rng.rounds(seed, count, size), a tuple of per-item arrays, each concatenated
-    over the rounds in item order. map_spans cuts the rounds into spans by this work, and each span builds
-    only its own generators."""
+    """fn(rngs) for each round of size generators of stream(seed, i), a tuple of per-item arrays, each concatenated
+    over the rounds in item order. map_spans cuts the rounds into spans by this work, and each span builds only
+    its own generators, as a run of streams(seed, count=hi, start=lo)."""
 
     def span(lo: int, hi: int) -> list[np.ndarray]:
-        parts = [fn(rngs) for _, rngs in rounds(seed, hi, size, lo)]
+        gens = streams(seed, count=hi, start=lo)
+        parts = [fn(list(islice(gens, size))) for _ in range(lo, hi, size)]
         return [np.concatenate(p) for p in zip(*parts)]
 
     return tuple(np.concatenate(p) for p in zip(*map_spans(span, count, size, work)))

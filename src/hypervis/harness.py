@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -227,10 +229,10 @@ def emit(result, fmt: str, out) -> None:
     data = record_dict(result)
     if fmt == "json":
         text = json.dumps(data, indent=2) + "\n"
-    else:
-        header = ",".join(data)
-        row = ",".join("" if v is None else str(v) for v in data.values())
-        text = header + "\n" + row + "\n"
+    else:  # the csv module quotes a field that holds a comma, such as a uniform law's grain_params
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([data, data.values()])
+        text = buf.getvalue()
     if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
         with open(out, "w") as fh:
             fh.write(text)

@@ -28,7 +28,7 @@ import numpy as np
 from . import closedform, fanout, procsim
 from .closedform import GrainLaw, ball_volume
 from .rng import stream  # noqa: F401 (benchmarks/tracer.py wraps stream here)
-from .visibility import _ROUND_REPS, EstimateRecord, check_run, make_record
+from .visibility import EstimateRecord, check_run, make_record
 
 _TANGENCY_TOL = 1e-12
 # Expected grain pairs per round (see _round_size): the round's padded Gram matrix and pair tests
@@ -115,10 +115,10 @@ def _expected_grains(gamma: float, law: GrainLaw, r_win: float) -> float:
 
 
 def _round_size(gamma: float, law: GrainLaw, r_win: float) -> int:
-    """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most _ROUND_REPS."""
+    """Realizations per round: about _ROUND_PAIRS expected grain pairs, and at most fanout.ROUND_REPS."""
     grains = _expected_grains(gamma, law, r_win)
     procsim.guard(grains * grains, "expected grain pairs per realization")  # one realization's Gram matrix holds them
-    return int(min(_ROUND_REPS, max(1.0, _ROUND_PAIRS // (1.0 + grains) ** 2)))
+    return int(min(fanout.ROUND_REPS, max(1.0, _ROUND_PAIRS // (1.0 + grains) ** 2)))
 
 
 def check_window(gamma: float, law: GrainLaw, r_win: float, n_reps: int, seed: int) -> None:

@@ -223,7 +223,7 @@ def _poisson_count(rng: np.random.Generator, mean: float, size: int | None = Non
     return rng.poisson(mean, size)
 
 
-def _kept(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def kept_counts(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """How many draws each generator keeps, of counts[i] draws by generator i concatenated in generator order."""
     return np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
 
@@ -301,7 +301,7 @@ def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering
         if drop_covering:
             keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
     if keep is not None:
-        dists, where, marks, counts = dists[keep], where[keep], tuple(m[keep] for m in marks), _kept(counts, keep)
+        dists, where, marks, counts = dists[keep], where[keep], tuple(m[keep] for m in marks), kept_counts(counts, keep)
     return dists, where, *marks, counts
 
 

@@ -15,15 +15,16 @@ the same machine. It hashes the keys of a chunk of up to _CHUNK indices at
 once, as numpy array operations on uint32 words, and builds each generator
 only when it is asked for: memory stays O(_CHUNK) however long the run.
 Results therefore do not depend on the chunk size, nor on how a run's
-generators are grouped. A run may start at any index (streams' and rounds'
-start), so that a worker process sweeping a span of replications (see
-fanout.map_rounds) builds only its own generators, bit for bit those a
-serial run builds for the same indices.
+generators are grouped. A run may start at any index (streams' start), so
+that a worker process sweeping a span of replications builds only its own
+generators, bit for bit those a serial run builds for the same indices;
+fanout.map_rounds, the one place that groups generators into rounds, slices
+its rounds from such runs. Even a run of a few keys is hashed in one pass,
+which costs about a dozen stream() calls.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -37,7 +38,6 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
 _CHUNK = 4096  # keys hashed by one vectorized pass
-_MIN_BATCH = 16  # a pass costs about a dozen stream() calls, so shorter runs use stream()
 
 
 def _check_key(key: tuple) -> tuple:
@@ -123,9 +123,8 @@ def streams(seed: int, *prefix: int, count: int, start: int = 0) -> Iterator[np.
     """Yield stream(seed, *prefix, i) for i in range(start, count), lazily and bit for bit.
 
     States are hashed a chunk of up to _CHUNK indices at a time and each
-    generator is built when it is asked for. A run of fewer than _MIN_BATCH
-    keys is cheaper one at a time, through stream(). Indices are hashed as
-    one uint32 word, so count is at most 2**32.
+    generator is built when it is asked for. Indices are hashed as one uint32
+    word, so count is at most 2**32.
     """
     key = _check_key((seed, *prefix, 0))[:-1]
     if not 0 <= count <= 2**32:
@@ -134,17 +133,5 @@ def streams(seed: int, *prefix: int, count: int, start: int = 0) -> Iterator[np.
         raise ValueError(f"a run of streams needs start >= 0, got {start}")
     head = [w for k in key for w in _words(k)]
     for lo in range(start, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        if hi - lo < _MIN_BATCH:
-            yield from (stream(*key, i) for i in range(lo, hi))
-        else:
-            for state in _pcg64_states(head, np.arange(lo, hi, dtype=np.uint32)):
-                yield np.random.Generator(np.random.PCG64(_PresetState(state)))
-
-
-def rounds(seed: int, count: int, size: int, start: int = 0) -> Iterator[tuple[int, list[np.random.Generator]]]:
-    """Yield (first index, its generators) for each round of size generators of streams(seed, count=count,
-    start=start); with start a multiple of size, these are the rounds of a run from 0 that begin at or after it."""
-    gens = streams(seed, count=count, start=start)
-    for first in range(start, count, size):
-        yield first, list(islice(gens, size))
+        for state in _pcg64_states(head, np.arange(lo, min(lo + _CHUNK, count), dtype=np.uint32)):
+            yield np.random.Generator(np.random.PCG64(_PresetState(state)))

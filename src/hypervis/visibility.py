@@ -316,9 +316,6 @@ def _hits_from_base(dirs: np.ndarray, obstacles: tuple, bound: Callable, hit: Ca
 # but not 1; an uncapped block of a few obstacles would multiply the blocks deep out.
 _BLOCK_TARGET = 256
 _CAP_BLOCK_TARGET = 8
-# Single-ray replications per round, also of the segment crossings and (at most) of the intersection
-# density; each keeps a live generator (about 2 KB). Rounds of many rays are smaller (see _round_size).
-_ROUND_REPS = 512
 # The narrowest block: a block whose target is reached closer to its inner radius is widened to this.
 _MIN_BLOCK_WIDTH = 1e-6
 
@@ -434,9 +431,9 @@ def _hyperplane_ranges(d: int, gamma: float, dirs, cutoff: float, rngs: list) ->
 
 
 def _round_size(n_rays: int) -> int:
-    """Replications per round of n_rays rays each: at least one, and at most _ROUND_REPS * _CAP_BLOCK_TARGET
-    rays and as many expected obstacles per annulus block."""
-    return max(1, _ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
+    """Replications per round of n_rays rays each: fanout.ROUND_REPS of one ray, at least one, and at most
+    fanout.ROUND_REPS * _CAP_BLOCK_TARGET rays and as many expected obstacles per annulus block."""
+    return max(1, fanout.ROUND_REPS * _CAP_BLOCK_TARGET // max(n_rays, _CAP_BLOCK_TARGET if n_rays == 1 else _BLOCK_TARGET))
 
 
 def _map_rounds(d: int, n_reps: int, n_rays: int, cutoff: float, seed: int, ranges: Callable, per_round: Callable):
@@ -543,8 +540,8 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
     per unit length. Planes farther than the segment length cannot cross it,
     so sampling the annulus [0, length] (check_sweep's cutoff, which refuses
     more planes there than the resource guard) is exact. Replications are
-    drawn in rounds of _ROUND_REPS by fanout.map_rounds (work: the expected
-    planes), each from its own stream(seed, i): one
+    drawn in rounds of fanout.ROUND_REPS by fanout.map_rounds (work: the
+    expected planes), each from its own stream(seed, i): one
     procsim.sample_hyperplane_annulus call per round draws each replication's
     count, distances and directions in that order, and one kernel call casts
     the segment through all of the round's planes.
@@ -556,9 +553,9 @@ def estimate_segment_crossings(d: int, gamma: float, length: float, n_reps: int,
 
     def cross(rngs: list) -> tuple:
         p_dist, p_dir, planes = procsim.sample_hyperplane_annulus(d, gamma, 0.0, [length] * len(rngs), rngs)
-        return (procsim._kept(planes, plane_hits_from_base(direction, p_dist, p_dir)[0] <= length),)
+        return (procsim.kept_counts(planes, plane_hits_from_base(direction, p_dist, p_dir)[0] <= length),)
 
-    (counts,) = fanout.map_rounds(cross, seed, n_reps, _ROUND_REPS, n_reps * gamma * procsim.plane_measure(d, length))
+    (counts,) = fanout.map_rounds(cross, seed, n_reps, fanout.ROUND_REPS, n_reps * gamma * procsim.plane_measure(d, length))
     closed = gamma * closedform.zero_cell_rate(d, 1.0) * length
     return make_record("segment_crossings", d, gamma, None, counts, closed, seed, t0, n_rays=1)
 

@@ -1,7 +1,7 @@
 import dataclasses
-import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -59,10 +59,24 @@ def random_rotation(d, rng):
     return q * np.sign(np.diag(r))
 
 
-# Ways rng.streams can derive a run's generators; each must give bit for bit the same results.
+def _per_key(seed, *prefix, count, start=0):
+    """rng.streams by numpy's SeedSequence: every generator from stream(seed, *prefix, i) alone."""
+    return (stream(seed, *prefix, i) for i in range(start, count))
+
+
+def _derive_per_key(m):
+    """Replace rng.streams by _per_key wherever a hypervis module binds it."""
+    streams = rng_module.streams
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hypervis" and getattr(module, "streams", None) is streams:
+            m.setattr(module, "streams", _per_key)
+
+
+# Ways a run's generators can be derived, each applied to a monkeypatch context; each must give bit for bit
+# the same results as rng.streams.
 STREAM_DERIVATIONS = {
-    "per-key": {"_MIN_BATCH": math.inf},  # every generator from stream(seed, i) alone
-    "chunks-of-7": {"_CHUNK": 7, "_MIN_BATCH": 1},  # every run hashed in vectorized chunks of 7 keys
+    "per-key": _derive_per_key,
+    "chunks-of-7": lambda m: m.setattr(rng_module, "_CHUNK", 7),  # every run hashed in vectorized chunks of 7 keys
 }
 
 
@@ -76,10 +90,9 @@ def _comparable(result):
 def assert_same_under_every_derivation(call, monkeypatch):
     """call() gives the same result, runtime_ms aside, under each of STREAM_DERIVATIONS."""
     expected = _comparable(call())
-    for name, settings in STREAM_DERIVATIONS.items():
+    for name, derive in STREAM_DERIVATIONS.items():
         with monkeypatch.context() as m:
-            for attr, value in settings.items():
-                m.setattr(rng_module, attr, value)
+            derive(m)
             assert _comparable(call()) == expected, name
 
 

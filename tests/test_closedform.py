@@ -217,7 +217,10 @@ class TestBallMeasures:
         profile = cf.power_integral(340, np.array([[math.nan, 4.0], [1.0, 1000.0]]))
         assert math.isnan(profile[0, 0]) and profile[0, 1] == profile[1, 1] == math.inf
         assert profile[1, 0] == cf.power_integral(340, 1.0)
-        assert math.isnan(cf.sinh_integral(341, math.nan)) and math.isnan(cf.ball_volume(341, math.nan))
+        assert math.isnan(cf.sinh_integral(341, math.nan))  # the profile passes nan on; the volume refuses it
+        for r in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                cf.ball_volume(341, r)
 
     def test_closed_forms_of_one_power_overflow_without_warning(self):
         # the n = 1 profiles 2 sinh^2(t/2) and sinh t, like those of n >= 2, overflow to inf quietly
@@ -378,6 +381,14 @@ class TestMeanVisibleVolume:
 class TestTruncatedVisibleVolume:
     def test_zero_radius(self):
         assert cf.truncated_visible_volume(2, 1.0, cf.FixedRadius(0.5), 0.0) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_intensity_sees_the_whole_ball(self, d):
+        # nothing blocks the view at gamma = 0; a negative intensity is refused
+        for law in (cf.FixedRadius(0.5), None):
+            assert cf.truncated_visible_volume(d, 0.0, law, 2.0) == pytest.approx(cf.ball_volume(d, 2.0), rel=1e-13)
+            with pytest.raises(ValueError, match="intensity must be >= 0, got -1"):
+                cf.truncated_visible_volume(d, -1.0, law, 2.0)
 
     def test_antiderivative_at_rate_two(self):
         # gamma chosen so the rate gamma * v* equals 2

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -383,10 +384,10 @@ class TestPinnedRecords:
 
 class TestEmit:
     @staticmethod
-    def _quick_record(seed=7):
+    def _quick_record(seed=7, law=cf.FixedRadius(0.5)):
         from hypervis import visibility as vis
 
-        return vis.estimate_visible_volume(2, 2.0, cf.FixedRadius(0.5), 50, 32, 2.0, 3.0, seed)
+        return vis.estimate_visible_volume(2, 2.0, law, 50, 32, 2.0, 3.0, seed)
 
     def test_json_deterministic_modulo_runtime(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -405,14 +406,17 @@ class TestEmit:
         assert keys == list(harness.RECORD_FIELDS)
 
     def test_csv_mirrors_json(self, tmp_path):
-        rec = self._quick_record()
-        jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
-        harness.emit(rec, "json", jp)
-        harness.emit(rec, "csv", cp)
-        data = json.loads(jp.read_text())
-        header, row = cp.read_text().strip().split("\n")
-        assert header.split(",") == list(data.keys())
-        assert len(row.split(",")) == len(data)
+        # a uniform law's grain_params "0.2,0.6" holds a comma, which the csv file quotes
+        for law in (cf.FixedRadius(0.5), cf.UniformRadius(0.2, 0.6)):
+            rec = self._quick_record(law=law)
+            jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
+            harness.emit(rec, "json", jp)
+            harness.emit(rec, "csv", cp)
+            data = json.loads(jp.read_text())
+            with open(cp, newline="") as fh:
+                header, row = csv.reader(fh)
+            assert header == list(data.keys())
+            assert row == ["" if v is None else str(v) for v in data.values()], law
 
     def test_twelve_significant_digits(self, tmp_path):
         path = tmp_path / "r.json"

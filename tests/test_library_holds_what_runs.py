@@ -89,11 +89,19 @@ def test_the_library_calls_no_generator_uniform():
     assert len(_modules()) > 5 and calls == []
 
 
+def _prefixless_streams(tree) -> list[int]:
+    """Line of each call in tree to streams with the seed alone before its keywords: a run of the generators
+    of stream(seed, i), which items keyed by their index draw from."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and len(node.args) == 1
+            and "streams" in (getattr(node.func, n, None) for n in ("id", "attr"))]
+
+
 def test_only_fanout_loops_over_rounds():
     # fanout.map_rounds owns the round loop of the index-keyed estimators: a round loop written out
-    # anywhere else would call rng.rounds itself
-    calls = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and "rounds" in (getattr(node.func, n, None) for n in ("id", "attr"))]
+    # anywhere else would take the generators of stream(seed, i) from streams(seed, count=...) itself
+    loop = "for lo in range(0, n, size):\n    rngs = list(islice(rng.streams(seed, count=n, start=lo), size))"
+    assert _prefixless_streams(ast.parse(f"{loop}\nstreams(seed, b, count=n)")) == [2]
+    calls = [f"{module}.py:{line}" for module, tree in _modules().items() for line in _prefixless_streams(tree)]
     assert len(calls) == 1 and calls[0].startswith("fanout.py:"), calls
 
 

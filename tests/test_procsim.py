@@ -338,7 +338,7 @@ class TestDirectionCaps:
 
         def agree(full, capped, counts):
             # full: the ray's hits among all obstacles, per stream; capped: its hit on each capped obstacle
-            full, capped = np.asarray(full), ps._kept(counts, np.isfinite(capped))
+            full, capped = np.asarray(full), ps.kept_counts(counts, np.isfinite(capped))
             se = math.sqrt((np.var(full) + np.var(capped)) / n)
             assert np.mean(capped) > 0.2 and abs(np.mean(full) - np.mean(capped)) < 4 * se
 
@@ -420,7 +420,7 @@ class TestCapUnion:
         assert in_caps.any(axis=1).all()
         # the union's obstacles, and those of the overlap, each drawn once: Poisson counts of the exact means
         union = union_share(d, gap, theta)
-        overlap = ps._kept(counts, in_caps.all(axis=1))
+        overlap = ps.kept_counts(counts, in_caps.all(axis=1))
         for got, share in ((counts, union), (overlap, 2.0 * sphere_cap_share(d, gap) - union)):
             mean = annulus * share
             assert mean > 0.5 and abs(got.mean() - mean) < 4.0 * math.sqrt(mean / n)

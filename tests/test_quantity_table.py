@@ -1,6 +1,7 @@
 """`hypervis estimate` quantities are declared once, in harness.QUANTITIES: validation and dispatch read
-the entries and never compare the quantity to a name, the library's own checks hold the input rules, and the
-README's estimate examples stay valid."""
+the entries and never compare the quantity to a name, and the library's own checks hold the input rules,
+which no module reads through another's private names. The README's estimate examples stay valid, and its
+constants and formula examples run."""
 
 import ast
 import shlex
@@ -40,40 +41,49 @@ def test_validate_and_run_compare_no_quantity_name():
         assert not _name_comparisons(node), f"{node.name} branches on a quantity name instead of its table entry"
 
 
-# The modules whose checks and constants harness would otherwise re-implement.
-LIBRARY = ("visibility", "procsim", "intersect", "closedform")
+SOURCES = sorted((ROOT / "src" / "hypervis").glob("*.py"))
+MODULES = {path.stem for path in SOURCES} - {"__init__"}
 
 
 def _private_reads(tree) -> list[str]:
-    """Source of each read of, or import of, a _-prefixed name of a LIBRARY module in tree."""
+    """Source of each read of, or import of, a _-prefixed name of a MODULES module in tree, by its name or by
+    the alias an import gave it."""
+    names = set(MODULES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module:  # from . import x as y
+            names |= {alias.asname for alias in node.names if alias.name in MODULES and alias.asname}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in LIBRARY:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in names:
             if node.attr.startswith("_"):
                 found.append(ast.unparse(node))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in LIBRARY:
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in MODULES:
             found += [f"{node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
     return found
 
 
 def test_detector_sees_private_reads():
-    tree = ast.parse("from .visibility import _a, b\nx = procsim._guard + intersect.public + closedform._c(1)")
-    assert _private_reads(tree) == ["visibility._a", "procsim._guard", "closedform._c"]
+    tree = ast.parse("from .visibility import _a, b\nfrom . import rng as r\n"
+                     "x = procsim._guard + intersect.public + closedform._c(1) + r._d")
+    assert sorted(_private_reads(tree)) == ["closedform._c", "procsim._guard", "r._d", "visibility._a"]
 
 
-def test_harness_reads_no_private_name_of_the_library():
-    # validate calls each quantity's library check instead of repeating its rules from the module's internals
-    tree = ast.parse((ROOT / "src" / "hypervis" / "harness.py").read_text())
-    assert not _private_reads(tree)
+def test_no_module_reads_a_private_name_of_another():
+    # a module calls another's public functions and reads its public constants, never its internals: harness
+    # validates each quantity by its library check instead of repeating the rules, and a constant two modules
+    # read has one public home that a test's patch reaches
+    found = {path.name: _private_reads(ast.parse(path.read_text())) for path in SOURCES}
+    assert not {name: reads for name, reads in found.items() if reads}
 
 
-def _readme_estimate_examples() -> list[list[str]]:
+def _readme_examples(command: str) -> list[list[str]]:
+    """The argv of each README line that runs `hypervis command`."""
     text = (ROOT / "README.md").read_text().replace("\\\n", " ")
-    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("hypervis estimate ")]
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith(f"hypervis {command} ")]
 
 
 def test_readme_estimate_examples_validate(monkeypatch, tmp_path):
-    examples = _readme_estimate_examples()
+    examples = _readme_examples("estimate")
     assert len(examples) >= 5
     configs = []
     stub = harness.FormulaCheckResult(0.0, True, {})
@@ -86,3 +96,10 @@ def test_readme_estimate_examples_validate(monkeypatch, tmp_path):
     assert set(harness.QUANTITIES) <= {c.quantity for c in configs}, "every quantity has a README example"
     for config in configs:
         config.validate()
+
+
+def test_readme_constants_and_formula_examples_run(capsys):
+    examples = _readme_examples("constants") + _readme_examples("formula")
+    assert len(examples) >= 4
+    for argv in examples:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

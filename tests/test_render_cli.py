@@ -48,6 +48,18 @@ class TestCli:
             (["verify_ell_identity", "d=3", "k=2", "j=1", "r=inf"], "r must be finite and >= 0, got inf"),
             (["steiner_ball_check", "d=2", "radius=nan", "r=1"], "radius must be finite and >= 0, got nan"),
             (["ball_volume", "d=2", "r=1000"], "ball_volume overflows double precision"),
+            # a nan argument fails each range test by name, where it once read as an overflow
+            (["visibility_threshold", "d=2", "radius=nan"], "grain radius must be > 0, got nan"),
+            (["critical_scaling", "d=2", "delta=nan"], "delta must be > 0, got nan"),
+            (["ball_surface", "d=2", "r=nan"], "radius must be >= 0, got nan"),
+            (["ball_volume", "d=2", "r=nan"], "radius must be >= 0"),
+            (["sinh_exp_integral", "d=2", "a=nan"], "rate a must be a number, got nan"),
+            (["mean_visible_volume", "d=2", "gamma=nan", "grain=fixed:0.5"], "intensity must be > 0, got nan"),
+            (["zero_cell_mean_volume", "d=2", "gamma=nan"], "intensity must be > 0, got nan"),
+            (["intersection_density", "d=2", "gamma=nan", "grain=fixed:0.5"], "intensity must be >= 0, got nan"),
+            (["truncated_visible_volume", "d=2", "gamma=nan", "grain=fixed:0.5", "r=2"], "intensity must be >= 0, got nan"),
+            # a negative intensity once gave 83.29 here, more than the ball's volume of 17.4
+            (["truncated_visible_volume", "d=2", "gamma=-1", "grain=fixed:0.5", "r=2"], "intensity must be >= 0, got -1.0"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
@@ -150,6 +162,14 @@ class TestCli:
         seed = acceptance.DEFAULT_SEED
         assert main(["verify", "--seed", str(seed), "--only", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == f"reported 1 criteria with the master seed {seed} (not asserted)"
+
+    def test_only_twelve_names_the_full_run(self, capsys):
+        # criterion 12 bounds the |z| of every other criterion, so a subset cannot run it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--only", "12"])
+        assert exc.value.code == 2
+        assert "unknown criteria [12]; known: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], and 12 (the family-wise z bound), " \
+               "which runs only on a full run" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
-"""rng.streams yields bit for bit the generators of stream(seed, *prefix, i), lazily."""
+"""rng.streams yields bit for bit the generators of stream(seed, *prefix, i), lazily, and fanout.map_rounds
+slices them into rounds."""
 
 import re
 import tracemalloc
@@ -7,8 +8,10 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from hypervis import rng
+from hypervis import fanout, rng, visibility
 from hypervis.rng import stream, streams
+
+from conftest import STREAM_DERIVATIONS
 
 CHUNK = rng._CHUNK
 
@@ -27,12 +30,12 @@ def assert_same_generators(gens, seed, prefix):
 @pytest.mark.parametrize("prefix", [(), (7,), (7, 0), (7, 0, 2**32 + 9), (7, 0, 9, 1)], ids=lambda p: f"{len(p)}-words")
 def test_keys(seed, prefix):
     # with the seed's 1-3 words and the index, the entropy fills 2 to 8 words, past the 4-word pool
-    gens = list(streams(seed, *prefix, count=2 * rng._MIN_BATCH + 3))
-    assert len(gens) == 2 * rng._MIN_BATCH + 3
+    gens = list(streams(seed, *prefix, count=35))
+    assert len(gens) == 35
     assert_same_generators(gens, seed, prefix)
 
 
-@pytest.mark.parametrize("count", [0, 1, rng._MIN_BATCH - 1, rng._MIN_BATCH, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, 15, 16, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_counts(count):
     gens = list(streams(42, 3, count=count))
     assert len(gens) == count
@@ -42,7 +45,6 @@ def test_counts(count):
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_chunk_size(chunk, monkeypatch):
     monkeypatch.setattr(rng, "_CHUNK", chunk)
-    monkeypatch.setattr(rng, "_MIN_BATCH", 1)
     assert_same_generators(streams(5, count=150), 5, ())
 
 
@@ -73,12 +75,12 @@ def test_count_out_of_range_refused():
 
 
 def test_preset_state_serves_pcg64_only():
-    g = next(streams(1, count=rng._MIN_BATCH))
+    g = next(streams(1, count=1))
     with pytest.raises(ValueError, match="generate_state"):
         g.bit_generator.seed_seq.generate_state(8, np.uint32)
 
 
-@pytest.mark.parametrize("start", [0, 1, rng._MIN_BATCH - 1, 2 * rng._MIN_BATCH + 3, CHUNK - 2, CHUNK, CHUNK + 5])
+@pytest.mark.parametrize("start", [0, 1, 15, 35, CHUNK - 2, CHUNK, CHUNK + 5])
 def test_streams_from_start(start):
     # a worker sweeping replications start..count-1 builds only their generators, those of stream(seed, i)
     count = CHUNK + 21
@@ -92,20 +94,31 @@ def test_streams_from_start(start):
 @pytest.mark.parametrize("size", [1, 7, 16, 512])
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_rounds_from_start(size, k, monkeypatch):
-    # the rounds from start = k * size on are the tail of the rounds from 0, generator for generator, with
-    # the module's chunks and with chunks of 7 keys
+    # a span of fanout.map_rounds from start = k * size holds the tail of the rounds from 0, generator for
+    # generator, with the module's chunks and with chunks of 7 keys
     count = 3 * size + 2
-    for chunk, min_batch in ((rng._CHUNK, rng._MIN_BATCH), (7, 1)):
+    monkeypatch.setattr(fanout, "map_spans", lambda fn, count, size, work: [fn(k * size, count)])
+    for chunk in (rng._CHUNK, 7):
         monkeypatch.setattr(rng, "_CHUNK", chunk)
-        monkeypatch.setattr(rng, "_MIN_BATCH", min_batch)
-        tail = list(rng.rounds(9, count, size, start=k * size))
-        assert [first for first, _ in tail] == list(range(k * size, count, size))
-        for first, gens in tail:
-            assert len(gens) == min(size, count - first)
-            for i, g in enumerate(gens, first):
-                assert g.bit_generator.state == stream(9, i).bit_generator.state, (first, i)
+        tail = []
+        (firsts,) = fanout.map_rounds(lambda gens: tail.append(gens) or ([len(tail) - 1],), 9, count, size, 0)
+        assert [len(gens) for gens in tail] == [min(size, count - first) for first in range(k * size, count, size)]
+        assert list(firsts) == list(range(len(tail)))
+        for i, g in enumerate((g for gens in tail for g in gens), k * size):
+            assert g.bit_generator.state == stream(9, i).bit_generator.state, i
 
 
 def test_negative_start_refused():
     with pytest.raises(ValueError, match=re.escape("needs start >= 0, got -1")):
         next(streams(1, count=3, start=-1))
+
+
+def test_per_key_derivation_reaches_every_run(monkeypatch):
+    # the tests' per-key derivation builds each generator of a round, and of the stratified estimator's runs,
+    # from its own SeedSequence, where rng.streams presets a hashed state
+    assert isinstance(next(streams(9, count=1)).bit_generator.seed_seq, rng._PresetState)
+    STREAM_DERIVATIONS["per-key"](monkeypatch)
+    gens = []
+    fanout.map_rounds(lambda rngs: gens.extend(rngs) or ([0],), 9, 3, 2, 0)
+    gens.append(next(visibility.streams(9, 1, count=1)))
+    assert len(gens) == 4 and all(isinstance(g.bit_generator.seed_seq, np.random.SeedSequence) for g in gens)

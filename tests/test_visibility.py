@@ -19,7 +19,6 @@ from hypervis import acceptance
 from hypervis import closedform as cf
 from hypervis import fanout, intersect
 from hypervis import procsim as ps
-from hypervis import rng as rng_module
 from hypervis import visibility as vis
 from hypervis.procsim import BooleanModelSample, HyperplaneSample
 from hypervis.rng import stream
@@ -490,13 +489,13 @@ class TestEstimators:
             return _fn(d, gamma, t_lo, t_hi, rngs)
 
         monkeypatch.setattr(ps, "sample_hyperplane_annulus", counted)
-        size = vis._ROUND_REPS
+        size = fanout.ROUND_REPS
         vis.estimate_segment_crossings(2, 1.0, 0.7, 2 * size + 3, seed=5)
         assert calls == [(0.0, [0.7] * n, n) for n in (size, size, 3)]
 
     @pytest.mark.parametrize("d, gamma", [(2, 1.0), (3, 1.0), (2, 0.05)], ids=["d2", "d3", "d2-sparse"])
     def test_segment_crossing_rounds_match_per_replication(self, d, gamma, monkeypatch):
-        length, seed, size = 1.0, 62, vis._ROUND_REPS
+        length, seed, size = 1.0, 62, fanout.ROUND_REPS
         n_max = 2 * size + 1
         reference = segment_crossings_per_replication(d, gamma, length, n_max, seed)
         if gamma < 0.1:  # some realizations hold no plane or a single one
@@ -686,7 +685,7 @@ def reference_ranges(d, gamma, law, n_reps, n_rays, cutoff, seed, direction=None
     return out
 
 
-ROUND = vis._ROUND_REPS  # replications per round with one ray each
+ROUND = fanout.ROUND_REPS  # replications per round with one ray each
 
 
 def _censored_cutoff(rate):
@@ -706,8 +705,8 @@ def round_size(request, monkeypatch):
     if request.param == "blocks-2":
         monkeypatch.setattr(vis, "_BLOCK_TARGET", 2)
         monkeypatch.setattr(vis, "_CAP_BLOCK_TARGET", 2)
-        monkeypatch.setattr(vis, "_ROUND_REPS", 16)
-    return vis._ROUND_REPS
+        monkeypatch.setattr(fanout, "ROUND_REPS", 16)
+    return fanout.ROUND_REPS
 
 
 @lru_cache(maxsize=None)
@@ -718,19 +717,32 @@ def _single_ray_reference(d, gamma, law, cutoff, seed, fixed):
     return reference_ranges(d, gamma, law, 800, 1, cutoff, seed, direction, block_target=256)[:, 0]
 
 
-def _check_single_ray(sample, ref, cutoff, seed, round_size):
-    """The ranges of 800 replications, sample(800, cutoff, seed), follow the law of the reference
-    ranges. For each n of the grid below 800 (all of it with small rounds; test_prefix_of_a_longer_run runs
-    the module's rounds), the first n are bit for bit those of a run of n, whether n spans part of a round or
-    several."""
-    values, censored = sample(800, cutoff, seed)
-    assert np.array_equal(censored, values >= cutoff - 1e-12)
-    assert censored.any() and not censored.all()
-    for n in (1, round_size - 1, round_size, round_size + 1, 2 * round_size + 1):
-        if n < len(values):
-            head, head_censored = sample(n, cutoff, seed)
-            assert np.array_equal(head, values[:n]) and np.array_equal(head_censored, censored[:n])
-    assert ks_2samp(values, ref).pvalue > 0.01
+@pytest.fixture(scope="module")
+def single_ray_runs():
+    """run(sample, cutoff, seed, size, blocks): the ranges of 800 replications, sample(800, cutoff, seed),
+    checked once per sample and blocks, the round_size param, for the reference's uniform and fixed direction
+    alike. For each n of the grid below 800 (all of it with small rounds; test_prefix_of_a_longer_run runs the
+    module's rounds), the first n are bit for bit those of a run of n, whether n spans part of a round or
+    several. The first reuse is checked against a fresh run."""
+    runs, checked = {}, []
+
+    def run(sample, cutoff, seed, size, blocks):
+        key = sample.func.__name__, sample.args, blocks
+        if key not in runs:
+            values, censored = sample(800, cutoff, seed)
+            assert np.array_equal(censored, values >= cutoff - 1e-12)
+            assert censored.any() and not censored.all()
+            for n in (1, size - 1, size, size + 1, 2 * size + 1):
+                if n < len(values):
+                    head, head_censored = sample(n, cutoff, seed)
+                    assert np.array_equal(head, values[:n]) and np.array_equal(head_censored, censored[:n])
+            runs[key] = values, censored
+        elif not checked:
+            assert all(np.array_equal(a, b) for a, b in zip(sample(800, cutoff, seed), runs[key])), key
+            checked.append(key)
+        return runs[key][0]
+
+    return run
 
 
 def _round_of(value) -> tuple:
@@ -773,20 +785,24 @@ class TestRounds:
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6)], ids=["fixed", "uniform"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_visibility_ranges(self, d, law, fixed, round_size):
+    def test_visibility_ranges(self, d, law, fixed, round_size, single_ray_runs, request):
         v_star = cf.grain_moments(d, law).v_dm1_star
         gamma = 2.0 * (d - 1) / v_star  # rate 2(d-1): a replication of the reference costs a few blocks
         cutoff, seed = _censored_cutoff(gamma * v_star), 60 + d
         ref = _single_ray_reference(d, gamma, law, cutoff, seed + 2000, fixed)
-        _check_single_ray(partial(vis.sample_visibility_ranges, d, gamma, law), ref, cutoff, seed, round_size)
+        sample = partial(vis.sample_visibility_ranges, d, gamma, law)
+        values = single_ray_runs(sample, cutoff, seed, round_size, request.node.callspec.params["round_size"])
+        assert ks_2samp(values, ref).pvalue > 0.01
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_zero_cell_ranges(self, d, fixed, round_size):
+    def test_zero_cell_ranges(self, d, fixed, round_size, single_ray_runs, request):
         gamma = 2.0 * (d - 1) / cf.zero_cell_rate(d, 1.0)
         cutoff, seed = _censored_cutoff(cf.zero_cell_rate(d, gamma)), 70 + d
         ref = _single_ray_reference(d, gamma, None, cutoff, seed + 2000, fixed)
-        _check_single_ray(partial(vis.sample_zero_cell_ranges, d, gamma), ref, cutoff, seed, round_size)
+        sample = partial(vis.sample_zero_cell_ranges, d, gamma)
+        values = single_ray_runs(sample, cutoff, seed, round_size, request.node.callspec.params["round_size"])
+        assert ks_2samp(values, ref).pvalue > 0.01
 
     def test_prefix_of_a_longer_run(self):
         for sample in (partial(vis.sample_zero_cell_ranges, 3, 6.0),
@@ -854,7 +870,7 @@ class TestRounds:
         shared = [{k for _, k in generators[a:b]} for a, b in zip(starts, starts[1:]) if generators[a][1] > 1]
         assert bool(shared) == (n_rays < 33 or round_size == ROUND)
         assert not shared or any(len(sizes) > 1 for sizes in shared)
-        monkeypatch.setattr(vis, "_ROUND_REPS", 1)
+        monkeypatch.setattr(fanout, "ROUND_REPS", 1)
         assert [dataclasses.replace(estimate(), runtime_ms=0.0) for estimate in estimates] == records
 
     def test_estimators_sample_one_annulus_per_block(self, monkeypatch):
@@ -921,7 +937,7 @@ FAN_OUT_CALLS = {
                                                                    1.5, 34)),
     "zero-cell-d2": (3, lambda n: vis.estimate_zero_cell_volume(2, 3.0, n, 3, 2.5, 35)),
     "ranges-d2": (1, lambda n: vis.sample_visibility_ranges(2, 1.5, cf.FixedRadius(0.5), n, 2.0, 36)),
-    "segments-d2": (1, lambda n: vis.estimate_segment_crossings(2, 1.0, 1.0, n, 37)),  # rounds of _ROUND_REPS
+    "segments-d2": (1, lambda n: vis.estimate_segment_crossings(2, 1.0, 1.0, n, 37)),  # rounds of fanout.ROUND_REPS
 }
 
 
@@ -1005,11 +1021,10 @@ class TestForkedRounds:
             if n < 2 and name != "ranges-d2":  # a standard error needs two replications
                 continue
             expected = serial_runs(name, request.node.callspec.params["round_size"], n)
-            for derivation in [{}, *STREAM_DERIVATIONS.values()]:
+            for derivation, derive in [("streams", lambda m: None), *STREAM_DERIVATIONS.items()]:
                 forks.clear()
                 with monkeypatch.context() as m:
-                    for attr, value in derivation.items():
-                        m.setattr(rng_module, attr, value)
+                    derive(m)
                     assert _comparable(call(n)) == expected, (n, derivation)
                 assert len(forks) == min(cpus, -(-n // size)) - 1, n
 
