@@ -127,7 +127,8 @@ def _run_formula(name: str, params: list[str]) -> dict:
         except ValueError as exc:
             raise ValueError(f"malformed parameter {key}={given[key]!r}: {exc}") from None
     # An overflow inside a formula raises OverflowError from math or gives inf or NaN from numpy, reported here
-    # instead of numpy's warnings. Only the formulas on sinh_exp_integral are infinite, at or below their threshold.
+    # instead of numpy's warnings. Only the formulas on sinh_exp_integral are infinite, at or below their threshold,
+    # and any formula may be at an infinite argument (a ball of radius inf has volume inf).
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = fn(*args)
@@ -135,6 +136,7 @@ def _run_formula(name: str, params: list[str]) -> dict:
         value = math.nan
     values = value.values() if isinstance(value, dict) else [value]
     infinite = name in ("sinh_exp_integral", "mean_visible_volume", "zero_cell_mean_volume")
+    infinite |= not all(math.isfinite(a) for a in args if isinstance(a, float))
     if any(math.isnan(v) or math.isinf(v) and not infinite for v in values):
         raise ValueError(f"{name} overflows double precision at these parameters")
     return {"formula": name, "value": value}

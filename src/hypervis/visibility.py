@@ -43,9 +43,11 @@ and makes its own draws in its own order: results are bit for bit
 independent of round and chunk sizes. With many rays each replication
 takes the product of its live rays with its own obstacles that it would take
 alone, as a batched matrix product can move the last bits of a hit, and keeps
-the pairs that pass the prefilter (_round_hits). Either way the hit kernel,
-the minimum per ray and the write of the ranges (_nearest) run once per round
-block, on the obstacles or pairs of all its replications.
+the pairs that pass the prefilter: one pair pass (_cast), which also builds
+the dense hit matrices (grain_hits_from_base, plane_hits_from_base) from one
+group of rays. Either way the hit kernel runs once per round block, on the
+obstacles or pairs of all its replications, and one np.minimum.at writes
+their nearest hits into the ranges, in whatever order the cells come.
 Standard errors are taken across replications only.
 
 A large run sweeps its rounds on every CPU it may use (fanout.map_rounds,
@@ -234,7 +236,7 @@ def grain_hits_from_base(
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
     """
-    return _hits_from_base(dirs, (g_dist, g_dir, g_rad), _grain_bounds, _grain_hits)
+    return _hit_matrix(dirs, (g_dist, g_dir, g_rad), _grain_bounds, _grain_hits)
 
 
 def plane_hits_from_base(dirs: np.ndarray, p_dist: np.ndarray, p_dir: np.ndarray) -> np.ndarray:
@@ -243,7 +245,7 @@ def plane_hits_from_base(dirs: np.ndarray, p_dist: np.ndarray, p_dir: np.ndarray
     Planes are given in polar form, like grains: the distance of each plane
     from the base point and the unit direction from the base point to its foot.
     """
-    return _hits_from_base(dirs, (p_dist, p_dir), _plane_bounds, _plane_hits)
+    return _hit_matrix(dirs, (p_dist, p_dir), _plane_bounds, _plane_hits)
 
 
 def _grain_bounds(g_dist: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
@@ -288,22 +290,36 @@ def _plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
     return np.where(vers < g, s, np.inf)
 
 
-def _pairs(dirs: np.ndarray, cols: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat indices into the (rays, obstacles) products cos theta = dirs @ cols.T, versines 1 - cos theta)
-    of the pairs whose product exceeds its obstacle's bound, the only pairs that can hit. A product of unit
-    vectors can round above 1; its versine is 0."""
-    prod = dirs @ cols.T
-    k = np.flatnonzero(prod > bounds)
-    return k, 1.0 - np.minimum(prod.ravel()[k], 1.0)
+def _cast(groups, obstacles: tuple, bound: Callable, hit: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ray, obstacle, hit) of each pair that passes the prefilter, for one or more groups of (ray ids, their
+    directions, the slice of the obstacles (distances, directions, *marks) that they meet).
 
-
-def _hits_from_base(dirs: np.ndarray, obstacles: tuple, bound: Callable, hit: Callable) -> np.ndarray:
-    """Hits of the rays dirs on the obstacles (distances, directions, *marks), shape (rays, obstacles)."""
+    Each group takes its own product cos theta = rays @ directions.T, as it
+    would alone (a batched product can move the last bits of a hit), and keeps
+    the pairs whose product exceeds its obstacle's bound, the only pairs that
+    can hit; a product of unit vectors can round above 1, and its versine is 0.
+    The hit kernel then runs once, on the pairs of all groups.
+    """
     dists, cols, *marks = obstacles
-    k, vers = _pairs(dirs, cols, bound(dists, *marks))
-    j = k % len(dists)
-    out = np.full((len(dirs), len(dists)), np.inf)
-    out.ravel()[k] = hit(dists[j], vers, *(m[j] for m in marks))
+    bounds = bound(dists, *marks)
+    ray, obstacle, vers = [], [], []
+    for ids, rays, span in groups:
+        prod = rays @ cols[span].T
+        k = np.flatnonzero(prod > bounds[span])
+        vers.append(1.0 - np.minimum(prod.ravel()[k], 1.0))
+        del prod  # before the next group's product, which can then reuse its pages instead of faulting in new ones
+        row, col = np.divmod(k, span.stop - span.start)
+        ray.append(ids[row])
+        obstacle.append(span.start + col)
+    j = np.concatenate(obstacle)
+    return np.concatenate(ray), j, hit(dists[j], np.concatenate(vers), *(m[j] for m in marks))
+
+
+def _hit_matrix(dirs: np.ndarray, obstacles: tuple, bound: Callable, hit: Callable) -> np.ndarray:
+    """Hits of the rays dirs on the obstacles (distances, directions, *marks), shape (rays, obstacles)."""
+    out = np.full((len(dirs), len(obstacles[0])), np.inf)
+    ray, obstacle, hits = _cast([(np.arange(len(dirs)), dirs, slice(0, out.shape[1]))], obstacles, bound, hit)
+    out[ray, obstacle] = hits
     return out
 
 
@@ -342,7 +358,9 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
     One ray sweeps its cap, and a round shares its kernel call. Many rays cap
     their blocks as the module docstring says, unless a capped block could
     hold more ray-obstacle pairs than the resource guard, and each replication
-    casts only its live rays through its own obstacles (_round_hits).
+    casts only its live rays through its own obstacles, in one pair pass
+    (_cast) for the round. Either way a block yields (cell of best, hit) pairs,
+    and one np.minimum.at writes the nearest hit of each cell.
     """
     n, n_rays, grains = obs.d - 1, 1 if dirs is None else dirs.shape[1], obs.law is not None
     bound, hit = (_grain_bounds, _grain_hits) if grains else (_plane_bounds, _plane_hits)
@@ -366,56 +384,23 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
         drawing = [rngs[i] for i in reps]
         if n_rays == 1:
             *obstacles, counts = procsim.sample_cap_annuli(obs, t_lo, t_hi, drawing)
-            _nearest(best, np.repeat(reps, counts), hit(*obstacles))
+            cell, hits = np.repeat(reps, counts), hit(*obstacles)
         else:
-            # Rays whose range is already below t_lo - margin cannot be shortened by this block.
-            live = ranges > t_lo - obs.margin - 1e-9
+            # The live rays, as flat cells of best (which index dirs.reshape(-1, d) alike): a ray whose range is
+            # already below t_lo - margin cannot be shortened by this block.
+            live = [r * n_rays + np.flatnonzero(alive) for r, alive in zip(reps, ranges > t_lo - obs.margin - 1e-9)]
+            live_rays = [dirs.reshape(-1, obs.d)[cells] for cells in live]
             if capped:
-                live_rays = [dirs[r, alive] for r, alive in zip(reps, live)]
                 *obstacles, counts = procsim.sample_cap_union(obs, t_lo, t_hi, drawing, live_rays)
             elif grains:  # the named samplers, where benchmarks/tracer.py times the annuli
                 *obstacles, counts = procsim.sample_boolean_annulus(obs.d, obs.gamma, obs.law, t_lo, t_hi, drawing)
             else:
                 *obstacles, counts = procsim.sample_hyperplane_annulus(obs.d, obs.gamma, t_lo, t_hi, drawing)
-            _round_hits(best, reps, live, obstacles, counts, dirs, bound, hit)
+            spans = [slice(hi - m, hi) for hi, m in zip(np.cumsum(counts), counts)]  # each replication's obstacles
+            cell, _, hits = _cast(zip(live, live_rays, spans), obstacles, bound, hit)
+        np.minimum.at(best.reshape(-1), cell, hits)
+        del cell, hits  # before the next block, for the same reason as the product in _cast
         t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)
-
-
-def _round_hits(best, reps, live, obstacles: tuple, counts, dirs, bound: Callable, hit: Callable) -> None:
-    """Shorten the ranges best of a round's replications reps by one block: replication reps[j] drew the
-    next counts[j] of the obstacles (distances, directions, *marks), flat in replication order, and casts
-    its live rays dirs[reps[j], live[j]].
-
-    Each replication takes its own product of its live rays with its own
-    obstacles, as it would alone (a batched product can move the last bits of
-    a hit), and keeps the pairs that pass the prefilter. The hits of the
-    pairs of all replications, their minimum per ray and the write into best
-    then run once.
-    """
-    dists, cols, *marks = obstacles
-    bounds = bound(dists, *marks)
-    n_rays = best.shape[1]
-    versines, obstacle, cell = [], [], []
-    for lo, m, r, alive in zip(np.cumsum(counts) - counts, counts, reps, live):
-        rays = np.flatnonzero(alive)
-        if m and len(rays):
-            k, vers = _pairs(dirs[r, rays], cols[lo : lo + m], bounds[lo : lo + m])
-            row, col = np.divmod(k, m)
-            versines.append(vers)
-            obstacle.append(lo + col)
-            cell.append(r * n_rays + rays[row])
-    if cell:  # flat indices into best, in order: replications, rays and pairs run in order
-        j = np.concatenate(obstacle)
-        _nearest(best, np.concatenate(cell), hit(dists[j], np.concatenate(versines), *(a[j] for a in marks)))
-
-
-def _nearest(best: np.ndarray, cell: np.ndarray, hits: np.ndarray) -> None:
-    """Shorten the ranges best, at the flat indices cell (each index in one run), to their nearest hits."""
-    if len(cell):
-        first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-        cell = cell[first]
-        flat = best.reshape(-1)
-        flat[cell] = np.minimum(flat[cell], np.minimum.reduceat(hits, first))
 
 
 # The sweep over each process under its own name; benchmarks/tracer.py times

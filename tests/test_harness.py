@@ -133,6 +133,7 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert "needs n_reps >= 2" in captured.err and captured.out == ""
 
+    # Each id is fixed text, first taken from its message: editing a refusal's wording keeps its test's id.
     @pytest.mark.parametrize(
         "argv, message",
         [

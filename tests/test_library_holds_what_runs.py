@@ -89,6 +89,14 @@ def test_the_library_calls_no_generator_uniform():
     assert len(_modules()) > 5 and calls == []
 
 
+def test_the_library_calls_no_reduceat():
+    # ufunc.reduceat needs each key's values in one run; per-key minima go through np.minimum.at, which takes
+    # the keys in any order (procsim.band_first_touches, visibility._sweep)
+    calls = [f"{module}.py:{node.lineno}" for module, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "reduceat"]
+    assert len(_modules()) > 5 and calls == []
+
+
 def _prefixless_streams(tree) -> list[int]:
     """Line of each call in tree to streams with the seed alone before its keywords: a run of the generators
     of stream(seed, i), which items keyed by their index draw from."""

@@ -60,6 +60,8 @@ class TestCli:
             (["truncated_visible_volume", "d=2", "gamma=nan", "grain=fixed:0.5", "r=2"], "intensity must be >= 0, got nan"),
             # a negative intensity once gave 83.29 here, more than the ball's volume of 17.4
             (["truncated_visible_volume", "d=2", "gamma=-1", "grain=fixed:0.5", "r=2"], "intensity must be >= 0, got -1.0"),
+            # a finite radius whose volume overflows, unlike r = inf (test_formula_of_an_infinite_radius_is_infinite)
+            (["ball_volume", "d=3", "r=400"], "ball_volume overflows double precision"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
@@ -70,6 +72,12 @@ class TestCli:
     def test_formula_infinite_value_is_kept(self, capsys):
         # below its threshold the mean visible volume is infinite, not an overflow
         assert main(["formula", "mean_visible_volume", "d=2", "gamma=0.5", "grain=fixed:0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == math.inf
+
+    @pytest.mark.parametrize("name, dim", [("ball_volume", 3), ("ball_surface", 2)])
+    def test_formula_of_an_infinite_radius_is_infinite(self, name, dim, capsys):
+        # an infinite ball has infinite volume and surface, not an overflow
+        assert main(["formula", name, f"d={dim}", "r=inf"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == math.inf
 
     def test_formula_gamma_default(self, capsys):
