@@ -464,7 +464,7 @@ def grain_moments(d: int, law: GrainLaw) -> GrainMoments:
 
 
 def sinh_exp_integral(d: int, a: float) -> float:
-    """int_0^inf sinh^{d-1}(s) e^{-as} ds; finite iff a > d-1, else math.inf.
+    """int_0^inf sinh^{d-1}(s) e^{-as} ds; finite iff a > d-1, else math.inf, and 0.0 at a = inf (its limit).
 
     Finite value ((d-1)!/2^d) Gamma(x) / Gamma(x + d) with x = (a-d+1)/2. The
     two arguments differ by the integer d, so this is the exact product
@@ -473,9 +473,9 @@ def sinh_exp_integral(d: int, a: float) -> float:
     """
     if math.isnan(a):
         raise ValueError("rate a must be a number, got nan")
-    if a - (d - 1) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
+    if a < math.inf and a - (d - 1) <= _THRESHOLD_GUARD * max(1.0, abs(a)):
         return math.inf
-    x = (a - d + 1) / 2.0
+    x = (a - d + 1) / 2.0  # inf at a = inf, where the product below is 0.0
     return math.prod(k / (x + k) for k in range(1, d)) / (2.0**d * x)
 
 
@@ -517,6 +517,8 @@ def truncated_visible_volume(d: int, gamma: float, law: GrainLaw | None, r: floa
     if r == 0:
         return 0.0
     a = range_rate(d, gamma, law)
+    if a == math.inf:  # e^{-as} sinh^{d-1}(s) falls to 0 at every s > 0
+        return 0.0
     peak = min(r, math.atanh((d - 1) / a)) if a > d - 1 else r
     top = math.exp(-a * peak) * math.sinh(peak) ** (d - 1)
     reach = 2.0 * peak + 80.0 * a / (a * a - (d - 1) ** 2) if a > d - 1 else r

@@ -22,10 +22,15 @@ reached (again an exact Poisson restriction), and sample_cap_union the
 many-ray sweep deep out, drawing only the union of the caps of a
 replication's live rays. Each draws a round of replications at once, each
 generator making its own draws in its own order, and runs the radial inverse
-once over the round, each root converging on its own. They return each
-per-obstacle array flat in generator order, then a count per generator, in
-polar form: distances, unit directions (to a grain's center or a plane's
-foot) or versines, and radii. Only sample_hyperplanes builds plane normals.
+(sample_radial_annulus or sample_plane_distances, which invert the uniforms
+handed to them) once over the round, each root converging on its own. In the
+capped samplers a generator makes one Poisson call for its count and one
+uniform call for the distances and versines of its obstacles (_cap_uniforms),
+and each sampler call checks the resource guard once, on the largest
+expected count of its round (_counts). They return each per-obstacle array
+flat in generator order, then a count per generator, in polar form:
+distances, unit directions (to a grain's center or a plane's foot) or
+versines, and radii. Only sample_hyperplanes builds plane normals.
 
 Conditioning the Boolean model on an uncovered base point deletes the grains
 containing it, which restricts the Poisson intensity to the complement and is
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -117,25 +123,24 @@ def _profile_at(n: int, sign: int, t_lo: float, t_hi) -> tuple[float, np.ndarray
     return power_integral_at(n, t_lo, sign), np.array([values[t] for t in t_hi])
 
 
-def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
-    """Distances with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF:
-    sizes[i] on [t_lo, t_hi[i]] from generator rngs[i], concatenated in generator order. profile is
-    _profile_at of the bounds, where the caller has looked them up already. Refuses bounds but 0 <= t_lo < t_hi[i].
+def _profile_annulus(n: int, sign: int, t_lo: float, t_hi, u: np.ndarray, sizes, profile=None) -> np.ndarray:
+    """Distances with density proportional to sinh^n (sign -1) or cosh^n (sign +1), by inverse CDF of the
+    uniforms u: sizes[i] of them on [t_lo, t_hi[i]], concatenated in generator order. profile is _profile_at
+    of the bounds, where the caller has looked them up already. Refuses bounds but 0 <= t_lo < t_hi[i].
 
-    Each generator draws the uniforms of its own annulus and one inversion
-    serves all of them. Each root of the inversion converges on its own, so a
-    distance depends only on its own uniform and annulus.
+    The caller draws each generator's uniforms for its own annulus, and one
+    inversion serves all of them. Each root of the inversion converges on its
+    own, so a distance depends only on its own uniform and annulus.
     """
     if not (0 <= t_lo and np.all(t_lo < np.asarray(t_hi))):
         raise ValueError("need 0 <= t_lo < t_hi")
     g_lo, g_hi = profile or _profile_at(n, sign, t_lo, t_hi)
-    u = np.concatenate([rng.random(size) for rng, size in zip(rngs, sizes)])
     return power_integral_inverse(n, g_lo + u * np.repeat(g_hi - g_lo, sizes), sign)
 
 
-def sample_radial_annulus(d: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
-    """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
-    return _profile_annulus(d - 1, -1, t_lo, t_hi, rngs, sizes, profile)
+def sample_radial_annulus(d: int, t_lo: float, t_hi, u: np.ndarray, sizes, profile=None) -> np.ndarray:
+    """Distances with density proportional to sinh^{d-1} on [t_lo, t_hi[i]], inverting u (see _profile_annulus)."""
+    return _profile_annulus(d - 1, -1, t_lo, t_hi, u, sizes, profile)
 
 
 def points_from_polar(dists: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -198,9 +203,9 @@ def cap_share(d: int, gap: float) -> float:
     return omega(d - 1) / omega(d) * _cap_bound(d, gap) * 2.0 / (d - 1) * gap ** ((d - 1) / 2)
 
 
-def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarray]:
-    """counts[i] proposed versines 1 - cos theta in the cap [0, gap) from generator i, concatenated,
-    and which of them to keep.
+def cap_versines(d: int, gap: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Proposed versines 1 - cos theta in the cap [0, gap), one from each column of the uniforms u, and which
+    of them to keep: u[0] proposes, u[1] (read only where d != 3) thins.
 
     Proposals gap U^{2/(d-1)} have density proportional to w^{(d-3)/2}.
     Keeping each with probability (2 - w)^{(d-3)/2} / M thins them to the
@@ -209,18 +214,18 @@ def cap_versines(d: int, gap: float, rngs, counts) -> tuple[np.ndarray, np.ndarr
     cap_share times the obstacles of an annulus, keeps exactly the obstacles
     of the cap: a Poisson restriction like the annulus itself.
     """
-    rows = 1 if d == 3 else 2
-    u = np.concatenate([rng.random((rows, c)) for rng, c in zip(rngs, counts)], axis=1)
     versines = gap * u[0] ** (2.0 / (d - 1))
     if d == 3:
         return versines, np.ones(len(versines), dtype=bool)
     return versines, u[1] * _cap_bound(d, gap) < (2.0 - versines) ** ((d - 3) / 2)
 
 
-def _poisson_count(rng: np.random.Generator, mean: float, size: int | None = None):
-    """A Poisson count of the given mean, or size of them, refused beyond the resource guard."""
-    guard(mean, "expected obstacle count")
-    return rng.poisson(mean, size)
+def _cap_uniforms(d: int, rngs, counts) -> np.ndarray:
+    """The uniforms of counts[i] capped proposals from each generator rngs[i], in one call per generator:
+    row 0 their distances, rows 1: their cap_versines (a versine, and where d != 3 a thinning), the columns
+    concatenated in generator order."""
+    rows = 2 if d == 3 else 3
+    return np.concatenate([rng.random((rows, c)) for rng, c in zip(rngs, counts)], axis=1)
 
 
 def kept_counts(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -279,15 +284,18 @@ def _means(obs: Obstacles, share: float, profile: tuple) -> list[float]:
     return (obs.gamma * (scale * g_hi - scale * g_lo)).tolist()
 
 
-def _counts(obs: Obstacles, share: float, profile: tuple, rngs) -> np.ndarray:
-    """One Poisson count per generator, of the obstacles of _means."""
-    return np.array([_poisson_count(rng, mean) for rng, mean in zip(rngs, _means(obs, share, profile))], dtype=int)
+def _counts(rngs, means: list[float], sizes=None) -> list:
+    """A Poisson count of mean means[i] from each generator rngs[i], or sizes[i] of them, refused beyond the
+    resource guard. The guard reads the largest mean once; nan passes it, as it passes guard."""
+    guard(max((m for m in means if m == m), default=math.nan), "expected obstacle count")
+    return [rng.poisson(mean, size) for rng, mean, size in zip(rngs, means, sizes or repeat(None))]
 
 
-def _distances(obs: Obstacles, t_lo: float, t_hi, rngs, sizes, profile: tuple) -> np.ndarray:
-    """sizes[i] distances on [t_lo, t_hi[i]] from generator rngs[i] by the obstacles' profile, concatenated."""
+def _distances(obs: Obstacles, t_lo: float, t_hi, u: np.ndarray, sizes, profile: tuple) -> np.ndarray:
+    """Distances on [t_lo, t_hi[i]] by the obstacles' profile from the uniforms u, sizes[i] per annulus. The
+    inverse is looked up at call time, where benchmarks/tracer.py times it."""
     sample = sample_plane_distances if obs.law is None else sample_radial_annulus
-    return sample(obs.d, t_lo, t_hi, rngs, sizes, profile=profile)
+    return sample(obs.d, t_lo, t_hi, u, sizes, profile=profile)
 
 
 def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering: bool = True) -> tuple:
@@ -314,8 +322,9 @@ def sample_annulus(obs: Obstacles, t_lo: float, t_hi, rngs, drop_covering: bool 
     are deleted, which conditions the model on an uncovered base point.
     """
     profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-    counts = _counts(obs, 1.0, profile, rngs)
-    dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
+    counts = np.array(_counts(rngs, _means(obs, 1.0, profile)), dtype=int)
+    uniforms = np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
+    dists = _distances(obs, t_lo, t_hi, uniforms, counts, profile)
     return _marked(obs, rngs, counts, dists, unit_vectors(obs.d, rngs, counts), None, drop_covering)
 
 
@@ -326,13 +335,15 @@ def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarr
     The versine is 1 - cos theta, with theta the angle between the ray and the
     obstacle's direction (to a grain's center or a plane's foot, away from
     the base point). Only the obstacles in the cap of versine
-    obs.gap(t_lo) are drawn (see cap_versines), after the distances.
+    obs.gap(t_lo) are drawn (see cap_versines), each generator drawing its
+    count, its distances' and versines' uniforms (_cap_uniforms) and radii.
     """
     gap = obs.gap(t_lo)
     profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-    counts = _counts(obs, cap_share(obs.d, gap), profile, rngs)
-    dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
-    return _marked(obs, rngs, counts, dists, *cap_versines(obs.d, gap, rngs, counts))
+    counts = np.array(_counts(rngs, _means(obs, cap_share(obs.d, gap), profile)), dtype=int)
+    uniforms = _cap_uniforms(obs.d, rngs, counts)
+    dists = _distances(obs, t_lo, t_hi, uniforms[0], counts, profile)
+    return _marked(obs, rngs, counts, dists, *cap_versines(obs.d, gap, uniforms[1:]))
 
 
 def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.ndarray, ...]:
@@ -340,20 +351,21 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
     ray of rays[i], for each generator rngs[i]: (distances, directions, radii, counts) of grains or
     (distances, directions, counts) of planes.
 
-    Generator i draws one Poisson count per ray of rays[i] (the share of the annulus in one cap), then the
-    distances, the versines w (cap_versines), the directions (1 - w) u + sqrt(w (2 - w)) v of its
-    proposals, cap by cap in ray order, with u the cap's ray and v uniform and orthogonal to u, and the
-    radii. A proposal is kept if cap_versines keeps it and its direction lies in no earlier ray's cap, so
-    each point of the union is drawn from exactly one cap: a Poisson restriction like the annulus itself.
+    Generator i draws one Poisson count per ray of rays[i] (the share of the annulus in one cap), then in
+    one call (_cap_uniforms) the uniforms of the distances and the versines w (cap_versines) of its
+    proposals, then their directions (1 - w) u + sqrt(w (2 - w)) v, cap by cap in ray order, with u the
+    cap's ray and v uniform and orthogonal to u, and the radii. A proposal is kept if cap_versines keeps it
+    and its direction lies in no earlier ray's cap, so each point of the union is drawn from exactly one
+    cap: a Poisson restriction like the annulus itself.
     """
     d, gap = obs.d, obs.gap(t_lo)
     profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-    means = _means(obs, cap_share(d, gap), profile)
-    caps = [_poisson_count(rng, mean, len(u)) for rng, mean, u in zip(rngs, means, rays)]
+    caps = _counts(rngs, _means(obs, cap_share(d, gap), profile), [len(u) for u in rays])
     owners = [np.repeat(np.arange(len(c)), c) for c in caps]
     counts = np.array([len(o) for o in owners], dtype=int)
-    dists = _distances(obs, t_lo, t_hi, rngs, counts, profile)
-    versines, keep = cap_versines(d, gap, rngs, counts)
+    uniforms = _cap_uniforms(d, rngs, counts)
+    dists = _distances(obs, t_lo, t_hi, uniforms[0], counts, profile)
+    versines, keep = cap_versines(d, gap, uniforms[1:])
     axes = np.concatenate([u[o] for u, o in zip(rays, owners)])
     v = np.concatenate([rng.standard_normal((c, d)) for rng, c in zip(rngs, counts)])
     v -= np.sum(v * axes, axis=1, keepdims=True) * axes
@@ -414,9 +426,9 @@ def plane_measure(d: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_plane_distances(d: int, t_lo: float, t_hi, rngs, sizes, profile=None) -> np.ndarray:
-    """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi[i]], per generator (see _profile_annulus)."""
-    return _profile_annulus(d - 1, 1, t_lo, t_hi, rngs, sizes, profile)
+def sample_plane_distances(d: int, t_lo: float, t_hi, u: np.ndarray, sizes, profile=None) -> np.ndarray:
+    """Distances with density proportional to cosh^{d-1} on [t_lo, t_hi[i]], inverting u (see _profile_annulus)."""
+    return _profile_annulus(d - 1, 1, t_lo, t_hi, u, sizes, profile)
 
 
 def normals_from_polar(offsets: np.ndarray, dirs: np.ndarray) -> np.ndarray:

@@ -170,10 +170,10 @@ def sample_poisson_ball(d: int, gamma: float, r_max: float, rng: np.random.Gener
     """Poisson(gamma * volume) many uniform points in B(base, r_max), shape (n, d+1)."""
     if gamma < 0:
         raise ValueError("intensity must be >= 0")
-    n = procsim._poisson_count(rng, gamma * float(ball_volume(d, r_max)))
+    (n,) = procsim._counts([rng], [gamma * float(ball_volume(d, r_max))])
     if n == 0:
         return np.empty((0, d + 1))
-    dists = procsim.sample_radial_annulus(d, 0.0, [r_max], [rng], [n])
+    dists = procsim.sample_radial_annulus(d, 0.0, [r_max], rng.random(n), [n])
     return procsim.points_from_polar(dists, procsim.unit_vectors(d, [rng], [n]))
 
 
@@ -483,7 +483,7 @@ def segment_crossings_per_replication(d: int, gamma: float, length: float, n_rep
         rng = stream(seed, i)
         n = int(rng.poisson(gamma * procsim.plane_measure(d, length)))
         if n:
-            offsets = procsim.sample_plane_distances(d, 0.0, [length], [rng], [n])
+            offsets = procsim.sample_plane_distances(d, 0.0, [length], rng.random(n), [n])
             hits = plane_hits_from_base(direction[None, :], offsets, procsim.unit_vectors(d, [rng], [n]))
             counts[i] = np.sum(hits[0] <= length)
     return counts

@@ -322,6 +322,13 @@ class TestSinhExpIntegral:
         assert math.isinf(cf.sinh_exp_integral(2, 1.0))
         assert math.isinf(cf.sinh_exp_integral(2, 0.5))
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 200])
+    def test_infinite_rate_gives_zero(self, d):
+        # the integral falls to 0 as the rate grows: at a = inf it is 0.0, not the divergent branch's inf
+        assert cf.sinh_exp_integral(d, math.inf) == 0.0
+        assert cf.mean_visible_volume(d, math.inf, cf.FixedRadius(0.5)) == 0.0
+        assert cf.zero_cell_mean_volume(d, math.inf) == 0.0
+
     def test_product_form_against_exact_rationals(self):
         # for a = p/q the value is (d-1)! q^d / prod_{k<d} (p - (d-1-2k) q) exactly; the float is within 1e-14
         # wherever that is a normal float, also beyond d = 171, where (d-1)! is no float
@@ -389,6 +396,14 @@ class TestTruncatedVisibleVolume:
             assert cf.truncated_visible_volume(d, 0.0, law, 2.0) == pytest.approx(cf.ball_volume(d, 2.0), rel=1e-13)
             with pytest.raises(ValueError, match="intensity must be >= 0, got -1"):
                 cf.truncated_visible_volume(d, -1.0, law, 2.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_infinite_intensity_sees_nothing(self, d):
+        # the limit of the integral as the rate grows, returned without numpy's divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in (cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6), None):
+                assert cf.truncated_visible_volume(d, math.inf, law, 2.0) == 0.0
 
     def test_antiderivative_at_rate_two(self):
         # gamma chosen so the rate gamma * v* equals 2

@@ -24,18 +24,18 @@ from oracles import (
 class TestSampleRadial:
     def test_range(self, rng):
         for d in (2, 3, 5):
-            t = ps.sample_radial_annulus(d, 0.0, [2.0], [rng], [500])
+            t = ps.sample_radial_annulus(d, 0.0, [2.0], rng.random(500), [500])
             assert np.all((t >= 0) & (t <= 2.0))
 
     def test_d2_cdf(self):
         r_max = 2.0
-        t = ps.sample_radial_annulus(2, 0.0, [r_max], [stream(101)], [10_000])
+        t = ps.sample_radial_annulus(2, 0.0, [r_max], stream(101).random(10_000), [10_000])
         stat = ks_statistic(t, lambda x: (np.cosh(x) - 1) / (math.cosh(r_max) - 1))
         assert stat < 1.63 / 100
 
     def test_d3_mean_matches_quadrature(self):
         r_max = 2.0
-        t = ps.sample_radial_annulus(3, 0.0, [r_max], [stream(102)], [20_000])
+        t = ps.sample_radial_annulus(3, 0.0, [r_max], stream(102).random(20_000), [20_000])
         norm, _ = quad(lambda s: math.sinh(s) ** 2, 0, r_max)
         mean, _ = quad(lambda s: s * math.sinh(s) ** 2, 0, r_max)
         mean /= norm
@@ -45,7 +45,7 @@ class TestSampleRadial:
         "d, r_max", [(d, 1.5) for d in range(2, 11)] + [(8, 0.1), (10, 0.05)]  # near the origin
     )
     def test_cdf(self, d, r_max):
-        t = ps.sample_radial_annulus(d, 0.0, [r_max], [stream(103)], [10_000])
+        t = ps.sample_radial_annulus(d, 0.0, [r_max], stream(103).random(10_000), [10_000])
         norm, _ = quad(lambda s: math.sinh(s) ** (d - 1), 0, r_max)
 
         def cdf(x):
@@ -54,15 +54,15 @@ class TestSampleRadial:
         assert ks_statistic(t, cdf) < 1.63 / 100
 
     def test_annulus_restriction(self, rng):
-        t = ps.sample_radial_annulus(3, 1.0, [1.5], [rng], [1000])
+        t = ps.sample_radial_annulus(3, 1.0, [1.5], rng.random(1000), [1000])
         assert np.all((t >= 1.0) & (t <= 1.5))
 
     @pytest.mark.parametrize("sample", [ps.sample_radial_annulus, ps.sample_plane_distances])
     def test_bounds_refused(self, sample):
-        # both annulus samplers refuse reversed, empty and negative bounds alike, before any draw
+        # both annulus samplers refuse reversed, empty and negative bounds alike, before any inversion
         for t_lo, t_hi in ((1.0, [0.5]), (1.0, [1.5, 1.0]), (-1.0, [0.5])):
             with pytest.raises(ValueError, match="need 0 <= t_lo < t_hi"):
-                sample(3, t_lo, t_hi, [stream(104)] * len(t_hi), [10] * len(t_hi))
+                sample(3, t_lo, t_hi, stream(104).random(10 * len(t_hi)), [10] * len(t_hi))
 
 
 class TestSamplePoissonBall:
@@ -97,11 +97,15 @@ class TestSamplePoissonBall:
 
 class TestGuard:
     def test_poisson_count_at_the_edge(self, rng):
-        assert ps._poisson_count(rng, ps.MAX_EXPECTED_COUNT) > 0  # the limit itself is drawn
-        with pytest.raises(ps.ResourceGuardError, match="^expected obstacle count = ") as refused:
-            ps._poisson_count(rng, np.nextafter(ps.MAX_EXPECTED_COUNT, np.inf))
-        amount, limit = guard_amount_and_limit(str(refused.value))
-        assert amount > limit == ps.MAX_EXPECTED_COUNT  # to 3 significant digits both read 1e+08
+        # _counts owns the count of every sampler; the guard reads a round's largest mean, nan hiding none
+        (count,) = ps._counts([rng], [ps.MAX_EXPECTED_COUNT])
+        assert count > 0  # the limit itself is drawn
+        above = np.nextafter(ps.MAX_EXPECTED_COUNT, np.inf)
+        for means in ([above], [math.nan, 1.0, above, 2.0]):
+            with pytest.raises(ps.ResourceGuardError, match="^expected obstacle count = ") as refused:
+                ps._counts([rng] * len(means), means)
+            amount, limit = guard_amount_and_limit(str(refused.value))
+            assert amount > limit == ps.MAX_EXPECTED_COUNT  # to 3 significant digits both read 1e+08
 
     def test_nan_passes(self):
         ps.guard(math.nan, "a count")
@@ -228,14 +232,14 @@ class TestSampleHyperplanes:
 
     def test_offset_density_d2(self):
         r_obs = 1.5
-        dists = ps.sample_plane_distances(2, 0.0, [r_obs], [stream(17)], [10_000])
+        dists = ps.sample_plane_distances(2, 0.0, [r_obs], stream(17).random(10_000), [10_000])
         stat = ks_statistic(dists, lambda x: np.sinh(x) / math.sinh(r_obs))
         assert stat < 1.63 / 100
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_offset_density(self, d):
         r_obs = 1.0
-        dists = ps.sample_plane_distances(d, 0.0, [r_obs], [stream(18)], [10_000])
+        dists = ps.sample_plane_distances(d, 0.0, [r_obs], stream(18).random(10_000), [10_000])
         norm, _ = quad(lambda s: math.cosh(s) ** (d - 1), 0, r_obs)
 
         def cdf(x):
@@ -312,7 +316,7 @@ class TestDirectionCaps:
         # proposals of mean cap_share keep, on average, the sphere's share of the cap, distributed as its angles;
         # 20 cases, each at the 0.1% level (a missing thinning moves the law far more than that)
         n = 40_000
-        vers, keep = ps.cap_versines(d, gap, [stream(80, d, round(-math.log10(gap)))], [n])
+        vers, keep = ps.cap_versines(d, gap, stream(80, d, round(-math.log10(gap))).random((2, n)))
         assert np.all((vers >= 0.0) & (vers < gap))
         kept = vers[keep] / gap
         # share of the directions with versine below w, over that of the cap: by the density (w (2 - w))^{(d-3)/2}
@@ -462,6 +466,84 @@ def test_round_layout(sampler):
     for i, rows in enumerate(zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in arrays))):
         *alone, count = sampler([stream(25, i)], t_hi[i : i + 1])
         assert count.tolist() == [counts[i]] and all(np.array_equal(r, a) for r, a in zip(rows, alone))
+
+
+def _ref_cap_annulus(obs, t_lo, t_hi, rng):
+    """(distances, versines, radii) of grains or (distances, versines) of planes of one generator's capped annulus,
+    drawn by separate calls in the order of procsim.sample_cap_annuli: the count, the distances, the versines
+    (proposed as gap U^{2/(d-1)}, then thinned to the direction density where d != 3) and the radii."""
+    d, gap, law = obs.d, obs.gap(t_lo), obs.law
+    s = obs.scale * ps.cap_share(d, gap)
+    g_lo, g_hi = cf.power_integral(d - 1, t_lo, obs.sign), cf.power_integral(d - 1, t_hi, obs.sign)
+    n = rng.poisson(obs.gamma * (s * g_hi - s * g_lo))
+    dists = cf.power_integral_inverse(d - 1, g_lo + rng.random(n) * (g_hi - g_lo), obs.sign)
+    vers = gap * rng.random(n) ** (2.0 / (d - 1))
+    bound = (2.0 if d >= 3 else 2.0 - gap) ** ((d - 3) / 2)
+    keep = np.ones(n, dtype=bool) if d == 3 else rng.random(n) * bound < (2.0 - vers) ** ((d - 3) / 2)
+    if law is None:
+        return dists[keep], vers[keep]
+    radii = law.sample_radii([rng], [n])
+    keep &= dists > radii
+    return dists[keep], vers[keep], radii[keep]
+
+
+class CountingGenerator:
+    """A generator that records the name of each of its methods called, in order."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+CAP_LAWS = {"fixed": cf.FixedRadius(0.5), "uniform": cf.UniformRadius(0.2, 0.6), "planes": None}
+
+
+class TestCapDraws:
+    """The capped samplers' draws: their order in each generator's stream, and one call for distances and versines."""
+
+    @pytest.mark.parametrize("law", CAP_LAWS.values(), ids=CAP_LAWS.keys())
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_cap_annuli_match_the_one_generator_reference(self, d, law):
+        obs, t_lo = ps.Obstacles(d, 6.0, law), 0.8
+        t_hi = [t_lo + 0.15 * i for i in range(1, 9)]
+        *arrays, counts = ps.sample_cap_annuli(obs, t_lo, t_hi, streams(86, d, 8))
+        assert counts.sum() > 20
+        for i, rows in enumerate(zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in arrays))):
+            want = _ref_cap_annulus(obs, t_lo, t_hi[i], stream(86, d, i))
+            assert len(rows) == len(want) and all(np.array_equal(r, w) for r, w in zip(rows, want))
+
+    @pytest.mark.parametrize("law", CAP_LAWS.values(), ids=CAP_LAWS.keys())
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_uniform_call_per_generator(self, d, law, monkeypatch):
+        # per generator and capped block: one Poisson call, one uniform call for the distances and the versines,
+        # then the cap union's directions and a uniform law's radii; the resource guard once per sampler call
+        guarded = []
+
+        def guard(amount, what, inner=ps.guard):
+            guarded.append(what)
+            inner(amount, what)
+
+        monkeypatch.setattr(ps, "guard", guard)
+        obs, t_lo, n = ps.Obstacles(d, 6.0, law), 0.8, 5
+        radii = ["random"] if isinstance(law, cf.UniformRadius) else []
+        rays = ps.unit_vectors(d, [stream(87)], [3])
+        for sample, drawn in (
+            (lambda rngs: ps.sample_cap_annuli(obs, t_lo, [1.8] * n, rngs), ["poisson", "random", *radii]),
+            (lambda rngs: ps.sample_cap_union(obs, t_lo, [1.8] * n, rngs, [rays] * n),
+             ["poisson", "random", "standard_normal", *radii]),
+        ):
+            rngs = [CountingGenerator(rng) for rng in streams(88, d, n)]
+            guarded.clear()
+            assert sample(rngs)[-1].sum() > 0
+            assert [rng.calls for rng in rngs] == [drawn] * n and guarded == ["expected obstacle count"]
 
 
 class TestObstacles:

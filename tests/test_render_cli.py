@@ -80,6 +80,22 @@ class TestCli:
         assert main(["formula", name, f"d={dim}", "r=inf"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == math.inf
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sinh_exp_integral", "d=2", "a=inf"],
+            ["zero_cell_mean_volume", "d=2", "gamma=inf"],
+            ["mean_visible_volume", "d=2", "gamma=inf", "grain=fixed:0.5"],
+            ["truncated_visible_volume", "d=2", "gamma=inf", "grain=fixed:0.5", "r=2"],
+        ],
+        ids=["sinh_exp_integral", "zero_cell_mean_volume", "mean_visible_volume", "truncated_visible_volume"],
+    )
+    def test_formula_at_an_infinite_rate_is_zero(self, argv, capsys):
+        # nothing is visible through an infinitely dense process: the limit 0.0, with no warning on stderr
+        assert main(["formula", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["value"] == 0.0 and err == ""
+
     def test_formula_gamma_default(self, capsys):
         assert main(["formula", "mean_visible_volume", "d=2", "grain=fixed:0.5"]) == 0
         default = json.loads(capsys.readouterr().out)["value"]
