@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--truncate", dest="truncate_at", type=float, default=None)
     p_est.add_argument("--rwin", dest="r_win", type=float, default=None)
     p_est.add_argument("--seed", type=_seed, default=0)
-    p_est.add_argument("--stratified", action="store_true", help="depth-stratified truncated estimator")
     p_est.add_argument("--format", choices=("json", "csv"), default="json")
     p_est.add_argument("--out", type=str, default=None)
 
@@ -99,7 +98,7 @@ _FORMULAS = {
     "zero_cell_mean_volume": (closedform.zero_cell_mean_volume, {"d": int, "gamma": float}, {}),
     "verify_ell_identity": (closedform.verify_ell_identity, {"d": int, "k": int, "j": int, "r": float}, {}),
     "steiner_ball_check": (closedform.steiner_ball_check, {"d": int, "radius": float, "r": float}, {}),
-    "grain_moments": (lambda d, gamma, law: vars(closedform.grain_moments(d, law)), _GRAIN_ARGS, {"gamma": "1"}),
+    "grain_moments": (lambda d, law: vars(closedform.grain_moments(d, law)), {"d": int, "grain": parse_grain_law}, {}),
     "mean_visible_volume": (closedform.mean_visible_volume, _GRAIN_ARGS, {"gamma": "1"}),
     "intersection_density": (closedform.intersection_density, _GRAIN_ARGS, {"gamma": "1"}),
     "truncated_visible_volume": (closedform.truncated_visible_volume, {**_GRAIN_ARGS, "r": float}, {}),

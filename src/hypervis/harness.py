@@ -62,16 +62,22 @@ def ks_exponential(samples, rate: float, cutoff: float = math.inf) -> KsResult:
     return KsResult(statistic=statistic, n=n, critical_1pct=critical, passed=statistic < critical)
 
 
+# The config fields without a default, by their flag and what it takes; a quantity is refused any not in its needs.
+OPTIONS = {"law": "--grain (a grain law, fixed:R or uniform:A,B)", "truncate_at": "--truncate", "r_win": "--rwin"}
+
+
 @dataclass(frozen=True)
 class Quantity:
-    """One `estimate` quantity: its runner, the library check validation calls, and the options it needs."""
+    """One `estimate` quantity: its runner, the library check validation calls, and the OPTIONS it needs."""
 
     runner: Callable[[ExperimentConfig], EstimateRecord | KsResult | FormulaCheckResult]
     check: Callable[[ExperimentConfig], None] | None = None  # None: reads no option (formula_check)
-    law: bool = False  # a Boolean model with a grain law; False: a hyperplane process
-    needs: tuple[str, str] | None = None  # (config field, flag) of a further option it cannot run without
+    needs: tuple[str, ...] = ()  # the OPTIONS fields it reads, each of which it cannot run without
     planar: bool = False  # d = 2 only
-    stratified: Quantity | None = None  # the quantity under --stratified
+
+    @property
+    def law(self) -> bool:  # a Boolean model with a grain law; False: a hyperplane process
+        return "law" in self.needs
 
 
 @dataclass
@@ -88,32 +94,29 @@ class ExperimentConfig:
     truncate_at: float | None = None
     r_win: float | None = None
     seed: int = 0
-    stratified: bool = False
 
     def range_rate(self) -> float:
         """Range rate a, the rate of the exponential visibility ranges: gamma v* for grains, else the zero-cell rate."""
         return closedform.range_rate(self.d, self.gamma, self.law if QUANTITIES[self.quantity].law else None)
 
     def validate(self) -> None:
-        """Refuse by UsageError what the quantity needs but lacks, or what its library check refuses."""
+        """Raise UsageError on an unknown quantity, a needed option unset, an unneeded one set, or a check's refusal."""
         if self.quantity not in QUANTITIES:
             raise UsageError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
         q = QUANTITIES[self.quantity]
+        for name, usage in OPTIONS.items():
+            if name in q.needs and getattr(self, name) is None:
+                raise UsageError(f"{self.quantity} needs {usage}")
+            if name not in q.needs and getattr(self, name) is not None:
+                raise UsageError(f"{self.quantity} does not read {usage.split()[0]}")
         if q.check is None:
             return
         if self.gamma is None:
             raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
-        if self.stratified and q.stratified is None:
-            takes = [name for name, entry in QUANTITIES.items() if entry.stratified]
-            raise UsageError(f"--stratified applies to {' and '.join(takes)} only, not {self.quantity}")
-        if q.law and self.law is None:
-            raise UsageError(f"quantity {self.quantity} needs a grain law (--grain fixed:R or uniform:A,B)")
-        if q.needs and getattr(self, q.needs[0]) is None:
-            raise UsageError(f"{self.quantity} needs {q.needs[1]}")
         if q.planar and self.d != 2:
             raise UsageError(f"{self.quantity} is restricted to d = 2")
         try:
-            (q.stratified if self.stratified else q).check(self)
+            q.check(self)
         except ValueError as exc:  # the library's refusals, its resource guard's among them
             raise UsageError(str(exc)) from None
 
@@ -138,7 +141,7 @@ QUANTITIES = {
     "visvol": Quantity(
         lambda c: visibility.estimate_visible_volume(c.d, c.gamma, c.law, c.n_reps, c.n_rays, None, c.cutoff, c.seed),
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, c.n_rays),
-        law=True,
+        needs=("law",),
     ),
     "visvol_truncated": Quantity(
         lambda c: visibility.estimate_visible_volume(
@@ -147,19 +150,17 @@ QUANTITIES = {
         lambda c: visibility.check_sweep(
             c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, c.n_rays, c.truncate_at
         ),
-        law=True,
-        needs=("truncate_at", "--truncate"),
-        stratified=Quantity(
-            lambda c: visibility.estimate_visible_volume_stratified(c.d, c.gamma, c.law, (c.truncate_at,), c.seed)[0],
-            lambda c: visibility.check_sweep(
-                c.quantity, c.d, c.gamma, c.law, None, c.truncate_at, c.seed, stratified=True
-            ),
-        ),
+        needs=("law", "truncate_at"),
+    ),
+    "visvol_stratified": Quantity(
+        lambda c: visibility.estimate_visible_volume_stratified(c.d, c.gamma, c.law, (c.truncate_at,), c.seed)[0],
+        lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, None, c.truncate_at, c.seed, stratified=True),
+        needs=("law", "truncate_at"),
     ),
     "cdf_boolean": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_visibility_ranges(c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed)),
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, replicated=False),
-        law=True,
+        needs=("law",),
     ),
     "cdf_tessellation": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_zero_cell_ranges(c.d, c.gamma, c.n_reps, c.cutoff, c.seed)),
@@ -168,8 +169,7 @@ QUANTITIES = {
     "intersection_density": Quantity(
         lambda c: intersect.estimate_intersection_density(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
         lambda c: intersect.check_window(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
-        law=True,
-        needs=("r_win", "--rwin"),
+        needs=("law", "r_win"),
         planar=True,
     ),
     "zero_cell": Quantity(
@@ -183,8 +183,7 @@ QUANTITIES = {
 def run(config: ExperimentConfig) -> EstimateRecord | KsResult | FormulaCheckResult:
     """Dispatch a validated configuration; deterministic given the seed."""
     config.validate()
-    q = QUANTITIES[config.quantity]
-    return (q.stratified if config.stratified else q).runner(config)
+    return QUANTITIES[config.quantity].runner(config)
 
 
 # ---------------------------------------------------------------------------

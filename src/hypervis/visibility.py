@@ -567,7 +567,7 @@ def band_count(radius: float) -> int:
 def estimate_visible_volume_stratified(
     d: int, gamma: float, law: GrainLaw, radii: tuple[float, ...], seed: int = 0
 ) -> list[EstimateRecord]:
-    """Truncated mean visible volume at each of radii by depth stratification: one visvol_truncated record per
+    """Truncated mean visible volume at each of radii by depth stratification: one visvol_stratified record per
     radius, in order, each against truncated_visible_volume there and all timed from one start.
 
     The first-touch parameters along a ray restricted to disjoint depth bands
@@ -590,7 +590,7 @@ def estimate_visible_volume_stratified(
     t0 = time.perf_counter()
     if len(radii) == 0 or not all(math.isfinite(r) and r > 0 for r in radii):
         raise ValueError(f"radii must be one or more finite values > 0, got {tuple(radii)}")
-    check_sweep("visvol_truncated", d, gamma, law, None, max(radii), seed, stratified=True)
+    check_sweep("visvol_stratified", d, gamma, law, None, max(radii), seed, stratified=True)
     radius_bands = np.array([band_count(r) for r in radii])
     n_bands = int(radius_bands.max())
     edges = STRATIFIED_BAND_WIDTH * np.arange(n_bands + 1)
@@ -614,4 +614,4 @@ def estimate_visible_volume_stratified(
     work = STRATIFIED_BATCHES * STRATIFIED_SIMS * n_bands
     batch_vals = np.concatenate(fanout.map_spans(batches, STRATIFIED_BATCHES, 1, work))
     closed = [closedform.truncated_visible_volume(d, gamma, law, r) for r in radii]
-    return [make_record("visvol_truncated", d, gamma, law, v, c, seed, t0) for v, c in zip(batch_vals.T, closed)]
+    return [make_record("visvol_stratified", d, gamma, law, v, c, seed, t0) for v, c in zip(batch_vals.T, closed)]

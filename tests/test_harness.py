@@ -15,6 +15,14 @@ from hypervis.rng import stream
 
 from conftest import assert_same_under_every_derivation, guard_amount_and_limit
 
+# A value of each harness.OPTIONS field, given to the quantities that need it
+OPTION_VALUES = {"law": cf.FixedRadius(0.5), "truncate_at": 1.0, "r_win": 2.0}
+
+
+def needed(quantity: str) -> dict:
+    """The OPTION_VALUES of the options quantity needs, as ExperimentConfig keywords."""
+    return {name: OPTION_VALUES[name] for name in harness.QUANTITIES[quantity].needs}
+
 
 class TestKsExponential:
     def test_exact_samples_pass(self):
@@ -50,10 +58,9 @@ class TestKsExponential:
 
 class TestConfigValidation:
     def test_rays_bounded_by_sweep_block_pairs(self):
-        law = cf.FixedRadius(0.5)
         limit = int(procsim.MAX_EXPECTED_COUNT) // visibility._BLOCK_TARGET
         for quantity in ("visvol", "visvol_truncated", "zero_cell"):
-            config = ExperimentConfig(quantity=quantity, gamma=3.0, law=law, n_reps=3, n_rays=limit, truncate_at=1.0, cutoff=1.0)
+            config = ExperimentConfig(quantity=quantity, gamma=3.0, n_reps=3, n_rays=limit, cutoff=1.0, **needed(quantity))
             config.validate()
             config.n_rays = limit + 1
             with pytest.raises(UsageError, match="ray-obstacle pairs"):
@@ -108,13 +115,12 @@ class TestConfigValidation:
         assert "must be finite" in capsys.readouterr().err
 
     def test_one_replication_refused_unless_stratified(self):
-        law = cf.FixedRadius(0.5)
         for quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density"):
-            cfg = ExperimentConfig(quantity=quantity, gamma=3.0, law=law, n_reps=1, truncate_at=2.0, r_win=2.0)
+            cfg = ExperimentConfig(quantity=quantity, gamma=3.0, n_reps=1, **needed(quantity))
             with pytest.raises(UsageError, match="n_reps >= 2"):
                 cfg.validate()
         # the stratified estimator takes its standard error across batches, not replications
-        ExperimentConfig(quantity="visvol_truncated", gamma=1.0, law=law, n_reps=1, truncate_at=2.0, stratified=True).validate()
+        ExperimentConfig(quantity="visvol_stratified", gamma=1.0, n_reps=1, **needed("visvol_stratified")).validate()
         # a KS test of one range is still a test
         ExperimentConfig(quantity="cdf_tessellation", gamma=2.0, n_reps=1).validate()
 
@@ -137,11 +143,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["zero_cell", "--gamma", "3", "--reps", "1", "--rays", "2", "--stratified"],
-                         "visvol_truncated only", id="argv0-visvol_truncated only"),
-            pytest.param(["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "2", "--reps", "1", "--stratified"],
-                         "visvol_truncated only", id="argv1-visvol_truncated only"),
-            pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1.3", "--stratified"],
+            pytest.param(["visvol_stratified", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1.3"],
                          "multiple of band_width 0.5", id="argv2-multiple of band_width 0.5"),
             pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "-1"],
                          "truncate_at must be >= 0", id="argv3-truncate_at must be >= 0"),
@@ -190,16 +192,14 @@ class TestConfigValidation:
                          "n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000 exceeds",
                          id="argv20-n_rays = 100000000 rays x 256 obstacles per sweep block, in ray-obstacle pairs = 25600000000 exceeds"),
             # the stratified estimator's band experiments trip the sampler's resource guard
-            pytest.param(["visvol_truncated", "--gamma", "1e9", "--grain", "fixed:0.5", "--reps", "3", "--truncate", "1", "--cutoff", "1",
-                          "--stratified"],
+            pytest.param(["visvol_stratified", "--gamma", "1e9", "--grain", "fixed:0.5", "--truncate", "1"],
                          "band experiments = 39082147912031.", id="argv21-band experiments = 39082147912031."),
             # one realization's Gram matrix would hold about 1e12 grain pairs; refused before any draw
             pytest.param(["intersection_density", "--gamma", "10000", "--grain", "fixed:0.5", "--rwin", "3", "--reps", "2"],
                          "expected grain pairs per realization = 957402428663.1",
                          id="argv22-expected grain pairs per realization = 957402428663.1"),
             # the stratified estimator's band experiments are bounded by the same sweep depth
-            pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1000", "--cutoff", "1000",
-                          "--stratified"],
+            pytest.param(["visvol_stratified", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "1000"],
                          "sweeps to depth 1000.5, beyond the 350", id="argv23-sweeps to depth 1000.5, beyond the 350"),
             # a window whose area is 0 in double precision would give a NaN estimate, which is not valid JSON
             pytest.param(["intersection_density", "--gamma", "1", "--grain", "fixed:0.5", "--rwin", "1e-300", "--reps", "2"],
@@ -229,6 +229,24 @@ class TestConfigValidation:
         assert main(["estimate", *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    # Each quantity is given the flags of the options it needs, one left out or one more added: either is refused
+    # before any draw, so that no option is silently ignored.
+    FLAGS = {"law": ["--grain", "fixed:0.5"], "truncate_at": ["--truncate", "1"], "r_win": ["--rwin", "2"]}
+
+    @pytest.mark.parametrize(
+        "quantity, option",
+        [(quantity, option) for quantity in harness.QUANTITIES for option in harness.OPTIONS],
+    )
+    def test_each_option_is_needed_or_refused(self, quantity, option, capsys):
+        needs = harness.QUANTITIES[quantity].needs
+        given = [name for name in needs if name != option] + ([] if option in needs else [option])
+        argv = ["estimate", quantity, "--gamma", "3", "--reps", "3", "--rays", "2", "--cutoff", "2"]
+        assert main(argv + [arg for name in given for arg in self.FLAGS[name]]) == 2
+        captured = capsys.readouterr()
+        flag = self.FLAGS[option][0]
+        expected = f"{quantity} needs {flag}" if option in needs else f"{quantity} does not read {flag}"
+        assert expected in captured.err and captured.out == ""
 
     def test_window_overflow_prints_only_the_usage_line(self, capsys):
         # the window's area overflows to inf; no RuntimeWarning may precede the resource guard's refusal
@@ -296,13 +314,12 @@ class TestRun:
 
     def test_visvol_truncated_stratified_dispatch(self):
         config = ExperimentConfig(
-            quantity="visvol_truncated",
+            quantity="visvol_stratified",
             gamma=0.8,
             law=cf.FixedRadius(0.5),
             truncate_at=3.0,
             cutoff=4.0,
             seed=1,
-            stratified=True,
         )
         rec = harness.run(config)
         assert rec.closed_form == pytest.approx(cf.truncated_visible_volume(2, 0.8, cf.FixedRadius(0.5), 3.0), rel=1e-9)
@@ -310,10 +327,16 @@ class TestRun:
 
     def test_stratified_record_is_the_estimators_first(self):
         config = ExperimentConfig(
-            quantity="visvol_truncated", d=3, gamma=0.9, law=cf.FixedRadius(0.5), truncate_at=1.0, seed=6, stratified=True
+            quantity="visvol_stratified", d=3, gamma=0.9, law=cf.FixedRadius(0.5), truncate_at=1.0, seed=6
         )
         first = visibility.estimate_visible_volume_stratified(3, 0.9, cf.FixedRadius(0.5), (1.0, 2.0), seed=6)[0]
         assert dataclasses.replace(harness.run(config), runtime_ms=0.0) == dataclasses.replace(first, runtime_ms=0.0)
+
+    @pytest.mark.parametrize("quantity", sorted(harness.QUANTITIES))
+    def test_record_names_its_quantity(self, quantity):
+        config = ExperimentConfig(quantity=quantity, gamma=3.0, n_reps=3, n_rays=2, cutoff=1.0, seed=5, **needed(quantity))
+        result = harness.run(config)
+        assert not isinstance(result, visibility.EstimateRecord) or result.quantity == config.quantity
 
     def test_zero_cell_dispatch(self):
         config = ExperimentConfig(quantity="zero_cell", gamma=3.0, n_reps=200, n_rays=64, cutoff=8.0, seed=2)
@@ -359,7 +382,7 @@ PINNED_RECORDS = {
     "visvol_truncated-stratified": (
         lambda: harness.run(
             ExperimentConfig(
-                quantity="visvol_truncated", gamma=0.8, law=cf.FixedRadius(0.5), truncate_at=3.0, cutoff=4.0, seed=1, stratified=True
+                quantity="visvol_stratified", gamma=0.8, law=cf.FixedRadius(0.5), truncate_at=3.0, cutoff=4.0, seed=1
             )
         ),
         10.474861841912357, 0.019362784414100873, 10.513573623808524, -1.9992879674875137, 8,

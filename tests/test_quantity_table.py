@@ -1,9 +1,10 @@
 """`hypervis estimate` quantities are declared once, in harness.QUANTITIES: validation and dispatch read
 the entries and never compare the quantity to a name, and the library's own checks hold the input rules,
-which no module reads through another's private names. The README's estimate examples stay valid, and its
-constants and formula examples run."""
+which no module reads through another's private names. The README's estimate examples stay valid, its
+constants and formula examples run, and its per-quantity option list names the options each entry needs."""
 
 import ast
+import re
 import shlex
 from pathlib import Path
 
@@ -103,3 +104,27 @@ def test_readme_constants_and_formula_examples_run(capsys):
     assert len(examples) >= 4
     for argv in examples:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def _readme_quantity_items() -> dict[str, str]:
+    """The text of each README list item "- `q`: ...", by q, with its continuation lines."""
+    items, name = {}, None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        match = re.match(r"- `(\w+)`: (.*)", line)
+        if match:
+            name, items[match[1]] = match[1], match[2]
+        elif name and line.startswith("  "):
+            items[name] += " " + line.strip()
+        else:
+            name = None
+    return items
+
+
+def test_readme_names_the_options_each_quantity_needs():
+    # the README's per-quantity option list names exactly the harness.OPTIONS flags of each table entry
+    flags = {usage.split()[0] for usage in harness.OPTIONS.values()}
+    items = _readme_quantity_items()
+    for quantity, entry in harness.QUANTITIES.items():
+        assert quantity in items, f"README lists no options of {quantity}"
+        named = set(re.findall(r"--\w+", items[quantity])) & flags
+        assert named == {harness.OPTIONS[name].split()[0] for name in entry.needs}, quantity

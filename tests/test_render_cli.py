@@ -62,6 +62,8 @@ class TestCli:
             (["truncated_visible_volume", "d=2", "gamma=-1", "grain=fixed:0.5", "r=2"], "intensity must be >= 0, got -1.0"),
             # a finite radius whose volume overflows, unlike r = inf (test_formula_of_an_infinite_radius_is_infinite)
             (["ball_volume", "d=3", "r=400"], "ball_volume overflows double precision"),
+            # the grain moments do not depend on the intensity
+            (["grain_moments", "d=2", "gamma=-1", "grain=fixed:0.5"], "unknown parameter 'gamma': grain_moments takes d, grain"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):

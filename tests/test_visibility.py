@@ -1295,7 +1295,7 @@ class TestStratifiedEstimator:
         records = vis.estimate_visible_volume_stratified(2, gamma, law, (2.0, 4.0), seed=44)
         assert len(records) == 2
         for r, rec in zip((2.0, 4.0), records):
-            assert rec.quantity == "visvol_truncated" and rec.n_reps == vis.STRATIFIED_BATCHES
+            assert rec.quantity == "visvol_stratified" and rec.n_reps == vis.STRATIFIED_BATCHES
             assert rec.n_rays == 0 and rec.seed == 44
             assert rec.closed_form == cf.truncated_visible_volume(2, gamma, law, r)
             assert abs(rec.estimate - rec.closed_form) < 4 * rec.stderr
