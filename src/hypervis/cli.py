@@ -1,5 +1,5 @@
-"""Command-line interface: constants, formula evaluation, estimation runs,
-and the acceptance verification suite."""
+"""Command-line interface: constants, formula evaluation, estimation runs (whose flags, parsers and defaults
+harness.OPTIONS holds), and the acceptance verification suite."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -16,28 +15,20 @@ from . import acceptance, closedform, harness, procsim
 from .closedform import parse_grain_law
 
 
-def _grain_law(text: str) -> closedform.GrainLaw:
-    try:
-        return parse_grain_law(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _dim(text: str) -> int:  # a dimension 2..341, the rule of `constants --dim` and of `formula`'s d
+    return closedform.Constants.for_dim(int(text)).d
 
 
-def _dimension(text: str) -> int:
-    try:
-        return closedform.Constants.for_dim(int(text)).d
-    except ValueError as exc:  # not an integer, or not a dimension 2..341
-        raise argparse.ArgumentTypeError(f"must be an integer dimension, got {text!r}: {exc}") from None
+def _argument(parse):
+    """parse as an argparse type: its ValueError becomes the reason that the parser prints after the flag."""
 
+    def argument(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+    return argument
 
 
 def _criterion_numbers(text: str) -> set[int]:
@@ -57,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constants", help="unit-ball constants for a dimension")
-    p_const.add_argument("--dim", type=_dimension, required=True)
+    p_const.add_argument("--dim", type=_argument(_dim), required=True)
 
     p_formula = sub.add_parser("formula", help="evaluate one closed form")
     p_formula.add_argument("name", type=str)
@@ -65,40 +56,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="run one Monte Carlo estimate")
     p_est.add_argument("quantity", choices=harness.QUANTITIES)
-    p_est.add_argument("--dim", dest="d", type=int, default=2)
-    p_est.add_argument("--gamma", type=float, default=None, help="intensity; every quantity but formula_check needs it")
-    p_est.add_argument("--grain", dest="law", type=_grain_law, default=None, help="fixed:R or uniform:A,B")
-    p_est.add_argument("--reps", dest="n_reps", type=int, default=1000)
-    p_est.add_argument("--rays", dest="n_rays", type=int, default=200)
-    p_est.add_argument("--cutoff", type=float, default=12.0)
-    p_est.add_argument("--truncate", dest="truncate_at", type=float, default=None)
-    p_est.add_argument("--rwin", dest="r_win", type=float, default=None)
-    p_est.add_argument("--seed", type=_seed, default=0)
+    for name, option in harness.OPTIONS.items():  # unset, each is None: validation refuses it or gives its default
+        p_est.add_argument(option.flag, dest=name, type=_argument(option.parse), help=option.help)
     p_est.add_argument("--format", choices=("json", "csv"), default="json")
     p_est.add_argument("--out", type=str, default=None)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     verify_seed = p_verify.add_mutually_exclusive_group()
     verify_seed.add_argument("--fresh-seed", action="store_true", help="report with a fresh seed, never fail")
-    verify_seed.add_argument("--seed", type=_seed, default=None, help="report with this master seed, never fail")
+    seed = _argument(harness.OPTIONS["seed"].parse)  # the rule of estimate's --seed
+    verify_seed.add_argument("--seed", type=seed, default=None, help="report with this master seed, never fail")
     p_verify.add_argument("--only", type=_criterion_numbers, default=None, help="comma-separated criterion numbers")
     return parser
 
 
-_GRAIN_ARGS = {"d": int, "gamma": float, "grain": parse_grain_law}
+_GRAIN_ARGS = {"d": _dim, "gamma": float, "grain": parse_grain_law}
 
 # name -> (function, parser of each parameter in call order, default texts)
 _FORMULAS = {
-    "ell": (closedform.ell, {"d": int, "j": int, "r": float}, {}),
-    "ball_volume": (closedform.ball_volume, {"d": int, "r": float}, {}),
-    "ball_surface": (closedform.ball_surface, {"d": int, "r": float}, {}),
-    "sinh_exp_integral": (closedform.sinh_exp_integral, {"d": int, "a": float}, {}),
-    "critical_scaling": (closedform.critical_scaling, {"d": int, "delta": float}, {}),
-    "visibility_threshold": (closedform.visibility_threshold, {"d": int, "radius": float}, {}),
-    "zero_cell_mean_volume": (closedform.zero_cell_mean_volume, {"d": int, "gamma": float}, {}),
-    "verify_ell_identity": (closedform.verify_ell_identity, {"d": int, "k": int, "j": int, "r": float}, {}),
-    "steiner_ball_check": (closedform.steiner_ball_check, {"d": int, "radius": float, "r": float}, {}),
-    "grain_moments": (lambda d, law: vars(closedform.grain_moments(d, law)), {"d": int, "grain": parse_grain_law}, {}),
+    "ell": (closedform.ell, {"d": _dim, "j": int, "r": float}, {}),
+    "ball_volume": (closedform.ball_volume, {"d": _dim, "r": float}, {}),
+    "ball_surface": (closedform.ball_surface, {"d": _dim, "r": float}, {}),
+    "sinh_exp_integral": (closedform.sinh_exp_integral, {"d": _dim, "a": float}, {}),
+    "critical_scaling": (closedform.critical_scaling, {"d": _dim, "delta": float}, {}),
+    "visibility_threshold": (closedform.visibility_threshold, {"d": _dim, "radius": float}, {}),
+    "zero_cell_mean_volume": (closedform.zero_cell_mean_volume, {"d": _dim, "gamma": float}, {}),
+    "verify_ell_identity": (closedform.verify_ell_identity, {"d": _dim, "k": int, "j": int, "r": float}, {}),
+    "steiner_ball_check": (closedform.steiner_ball_check, {"d": _dim, "radius": float, "r": float}, {}),
+    "grain_moments": (lambda d, law: vars(closedform.grain_moments(d, law)), {"d": _dim, "grain": parse_grain_law}, {}),
     "mean_visible_volume": (closedform.mean_visible_volume, _GRAIN_ARGS, {"gamma": "1"}),
     "intersection_density": (closedform.intersection_density, _GRAIN_ARGS, {"gamma": "1"}),
     "truncated_visible_volume": (closedform.truncated_visible_volume, {**_GRAIN_ARGS, "r": float}, {}),
@@ -159,7 +144,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "estimate":
-        config = harness.ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)})
+        config = harness.ExperimentConfig(args.quantity, **{name: getattr(args, name) for name in harness.OPTIONS})
         made = bool(args.out) and not os.path.lexists(args.out)
         try:  # probe the path before the run; a file the probe made goes again unless the run completes
             if args.out:

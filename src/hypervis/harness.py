@@ -1,4 +1,4 @@
-"""The `hypervis estimate` quantity table, experiment configuration and validation, the KS test, result emission."""
+"""The option and quantity tables of `hypervis estimate`, experiment configs and their validation, KS test, emission."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,59 +62,69 @@ def ks_exponential(samples, rate: float, cutoff: float = math.inf) -> KsResult:
     return KsResult(statistic=statistic, n=n, critical_1pct=critical, passed=statistic < critical)
 
 
-# The config fields without a default, by their flag and what it takes; a quantity is refused any not in its needs.
-OPTIONS = {"law": "--grain (a grain law, fixed:R or uniform:A,B)", "truncate_at": "--truncate", "r_win": "--rwin"}
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise ValueError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+class Option(NamedTuple):
+    """One `estimate` option: its flag, the parser of its text, what it sets, and its value when unset (None: none).
+    OPTIONS holds one for each option field of ExperimentConfig: the one place of their flags and defaults."""
+
+    flag: str
+    parse: Callable[[str], object]
+    help: str
+    default: object = None
+
+
+OPTIONS = {
+    "d": Option("--dim", int, "the dimension d", 2),
+    "gamma": Option("--gamma", float, "the intensity"),
+    "law": Option("--grain", closedform.parse_grain_law, "a grain law, fixed:R or uniform:A,B"),
+    "n_reps": Option("--reps", int, "replications", 1000),
+    "n_rays": Option("--rays", int, "rays per replication", 200),
+    "cutoff": Option("--cutoff", float, "the depth at which each range is censored", 12.0),
+    "truncate_at": Option("--truncate", float, "the radius within which the visible volume is taken"),
+    "r_win": Option("--rwin", float, "the radius of the observation window"),
+    "seed": Option("--seed", _seed, "the master seed, an integer >= 0", 0),
+}
 
 
 @dataclass(frozen=True)
 class Quantity:
-    """One `estimate` quantity: its runner, the library check validation calls, and the OPTIONS it needs."""
+    """One `estimate` quantity: its runner, the library check validation calls, and the OPTIONS it reads."""
 
     runner: Callable[[ExperimentConfig], EstimateRecord | KsResult | FormulaCheckResult]
-    check: Callable[[ExperimentConfig], None] | None = None  # None: reads no option (formula_check)
-    needs: tuple[str, ...] = ()  # the OPTIONS fields it reads, each of which it cannot run without
-    planar: bool = False  # d = 2 only
-
-    @property
-    def law(self) -> bool:  # a Boolean model with a grain law; False: a hyperplane process
-        return "law" in self.needs
+    check: Callable[[ExperimentConfig], None]
+    reads: tuple[str, ...] = ()  # every OPTIONS field the runner and check read; no other may be set
 
 
 @dataclass
 class ExperimentConfig:
-    """Parameters of one estimation or goodness-of-fit run."""
+    """Parameters of one estimation or goodness-of-fit run; an option left None is unset, and validate fills it."""
 
     quantity: str
-    d: int = 2
-    gamma: float | None = 1.0
+    d: int | None = None
+    gamma: float | None = None
     law: GrainLaw | None = None
-    n_reps: int = 1000
-    n_rays: int = 200
-    cutoff: float = 12.0
+    n_reps: int | None = None
+    n_rays: int | None = None
+    cutoff: float | None = None
     truncate_at: float | None = None
     r_win: float | None = None
-    seed: int = 0
-
-    def range_rate(self) -> float:
-        """Range rate a, the rate of the exponential visibility ranges: gamma v* for grains, else the zero-cell rate."""
-        return closedform.range_rate(self.d, self.gamma, self.law if QUANTITIES[self.quantity].law else None)
+    seed: int | None = None
 
     def validate(self) -> None:
-        """Raise UsageError on an unknown quantity, a needed option unset, an unneeded one set, or a check's refusal."""
+        """Refuse by UsageError what the quantity cannot run, and give each unset option it reads its default."""
         if self.quantity not in QUANTITIES:
             raise UsageError(f"unknown quantity {self.quantity!r}; choose from {tuple(QUANTITIES)}")
         q = QUANTITIES[self.quantity]
-        for name, usage in OPTIONS.items():
-            if name in q.needs and getattr(self, name) is None:
-                raise UsageError(f"{self.quantity} needs {usage}")
-            if name not in q.needs and getattr(self, name) is not None:
-                raise UsageError(f"{self.quantity} does not read {usage.split()[0]}")
-        if q.check is None:
-            return
-        if self.gamma is None:
-            raise UsageError(f"{self.quantity} needs an intensity (--gamma)")
-        if q.planar and self.d != 2:
-            raise UsageError(f"{self.quantity} is restricted to d = 2")
+        for name, option in OPTIONS.items():  # defaults filled, an option is set if and only if the quantity reads it
+            if name in q.reads and getattr(self, name) is None:
+                setattr(self, name, option.default)
+            if (getattr(self, name) is None) == (name in q.reads):
+                raise UsageError(f"{self.quantity} {'needs' if name in q.reads else 'does not read'} {option.flag}")
         try:
             q.check(self)
         except ValueError as exc:  # the library's refusals, its resource guard's among them
@@ -134,14 +144,14 @@ def _ks_ranges(c: ExperimentConfig, values: np.ndarray, censored: np.ndarray) ->
     """ks_exponential of the ranges below the cutoff, against Exp(range rate) truncated there."""
     if censored.all():
         raise UsageError(f"every range is censored at the cutoff {c.cutoff}: no range is left to test; raise --cutoff")
-    return ks_exponential(values[~censored], c.range_rate(), c.cutoff)
+    return ks_exponential(values[~censored], closedform.range_rate(c.d, c.gamma, c.law), c.cutoff)
 
 
 QUANTITIES = {
     "visvol": Quantity(
         lambda c: visibility.estimate_visible_volume(c.d, c.gamma, c.law, c.n_reps, c.n_rays, None, c.cutoff, c.seed),
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, c.n_rays),
-        needs=("law",),
+        reads=("d", "gamma", "law", "n_reps", "n_rays", "cutoff", "seed"),
     ),
     "visvol_truncated": Quantity(
         lambda c: visibility.estimate_visible_volume(
@@ -150,33 +160,34 @@ QUANTITIES = {
         lambda c: visibility.check_sweep(
             c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, c.n_rays, c.truncate_at
         ),
-        needs=("law", "truncate_at"),
+        reads=("d", "gamma", "law", "n_reps", "n_rays", "cutoff", "truncate_at", "seed"),
     ),
     "visvol_stratified": Quantity(
         lambda c: visibility.estimate_visible_volume_stratified(c.d, c.gamma, c.law, (c.truncate_at,), c.seed)[0],
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, None, c.truncate_at, c.seed, stratified=True),
-        needs=("law", "truncate_at"),
+        reads=("d", "gamma", "law", "truncate_at", "seed"),
     ),
     "cdf_boolean": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_visibility_ranges(c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed)),
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, c.law, c.n_reps, c.cutoff, c.seed, replicated=False),
-        needs=("law",),
+        reads=("d", "gamma", "law", "n_reps", "cutoff", "seed"),
     ),
     "cdf_tessellation": Quantity(
         lambda c: _ks_ranges(c, *visibility.sample_zero_cell_ranges(c.d, c.gamma, c.n_reps, c.cutoff, c.seed)),
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, None, c.n_reps, c.cutoff, c.seed, replicated=False),
+        reads=("d", "gamma", "n_reps", "cutoff", "seed"),
     ),
     "intersection_density": Quantity(
         lambda c: intersect.estimate_intersection_density(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
         lambda c: intersect.check_window(c.gamma, c.law, c.r_win, c.n_reps, c.seed),
-        needs=("law", "r_win"),
-        planar=True,
+        reads=("gamma", "law", "n_reps", "r_win", "seed"),
     ),
     "zero_cell": Quantity(
         lambda c: visibility.estimate_zero_cell_volume(c.d, c.gamma, c.n_reps, c.n_rays, c.cutoff, c.seed),
         lambda c: visibility.check_sweep(c.quantity, c.d, c.gamma, None, c.n_reps, c.cutoff, c.seed, c.n_rays),
+        reads=("d", "gamma", "n_reps", "n_rays", "cutoff", "seed"),
     ),
-    "formula_check": Quantity(lambda c: formula_check()),
+    "formula_check": Quantity(lambda c: formula_check(), lambda c: None),  # reads no option: nothing to check
 }
 
 

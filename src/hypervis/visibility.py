@@ -176,11 +176,15 @@ def check_sweep(
         procsim.guard(n_rays * _BLOCK_TARGET, pairs)
     if not cutoff > 0:
         raise ValueError("cutoff must be > 0")
-    a = closedform.range_rate(d, gamma, law)
+    try:  # the range rate a is gamma times its value at gamma = 1, bit for bit
+        unit = closedform.range_rate(d, 1.0, law)
+    except OverflowError:  # the grains' mean surface v* passes double precision
+        raise ValueError(f"the range rate overflows double precision at grain radius {law.max_radius:g}") from None
+    a = gamma * unit
     if n_rays is not None and truncate_at is None and math.isinf(closedform.sinh_exp_integral(d, a)):
         raise ValueError(
             f"mean {'visible' if law else 'zero-cell'} volume is infinite at range rate a = {a:.6g} <= d-1 = {d - 1}; "
-            f"finiteness needs gamma > {(d - 1) * gamma / a:.6g}"
+            f"finiteness needs gamma > {(d - 1) / unit if unit > 0 else math.inf:.6g}"
         )
     if n_rays is not None or stratified:  # ranges of mean 1/a give volumes near vol B(1/a)
         with np.errstate(over="ignore", invalid="ignore"):  # a long mean range has volume inf or nan

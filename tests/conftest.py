@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,17 @@ def no_child_left_behind():
 @pytest.fixture
 def rng():
     return stream(20240917)
+
+
+@pytest.fixture
+def benchmark_workloads(monkeypatch):
+    """benchmarks/workloads.py, loaded as a module: the call lists that the benchmark builds from a master seed."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("hypervis_benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def ks_statistic(samples, cdf):

@@ -15,13 +15,13 @@ from hypervis.rng import stream
 
 from conftest import assert_same_under_every_derivation, guard_amount_and_limit
 
-# A value of each harness.OPTIONS field, given to the quantities that need it
+# A value of each harness.OPTIONS field without a default but the intensity, given to the quantities that read it
 OPTION_VALUES = {"law": cf.FixedRadius(0.5), "truncate_at": 1.0, "r_win": 2.0}
 
 
-def needed(quantity: str) -> dict:
-    """The OPTION_VALUES of the options quantity needs, as ExperimentConfig keywords."""
-    return {name: OPTION_VALUES[name] for name in harness.QUANTITIES[quantity].needs}
+def read(quantity: str, **values) -> dict:
+    """The OPTION_VALUES and values of the options that quantity reads, as ExperimentConfig keywords."""
+    return {name: v for name, v in {**OPTION_VALUES, **values}.items() if name in harness.QUANTITIES[quantity].reads}
 
 
 class TestKsExponential:
@@ -60,7 +60,7 @@ class TestConfigValidation:
     def test_rays_bounded_by_sweep_block_pairs(self):
         limit = int(procsim.MAX_EXPECTED_COUNT) // visibility._BLOCK_TARGET
         for quantity in ("visvol", "visvol_truncated", "zero_cell"):
-            config = ExperimentConfig(quantity=quantity, gamma=3.0, n_reps=3, n_rays=limit, cutoff=1.0, **needed(quantity))
+            config = ExperimentConfig(quantity, **read(quantity, gamma=3.0, n_reps=3, n_rays=limit, cutoff=1.0))
             config.validate()
             config.n_rays = limit + 1
             with pytest.raises(UsageError, match="ray-obstacle pairs"):
@@ -72,7 +72,7 @@ class TestConfigValidation:
 
     def test_negative_seed(self):
         with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
-            ExperimentConfig(quantity="cdf_tessellation", seed=-1).validate()
+            ExperimentConfig(quantity="cdf_tessellation", gamma=1.0, seed=-1).validate()
 
     def test_visvol_below_threshold_names_it(self):
         config = ExperimentConfig(quantity="visvol", gamma=0.5, law=cf.FixedRadius(0.5))
@@ -80,8 +80,8 @@ class TestConfigValidation:
             config.validate()
 
     def test_missing_law(self):
-        with pytest.raises(UsageError, match="grain law"):
-            ExperimentConfig(quantity="cdf_boolean").validate()
+        with pytest.raises(UsageError, match="cdf_boolean needs --grain"):
+            ExperimentConfig(quantity="cdf_boolean", gamma=1.0).validate()
 
     def test_truncate_beyond_cutoff(self):
         config = ExperimentConfig(
@@ -93,8 +93,9 @@ class TestConfigValidation:
     def test_intersection_needs_rwin_and_d2(self):
         with pytest.raises(UsageError, match="rwin"):
             ExperimentConfig(quantity="intersection_density", gamma=1.0, law=cf.FixedRadius(0.5)).validate()
-        with pytest.raises(UsageError, match="d = 2"):
-            ExperimentConfig(quantity="intersection_density", d=3, gamma=1.0, law=cf.FixedRadius(0.5), r_win=2.0).validate()
+        # the planar window reads no dimension, so --dim is refused like any option a quantity does not read
+        with pytest.raises(UsageError, match="intersection_density does not read --dim"):
+            ExperimentConfig(quantity="intersection_density", d=2, gamma=1.0, law=cf.FixedRadius(0.5), r_win=2.0).validate()
         for r_win in (0.0, -1.0):
             with pytest.raises(UsageError, match="rwin must be > 0"):
                 ExperimentConfig(quantity="intersection_density", gamma=1.0, law=cf.FixedRadius(0.5), r_win=r_win).validate()
@@ -116,11 +117,13 @@ class TestConfigValidation:
 
     def test_one_replication_refused_unless_stratified(self):
         for quantity in ("visvol", "visvol_truncated", "zero_cell", "intersection_density"):
-            cfg = ExperimentConfig(quantity=quantity, gamma=3.0, n_reps=1, **needed(quantity))
+            cfg = ExperimentConfig(quantity, **read(quantity, gamma=3.0, n_reps=1))
             with pytest.raises(UsageError, match="n_reps >= 2"):
                 cfg.validate()
-        # the stratified estimator takes its standard error across batches, not replications
-        ExperimentConfig(quantity="visvol_stratified", gamma=1.0, n_reps=1, **needed("visvol_stratified")).validate()
+        # the stratified estimator takes its standard error across batches, so it reads no replication count
+        ExperimentConfig("visvol_stratified", **read("visvol_stratified", gamma=1.0)).validate()
+        with pytest.raises(UsageError, match="visvol_stratified does not read --reps"):
+            ExperimentConfig("visvol_stratified", **read("visvol_stratified", gamma=1.0), n_reps=1).validate()
         # a KS test of one range is still a test
         ExperimentConfig(quantity="cdf_tessellation", gamma=2.0, n_reps=1).validate()
 
@@ -148,7 +151,7 @@ class TestConfigValidation:
             pytest.param(["visvol_truncated", "--gamma", "1", "--grain", "fixed:0.5", "--truncate", "-1"],
                          "truncate_at must be >= 0", id="argv3-truncate_at must be >= 0"),
             pytest.param(["zero_cell", "--reps", "10", "--rays", "2"],
-                         "needs an intensity (--gamma)", id="argv4-needs an intensity (--gamma)"),
+                         "zero_cell needs --gamma", id="argv4-needs an intensity (--gamma)"),
             pytest.param(["zero_cell", "--gamma", "0.5", "--reps", "3", "--rays", "3"],
                          "mean zero-cell volume is infinite", id="argv5-mean zero-cell volume is infinite"),
             pytest.param(["zero_cell", "--dim", "12", "--gamma", "3", "--reps", "3", "--rays", "3"],
@@ -223,6 +226,20 @@ class TestConfigValidation:
             pytest.param(["intersection_density", "--gamma", "1e200", "--grain", "fixed:0.5", "--rwin", "1", "--reps", "3"],
                          "the intersection density kappa_2 (v* gamma)^2 overflows double precision",
                          id="argv29-the intersection density kappa_2 (v* gamma)^2 overflows double precision"),
+            # the grains' mean surface overflows: math.sinh or the quadrature raised a bare OverflowError
+            pytest.param(["visvol", "--gamma", "3", "--grain", "fixed:720", "--reps", "10"],
+                         "the range rate overflows double precision at grain radius 720", id="argv30-the range rate overflows double precision at grain radius 720"),
+            pytest.param(["visvol_truncated", "--gamma", "3", "--grain", "fixed:1e308", "--reps", "10", "--truncate", "1"],
+                         "the range rate overflows double precision at grain radius 1e+308", id="argv31-the range rate overflows double precision at grain radius 1e+308"),
+            pytest.param(["cdf_boolean", "--gamma", "3", "--grain", "uniform:0,800", "--reps", "10"],
+                         "the range rate overflows double precision at grain radius 800", id="argv32-the range rate overflows double precision at grain radius 800"),
+            pytest.param(["visvol_stratified", "--gamma", "3", "--grain", "fixed:720", "--truncate", "1"],
+                         "the range rate overflows double precision at grain radius 720", id="argv33-the range rate overflows double precision at grain radius 720"),
+            # the threshold is (d - 1) / a at gamma = 1: a rate that underflows divided by zero, a subnormal one read 1
+            pytest.param(["visvol", "--gamma", "3", "--grain", "uniform:0,1e-300", "--reps", "10", "--rays", "5", "--cutoff", "2"],
+                         "finiteness needs gamma > inf", id="argv34-finiteness needs gamma > inf"),
+            pytest.param(["zero_cell", "--gamma", "5e-324", "--reps", "10", "--rays", "3", "--cutoff", "1"],
+                         "finiteness needs gamma > 1.5708", id="argv35-finiteness needs gamma > 1.5708"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):
@@ -230,23 +247,31 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
-    # Each quantity is given the flags of the options it needs, one left out or one more added: either is refused
-    # before any draw, so that no option is silently ignored.
-    FLAGS = {"law": ["--grain", "fixed:0.5"], "truncate_at": ["--truncate", "1"], "r_win": ["--rwin", "2"]}
+    # Each quantity is given a value of every option it reads but one, or of every option it reads and one more.
+    # An option it does not read is refused, and one without a default that it reads is needed, before any draw,
+    # so that no option is silently ignored; one left out that has a default takes it.
+    VALUES = {"d": "2", "gamma": "3", "law": "fixed:0.5", "n_reps": "3", "n_rays": "2", "cutoff": "2",
+              "truncate_at": "1", "r_win": "2", "seed": "5"}
 
     @pytest.mark.parametrize(
         "quantity, option",
         [(quantity, option) for quantity in harness.QUANTITIES for option in harness.OPTIONS],
     )
-    def test_each_option_is_needed_or_refused(self, quantity, option, capsys):
-        needs = harness.QUANTITIES[quantity].needs
-        given = [name for name in needs if name != option] + ([] if option in needs else [option])
-        argv = ["estimate", quantity, "--gamma", "3", "--reps", "3", "--rays", "2", "--cutoff", "2"]
-        assert main(argv + [arg for name in given for arg in self.FLAGS[name]]) == 2
+    def test_each_option_is_needed_or_refused(self, quantity, option, capsys, monkeypatch):
+        entry, runs = harness.QUANTITIES[quantity], []
+        stub = harness.FormulaCheckResult(0.0, True, {})  # the run is replaced: only validation is under test
+        monkeypatch.setitem(harness.QUANTITIES, quantity, dataclasses.replace(entry, runner=lambda c: runs.append(c) or stub))
+        given = [name for name in entry.reads if name != option] + ([] if option in entry.reads else [option])
+        argv = ["estimate", quantity] + [arg for name in given for arg in (harness.OPTIONS[name].flag, self.VALUES[name])]
+        flag, default = harness.OPTIONS[option].flag, harness.OPTIONS[option].default
+        if option in entry.reads and default is not None:
+            assert main(argv) == 0
+            assert [getattr(config, option) for config in runs] == [default]
+            return
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        flag = self.FLAGS[option][0]
-        expected = f"{quantity} needs {flag}" if option in needs else f"{quantity} does not read {flag}"
-        assert expected in captured.err and captured.out == ""
+        expected = f"{quantity} needs {flag}" if option in entry.reads else f"{quantity} does not read {flag}"
+        assert expected in captured.err and captured.out == "" and runs == []
 
     def test_window_overflow_prints_only_the_usage_line(self, capsys):
         # the window's area overflows to inf; no RuntimeWarning may precede the resource guard's refusal
@@ -272,7 +297,7 @@ class TestConfigValidation:
         assert 0.0 < json.loads(capsys.readouterr().out)["value"] < math.inf
 
     def test_gamma_required_only_where_used(self, capsys):
-        with pytest.raises(UsageError, match="needs an intensity"):
+        with pytest.raises(UsageError, match="cdf_tessellation needs --gamma"):
             ExperimentConfig(quantity="cdf_tessellation", gamma=None).validate()
         ExperimentConfig(quantity="formula_check", gamma=None).validate()
         assert main(["estimate", "formula_check"]) == 0
@@ -318,7 +343,6 @@ class TestRun:
             gamma=0.8,
             law=cf.FixedRadius(0.5),
             truncate_at=3.0,
-            cutoff=4.0,
             seed=1,
         )
         rec = harness.run(config)
@@ -334,7 +358,7 @@ class TestRun:
 
     @pytest.mark.parametrize("quantity", sorted(harness.QUANTITIES))
     def test_record_names_its_quantity(self, quantity):
-        config = ExperimentConfig(quantity=quantity, gamma=3.0, n_reps=3, n_rays=2, cutoff=1.0, seed=5, **needed(quantity))
+        config = ExperimentConfig(quantity, **read(quantity, gamma=3.0, n_reps=3, n_rays=2, cutoff=1.0, seed=5))
         result = harness.run(config)
         assert not isinstance(result, visibility.EstimateRecord) or result.quantity == config.quantity
 
@@ -382,7 +406,7 @@ PINNED_RECORDS = {
     "visvol_truncated-stratified": (
         lambda: harness.run(
             ExperimentConfig(
-                quantity="visvol_stratified", gamma=0.8, law=cf.FixedRadius(0.5), truncate_at=3.0, cutoff=4.0, seed=1
+                quantity="visvol_stratified", gamma=0.8, law=cf.FixedRadius(0.5), truncate_at=3.0, seed=1
             )
         ),
         10.474861841912357, 0.019362784414100873, 10.513573623808524, -1.9992879674875137, 8,

@@ -31,6 +31,21 @@ PROBES = {
                             ValueError, "zero_cell averages ray volumes near vol B(1/a) = 0"),
     "zero-cell-infinite": (lambda: visibility.estimate_zero_cell_volume(2, 0.5, 3, 3, 2.0, 0),
                            ValueError, "mean zero-cell volume is infinite"),
+    # the grains' mean surface v* overflows: unrefused, math.sinh or the quadrature raises a bare OverflowError
+    "rate-overflow-fixed": (lambda: visibility.estimate_visible_volume(2, 3.0, cf.FixedRadius(720.0), 10, 3, None, 2.0, 0),
+                            ValueError, "the range rate overflows double precision at grain radius 720"),
+    "rate-overflow-huge": (lambda: visibility.sample_visibility_ranges(2, 3.0, cf.FixedRadius(1e308), 10, 2.0, 0),
+                           ValueError, "the range rate overflows double precision at grain radius 1e+308"),
+    "rate-overflow-uniform": (lambda: visibility.estimate_visible_volume(2, 3.0, cf.UniformRadius(0.0, 800.0), 10, 3, 1.0, 2.0, 0),
+                              ValueError, "the range rate overflows double precision at grain radius 800"),
+    "rate-overflow-stratified": (lambda: visibility.estimate_visible_volume_stratified(2, 3.0, cf.FixedRadius(720.0), (1.0,)),
+                                 ValueError, "the range rate overflows double precision at grain radius 720"),
+    # the rate underflows to 0: unrefused, the threshold's (d - 1) gamma / a divides by zero
+    "rate-underflow": (lambda: visibility.estimate_visible_volume(2, 3.0, cf.UniformRadius(0.0, 1e-300), 10, 5, None, 2.0, 0),
+                       ValueError, "finiteness needs gamma > inf"),
+    # a subnormal rate: the threshold read (d - 1) gamma / a = 1, not pi / 2
+    "rate-subnormal": (lambda: visibility.estimate_zero_cell_volume(2, 5e-324, 10, 3, 1.0, 0),
+                       ValueError, "finiteness needs gamma > 1.5708"),
     # unrefused, numpy's Poisson sampler raises "lam < 0 or lam is NaN" after the generators are built
     "gamma-nan": (lambda: visibility.estimate_visible_volume(2, math.nan, HALF, 3, 3, None, 2.0, 0),
                   ValueError, "gamma must be finite, got nan"),

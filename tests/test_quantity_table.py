@@ -1,7 +1,8 @@
 """`hypervis estimate` quantities are declared once, in harness.QUANTITIES: validation and dispatch read
 the entries and never compare the quantity to a name, and the library's own checks hold the input rules,
-which no module reads through another's private names. The README's estimate examples stay valid, its
-constants and formula examples run, and its per-quantity option list names the options each entry needs."""
+which no module reads through another's private names. Each entry lists the options its runner and check
+read. The README's estimate examples stay valid, its constants and formula examples run, and its
+per-quantity option list names the options each entry reads. The benchmark's configs validate."""
 
 import ast
 import re
@@ -38,8 +39,18 @@ def test_validate_and_run_compare_no_quantity_name():
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
     methods = {node.name: node for node in config.body if isinstance(node, ast.FunctionDef)}
-    for node in (methods["validate"], methods["range_rate"], functions["run"]):
+    for node in (methods["validate"], functions["run"]):
         assert not _name_comparisons(node), f"{node.name} branches on a quantity name instead of its table entry"
+
+
+def test_each_quantity_reads_what_its_runner_and_check_read():
+    # an option that a runner or check reads but its entry does not list would reach it as None, unfilled
+    tree = ast.parse((ROOT / "src" / "hypervis" / "harness.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign) and node.targets[0].id == "QUANTITIES")
+    for key, call in zip(table.keys, table.values):
+        lambdas = [node for arg in call.args for node in ast.walk(arg)]
+        used = {node.attr for node in lambdas if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "c"}
+        assert used - {"quantity"} == set(harness.QUANTITIES[key.value].reads), key.value
 
 
 SOURCES = sorted((ROOT / "src" / "hypervis").glob("*.py"))
@@ -121,10 +132,17 @@ def _readme_quantity_items() -> dict[str, str]:
 
 
 def test_readme_names_the_options_each_quantity_needs():
-    # the README's per-quantity option list names exactly the harness.OPTIONS flags of each table entry
-    flags = {usage.split()[0] for usage in harness.OPTIONS.values()}
+    # the README's per-quantity option list names exactly the harness.OPTIONS flags that each table entry reads
+    flags = {option.flag for option in harness.OPTIONS.values()}
     items = _readme_quantity_items()
     for quantity, entry in harness.QUANTITIES.items():
         assert quantity in items, f"README lists no options of {quantity}"
         named = set(re.findall(r"--\w+", items[quantity])) & flags
-        assert named == {harness.OPTIONS[name].split()[0] for name in entry.needs}, quantity
+        assert named == {harness.OPTIONS[name].flag for name in entry.reads}, quantity
+
+
+def test_benchmark_configs_validate(benchmark_workloads):
+    # building a sweep workload validates each of its configs, so the option rule refuses none that the benchmark runs
+    for name, build in benchmark_workloads.WORKLOADS.items():
+        for smoke in (False, True):
+            assert build(42, smoke).calls, (name, smoke)

@@ -64,6 +64,11 @@ class TestCli:
             (["ball_volume", "d=3", "r=400"], "ball_volume overflows double precision"),
             # the grain moments do not depend on the intensity
             (["grain_moments", "d=2", "gamma=-1", "grain=fixed:0.5"], "unknown parameter 'gamma': grain_moments takes d, grain"),
+            # d is a dimension 2..341, as for constants --dim and estimate: d = 1 once ran, and the threshold read 0.0
+            (["ball_volume", "d=1", "r=1"], "malformed parameter d='1': dimension must be >= 2"),
+            (["grain_moments", "d=1", "grain=fixed:1"], "malformed parameter d='1': dimension must be >= 2"),
+            (["zero_cell_mean_volume", "d=1", "gamma=1"], "malformed parameter d='1': dimension must be >= 2"),
+            (["visibility_threshold", "d=1", "radius=0.5"], "malformed parameter d='1': dimension must be >= 2"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import math
 import os
 import re
@@ -8,7 +7,6 @@ import sys
 import threading
 import time
 from functools import lru_cache, partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1096,7 +1094,7 @@ class TestForkedRounds:
         vis.sample_zero_cell_ranges(2, 2.0, ROUND + 1, 2.0, 3)
         assert sweeps == [[(0, ROUND), (ROUND, ROUND + 1)], [(0, ROUND)], [(0, ROUND + 1)]]
 
-    def test_which_runs_fork(self, monkeypatch):
+    def test_which_runs_fork(self, monkeypatch, benchmark_workloads):
         # the work each run passes to fanout.map_spans, taken there before any draw: criteria 1, 4, 9 and 11 and
         # the benchmark's visvol-d4 reach the floor, its four single-ray sweep calls fall below it
         class Stop(Exception):
@@ -1123,12 +1121,8 @@ class TestForkedRounds:
         assert work_of(lambda: acceptance.CRITERIA[1](seed)) == 10_000 >= floor
         # criterion 11: 10,000 segments of length 1 through 2 sinh(1) expected planes each at intensity 1
         assert work_of(lambda: acceptance.CRITERIA[11](seed)) == 10_000 * 1.0 * ps.plane_measure(2, 1.0) >= floor
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("hypervis_benchmark_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
-        spec.loader.exec_module(workloads)
-        calls = [call for name in ("sweep-d3", "sweep-highdim") for call in workloads.WORKLOADS[name](seed, False).calls]
+        workloads = benchmark_workloads.WORKLOADS
+        calls = [call for name in ("sweep-d3", "sweep-highdim") for call in workloads[name](seed, False).calls]
         works = {call.label: work_of(call.run) for call in calls}
         assert works.pop("visvol-d4") == 700 * 50 >= floor
         assert len(works) == 4 and max(works.values()) == 2000 < floor
