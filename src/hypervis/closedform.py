@@ -73,8 +73,8 @@ class FixedRadius:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("fixed grain radius must be > 0")
+        if not 0 < self.radius < math.inf:  # a grain of infinite radius covers the base point: no conditioned model
+            raise ValueError(f"fixed grain radius must be finite and > 0, got {self.radius}")
 
     @property
     def max_radius(self) -> float:
@@ -93,8 +93,8 @@ class UniformRadius:
     hi: float
 
     def __post_init__(self):
-        if self.lo < 0 or not self.hi > self.lo:
-            raise ValueError("uniform radius law needs 0 <= lo < hi")
+        if self.lo < 0 or not self.lo < self.hi < math.inf:
+            raise ValueError(f"uniform radius law needs finite 0 <= lo < hi, got {self.lo}, {self.hi}")
 
     @property
     def max_radius(self) -> float:

@@ -23,10 +23,11 @@ many-ray sweep deep out, drawing only the union of the caps of a
 replication's live rays. Each draws a round of replications at once, each
 generator making its own draws in its own order, and runs the radial inverse
 (sample_radial_annulus or sample_plane_distances, which invert the uniforms
-handed to them) once over the round, each root converging on its own. In the
-capped samplers a generator makes one Poisson call for its count and one
-uniform call for the distances and versines of its obstacles (_cap_uniforms),
-and each sampler call checks the resource guard once, on the largest
+handed to them) once over the round, each root converging on its own. One
+proposal step (_proposals) makes the first draws of every block of every
+sampler: per generator one Poisson call for its counts and one uniform call
+for the distances of its obstacles and, in the capped samplers, their
+versines. Each sampler call checks the resource guard once, on the largest
 expected count of its round (_counts). They return each per-obstacle array
 flat in generator order, then a count per generator, in polar form:
 distances, unit directions (to a grain's center or a plane's foot) or
@@ -220,14 +221,6 @@ def cap_versines(d: int, gap: float, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return versines, u[1] * _cap_bound(d, gap) < (2.0 - versines) ** ((d - 3) / 2)
 
 
-def _cap_uniforms(d: int, rngs, counts) -> np.ndarray:
-    """The uniforms of counts[i] capped proposals from each generator rngs[i], in one call per generator:
-    row 0 their distances, rows 1: their cap_versines (a versine, and where d != 3 a thinning), the columns
-    concatenated in generator order."""
-    rows = 2 if d == 3 else 3
-    return np.concatenate([rng.random((rows, c)) for rng, c in zip(rngs, counts)], axis=1)
-
-
 def kept_counts(counts: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """How many draws each generator keeps, of counts[i] draws by generator i concatenated in generator order."""
     return np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
@@ -276,14 +269,6 @@ class Obstacles:
         return cap_share(self.d, self.gap(t))
 
 
-def _means(obs: Obstacles, share: float, profile: tuple) -> list[float]:
-    """Expected obstacles at distance in [t_lo, t_hi[i]), for each i, with directions in a share of all,
-    from profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)."""
-    g_lo, g_hi = profile
-    scale = obs.scale * share
-    return (obs.gamma * (scale * g_hi - scale * g_lo)).tolist()
-
-
 def _counts(rngs, means: list[float], sizes=None) -> list:
     """A Poisson count of mean means[i] from each generator rngs[i], or sizes[i] of them, refused beyond the
     resource guard. The guard reads the largest mean once; nan passes it, as it passes guard."""
@@ -291,11 +276,18 @@ def _counts(rngs, means: list[float], sizes=None) -> list:
     return [rng.poisson(mean, size) for rng, mean, size in zip(rngs, means, sizes or repeat(None))]
 
 
-def _distances(obs: Obstacles, t_lo: float, t_hi, u: np.ndarray, sizes, profile: tuple) -> np.ndarray:
-    """Distances on [t_lo, t_hi[i]] by the obstacles' profile from the uniforms u, sizes[i] per annulus. The
-    inverse is looked up at call time, where benchmarks/tracer.py times it."""
-    sample = sample_plane_distances if obs.law is None else sample_radial_annulus
-    return sample(obs.d, t_lo, t_hi, u, sizes, profile=profile)
+def _proposals(obs: Obstacles, t_lo: float, t_hi, rngs, share: float, rows: int, sizes=None) -> tuple:
+    """The first draws of a sweep block: (caps, counts, distances, uniforms). Each generator rngs[i] draws caps[i],
+    the _counts of its annulus [t_lo, t_hi[i]) in a share of all directions (sizes[i] of them where given), then
+    in one call rows uniforms for each of its counts[i] proposals, concatenated in generator order: row 0 becomes
+    distances by the inverse looked up at call time, where benchmarks/tracer.py times it, and rows 1: are returned."""
+    g_lo, g_hi = profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
+    scale = obs.scale * share
+    caps = _counts(rngs, (obs.gamma * (scale * g_hi - scale * g_lo)).tolist(), sizes)
+    counts = np.array(caps if sizes is None else [c.sum() for c in caps], dtype=int)
+    u = np.concatenate([rng.random((rows, c)) for rng, c in zip(rngs, counts)], axis=1)
+    invert = sample_plane_distances if obs.law is None else sample_radial_annulus
+    return caps, counts, invert(obs.d, t_lo, t_hi, u[0], counts, profile=profile), u[1:]
 
 
 def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering: bool = True) -> tuple:
@@ -321,10 +313,7 @@ def sample_annulus(obs: Obstacles, t_lo: float, t_hi, rngs, drop_covering: bool 
     With drop_covering, grains containing the base point (distance <= radius)
     are deleted, which conditions the model on an uncovered base point.
     """
-    profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-    counts = np.array(_counts(rngs, _means(obs, 1.0, profile)), dtype=int)
-    uniforms = np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
-    dists = _distances(obs, t_lo, t_hi, uniforms, counts, profile)
+    _, counts, dists, _ = _proposals(obs, t_lo, t_hi, rngs, 1.0, 1)
     return _marked(obs, rngs, counts, dists, unit_vectors(obs.d, rngs, counts), None, drop_covering)
 
 
@@ -336,14 +325,11 @@ def sample_cap_annuli(obs: Obstacles, t_lo: float, t_hi, rngs) -> tuple[np.ndarr
     obstacle's direction (to a grain's center or a plane's foot, away from
     the base point). Only the obstacles in the cap of versine
     obs.gap(t_lo) are drawn (see cap_versines), each generator drawing its
-    count, its distances' and versines' uniforms (_cap_uniforms) and radii.
+    count, its distances' and versines' uniforms (_proposals) and radii.
     """
-    gap = obs.gap(t_lo)
-    profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-    counts = np.array(_counts(rngs, _means(obs, cap_share(obs.d, gap), profile)), dtype=int)
-    uniforms = _cap_uniforms(obs.d, rngs, counts)
-    dists = _distances(obs, t_lo, t_hi, uniforms[0], counts, profile)
-    return _marked(obs, rngs, counts, dists, *cap_versines(obs.d, gap, uniforms[1:]))
+    d, gap = obs.d, obs.gap(t_lo)
+    _, counts, dists, uniforms = _proposals(obs, t_lo, t_hi, rngs, cap_share(d, gap), 2 if d == 3 else 3)
+    return _marked(obs, rngs, counts, dists, *cap_versines(d, gap, uniforms))
 
 
 def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.ndarray, ...]:
@@ -352,20 +338,17 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
     (distances, directions, counts) of planes.
 
     Generator i draws one Poisson count per ray of rays[i] (the share of the annulus in one cap), then in
-    one call (_cap_uniforms) the uniforms of the distances and the versines w (cap_versines) of its
+    one call (_proposals) the uniforms of the distances and the versines w (cap_versines) of its
     proposals, then their directions (1 - w) u + sqrt(w (2 - w)) v, cap by cap in ray order, with u the
     cap's ray and v uniform and orthogonal to u, and the radii. A proposal is kept if cap_versines keeps it
     and its direction lies in no earlier ray's cap, so each point of the union is drawn from exactly one
     cap: a Poisson restriction like the annulus itself.
     """
     d, gap = obs.d, obs.gap(t_lo)
-    profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
-    caps = _counts(rngs, _means(obs, cap_share(d, gap), profile), [len(u) for u in rays])
+    sizes = [len(u) for u in rays]
+    caps, counts, dists, uniforms = _proposals(obs, t_lo, t_hi, rngs, cap_share(d, gap), 2 if d == 3 else 3, sizes)
     owners = [np.repeat(np.arange(len(c)), c) for c in caps]
-    counts = np.array([len(o) for o in owners], dtype=int)
-    uniforms = _cap_uniforms(d, rngs, counts)
-    dists = _distances(obs, t_lo, t_hi, uniforms[0], counts, profile)
-    versines, keep = cap_versines(d, gap, uniforms[1:])
+    versines, keep = cap_versines(d, gap, uniforms)
     axes = np.concatenate([u[o] for u, o in zip(rays, owners)])
     v = np.concatenate([rng.standard_normal((c, d)) for rng, c in zip(rngs, counts)])
     v -= np.sum(v * axes, axis=1, keepdims=True) * axes
@@ -379,6 +362,14 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
 # ---------------------------------------------------------------------------
 # Boolean-model samplers
 # ---------------------------------------------------------------------------
+
+
+def _check_window(gamma: float, r_obs: float) -> None:
+    """Refuse a windowed sampler's intensity or window radius by name before any draw, nan included."""
+    if not r_obs > 0:
+        raise ValueError("r_obs must be > 0")
+    if not gamma >= 0:
+        raise ValueError(f"intensity must be >= 0, got {gamma}")
 
 
 def sample_boolean_annulus(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, drop_covering=True):
@@ -399,10 +390,7 @@ def sample_boolean(
     Centers are sampled in B(base, r_obs + max radius); conditioning deletes
     the grains covering the base point, which is exact.
     """
-    if r_obs <= 0:
-        raise ValueError("r_obs must be > 0")
-    if gamma < 0:
-        raise ValueError("intensity must be >= 0")
+    _check_window(gamma, r_obs)
     r_cen = r_obs + law.max_radius
     dists, dirs, radii, _ = sample_boolean_annulus(d, gamma, law, 0.0, [r_cen], [rng], condition_origin_free)
     return BooleanModelSample(
@@ -451,8 +439,7 @@ def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Genera
     offset x >= 0 with density prop. to cosh^{d-1} x and a uniform direction u,
     giving the normal sinh(x) base + cosh(x) u.
     """
-    if r_obs <= 0:
-        raise ValueError("r_obs must be > 0")
+    _check_window(gamma, r_obs)
     dists, dirs, _ = sample_hyperplane_annulus(d, gamma, 0.0, [r_obs], [rng])
     return HyperplaneSample(d=d, normals=normals_from_polar(dists, dirs), window_radius=r_obs)
 

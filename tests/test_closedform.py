@@ -284,6 +284,19 @@ class TestGrainMoments:
         with pytest.raises(ValueError):
             cf.FixedRadius(0.0)
 
+    # a grain of infinite radius covers the base point, so the conditioned model does not exist; a nan or
+    # infinite radius once reached the grain moments' quadrature, which refused a nan node's "radius must be >= 0"
+    @pytest.mark.parametrize(
+        "law, radii",
+        [(cf.FixedRadius, (math.inf,)), (cf.FixedRadius, (math.nan,)), (cf.UniformRadius, (0.0, math.inf)),
+         (cf.UniformRadius, (1.0, math.nan)), (cf.UniformRadius, (math.nan, 1.0)),
+         (cf.UniformRadius, (math.inf, math.inf))],
+        ids=["fixed-inf", "fixed-nan", "uniform-inf", "uniform-nan-hi", "uniform-nan-lo", "uniform-inf-inf"],
+    )
+    def test_non_finite_laws_refused(self, law, radii):
+        with pytest.raises(ValueError, match="finite"):
+            law(*radii)
+
     # (lo, hi) of grain laws and of the stratified estimator's depth bands, tiny, wide and one ulp apart
     DRAW_RANGES = [(0.0, 1.0), (0.0, 1.5), (0.1, 0.6), (0.1, 0.9), (0.2, 0.9), (1e-300, 1e-3),
                    (0.3, 0.30000000000000004), (0.0, 1e-12), (2.5, 7.25), (9.5, 10.0), (19.5, 20.0), (12.0, 700.0),

@@ -131,6 +131,17 @@ def test_only_the_guard_refuses_by_the_resource_guard():
     assert readers == {"procsim.guard", "visibility._sweep"}
 
 
+def test_one_proposal_step_draws_every_sweep_block():
+    # procsim._proposals makes the first draws of every sweep sampler: a sampler that drew its own count or
+    # uniforms would call .poisson( outside _counts or .random( outside _proposals; the band sampler draws its own
+    def owners(method):
+        called = _owners(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method)
+        return {owner for owner in called if owner.startswith("procsim.")}
+
+    assert owners("poisson") == {"procsim._counts", "procsim.band_first_touches"}
+    assert owners("random") == {"procsim._proposals", "procsim.band_first_touches"}
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test dependency only: the library's quadrature is numpy's Gauss-Legendre rule
     code = "import sys, hypervis.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

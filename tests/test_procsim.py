@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ class TestSampleBoolean:
         plain = [nearest(ps.sample_boolean(2, 1.0, law, 2.0, stream(13, i)), False) for i in range(800)]
         rotated = [nearest(ps.sample_boolean(2, 1.0, law, 2.0, stream(14, i)), True) for i in range(800)]
         assert ks_2samp(plain, rotated).pvalue > 0.01
+
+
+@pytest.mark.parametrize("gamma, r_obs, message", [(math.nan, 1.0, "intensity must be >= 0, got nan"),
+                                                   (-1.0, 1.0, "intensity must be >= 0, got -1.0"),
+                                                   (1.0, math.nan, "r_obs must be > 0")])
+@pytest.mark.parametrize("window", [lambda *args: ps.sample_hyperplanes(2, *args),
+                                    lambda gamma, *args: ps.sample_boolean(2, gamma, cf.FixedRadius(0.5), *args)],
+                         ids=["hyperplanes", "boolean"])
+def test_window_samplers_refuse_by_name_before_any_draw(window, gamma, r_obs, message):
+    # numpy's Poisson sampler once raised "lam < 0 or lam is NaN" here
+    rng = CountingGenerator(stream(17))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        window(gamma, r_obs, rng)
+    assert rng.calls == []
 
 
 class TestSampleHyperplanes:
@@ -545,6 +560,19 @@ class TestCapDraws:
             assert sample(rngs)[-1].sum() > 0
             assert [rng.calls for rng in rngs] == [drawn] * n and guarded == ["expected obstacle count"]
 
+    # per generator and annulus: one Poisson call, one uniform call for the distances, one normal call for the
+    # directions, then a uniform law's radii, whether or not the grains covering the base point are dropped
+    @pytest.mark.parametrize("law, drop_covering", [(cf.FixedRadius(0.5), True), (cf.FixedRadius(0.5), False),
+                                                    (cf.UniformRadius(0.2, 0.6), True),
+                                                    (cf.UniformRadius(0.2, 0.6), False), (None, True)],
+                             ids=["fixed", "fixed-undeleted", "uniform", "uniform-undeleted", "planes"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_annulus_draw_order(self, d, law, drop_covering):
+        radii = ["random"] if isinstance(law, cf.UniformRadius) else []
+        rngs = [CountingGenerator(rng) for rng in streams(89, d, 5)]
+        assert ps.sample_annulus(ps.Obstacles(d, 6.0, law), 0.8, [1.8] * 5, rngs, drop_covering)[-1].sum() > 0
+        assert [rng.calls for rng in rngs] == [["poisson", "random", "standard_normal", *radii]] * 5
+
 
 class TestObstacles:
     """Obstacles describes each kind once: its profile, edge margin and direction caps."""
@@ -552,12 +580,15 @@ class TestObstacles:
     @pytest.mark.parametrize("law", [cf.FixedRadius(0.5), cf.UniformRadius(0.1, 0.6), None],
                              ids=["fixed", "uniform", "planes"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_profile_margin_and_caps(self, d, law):
+    def test_profile_margin_and_caps(self, d, law, monkeypatch):
         gamma = 1.7
         obs = ps.Obstacles(d, gamma, law)
         assert obs.margin == (law.max_radius if law else 0.0)
+        means = []  # the expected counts sample_annulus asks _counts for, no obstacle drawn
+        monkeypatch.setattr(ps, "_counts", lambda rngs, m, sizes=None: means.extend(m) or [0] * len(m))
         for t in (1e-3, 0.05, 0.7, 3.0, 9.0):
-            within = ps._means(obs, 1.0, ps._profile_at(d - 1, obs.sign, 0.0, [t]))[0]  # expected obstacles within t
+            ps.sample_annulus(obs, 0.0, [t], [stream(30)])
+            within = means.pop()  # expected obstacles within t
             assert within == pytest.approx(gamma * (cf.ball_volume(d, t) if law else ps.plane_measure(d, t)), rel=1e-13)
             gap = ps.grain_cap_gap(law.max_radius, t) if law else ps.plane_cap_gap(t)
             assert obs.gap(t) == gap and obs.share(t) == ps.cap_share(d, gap)

@@ -69,6 +69,12 @@ class TestCli:
             (["grain_moments", "d=1", "grain=fixed:1"], "malformed parameter d='1': dimension must be >= 2"),
             (["zero_cell_mean_volume", "d=1", "gamma=1"], "malformed parameter d='1': dimension must be >= 2"),
             (["visibility_threshold", "d=1", "radius=0.5"], "malformed parameter d='1': dimension must be >= 2"),
+            # a grain of infinite radius covers the base point: refused by name, where the quadrature once refused a
+            # nan node ("radius must be >= 0") and mean_visible_volume printed 0.0 for fixed:inf
+            (["grain_moments", "d=2", "grain=uniform:0,inf"], "uniform radius law needs finite 0 <= lo < hi"),
+            (["mean_visible_volume", "d=2", "gamma=1", "grain=uniform:0,inf"], "uniform radius law needs finite"),
+            (["grain_moments", "d=2", "grain=fixed:inf"], "fixed grain radius must be finite and > 0, got inf"),
+            (["mean_visible_volume", "d=2", "gamma=1", "grain=fixed:inf"], "fixed grain radius must be finite"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):
@@ -226,6 +232,23 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"hypervis {argv[0]}: error: argument" in capsys.readouterr().err
+
+    # a grain of infinite radius is refused where --grain is parsed; the grain moments' quadrature once refused a
+    # nan node of it with "radius must be >= 0", which names the wrong fault
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["intersection_density", "--gamma", "1", "--grain", "uniform:0,inf", "--rwin", "1", "--reps", "3"],
+            ["visvol_stratified", "--gamma", "1", "--grain", "uniform:0,inf", "--truncate", "1"],
+            ["visvol", "--gamma", "3", "--grain", "fixed:inf", "--reps", "10"],
+        ],
+    )
+    def test_grain_of_infinite_radius_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "hypervis estimate: error: argument --grain: bad grain law" in err and "finite" in err
 
     def test_commands_are_the_checks(self, capsys):
         with pytest.raises(SystemExit) as exc:
