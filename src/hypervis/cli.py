@@ -110,13 +110,13 @@ def _run_formula(name: str, params: list[str]) -> dict:
             args.append(parse(given[key]))
         except ValueError as exc:
             raise ValueError(f"malformed parameter {key}={given[key]!r}: {exc}") from None
-    # An overflow inside a formula raises OverflowError from math or gives inf or NaN from numpy, reported here
-    # instead of numpy's warnings. Only the formulas on sinh_exp_integral are infinite, at or below their threshold,
-    # and any formula may be at an infinite argument (a ball of radius inf has volume inf).
+    # An overflow inside a formula raises OverflowError from math (ZeroDivisionError where a divisor underflows) or
+    # gives inf or NaN from numpy, reported here instead of numpy's warnings. Only the formulas on sinh_exp_integral
+    # are infinite, at or below their threshold, and any formula may be at an infinite argument (ball_volume(inf)).
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = fn(*args)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.nan
     values = value.values() if isinstance(value, dict) else [value]
     infinite = name in ("sinh_exp_integral", "mean_visible_volume", "zero_cell_mean_volume")

@@ -13,8 +13,10 @@ farther obstacle can matter; restricting a Poisson process to a region is
 again Poisson, so the sweep is exact. A window of radius R, which holds
 every obstacle that can reach the observation ball, is the annulus [0, R].
 
-Obstacles describes each kind once (profile, edge margin, direction caps)
-to three samplers, which draw every obstacle but the band experiments':
+Obstacles describes each kind once, the one place the sweeps tell grains from
+planes: profile, edge margin, caps, radial inverse, marks, named sampler, and
+hit kernels with their prefilter bounds, kept here beside the cap geometry.
+It serves three samplers, which draw every obstacle but the band experiments':
 sample_annulus serves the many-ray sweep, the intersection density, the
 segment crossings and the windowed samplers, sample_cap_annuli a single ray,
 drawing only the obstacles in the cap of directions from which it can be
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -186,6 +189,48 @@ def plane_cap_gap(t):
     return float(out) if out.ndim == 0 else out
 
 
+def _grain_bounds(g_dist: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
+    """cos theta above which a grain can meet the ray, less a slack wider than the rounding of _grain_hits'
+    test: a hit needs the grain inside the cone cos theta > 0, sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1."""
+    sin2 = ((1.0 + 4e-15) * np.cosh(g_rad) ** 2 - 1.0) / np.sinh(g_dist) ** 2
+    return np.maximum(np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - sin2)) - 1e-9, 0.0)
+
+
+def _grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
+    """Hit parameter, inf for a miss, of a ray at versine vers < 1 to each grain's center direction.
+
+    With sin^2 theta = w (2 - w) and C = sqrt(1 + sinh^2 D sin^2 theta), the
+    ray meets the grain iff C <= cosh r, first at t0 - arccosh(cosh r / C),
+    tanh t0 = tanh D cos theta. The versine keeps this precise where cos theta
+    rounds to 1.
+    """
+    sinh_d, cosh_r = np.sinh(g_dist), np.cosh(g_rad)
+    c = np.sqrt(1.0 + sinh_d**2 * (vers * (2.0 - vers)))
+    t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * (1.0 - vers)) / (np.exp(-g_dist) + sinh_d * vers))
+    t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
+    return np.where(c <= cosh_r, np.maximum(t, 0.0), np.inf)
+
+
+def _plane_bounds(p_dist: np.ndarray) -> np.ndarray:
+    """cos theta above which a plane can cross the ray: tanh t, less 1e-12, far more than the few 1e-16
+    by which w < 1 - tanh t rounds."""
+    return np.tanh(p_dist) - 1e-12
+
+
+def _plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
+    """Crossing parameters of a ray on each plane, inf where it never crosses, from the versines w of the
+    angles between the ray and the planes' directions.
+
+    The ray crosses the plane at distance t where tanh s = tanh t / cos theta,
+    that is at s = log((2 - g - w) / (g - w)) / 2 with g = 1 - tanh t, if w < g.
+    Versines keep this precise where cos theta and tanh t both round to 1.
+    """
+    g = plane_cap_gap(p_dist)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w >= g never crosses; np.where drops those
+        s = 0.5 * np.log((2.0 - g - vers) / (g - vers))
+    return np.where(vers < g, s, np.inf)
+
+
 def _cap_bound(d: int, gap: float) -> float:
     """The largest (2 - w)^{(d-3)/2}, that is (1 + cos theta)^{(d-3)/2}, over the cap of versines w < gap."""
     return (2.0 if d >= 3 else 2.0 - gap) ** ((d - 3) / 2)
@@ -240,14 +285,16 @@ def _outside_earlier_caps(dirs: np.ndarray, owners: np.ndarray, rays: np.ndarray
 
 @dataclass(frozen=True)
 class Obstacles:
-    """The obstacles a radial sweep from the base point passes: the grains of law, or hyperplanes for None,
-    at intensity gamma in H^d.
+    """The one description of an obstacle kind: the grains of law, or hyperplanes for None, at intensity
+    gamma >= 0 in H^d (a nan or negative gamma is refused by name).
 
     Obstacles within distance t number gamma * scale * power_integral(d - 1, t, sign) on average: grain
     centers follow the sinh profile (sign -1) with scale omega_d, planes the cosh profile (sign +1) with
-    scale 2. An obstacle at distance t cannot meet a ray before t - margin, the largest grain radius (0
-    for planes), and one at distance >= t meets it only from the cap of versine gap(t) around the ray,
-    in which cap_versines proposes the share(t) of all directions.
+    scale 2, which invert inverts. An obstacle at distance t cannot meet a ray before t - margin, the largest
+    grain radius (0 for planes), and one at distance >= t meets it only from the cap of versine gap(t) around
+    the ray, in which cap_versines proposes the share(t) of all directions. marks(rngs, counts) draws (radii,)
+    of grains, () of planes; a ray meets an obstacle only where cos theta > bound(distance, *marks), first at
+    hit(distance, versine, *marks). annulus(t_lo, t_hi, rngs) is sample_annulus under the kind's name.
     """
 
     d: int
@@ -256,14 +303,28 @@ class Obstacles:
     sign: int = field(init=False)
     scale: float = field(init=False)
     margin: float = field(init=False)
+    gap: Callable = field(init=False)
+    bound: Callable = field(init=False)
+    hit: Callable = field(init=False)
+    invert: Callable = field(init=False)
+    marks: Callable = field(init=False)
+    annulus: Callable = field(init=False)
 
     def __post_init__(self):
-        kind = (1, 2.0, 0.0) if self.law is None else (-1, omega(self.d), self.law.max_radius)
-        for name, value in zip(("sign", "scale", "margin"), kind):
+        d, gamma, law = self.d, self.gamma, self.law
+        if not gamma >= 0:
+            raise ValueError(f"intensity must be >= 0, got {gamma}")
+        if law is None:  # the module's kernels and inverse as a test or tracer left them (named samplers: at call)
+            kind = dict(sign=1, scale=2.0, margin=0.0, gap=plane_cap_gap, bound=_plane_bounds, hit=_plane_hits,
+                        invert=sample_plane_distances, marks=lambda rngs, counts: (),
+                        annulus=lambda *block: sample_hyperplane_annulus(d, gamma, *block))
+        else:
+            kind = dict(sign=-1, scale=omega(d), margin=law.max_radius, gap=lambda t: grain_cap_gap(law.max_radius, t),
+                        bound=_grain_bounds, hit=_grain_hits, invert=sample_radial_annulus,
+                        marks=lambda rngs, counts: (law.sample_radii(rngs, counts),),
+                        annulus=lambda *block: sample_boolean_annulus(d, gamma, law, *block))
+        for name, value in kind.items():
             object.__setattr__(self, name, value)
-
-    def gap(self, t: float) -> float:
-        return plane_cap_gap(t) if self.law is None else grain_cap_gap(self.margin, t)
 
     def share(self, t: float) -> float:
         return cap_share(self.d, self.gap(t))
@@ -280,26 +341,23 @@ def _proposals(obs: Obstacles, t_lo: float, t_hi, rngs, share: float, rows: int,
     """The first draws of a sweep block: (caps, counts, distances, uniforms). Each generator rngs[i] draws caps[i],
     the _counts of its annulus [t_lo, t_hi[i]) in a share of all directions (sizes[i] of them where given), then
     in one call rows uniforms for each of its counts[i] proposals, concatenated in generator order: row 0 becomes
-    distances by the inverse looked up at call time, where benchmarks/tracer.py times it, and rows 1: are returned."""
+    distances by obs.invert, where benchmarks/tracer.py times it, and rows 1: are returned."""
     g_lo, g_hi = profile = _profile_at(obs.d - 1, obs.sign, t_lo, t_hi)
     scale = obs.scale * share
     caps = _counts(rngs, (obs.gamma * (scale * g_hi - scale * g_lo)).tolist(), sizes)
     counts = np.array(caps if sizes is None else [c.sum() for c in caps], dtype=int)
     u = np.concatenate([rng.random((rows, c)) for rng, c in zip(rngs, counts)], axis=1)
-    invert = sample_plane_distances if obs.law is None else sample_radial_annulus
-    return caps, counts, invert(obs.d, t_lo, t_hi, u[0], counts, profile=profile), u[1:]
+    return caps, counts, obs.invert(obs.d, t_lo, t_hi, u[0], counts, profile=profile), u[1:]
 
 
 def _marked(obs: Obstacles, rngs, counts, dists, where, keep=None, drop_covering: bool = True) -> tuple:
-    """(distances, where, radii, counts) of the proposed grains, each generator drawing its radii last, or
-    (distances, where, counts) of the planes, where is a unit direction (a row) or a versine per proposal. Only
-    proposals that keep selects (all for None) remain, with drop_covering no grain covering the base point,
-    and counts[i], the proposals of generator rngs[i], becomes what it keeps."""
-    marks = ()
-    if obs.law is not None:
-        marks = (obs.law.sample_radii(rngs, counts),)
-        if drop_covering:
-            keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
+    """(distances, where, *marks, counts) of the proposals, each generator drawing its obs.marks last (a grain's
+    radius, none for a plane), where is a unit direction (a row) or a versine per proposal. Only proposals that
+    keep selects (all for None) remain, with drop_covering none whose radius reaches the base point, and
+    counts[i], the proposals of generator rngs[i], becomes what it keeps."""
+    marks = obs.marks(rngs, counts)
+    if drop_covering and marks:
+        keep = dists > marks[0] if keep is None else keep & (dists > marks[0])
     if keep is not None:
         dists, where, marks, counts = dists[keep], where[keep], tuple(m[keep] for m in marks), kept_counts(counts, keep)
     return dists, where, *marks, counts
@@ -364,14 +422,6 @@ def sample_cap_union(obs: Obstacles, t_lo: float, t_hi, rngs, rays) -> tuple[np.
 # ---------------------------------------------------------------------------
 
 
-def _check_window(gamma: float, r_obs: float) -> None:
-    """Refuse a windowed sampler's intensity or window radius by name before any draw, nan included."""
-    if not r_obs > 0:
-        raise ValueError("r_obs must be > 0")
-    if not gamma >= 0:
-        raise ValueError(f"intensity must be >= 0, got {gamma}")
-
-
 def sample_boolean_annulus(d: int, gamma: float, law: GrainLaw, t_lo: float, t_hi, rngs, drop_covering=True):
     """sample_annulus of the grains of law: (distances, directions, radii, counts)."""
     return sample_annulus(Obstacles(d, gamma, law), t_lo, t_hi, rngs, drop_covering)
@@ -390,7 +440,8 @@ def sample_boolean(
     Centers are sampled in B(base, r_obs + max radius); conditioning deletes
     the grains covering the base point, which is exact.
     """
-    _check_window(gamma, r_obs)
+    if not r_obs > 0:  # nan included; Obstacles refuses the intensity
+        raise ValueError("r_obs must be > 0")
     r_cen = r_obs + law.max_radius
     dists, dirs, radii, _ = sample_boolean_annulus(d, gamma, law, 0.0, [r_cen], [rng], condition_origin_free)
     return BooleanModelSample(
@@ -439,7 +490,8 @@ def sample_hyperplanes(d: int, gamma: float, r_obs: float, rng: np.random.Genera
     offset x >= 0 with density prop. to cosh^{d-1} x and a uniform direction u,
     giving the normal sinh(x) base + cosh(x) u.
     """
-    _check_window(gamma, r_obs)
+    if not r_obs > 0:  # nan included; Obstacles refuses the intensity
+        raise ValueError("r_obs must be > 0")
     dists, dirs, _ = sample_hyperplane_annulus(d, gamma, 0.0, [r_obs], [rng])
     return HyperplaneSample(d=d, normals=normals_from_polar(dists, dirs), window_radius=r_obs)
 

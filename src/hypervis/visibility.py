@@ -7,10 +7,11 @@ Obstacles of both kinds come in polar form: distance, unit direction from
 the base point (a grain's center, a plane's foot) and a grain's radius. By
 isotropy a hit depends only on these and the versine w = 1 - cos theta of the
 angle between the ray and that direction, so each kind has one exact hit
-kernel in w (_grain_hits, _plane_hits). Many rays evaluate it at
-w = 1 - min(cos theta, 1) only on the pairs that pass a one-comparison
-prefilter (a cone for grains, cos theta > tanh t for planes) whose slack
-exceeds the rounding of the kernel's own test: bit for bit as on every pair.
+kernel in w, which procsim.Obstacles holds and this module never chooses.
+Many rays evaluate it at w = 1 - min(cos theta, 1) only on the pairs that
+pass the kind's one-comparison prefilter (a cone for grains, cos theta >
+tanh t for planes), whose slack exceeds the rounding of the kernel's own
+test: bit for bit as on every pair.
 The estimators sweep the obstacle process radially outward from the base
 point and stop once no farther obstacle can shorten any ray: a grain at
 center distance D cannot hit before D - radius, nor a hyperplane at distance
@@ -162,7 +163,7 @@ def check_sweep(
     replications, with a standard error across them if replicated. n_rays rays per replication average volumes
     within truncate_at or else the mean, which must be finite (the paper's a > d - 1); without n_rays a
     replication sweeps one ray, or if replicated draws the planes that can cross a segment of length cutoff.
-    A replication's first draw, of the first sweep block or the segment's planes, is refused beyond the guard.
+    A replication's first draw (first block, segment's planes) and a many-ray sweep's uncapped annuli must pass it.
     With stratified, the stratified estimator's STRATIFIED_BATCHES batches stand in for n_reps (None there)
     and its bands reach the cutoff."""
     closedform.Constants.for_dim(d)  # 2 <= d <= 341
@@ -202,7 +203,7 @@ def check_sweep(
             f"cutoff {cutoff} sweeps to depth {cutoff + m:.6g}, beyond the {deepest:.6g} that double precision "
             f"allows in d = {d}"
         )
-    if law and not stratified and single and obs.share(cutoff + m) == 0.0:
+    if not stratified and single and obs.share(cutoff + m) == 0.0:  # a plane's cap keeps a share > 0 to the deepest
         raise ValueError(
             f"grain radius {m:g} is too small for the single-ray sweep to cutoff {cutoff:g}: the directions from "
             f"which a grain at depth {cutoff + m:.6g} can reach the ray have share 0 in double precision"
@@ -215,9 +216,8 @@ def check_sweep(
         band_count(cutoff)
         procsim.band_grains(d, gamma, law, 0.0, STRATIFIED_BAND_WIDTH, STRATIFIED_SIMS)
         return
-    if law:  # a grain sweep ends past the largest grain radius, so each replication samples the grains within it
-        near = n_reps * gamma * float(closedform.ball_volume(d, m))
-        procsim.guard(near, f"{quantity} samples n_reps * gamma * vol B(max radius) grains near the base point")
+    near = n_reps * gamma * float(closedform.ball_volume(d, m))  # a grain sweep ends past the largest radius
+    procsim.guard(near, f"{quantity} samples n_reps * gamma * vol B(max radius) grains near the base point")
     if n_rays is None and replicated:  # a segment: each replication draws the planes within its length at once
         first, what = gamma * procsim.plane_measure(d, cutoff), f"planes within {cutoff:g} of the base point"
     else:  # a sweep: each replication draws its first block, at least _MIN_BLOCK_WIDTH wide, first
@@ -225,6 +225,12 @@ def check_sweep(
         first = obs.gamma * obs.scale * share * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, obs.sign)
         what = f"obstacles in the first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide,"
     procsim.guard(first, f"expected {what} per replication of {quantity}")
+    if not single:  # a many-ray sweep whose blocks can stay uncapped (_sweep) sweeps whole annuli to cutoff + margin
+        deep = gamma * obs.scale * power_integral_at(d - 1, cutoff + m, obs.sign)
+        what = f"expected obstacles within depth {cutoff + m:.6g} that {n_rays} rays sweep uncapped, per replication"
+        if 0.0 < n_rays * obs.share(cutoff + m) <= 1.0:  # capped there, unless a capped block holds too many pairs
+            deep, what = min(deep, n_rays**2 * _CAP_BLOCK_TARGET), f"the lesser of the {what} and of capped pairs"
+        procsim.guard(deep, f"{what} of {quantity}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +238,14 @@ def check_sweep(
 # ---------------------------------------------------------------------------
 
 
-def grain_hits_from_base(
-    dirs: np.ndarray, g_dist: np.ndarray, g_dir: np.ndarray, g_rad: np.ndarray
-) -> np.ndarray:
+def grain_hits_from_base(dirs: np.ndarray, g_dist: np.ndarray, g_dir: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
     """Hit parameters, shape (rays, grains), inf for misses.
 
     dirs are spatial parts of unit tangents at the base point; grains are
     given in polar form and must not contain the base point (g_dist > g_rad).
     """
-    return _hit_matrix(dirs, (g_dist, g_dir, g_rad), _grain_bounds, _grain_hits)
+    grains = procsim.Obstacles(dirs.shape[1], 0.0, closedform.FixedRadius(1.0))  # the kernels read g_rad, not the law
+    return _hit_matrix(dirs, (g_dist, g_dir, g_rad), grains)
 
 
 def plane_hits_from_base(dirs: np.ndarray, p_dist: np.ndarray, p_dir: np.ndarray) -> np.ndarray:
@@ -249,63 +254,21 @@ def plane_hits_from_base(dirs: np.ndarray, p_dist: np.ndarray, p_dir: np.ndarray
     Planes are given in polar form, like grains: the distance of each plane
     from the base point and the unit direction from the base point to its foot.
     """
-    return _hit_matrix(dirs, (p_dist, p_dir), _plane_bounds, _plane_hits)
+    return _hit_matrix(dirs, (p_dist, p_dir), procsim.Obstacles(dirs.shape[1], 0.0))
 
 
-def _grain_bounds(g_dist: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
-    """cos theta above which a grain can meet the ray, less a slack wider than the rounding of _grain_hits'
-    test: a hit needs the grain inside the cone cos theta > 0, sinh^2 D (1 - cos^2 theta) <= cosh^2 r - 1."""
-    sin2 = ((1.0 + 4e-15) * np.cosh(g_rad) ** 2 - 1.0) / np.sinh(g_dist) ** 2
-    return np.maximum(np.sqrt(np.maximum(0.0, (1.0 - 1e-15) - sin2)) - 1e-9, 0.0)
-
-
-def _grain_hits(g_dist: np.ndarray, vers: np.ndarray, g_rad: np.ndarray) -> np.ndarray:
-    """Hit parameter, inf for a miss, of a ray at versine vers < 1 to each grain's center direction.
-
-    With sin^2 theta = w (2 - w) and C = sqrt(1 + sinh^2 D sin^2 theta), the
-    ray meets the grain iff C <= cosh r, first at t0 - arccosh(cosh r / C),
-    tanh t0 = tanh D cos theta. The versine keeps this precise where cos theta
-    rounds to 1.
-    """
-    sinh_d, cosh_r = np.sinh(g_dist), np.cosh(g_rad)
-    c = np.sqrt(1.0 + sinh_d**2 * (vers * (2.0 - vers)))
-    t0 = 0.5 * np.log((np.cosh(g_dist) + sinh_d * (1.0 - vers)) / (np.exp(-g_dist) + sinh_d * vers))
-    t = t0 - np.arccosh(np.maximum(1.0, cosh_r / c))
-    return np.where(c <= cosh_r, np.maximum(t, 0.0), np.inf)
-
-
-def _plane_bounds(p_dist: np.ndarray) -> np.ndarray:
-    """cos theta above which a plane can cross the ray: tanh t, less 1e-12, far more than the few 1e-16
-    by which w < 1 - tanh t rounds."""
-    return np.tanh(p_dist) - 1e-12
-
-
-def _plane_hits(p_dist: np.ndarray, vers: np.ndarray) -> np.ndarray:
-    """Crossing parameters of a ray on each plane, inf where it never crosses, from the versines w of the
-    angles between the ray and the planes' directions.
-
-    The ray crosses the plane at distance t where tanh s = tanh t / cos theta,
-    that is at s = log((2 - g - w) / (g - w)) / 2 with g = 1 - tanh t, if w < g.
-    Versines keep this precise where cos theta and tanh t both round to 1.
-    """
-    g = procsim.plane_cap_gap(p_dist)
-    with np.errstate(divide="ignore", invalid="ignore"):  # w >= g never crosses; np.where drops those
-        s = 0.5 * np.log((2.0 - g - vers) / (g - vers))
-    return np.where(vers < g, s, np.inf)
-
-
-def _cast(groups, obstacles: tuple, bound: Callable, hit: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ray, obstacle, hit) of each pair that passes the prefilter, for one or more groups of (ray ids, their
-    directions, the slice of the obstacles (distances, directions, *marks) that they meet).
+def _cast(groups, obstacles: tuple, obs: procsim.Obstacles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ray, obstacle, hit) of each pair that passes obs.bound, for one or more groups of (ray ids, their
+    directions, the slice of the obstacles (distances, directions, *marks) of obs's kind that they meet).
 
     Each group takes its own product cos theta = rays @ directions.T, as it
     would alone (a batched product can move the last bits of a hit), and keeps
     the pairs whose product exceeds its obstacle's bound, the only pairs that
     can hit; a product of unit vectors can round above 1, and its versine is 0.
-    The hit kernel then runs once, on the pairs of all groups.
+    The hit kernel obs.hit then runs once, on the pairs of all groups.
     """
     dists, cols, *marks = obstacles
-    bounds = bound(dists, *marks)
+    bounds = obs.bound(dists, *marks)
     ray, obstacle, vers = [], [], []
     for ids, rays, span in groups:
         prod = rays @ cols[span].T
@@ -316,13 +279,13 @@ def _cast(groups, obstacles: tuple, bound: Callable, hit: Callable) -> tuple[np.
         ray.append(ids[row])
         obstacle.append(span.start + col)
     j = np.concatenate(obstacle)
-    return np.concatenate(ray), j, hit(dists[j], np.concatenate(vers), *(m[j] for m in marks))
+    return np.concatenate(ray), j, obs.hit(dists[j], np.concatenate(vers), *(m[j] for m in marks))
 
 
-def _hit_matrix(dirs: np.ndarray, obstacles: tuple, bound: Callable, hit: Callable) -> np.ndarray:
-    """Hits of the rays dirs on the obstacles (distances, directions, *marks), shape (rays, obstacles)."""
+def _hit_matrix(dirs: np.ndarray, obstacles: tuple, obs: procsim.Obstacles) -> np.ndarray:
+    """Hits of the rays dirs on the obstacles (distances, directions, *marks) of obs's kind, shape (rays, obstacles)."""
     out = np.full((len(dirs), len(obstacles[0])), np.inf)
-    ray, obstacle, hits = _cast([(np.arange(len(dirs)), dirs, slice(0, out.shape[1]))], obstacles, bound, hit)
+    ray, obstacle, hits = _cast([(np.arange(len(dirs)), dirs, slice(0, out.shape[1]))], obstacles, obs)
     out[ray, obstacle] = hits
     return out
 
@@ -366,8 +329,7 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
     (_cast) for the round. Either way a block yields (cell of best, hit) pairs,
     and one np.minimum.at writes the nearest hit of each cell.
     """
-    n, n_rays, grains = obs.d - 1, 1 if dirs is None else dirs.shape[1], obs.law is not None
-    bound, hit = (_grain_bounds, _grain_hits) if grains else (_plane_bounds, _plane_hits)
+    n, n_rays = obs.d - 1, 1 if dirs is None else dirs.shape[1]
     capped, can_cap = n_rays == 1, n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT
     best = np.full((len(rngs), n_rays), cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
@@ -388,7 +350,7 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
         drawing = [rngs[i] for i in reps]
         if n_rays == 1:
             *obstacles, counts = procsim.sample_cap_annuli(obs, t_lo, t_hi, drawing)
-            cell, hits = np.repeat(reps, counts), hit(*obstacles)
+            cell, hits = np.repeat(reps, counts), obs.hit(*obstacles)
         else:
             # The live rays, as flat cells of best (which index dirs.reshape(-1, d) alike): a ray whose range is
             # already below t_lo - margin cannot be shortened by this block.
@@ -396,12 +358,10 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
             live_rays = [dirs.reshape(-1, obs.d)[cells] for cells in live]
             if capped:
                 *obstacles, counts = procsim.sample_cap_union(obs, t_lo, t_hi, drawing, live_rays)
-            elif grains:  # the named samplers, where benchmarks/tracer.py times the annuli
-                *obstacles, counts = procsim.sample_boolean_annulus(obs.d, obs.gamma, obs.law, t_lo, t_hi, drawing)
-            else:
-                *obstacles, counts = procsim.sample_hyperplane_annulus(obs.d, obs.gamma, t_lo, t_hi, drawing)
+            else:  # the kind's named sampler, where benchmarks/tracer.py times the annuli
+                *obstacles, counts = obs.annulus(t_lo, t_hi, drawing)
             spans = [slice(hi - m, hi) for hi, m in zip(np.cumsum(counts), counts)]  # each replication's obstacles
-            cell, _, hits = _cast(zip(live, live_rays, spans), obstacles, bound, hit)
+            cell, _, hits = _cast(zip(live, live_rays, spans), obstacles, obs)
         np.minimum.at(best.reshape(-1), cell, hits)
         del cell, hits  # before the next block, for the same reason as the product in _cast
         t_lo = max(reach, t_lo + _MIN_BLOCK_WIDTH)

@@ -240,6 +240,11 @@ class TestConfigValidation:
                          "finiteness needs gamma > inf", id="argv34-finiteness needs gamma > inf"),
             pytest.param(["zero_cell", "--gamma", "5e-324", "--reps", "10", "--rays", "3", "--cutoff", "1"],
                          "finiteness needs gamma > 1.5708", id="argv35-finiteness needs gamma > 1.5708"),
+            # grains this small never cap a many-ray block, which sweeps whole annuli to the cutoff: this ran unbounded
+            pytest.param(["visvol_truncated", "--dim", "3", "--gamma", "1e6", "--grain", "fixed:1e-300", "--reps", "3",
+                          "--rays", "3", "--cutoff", "30", "--truncate", "1e-300"],
+                         "expected obstacles within depth 30 that 3 rays sweep uncapped, per replication of visvol_truncated = 1.7938610130951044e+32 exceeds resource guard 1e+08",
+                         id="argv36-expected obstacles within depth 30 that 3 rays sweep uncapped, per replication of visvol_truncated = 1.7938610130951044e+32 exceeds resource guard 1e+08"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

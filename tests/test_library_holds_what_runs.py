@@ -142,6 +142,19 @@ def test_one_proposal_step_draws_every_sweep_block():
     assert owners("random") == {"procsim._proposals", "procsim.band_first_touches"}
 
 
+def test_the_sweep_tells_no_kind_by_its_law():
+    # procsim.Obstacles is the one description of an obstacle kind: the sweep, its pair pass and the samplers read
+    # its fields (profile, caps, inverse, marks, kernels, named sampler), never the law that tells grains from planes
+    kind_free = {"visibility": ("_sweep", "_cast"),
+                 "procsim": ("_proposals", "_marked", "sample_annulus", "sample_cap_annuli", "sample_cap_union")}
+    reads = []
+    for module, names in kind_free.items():
+        tops = {node.name: node for node in _modules()[module].body if isinstance(node, ast.FunctionDef)}
+        reads += [f"{module}.{name}:{node.lineno}" for name in names for node in ast.walk(tops[name])
+                  if getattr(node, "id", None) == "law" or getattr(node, "attr", None) == "law"]
+    assert reads == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test dependency only: the library's quadrature is numpy's Gauss-Legendre rule
     code = "import sys, hypervis.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -15,6 +15,16 @@ HALF = cf.FixedRadius(0.5)
 NEAR_CRITICAL = (1.0 + 1e-13) / cf.grain_moments(2, HALF).v_dm1_star
 GUARD = procsim.ResourceGuardError
 
+
+class Undrawn:
+    """A generator that fails any draw: a sampler handed it must refuse its input before drawing."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} before the input was refused")
+
+
+UNDRAWN = [Undrawn()]
+
 PROBES = {
     # the intersection density's closed form overflows, as a bare OverflowError unless refused first
     "density-overflow": (lambda: intersect.estimate_intersection_density(1e200, HALF, 1.0, 3, 0),
@@ -92,6 +102,15 @@ PROBES = {
                     GUARD, "expected obstacles in the first sweep block, at least 1e-06 wide, per replication of zero_cell = 2000000000."),
     "segment-window": (lambda: visibility.estimate_segment_crossings(2, 1e15, 1.0, 5, 0),
                        GUARD, "expected planes within 1 of the base point per replication of segment_crossings = 235040238728760"),
+    # the samplers take their generators: unrefused, numpy's Poisson sampler raised "lam < 0 or lam is NaN"
+    "annulus-boolean-nan": (lambda: procsim.sample_boolean_annulus(2, math.nan, HALF, 0.0, [1.0], UNDRAWN),
+                            ValueError, "intensity must be >= 0, got nan"),
+    "annulus-hyperplane-negative": (lambda: procsim.sample_hyperplane_annulus(2, -1.0, 0.0, [1.0], UNDRAWN),
+                                    ValueError, "intensity must be >= 0, got -1.0"),
+    "annulus-nan": (lambda: procsim.sample_annulus(procsim.Obstacles(2, math.nan), 0.0, [1.0], UNDRAWN),
+                    ValueError, "intensity must be >= 0, got nan"),
+    "cap-annuli-negative": (lambda: procsim.sample_cap_annuli(procsim.Obstacles(2, -1.0, HALF), 0.0, [1.0], UNDRAWN),
+                            ValueError, "intensity must be >= 0, got -1.0"),
 }
 
 

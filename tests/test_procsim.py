@@ -363,10 +363,10 @@ class TestDirectionCaps:
 
         grains = [ps.sample_boolean_annulus(d, gamma, law, t_lo, [t_hi], [rng])[:3] for rng in streams(81, d, n)]
         *capped, counts = ps.sample_cap_annuli(ps.Obstacles(d, gamma, law), t_lo, [t_hi] * n, streams(82, d, n))
-        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], vis._grain_hits(*capped), counts)
+        agree([np.isfinite(vis.grain_hits_from_base(ray, *g)).sum() for g in grains], ps._grain_hits(*capped), counts)
         planes = [ps.sample_hyperplane_annulus(d, gamma, t_lo, [t_hi], [rng])[:2] for rng in streams(83, d, n)]
         *capped, counts = ps.sample_cap_annuli(ps.Obstacles(d, gamma), t_lo, [t_hi] * n, streams(84, d, n))
-        agree([np.isfinite(vis.plane_hits_from_base(ray, *p)).sum() for p in planes], vis._plane_hits(*capped), counts)
+        agree([np.isfinite(vis.plane_hits_from_base(ray, *p)).sum() for p in planes], ps._plane_hits(*capped), counts)
 
     def test_capped_kernels_are_exact_deep_out(self, rng):
         # obstacles out to distance 30 at versine w from the ray, where cos theta and tanh t round to 1
@@ -386,8 +386,8 @@ class TestDirectionCaps:
         dist, rad = rng.uniform(0.6, 30.0, n), rng.uniform(0.1, 0.5, n)
         plane_vers = ps.plane_cap_gap(dist) * rng.uniform(0.0, 1.2, n)
         grain_vers = np.array([ps.grain_cap_gap(0.5, t) for t in dist]) * rng.uniform(0.0, 1.2, n)
-        planes = vis._plane_hits(dist, plane_vers)
-        grains = vis._grain_hits(dist, grain_vers, rad)
+        planes = ps._plane_hits(dist, plane_vers)
+        grains = ps._grain_hits(dist, grain_vers, rad)
         for got, want in ((planes, [crossing(t, w) for t, w in zip(dist, plane_vers)]),
                           (grains, [hit(t, w, r) for t, w, r in zip(dist, grain_vers, rad)])):
             want = np.array(want, dtype=float)

@@ -75,6 +75,9 @@ class TestCli:
             (["mean_visible_volume", "d=2", "gamma=1", "grain=uniform:0,inf"], "uniform radius law needs finite"),
             (["grain_moments", "d=2", "grain=fixed:inf"], "fixed grain radius must be finite and > 0, got inf"),
             (["mean_visible_volume", "d=2", "gamma=1", "grain=fixed:inf"], "fixed grain radius must be finite"),
+            # sinh(radius)^(d-1) underflows to 0: the threshold once ended in a ZeroDivisionError traceback
+            (["visibility_threshold", "d=3", "radius=1e-300"], "visibility_threshold overflows double precision"),
+            (["visibility_threshold", "d=4", "radius=1e-200"], "visibility_threshold overflows double precision"),
         ],
     )
     def test_formula_bad_parameter(self, argv, message, capsys):

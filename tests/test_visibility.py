@@ -900,11 +900,11 @@ class TestRounds:
         # pass the cone test, not once for each replication that drew obstacles.
         hits, blocks = [], []
 
-        def counted_hit(*args, _fn=vis._grain_hits):
+        def counted_hit(*args, _fn=ps._grain_hits):
             hits.append(len(args[0]))
             return _fn(*args)
 
-        monkeypatch.setattr(vis, "_grain_hits", counted_hit)
+        monkeypatch.setattr(ps, "_grain_hits", counted_hit)
         for name in ("sample_boolean_annulus", "sample_cap_union"):
             def counted_block(*args, _fn=getattr(ps, name)):
                 out = _fn(*args)
