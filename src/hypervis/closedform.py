@@ -399,15 +399,25 @@ def mc_ball_volume(d: int, r: float, n: int, rng: np.random.Generator) -> tuple[
     Uniform Euclidean samples in the disk image of radius tanh(r/2), weighted
     by the conformal volume factor (2/(1-|z|^2))^d. Independent of the
     sinh-antiderivative route, so it serves as its oracle.
+
+    It holds one array of its n samples: the weights are computed in it in
+    place, and its mean and ddof = 1 deviation are taken from it in place,
+    in the operations and order of np.mean and np.std, so bit for bit theirs.
     """
     rho = math.tanh(r / 2.0)
-    radii = rho * rng.random(n) ** (1.0 / d)
-    weights = (2.0 / (1.0 - radii**2)) ** d
+    w = rng.random(n)
+    w **= 1.0 / d  # the radii rho u^(1/d), then the weights (2 / (1 - radii^2))^d
+    w *= rho
+    w **= 2
+    np.subtract(1.0, w, out=w)
+    np.divide(2.0, w, out=w)
+    w **= d
+    mean = np.add.reduce(w) / n
+    w -= mean
+    w *= w
+    std = math.sqrt(np.add.reduce(w) / (n - 1))
     euclidean = kappa(d) * rho**d
-    return (
-        euclidean * float(np.mean(weights)),
-        euclidean * float(np.std(weights, ddof=1) / math.sqrt(n)),
-    )
+    return euclidean * float(mean), euclidean * float(std / math.sqrt(n))
 
 
 def radius_at_volume(d: int, v: float) -> float:

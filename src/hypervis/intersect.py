@@ -10,7 +10,10 @@ estimator draws a round of realizations at once, each from its own
 generator and in its own order, pads each realization's grains to one row,
 and one kernel call counts the crossing points inside the window for all
 grain pairs of the round. It solves only the pairs close enough to cross or
-touch, so the counts are those of the solve on every pair. A large run
+touch, so the counts are those of the solve on every pair. It takes the
+round's Gram matrix in tiles of rows of at most _TILE_ENTRIES entries, so
+that the memory it holds is bounded whatever the window; a round of the
+usual size is one tile. A large run
 sweeps its rounds on every CPU it may use, by fanout.map_rounds with the
 run's expected grains as its work; the records do not depend on the number
 of processes. Higher dimensions would need d mutually
@@ -34,6 +37,10 @@ _TANGENCY_TOL = 1e-12
 # Expected grain pairs per round (see _round_size): the round's padded Gram matrix and pair tests
 # hold a few floats per pair.
 _ROUND_PAIRS = 2**17
+# Gram entries per tile of _count_crossings_vectorized, with a few floats each: 4 x _ROUND_PAIRS leaves a
+# round of about _ROUND_PAIRS expected pairs one tile (criterion 4's padded rounds hold at most 236,925 entries at
+# seed 4042 and 229,957 at seed 6026).
+_TILE_ENTRIES = 4 * _ROUND_PAIRS
 
 
 def _crossing_bound(radii: np.ndarray) -> float:
@@ -62,7 +69,7 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
     points come per realization (an int for a single one); the tangent pairs
     are summed over all of them.
 
-    C = cosh D comes from one Minkowski Gram matrix per realization, and a = cosh r,
+    C = cosh D comes from one Minkowski Gram product per realization, and a = cosh r,
     sinh r are evaluated once per grain. Only pairs with 1 < C < _crossing_bound(radii) are
     solved: sin^2 alpha = det / (sinh^2 r_i (C^2 - 1)) decides crossing and tangency, with
     det = 1 + 2 C a_i a_j - C^2 - a_i^2 - a_j^2 taken as (sinh r_i sinh r_j)^2 - (C - a_i a_j)^2,
@@ -70,6 +77,12 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
     p = a_i c_i + y (c_j - C c_i) +- t n, n normal to both centers; in this basis, which keeps
     its precision for close centers, p_0 = a_i c_i0 + [(C a_i - a_j)(c_j0 - C c_i0)
     +- sqrt(det) (c_i1 c_j2 - c_i2 c_j1)] / (C^2 - 1).
+
+    The product, its near mask and the pairs' geometry are evaluated in tiles of rows i of
+    at most _TILE_ENTRIES Gram entries, so the memory a call holds does not grow with the
+    square of its grains; a round of about _ROUND_PAIRS expected pairs is one tile. Each
+    tile takes its near pairs with i < j, in the order of the whole matrix's, and adds its
+    points per realization to the counts.
     """
     lead, m = radii.shape[:-1], radii.shape[-1]
     n_real = math.prod(lead)
@@ -78,27 +91,39 @@ def _count_crossings_vectorized(centers: np.ndarray, radii: np.ndarray, r_win: f
     real = centers[..., 0] > 0.0
     if m < 2 or not real.any():
         return (int(counts[0]) if not lead else counts.reshape(lead)), 0
-    cosh_d = (centers * [1.0, -1.0, -1.0]) @ np.ascontiguousarray(np.swapaxes(centers, -1, -2))
-    near = (cosh_d > 1.0) & (cosh_d < _crossing_bound(radii[real]))
-    rep, i, j = np.unravel_index(np.flatnonzero(near), near.shape)
-    upper = i < j
-    rep, i, j = rep[upper], i[upper], j[upper]
-    c = cosh_d[rep, i, j]
+    bound, cosh_win = _crossing_bound(radii[real]), math.cosh(r_win)
+    columns = np.ascontiguousarray(np.swapaxes(centers, -1, -2))
     cosh_r, sinh_r = np.cosh(radii), np.sinh(radii)
-    a_i, a_j, s_i, sinh2_d = cosh_r[rep, i], cosh_r[rep, j], sinh_r[rep, i], c**2 - 1.0
-    det = (s_i * sinh_r[rep, j]) ** 2 - (c - a_i * a_j) ** 2
-    sin2_a = det / (s_i**2 * sinh2_d)
-    crossing = sin2_a > 1.0 - (1.0 - _TANGENCY_TOL) ** 2
-    tangent = int(np.count_nonzero(~crossing & (sin2_a >= 1.0 - (1.0 + _TANGENCY_TOL) ** 2)))
-    idx = np.flatnonzero(crossing)
-    if len(idx):
+    rows = max(1, _TILE_ENTRIES // (n_real * m))
+
+    def tile(lo: int) -> tuple:
+        """(points inside window per realization, tangent pairs) of the pairs i < j whose rows i start at lo."""
+        cosh_d = (centers[:, lo : lo + rows] * [1.0, -1.0, -1.0]) @ columns
+        upper = np.arange(lo, lo + cosh_d.shape[1])[:, None] < np.arange(m)
+        rep, i, j = np.unravel_index(np.flatnonzero((cosh_d > 1.0) & (cosh_d < bound) & upper), cosh_d.shape)
+        c = cosh_d[rep, i, j]
+        del cosh_d, upper  # before the pairs' arrays, which can then reuse their pages
+        i += lo
+        a_i, a_j, s_i, sinh2_d = cosh_r[rep, i], cosh_r[rep, j], sinh_r[rep, i], c**2 - 1.0
+        det = (s_i * sinh_r[rep, j]) ** 2 - (c - a_i * a_j) ** 2
+        sin2_a = det / (s_i**2 * sinh2_d)
+        crossing = sin2_a > 1.0 - (1.0 - _TANGENCY_TOL) ** 2
+        tangent = int(np.count_nonzero(~crossing & (sin2_a >= 1.0 - (1.0 + _TANGENCY_TOL) ** 2)))
+        idx = np.flatnonzero(crossing)
+        if not len(idx):
+            return 0, tangent
         rep, c, a_i, a_j, sinh2_d = rep[idx], c[idx], a_i[idx], a_j[idx], sinh2_d[idx]
         ci, cj = centers[rep, i[idx]], centers[rep, j[idx]]
         base, along = a_i * ci[:, 0], (c * a_i - a_j) * (cj[:, 0] - c * ci[:, 0])
         off = np.sqrt(det[idx]) * (ci[:, 1] * cj[:, 2] - ci[:, 2] * cj[:, 1])
-        cosh_win = math.cosh(r_win)
-        for x0 in (base + (along + off) / sinh2_d, base + (along - off) / sinh2_d):
-            counts += np.bincount(rep[x0 < cosh_win], minlength=n_real)
+        x0s = (base + (along + off) / sinh2_d, base + (along - off) / sinh2_d)
+        return sum(np.bincount(rep[x0 < cosh_win], minlength=n_real) for x0 in x0s), tangent
+
+    tangent = 0
+    for lo in range(0, m, rows):  # each tile's arrays are freed before the next tile's product
+        points, pairs = tile(lo)
+        counts += points
+        tangent += pairs
     return (int(counts[0]) if not lead else counts.reshape(lead)), tangent
 
 

@@ -195,7 +195,7 @@ def check_sweep(
                 f"{quantity} averages ray volumes near vol B(1/a) = {volume:.3g} at mean range "
                 f"1/a = {1.0 / a:.6g}, which underflows double precision; every estimate would read 0"
             )
-    obs, single = procsim.Obstacles(d, gamma, law), (n_rays or 1) == 1
+    obs, rays = procsim.Obstacles(d, gamma, law), n_rays or 1
     m = obs.margin
     deepest = 700.0 / max(d - 1, 2)  # profiles grow like e^{(d-1)t}, caps shrink like e^{-2t}: 1e300 near 700
     if cutoff + m > deepest:
@@ -203,10 +203,14 @@ def check_sweep(
             f"cutoff {cutoff} sweeps to depth {cutoff + m:.6g}, beyond the {deepest:.6g} that double precision "
             f"allows in d = {d}"
         )
-    if not stratified and single and obs.share(cutoff + m) == 0.0:  # a plane's cap keeps a share > 0 to the deepest
+    # The sweep's first block: a cap's share there is at least 1/2 (at d = 3), so one or two rays cap it and the
+    # pair condition of _cap cannot bind. A capped sweep divides by each block's share (a plane's stays > 0).
+    capped, share = _cap(obs, rays, 0.0)
+    if not stratified and capped and _cap(obs, rays, cutoff + m, capped)[1] == 0.0:
+        sweep = "single-ray sweep" if rays == 1 else f"{rays}-ray sweep, capped from its first block,"
         raise ValueError(
-            f"grain radius {m:g} is too small for the single-ray sweep to cutoff {cutoff:g}: the directions from "
-            f"which a grain at depth {cutoff + m:.6g} can reach the ray have share 0 in double precision"
+            f"grain radius {m:g} is too small for the {sweep} to cutoff {cutoff:g}: the directions from which a grain "
+            f"at depth {cutoff + m:.6g} can reach {'the' if rays == 1 else 'a'} ray have share 0 in double precision"
         )
     if truncate_at is not None and truncate_at > cutoff:
         raise ValueError(f"truncate_at {truncate_at} exceeds cutoff {cutoff}")
@@ -221,14 +225,14 @@ def check_sweep(
     if n_rays is None and replicated:  # a segment: each replication draws the planes within its length at once
         first, what = gamma * procsim.plane_measure(d, cutoff), f"planes within {cutoff:g} of the base point"
     else:  # a sweep: each replication draws its first block, at least _MIN_BLOCK_WIDTH wide, first
-        share = obs.share(0.0) if single else 1.0  # one ray sweeps its direction cap, many rays whole annuli
-        first = obs.gamma * obs.scale * share * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, obs.sign)
+        union = share * (rays if capped else 1)  # a capped block draws the union of the rays' caps
+        first = obs.gamma * obs.scale * union * power_integral_at(d - 1, _MIN_BLOCK_WIDTH, obs.sign)
         what = f"obstacles in the first sweep block, at least {_MIN_BLOCK_WIDTH:g} wide,"
     procsim.guard(first, f"expected {what} per replication of {quantity}")
-    if not single:  # a many-ray sweep whose blocks can stay uncapped (_sweep) sweeps whole annuli to cutoff + margin
+    if rays > 1:  # a many-ray sweep whose blocks can stay uncapped (_sweep) sweeps whole annuli to cutoff + margin
         deep = gamma * obs.scale * power_integral_at(d - 1, cutoff + m, obs.sign)
         what = f"expected obstacles within depth {cutoff + m:.6g} that {n_rays} rays sweep uncapped, per replication"
-        if 0.0 < n_rays * obs.share(cutoff + m) <= 1.0:  # capped there, unless a capped block holds too many pairs
+        if _cap(obs, rays, cutoff + m, capped)[0]:  # capped there; a capped block of too many pairs is refused too
             deep, what = min(deep, n_rays**2 * _CAP_BLOCK_TARGET), f"the lesser of the {what} and of capped pairs"
         procsim.guard(deep, f"{what} of {quantity}")
 
@@ -310,6 +314,21 @@ def _block_end(n: int, sign: int, per_block: float, t_lo: float) -> float:
     return float(power_integral_inverse(n, power_integral_at(n, t_lo, sign) + per_block, sign))
 
 
+def _cap(obs: procsim.Obstacles, n_rays: int, t: float, capped: bool = False, pairs_fit: bool = True) -> tuple:
+    """(capped, share) of a sweep block of n_rays rays from depth t: whether it draws only the rays' direction
+    caps, and the share of the annulus in each cap, obs.share(t), or 1.0 for whole annuli.
+
+    One ray is capped by rule: its share exceeds 1 from d = 7 on. Many rays are
+    capped once their caps hold less than the annulus (0 < n_rays * share <= 1),
+    if pairs_fit, that is a capped block holds no more ray-obstacle pairs than
+    the resource guard. Caps only narrow with depth, so a sweep capped before t
+    (capped) stays capped. _sweep and check_sweep decide by it alone.
+    """
+    share = obs.share(t)
+    capped = capped or n_rays == 1 or (pairs_fit and 0.0 < n_rays * share <= 1.0)
+    return capped, share if capped else 1.0
+
+
 def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs: list) -> np.ndarray:
     """Ranges (censored at cutoff), shape (reps, rays), of a round of replications sweeping the obstacles outward.
 
@@ -330,7 +349,7 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
     and one np.minimum.at writes the nearest hit of each cell.
     """
     n, n_rays = obs.d - 1, 1 if dirs is None else dirs.shape[1]
-    capped, can_cap = n_rays == 1, n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT
+    capped, pairs_fit = False, n_rays * n_rays * _CAP_BLOCK_TARGET <= procsim.MAX_EXPECTED_COUNT
     best = np.full((len(rngs), n_rays), cutoff)
     reps = np.arange(len(rngs))  # replications still sweeping
     t_lo = 0.0
@@ -342,9 +361,8 @@ def _sweep(obs: procsim.Obstacles, dirs: np.ndarray | None, cutoff: float, rngs:
             reps, ranges, stop_at = reps[going], ranges[going], stop_at[going]
             if not len(reps):
                 return best
-        if not capped and can_cap:  # caps only narrow with depth, so every later block is capped too
-            capped = 0.0 < n_rays * obs.share(t_lo) <= 1.0
-        share, target = (obs.share(t_lo), _CAP_BLOCK_TARGET) if capped else (1.0, _BLOCK_TARGET)
+        capped, share = _cap(obs, n_rays, t_lo, capped, pairs_fit)
+        target = _CAP_BLOCK_TARGET if capped else _BLOCK_TARGET
         reach = _block_end(n, obs.sign, target / (obs.gamma * obs.scale * share), t_lo)
         t_hi = np.maximum(np.minimum(stop_at, reach), t_lo + _MIN_BLOCK_WIDTH)
         drawing = [rngs[i] for i in reps]

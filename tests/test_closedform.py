@@ -258,6 +258,17 @@ class TestBallMeasures:
         assert abs(est - target) < 3 * stderr
         assert stderr < 0.01
 
+    @pytest.mark.parametrize("d, r, n, seed", [(2, 1.0, 200_000, 11), (3, 0.7, 12_345, 3), (5, 2.0, 999, 4),
+                                               (2, 1.0, 2, 5), (7, 0.1, 3, 6), (10, 3.0, 4_097, 7)])
+    def test_mc_ball_volume_in_place_is_the_mean_and_deviation(self, d, r, n, seed):
+        # the weights and their moments from separate arrays, through np.mean and np.std: bit for bit the same
+        rng = stream(seed, 808)
+        rho = math.tanh(r / 2.0)
+        weights = (2.0 / (1.0 - (rho * rng.random(n) ** (1.0 / d)) ** 2)) ** d
+        euclidean = cf.kappa(d) * rho**d
+        expected = euclidean * float(np.mean(weights)), euclidean * float(np.std(weights, ddof=1) / math.sqrt(n))
+        assert cf.mc_ball_volume(d, r, n, stream(seed, 808)) == expected
+
 
 class TestGrainMoments:
     def test_fixed(self):

@@ -245,6 +245,11 @@ class TestConfigValidation:
                           "--rays", "3", "--cutoff", "30", "--truncate", "1e-300"],
                          "expected obstacles within depth 30 that 3 rays sweep uncapped, per replication of visvol_truncated = 1.7938610130951044e+32 exceeds resource guard 1e+08",
                          id="argv36-expected obstacles within depth 30 that 3 rays sweep uncapped, per replication of visvol_truncated = 1.7938610130951044e+32 exceeds resource guard 1e+08"),
+            # two rays in d = 3 cap their blocks from the first, whose next cap has share 0: this divided by zero
+            pytest.param(["visvol_truncated", "--dim", "3", "--gamma", "20", "--grain", "fixed:1e-300", "--reps", "2",
+                          "--rays", "2", "--cutoff", "6", "--truncate", "0.5"],
+                         "grain radius 1e-300 is too small for the 2-ray sweep, capped from its first block, to cutoff 6",
+                         id="argv37-grain radius 1e-300 is too small for the 2-ray sweep, capped from its first block, to cutoff 6"),
         ],
     )
     def test_misapplied_option_is_usage_error(self, argv, message, capsys):

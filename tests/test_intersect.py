@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypervis import closedform as cf
-from hypervis import intersect
+from hypervis import fanout, intersect
 from hypervis import procsim as ps
 from hypervis.rng import stream
 from hypervis.visibility import make_record
@@ -238,6 +239,35 @@ class TestRounds:
         monkeypatch.setattr(ps, "sample_boolean_annulus", lambda *args, **kwargs: round_)
         with pytest.raises(RuntimeError, match="observed 1 tangent pairs"):
             intersect.estimate_intersection_density(1.0, cf.FixedRadius(0.5), 3.0, 3, seed=0)
+
+    def test_tiles_match_dense(self):
+        # 1,261 expected grains, 1.6e6 Gram entries a realization: a round of two takes several tiles
+        samples = [ps.sample_boolean(2, 1.0, cf.FixedRadius(4.0), 2.0, stream(61, k), condition_origin_free=False)
+                   for k in range(2)]
+        m = max(s.n_grains for s in samples)
+        assert m * m > 2 * intersect._TILE_ENTRIES
+        centers, radii = np.zeros((2, m, 3)), np.zeros((2, m))
+        for k, s in enumerate(samples):
+            centers[k, : s.n_grains], radii[k, : s.n_grains] = s.centers, s.radii
+        dense = [count_crossings_dense(s.centers, s.radii, 2.0) for s in samples]
+        counts, tangents = intersect._count_crossings_vectorized(centers, radii, 2.0)
+        assert counts.tolist() == [count for count, _ in dense] and tangents == sum(t for _, t in dense) == 0
+        for s, expected in zip(samples, dense):
+            assert intersect._count_crossings_vectorized(s.centers, s.radii, 2.0) == expected
+
+    def test_wide_window_memory_is_bounded(self):
+        # the bound was fixed before the first run, under half the 64.8 MB at which the whole Gram matrix of a
+        # realization and its pair indices peaked; the run's work is below the fork threshold, so it is serial
+        law, r_win = cf.FixedRadius(4.0), 2.0
+        assert 2 * intersect._expected_grains(1.0, law, r_win) < fanout._FORK_MIN_WORK
+        tracemalloc.start()
+        try:
+            record = intersect.estimate_intersection_density(1.0, law, r_win, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+        assert record.estimate == 9541.907441025218
 
     @pytest.mark.parametrize("r_win", [0.0, -1.0])
     def test_window_must_be_wider_than_zero(self, r_win, monkeypatch):

@@ -155,6 +155,13 @@ def test_the_sweep_tells_no_kind_by_its_law():
     assert reads == []
 
 
+def test_one_function_decides_the_sweep_caps():
+    # visibility._cap makes every cap decision of the sweep and of check_sweep: a caller that read a cap's share
+    # itself would call .share( outside it, as _sweep and check_sweep each did with a rule of their own
+    called = _owners(lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "share")
+    assert {owner for owner in called if owner.startswith("visibility.")} == {"visibility._cap"}
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test dependency only: the library's quadrature is numpy's Gauss-Legendre rule
     code = "import sys, hypervis.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -77,6 +77,10 @@ PROBES = {
                      ValueError, "seed must be >= 0, got -1"),
     "grain-cap": (lambda: visibility.sample_visibility_ranges(2, 1.0, cf.FixedRadius(1e-300), 5, 2.0, 0),
                   ValueError, "grain radius 1e-300 is too small for the single-ray sweep to cutoff 2"),
+    # two rays in d = 3 cap their sweep from its first block, whose next cap has share 0: unrefused, ZeroDivisionError
+    "grain-cap-many-rays": (lambda: visibility.estimate_visible_volume(3, 20.0, cf.FixedRadius(1e-300), 2, 2, 0.5, 6.0, 0),
+                            ValueError, "grain radius 1e-300 is too small for the 2-ray sweep, capped from its first block, "
+                            "to cutoff 6: the directions from which a grain at depth 6 can reach a ray have share 0"),
     "sweep-depth": (lambda: visibility.sample_zero_cell_ranges(2, 1e-9, 5, 400.0, 0),
                     ValueError, "cutoff 400.0 sweeps to depth 400, beyond the 350"),
     "range-replications": (lambda: visibility.sample_zero_cell_ranges(2, 3.0, 10**12, 2.0, 0),
