@@ -8,7 +8,7 @@ asymptotics, intersection density, and the zero-cell mean volume.
 
 Closed forms are primary; a composite Gauss-Legendre rule of fixed order (see
 _quad) is kept alongside as the independent cross-check route, exposed through
-the ``*_quadrature`` twins and the identity checks at the bottom.
+``sinh_exp_integral_quadrature`` and the identity checks at the bottom.
 """
 
 from __future__ import annotations
@@ -137,8 +137,18 @@ def grain_kind_params(law: GrainLaw | None) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 
 
-# Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 39.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree <= 39: the
+# doubles np.polynomial.legendre.leggauss(20) returns, written out because building them at import loads
+# numpy.polynomial and runs a LAPACK eigen-solve, resident memory that no call uses again. leggauss symmetrises
+# its rule exactly, so the 10 positive nodes and their weights, mirrored, are its arrays.
+_GL_HALF_NODES = np.array([0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+                           0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+                           0.9639719272779138, 0.993128599185095])
+_GL_HALF_WEIGHTS = np.array([0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+                             0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+                             0.040601429800386446, 0.017614007139150893])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _QUAD_RTOL = 1e-13
 _QUAD_MAX_PANELS = 2**12
 

@@ -669,6 +669,12 @@ class TestQuadratureAgainstScipy:
 
 
 class TestGaussLegendreRule:
+    def test_table_is_leggauss_bit_for_bit(self):
+        # the library writes the rule out as literals; a node or weight one digit short would move every closed form
+        # computed by _quad in its last bits
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert np.array_equal(cf._GL_NODES, nodes) and np.array_equal(cf._GL_WEIGHTS, weights)
+
     def test_vector_of_integrals(self):
         k = np.arange(1.0, 6.0)[:, None]
         exact = np.expm1(2.0 * k[:, 0]) / k[:, 0]

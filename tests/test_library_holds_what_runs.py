@@ -163,8 +163,13 @@ def test_one_function_decides_the_sweep_caps():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is a test dependency only: the library's quadrature is numpy's Gauss-Legendre rule
-    code = "import sys, hypervis.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # scipy is a test dependency only, and the library's Gauss-Legendre rule is a table of leggauss(20)'s doubles:
+    # importing the CLI loads neither scipy nor numpy.polynomial and runs no LAPACK eigen-solve
+    code = ("import sys, numpy.linalg\n"
+            "def refuse(*args, **kwargs): raise AssertionError('eigen-solve at import')\n"
+            "numpy.linalg.eigvalsh = numpy.linalg.eigh = refuse\n"
+            "import hypervis.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial'))))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
